@@ -1,33 +1,30 @@
-"""Build shim: compiles the optional Cython core, falling back to pure Python.
+"""Build shim: compiles the C kernels (kcmkit._ckernels) with the system C
+compiler, falling back to pure Python.
 
-The package is fully functional without the extension (kcmkit.kernels picks
-the numpy fallback at import time), so any failure here is downgraded to a
-warning rather than aborting the install.
+The library is plain C99 with no Python API; kcmkit._compiled binds it with
+ctypes. The package is fully functional without it (kcmkit.kernels picks
+the numpy fallback at import time), so a failed compile is downgraded to a
+warning and the build still exits 0.
 """
 
 import sys
 
 from setuptools import Extension, setup
+from setuptools.command.build_ext import build_ext
+from setuptools.errors import CCompilerError, ExecError, PlatformError
 
 
-def extensions():
-    try:
-        import numpy
-        from Cython.Build import cythonize
-    except ImportError as exc:
-        print(f"kcmkit: skipping compiled core ({exc})", file=sys.stderr)
-        return []
-    ext = Extension(
-        "kcmkit._core",
-        sources=["src/kcmkit/_core.pyx"],
-        include_dirs=[numpy.get_include()],
-        define_macros=[("NPY_NO_DEPRECATED_API", "NPY_1_7_API_VERSION")],
-    )
-    try:
-        return cythonize([ext], language_level="3")
-    except Exception as exc:  # cython parse or toolchain trouble
-        print(f"kcmkit: skipping compiled core ({exc})", file=sys.stderr)
-        return []
+class optional_build_ext(build_ext):
+    def run(self):
+        try:
+            super().run()
+        except (CCompilerError, ExecError, PlatformError, OSError) as exc:
+            print(f"kcmkit: skipping compiled kernels ({exc})", file=sys.stderr)
 
 
-setup(ext_modules=extensions())
+setup(
+    ext_modules=[Extension("kcmkit._ckernels",
+                           sources=["src/kcmkit/_ckernels.c"],
+                           extra_compile_args=["-std=c99", "-O3"])],
+    cmdclass={"build_ext": optional_build_ext},
+)

@@ -1,0 +1,366 @@
+/* Compiled kernels: work-queue closure, event-driven KCM loop, crossings.
+ *
+ * Plain C99 over raw arrays, no Python API; kcmkit/_compiled.py binds it
+ * with ctypes and validates every array before passing it in. The contract
+ * and the results are those of kcmkit/_pure.py (bit-identical trajectories
+ * for the event loop); tests/test_kernels.py asserts the parity.
+ *
+ * Table layout (see kcmkit.families.FamilyTables): nbr[v*S + s] is the flat
+ * index of v + offset_s and rev[v*S + s] that of v - offset_s, with the pad
+ * index n for offsets leaving a free box. Rule k reads the slots
+ * rule_slots[rule_ptr[k] .. rule_ptr[k+1]); slot s is read by the rules
+ * slot_rules[slot_ptr[s] .. slot_ptr[s+1]).
+ *
+ * Every function returns 0, or -1 when a work buffer cannot be allocated.
+ */
+
+#include <math.h>
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+/* ------------------------------------------------------------------ rng */
+
+/* splitmix64 finalizer chained over the key words; must match kcmkit.rng */
+static inline uint64_t mix64(uint64_t z)
+{
+    z += 0x9E3779B97F4A7C15ULL;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+}
+
+/* uniform in (0, 1) keyed on (seed, stream, replica) via `prefix` */
+static inline double u01(uint64_t prefix, uint64_t vkey, uint64_t counter)
+{
+    uint64_t h = mix64(mix64(prefix ^ vkey) ^ counter);
+    return ((double)(h >> 11) + 0.5) * 0x1p-53;
+}
+
+/* -------------------------------------------------------------- closure */
+
+/* Bootstrap closure with synchronous-round labels.
+ *
+ * Every (vertex, rule) pair counts the slots that still read occupied; a
+ * vertex joins the next wave when one of its counters reaches zero, so the
+ * wave index is the synchronous round. flippable and visible may be NULL
+ * (all ones). Writes out[v] (bits after the closure) and rounds[v]: 0 for
+ * initially empty sites, r >= 1 for sites emptied in round r, -1 never.
+ */
+int kk_closure(int64_t n, int64_t S, int64_t m,
+               const int64_t *nbr, const int64_t *rev,
+               const int32_t *rule_slots, const int32_t *rule_ptr,
+               const int32_t *slot_rules, const int32_t *slot_ptr,
+               int pad_empty, const uint8_t *bits,
+               const uint8_t *flippable, const uint8_t *visible,
+               uint8_t *out, int32_t *rounds)
+{
+    uint8_t *eff = malloc((size_t)n + 1);
+    uint8_t *can = malloc((size_t)n + 1);
+    int32_t *cnt = malloc(((size_t)n * (size_t)m + 1) * sizeof *cnt);
+    int64_t *queue = malloc(((size_t)n + 1) * sizeof *queue);
+    if (!eff || !can || !cnt || !queue) {
+        free(eff); free(can); free(cnt); free(queue);
+        return -1;
+    }
+    for (int64_t v = 0; v < n; v++) {
+        eff[v] = bits[v] == 0 && (!visible || visible[v]);
+        can[v] = bits[v] == 1 && (!flippable || flippable[v]);
+        rounds[v] = bits[v] == 0 ? 0 : -1;
+    }
+    eff[n] = pad_empty ? 1 : 0;
+
+    int64_t tail = 0;
+    for (int64_t v = 0; v < n; v++) {
+        if (!can[v])
+            continue;
+        int sat = 0;
+        for (int64_t k = 0; k < m; k++) {
+            int32_t c = 0;
+            for (int32_t i = rule_ptr[k]; i < rule_ptr[k + 1]; i++)
+                c += eff[nbr[v * S + rule_slots[i]]] == 0;
+            cnt[v * m + k] = c;
+            sat |= c == 0;
+        }
+        if (sat) {
+            rounds[v] = 1;
+            queue[tail++] = v;
+        }
+    }
+
+    int64_t wave_start = 0, wave_end = tail;
+    int32_t label = 1;
+    while (wave_start < wave_end) {
+        int32_t next_label = label + 1;
+        for (int64_t j = wave_start; j < wave_end; j++) {
+            const int64_t *back = rev + queue[j] * S;
+            for (int64_t s = 0; s < S; s++) {
+                int64_t u = back[s];
+                if (u >= n)
+                    continue;
+                for (int32_t i = slot_ptr[s]; i < slot_ptr[s + 1]; i++) {
+                    int32_t *c = &cnt[u * m + slot_rules[i]];
+                    if (--*c == 0 && can[u] && rounds[u] == -1) {
+                        rounds[u] = next_label;
+                        queue[tail++] = u;
+                    }
+                }
+            }
+        }
+        wave_start = wave_end;
+        wave_end = tail;
+        label = next_label;
+    }
+
+    for (int64_t v = 0; v < n; v++)
+        out[v] = rounds[v] >= 1 ? 0 : bits[v];
+    free(eff); free(can); free(cnt); free(queue);
+    return 0;
+}
+
+/* ------------------------------------------------------- KCM event loop */
+
+/* Min-heap of pending rings ordered by (time, vertex); the vertex breaks
+ * ties exactly as the (time, vertex) tuples of the heapq loop in _pure. */
+typedef struct {
+    double t;
+    int64_t v;
+} ring_t;
+
+static inline int ring_less(ring_t a, ring_t b)
+{
+    return a.t < b.t || (a.t == b.t && a.v < b.v);
+}
+
+static void heap_push(ring_t *h, int64_t *size, ring_t r)
+{
+    int64_t i = (*size)++;
+    h[i] = r;
+    while (i > 0) {
+        int64_t p = (i - 1) >> 1;
+        if (ring_less(h[p], h[i]))
+            break;
+        ring_t tmp = h[p]; h[p] = h[i]; h[i] = tmp;
+        i = p;
+    }
+}
+
+static void heap_pop(ring_t *h, int64_t *size)
+{
+    int64_t last = --*size, i = 0;
+    h[0] = h[last];
+    for (;;) {
+        int64_t l = 2 * i + 1, r = l + 1, sm = i;
+        if (l < last && ring_less(h[l], h[sm]))
+            sm = l;
+        if (r < last && ring_less(h[r], h[sm]))
+            sm = r;
+        if (sm == i)
+            break;
+        ring_t tmp = h[sm]; h[sm] = h[i]; h[i] = tmp;
+        i = sm;
+    }
+}
+
+enum { KK_T_MAX = 0, KK_TARGET = 1, KK_MAX_EVENTS = 2 };
+
+/* Counters and first-passage times of one trajectory; mirrored by
+ * kcmkit._compiled.RunStats. n_events counts every executed resample, also
+ * those past the event buffer's capacity. */
+typedef struct {
+    double t_end;
+    double t_target_empty;
+    double t_target_first_legal;
+    int64_t rings;
+    int64_t legal_updates;
+    int64_t flips;
+    int64_t n_events;
+    int64_t status;
+} kk_run_stats;
+
+/* Add c * |[t0, t1) ∩ window j| to integrals[j] for every batch window. */
+static void accumulate(const double *edges, int64_t nb, int64_t *bi,
+                       double *integrals, double t0, double t1, int64_t c)
+{
+    if (!edges || t1 <= edges[0])
+        return;
+    while (*bi < nb && edges[*bi + 1] <= t0)
+        ++*bi;
+    for (int64_t j = *bi; j < nb && edges[j] < t1; j++) {
+        double lo = t0 > edges[j] ? t0 : edges[j];
+        double hi = t1 < edges[j + 1] ? t1 : edges[j + 1];
+        if (hi > lo)
+            integrals[j] += (double)c * (hi - lo);
+    }
+}
+
+/* Continuous-time constrained Glauber dynamics, next-reaction style.
+ *
+ * bits holds the n initial states and receives the final ones. edges
+ * (n_edges >= 2 values, or NULL) requests per-window integrals of the
+ * empty-site count. The event log is written to ev_t/ev_v/ev_s (or not at
+ * all when ev_t is NULL) up to ev_cap entries; st->n_events says how many
+ * there were, so a caller whose buffer was short can rerun with more.
+ */
+int kk_kcm_run(int64_t n, int64_t S, int64_t m, const int64_t *nbr,
+               const int32_t *rule_slots, const int32_t *rule_ptr,
+               int pad_empty, uint8_t *bits, const uint64_t *vkeys,
+               uint64_t seed, uint64_t replica, double q, double t_max,
+               int64_t target, int stop_when_target_empty,
+               const double *edges, int64_t n_edges, double *integrals,
+               int64_t max_events, double *ev_t, int32_t *ev_v,
+               uint8_t *ev_s, int64_t ev_cap, kk_run_stats *st)
+{
+    const uint64_t STREAM_CLOCK = 1;
+    uint8_t *bl = malloc((size_t)n + 1);
+    uint64_t *ctr = malloc(((size_t)n + 1) * sizeof *ctr);
+    ring_t *heap = malloc(((size_t)n + 1) * sizeof *heap);
+    if (!bl || !ctr || !heap) {
+        free(bl); free(ctr); free(heap);
+        return -1;
+    }
+    uint64_t prefix = mix64(mix64(mix64(seed) ^ STREAM_CLOCK) ^ replica);
+
+    memcpy(bl, bits, (size_t)n);
+    bl[n] = pad_empty ? 0 : 1;
+    int64_t hsize = 0, empties = 0;
+    for (int64_t v = 0; v < n; v++) {
+        ring_t r = {-log(u01(prefix, vkeys[v], 0)), v};
+        ctr[v] = 1;
+        heap_push(heap, &hsize, r);
+        empties += bl[v] == 0;
+    }
+
+    int64_t nb = edges ? n_edges - 1 : 0, bi = 0;
+    double t_now = 0.0;
+    int64_t rings = 0, legal = 0, flips = 0, n_events = 0;
+    double t_target_empty = -1.0, t_target_legal = -1.0;
+    int64_t status = KK_T_MAX;
+
+    while (hsize > 0) {
+        double tt = heap[0].t;
+        int64_t x = heap[0].v;
+        heap_pop(heap, &hsize);
+        if (tt > t_max) {
+            accumulate(edges, nb, &bi, integrals, t_now, t_max, empties);
+            t_now = t_max;
+            break;
+        }
+        accumulate(edges, nb, &bi, integrals, t_now, tt, empties);
+        t_now = tt;
+        rings++;
+        const int64_t *row = nbr + x * S;
+        int ok = 0;
+        for (int64_t k = 0; k < m && !ok; k++) {
+            ok = 1;
+            for (int32_t i = rule_ptr[k]; i < rule_ptr[k + 1]; i++) {
+                if (bl[row[rule_slots[i]]] != 0) {
+                    ok = 0;
+                    break;
+                }
+            }
+        }
+        if (ok) {
+            legal++;
+            if (x == target && t_target_legal < 0.0)
+                t_target_legal = t_now;
+            uint8_t nv = u01(prefix, vkeys[x], ctr[x]++) < q ? 0 : 1;
+            if (ev_t) {
+                if (n_events < ev_cap) {
+                    ev_t[n_events] = t_now;
+                    ev_v[n_events] = (int32_t)x;
+                    ev_s[n_events] = nv;
+                }
+                n_events++;
+            }
+            if (nv != bl[x]) {
+                flips++;
+                empties += nv == 0 ? 1 : -1;
+                bl[x] = nv;
+            }
+            if (nv == 0 && x == target && t_target_empty < 0.0) {
+                t_target_empty = t_now;
+                if (stop_when_target_empty) {
+                    status = KK_TARGET;
+                    break;
+                }
+            }
+        }
+        ring_t r = {t_now - log(u01(prefix, vkeys[x], ctr[x]++)), x};
+        heap_push(heap, &hsize, r);
+        if (rings >= max_events) {
+            status = KK_MAX_EVENTS;
+            break;
+        }
+    }
+
+    memcpy(bits, bl, (size_t)n);
+    st->t_end = t_now;
+    st->t_target_empty = t_target_empty;
+    st->t_target_first_legal = t_target_legal;
+    st->rings = rings;
+    st->legal_updates = legal;
+    st->flips = flips;
+    st->n_events = n_events;
+    st->status = status;
+    free(bl); free(ctr); free(heap);
+    return 0;
+}
+
+/* ------------------------------------------------------------ crossings */
+
+/* out[r] = 1 when grid r of the (R, n0, n1) stack has a nearest-neighbour
+ * path of nonzero cells joining the two faces orthogonal to `axis` (depth-
+ * first search from the first face), else 0. */
+int kk_crossing_batch(int64_t R, int64_t n0, int64_t n1, const uint8_t *grids,
+                      int axis, uint8_t *out)
+{
+    int64_t cells = n0 * n1;
+    uint8_t *seen = malloc((size_t)cells + 1);
+    int64_t *stack = malloc(((size_t)cells + 1) * sizeof *stack);
+    if (!seen || !stack) {
+        free(seen); free(stack);
+        return -1;
+    }
+    for (int64_t r = 0; r < R; r++) {
+        const uint8_t *g = grids + r * cells;
+        int64_t top = 0;
+        uint8_t hit = 0;
+        memset(seen, 0, (size_t)cells);
+        int64_t starts = axis == 0 ? n1 : n0;
+        for (int64_t i = 0; i < starts && cells > 0; i++) {
+            int64_t cell = axis == 0 ? i : i * n1;
+            if (g[cell]) {
+                seen[cell] = 1;
+                stack[top++] = cell;
+            }
+        }
+        while (top > 0) {
+            int64_t cell = stack[--top];
+            int64_t ci = cell / n1, cj = cell - ci * n1;
+            if ((axis == 0 && ci == n0 - 1) || (axis == 1 && cj == n1 - 1)) {
+                hit = 1;
+                break;
+            }
+            int64_t nxt[4];
+            int k = 0;
+            if (ci > 0)
+                nxt[k++] = cell - n1;
+            if (ci < n0 - 1)
+                nxt[k++] = cell + n1;
+            if (cj > 0)
+                nxt[k++] = cell - 1;
+            if (cj < n1 - 1)
+                nxt[k++] = cell + 1;
+            for (int i = 0; i < k; i++) {
+                if (g[nxt[i]] && !seen[nxt[i]]) {
+                    seen[nxt[i]] = 1;
+                    stack[top++] = nxt[i];
+                }
+            }
+        }
+        out[r] = hit;
+    }
+    free(seen); free(stack);
+    return 0;
+}

@@ -1,0 +1,193 @@
+"""Compiled kernels: a ctypes binding of the C99 library built from _ckernels.c.
+
+Same contract as kcmkit._pure, and the same results (bit-identical
+trajectories for the event loop). `python setup.py build_ext --inplace`
+puts the library next to this file; `load` returns None when it is missing
+or cannot be loaded, and kcmkit.kernels then falls back to _pure. Every
+array is checked for length and converted to a contiguous array of the C
+type here, before its pointer is passed on.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import importlib.machinery
+from pathlib import Path
+
+import numpy as np
+
+from .families import FamilyTables
+
+IMPL_NAME = "compiled"
+LIBRARY = "_ckernels"
+
+_STATUS = ("t_max", "target", "max_events")   # indexed by the KK_* codes
+# initial event-log capacity; a longer log costs one deterministic rerun
+_EVENT_CAP = 1 << 20
+
+_i64, _u64, _dbl = ctypes.c_int64, ctypes.c_uint64, ctypes.c_double
+_ptr = ctypes.c_void_p
+
+
+class RunStats(ctypes.Structure):
+    """Mirror of kk_run_stats in _ckernels.c."""
+
+    _fields_ = [("t_end", _dbl), ("t_target_empty", _dbl),
+                ("t_target_first_legal", _dbl), ("rings", _i64),
+                ("legal_updates", _i64), ("flips", _i64),
+                ("n_events", _i64), ("status", _i64)]
+
+
+def _addr(a: np.ndarray | None):
+    return None if a is None else a.ctypes.data
+
+
+def _as(a, dtype, n: int | None = None, name: str = "array") -> np.ndarray:
+    out = np.ascontiguousarray(a, dtype=dtype)
+    if n is not None and out.shape != (n,):
+        raise ValueError(f"{name} has shape {out.shape}, expected ({n},)")
+    return out
+
+
+class _Tables:
+    """Contiguous C-typed views of a FamilyTables, held while C reads them."""
+
+    def __init__(self, t: FamilyTables):
+        self.n = t.n_sites
+        self.nbr = _as(t.nbr, np.int64)
+        self.rev = _as(t.rev, np.int64)
+        self.rule_slots = _as(t.rule_slots, np.int32)
+        self.rule_ptr = _as(t.rule_ptr, np.int32)
+        self.slot_rules = _as(t.slot_rules, np.int32)
+        self.slot_ptr = _as(t.slot_ptr, np.int32)
+        self.S = self.nbr.shape[1]
+        self.m = self.rule_ptr.size - 1
+        self.pad_empty = int(bool(t.pad_empty))
+        if (self.nbr.shape != (self.n, self.S)
+                or self.rev.shape != self.nbr.shape
+                or self.slot_ptr.size != self.S + 1):
+            raise ValueError("family tables do not match the geometry")
+
+
+class Kernels:
+    """The three kernel entry points over one loaded library."""
+
+    IMPL_NAME = IMPL_NAME
+
+    def __init__(self, path: Path):
+        lib = ctypes.CDLL(str(path))
+        lib.kk_closure.argtypes = [_i64, _i64, _i64] + [_ptr] * 6 + [
+            ctypes.c_int] + [_ptr] * 5
+        lib.kk_kcm_run.argtypes = [
+            _i64, _i64, _i64, _ptr, _ptr, _ptr, ctypes.c_int, _ptr, _ptr,
+            _u64, _u64, _dbl, _dbl, _i64, ctypes.c_int, _ptr, _i64, _ptr,
+            _i64, _ptr, _ptr, _ptr, _i64, ctypes.POINTER(RunStats)]
+        lib.kk_crossing_batch.argtypes = [_i64, _i64, _i64, _ptr,
+                                          ctypes.c_int, _ptr]
+        for fn in (lib.kk_closure, lib.kk_kcm_run, lib.kk_crossing_batch):
+            fn.restype = ctypes.c_int
+        self._lib = lib
+
+    @staticmethod
+    def _check(rc: int) -> None:
+        if rc != 0:
+            raise MemoryError("kcmkit compiled kernel: out of memory")
+
+    def closure(self, bits, t: FamilyTables, flippable=None, visible=None):
+        """Bootstrap closure with synchronous-round labels.
+
+        Same contract as kcmkit._pure.closure: returns (out_bits, rounds)
+        with rounds[v] = 0 for initially empty sites, r >= 1 for sites
+        emptied in round r, -1 for sites never emptied.
+        """
+        tb = _Tables(t)
+        b = _as(bits, np.uint8, tb.n, "bits")
+        flip = None if flippable is None else _as(flippable, bool, tb.n,
+                                                  "flippable")
+        vis = None if visible is None else _as(visible, bool, tb.n, "visible")
+        out = np.empty(tb.n, dtype=np.uint8)
+        rounds = np.empty(tb.n, dtype=np.int32)
+        self._check(self._lib.kk_closure(
+            tb.n, tb.S, tb.m, _addr(tb.nbr), _addr(tb.rev),
+            _addr(tb.rule_slots), _addr(tb.rule_ptr), _addr(tb.slot_rules),
+            _addr(tb.slot_ptr), tb.pad_empty, _addr(b), _addr(flip),
+            _addr(vis), _addr(out), _addr(rounds)))
+        return out, rounds
+
+    def kcm_run(self, bits, t: FamilyTables, vkeys, seed, replica, q, t_max,
+                target=-1, stop_when_target_empty=False, batch_edges=None,
+                log_events=False, max_events=None):
+        """Continuous-time constrained dynamics; mirrors kcmkit._pure.kcm_run."""
+        tb = _Tables(t)
+        b = _as(bits, np.uint8, tb.n, "bits")
+        vk = _as(vkeys, np.uint64, tb.n, "vkeys")
+        me = (1 << 62) if max_events is None else int(max_events)
+        edges = None
+        if batch_edges is not None:
+            edges = _as(batch_edges, np.float64)
+            if edges.ndim != 1 or edges.size < 2:
+                raise ValueError("batch_edges needs at least two edges")
+        cap = 0
+        if log_events:
+            # rings arrive at rate 1 per site, so this usually holds the log
+            cap = int(min(me, _EVENT_CAP, 1.25 * tb.n * max(t_max, 0.0) + 64))
+        while True:
+            integrals = np.zeros(0 if edges is None else edges.size - 1)
+            ev = (np.empty(cap), np.empty(cap, dtype=np.int32),
+                  np.empty(cap, dtype=np.uint8)) if log_events else (None,) * 3
+            out = b.copy()
+            st = RunStats()
+            self._check(self._lib.kk_kcm_run(
+                tb.n, tb.S, tb.m, _addr(tb.nbr), _addr(tb.rule_slots),
+                _addr(tb.rule_ptr), tb.pad_empty, _addr(out), _addr(vk),
+                int(seed) & 0xFFFFFFFFFFFFFFFF,
+                int(replica) & 0xFFFFFFFFFFFFFFFF, float(q), float(t_max),
+                int(target), int(bool(stop_when_target_empty)), _addr(edges),
+                0 if edges is None else edges.size, _addr(integrals), me,
+                *map(_addr, ev), cap, ctypes.byref(st)))
+            if st.n_events <= cap:
+                break
+            cap = st.n_events
+        events = None
+        if log_events:
+            k = st.n_events
+            events = ev if k == cap else tuple(a[:k].copy() for a in ev)
+        return {
+            "bits": out,
+            "t_end": st.t_end,
+            "rings": st.rings,
+            "legal_updates": st.legal_updates,
+            "flips": st.flips,
+            "t_target_empty": st.t_target_empty,
+            "t_target_first_legal": st.t_target_first_legal,
+            "batch_integrals": integrals,
+            "events": events,
+            "status": _STATUS[st.status],
+        }
+
+    def crossing_batch(self, empty_grids, axis: int) -> np.ndarray:
+        """Which grids have a nearest-neighbor True path joining the two
+        faces orthogonal to `axis`. empty_grids has shape (R, n0, n1)."""
+        g = np.ascontiguousarray(empty_grids, dtype=bool)
+        if g.ndim != 3:
+            raise ValueError("expected a (replicas, n0, n1) stack")
+        if axis not in (0, 1):
+            raise ValueError("axis must be 0 or 1")
+        out = np.zeros(g.shape[0], dtype=bool)
+        self._check(self._lib.kk_crossing_batch(
+            *g.shape, _addr(g), axis, _addr(out)))
+        return out
+
+
+def load(directory: Path | None = None) -> Kernels | None:
+    """Kernels over the library built in `directory` (default: this
+    package), or None when it is not built or cannot be loaded."""
+    directory = Path(__file__).parent if directory is None else directory
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = directory / f"{LIBRARY}{suffix}"
+        if path.is_file():
+            try:
+                return Kernels(path)
+            except OSError:
+                return None
+    return None

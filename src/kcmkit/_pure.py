@@ -1,8 +1,8 @@
 """Fallback kernels: numpy-vectorized closure, heapq event loop, crossings.
 
-Functionally identical to the compiled core in kcmkit._core; kernels.py picks
-one at import time. Keep the two in lockstep: the test suite asserts equal
-outputs (bit-identical trajectories for the event loop) when both exist.
+Functionally identical to the compiled kernels in kcmkit._compiled;
+kernels.py picks one at import time. Keep the two in lockstep: the test
+suite asserts equal outputs (bit-identical trajectories for the event loop).
 """
 
 from __future__ import annotations

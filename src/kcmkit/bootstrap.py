@@ -39,40 +39,35 @@ def closure_with_rounds(cfg: Configuration, fam: UpdateFamily):
 def closure_naive(cfg: Configuration, fam: UpdateFamily):
     """Full-rescan fixed-point oracle, written independently of the kernels.
 
-    Same contract as closure_with_rounds; quadratic and deliberately plain,
-    kept as the reference the optimized kernels are tested against.
+    Same contract as closure_with_rounds; every round rescans every site
+    against every rule, kept plain as the reference the optimized kernels
+    are tested against. Neighbours come from Geometry.shift_flat, once per
+    distinct offset.
     """
     geom = cfg.geom
+    n = geom.n_sites
     bits = cfg.bits.copy()
     rounds = np.where(bits == 0, np.int32(0), np.int32(-1))
-    rules = [sorted(rule) for rule in fam.rules]
+    offsets = {off for rule in fam.rules for off in rule}
+    shifted = {off: np.array([geom.shift_flat(v, off) for v in range(n)],
+                             dtype=np.int64) for off in offsets}
+    # (|rule|, n) targets per rule; -1 (outside a free box) reads the extra
+    # last entry of the emptiness array below
+    targets = [np.array([shifted[off] for off in rule],
+                        dtype=np.int64).reshape(len(rule), n)
+               for rule in fam.rules]
     r = 0
-    changed = True
-    while changed:
-        changed = False
+    while True:
         r += 1
-        newly = []
-        for v in range(geom.n_sites):
-            if bits[v] != 1:
-                continue
-            for rule in rules:
-                ok = True
-                for off in rule:
-                    w = geom.shift_flat(v, off)
-                    if w < 0:
-                        if not geom.outside_empty:
-                            ok = False
-                            break
-                    elif bits[w] != 0:
-                        ok = False
-                        break
-                if ok:
-                    newly.append(v)
-                    break
-        for v in newly:
-            bits[v] = 0
-            rounds[v] = r
-            changed = True
+        empty = np.append(bits == 0, geom.outside_empty)
+        sat = np.zeros(n, dtype=bool)
+        for tgt in targets:
+            sat |= empty[tgt].all(axis=0)
+        newly = sat & (bits == 1)
+        if not newly.any():
+            break
+        bits[newly] = 0
+        rounds[newly] = r
     return Configuration(geom, bits), rounds
 
 

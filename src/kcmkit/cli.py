@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, blocks, bootstrap, kcm, paths, percolation, spectral
+from . import __version__, blocks, bootstrap, kcm, paths, percolation
 from .families import UpdateFamily, make_family
 from .lattice import Configuration, Geometry, read_grid
 
@@ -265,6 +265,8 @@ def _cmd_sim(args) -> None:
 
 
 def _cmd_gap(args) -> None:
+    from . import spectral  # scipy, which only this command needs
+
     _need(args, "model", "dims", "q")
     fam = resolve_family(args.model, args.d)
     torus = args.torus if args.torus is not None else False
@@ -274,9 +276,9 @@ def _cmd_gap(args) -> None:
     rows = []
     for i, q in enumerate(args.q):
         gen = spectral.build_generator(geom, fam, q)
-        gap, sure = spectral.spectral_gap(gen)
+        gap, degenerate = spectral.spectral_gap(gen)
         rows.append([fam.name, geom.dims, q, args.seed, gen.size, gap,
-                     spectral.relaxation_time(gen)])
+                     spectral.relaxation_time_from_gap(gap, degenerate)])
     emit_csv(args.out, params,
              ["model", "dims", "q", "seed", "class_size", "gap", "t_rel"],
              rows)

@@ -1,4 +1,4 @@
-"""Kernel selection: compiled core when importable, numpy fallback otherwise.
+"""Kernel selection: compiled C kernels when built, numpy fallback otherwise.
 
 Set KCMKIT_PURE=1 to force the fallback (used by the parity tests and the
 benchmark). Both implementations expose the same three entry points with
@@ -9,15 +9,13 @@ from __future__ import annotations
 
 import os
 
-from . import _pure
+from . import _compiled, _pure
 
-if os.environ.get("KCMKIT_PURE", "") not in ("", "0"):
+_impl = None
+if os.environ.get("KCMKIT_PURE", "") in ("", "0"):
+    _impl = _compiled.load()
+if _impl is None:
     _impl = _pure
-else:
-    try:
-        from . import _core as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _pure
 
 IMPLEMENTATION: str = _impl.IMPL_NAME
 
@@ -27,11 +25,10 @@ crossing_batch = _impl.crossing_batch
 
 
 def implementations():
-    """All importable kernel modules, name -> module (for benchmarks/tests)."""
+    """All loadable kernel implementations, name -> object exposing the
+    three entry points (for benchmarks/tests)."""
     out = {"pure": _pure}
-    try:
-        from . import _core
-        out["compiled"] = _core
-    except ImportError:
-        pass
+    compiled = _compiled.load()
+    if compiled is not None:
+        out["compiled"] = compiled
     return out

@@ -202,13 +202,18 @@ def spectral_gap(gen: GeneratorMatrix) -> tuple[float, bool]:
     return gap, gap < DEGENERATE_GAP
 
 
-def relaxation_time(gen: GeneratorMatrix) -> float:
-    """T_rel = 1/gap; warns if the gap is numerically degenerate."""
-    gap, degenerate = spectral_gap(gen)
+def relaxation_time_from_gap(gap: float, degenerate: bool) -> float:
+    """T_rel = 1/gap; inf with a warning if the gap is numerically
+    degenerate. Takes spectral_gap's result, so one solve gives both."""
     if degenerate:
         warnings.warn(f"numerically degenerate gap {gap:.3e}", RuntimeWarning)
         return np.inf
     return 1.0 / gap
+
+
+def relaxation_time(gen: GeneratorMatrix) -> float:
+    """T_rel = 1/gap; warns if the gap is numerically degenerate."""
+    return relaxation_time_from_gap(*spectral_gap(gen))
 
 
 def relaxation_time_dense(gen: GeneratorMatrix) -> float:
@@ -221,10 +226,8 @@ def relaxation_time_dense(gen: GeneratorMatrix) -> float:
     lam = np.sort(-np.linalg.eigvalsh(dense))
     if abs(lam[0]) > 1e-8:
         raise AssertionError("zero eigenvalue not found on the class")
-    if lam[1] < DEGENERATE_GAP:
-        warnings.warn("numerically degenerate gap", RuntimeWarning)
-        return np.inf
-    return float(1.0 / lam[1])
+    gap = float(lam[1])
+    return relaxation_time_from_gap(gap, gap < DEGENERATE_GAP)
 
 
 def second_eigenvector(gen: GeneratorMatrix) -> np.ndarray:

@@ -25,7 +25,11 @@ class ScanEstimate:
 
 
 def wilson_ci(successes: int, trials: int, z: float = 1.959963984540054):
-    """Wilson score interval for a binomial proportion."""
+    """Wilson score interval for a binomial proportion.
+
+    The interval reaches 0 exactly at zero successes and 1 exactly at full
+    successes, where the closed form only gets there up to rounding.
+    """
     if trials <= 0:
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:
@@ -36,4 +40,6 @@ def wilson_ci(successes: int, trials: int, z: float = 1.959963984540054):
     center = (phat + z2 / (2 * trials)) / denom
     half = (z / denom) * math.sqrt(phat * (1 - phat) / trials
                                    + z2 / (4 * trials * trials))
-    return max(0.0, center - half), min(1.0, center + half)
+    lo = 0.0 if successes == 0 else max(0.0, center - half)
+    hi = 1.0 if successes == trials else min(1.0, center + half)
+    return lo, hi

@@ -45,6 +45,52 @@ def test_closure_rounds_match_naive():
         assert np.array_equal(rounds, rounds_slow)
 
 
+def _loop_oracle(cfg, fam):
+    """The site-by-site rescan that closure_naive vectorizes."""
+    geom = cfg.geom
+    bits = cfg.bits.copy()
+    rounds = np.where(bits == 0, np.int32(0), np.int32(-1))
+    r = 0
+    while True:
+        r += 1
+        newly = []
+        for v in range(geom.n_sites):
+            if bits[v] != 1:
+                continue
+            for rule in fam.rules:
+                ok = True
+                for off in rule:
+                    w = geom.shift_flat(v, off)
+                    if (not geom.outside_empty) if w < 0 else bits[w] != 0:
+                        ok = False
+                        break
+                if ok:
+                    newly.append(v)
+                    break
+        if not newly:
+            return bits, rounds
+        bits[newly] = 0
+        rounds[newly] = r
+
+
+@pytest.mark.parametrize("model,kwargs,geom", [
+    ("fa_kf", {"d": 2, "k": 2}, Geometry((6, 5), torus=True)),
+    ("gg", {}, Geometry((6, 6))),
+    ("east", {"d": 2}, Geometry((5, 6), outside_empty=True)),
+    ("north_east", {}, Geometry((2, 3), torus=True)),
+    ("fa_kf", {"d": 1, "k": 1}, Geometry((7,), outside_empty=True)),
+    ("unconstrained", {"d": 2}, Geometry((3, 3))),
+])
+def test_naive_oracle_matches_loop_rescan(model, kwargs, geom):
+    fam = make_family(model, **kwargs)
+    for seed in range(10):
+        cfg = sample_configuration(geom, 0.3, seed=seed)
+        out, rounds = closure_naive(cfg, fam)
+        bits, rounds_loop = _loop_oracle(cfg, fam)
+        assert np.array_equal(out.bits, bits)
+        assert np.array_equal(rounds, rounds_loop)
+
+
 def test_closure_empty_rule_fills_everything():
     g = Geometry((4, 4), torus=True)
     fam = make_family("unconstrained", d=2)

@@ -1,13 +1,45 @@
-"""Parity tests: the compiled core and the pure fallback must agree exactly."""
+"""Parity tests: the compiled kernels and the pure fallback must agree exactly.
+
+The compiled kernels come from the in-place build when there is one;
+otherwise the module builds the library once into a temporary directory
+with `setup.py build_ext`, the same recipe as the in-place build. The
+tests skip only when no C compiler is available.
+"""
+
+import os
+import shlex
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kcmkit import _pure
+from kcmkit import _compiled, _pure, kernels
 from kcmkit.families import make_family, tables_for
 from kcmkit.lattice import Configuration, Geometry
 
-core = pytest.importorskip("kcmkit._core")
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def core(tmp_path_factory):
+    built = kernels.implementations().get("compiled")
+    if built is not None:
+        return built
+    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+    if shutil.which(shlex.split(cc)[0]) is None:
+        pytest.skip(f"no C compiler ({cc}) to build the compiled kernels")
+    tmp = tmp_path_factory.mktemp("ckernels")
+    p = subprocess.run(
+        [sys.executable, "setup.py", "build_ext", "--build-lib",
+         str(tmp / "lib"), "--build-temp", str(tmp / "temp")],
+        cwd=ROOT, capture_output=True, text=True, timeout=600)
+    lib = _compiled.load(tmp / "lib" / "kcmkit")
+    assert lib is not None, f"build produced no library\n{p.stdout}{p.stderr}"
+    return lib
 
 
 def _random_bits(geom, q, seed):
@@ -26,7 +58,7 @@ FAMS = [
 
 
 @pytest.mark.parametrize("label,fam,geom", FAMS, ids=[f[0] for f in FAMS])
-def test_closure_parity(label, fam, geom):
+def test_closure_parity(core, label, fam, geom):
     t = tables_for(geom, fam)
     for seed in range(25):
         bits = _random_bits(geom, 0.35, seed)
@@ -36,15 +68,18 @@ def test_closure_parity(label, fam, geom):
         assert np.array_equal(r1, r2)
 
 
-def test_closure_parity_with_masks():
-    fam = make_family("fa_kf", d=2, k=2)
-    geom = Geometry((8, 8), torus=True)
+MASKED = [FAMS[0], FAMS[1], FAMS[3], FAMS[5]]
+
+
+@pytest.mark.parametrize("label,fam,geom", MASKED, ids=[f[0] for f in MASKED])
+def test_closure_parity_with_masks(core, label, fam, geom):
     t = tables_for(geom, fam)
+    n = geom.n_sites
     rng = np.random.default_rng(0)
     for _ in range(25):
-        bits = (rng.random(64) > 0.4).astype(np.uint8)
-        flip = rng.random(64) > 0.3
-        vis = rng.random(64) > 0.2
+        bits = (rng.random(n) > 0.4).astype(np.uint8)
+        flip = rng.random(n) > 0.3
+        vis = rng.random(n) > 0.2
         b1, r1 = core.closure(bits, t, flip, vis)
         b2, r2 = _pure.closure(bits, t, flip, vis)
         assert np.array_equal(b1, b2)
@@ -52,7 +87,7 @@ def test_closure_parity_with_masks():
 
 
 @pytest.mark.parametrize("label,fam,geom", FAMS[:4], ids=[f[0] for f in FAMS[:4]])
-def test_kcm_run_parity_bit_identical(label, fam, geom):
+def test_kcm_run_parity_bit_identical(core, label, fam, geom):
     t = tables_for(geom, fam)
     vkeys = geom.vertex_keys()
     for seed in (1, 7):
@@ -62,20 +97,56 @@ def test_kcm_run_parity_bit_identical(label, fam, geom):
                          target=0, batch_edges=edges, log_events=True)
         b = _pure.kcm_run(bits, t, vkeys, seed, 0, 0.3, 7.5,
                           target=0, batch_edges=edges, log_events=True)
-        assert np.array_equal(a["bits"], b["bits"])
-        assert a["t_end"] == b["t_end"]
-        assert a["rings"] == b["rings"]
-        assert a["legal_updates"] == b["legal_updates"]
-        assert a["flips"] == b["flips"]
-        assert a["t_target_empty"] == b["t_target_empty"]
-        assert a["t_target_first_legal"] == b["t_target_first_legal"]
-        assert np.array_equal(a["batch_integrals"], b["batch_integrals"])
-        for u, v in zip(a["events"], b["events"]):
-            assert np.array_equal(u, v)
-        assert a["status"] == b["status"]
+        _assert_same_run(a, b)
 
 
-def test_kcm_run_parity_stop_and_cap():
+def _assert_same_run(a, b):
+    assert np.array_equal(a["bits"], b["bits"])
+    assert a["t_end"] == b["t_end"]
+    assert a["rings"] == b["rings"]
+    assert a["legal_updates"] == b["legal_updates"]
+    assert a["flips"] == b["flips"]
+    assert a["t_target_empty"] == b["t_target_empty"]
+    assert a["t_target_first_legal"] == b["t_target_first_legal"]
+    assert np.array_equal(a["batch_integrals"], b["batch_integrals"])
+    assert (a["events"] is None) == (b["events"] is None)
+    for u, v in zip(a["events"] or (), b["events"] or ()):
+        assert u.dtype == v.dtype
+        assert np.array_equal(u, v)
+    assert a["status"] == b["status"]
+
+
+def test_kcm_run_parity_bool_and_strided_bits(core):
+    fam = make_family("fa_kf", d=2, k=2)
+    geom = Geometry((6, 6), torus=True)
+    t = tables_for(geom, fam)
+    vkeys = geom.vertex_keys()
+    wide = _random_bits(Geometry((72,), torus=True), 0.4, 3)
+    before = wide.copy()
+    for bits in (wide[::2], (wide == 1)[::2]):
+        assert not bits.flags.c_contiguous
+        a = core.kcm_run(bits, t, vkeys, 4, 1, 0.4, 6.0, log_events=True)
+        b = _pure.kcm_run(bits, t, vkeys, 4, 1, 0.4, 6.0, log_events=True)
+        _assert_same_run(a, b)
+    assert np.array_equal(wide, before)
+
+
+def test_kcm_run_event_log_longer_than_first_buffer(core, monkeypatch):
+    # the binding sizes its first event buffer from the expected ring count
+    # and reruns once with the exact size when the log outgrows it
+    monkeypatch.setattr(_compiled, "_EVENT_CAP", 100)
+    fam = make_family("unconstrained", d=1)
+    geom = Geometry((40,), torus=True)
+    t = tables_for(geom, fam)
+    vkeys = geom.vertex_keys()
+    bits = np.ones(40, dtype=np.uint8)
+    a = core.kcm_run(bits, t, vkeys, 9, 0, 0.9, 30.0, log_events=True)
+    b = _pure.kcm_run(bits, t, vkeys, 9, 0, 0.9, 30.0, log_events=True)
+    assert a["events"][0].size > 100
+    _assert_same_run(a, b)
+
+
+def test_kcm_run_parity_stop_and_cap(core):
     fam = make_family("east", d=1)
     geom = Geometry((12,), torus=True)
     t = tables_for(geom, fam)
@@ -96,15 +167,18 @@ def test_kcm_run_parity_stop_and_cap():
     assert a["t_end"] == b["t_end"]
 
 
-def test_crossing_parity():
+@pytest.mark.parametrize("shape", [(60, 9, 13), (0, 9, 13), (40, 1, 7),
+                                   (40, 7, 1), (10, 1, 1)])
+def test_crossing_parity(core, shape):
     rng = np.random.default_rng(3)
-    grids = rng.random((60, 9, 13)) < 0.55
+    grids = rng.random(shape) < 0.55
     for axis in (0, 1):
-        assert np.array_equal(core.crossing_batch(grids, axis),
-                              _pure.crossing_batch(grids, axis))
+        a = core.crossing_batch(grids, axis)
+        assert a.dtype == bool and a.shape == (shape[0],)
+        assert np.array_equal(a, _pure.crossing_batch(grids, axis))
 
 
-def test_crossing_known_cases():
+def test_crossing_known_cases(core):
     g = np.zeros((1, 3, 3), dtype=bool)
     g[0, :, 1] = True
     assert core.crossing_batch(g, 0)[0]
