@@ -5,7 +5,8 @@ trajectories for the event loop). `python setup.py build_ext --inplace`
 puts the library next to this file; `load` returns None when it is missing
 or cannot be loaded, and kcmkit.kernels then falls back to _pure. Every
 array is checked for length and converted to a contiguous array of the C
-type here, before its pointer is passed on.
+type here, before its pointer is passed on. The converted family tables
+are cached per FamilyTables object.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ LIBRARY = "_ckernels"
 _STATUS = ("t_max", "target", "max_events")   # indexed by the KK_* codes
 # initial event-log capacity; a longer log costs one deterministic rerun
 _EVENT_CAP = 1 << 20
+_TABLES_CACHED = 64   # as many as families._cached_tables holds
 
 _i64, _u64, _dbl = ctypes.c_int64, ctypes.c_uint64, ctypes.c_double
 _ptr = ctypes.c_void_p
@@ -50,23 +52,28 @@ def _as(a, dtype, n: int | None = None, name: str = "array") -> np.ndarray:
 
 
 class _Tables:
-    """Contiguous C-typed views of a FamilyTables, held while C reads them."""
+    """Contiguous C-typed views of a FamilyTables and their addresses, held
+    while C reads them."""
 
     def __init__(self, t: FamilyTables):
-        self.n = t.n_sites
-        self.nbr = _as(t.nbr, np.int64)
-        self.rev = _as(t.rev, np.int64)
-        self.rule_slots = _as(t.rule_slots, np.int32)
-        self.rule_ptr = _as(t.rule_ptr, np.int32)
-        self.slot_rules = _as(t.slot_rules, np.int32)
-        self.slot_ptr = _as(t.slot_ptr, np.int32)
-        self.S = self.nbr.shape[1]
-        self.m = self.rule_ptr.size - 1
-        self.pad_empty = int(bool(t.pad_empty))
-        if (self.nbr.shape != (self.n, self.S)
-                or self.rev.shape != self.nbr.shape
-                or self.slot_ptr.size != self.S + 1):
+        n = t.n_sites
+        nbr = _as(t.nbr, np.int64)
+        rev = _as(t.rev, np.int64)
+        rule_slots = _as(t.rule_slots, np.int32)
+        rule_ptr = _as(t.rule_ptr, np.int32)
+        slot_rules = _as(t.slot_rules, np.int32)
+        slot_ptr = _as(t.slot_ptr, np.int32)
+        S = nbr.shape[1]
+        if (nbr.shape != (n, S) or rev.shape != nbr.shape
+                or slot_ptr.size != S + 1):
             raise ValueError("family tables do not match the geometry")
+        self.n = n
+        self._arrays = (nbr, rev, rule_slots, rule_ptr, slot_rules, slot_ptr)
+        head = (n, S, rule_ptr.size - 1)
+        pad_empty = int(bool(t.pad_empty))
+        self.closure_args = head + tuple(map(_addr, self._arrays)) + (pad_empty,)
+        self.run_args = head + (_addr(nbr), _addr(rule_slots),
+                                _addr(rule_ptr), pad_empty)
 
 
 class Kernels:
@@ -87,6 +94,18 @@ class Kernels:
         for fn in (lib.kk_closure, lib.kk_kcm_run, lib.kk_crossing_batch):
             fn.restype = ctypes.c_int
         self._lib = lib
+        self._tables: dict[int, tuple[FamilyTables, _Tables]] = {}
+
+    def _converted(self, t: FamilyTables) -> _Tables:
+        """The _Tables of t, cached per object: FamilyTables holds arrays and
+        cannot be hashed. Each entry holds t, so no other object can take
+        its id while it is cached; the oldest entry goes first."""
+        hit = self._tables.get(id(t))
+        if hit is None:
+            if len(self._tables) >= _TABLES_CACHED:
+                del self._tables[next(iter(self._tables))]
+            hit = self._tables[id(t)] = (t, _Tables(t))
+        return hit[1]
 
     @staticmethod
     def _check(rc: int) -> None:
@@ -100,7 +119,7 @@ class Kernels:
         with rounds[v] = 0 for initially empty sites, r >= 1 for sites
         emptied in round r, -1 for sites never emptied.
         """
-        tb = _Tables(t)
+        tb = self._converted(t)
         b = _as(bits, np.uint8, tb.n, "bits")
         flip = None if flippable is None else _as(flippable, bool, tb.n,
                                                   "flippable")
@@ -108,17 +127,15 @@ class Kernels:
         out = np.empty(tb.n, dtype=np.uint8)
         rounds = np.empty(tb.n, dtype=np.int32)
         self._check(self._lib.kk_closure(
-            tb.n, tb.S, tb.m, _addr(tb.nbr), _addr(tb.rev),
-            _addr(tb.rule_slots), _addr(tb.rule_ptr), _addr(tb.slot_rules),
-            _addr(tb.slot_ptr), tb.pad_empty, _addr(b), _addr(flip),
-            _addr(vis), _addr(out), _addr(rounds)))
+            *tb.closure_args, _addr(b), _addr(flip), _addr(vis), _addr(out),
+            _addr(rounds)))
         return out, rounds
 
     def kcm_run(self, bits, t: FamilyTables, vkeys, seed, replica, q, t_max,
                 target=-1, stop_when_target_empty=False, batch_edges=None,
                 log_events=False, max_events=None):
         """Continuous-time constrained dynamics; mirrors kcmkit._pure.kcm_run."""
-        tb = _Tables(t)
+        tb = self._converted(t)
         b = _as(bits, np.uint8, tb.n, "bits")
         vk = _as(vkeys, np.uint64, tb.n, "vkeys")
         me = (1 << 62) if max_events is None else int(max_events)
@@ -138,8 +155,7 @@ class Kernels:
             out = b.copy()
             st = RunStats()
             self._check(self._lib.kk_kcm_run(
-                tb.n, tb.S, tb.m, _addr(tb.nbr), _addr(tb.rule_slots),
-                _addr(tb.rule_ptr), tb.pad_empty, _addr(out), _addr(vk),
+                *tb.run_args, _addr(out), _addr(vk),
                 int(seed) & 0xFFFFFFFFFFFFFFFF,
                 int(replica) & 0xFFFFFFFFFFFFFFFF, float(q), float(t_max),
                 int(target), int(bool(stop_when_target_empty)), _addr(edges),

@@ -71,14 +71,15 @@ def kcm_run(bits: np.ndarray, t: FamilyTables, vkeys: np.ndarray,
             seed: int, replica: int, q: float, t_max: float,
             target: int = -1, stop_when_target_empty: bool = False,
             batch_edges: np.ndarray | None = None,
-            log_events: bool = False, max_events: int = 1 << 62):
+            log_events: bool = False, max_events: int | None = None):
     """Continuous-time constrained Glauber dynamics, next-reaction style.
 
     Every site carries a rate-1 Poisson clock; at a ring the constraint is
     evaluated on the current configuration and, if satisfied, the site is
     resampled to empty with probability q (coin drawn only when legal). All
     randomness is counter-based per site, so trajectories are reproducible
-    and implementation-independent.
+    and implementation-independent. The run stops after `max_events` rings;
+    None means no cap.
 
     Returns a dict with the final bits, counters, first-passage times for
     `target` (-1.0 when not hit), per-window integrals of the empty-site
@@ -171,7 +172,7 @@ def kcm_run(bits: np.ndarray, t: FamilyTables, vkeys: np.ndarray,
         u3 = rng.uniform(seed, rng.STREAM_CLOCK, replica, vk[x], ctr[x])
         ctr[x] += 1
         heapq.heappush(heap, (t_now - math.log(u3), x))
-        if rings >= max_events:
+        if max_events is not None and rings >= max_events:
             status = "max_events"
             break
 
@@ -202,6 +203,8 @@ def crossing_batch(empty_grids: np.ndarray, axis: int) -> np.ndarray:
         raise ValueError("expected a (replicas, n0, n1) stack")
     if axis not in (0, 1):
         raise ValueError("axis must be 0 or 1")
+    if 0 in g.shape[1:]:
+        return np.zeros(g.shape[0], dtype=bool)  # an empty grid has no path
     reach = np.zeros_like(g)
     if axis == 0:
         reach[:, 0, :] = g[:, 0, :]

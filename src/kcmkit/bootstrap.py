@@ -103,11 +103,6 @@ def spans(cfg: Configuration, fam: UpdateFamily) -> bool:
 
 # -------------------------------------------------------------- sampling aid
 
-def _coupled_empty_grid(geom: Geometry, seed: int, replica: int) -> np.ndarray:
-    """Per-site uniforms for coupled-monotone sampling: empty iff u < q."""
-    return rng.uniforms_np(seed, rng.STREAM_CONFIG, replica, geom.vertex_keys())
-
-
 def sample_configuration(geom: Geometry, q: float, seed: int,
                          replica: int = 0) -> Configuration:
     return Configuration.random(geom, q, seed, replica)

@@ -89,8 +89,7 @@ def simulate_kcm(params: KcmParams, initial: Configuration,
     out = kernels.kcm_run(
         initial.bits, t, geom.vertex_keys(), params.seed, replica, params.q,
         params.t_max, target=tgt, stop_when_target_empty=stop_when_target_empty,
-        batch_edges=batch_edges, log_events=log_events,
-        max_events=(1 << 62) if max_events is None else max_events)
+        batch_edges=batch_edges, log_events=log_events, max_events=max_events)
     return SimResult(
         final=Configuration(geom, out["bits"]),
         t_end=out["t_end"],

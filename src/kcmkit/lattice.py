@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,8 +42,9 @@ class Geometry:
     def d(self) -> int:
         return len(self.dims)
 
-    @property
+    @cached_property
     def n_sites(self) -> int:
+        # cached in the instance __dict__; eq and hash still use the fields
         return int(np.prod(self.dims))
 
     def flat(self, coords: Sequence[int]) -> int:

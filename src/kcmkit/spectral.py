@@ -3,8 +3,9 @@
 Finite KCMs are reducible (the all-occupied configuration is isolated for
 every nontrivial family), so the spectral objects here live on the
 irreducible class containing the all-empty configuration, with the product
-measure conditioned on that class. States are occupancy bitmasks over at
-most 24 vertices.
+measure conditioned on that class. States are int64 occupancy bitmasks over
+at most 24 vertices; every stage works on arrays of them, one NumPy pass per
+vertex, with no Python loop over states.
 
 Convention: D(f) = sum_x mu(c_x Var_x(f)) with no extra prefactor, which is
 exactly the quadratic form <f, -Lf>_mu for the generator built here; the
@@ -31,7 +32,6 @@ _DENSE_CUTOFF = 4096  # below this the production path also diagonalizes densely
 
 REVERSIBILITY_TOL = 1e-12
 CONSISTENCY_TOL = 1e-10
-VARIATIONAL_TOL = 1e-8
 DEGENERATE_GAP = 1e-12
 
 
@@ -48,16 +48,12 @@ class GeneratorMatrix:
     fam: UpdateFamily
     q: float
     states: np.ndarray          # (size,) int64 bitmasks
-    index: dict                 # bitmask -> row
     mu: np.ndarray              # (size,) float64, sums to 1
     L: sp.csr_matrix
 
     @property
     def size(self) -> int:
         return self.states.size
-
-    def constraint_masks(self):
-        return _constraint_masks(self.geom, self.fam)
 
 
 def _constraint_masks(geom: Geometry, fam: UpdateFamily):
@@ -88,14 +84,26 @@ def _constraint_masks(geom: Geometry, fam: UpdateFamily):
     return masks
 
 
-def _legal_vertices(state: int, masks) -> list[int]:
-    out = []
+def _legal(states: np.ndarray, masks) -> np.ndarray:
+    """Bool table legal[i, v] = c_v(states[i]), one pass per vertex."""
+    legal = np.zeros((states.size, len(masks)), dtype=bool)
     for v, vmasks in enumerate(masks):
         for mask in vmasks:
-            if state & mask == 0:
-                out.append(v)
-                break
-    return out
+            legal[:, v] |= (states & mask) == 0
+    return legal
+
+
+def _legal_edges(states: np.ndarray, masks):
+    """(row, vertex, column) of every legal flip, in (row, vertex) order:
+    states[column] = states[row] ^ (1 << vertex). Raises if a flipped state
+    is missing from `states`."""
+    row_of = np.full(1 << len(masks), -1, dtype=np.int32)  # <= 64 MiB at the cap
+    row_of[states] = np.arange(states.size, dtype=np.int32)
+    rows, verts = np.nonzero(_legal(states, masks))
+    cols = row_of[states[rows] ^ (1 << verts)]
+    if (cols < 0).any():
+        raise AssertionError("a legal flip leaves the enumerated class")
+    return rows, verts, cols
 
 
 def build_generator(geom: Geometry, fam: UpdateFamily, q: float) -> GeneratorMatrix:
@@ -113,43 +121,39 @@ def build_generator(geom: Geometry, fam: UpdateFamily, q: float) -> GeneratorMat
     masks = _constraint_masks(geom, fam)
 
     # legal flips are reversible moves (c_x ignores the state of x), so the
-    # class is the undirected component of the all-empty bitmask
-    start = 0
-    index = {start: 0}
-    states = [start]
-    head = 0
-    while head < len(states):
-        s = states[head]
-        head += 1
-        for v in _legal_vertices(s, masks):
-            t = s ^ (1 << v)
-            if t not in index:
-                index[t] = len(states)
-                states.append(t)
-    states_arr = np.asarray(states, dtype=np.int64)
+    # class is the undirected component of the all-empty bitmask. Search it
+    # level by level, parents in order, vertices ascending within a parent,
+    # first occurrences kept: the order a first-in-first-out queue visits.
+    levels = [np.zeros(1, dtype=np.int64)]
+    seen = np.zeros(1 << n, dtype=bool)
+    while levels[-1].size:
+        front = levels[-1]
+        seen[front] = True
+        rows, verts = np.nonzero(_legal(front, masks))
+        new = front[rows] ^ (1 << verts)
+        new = new[~seen[new]]
+        _, first = np.unique(new, return_index=True)
+        levels.append(new[np.sort(first)])
+    states = np.concatenate(levels)
+    size = states.size
 
-    occ = np.array([bin(s).count("1") for s in states], dtype=np.int64)
+    occ = np.bitwise_count(states).astype(np.int64)
     logw = occ * np.log(p) + (n - occ) * np.log(q)
     w = np.exp(logw - logw.max())
     mu = w / w.sum()
 
-    rows, cols, vals = [], [], []
-    diag = np.zeros(len(states))
-    for i, s in enumerate(states):
-        for v in _legal_vertices(s, masks):
-            j = index[s ^ (1 << v)]
-            rate = q if (s >> v) & 1 else p
-            rows.append(i)
-            cols.append(j)
-            vals.append(rate)
-            diag[i] -= rate
-    rows.extend(range(len(states)))
-    cols.extend(range(len(states)))
-    vals.extend(diag)
-    L = sp.csr_matrix((vals, (rows, cols)), shape=(len(states), len(states)))
+    # off-diagonal entries in (row, vertex) order, then the diagonal, which
+    # subtracts each row's rates in that order, as a per-state loop would
+    rows, verts, cols = _legal_edges(states, masks)
+    rates = np.where((states[rows] >> verts) & 1, q, p)
+    diag = np.zeros(size)
+    np.subtract.at(diag, rows, rates)
+    every = np.arange(size)
+    L = sp.csr_matrix((np.concatenate([rates, diag]),
+                       (np.concatenate([rows, every]),
+                        np.concatenate([cols, every]))), shape=(size, size))
 
-    gen = GeneratorMatrix(geom=geom, fam=fam, q=q, states=states_arr,
-                          index=index, mu=mu, L=L)
+    gen = GeneratorMatrix(geom=geom, fam=fam, q=q, states=states, mu=mu, L=L)
     _assert_reversible(gen)
     return gen
 
@@ -257,19 +261,15 @@ def dirichlet_and_variance(gen: GeneratorMatrix, f: np.ndarray):
     f = np.asarray(f, dtype=np.float64)
     if f.shape != (gen.size,):
         raise ValueError("f dimension does not match the state enumeration")
-    masks = gen.constraint_masks()
     qp = gen.q * (1.0 - gen.q)
-    D = 0.0
-    for i, s in enumerate(map(int, gen.states)):
-        for v in _legal_vertices(s, masks):
-            if (s >> v) & 1:
-                continue  # count each unordered pair once, from the empty side
-            j = gen.index[s ^ (1 << v)]
-            diff = f[i] - f[j]
-            # mu(w: x empty) + mu(w^x) weights combine to mu(pair); local
-            # variance is the same at both, so the pair contributes
-            # (mu_i + mu_j) * qp * diff^2 ... accumulated per side below
-            D += (gen.mu[i] + gen.mu[j]) * qp * diff * diff
+    rows, verts, cols = _legal_edges(gen.states,
+                                     _constraint_masks(gen.geom, gen.fam))
+    # each pair {w, w^x} once, from the side where x is empty: c_x and Var_x
+    # agree on both sides, so it adds (mu(w) + mu(w^x)) qp (f(w) - f(w^x))^2
+    empty = ((gen.states[rows] >> verts) & 1) == 0
+    i, j = rows[empty], cols[empty]
+    diff = f[i] - f[j]
+    D = float(np.sum((gen.mu[i] + gen.mu[j]) * qp * diff * diff))
     quad = float(-gen.mu @ (f * (gen.L @ f)))
     if abs(D - quad) > CONSISTENCY_TOL * max(1.0, abs(D), abs(quad)):
         raise AssertionError(

@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 from kcmkit import _compiled, _pure, kernels
-from kcmkit.families import make_family, tables_for
+from kcmkit.families import (FamilyTables, build_tables, make_family,
+                             tables_for)
 from kcmkit.lattice import Configuration, Geometry
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -165,10 +166,31 @@ def test_kcm_run_parity_stop_and_cap(core):
     assert a["status"] == b["status"] == "max_events"
     assert a["rings"] == b["rings"] == 500
     assert a["t_end"] == b["t_end"]
+    # None means no cap in both implementations
+    a = core.kcm_run(bits, t, vkeys, 5, 2, 0.4, 20.0, max_events=None)
+    b = _pure.kcm_run(bits, t, vkeys, 5, 2, 0.4, 20.0, max_events=None)
+    assert a["status"] == b["status"] == "t_max"
+    _assert_same_run(a, b)
+
+
+def test_closure_parity_fresh_tables(core):
+    # the binding caches converted tables per FamilyTables object; a new
+    # object, even at a freed object's address, must not get stale tables
+    fam = make_family("fa_kf", d=2, k=2)
+    cases = []
+    for i, dims in enumerate([(4, 4), (5, 3), (6, 2), (3, 3), (5, 5)]):
+        t = build_tables(Geometry(dims, torus=True), fam)
+        cases.append((vars(t).copy(), _random_bits(t.geom, 0.3, i)))
+    for fields, bits in cases * 4:
+        t = FamilyTables(**fields)
+        a, b = core.closure(bits, t), _pure.closure(bits, t)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        del t
 
 
 @pytest.mark.parametrize("shape", [(60, 9, 13), (0, 9, 13), (40, 1, 7),
-                                   (40, 7, 1), (10, 1, 1)])
+                                   (40, 7, 1), (10, 1, 1), (1, 0, 3),
+                                   (1, 3, 0)])
 def test_crossing_parity(core, shape):
     rng = np.random.default_rng(3)
     grids = rng.random(shape) < 0.55

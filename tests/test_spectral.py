@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from kcmkit.families import make_family
 from kcmkit.lattice import Geometry
-from kcmkit.spectral import (build_generator, dirichlet_and_variance,
+from kcmkit.spectral import (CONSISTENCY_TOL, _constraint_masks,
+                             build_generator, dirichlet_and_variance,
                              poincare_ratio, relaxation_time,
                              relaxation_time_dense, second_eigenvector,
                              spectral_gap)
@@ -11,6 +13,69 @@ from kcmkit.spectral import (build_generator, dirichlet_and_variance,
 
 def _ring(n):
     return Geometry((n,), torus=True)
+
+
+def _loop_legal(s, masks):
+    return [v for v, vmasks in enumerate(masks)
+            if any(s & mask == 0 for mask in vmasks)]
+
+
+def _loop_generator(geom, fam, q):
+    """The per-state first-in-first-out search and assembly that
+    build_generator vectorizes: (states, mu, L)."""
+    masks = _constraint_masks(geom, fam)
+    n, p = geom.n_sites, 1.0 - q
+    index, states, head = {0: 0}, [0], 0
+    while head < len(states):
+        s = states[head]
+        head += 1
+        for v in _loop_legal(s, masks):
+            if s ^ (1 << v) not in index:
+                index[s ^ (1 << v)] = len(states)
+                states.append(s ^ (1 << v))
+    occ = np.array([bin(s).count("1") for s in states], dtype=np.int64)
+    logw = occ * np.log(p) + (n - occ) * np.log(q)
+    w = np.exp(logw - logw.max())
+    rows, cols, vals = [], [], []
+    diag = np.zeros(len(states))
+    for i, s in enumerate(states):
+        for v in _loop_legal(s, masks):
+            rate = q if (s >> v) & 1 else p
+            rows.append(i)
+            cols.append(index[s ^ (1 << v)])
+            vals.append(rate)
+            diag[i] -= rate
+    rows.extend(range(len(states)))
+    cols.extend(range(len(states)))
+    vals.extend(diag)
+    L = sp.csr_matrix((vals, (rows, cols)), shape=(len(states), len(states)))
+    return np.asarray(states, dtype=np.int64), w / w.sum(), L
+
+
+def _loop_dirichlet(gen, f):
+    """D(f) summed pair by pair from the empty side of each legal flip."""
+    masks = _constraint_masks(gen.geom, gen.fam)
+    index = {s: i for i, s in enumerate(map(int, gen.states))}
+    qp = gen.q * (1.0 - gen.q)
+    D = 0.0
+    for i, s in enumerate(map(int, gen.states)):
+        for v in _loop_legal(s, masks):
+            if not (s >> v) & 1:
+                j = index[s ^ (1 << v)]
+                D += (gen.mu[i] + gen.mu[j]) * qp * (f[i] - f[j]) ** 2
+    return D
+
+
+ORACLE_CASES = [
+    ("fa1-ring", Geometry((6,), torus=True), make_family("fa_kf", d=1, k=1)),
+    ("east-free", Geometry((7,)), make_family("east", d=1)),
+    ("fa2-3x4", Geometry((3, 4)), make_family("fa_kf", d=2, k=2)),
+    ("gg-3x3", Geometry((3, 3)), make_family("gg")),
+    ("ne-3x4-torus", Geometry((3, 4), torus=True), make_family("north_east")),
+    ("fa2-outside-empty", Geometry((3, 3), outside_empty=True),
+     make_family("fa_kf", d=2, k=2)),
+    ("one-site", Geometry((1,)), make_family("unconstrained", d=1)),
+]
 
 
 # ------------------------------------------------------------- construction
@@ -29,6 +94,27 @@ def test_class_excludes_frozen_states():
     assert gen.size == 7  # 2^3 - 1
     gen4 = build_generator(_ring(4), make_family("east", d=1), 0.5)
     assert gen4.size == 15  # 2^4 - 1
+
+
+@pytest.mark.parametrize("label,geom,fam", ORACLE_CASES,
+                         ids=[c[0] for c in ORACLE_CASES])
+def test_generator_bytes_match_loop_oracle(label, geom, fam):
+    gen = build_generator(geom, fam, 0.3)
+    states, mu, L = _loop_generator(geom, fam, 0.3)
+    for got, want in ((gen.states, states), (gen.mu, mu),
+                      (gen.L.indptr, L.indptr), (gen.L.indices, L.indices),
+                      (gen.L.data, L.data)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("label,geom,fam", ORACLE_CASES,
+                         ids=[c[0] for c in ORACLE_CASES])
+def test_dirichlet_matches_loop_oracle(label, geom, fam):
+    gen = build_generator(geom, fam, 0.35)
+    f = np.random.default_rng(5).standard_normal(gen.size)
+    D, _ = dirichlet_and_variance(gen, f)
+    want = _loop_dirichlet(gen, f)
+    assert abs(D - want) <= CONSISTENCY_TOL * max(1.0, abs(want))
 
 
 def test_row_sums_zero_and_cap():
@@ -123,8 +209,6 @@ def test_second_eigenvector_attains_trel():
 
 
 def test_poincare_zero_dirichlet_guard():
-    import scipy.sparse as sp
-
     from kcmkit.spectral import GeneratorMatrix
     geom = Geometry((1,))
     fam = make_family("unconstrained", d=1)
@@ -132,7 +216,6 @@ def test_poincare_zero_dirichlet_guard():
     # Var > 0, D = 0 and must raise
     broken = GeneratorMatrix(geom=geom, fam=fam, q=0.5,
                              states=np.array([0, 1], dtype=np.int64),
-                             index={0: 0, 1: 1},
                              mu=np.array([0.5, 0.5]),
                              L=sp.csr_matrix((2, 2)))
     with pytest.raises(AssertionError):
