@@ -1,4 +1,5 @@
-/* Compiled kernels: work-queue closure, event-driven KCM loop, crossings.
+/* Compiled kernels, four entry points: work-queue closure, event-driven KCM
+ * loop, crossings and counter-based uniforms.
  *
  * Plain C99 over raw arrays, no Python API; kcmkit/_compiled.py binds it
  * with ctypes and validates every array before passing it in. The contract
@@ -35,6 +36,22 @@ static inline double u01(uint64_t prefix, uint64_t vkey, uint64_t counter)
 {
     uint64_t h = mix64(mix64(prefix ^ vkey) ^ counter);
     return ((double)(h >> 11) + 0.5) * 0x1p-53;
+}
+
+/* out[r*N + i] = u01(mix64(head ^ replicas[r]), vkeys[i], counter) for R
+ * replicas over N vertex keys, with head = mix64(mix64(seed) ^ stream): the
+ * (R, N) uniforms of kcmkit.rng in one pass. */
+int kk_uniforms(uint64_t head, int64_t R, const uint64_t *replicas,
+                int64_t N, const uint64_t *vkeys, uint64_t counter,
+                double *out)
+{
+    for (int64_t r = 0; r < R; r++) {
+        uint64_t hr = mix64(head ^ replicas[r]);
+        double *row = out + r * N;
+        for (int64_t i = 0; i < N; i++)
+            row[i] = u01(hr, vkeys[i], counter);
+    }
+    return 0;
 }
 
 /* -------------------------------------------------------------- closure */

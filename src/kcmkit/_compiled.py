@@ -1,9 +1,10 @@
 """Compiled kernels: a ctypes binding of the C99 library built from _ckernels.c.
 
-Same contract as kcmkit._pure, and the same results (bit-identical
-trajectories for the event loop). `python setup.py build_ext --inplace`
-puts the library next to this file; `load` returns None when it is missing
-or cannot be loaded, and kcmkit.kernels then falls back to _pure. Every
+Same contract as kcmkit._pure and its four entry points, and the same
+results (bit-identical trajectories for the event loop, byte-identical
+uniforms). `python setup.py build_ext --inplace` puts the library next to
+this file; `load` returns None when it is missing or cannot be loaded, and
+kcmkit.kernels then falls back to _pure. Every
 array is checked for length and converted to a contiguous array of the C
 type here, before its pointer is passed on. The converted family tables
 are cached per FamilyTables object.
@@ -18,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .families import FamilyTables
+from .rng import MASK64
 
 IMPL_NAME = "compiled"
 LIBRARY = "_ckernels"
@@ -77,7 +79,7 @@ class _Tables:
 
 
 class Kernels:
-    """The three kernel entry points over one loaded library."""
+    """The four kernel entry points over one loaded library."""
 
     IMPL_NAME = IMPL_NAME
 
@@ -91,7 +93,9 @@ class Kernels:
             _i64, _ptr, _ptr, _ptr, _i64, ctypes.POINTER(RunStats)]
         lib.kk_crossing_batch.argtypes = [_i64, _i64, _i64, _ptr,
                                           ctypes.c_int, _ptr]
-        for fn in (lib.kk_closure, lib.kk_kcm_run, lib.kk_crossing_batch):
+        lib.kk_uniforms.argtypes = [_u64, _i64, _ptr, _i64, _ptr, _u64, _ptr]
+        for fn in (lib.kk_closure, lib.kk_kcm_run, lib.kk_crossing_batch,
+                   lib.kk_uniforms):
             fn.restype = ctypes.c_int
         self._lib = lib
         self._tables: dict[int, tuple[FamilyTables, _Tables]] = {}
@@ -156,8 +160,8 @@ class Kernels:
             st = RunStats()
             self._check(self._lib.kk_kcm_run(
                 *tb.run_args, _addr(out), _addr(vk),
-                int(seed) & 0xFFFFFFFFFFFFFFFF,
-                int(replica) & 0xFFFFFFFFFFFFFFFF, float(q), float(t_max),
+                int(seed) & MASK64, int(replica) & MASK64, float(q),
+                float(t_max),
                 int(target), int(bool(stop_when_target_empty)), _addr(edges),
                 0 if edges is None else edges.size, _addr(integrals), me,
                 *map(_addr, ev), cap, ctypes.byref(st)))
@@ -180,6 +184,22 @@ class Kernels:
             "events": events,
             "status": _STATUS[st.status],
         }
+
+    def uniforms(self, head, replicas, vkeys, counter) -> np.ndarray:
+        """(R, N) counter-based uniforms; mirrors kcmkit._pure.uniforms."""
+        if np.isscalar(replicas):
+            replicas = np.arange(int(replicas), dtype=np.uint64)
+        # astype wraps negative ids to uint64, as the pure kernel does
+        reps = np.asarray(replicas).astype(np.uint64, copy=False)
+        vk = np.asarray(vkeys).astype(np.uint64, copy=False)
+        if reps.ndim != 1 or vk.ndim != 1:
+            raise ValueError("replicas and vkeys must be 1-D")
+        reps, vk = np.ascontiguousarray(reps), np.ascontiguousarray(vk)
+        out = np.empty((reps.size, vk.size))
+        self._check(self._lib.kk_uniforms(
+            int(head) & MASK64, reps.size, _addr(reps), vk.size, _addr(vk),
+            int(counter) & MASK64, _addr(out)))
+        return out
 
     def crossing_batch(self, empty_grids, axis: int) -> np.ndarray:
         """Which grids have a nearest-neighbor True path joining the two

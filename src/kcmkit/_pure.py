@@ -1,8 +1,10 @@
-"""Fallback kernels: numpy-vectorized closure, heapq event loop, crossings.
+"""Fallback kernels, the executable spec of the four entry points:
+numpy-vectorized closure, heapq event loop, crossings and uniforms.
 
 Functionally identical to the compiled kernels in kcmkit._compiled;
 kernels.py picks one at import time. Keep the two in lockstep: the test
-suite asserts equal outputs (bit-identical trajectories for the event loop).
+suite asserts equal outputs (bit-identical trajectories for the event loop,
+byte-identical uniforms).
 """
 
 from __future__ import annotations
@@ -16,6 +18,26 @@ from . import rng
 from .families import FamilyTables
 
 IMPL_NAME = "pure"
+
+
+# ------------------------------------------------------------------ uniforms
+
+def uniforms(head: int, replicas, vkeys: np.ndarray,
+             counter: int) -> np.ndarray:
+    """(R, N) counter-based uniforms: row r, column i is
+    rng.uniform(seed, stream, replica_r, vkeys[i], counter), given
+    head = mix64(mix64(seed) ^ stream). `replicas` is either an int R
+    (ids 0..R-1) or a 1-D array of replica ids."""
+    if np.isscalar(replicas):
+        replicas = np.arange(int(replicas), dtype=np.uint64)
+    reps = np.asarray(replicas).astype(np.uint64, copy=False)
+    vk = np.asarray(vkeys).astype(np.uint64, copy=False)
+    if reps.ndim != 1 or vk.ndim != 1:
+        raise ValueError("replicas and vkeys must be 1-D")
+    hr = rng._mix64_np(np.uint64(int(head) & rng.MASK64) ^ reps)   # (R,)
+    hm = rng._mix64_np(hr[:, None] ^ vk[None, :])                 # (R, N)
+    hm = rng._mix64_np(hm ^ np.uint64(int(counter) & rng.MASK64))
+    return ((hm >> np.uint64(11)).astype(np.float64) + 0.5) * rng.TO_UNIT
 
 
 # ------------------------------------------------------------------- closure

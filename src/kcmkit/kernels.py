@@ -1,8 +1,9 @@
 """Kernel selection: compiled C kernels when built, numpy fallback otherwise.
 
 Set KCMKIT_PURE=1 to force the fallback (used by the parity tests and the
-benchmark). Both implementations expose the same three entry points with
-identical semantics and, for the event loop, bit-identical trajectories.
+benchmark). Both implementations expose the same four entry points
+(closure, kcm_run, crossing_batch, uniforms) with identical semantics,
+bit-identical trajectories for the event loop and byte-identical uniforms.
 """
 
 from __future__ import annotations
@@ -22,11 +23,12 @@ IMPLEMENTATION: str = _impl.IMPL_NAME
 closure = _impl.closure
 kcm_run = _impl.kcm_run
 crossing_batch = _impl.crossing_batch
+uniforms = _impl.uniforms
 
 
 def implementations():
     """All loadable kernel implementations, name -> object exposing the
-    three entry points (for benchmarks/tests)."""
+    four entry points (for benchmarks/tests)."""
     out = {"pure": _pure}
     compiled = _compiled.load()
     if compiled is not None:

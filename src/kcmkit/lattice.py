@@ -69,9 +69,16 @@ class Geometry:
         grids = np.indices(self.dims).reshape(self.d, -1)
         return [grids[a] for a in range(self.d)]
 
+    @cached_property
+    def _vertex_keys(self) -> np.ndarray:
+        keys = rng.vertex_keys_np(self.coord_columns())
+        keys.flags.writeable = False   # shared by every caller
+        return keys
+
     def vertex_keys(self) -> np.ndarray:
-        """Coordinate-hash keys for every site (see rng.vertex_key)."""
-        return rng.vertex_keys_np(self.coord_columns())
+        """Coordinate-hash keys for every site (see rng.vertex_key), computed
+        once per geometry and read-only."""
+        return self._vertex_keys
 
     def shift_flat(self, flat: int, offset: Sequence[int]) -> int:
         """Flat index of site + offset, or -1 if it leaves a free box."""
@@ -339,12 +346,6 @@ def region(geom: Geometry, kind: str, **kw) -> Region:
     if kind == "box":
         return box_region(geom, Box(kw["corner"], kw["dims"]))
     raise ValueError(f"unknown region kind {kind!r}")
-
-
-def random_configuration(geom: Geometry, q: float, seed: int,
-                         replica: int = 0) -> Configuration:
-    """Product-Bernoulli sample: each site empty independently w.p. q."""
-    return Configuration.random(geom, q, seed, replica)
 
 
 # ----------------------------------------------------------------- grid files

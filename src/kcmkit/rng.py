@@ -9,6 +9,11 @@ the same uniform in any box that contains it.
 The mixer is the splitmix64 finalizer chained over the key words. Uniforms
 are mapped to the open interval (0, 1) via ((h >> 11) + 0.5) * 2**-53 so that
 log() is always safe.
+
+The batch functions uniforms_np and uniforms_replicas_np hash the
+(seed, stream) head here and leave the per-site work to the `uniforms`
+kernel: one pass of the C library when it is built, the NumPy spec in
+kcmkit._pure otherwise. The bytes are the same either way.
 """
 
 from __future__ import annotations
@@ -27,6 +32,10 @@ STREAM_CLOCK = 1    # KCM ring times and resample coins
 STREAM_AUX = 2      # anything else (shuffles, rejection sampling)
 
 TO_UNIT = 2.0 ** -53
+
+# kcmkit.kernels, bound on first use: it imports lattice, which imports this
+# module, so a module-level import would meet a half-initialised lattice
+_kernels = None
 
 
 def mix64(z: int) -> int:
@@ -75,15 +84,23 @@ def vertex_keys_np(coord_cols) -> np.ndarray:
     return h
 
 
+def _uniforms(seed: int, stream: int, replicas, vkeys: np.ndarray,
+              counter: int) -> np.ndarray:
+    """(R, N) uniforms from the selected `uniforms` kernel. Both public batch
+    functions call this and never each other, so a wrapper around either
+    sees each draw once."""
+    global _kernels
+    if _kernels is None:
+        from . import kernels as _kernels
+    head = mix64(mix64(seed & MASK64) ^ (stream & MASK64))
+    return _kernels.uniforms(head, replicas, vkeys, counter & MASK64)
+
+
 def uniforms_np(seed: int, stream: int, replica: int,
                 vkeys: np.ndarray, counter: int = 0) -> np.ndarray:
     """Vectorized uniform over an array of vertex keys (one counter)."""
-    h = mix64(seed & MASK64)
-    h = mix64(h ^ (stream & MASK64))
-    h = mix64(h ^ (replica & MASK64))
-    h = _mix64_np(np.uint64(h) ^ vkeys)
-    h = _mix64_np(h ^ np.uint64(counter & MASK64))
-    return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * TO_UNIT
+    ids = np.array([replica & MASK64], dtype=np.uint64)
+    return _uniforms(seed, stream, ids, vkeys, counter)[0]
 
 
 def uniforms_replicas_np(seed: int, stream: int, replicas, vkeys: np.ndarray,
@@ -92,11 +109,4 @@ def uniforms_replicas_np(seed: int, stream: int, replicas, vkeys: np.ndarray,
 
     `replicas` is either an int R (rows 0..R-1) or an array of replica ids.
     """
-    if np.isscalar(replicas):
-        replicas = np.arange(int(replicas), dtype=np.uint64)
-    h = mix64(seed & MASK64)
-    h = mix64(h ^ (stream & MASK64))
-    hr = _mix64_np(np.uint64(h) ^ np.asarray(replicas).astype(np.uint64))  # (R,)
-    hm = _mix64_np(hr[:, None] ^ vkeys[None, :])                  # (R, N)
-    hm = _mix64_np(hm ^ np.uint64(counter & MASK64))
-    return ((hm >> np.uint64(11)).astype(np.float64) + 0.5) * TO_UNIT
+    return _uniforms(seed, stream, replicas, vkeys, counter)

@@ -251,25 +251,24 @@ def second_eigenvector(gen: GeneratorMatrix) -> np.ndarray:
     return v / np.sqrt(gen.mu)
 
 
-def dirichlet_and_variance(gen: GeneratorMatrix, f: np.ndarray):
-    """(D(f), Var(f)) with D = sum_x mu(c_x Var_x(f)).
+def _dirichlet_pairs(gen: GeneratorMatrix):
+    """(i, j, weight) of every legal pair {w, w^x} once, from the side i
+    where x is empty, with weight (mu(w) + mu(w^x)) q(1-q): c_x and Var_x
+    agree on both sides, so the pair adds weight * (f(w) - f(w^x))^2."""
+    rows, verts, cols = _legal_edges(gen.states,
+                                     _constraint_masks(gen.geom, gen.fam))
+    empty = ((gen.states[rows] >> verts) & 1) == 0
+    i, j = rows[empty], cols[empty]
+    return i, j, (gen.mu[i] + gen.mu[j]) * (gen.q * (1.0 - gen.q))
 
-    Var_x(f)(w) = q(1-q) (f(w with x empty) - f(w with x occupied))^2; the
-    sum runs over legal x only (c_x = 0 kills the rest), and both spins at a
-    legal x stay inside the class. Cross-checked against <f, -Lf>_mu.
-    """
+
+def _dirichlet_on_pairs(gen: GeneratorMatrix, pairs, f: np.ndarray):
     f = np.asarray(f, dtype=np.float64)
     if f.shape != (gen.size,):
         raise ValueError("f dimension does not match the state enumeration")
-    qp = gen.q * (1.0 - gen.q)
-    rows, verts, cols = _legal_edges(gen.states,
-                                     _constraint_masks(gen.geom, gen.fam))
-    # each pair {w, w^x} once, from the side where x is empty: c_x and Var_x
-    # agree on both sides, so it adds (mu(w) + mu(w^x)) qp (f(w) - f(w^x))^2
-    empty = ((gen.states[rows] >> verts) & 1) == 0
-    i, j = rows[empty], cols[empty]
+    i, j, weight = pairs
     diff = f[i] - f[j]
-    D = float(np.sum((gen.mu[i] + gen.mu[j]) * qp * diff * diff))
+    D = float(np.sum(weight * diff * diff))
     quad = float(-gen.mu @ (f * (gen.L @ f)))
     if abs(D - quad) > CONSISTENCY_TOL * max(1.0, abs(D), abs(quad)):
         raise AssertionError(
@@ -279,12 +278,24 @@ def dirichlet_and_variance(gen: GeneratorMatrix, f: np.ndarray):
     return D, var
 
 
+def dirichlet_and_variance(gen: GeneratorMatrix, f: np.ndarray):
+    """(D(f), Var(f)) with D = sum_x mu(c_x Var_x(f)).
+
+    Var_x(f)(w) = q(1-q) (f(w with x empty) - f(w with x occupied))^2; the
+    sum runs over legal x only (c_x = 0 kills the rest), and both spins at a
+    legal x stay inside the class. Cross-checked against <f, -Lf>_mu.
+    """
+    return _dirichlet_on_pairs(gen, _dirichlet_pairs(gen), f)
+
+
 def poincare_ratio(gen: GeneratorMatrix, fs) -> float:
     """max over fs of Var(f)/D(f); D=0 with Var>0 means the class extraction
-    is broken and raises."""
+    is broken and raises. The legal pairs are enumerated once for all fs;
+    every f is still cross-checked against <f, -Lf>_mu."""
+    pairs = _dirichlet_pairs(gen)
     best = 0.0
     for f in fs:
-        D, var = dirichlet_and_variance(gen, f)
+        D, var = _dirichlet_on_pairs(gen, pairs, f)
         if D <= 0.0:
             if var > 1e-15:
                 raise AssertionError(

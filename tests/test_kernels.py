@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kcmkit import _compiled, _pure, kernels
+from kcmkit import _compiled, _pure, kernels, rng
 from kcmkit.families import (FamilyTables, build_tables, make_family,
                              tables_for)
 from kcmkit.lattice import Configuration, Geometry
@@ -209,3 +209,63 @@ def test_crossing_known_cases(core):
     assert not _pure.crossing_batch(g, 1)[0]
     full = np.ones((1, 2, 2), dtype=bool)
     assert core.crossing_batch(full, 0)[0] and core.crossing_batch(full, 1)[0]
+
+
+def _head(seed, stream):
+    return rng.mix64(rng.mix64(seed & rng.MASK64) ^ stream)
+
+
+def _assert_same_uniforms(core, head, replicas, vkeys, counter):
+    a = core.uniforms(head, replicas, vkeys, counter)
+    b = _pure.uniforms(head, replicas, vkeys, counter)
+    assert a.dtype == b.dtype == np.float64
+    assert a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+    return a
+
+
+@pytest.mark.parametrize("R,N", [(0, 7), (3, 0), (0, 0), (1, 1), (1, 50),
+                                 (6, 25)])
+def test_uniforms_parity_shapes(core, R, N):
+    vkeys = Geometry((max(N, 1),)).vertex_keys()[:N]
+    ids = np.arange(R, dtype=np.uint64) * 7 + 3
+    for replicas in (R, ids):
+        out = _assert_same_uniforms(core, _head(11, rng.STREAM_CONFIG),
+                                    replicas, vkeys, 2)
+        assert out.shape == (R, N)
+        assert ((out > 0) & (out < 1)).all()
+
+
+def test_uniforms_parity_int_equals_ids(core):
+    vkeys = Geometry((5, 4)).vertex_keys()
+    head = _head(3, rng.STREAM_AUX)
+    for impl in (core, _pure):
+        a = impl.uniforms(head, 4, vkeys, 0)
+        b = impl.uniforms(head, np.arange(4), vkeys, 0)
+        assert a.tobytes() == b.tobytes()
+
+
+def test_uniforms_parity_wrapped_keys(core):
+    wide = Geometry((9, 8)).vertex_keys()
+    keys = [wide, wide[::3], wide.view(np.int64), wide.view(np.int64)[1::2]]
+    assert not keys[1].flags.c_contiguous
+    replica_sets = [np.array([-1, -2**63, 0], dtype=np.int64),
+                    np.array([2**64 - 1, 2**63], dtype=np.uint64)]
+    for seed in (-1, -2**70, 2**64, 2**64 + 5, 2**80 + 1):
+        for counter in (0, 1, 2**64 - 1):
+            for vkeys in keys:
+                for replicas in replica_sets:
+                    _assert_same_uniforms(core, _head(seed, rng.STREAM_CLOCK),
+                                          replicas, vkeys, counter)
+
+
+def test_uniforms_match_scalar_uniform(core):
+    # the batch kernels and rng.uniform hash the same key words
+    vkeys = Geometry((3, 3)).vertex_keys()
+    ids = np.array([0, 5, 2**64 - 1], dtype=np.uint64)
+    for impl in (core, _pure):
+        out = impl.uniforms(_head(2**64 + 9, 1), ids, vkeys, 2**64 - 1)
+        for r, rep in enumerate(ids):
+            for i, vk in enumerate(vkeys):
+                assert out[r, i] == rng.uniform(9, 1, int(rep), int(vk),
+                                                2**64 - 1)

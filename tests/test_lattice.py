@@ -22,6 +22,18 @@ def test_geometry_validation():
         Geometry((3,), torus=True, outside_empty=True)
 
 
+def test_vertex_keys_cached_and_read_only():
+    g = Geometry((4, 3))
+    keys = g.vertex_keys()
+    assert keys is g.vertex_keys()
+    assert not keys.flags.writeable
+    with pytest.raises(ValueError):
+        keys[0] = 0
+    fresh = Geometry((4, 3))
+    assert fresh == g and hash(fresh) == hash(g)
+    assert np.array_equal(fresh.vertex_keys(), keys)
+
+
 def test_flat_coords_roundtrip():
     g = Geometry((3, 4, 5))
     for flat in range(g.n_sites):

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kcmkit import rng
 from kcmkit.rng import (STREAM_CLOCK, STREAM_CONFIG, hash_key, mix64, uniform,
                         uniforms_np, uniforms_replicas_np, vertex_key,
                         vertex_keys_np)
@@ -60,3 +67,56 @@ def test_replica_matrix_rows_match_single_calls():
 def test_uniform_in_open_interval(seed, stream, replica):
     u = uniform(seed, stream, replica, vertex_key((replica,)), 0)
     assert 0.0 < u < 1.0
+
+
+def test_batch_functions_mask_key_words():
+    vks = vertex_keys_np([np.arange(5), np.arange(5) * 2])
+    big = 2**64
+    us = uniforms_np(-1, STREAM_CLOCK + big, big + 2, vks, big - 1)
+    assert np.array_equal(us, uniforms_np(big - 1, STREAM_CLOCK, 2, vks, -1))
+    for i in range(5):
+        assert us[i] == uniform(big - 1, STREAM_CLOCK, 2, int(vks[i]), big - 1)
+    ids = np.array([-1, 3], dtype=np.int64)
+    mat = uniforms_replicas_np(-7, STREAM_CONFIG, ids, vks, 2 * big + 4)
+    assert np.array_equal(mat[0], uniforms_np(-7, STREAM_CONFIG, big - 1, vks, 4))
+    assert np.array_equal(mat[1], uniforms_np(big - 7, STREAM_CONFIG, 3, vks, 4))
+
+
+def _boom(*args, **kwargs):
+    raise AssertionError("batch uniforms must not call each other")
+
+
+def test_uniforms_np_does_not_call_replica_batch(monkeypatch):
+    # a tracer that wraps both public names must see each draw once
+    vks = vertex_keys_np([np.arange(8)])
+    want = uniforms_replicas_np(4, STREAM_CONFIG, 3, vks, 1)[2]
+    monkeypatch.setattr(rng, "uniforms_replicas_np", _boom)
+    assert np.array_equal(rng.uniforms_np(4, STREAM_CONFIG, 2, vks, 1), want)
+
+
+def test_uniforms_replicas_np_does_not_call_single(monkeypatch):
+    vks = vertex_keys_np([np.arange(8)])
+    want = uniforms_np(4, STREAM_CONFIG, 2, vks, 1)
+    monkeypatch.setattr(rng, "uniforms_np", _boom)
+    assert np.array_equal(rng.uniforms_replicas_np(4, STREAM_CONFIG, 3, vks, 1)[2],
+                          want)
+
+
+@pytest.mark.parametrize("pure", ["0", "1"])
+@pytest.mark.parametrize("module", ["kcmkit.rng", "kcmkit.lattice",
+                                    "kcmkit.kernels"])
+def test_module_imports_alone(module, pure):
+    # rng binds kernels on first use; a module-level import would close the
+    # cycle lattice -> rng -> kernels -> families -> lattice
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, KCMKIT_PURE=pure,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (f"import {module}, numpy as np; from kcmkit import rng, kernels; "
+            "rng.uniforms_np(1, 0, 0, np.zeros(3, dtype=np.uint64)); "
+            "print(kernels.IMPLEMENTATION)")
+    p = subprocess.run([sys.executable, "-c", code], env=env,
+                       capture_output=True, text=True, timeout=120)
+    assert p.returncode == 0, p.stderr
+    if pure == "1":
+        assert p.stdout.strip() == "pure"

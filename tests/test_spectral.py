@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from kcmkit import spectral
 from kcmkit.families import make_family
 from kcmkit.lattice import Geometry
 from kcmkit.spectral import (CONSISTENCY_TOL, _constraint_masks,
@@ -198,6 +201,35 @@ def test_poincare_random_f_below_trel():
     rng = np.random.default_rng(7)
     fs = [rng.standard_normal(gen.size) for _ in range(200)]
     assert poincare_ratio(gen, fs) <= trel + 1e-8
+
+
+def test_poincare_enumerates_edges_once(monkeypatch):
+    gen = build_generator(_ring(4), make_family("east", d=1), 0.4)
+    rng = np.random.default_rng(3)
+    fs = [rng.standard_normal(gen.size) for _ in range(20)]
+    want = max(var / D for D, var in
+               (dirichlet_and_variance(gen, f) for f in fs))
+    calls = []
+    real = spectral._legal_edges
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(spectral, "_legal_edges", counted)
+    assert poincare_ratio(gen, fs) == want
+    assert len(calls) == 1
+
+
+def test_poincare_cross_checks_every_f():
+    # with L doubled, D(f) and <f, -Lf> agree only for constant f: the
+    # check must still fire on the last f, after the pairs are reused
+    gen = build_generator(_ring(4), make_family("east", d=1), 0.4)
+    skewed = dataclasses.replace(gen, L=gen.L * 2.0)
+    fs = [np.ones(gen.size)] * 3 + [np.arange(gen.size, dtype=float)]
+    assert poincare_ratio(skewed, fs[:3]) == 0.0
+    with pytest.raises(AssertionError, match="Dirichlet forms disagree"):
+        poincare_ratio(skewed, fs)
 
 
 def test_second_eigenvector_attains_trel():
