@@ -43,7 +43,15 @@ class RunStats(ctypes.Structure):
 
 
 def _addr(a: np.ndarray | None):
-    return None if a is None else a.ctypes.data
+    """Data address of a contiguous array, or None. ctypes' from_buffer
+    fetches it about three times faster than ndarray.ctypes, which matters
+    for kernel calls on small grids, but it takes only writable, non-empty
+    arrays; the others go through ndarray.ctypes."""
+    if a is None:
+        return None
+    if a.flags.writeable and a.nbytes:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    return a.ctypes.data
 
 
 def _as(a, dtype, n: int | None = None, name: str = "array") -> np.ndarray:
@@ -152,6 +160,7 @@ class Kernels:
         if log_events:
             # rings arrive at rate 1 per site, so this usually holds the log
             cap = int(min(me, _EVENT_CAP, 1.25 * tb.n * max(t_max, 0.0) + 64))
+        vk_addr, edges_addr = _addr(vk), _addr(edges)
         while True:
             integrals = np.zeros(0 if edges is None else edges.size - 1)
             ev = (np.empty(cap), np.empty(cap, dtype=np.int32),
@@ -159,10 +168,10 @@ class Kernels:
             out = b.copy()
             st = RunStats()
             self._check(self._lib.kk_kcm_run(
-                *tb.run_args, _addr(out), _addr(vk),
+                *tb.run_args, _addr(out), vk_addr,
                 int(seed) & MASK64, int(replica) & MASK64, float(q),
                 float(t_max),
-                int(target), int(bool(stop_when_target_empty)), _addr(edges),
+                int(target), int(bool(stop_when_target_empty)), edges_addr,
                 0 if edges is None else edges.size, _addr(integrals), me,
                 *map(_addr, ev), cap, ctypes.byref(st)))
             if st.n_events <= cap:

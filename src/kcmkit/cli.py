@@ -400,8 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     # global flags are legal both before and after the subcommand; the
     # per-subcommand copies default to SUPPRESS so they never clobber
     # values parsed at the top level
-    globals_ = (("seed", int, 0), ("threads", int, None),
-                ("out", str, None), ("config", str, None))
+    globals_ = (("seed", int, 0), ("out", str, None), ("config", str, None))
     common = argparse.ArgumentParser(add_help=False)
     for flag, typ, default in globals_:
         parser.add_argument(f"--{flag}", type=typ, default=default)
@@ -436,8 +435,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.threads is not None and args.threads < 1:
-            raise CliError("--threads must be >= 1")
         _merge_config(args, parser, args.command)
         _COMMANDS[args.command](args)
     except (CliError, ValueError, NotImplementedError, OSError,

@@ -12,13 +12,20 @@ Conventions used everywhere in the package:
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import rng
+
+# box_region keeps the regions of up to this many distinct (geometry, box)
+# pairs, for boxes of up to this many sites; a bigger box costs more to use
+# than to build, so it is built per call. The cache holds at most 8 MB.
+_BOX_REGIONS_CACHED = 1024
+_BOX_SITES_CACHED = 1024
 
 
 @dataclass(frozen=True)
@@ -215,6 +222,15 @@ class Region:
             raise ValueError("region index outside geometry")
         object.__setattr__(self, "indices", idx)
 
+    @classmethod
+    def _trusted(cls, geom: Geometry, indices: np.ndarray) -> "Region":
+        """A region over int64 indices the caller knows are sorted, unique
+        and inside the geometry: skips __post_init__'s np.unique."""
+        r = object.__new__(cls)
+        object.__setattr__(r, "geom", geom)
+        object.__setattr__(r, "indices", indices)
+        return r
+
     @property
     def size(self) -> int:
         return int(self.indices.size)
@@ -258,10 +274,11 @@ class Box:
     def __post_init__(self):
         if len(self.corner) != len(self.dims):
             raise ValueError("corner and dims must have the same length")
-        if any(int(n) <= 0 for n in self.dims):
+        dims = tuple(map(int, self.dims))
+        if dims and min(dims) <= 0:
             raise ValueError("box extents must be positive")
-        object.__setattr__(self, "corner", tuple(int(c) for c in self.corner))
-        object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
+        object.__setattr__(self, "corner", tuple(map(int, self.corner)))
+        object.__setattr__(self, "dims", dims)
 
     @property
     def d(self) -> int:
@@ -277,14 +294,33 @@ class Box:
 
 
 def box_region(geom: Geometry, box: Box) -> Region:
-    """All sites of the box (which must lie inside the geometry)."""
+    """All sites of the box (which must lie inside the geometry).
+
+    The indices are read-only: a box of up to _BOX_SITES_CACHED sites
+    shares one region between calls with equal (geom, box)."""
     for c0, n, ng in zip(box.corner, box.dims, geom.dims, strict=True):
         if c0 < 0 or c0 + n > ng:
             raise ValueError(f"box {box} does not fit in geometry {geom.dims}")
-    axes = [np.arange(c0, c0 + n) for c0, n in zip(box.corner, box.dims)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    idx = np.ravel_multi_index([m.reshape(-1) for m in mesh], geom.dims)
-    return Region(geom, idx)
+    if math.prod(box.dims) <= _BOX_SITES_CACHED:
+        return _cached_box_region(geom, box)
+    return _build_box_region(geom, box)
+
+
+def _build_box_region(geom: Geometry, box: Box) -> Region:
+    # C-order flats of the box: an outer sum of per-axis offsets times
+    # strides, which is sorted and unique for a box inside the geometry
+    idx = np.zeros((), dtype=np.int64)
+    stride = 1
+    for c0, n, ng in zip(reversed(box.corner), reversed(box.dims),
+                         reversed(geom.dims)):
+        idx = np.add.outer(np.arange(c0, c0 + n, dtype=np.int64) * stride, idx)
+        stride *= ng
+    idx = idx.reshape(-1)
+    idx.flags.writeable = False
+    return Region._trusted(geom, idx)
+
+
+_cached_box_region = lru_cache(maxsize=_BOX_REGIONS_CACHED)(_build_box_region)
 
 
 def slice_region(geom: Geometry, box: Box, axis: int, j: int) -> Region:

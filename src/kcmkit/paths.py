@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Sequence
 
 import numpy as np
 
 from . import kernels, rng
-from .blocks import (CLASS_NEITHER, CLASS_SUPERGOOD, BlockSpec,
-                     _seed_mask, classify_block)
+from .blocks import BlockSpec, _good_batch, _seed_mask, _supergood_batch
 from .families import UpdateFamily, make_family, tables_for
 from .lattice import (Box, Configuration, Geometry, Region, box_region,
                       cross_region, slice_region)
@@ -26,6 +26,12 @@ from .lattice import (Box, Configuration, Geometry, Region, box_region,
 MODE_EXACT = "exact"
 MODE_BOUNDED = "bounded"
 _EXACT_CAP = 1 << 20
+
+_ATTEMPTS = 1024       # a sampler gives up after this many layouts
+_ATTEMPT_BLOCK = 64    # layouts drawn and classified together
+
+_FA2 = make_family("fa_kf", 2, 2)
+_GG = make_family("gg")
 
 
 # ------------------------------------------------------------------ types
@@ -301,6 +307,7 @@ def chain_schedule(cfg: Configuration, fam: UpdateFamily,
     return p
 
 
+@lru_cache(maxsize=64)
 def _fa_params(fam: UpdateFamily):
     """(d, k) when fam is the full k-of-2d isotropic family, else None."""
     d = fam.d
@@ -358,10 +365,9 @@ def slice_schedule(cfg: Configuration, fam: UpdateFamily, i: int, j: int,
         raise ValueError("target slice is outside the box")
     tgt = slice_region(geom, box, i, tj)
     sub_geom = Geometry(tuple(n for a, n in enumerate(box.dims) if a != i))
-    sub_fam = (make_family("fa_kf", d - 1, k - 1) if k >= 2
-               else make_family("unconstrained", d - 1))
     sub_bits = np.ascontiguousarray(cfg.bits[tgt.indices])
-    out, rounds = kernels.closure(sub_bits, tables_for(sub_geom, sub_fam))
+    out, rounds = kernels.closure(sub_bits,
+                                  tables_for(sub_geom, _slice_family(d, k)))
     if (out != 0).any():
         raise ValueError("target slice is not spanned by the reduced model")
     emptied = np.flatnonzero(rounds > 0)
@@ -372,6 +378,13 @@ def slice_schedule(cfg: Configuration, fam: UpdateFamily, i: int, j: int,
     p = rec.path()
     assert p.length <= tgt.size
     return p
+
+
+@lru_cache(maxsize=16)
+def _slice_family(d: int, k: int) -> UpdateFamily:
+    """The reduced (k-1)-of-2(d-1) family a slice move replays."""
+    return (make_family("fa_kf", d - 1, k - 1) if k >= 2
+            else make_family("unconstrained", d - 1))
 
 
 def cross_schedule(cfg: Configuration, fam: UpdateFamily,
@@ -427,7 +440,7 @@ def gg_column_moves(cfg: Configuration, variant: str,
     geom = cfg.geom
     if geom.d != 2:
         raise ValueError("column moves are two-dimensional")
-    fam = make_family("gg")
+    fam = _GG
     height = geom.dims[1]
     seeds: list[int] = []
     if variant == "obs1":
@@ -497,20 +510,35 @@ def gg_column_moves(cfg: Configuration, variant: str,
 # ---------------------------------------------------------- block plumbing
 
 
-def _block_spec(model: str, dims) -> BlockSpec:
+@lru_cache(maxsize=64)
+def _block_spec(model: str, dims: tuple) -> BlockSpec:
     # classification ignores q and A
-    return BlockSpec(model, tuple(dims), 0.5, 1.0)
+    return BlockSpec(model, dims, 0.5, 1.0)
 
 
-def _classify_box(cfg: Configuration, model: str, bx: Box) -> str:
-    idx = box_region(cfg.geom, bx).indices
-    sub = Configuration(Geometry(bx.dims), np.ascontiguousarray(cfg.bits[idx]))
-    return classify_block(sub, _block_spec(model, bx.dims))
+@lru_cache(maxsize=64)
+def _seed_flat_mask(model: str, dims: tuple) -> np.ndarray:
+    mask = _seed_mask(_block_spec(model, dims)).ravel()
+    mask.flags.writeable = False
+    return mask
 
 
 def _seed_flats(geom: Geometry, model: str, bx: Box) -> np.ndarray:
-    mask = _seed_mask(_block_spec(model, bx.dims)).ravel()
-    return box_region(geom, bx).indices[mask]
+    return box_region(geom, bx).indices[_seed_flat_mask(model, bx.dims)]
+
+
+def _eligible(bits: np.ndarray, geom: Geometry, spec: BlockSpec,
+              good=(), supergood=()) -> np.ndarray:
+    """Per row of a (K, n_sites) stack of configurations: is every block in
+    `good` good and every block in `supergood` super-good? The blocks have
+    spec's dims and lie inside the geometry."""
+    empty = (bits == 0).reshape(-1, *geom.dims)
+    ok = np.ones(empty.shape[0], dtype=bool)
+    for boxes, event in ((good, _good_batch), (supergood, _supergood_batch)):
+        for bx in boxes:
+            ok &= event(empty[(slice(None),) + tuple(
+                slice(c, c + n) for c, n in zip(bx.corner, bx.dims))], spec)
+    return ok
 
 
 def _require_box_inside(geom: Geometry, bx: Box, what: str) -> None:
@@ -576,9 +604,10 @@ def path_B(cfg: Configuration, model: str, x: Box, y: Box) -> LegalPath:
     _require_box_inside(geom, x, "x")
     _require_box_inside(geom, y, "y")
     axis, direction = _block_step(x, y)
-    if _classify_box(cfg, model, x) == CLASS_NEITHER:
+    spec = _block_spec(model, x.dims)
+    if not _eligible(cfg.bits[None], geom, spec, good=(x,))[0]:
         raise ValueError("block x is not good")
-    if _classify_box(cfg, model, y) != CLASS_SUPERGOOD:
+    if not _eligible(cfg.bits[None], geom, spec, supergood=(y,))[0]:
         raise ValueError("block y is not super-good")
     if model == "fa2":
         p = _fa2_promotion(cfg, x, y, axis, direction)
@@ -602,7 +631,7 @@ def path_B(cfg: Configuration, model: str, x: Box, y: Box) -> LegalPath:
 def _fa2_promotion(cfg: Configuration, x: Box, y: Box,
                    axis: int, direction: int) -> LegalPath:
     geom = cfg.geom
-    fam = make_family("fa_kf", 2, 2)
+    fam = _FA2
     n = x.dims[axis]
     rec = _Recorder(cfg)
     if direction < 0:
@@ -629,12 +658,12 @@ def _gg_promotion_sideways(cfg: Configuration, x: Box, y: Box) -> LegalPath:
     step = 1 if xs0 > ys0 else -1
     starts = list(range(ys0, xs0, step)) + [xs0]
     regions = [box_region(geom, Box((c, o1), (2, n2))) for c in starts]
-    return chain_schedule(cfg, make_family("gg"), regions)
+    return chain_schedule(cfg, _GG, regions)
 
 
 def _gg_promotion_upward(cfg: Configuration, x: Box, y: Box) -> LegalPath:
     geom = cfg.geom
-    fam = make_family("gg")
+    fam = _GG
     n1, n2 = x.dims
     o0, o1 = x.corner
     top = y.corner[1] + n2
@@ -681,11 +710,11 @@ def path_A(cfg: Configuration, model: str, x: Box,
     z = tuple(int(c) for c in z)
     if not x.contains(z):
         raise ValueError("target site is not in the block")
+    spec = _block_spec(model, x.dims)
     for what, bx in (("right", right), ("upper", upper)):
-        if _classify_box(cfg, model, bx) != CLASS_SUPERGOOD:
+        if not _eligible(cfg.bits[None], geom, spec, supergood=(bx,))[0]:
             raise ValueError(f"{what} neighbor block is not super-good")
-    fam = (make_family("fa_kf", 2, 2) if model == "fa2"
-           else make_family("gg"))
+    fam = _FA2 if model == "fa2" else _GG
     zf = geom.flat(z)
     visible = np.ones(geom.n_sites, dtype=bool)
     visible[zf] = False
@@ -716,6 +745,35 @@ def path_A(cfg: Configuration, model: str, x: Box,
 # ----------------------------------------------------------- input samplers
 
 
+# one Geometry per layout shape, so its vertex keys are hashed once
+_layout_geometry = lru_cache(maxsize=64)(Geometry)
+
+
+def _first_eligible(geom: Geometry, spec: BlockSpec, q: float, seed: int,
+                    replica: int, forced: np.ndarray, good=(),
+                    supergood=()) -> Configuration:
+    """The first eligible layout among a replica's attempts.
+
+    Attempt a draws STREAM_AUX uniforms under the id (replica << 10) | a,
+    occupies the sites with u >= q and empties the `forced` sites; it is
+    eligible when every block in `good` is good and every block in
+    `supergood` super-good. Attempts are drawn and classified a block at a
+    time, so the layout is the one a one-attempt loop would return.
+    """
+    vkeys = geom.vertex_keys()
+    base = np.uint64((int(replica) << 10) & rng.MASK64)
+    for lo in range(0, _ATTEMPTS, _ATTEMPT_BLOCK):
+        ids = base | np.arange(lo, min(lo + _ATTEMPT_BLOCK, _ATTEMPTS),
+                               dtype=np.uint64)
+        bits = (rng.uniforms_replicas_np(seed, rng.STREAM_AUX, ids, vkeys)
+                >= q).astype(np.uint8)
+        bits[:, forced] = 0
+        hit = np.flatnonzero(_eligible(bits, geom, spec, good, supergood))
+        if hit.size:
+            return Configuration(geom, bits[hit[0]].copy())
+    raise RuntimeError("no eligible start found; q may be too extreme")
+
+
 def sample_path_B_instance(model: str, dims, q: float, seed: int,
                            replica: int, axis: int = 0,
                            direction: int = 1):
@@ -730,25 +788,17 @@ def sample_path_B_instance(model: str, dims, q: float, seed: int,
         raise ValueError("axis must be 0 or 1 and direction +1 or -1")
     full = list(dims)
     full[axis] *= 2
-    geom = Geometry(tuple(full))
+    geom = _layout_geometry(tuple(full))
     lead = [0, 0]
     lead[axis] = dims[axis]
     if direction > 0:
         x, y = Box((0, 0), dims), Box(tuple(lead), dims)
     else:
         x, y = Box(tuple(lead), dims), Box((0, 0), dims)
-    sflats = _seed_flats(geom, model, y)
-    vkeys = geom.vertex_keys()
-    for attempt in range(1024):
-        rep = (int(replica) << 10) | attempt
-        u = rng.uniforms_np(seed, rng.STREAM_AUX, rep, vkeys)
-        bits = (u >= q).astype(np.uint8)
-        bits[sflats] = 0
-        cfg = Configuration(geom, bits)
-        if (_classify_box(cfg, model, x) != CLASS_NEITHER
-                and _classify_box(cfg, model, y) == CLASS_SUPERGOOD):
-            return cfg, x, y
-    raise RuntimeError("no eligible start found; q may be too extreme")
+    cfg = _first_eligible(geom, _block_spec(model, dims), q, seed, replica,
+                          _seed_flats(geom, model, y), good=(x,),
+                          supergood=(y,))
+    return cfg, x, y
 
 
 def sample_path_A_instance(model: str, dims, q: float, seed: int,
@@ -756,27 +806,19 @@ def sample_path_A_instance(model: str, dims, q: float, seed: int,
     """Reproducible eligible start for path_A: returns (cfg, x, z)."""
     dims = tuple(int(n) for n in dims)
     n1, n2 = dims
-    geom = Geometry((2 * n1, 2 * n2))
+    geom = _layout_geometry((2 * n1, 2 * n2))
     x = Box((0, 0), dims)
     right = Box((n1, 0), dims)
     upper = Box((0, n2), dims)
     forced = np.concatenate([_seed_flats(geom, model, right),
                              _seed_flats(geom, model, upper)])
-    vkeys = geom.vertex_keys()
     zu = float(rng.uniforms_np(seed, rng.STREAM_CLOCK, int(replica),
-                               vkeys[:1])[0])
+                               geom.vertex_keys()[:1])[0])
     zi = min(int(zu * n1 * n2), n1 * n2 - 1)
     z = (zi // n2, zi % n2)
-    for attempt in range(1024):
-        rep = (int(replica) << 10) | attempt
-        u = rng.uniforms_np(seed, rng.STREAM_AUX, rep, vkeys)
-        bits = (u >= q).astype(np.uint8)
-        bits[forced] = 0
-        cfg = Configuration(geom, bits)
-        if (_classify_box(cfg, model, right) == CLASS_SUPERGOOD
-                and _classify_box(cfg, model, upper) == CLASS_SUPERGOOD):
-            return cfg, x, z
-    raise RuntimeError("no eligible start found; q may be too extreme")
+    cfg = _first_eligible(geom, _block_spec(model, dims), q, seed, replica,
+                          forced, supergood=(right, upper))
+    return cfg, x, z
 
 
 # --------------------------------------------------------------- congestion

@@ -47,11 +47,13 @@ def mix64(z: int) -> int:
 
 
 def hash_key(seed: int, stream: int, replica: int, vkey: int, counter: int) -> int:
-    h = mix64(seed & MASK64)
-    h = mix64(h ^ (stream & MASK64))
-    h = mix64(h ^ (replica & MASK64))
-    h = mix64(h ^ (vkey & MASK64))
-    return mix64(h ^ (counter & MASK64))
+    # int() first: a NumPy int64 cannot hold MASK64, so `word & MASK64`
+    # would overflow on one
+    h = mix64(int(seed) & MASK64)
+    h = mix64(h ^ (int(stream) & MASK64))
+    h = mix64(h ^ (int(replica) & MASK64))
+    h = mix64(h ^ (int(vkey) & MASK64))
+    return mix64(h ^ (int(counter) & MASK64))
 
 
 def uniform(seed: int, stream: int, replica: int, vkey: int, counter: int) -> float:
@@ -92,14 +94,14 @@ def _uniforms(seed: int, stream: int, replicas, vkeys: np.ndarray,
     global _kernels
     if _kernels is None:
         from . import kernels as _kernels
-    head = mix64(mix64(seed & MASK64) ^ (stream & MASK64))
-    return _kernels.uniforms(head, replicas, vkeys, counter & MASK64)
+    head = mix64(mix64(int(seed) & MASK64) ^ (int(stream) & MASK64))
+    return _kernels.uniforms(head, replicas, vkeys, int(counter) & MASK64)
 
 
 def uniforms_np(seed: int, stream: int, replica: int,
                 vkeys: np.ndarray, counter: int = 0) -> np.ndarray:
     """Vectorized uniform over an array of vertex keys (one counter)."""
-    ids = np.array([replica & MASK64], dtype=np.uint64)
+    ids = np.array([int(replica) & MASK64], dtype=np.uint64)
     return _uniforms(seed, stream, ids, vkeys, counter)[0]
 
 

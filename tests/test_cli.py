@@ -123,6 +123,16 @@ def test_bad_q_exits_nonzero(tmp_path):
     assert rc == 2 and text is None
 
 
+def test_threads_flag_is_gone(tmp_path):
+    for argv in (["--threads", "2", "bootstrap"],
+                 ["bootstrap", "--threads", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--model", "fa2", "--n", "6", "--q", "0.4",
+                  "--replicas", "100", "--out", str(tmp_path / "out.csv")])
+        assert exc.value.code != 0
+        assert os.listdir(tmp_path) == []
+
+
 def test_unwritable_out_leaves_no_partials(tmp_path):
     rc = main(["bootstrap", "--model", "fa2", "--n", "6", "--q", "0.4",
                "--replicas", "100", "--out",

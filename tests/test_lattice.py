@@ -108,6 +108,32 @@ def test_region_constructors_stay_inside_box():
     assert slice_region(g, b, 0, 2).size == b.dims[1]
 
 
+def test_box_region_cached_read_only_and_still_checked():
+    g = Geometry((6, 5))
+    b = Box((1, 2), (3, 2))
+    r = box_region(g, b)
+    assert box_region(Geometry((6, 5)), Box((1, 2), (3, 2))) is r
+    assert not r.indices.flags.writeable
+    with pytest.raises(ValueError):
+        r.indices[0] = 0
+    mesh = np.meshgrid(np.arange(1, 4), np.arange(2, 4), indexing="ij")
+    want = np.ravel_multi_index([m.reshape(-1) for m in mesh], g.dims)
+    assert r.indices.dtype == np.int64
+    assert np.array_equal(r.indices, want)
+    assert r == Region(g, want[::-1])
+    # the same box, cached on a larger geometry, still fails on a smaller one
+    big = Box((4, 4), (4, 4))
+    assert box_region(Geometry((8, 8)), big).size == 16
+    with pytest.raises(ValueError, match="does not fit"):
+        box_region(Geometry((6, 8)), big)
+    # a box too large to cache is rebuilt per call, read-only all the same
+    g = Geometry((40, 40))
+    whole = box_region(g, Box((0, 0), (40, 40)))
+    assert box_region(g, Box((0, 0), (40, 40))) is not whole
+    assert not whole.indices.flags.writeable
+    assert np.array_equal(whole.indices, np.arange(1600))
+
+
 def test_region_ops():
     g = Geometry((4,))
     a = Region(g, np.array([0, 1, 2]))

@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from kcmkit import paths
+from kcmkit import blocks, paths, rng
 from kcmkit.families import make_family
 from kcmkit.lattice import (
     Box,
@@ -389,6 +389,130 @@ def test_path_A_flips_either_direction():
         p = path_A(c, "fa2", x, z)
         assert verify_legal(p, FA2)
         assert p.end().bits[zf] == 1 - start_value
+
+
+# ------------------------------------------------- sampler oracle and parity
+
+
+def _box_flats_oracle(geom, bx):
+    return np.array([geom.flat(tuple(c0 + o for c0, o in zip(bx.corner, off)))
+                     for off in itertools.product(*map(range, bx.dims))],
+                    dtype=np.int64)
+
+
+def _classify_box_oracle(cfg, model, bx):
+    sub = Configuration(Geometry(bx.dims),
+                        cfg.bits[_box_flats_oracle(cfg.geom, bx)])
+    return blocks.classify_block(sub,
+                                 blocks.BlockSpec(model, bx.dims, 0.5, 1.0))
+
+
+def _seed_flats_oracle(geom, model, bx):
+    mask = blocks._seed_mask(blocks.BlockSpec(model, bx.dims, 0.5, 1.0))
+    return _box_flats_oracle(geom, bx)[mask.ravel()]
+
+
+def _loop_first_eligible(geom, model, q, seed, replica, forced, good=(),
+                         supergood=()):
+    """The samplers as first written: one uniforms call and one
+    classification per attempt. Returns (cfg, attempt)."""
+    vkeys = geom.vertex_keys()
+    for attempt in range(1024):
+        rep = (int(replica) << 10) | attempt
+        u = rng.uniforms_np(seed, rng.STREAM_AUX, rep, vkeys)
+        bits = (u >= q).astype(np.uint8)
+        bits[forced] = 0
+        cfg = Configuration(geom, bits)
+        if (all(_classify_box_oracle(cfg, model, bx) != blocks.CLASS_NEITHER
+                for bx in good)
+                and all(_classify_box_oracle(cfg, model, bx)
+                        == blocks.CLASS_SUPERGOOD for bx in supergood)):
+            return cfg, attempt
+    raise RuntimeError("no eligible start found; q may be too extreme")
+
+
+def _loop_sample_B(model, dims, q, seed, replica, axis, direction):
+    full = list(dims)
+    full[axis] *= 2
+    geom = Geometry(tuple(full))
+    lead = [0, 0]
+    lead[axis] = dims[axis]
+    if direction > 0:
+        x, y = Box((0, 0), dims), Box(tuple(lead), dims)
+    else:
+        x, y = Box(tuple(lead), dims), Box((0, 0), dims)
+    cfg, attempt = _loop_first_eligible(
+        geom, model, q, seed, replica, _seed_flats_oracle(geom, model, y),
+        good=(x,), supergood=(y,))
+    return (cfg, x, y), attempt
+
+
+def _loop_sample_A(model, dims, q, seed, replica):
+    n1, n2 = dims
+    geom = Geometry((2 * n1, 2 * n2))
+    right, upper = Box((n1, 0), dims), Box((0, n2), dims)
+    forced = np.concatenate([_seed_flats_oracle(geom, model, right),
+                             _seed_flats_oracle(geom, model, upper)])
+    zu = rng.uniform(seed, rng.STREAM_CLOCK, int(replica),
+                     int(geom.vertex_keys()[0]), 0)
+    zi = min(int(zu * n1 * n2), n1 * n2 - 1)
+    cfg, attempt = _loop_first_eligible(geom, model, q, seed, replica, forced,
+                                        supergood=(right, upper))
+    return (cfg, Box((0, 0), dims), (zi // n2, zi % n2)), attempt
+
+
+def _same_instance(got, want):
+    cfg, box, third = got
+    assert cfg.geom == want[0].geom
+    assert cfg.bits.dtype == want[0].bits.dtype
+    assert cfg.bits.tobytes() == want[0].bits.tobytes()
+    assert box == want[1] and third == want[2]
+
+
+_PARITY_REPLICAS = (0, 1, 5, 2**54 - 1, 2**54, 2**54 + 7)
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+def test_batched_samplers_match_one_attempt_loop(monkeypatch, block):
+    # block sizes 1 and 7 move the block edges; None keeps the default
+    if block is not None:
+        monkeypatch.setattr(paths, "_ATTEMPT_BLOCK", block)
+    attempts = []
+    for model, dims, q in (("fa2", (4, 4), 0.3), ("gg", (6, 4), 0.35)):
+        for seed in (0, 3, 2**40 + 1):
+            for replica in _PARITY_REPLICAS:
+                for axis in (0, 1):
+                    for direction in (1, -1):
+                        want, a = _loop_sample_B(model, dims, q, seed,
+                                                 replica, axis, direction)
+                        attempts.append(a)
+                        _same_instance(sample_path_B_instance(
+                            model, dims, q, seed, replica, axis=axis,
+                            direction=direction), want)
+                want, a = _loop_sample_A(model, dims, q, seed, replica)
+                attempts.append(a)
+                _same_instance(sample_path_A_instance(model, dims, q, seed,
+                                                      replica), want)
+    # eligible layouts come from past the first default block, too
+    assert max(attempts) >= 64 and min(attempts) == 0
+
+
+def test_batched_samplers_give_up_like_the_loop():
+    # at q = 1e-6 every site outside the forced seed sets is occupied. The
+    # fa2 seed edges alone make a block good, so path_A's fa2 sampler never
+    # gives up; the other three do, after all 1024 attempts
+    cases = [(_loop_sample_B, sample_path_B_instance, m, d)
+             for m, d in (("fa2", (4, 4)), ("gg", (6, 4)))]
+    cases.append((_loop_sample_A, sample_path_A_instance, "gg", (6, 4)))
+    for loop, batched, model, dims in cases:
+        extra = (0, 1) if loop is _loop_sample_B else ()
+        with pytest.raises(RuntimeError, match="no eligible start"):
+            loop(model, dims, 1e-6, 9, 0, *extra)
+        with pytest.raises(RuntimeError, match="no eligible start"):
+            batched(model, dims, 1e-6, 9, 0)
+    assert _loop_sample_A("fa2", (4, 4), 1e-6, 9, 0)[1] == 0
+    cfg, _, _ = sample_path_A_instance("fa2", (4, 4), 1e-6, 9, 0)
+    assert cfg.count_empty() == 14   # the two seed edges, nothing else
 
 
 def test_path_A_rejects_outside_target():

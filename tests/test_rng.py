@@ -69,6 +69,19 @@ def test_uniform_in_open_interval(seed, stream, replica):
     assert 0.0 < u < 1.0
 
 
+def test_numpy_int64_words_match_python_ints():
+    vks = vertex_keys_np([np.arange(5), np.full(5, 2, dtype=np.int64)])
+    for replica in (3, -2, 2**62):
+        r64 = np.int64(replica)
+        assert uniform(4, STREAM_CLOCK, r64, 11, 2) == uniform(
+            4, STREAM_CLOCK, replica, 11, 2)
+        assert hash_key(np.int64(4), np.int64(1), r64, np.uint64(11),
+                        np.int64(2)) == hash_key(4, 1, replica, 11, 2)
+        assert uniforms_np(np.int64(4), np.int64(1), r64, vks,
+                           np.int64(2)).tobytes() == uniforms_np(
+            4, 1, replica, vks, 2).tobytes()
+
+
 def test_batch_functions_mask_key_words():
     vks = vertex_keys_np([np.arange(5), np.arange(5) * 2])
     big = 2**64
