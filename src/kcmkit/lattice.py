@@ -12,20 +12,13 @@ Conventions used everywhere in the package:
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import rng
-
-# box_region keeps the regions of up to this many distinct (geometry, box)
-# pairs, for boxes of up to this many sites; a bigger box costs more to use
-# than to build, so it is built per call. The cache holds at most 8 MB.
-_BOX_REGIONS_CACHED = 1024
-_BOX_SITES_CACHED = 1024
 
 
 @dataclass(frozen=True)
@@ -294,19 +287,11 @@ class Box:
 
 
 def box_region(geom: Geometry, box: Box) -> Region:
-    """All sites of the box (which must lie inside the geometry).
-
-    The indices are read-only: a box of up to _BOX_SITES_CACHED sites
-    shares one region between calls with equal (geom, box)."""
+    """All sites of the box (which must lie inside the geometry), with
+    read-only indices."""
     for c0, n, ng in zip(box.corner, box.dims, geom.dims, strict=True):
         if c0 < 0 or c0 + n > ng:
             raise ValueError(f"box {box} does not fit in geometry {geom.dims}")
-    if math.prod(box.dims) <= _BOX_SITES_CACHED:
-        return _cached_box_region(geom, box)
-    return _build_box_region(geom, box)
-
-
-def _build_box_region(geom: Geometry, box: Box) -> Region:
     # C-order flats of the box: an outer sum of per-axis offsets times
     # strides, which is sorted and unique for a box inside the geometry
     idx = np.zeros((), dtype=np.int64)
@@ -318,9 +303,6 @@ def _build_box_region(geom: Geometry, box: Box) -> Region:
     idx = idx.reshape(-1)
     idx.flags.writeable = False
     return Region._trusted(geom, idx)
-
-
-_cached_box_region = lru_cache(maxsize=_BOX_REGIONS_CACHED)(_build_box_region)
 
 
 def slice_region(geom: Geometry, box: Box, axis: int, j: int) -> Region:

@@ -28,7 +28,8 @@ MODE_BOUNDED = "bounded"
 _EXACT_CAP = 1 << 20
 
 _ATTEMPTS = 1024       # a sampler gives up after this many layouts
-_ATTEMPT_BLOCK = 64    # layouts drawn and classified together
+_ATTEMPT_BLOCK = 64    # layouts drawn and classified together,
+_ATTEMPT_SITES = 1 << 16  # up to this many sites per block (512 KB of u)
 
 _FA2 = make_family("fa_kf", 2, 2)
 _GG = make_family("gg")
@@ -762,9 +763,9 @@ def _first_eligible(geom: Geometry, spec: BlockSpec, q: float, seed: int,
     """
     vkeys = geom.vertex_keys()
     base = np.uint64((int(replica) << 10) & rng.MASK64)
-    for lo in range(0, _ATTEMPTS, _ATTEMPT_BLOCK):
-        ids = base | np.arange(lo, min(lo + _ATTEMPT_BLOCK, _ATTEMPTS),
-                               dtype=np.uint64)
+    rows = max(1, min(_ATTEMPT_BLOCK, _ATTEMPT_SITES // geom.n_sites))
+    for lo in range(0, _ATTEMPTS, rows):
+        ids = base | np.arange(lo, min(lo + rows, _ATTEMPTS), dtype=np.uint64)
         bits = (rng.uniforms_replicas_np(seed, rng.STREAM_AUX, ids, vkeys)
                 >= q).astype(np.uint8)
         bits[:, forced] = 0
