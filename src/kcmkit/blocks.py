@@ -82,7 +82,7 @@ class BlockDims(NamedTuple):
 
 
 def block_dims(model: str, q: float, A: float, d: int = 2,
-               ell: int | None = None, k: int = 3) -> BlockDims:
+               ell: int | None = None) -> BlockDims:
     """Block sides for each model's scaling form.
 
     fa2: all sides (A/q * ln(1/q))^{1/(d-1)}, A > 3/(d-1).

@@ -240,6 +240,13 @@ def _cmd_sim(args) -> None:
     fam = resolve_family(args.model, args.d)
     q = args.q[0]
     geom = Geometry((args.n,) * fam.d, torus=torus)
+    initial = None
+    if args.initial:
+        if not args.events:
+            raise CliError("--initial needs --events")
+        initial = read_grid(args.initial)
+        if initial.geom != geom:
+            raise CliError("initial grid does not match --n and --torus")
     kp = kcm.KcmParams(fam, q, geom, args.tmax, args.seed)
     params = dict(command="sim", model=fam.name, n=args.n, q=q,
                   tmax=args.tmax, replicas=replicas, seed=args.seed,
@@ -252,14 +259,9 @@ def _cmd_sim(args) -> None:
              ["model", "dims", "q", "tmax", "seed", "replica", "tau0",
               "censored", "flips"], rows)
     if args.events:
-        if args.initial:
-            initial = read_grid(args.initial)
-            if initial.geom.dims != geom.dims:
-                raise CliError("initial grid dims do not match --n")
-        elif start == "empty":
-            initial = Configuration.fully_empty(geom)
-        else:
-            initial = Configuration.random(geom, q, args.seed, 0)
+        if initial is None:
+            initial = (Configuration.fully_empty(geom) if start == "empty"
+                       else Configuration.random(geom, q, args.seed, 0))
         res = kcm.simulate_kcm(kp, initial, replica=0, log_events=True)
         kcm.write_event_log(res.events, args.events)
 
@@ -287,11 +289,13 @@ def _cmd_gap(args) -> None:
 def _cmd_blocks(args) -> None:
     _need(args, "model", "q", "A")
     replicas = args.replicas if args.replicas is not None else 10_000
+    k = args.k if args.k is not None else 3
+    p2_mode = args.p2_mode if args.p2_mode is not None else "auto"
     if args.model not in ("fa2", "fakf", "gg"):
         raise CliError(f"unknown block model {args.model!r}")
     params = dict(command="blocks", model=args.model, q=args.q, A=args.A,
                   replicas=replicas, seed=args.seed,
-                  dims=args.dims, k=args.k)
+                  dims=args.dims, k=k, p2_mode=p2_mode)
     rows = []
     for i, q in enumerate(args.q):
         if args.dims is not None:
@@ -299,15 +303,14 @@ def _cmd_blocks(args) -> None:
         else:
             bd = blocks.block_dims(args.model, q, args.A,
                                    d=args.d if args.d is not None else 2,
-                                   ell=args.ell,
-                                   k=args.k if args.k is not None else 3)
+                                   ell=args.ell)
             if bd.degenerate:
                 raise CliError(f"degenerate block dims {bd.dims} at q={q}; "
                                f"pass --dims explicitly")
             dims = bd.dims
-        spec = blocks.BlockSpec(args.model, dims, q, args.A,
-                                k=args.k if args.k is not None else 2)
-        probs = blocks.estimate_block_probs(spec, replicas, args.seed + i)
+        spec = blocks.BlockSpec(args.model, dims, q, args.A, k=k)
+        probs = blocks.estimate_block_probs(spec, replicas, args.seed + i,
+                                            p2_mode=p2_mode)
         lam, lam_mode = blocks.lambda_phi(spec)
         rows.append([args.model, dims, q, args.A, replicas, args.seed + i,
                      probs.p1.value, probs.p1.halfwidth, probs.p2_value,

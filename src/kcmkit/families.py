@@ -52,9 +52,6 @@ class UpdateFamily:
     def m(self) -> int:
         return len(self.rules)
 
-    def max_rule_size(self) -> int:
-        return max(len(r) for r in self.rules)
-
     def offsets(self) -> list[Offset]:
         """Distinct offsets used by any rule, in sorted order."""
         return sorted({off for rule in self.rules for off in rule})
@@ -233,12 +230,10 @@ class FamilyTables:
 
     geom: Geometry
     fam: UpdateFamily
-    offsets: np.ndarray      # (S, d) int64, distinct offsets, sorted
     nbr: np.ndarray          # (N, S) int64
     rev: np.ndarray          # (N, S) int64
     rule_slots: np.ndarray   # int32, concatenated slot ids per rule
     rule_ptr: np.ndarray     # int32, (m+1,)
-    rule_size: np.ndarray    # int32, (m,)
     slot_rules: np.ndarray   # int32, concatenated rule ids per slot
     slot_ptr: np.ndarray     # int32, (S+1,)
     pad_empty: int
@@ -257,13 +252,12 @@ def build_tables(geom: Geometry, fam: UpdateFamily) -> FamilyTables:
     nbr = geom.neighbor_table(off_arr)
     rev = geom.neighbor_table(-off_arr)
 
-    rule_slots, rule_ptr, rule_size = [], [0], []
+    rule_slots, rule_ptr = [], [0]
     per_slot: list[list[int]] = [[] for _ in offsets]
     for k, rule in enumerate(fam.rules):
         slots = sorted(slot_of[off] for off in rule)
         rule_slots.extend(slots)
         rule_ptr.append(len(rule_slots))
-        rule_size.append(len(slots))
         for s in slots:
             per_slot[s].append(k)
     slot_rules, slot_ptr = [], [0]
@@ -272,10 +266,9 @@ def build_tables(geom: Geometry, fam: UpdateFamily) -> FamilyTables:
         slot_ptr.append(len(slot_rules))
 
     return FamilyTables(
-        geom=geom, fam=fam, offsets=off_arr, nbr=nbr, rev=rev,
+        geom=geom, fam=fam, nbr=nbr, rev=rev,
         rule_slots=np.asarray(rule_slots, dtype=np.int32),
         rule_ptr=np.asarray(rule_ptr, dtype=np.int32),
-        rule_size=np.asarray(rule_size, dtype=np.int32),
         slot_rules=np.asarray(slot_rules, dtype=np.int32),
         slot_ptr=np.asarray(slot_ptr, dtype=np.int32),
         pad_empty=1 if geom.outside_empty else 0,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 from typing import Sequence
 
 import numpy as np
@@ -197,9 +196,6 @@ class _Recorder:
         self.verts: list[int] = []
         self.vals: list[int] = []
 
-    def mark(self) -> int:
-        return len(self.verts)
-
     def flip(self, v: int, val: int) -> None:
         if self.bits[v] == val:
             raise RuntimeError("schedule bug: flip does not change the site")
@@ -207,22 +203,21 @@ class _Recorder:
         self.verts.append(int(v))
         self.vals.append(int(val))
 
-    def empty_sites(self, flips) -> None:
-        for v in flips:
-            self.flip(int(v), 0)
+    def empty(self, fam: UpdateFamily, flippable: np.ndarray,
+              visible=None) -> bool:
+        """Record the restricted closure's flips on the working bits; True
+        when every flippable site ended empty."""
+        flips, out = _ordered_schedule(self.bits, self.start.geom, fam,
+                                       flippable, visible=visible)
+        for v in flips.tolist():
+            self.flip(v, 0)
+        return not out[flippable].any()
 
-    def occupy_sites(self, flips) -> None:
-        for v in flips:
-            self.flip(int(v), 1)
-
-    def reverse_tail(self, mark: int, skip=frozenset()) -> None:
-        """Undo flips [mark:] in reverse order, leaving `skip` sites alone."""
-        top = len(self.verts)
-        for i in range(top - 1, mark - 1, -1):
-            v = self.verts[i]
-            if v in skip:
-                continue
-            self.flip(v, 1 - self.vals[i])
+    def reverse_tail(self, skip) -> None:
+        """Undo every flip in reverse order, leaving `skip` sites alone."""
+        for v, val in zip(self.verts[::-1], self.vals[::-1]):
+            if v not in skip:
+                self.flip(v, 1 - val)
 
     def path(self) -> LegalPath:
         return LegalPath(self.start, np.array(self.verts, dtype=np.int64),
@@ -230,10 +225,7 @@ class _Recorder:
 
 
 def _sweep(rec: _Recorder, fam: UpdateFamily, r: Region, visible=None) -> None:
-    flips, _ = _ordered_schedule(rec.bits, rec.start.geom, fam,
-                                 r.mask(), visible=visible)
-    rec.empty_sites(flips)
-    if (rec.bits[r.indices] != 0).any():
+    if not rec.empty(fam, r.mask(), visible=visible):
         raise RuntimeError("sweep stalled: a block precondition was violated")
 
 
@@ -250,11 +242,9 @@ def empty_region_schedule(cfg: Configuration, fam: UpdateFamily,
     Raises when the region is not internally spanned.
     """
     mask = r.mask()
-    flips, out = _ordered_schedule(cfg.bits, cfg.geom, fam, mask, visible=mask)
-    if (out[r.indices] != 0).any():
-        raise ValueError("region is not internally spanned")
     rec = _Recorder(cfg)
-    rec.empty_sites(flips)
+    if not rec.empty(fam, mask, visible=mask):
+        raise ValueError("region is not internally spanned")
     p = rec.path()
     assert p.length <= r.size
     return p
@@ -284,9 +274,7 @@ def chain_schedule(cfg: Configuration, fam: UpdateFamily,
     rec = _Recorder(cfg)
     for j in range(len(regions) - 1):
         cur, nxt = regions[j], regions[j + 1]
-        flips, _ = _ordered_schedule(rec.bits, geom, fam, nxt.mask())
-        rec.empty_sites(flips)
-        if (rec.bits[nxt.indices] != 0).any():
+        if not rec.empty(fam, nxt.mask()):
             raise ValueError(
                 f"chain hypothesis fails forward between regions {j} and {j + 1}")
         virtual = baseline.copy()
@@ -297,7 +285,8 @@ def chain_schedule(cfg: Configuration, fam: UpdateFamily,
                 f"chain hypothesis fails backward between regions {j + 1} and {j}")
         if not np.array_equal(rec.bits, vout):
             raise RuntimeError("chain schedule bug: restore frames disagree")
-        rec.occupy_sites(back[::-1])
+        for v in back[::-1].tolist():
+            rec.flip(v, 1)
     # regions already empty in the baseline make whole E/D rounds net-zero
     # (the walk returns to an earlier state), so splice those cycles out
     p = rec.path().loop_erased()
@@ -311,28 +300,12 @@ def chain_schedule(cfg: Configuration, fam: UpdateFamily,
 @lru_cache(maxsize=64)
 def _fa_params(fam: UpdateFamily):
     """(d, k) when fam is the full k-of-2d isotropic family, else None."""
-    d = fam.d
     sizes = {len(r) for r in fam.rules}
-    if len(sizes) != 1:
+    k = sizes.pop() if len(sizes) == 1 else 0
+    if not 1 <= k <= 2 * fam.d:
         return None
-    k = sizes.pop()
-    if k == 0:
-        return None
-    units = set()
-    for a in range(d):
-        plus = [0] * d
-        plus[a] = 1
-        minus = [0] * d
-        minus[a] = -1
-        units.add(tuple(plus))
-        units.add(tuple(minus))
-    rules = set(fam.rules)
-    for r in rules:
-        if not set(r) <= units:
-            return None
-    if len(rules) != comb(2 * d, k):
-        return None
-    return d, k
+    full = set(make_family("fa_kf", fam.d, k).rules)
+    return (fam.d, k) if set(fam.rules) == full else None
 
 
 def slice_schedule(cfg: Configuration, fam: UpdateFamily, i: int, j: int,
@@ -366,16 +339,13 @@ def slice_schedule(cfg: Configuration, fam: UpdateFamily, i: int, j: int,
         raise ValueError("target slice is outside the box")
     tgt = slice_region(geom, box, i, tj)
     sub_geom = Geometry(tuple(n for a, n in enumerate(box.dims) if a != i))
-    sub_bits = np.ascontiguousarray(cfg.bits[tgt.indices])
-    out, rounds = kernels.closure(sub_bits,
-                                  tables_for(sub_geom, _slice_family(d, k)))
-    if (out != 0).any():
+    emptied, out = _ordered_schedule(cfg.bits[tgt.indices], sub_geom,
+                                     _slice_family(d, k), None)
+    if out.any():
         raise ValueError("target slice is not spanned by the reduced model")
-    emptied = np.flatnonzero(rounds > 0)
-    if emptied.size:
-        emptied = emptied[np.lexsort((emptied, rounds[emptied]))]
     rec = _Recorder(cfg)
-    rec.empty_sites(tgt.indices[emptied])
+    for v in tgt.indices[emptied].tolist():
+        rec.flip(v, 0)
     p = rec.path()
     assert p.length <= tgt.size
     return p
@@ -414,12 +384,9 @@ def cross_schedule(cfg: Configuration, fam: UpdateFamily,
     cy = cross_region(geom, box, y)
     if (cfg.bits[cx.indices] != 0).any():
         raise ValueError("cross at x is not empty")
-    vis = cx.mask() | cy.mask()
-    flips, out = _ordered_schedule(cfg.bits, geom, fam, cy.mask(), visible=vis)
-    if (out[cy.indices] != 0).any():
-        raise ValueError("cross at y is not reachable from the cross at x")
     rec = _Recorder(cfg)
-    rec.empty_sites(flips)
+    if not rec.empty(fam, cy.mask(), visible=cx.mask() | cy.mask()):
+        raise ValueError("cross at y is not reachable from the cross at x")
     p = rec.path()
     assert p.length <= 2 * geom.d * max(box.dims)
     return p
@@ -489,20 +456,12 @@ def gg_column_moves(cfg: Configuration, variant: str,
     tregions = [seg(c) for c in targets]
     if variant == "obs1" and (cfg.bits[tregions[0].indices] != 0).all():
         raise ValueError("target column has no empty site in the window")
-    flippable = np.zeros(geom.n_sites, dtype=bool)
-    vis = np.zeros(geom.n_sites, dtype=bool)
-    for c in pair:
-        vis |= seg(c).mask()
-    for tr in tregions:
-        flippable |= tr.mask()
-        vis |= tr.mask()
-    for s in seeds:
-        vis[s] = True
-    flips, out = _ordered_schedule(cfg.bits, geom, fam, flippable, visible=vis)
-    if any((out[tr.indices] != 0).any() for tr in tregions):
-        raise ValueError("column move cannot empty its targets")
+    flippable = np.logical_or.reduce([tr.mask() for tr in tregions])
+    vis = flippable | np.logical_or.reduce([seg(c).mask() for c in pair])
+    vis[seeds] = True
     rec = _Recorder(cfg)
-    rec.empty_sites(flips)
+    if not rec.empty(fam, flippable, visible=vis):
+        raise ValueError("column move cannot empty its targets")
     p = rec.path()
     assert p.length <= sum(tr.size for tr in tregions)
     return p
@@ -540,6 +499,16 @@ def _eligible(bits: np.ndarray, geom: Geometry, spec: BlockSpec,
             ok &= event(empty[(slice(None),) + tuple(
                 slice(c, c + n) for c, n in zip(bx.corner, bx.dims))], spec)
     return ok
+
+
+def _require_2d_block_model(model: str, geom: Geometry, x: Box,
+                            kind: str) -> None:
+    if model == "fakf":
+        raise NotImplementedError(f"{kind} paths are built for fa2 and gg blocks")
+    if model not in ("fa2", "gg"):
+        raise ValueError(f"unknown block model {model!r}")
+    if geom.d != 2 or len(x.dims) != 2:
+        raise NotImplementedError(f"{kind} paths are two-dimensional")
 
 
 def _require_box_inside(geom: Geometry, bx: Box, what: str) -> None:
@@ -593,13 +562,8 @@ def path_B(cfg: Configuration, model: str, x: Box, y: Box) -> LegalPath:
     start to the start with x's promotion seed set emptied, flips confined
     to the two blocks.
     """
-    if model == "fakf":
-        raise NotImplementedError("promotion paths are built for fa2 and gg blocks")
-    if model not in ("fa2", "gg"):
-        raise ValueError(f"unknown block model {model!r}")
     geom = cfg.geom
-    if geom.d != 2 or len(x.dims) != 2:
-        raise NotImplementedError("promotion paths are two-dimensional")
+    _require_2d_block_model(model, geom, x, "promotion")
     if tuple(x.dims) != tuple(y.dims):
         raise ValueError("blocks must have equal dims")
     _require_box_inside(geom, x, "x")
@@ -645,7 +609,7 @@ def _fa2_promotion(cfg: Configuration, x: Box, y: Box,
     for t in order:
         _sweep(rec, fam, slice_region(geom, x, axis, t))
     skip = frozenset(int(v) for v in _seed_flats(geom, "fa2", x))
-    rec.reverse_tail(0, skip=skip)
+    rec.reverse_tail(skip)
     p = rec.path()
     assert p.length <= (4 if direction < 0 else 2) * int(np.prod(x.dims))
     return p
@@ -695,13 +659,8 @@ def path_A(cfg: Configuration, model: str, x: Box,
     flipped and nothing else changed. No flip ever uses z's own state as a
     witness, so the construction is legal for either flip direction.
     """
-    if model == "fakf":
-        raise NotImplementedError("single-flip paths are built for fa2 and gg blocks")
-    if model not in ("fa2", "gg"):
-        raise ValueError(f"unknown block model {model!r}")
     geom = cfg.geom
-    if geom.d != 2 or len(x.dims) != 2:
-        raise NotImplementedError("single-flip paths are two-dimensional")
+    _require_2d_block_model(model, geom, x, "single-flip")
     n1, n2 = x.dims
     right = Box((x.corner[0] + n1, x.corner[1]), x.dims)
     upper = Box((x.corner[0], x.corner[1] + n2), x.dims)
@@ -734,7 +693,7 @@ def path_A(cfg: Configuration, model: str, x: Box,
         seg = box_region(geom, Box((o0 + zx, o1 + zy + 1), (1, n2 - 1 - zy)))
         _sweep(rec, fam, seg, visible=visible)
     rec.flip(zf, 1 - int(cfg.bits[zf]))
-    rec.reverse_tail(0, skip=frozenset((int(zf),)))
+    rec.reverse_tail(frozenset((zf,)))
     p = rec.path()
     expected = cfg.bits.copy()
     expected[zf] = 1 - expected[zf]

@@ -1,14 +1,16 @@
 """CLI: determinism, config files, CSV shape, failure hygiene."""
 
+import argparse
+import inspect
 import os
 
 import numpy as np
 import pytest
 
-from kcmkit import blocks, kcm, spectral
+from kcmkit import blocks, cli, kcm, spectral
 from kcmkit.cli import main, read_config_file, resolve_family
 from kcmkit.families import make_family
-from kcmkit.lattice import Geometry
+from kcmkit.lattice import Configuration, Geometry, write_grid
 
 
 def run(tmp_path, *argv):
@@ -37,6 +39,20 @@ def test_resolve_family_tokens():
         resolve_family("duarte", None)
     with pytest.raises(ValueError):
         resolve_family("fa9", None)
+
+
+def test_every_option_reaches_its_handler():
+    # an option its handler never reads is parsed and then silently ignored
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(cli._COMMANDS)
+    for name, sp in sub.choices.items():
+        source = inspect.getsource(cli._COMMANDS[name])
+        for action in sp._actions:
+            if action.dest in ("help", "seed", "out", "config"):
+                continue
+            assert f"args.{action.dest}" in source, (name, action.dest)
 
 
 def test_config_file_round_trip(tmp_path):
@@ -175,6 +191,29 @@ def test_sim_rows_and_event_log(tmp_path):
     assert np.all(np.diff(times) >= 0)
 
 
+def test_sim_initial_grid_checked_before_any_output(tmp_path):
+    base = ["sim", "--model", "fa1", "--d", "1", "--n", "8", "--q", "0.5",
+            "--tmax", "5", "--replicas", "2", "--seed", "4"]
+    events = tmp_path / "run.events"
+    grids = {}
+    for name, dims, torus in (("short", (6,), True), ("free", (8,), False),
+                              ("right", (8,), True)):
+        grids[name] = str(tmp_path / f"{name}.grid")
+        write_grid(Configuration.fully_empty(Geometry(dims, torus=torus)),
+                   grids[name])
+    for extra in (["--events", str(events), "--initial",
+                   str(tmp_path / "missing.grid")],
+                  ["--events", str(events), "--initial", grids["short"]],
+                  ["--events", str(events), "--initial", grids["free"]],
+                  ["--initial", grids["right"]]):
+        rc, text = run(tmp_path, *base, *extra)
+        assert rc == 2 and text is None, extra
+        assert not events.exists()
+    rc, text = run(tmp_path, *base, "--events", str(events),
+                   "--initial", grids["right"])
+    assert rc == 0 and events.exists()
+
+
 def test_gap_matches_direct_call(tmp_path):
     rc, text = run(tmp_path, "gap", "--model", "east", "--d", "1",
                    "--dims", "4", "--q", "0.3")
@@ -199,6 +238,31 @@ def test_blocks_matches_direct_call(tmp_path):
     assert rows[0]["p2_mode"] == probs.p2_mode
     assert float(rows[0]["condition_value"]) == pytest.approx(
         probs.condition_value)
+
+
+def test_blocks_p2_mode_reaches_the_row(tmp_path):
+    argv = ["blocks", "--model", "fa2", "--q", "0.4", "--A", "1.0",
+            "--dims", "3,3", "--replicas", "300", "--seed", "5"]
+    rc, text = run(tmp_path, *argv, "--p2-mode", "guess")
+    assert rc == 2 and text is None
+    rc, text = run(tmp_path, *argv, "--p2-mode", "mc")
+    assert rc == 0
+    row = rows_of(text)[1][0]
+    probs = blocks.estimate_block_probs(
+        blocks.BlockSpec("fa2", (3, 3), 0.4, 1.0), 300, 5, p2_mode="mc")
+    assert row["p2_mode"] == "mc"
+    assert float(row["p2"]) == probs.p2_value
+    rc, text = run(tmp_path, *argv)
+    assert rc == 0 and rows_of(text)[1][0]["p2_mode"] == "exact"
+
+
+def test_blocks_fakf_k_defaults_to_3(tmp_path):
+    argv = ["blocks", "--model", "fakf", "--q", "0.3", "--A", "1.0",
+            "--dims", "3,3,3", "--replicas", "100", "--seed", "2"]
+    rc1, a = run(tmp_path, *argv)
+    rc2, b = run(tmp_path, *argv, "--k", "3")
+    assert rc1 == rc2 == 0
+    assert rows_of(a) == rows_of(b)
 
 
 def test_blocks_degenerate_dims_flagged(tmp_path):

@@ -1,5 +1,6 @@
 """Legal paths: schedules, movers, block paths, congestion constants."""
 
+import hashlib
 import io
 import itertools
 
@@ -15,6 +16,7 @@ from kcmkit.lattice import (
     Region,
     box_region,
     cross_region,
+    slice_region,
 )
 from kcmkit.paths import (
     CongestionReport,
@@ -568,6 +570,108 @@ def test_claim_slice_walk_constructive():
         bits[seed_region.indices] = 0
         p = chain_schedule(Configuration(g, bits), fam, regions)
         assert verify_legal(p, fam)
+
+
+# ----------------------------------------------------------- builder digest
+
+
+def _random_cfg(geom, q, seed, replica, forced=()):
+    bits = (rng.uniforms_np(seed, rng.STREAM_AUX, replica, geom.vertex_keys())
+            >= q).astype(np.uint8)
+    bits[np.asarray(forced, dtype=np.int64)] = 0
+    return Configuration(geom, bits)
+
+
+def _builder_cases():
+    """(name, thunk) for every path builder on fixed, mostly random inputs."""
+    fa3 = make_family("fa_kf", 3, 2)
+    for outside in (False, True):
+        g = Geometry((4, 4), outside_empty=outside)
+        for fam, bx in ((FA2, Box((0, 0), (4, 4))), (FA1, Box((1, 1), (3, 3)))):
+            r = box_region(g, bx)
+            for rep in range(12):
+                cfg = _random_cfg(g, 0.5, 11, rep)
+                yield ("empty", lambda c=cfg, f=fam, r=r:
+                       empty_region_schedule(c, f, r))
+    g = Geometry((5, 3))
+    cols = [col_region(g, c) for c in range(5)]
+    for rep in range(12):
+        cfg = _random_cfg(g, 0.5, 12, rep, cols[0].indices)
+        yield "chain-fa1", lambda c=cfg: chain_schedule(c, FA1, cols)
+    g = Geometry((6, 4))
+    pairs = [box_region(g, Box((c, 0), (2, 4))) for c in range(5)]
+    for rep in range(12):
+        cfg = _random_cfg(g, 0.4, 13, rep, pairs[0].indices)
+        yield "chain-gg", lambda c=cfg: chain_schedule(c, GG, pairs)
+    for fam, g in ((FA2, Geometry((4, 4))), (FA1, Geometry((4, 4))),
+                   (fa3, Geometry((3, 3, 3)))):
+        full = Box((0,) * g.d, g.dims)
+        for axis in (0, 1):
+            src = slice_region(g, full, axis, 1)
+            for direction in (1, -1):
+                for rep in range(6):
+                    cfg = _random_cfg(g, 0.4, 14, rep, src.indices)
+                    yield ("slice", lambda c=cfg, f=fam, a=axis, s=direction:
+                           slice_schedule(c, f, a, 1, s))
+    g = Geometry((4, 4))
+    x = (1, 2)
+    cx = cross_region(g, Box((0, 0), (4, 4)), x)
+    for y in ((2, 2), (0, 2), (1, 1), (1, 3)):
+        for rep in range(6):
+            cfg = _random_cfg(g, 0.4, 15, rep, cx.indices)
+            yield "cross", lambda c=cfg, y=y: cross_schedule(c, FA2, x, y)
+    g = Geometry((6, 5))
+    for cols, pair, rows in (((0, 1, 2), (0, 1), None),
+                             ((3, 4, 2), (3, 4), None),
+                             ((0, 1, 2), (0, 1), (1, 4)),
+                             ((0, 1, 2, 3), (0, 1), None),
+                             ((2, 3, 0, 1), (2, 3), (1, 3))):
+        variant = "obs1" if len(cols) == 3 else "obs2"
+        forced = [g.flat((c, r)) for c in pair for r in range(5)]
+        if variant == "obs2":
+            top = 4 if rows is None else rows[1]
+            forced += [g.flat((c, top)) for c in cols[2:]]
+        for rep in range(8):
+            cfg = _random_cfg(g, 0.5, 16, rep, forced)
+            yield (variant, lambda c=cfg, v=variant, cs=cols, rs=rows:
+                   gg_column_moves(c, v, cs, rs))
+    for model in ("fa2", "gg"):
+        for axis in (0, 1):
+            for direction in (1, -1):
+                for rep in range(6):
+                    cfg, bx, by = sample_path_B_instance(
+                        model, (4, 4), 0.4, 17, rep, axis=axis,
+                        direction=direction)
+                    yield ("B", lambda c=cfg, m=model, bx=bx, by=by:
+                           path_B(c, m, bx, by))
+        for rep in range(12):
+            cfg, bx, z = sample_path_A_instance(model, (4, 4), 0.4, 18, rep)
+            yield "A", lambda c=cfg, m=model, bx=bx, z=z: path_A(c, m, bx, z)
+
+
+# sha256 of every builder's flips on _builder_cases; the builders must
+# keep producing these exact paths, in this exact flip order
+_BUILDER_DIGEST = (
+    "4e241837f7da1565dcb566c9ee978f2bdb5916fc4a59f847f550a9a31cc188e7")
+
+
+def test_builder_outputs_are_pinned():
+    h = hashlib.sha256()
+    kinds = set()
+    for name, build in _builder_cases():
+        h.update(name.encode())
+        try:
+            p = build()
+        except ValueError as exc:
+            h.update(f"!{exc}".encode())
+            continue
+        kinds.add(name)
+        h.update(p.vertices.astype("<i8").tobytes())
+        h.update(p.values.tobytes())
+    # every builder produced at least one path, not only errors
+    assert kinds == {"empty", "chain-fa1", "chain-gg", "slice", "cross",
+                     "obs1", "obs2", "B", "A"}
+    assert h.hexdigest() == _BUILDER_DIGEST
 
 
 # --------------------------------------------------------------- congestion
