@@ -26,7 +26,7 @@ import numpy as np
 from . import rng
 from .bootstrap import is_internally_spanned
 from .families import make_family
-from .lattice import Configuration, Geometry
+from .lattice import Configuration, Geometry, _cached_geometry
 from .stats import ScanEstimate, wilson_ci
 
 EXACT_LAMBDA_CAP = 16
@@ -72,7 +72,7 @@ class BlockSpec:
         return int(np.prod(self.dims))
 
     def geometry(self) -> Geometry:
-        return Geometry(self.dims)
+        return _cached_geometry(self.dims)
 
 
 class BlockDims(NamedTuple):
@@ -341,18 +341,16 @@ def block_probs_exact(spec: BlockSpec):
     return float(w[good].sum()), float(w[sg].sum())
 
 
-def _sample_empty_batch(spec: BlockSpec, replicas: int, seed: int,
-                        base_replica: int = 0) -> np.ndarray:
-    geom = spec.geometry()
-    vkeys = geom.vertex_keys()
-    ids = np.arange(base_replica, base_replica + replicas, dtype=np.uint64)
-    u = rng.uniforms_replicas_np(seed, rng.STREAM_CONFIG, ids, vkeys)
-    return (u < spec.q).reshape(replicas, *spec.dims)
+def _sample_empty_batch(spec: BlockSpec, replicas, seed: int) -> np.ndarray:
+    """Empty-site indicators of a replica batch; `replicas` is a count R
+    (replicas 0..R-1) or an array of replica ids."""
+    vkeys = spec.geometry().vertex_keys()
+    u = rng.uniforms_replicas_np(seed, rng.STREAM_CONFIG, replicas, vkeys)
+    return (u < spec.q).reshape(-1, *spec.dims)
 
 
 def estimate_block_probs(spec: BlockSpec, replicas: int, seed: int,
-                         p2_mode: str = "auto",
-                         batch: int = 4096) -> BlockProbs:
+                         p2_mode: str = "auto") -> BlockProbs:
     """Monte Carlo good probability plus a labeled p2 (exact / mc / bound).
 
     p2 at realistic block sizes is far below Monte Carlo reach, so the
@@ -365,17 +363,12 @@ def estimate_block_probs(spec: BlockSpec, replicas: int, seed: int,
         raise ValueError("replicas must be >= 1")
     if p2_mode not in ("auto", "exact", "mc", "bound"):
         raise ValueError(f"unknown p2 mode {p2_mode!r}")
-    hits1 = 0
-    hits2 = 0
-    done = 0
-    while done < replicas:
-        m = min(batch, replicas - done)
-        empty = _sample_empty_batch(spec, m, seed, base_replica=done)
+    hits1 = hits2 = 0
+    for ids in rng.replica_blocks(replicas, spec.n_sites):
+        empty = _sample_empty_batch(spec, ids, seed)
         good = _good_batch(empty, spec)
-        sg = _supergood_batch(empty, spec, good)
         hits1 += int(good.sum())
-        hits2 += int(sg.sum())
-        done += m
+        hits2 += int(_supergood_batch(empty, spec, good).sum())
     p1 = ScanEstimate(hits1 / replicas, wilson_ci(hits1, replicas),
                       replicas, seed)
 

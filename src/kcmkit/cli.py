@@ -1,16 +1,18 @@
 """Command-line front end: one subcommand per module, deterministic CSV out.
 
-Every run resolves its parameters from flags plus an optional flat
-key=value config file (flags win), emits a CSV whose comment lines carry
-the seed, the package version, and a hash of the resolved parameters, and
-writes output atomically so failed runs leave no partial files.  Grids of
-q (or p for `perc`) expand into independent runs sharing the base seed
-with per-point offsets.
+Every option is declared once, in `_GLOBALS` or `OPTIONS`. A run takes
+each value from its flag, else from an optional flat key=value config
+file, else from the table default. It emits a CSV whose comment lines
+carry the seed, the package version, and a hash of the resolved
+parameters, and writes output atomically so failed runs leave no partial
+files.  Grids of q (or p for `perc`) expand into independent runs sharing
+the base seed with per-point offsets.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import io
 import os
@@ -97,6 +99,21 @@ def _config_hash(pairs: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+@contextlib.contextmanager
+def _atomic(path: str, mode: str = "w"):
+    """A handle on `path`.tmp that replaces `path` only when the block
+    completes; on any failure the temporary file is removed."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def emit_csv(out: str | None, params: dict, header: list[str], rows) -> None:
     """Write comment lines, header, rows; atomically when `out` is a path."""
     buf = io.StringIO()
@@ -110,15 +127,8 @@ def emit_csv(out: str | None, params: dict, header: list[str], rows) -> None:
     if out is None:
         sys.stdout.write(text)
         return
-    tmp = out + ".tmp"
-    try:
-        with open(tmp, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, out)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with _atomic(out) as fh:
+        fh.write(text)
 
 
 # ------------------------------------------------------------- config files
@@ -144,50 +154,77 @@ def read_config_file(path: str) -> dict:
     return out
 
 
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
-                  command: str) -> None:
-    """Fill still-unset options from the config file; flags already win
-    because every option's argparse default is None."""
-    if not args.config:
-        return
-    kv = read_config_file(args.config)
-    actions = {a.dest: a for a in parser._actions}
-    sub = next(a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction))
-    actions.update({a.dest: a for a in sub.choices[command]._actions})
-    for key, value in kv.items():
-        if key == "command":
-            continue
-        action = actions.get(key)
-        if action is None:
+# --------------------------------------------------------------- the options
+
+REQUIRED = object()  # default of an option the run cannot do without
+
+# option -> (type, default or REQUIRED); legal before and after the command
+_GLOBALS = dict(seed=(int, 0), out=(str, None), config=(str, None))
+
+# command -> option -> (type, default or REQUIRED); required options are
+# reported missing in the order listed
+OPTIONS = {
+    "bootstrap": dict(model=(str, REQUIRED), n=(int, REQUIRED),
+                      q=(_grid, REQUIRED), replicas=(int, 2000),
+                      d=(int, None), torus=(_flag, True)),
+    "qc": dict(model=(str, REQUIRED), n=(int, REQUIRED), tol=(float, 5e-4),
+               replicas=(int, 400), d=(int, None)),
+    "lc": dict(model=(str, REQUIRED), q=(_grid, REQUIRED),
+               n_max=(int, 4096), replicas=(int, 200), d=(int, None),
+               torus=(_flag, True)),
+    "sim": dict(model=(str, REQUIRED), n=(int, REQUIRED), q=(_grid, REQUIRED),
+                tmax=(float, REQUIRED), replicas=(int, 100), d=(int, None),
+                start=(str, "stationary"), variant=(str, "first_empty"),
+                torus=(_flag, True), events=(str, None),
+                initial=(str, None)),
+    "gap": dict(model=(str, REQUIRED), dims=(_dims, REQUIRED),
+                q=(_grid, REQUIRED), d=(int, None), torus=(_flag, False)),
+    "blocks": dict(model=(str, REQUIRED), q=(_grid, REQUIRED),
+                   A=(float, REQUIRED), replicas=(int, 10_000),
+                   dims=(_dims, None), d=(int, 2), k=(int, 3),
+                   ell=(int, None), p2_mode=(str, "auto")),
+    "paths": dict(model=(str, REQUIRED), mode=(str, REQUIRED),
+                  dims=(_dims, REQUIRED), q=(_grid, REQUIRED),
+                  samples=(int, 200), axis=(int, 0), direction=(int, 1)),
+    "perc": dict(p=(_grid, REQUIRED), nmax=(int, 6), replicas=(int, 2000)),
+}
+
+
+def _resolve(args: argparse.Namespace) -> None:
+    """Give every option of the command its value: the flag, else the
+    config file's entry, else the table default. Every parsed option is
+    None when its flag was not given."""
+    options = {**_GLOBALS, **OPTIONS[args.command]}
+    kv = read_config_file(args.config) if args.config else {}
+    for key in kv:
+        if key != "command" and key not in options:
             raise CliError(f"config key {key!r} is not an option of "
-                           f"{command!r}")
-        if getattr(args, key) is None:
-            setattr(args, key, (action.type or str)(value))
-
-
-def _need(args: argparse.Namespace, *names: str) -> None:
-    for name in names:
-        if getattr(args, name) is None:
+                           f"{args.command!r}")
+    for name, (typ, default) in options.items():
+        if getattr(args, name) is not None:
+            continue
+        if name in kv:
+            value = typ(kv[name])
+        elif default is REQUIRED:
             raise CliError(f"missing --{name.replace('_', '-')}")
+        else:
+            value = default
+        setattr(args, name, value)
 
 
 # -------------------------------------------------------------- subcommands
 
 def _cmd_bootstrap(args) -> None:
-    _need(args, "model", "n", "q")
-    torus = args.torus if args.torus is not None else True
-    replicas = args.replicas if args.replicas is not None else 2000
     fam = resolve_family(args.model, args.d)
     params = dict(command="bootstrap", model=fam.name, n=args.n, q=args.q,
-                  replicas=replicas, seed=args.seed, torus=torus)
+                  replicas=args.replicas, seed=args.seed, torus=args.torus)
     rows = []
     for i, q in enumerate(args.q):
         if not 0.0 <= q <= 1.0:
             raise CliError(f"q must be in [0,1], got {q}")
         est = bootstrap.estimate_span_probability(
-            args.n, fam, q, replicas, args.seed + i, torus=torus)
-        rows.append([fam.name, fam.d, args.n, q, replicas,
+            args.n, fam, q, args.replicas, args.seed + i, torus=args.torus)
+        rows.append([fam.name, fam.d, args.n, q, args.replicas,
                      est.value, est.ci[0], est.ci[1], args.seed + i])
     emit_csv(args.out, params,
              ["model", "d", "n", "q", "replicas", "p_hat", "ci_lo", "ci_hi",
@@ -195,51 +232,40 @@ def _cmd_bootstrap(args) -> None:
 
 
 def _cmd_qc(args) -> None:
-    _need(args, "model", "n")
-    tol = args.tol if args.tol is not None else 5e-4
-    replicas = args.replicas if args.replicas is not None else 400
     fam = resolve_family(args.model, args.d)
-    params = dict(command="qc", model=fam.name, n=args.n, tol=tol,
-                  replicas=replicas, seed=args.seed)
-    est = bootstrap.estimate_qc(args.n, fam, tol, replicas, args.seed)
+    params = dict(command="qc", model=fam.name, n=args.n, tol=args.tol,
+                  replicas=args.replicas, seed=args.seed)
+    est = bootstrap.estimate_qc(args.n, fam, args.tol, args.replicas,
+                                args.seed)
     emit_csv(args.out, params,
              ["model", "d", "n", "tol", "replicas", "seed", "q",
               "ci_lo", "ci_hi", "censored"],
-             [[fam.name, fam.d, args.n, tol, replicas, args.seed,
+             [[fam.name, fam.d, args.n, args.tol, args.replicas, args.seed,
                est.value, est.ci[0], est.ci[1], est.censored]])
 
 
 def _cmd_lc(args) -> None:
-    _need(args, "model", "q")
     if len(args.q) != 1:
         raise CliError("lc takes a single q")
-    n_max = args.n_max if args.n_max is not None else 4096
-    replicas = args.replicas if args.replicas is not None else 200
-    torus = args.torus if args.torus is not None else True
     fam = resolve_family(args.model, args.d)
     q = args.q[0]
-    params = dict(command="lc", model=fam.name, q=q, n_max=n_max,
-                  replicas=replicas, seed=args.seed, torus=torus)
-    est = bootstrap.estimate_lc(q, fam, n_max, replicas, args.seed,
-                                torus=torus)
+    params = dict(command="lc", model=fam.name, q=q, n_max=args.n_max,
+                  replicas=args.replicas, seed=args.seed, torus=args.torus)
+    est = bootstrap.estimate_lc(q, fam, args.n_max, args.replicas, args.seed,
+                                torus=args.torus)
     emit_csv(args.out, params,
              ["model", "d", "q", "n_max", "replicas", "seed", "lc_hat",
               "ci_lo", "ci_hi", "censored"],
-             [[fam.name, fam.d, q, n_max, replicas, args.seed,
+             [[fam.name, fam.d, q, args.n_max, args.replicas, args.seed,
                est.value, est.ci[0], est.ci[1], est.censored]])
 
 
 def _cmd_sim(args) -> None:
-    _need(args, "model", "n", "q", "tmax")
     if len(args.q) != 1:
         raise CliError("sim takes a single q")
-    replicas = args.replicas if args.replicas is not None else 100
-    start = args.start if args.start is not None else "stationary"
-    variant = args.variant if args.variant is not None else "first_empty"
-    torus = args.torus if args.torus is not None else True
     fam = resolve_family(args.model, args.d)
     q = args.q[0]
-    geom = Geometry((args.n,) * fam.d, torus=torus)
+    geom = Geometry((args.n,) * fam.d, torus=args.torus)
     initial = None
     if args.initial:
         if not args.events:
@@ -249,32 +275,35 @@ def _cmd_sim(args) -> None:
             raise CliError("initial grid does not match --n and --torus")
     kp = kcm.KcmParams(fam, q, geom, args.tmax, args.seed)
     params = dict(command="sim", model=fam.name, n=args.n, q=q,
-                  tmax=args.tmax, replicas=replicas, seed=args.seed,
-                  start=start, variant=variant, torus=torus)
+                  tmax=args.tmax, replicas=args.replicas, seed=args.seed,
+                  start=args.start, variant=args.variant, torus=args.torus)
     samples, _summary = kcm.sample_persistence_time(
-        kp, replicas, start=start, variant=variant)
+        kp, args.replicas, start=args.start, variant=args.variant)
     rows = [[fam.name, geom.dims, q, args.tmax, args.seed, s.replica,
              s.tau0, s.censored, s.flips_executed] for s in samples]
-    emit_csv(args.out, params,
-             ["model", "dims", "q", "tmax", "seed", "replica", "tau0",
-              "censored", "flips"], rows)
-    if args.events:
-        if initial is None:
-            initial = (Configuration.fully_empty(geom) if start == "empty"
-                       else Configuration.random(geom, q, args.seed, 0))
-        res = kcm.simulate_kcm(kp, initial, replica=0, log_events=True)
-        kcm.write_event_log(res.events, args.events)
+    # the event log is staged first and lands only after the CSV does, so
+    # a run that fails on either file leaves neither
+    with contextlib.ExitStack() as stack:
+        if args.events:
+            if initial is None:
+                initial = (Configuration.fully_empty(geom)
+                           if args.start == "empty"
+                           else Configuration.random(geom, q, args.seed, 0))
+            res = kcm.simulate_kcm(kp, initial, replica=0, log_events=True)
+            log = stack.enter_context(_atomic(args.events, "wb"))
+            kcm.write_event_log(res.events, log)
+        emit_csv(args.out, params,
+                 ["model", "dims", "q", "tmax", "seed", "replica", "tau0",
+                  "censored", "flips"], rows)
 
 
 def _cmd_gap(args) -> None:
     from . import spectral  # scipy, which only this command needs
 
-    _need(args, "model", "dims", "q")
     fam = resolve_family(args.model, args.d)
-    torus = args.torus if args.torus is not None else False
-    geom = Geometry(args.dims, torus=torus)
+    geom = Geometry(args.dims, torus=args.torus)
     params = dict(command="gap", model=fam.name, dims=args.dims, q=args.q,
-                  seed=args.seed, torus=torus)
+                  seed=args.seed, torus=args.torus)
     rows = []
     for i, q in enumerate(args.q):
         gen = spectral.build_generator(geom, fam, q)
@@ -287,34 +316,31 @@ def _cmd_gap(args) -> None:
 
 
 def _cmd_blocks(args) -> None:
-    _need(args, "model", "q", "A")
-    replicas = args.replicas if args.replicas is not None else 10_000
-    k = args.k if args.k is not None else 3
-    p2_mode = args.p2_mode if args.p2_mode is not None else "auto"
     if args.model not in ("fa2", "fakf", "gg"):
         raise CliError(f"unknown block model {args.model!r}")
     params = dict(command="blocks", model=args.model, q=args.q, A=args.A,
-                  replicas=replicas, seed=args.seed,
-                  dims=args.dims, k=k, p2_mode=p2_mode)
+                  replicas=args.replicas, seed=args.seed,
+                  dims=args.dims, k=args.k, p2_mode=args.p2_mode)
     rows = []
     for i, q in enumerate(args.q):
         if args.dims is not None:
             dims = args.dims
         else:
-            bd = blocks.block_dims(args.model, q, args.A,
-                                   d=args.d if args.d is not None else 2,
+            bd = blocks.block_dims(args.model, q, args.A, d=args.d,
                                    ell=args.ell)
             if bd.degenerate:
                 raise CliError(f"degenerate block dims {bd.dims} at q={q}; "
                                f"pass --dims explicitly")
             dims = bd.dims
-        spec = blocks.BlockSpec(args.model, dims, q, args.A, k=k)
-        probs = blocks.estimate_block_probs(spec, replicas, args.seed + i,
-                                            p2_mode=p2_mode)
+        spec = blocks.BlockSpec(args.model, dims, q, args.A, k=args.k)
+        probs = blocks.estimate_block_probs(spec, args.replicas,
+                                            args.seed + i,
+                                            p2_mode=args.p2_mode)
         lam, lam_mode = blocks.lambda_phi(spec)
-        rows.append([args.model, dims, q, args.A, replicas, args.seed + i,
-                     probs.p1.value, probs.p1.halfwidth, probs.p2_value,
-                     probs.p2_mode, lam, lam_mode, probs.condition_value])
+        rows.append([args.model, dims, q, args.A, args.replicas,
+                     args.seed + i, probs.p1.value, probs.p1.halfwidth,
+                     probs.p2_value, probs.p2_mode, lam, lam_mode,
+                     probs.condition_value])
     emit_csv(args.out, params,
              ["model", "dims", "q", "A", "replicas", "seed", "p1", "p1_ci",
               "p2", "p2_mode", "lambda_phi", "lambda_mode",
@@ -322,7 +348,6 @@ def _cmd_blocks(args) -> None:
 
 
 def _cmd_paths(args) -> None:
-    _need(args, "model", "mode", "dims", "q")
     if args.model not in ("fa2", "gg"):
         raise CliError("path sampling covers the fa2 and gg block models")
     if args.mode not in ("A", "B"):
@@ -332,19 +357,16 @@ def _cmd_paths(args) -> None:
     if len(args.dims) != 2:
         raise CliError("block dims must be two-dimensional")
     q = args.q[0]
-    samples = args.samples if args.samples is not None else 200
-    axis = args.axis if args.axis is not None else 0
-    direction = args.direction if args.direction is not None else 1
     n1, n2 = args.dims
     params = dict(command="paths", model=args.model, mode=args.mode,
-                  dims=args.dims, q=q, samples=samples, seed=args.seed,
-                  axis=axis, direction=direction)
+                  dims=args.dims, q=q, samples=args.samples, seed=args.seed,
+                  axis=args.axis, direction=args.direction)
     built = []
-    for rep in range(samples):
+    for rep in range(args.samples):
         if args.mode == "B":
             cfg, x, y = paths.sample_path_B_instance(
                 args.model, args.dims, q, args.seed, rep,
-                axis=axis, direction=direction)
+                axis=args.axis, direction=args.direction)
             built.append(paths.path_B(cfg, args.model, x, y))
         else:
             cfg, x, z = paths.sample_path_A_instance(
@@ -356,26 +378,24 @@ def _cmd_paths(args) -> None:
     emit_csv(args.out, params,
              ["mode", "model", "dims", "q", "samples", "seed", "max_len",
               "fitted_c", "rho_mode", "rho"],
-             [[args.mode, args.model, args.dims, q, samples, args.seed,
+             [[args.mode, args.model, args.dims, q, args.samples, args.seed,
                max_len, max_len / norm, report.enumeration_mode,
                report.rho]])
 
 
 def _cmd_perc(args) -> None:
-    _need(args, "p")
-    nmax = args.nmax if args.nmax is not None else 6
-    replicas = args.replicas if args.replicas is not None else 2000
-    params = dict(command="perc", p=args.p, nmax=nmax, replicas=replicas,
-                  seed=args.seed)
-    ladder = percolation.RectangleLadder(nmax)
+    params = dict(command="perc", p=args.p, nmax=args.nmax,
+                  replicas=args.replicas, seed=args.seed)
+    ladder = percolation.RectangleLadder(args.nmax)
     rows = []
     for i, p in enumerate(args.p):
-        scan = percolation.estimate_crossing_failure(nmax, p, replicas,
+        scan = percolation.estimate_crossing_failure(args.nmax, p,
+                                                     args.replicas,
                                                      args.seed + i)
         m_hat = scan.m_hat if scan.m_hat is not None else float("nan")
         for r in scan.rows:
             rows.append(["site", ladder.level_dims(r.n), 1.0 - p, p,
-                         replicas, args.seed + i, r.n, r.side,
+                         args.replicas, args.seed + i, r.n, r.side,
                          r.estimate.value, r.estimate.ci[0],
                          r.estimate.ci[1], m_hat])
     emit_csv(args.out, params,
@@ -400,45 +420,28 @@ def build_parser() -> argparse.ArgumentParser:
         prog="kcm",
         description="Bootstrap closures, constrained dynamics, block events,"
                     " canonical paths, and crossing scans.")
+
+    def add(p, options, default=None):
+        for name, (typ, _) in options.items():
+            p.add_argument(f"--{name.replace('_', '-')}", dest=name,
+                           type=typ, default=default)
+
     # global flags are legal both before and after the subcommand; the
     # per-subcommand copies default to SUPPRESS so they never clobber
     # values parsed at the top level
-    globals_ = (("seed", int, 0), ("out", str, None), ("config", str, None))
+    add(parser, _GLOBALS)
     common = argparse.ArgumentParser(add_help=False)
-    for flag, typ, default in globals_:
-        parser.add_argument(f"--{flag}", type=typ, default=default)
-        common.add_argument(f"--{flag}", type=typ,
-                            default=argparse.SUPPRESS)
+    add(common, _GLOBALS, argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, **opts):
-        sp = sub.add_parser(name, parents=[common])
-        for flag, typ in opts.items():
-            sp.add_argument(f"--{flag.replace('_', '-')}", dest=flag,
-                            type=typ, default=None)
-        return sp
-
-    add("bootstrap", model=str, n=int, q=_grid, replicas=int, d=int,
-        torus=_flag)
-    add("qc", model=str, n=int, tol=float, replicas=int, d=int)
-    add("lc", model=str, q=_grid, n_max=int, replicas=int, d=int,
-        torus=_flag)
-    add("sim", model=str, n=int, q=_grid, tmax=float, replicas=int, d=int,
-        start=str, variant=str, torus=_flag, events=str, initial=str)
-    add("gap", model=str, dims=_dims, q=_grid, d=int, torus=_flag)
-    add("blocks", model=str, q=_grid, A=float, replicas=int, dims=_dims,
-        d=int, k=int, ell=int, p2_mode=str)
-    add("paths", model=str, mode=str, dims=_dims, q=_grid, samples=int,
-        axis=int, direction=int)
-    add("perc", p=_grid, nmax=int, replicas=int)
+    for command, options in OPTIONS.items():
+        add(sub.add_parser(command, parents=[common]), options)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _merge_config(args, parser, args.command)
+        _resolve(args)
         _COMMANDS[args.command](args)
     except (CliError, ValueError, NotImplementedError, OSError,
             RuntimeError) as e:

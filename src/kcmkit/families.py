@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lattice import Configuration, Geometry, _as_flat
+from .lattice import Configuration, Geometry, _as_flat, _opened
 
 Offset = tuple[int, ...]
 Rule = frozenset
@@ -166,10 +166,7 @@ def write_family(fam: UpdateFamily, fh) -> None:
     The empty rule is written as a single `-` so that blank lines stay
     insignificant.
     """
-    close = False
-    if isinstance(fh, str):
-        fh, close = open(fh, "w"), True
-    try:
+    with _opened(fh, "w") as fh:
         fh.write(f"# d={fam.d}\n")
         for rule in fam.rules:
             if not rule:
@@ -177,16 +174,10 @@ def write_family(fam: UpdateFamily, fh) -> None:
             else:
                 fh.write("; ".join(f"({','.join(map(str, off))})"
                                    for off in sorted(rule)) + "\n")
-    finally:
-        if close:
-            fh.close()
 
 
 def read_family(fh, name: str = "custom") -> UpdateFamily:
-    close = False
-    if isinstance(fh, str):
-        fh, close = open(fh), True
-    try:
+    with _opened(fh) as fh:
         rules: list[list[Offset]] = []
         d = None
         for line in fh:
@@ -210,9 +201,6 @@ def read_family(fh, name: str = "custom") -> UpdateFamily:
             rules.append(rule)
         fam = make_family("custom", rules=rules, d=d)
         return UpdateFamily(fam.d, fam.rules, name=name)
-    finally:
-        if close:
-            fh.close()
 
 
 # ------------------------------------------------ kernel-facing rule tables

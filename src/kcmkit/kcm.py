@@ -11,14 +11,13 @@ stationary product-Bernoulli(p) start unless an all-empty start is asked for.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels, rng
 from .families import UpdateFamily, tables_for
-from .lattice import Configuration, Geometry, _as_flat
+from .lattice import Configuration, Geometry, _as_flat, _opened
 
 
 @dataclass(frozen=True)
@@ -213,39 +212,25 @@ def empty_fraction_time_average(params: KcmParams, initial: Configuration,
 
 # ------------------------------------------------------------- event-log IO
 
-_EVENT = struct.Struct("<dIB")
+# packed little-endian records of (f64 time, u32 vertex, u8 new value),
+# 13 bytes each
+_EVENT = np.dtype([("t", "<f8"), ("v", "<u4"), ("s", "u1")])
 
 
 def write_event_log(events, fh) -> None:
-    """Binary event log: little-endian records of (f64 time, u32 vertex,
-    u8 new value)."""
+    """Binary event log: one packed `_EVENT` record per executed resample."""
     times, verts, vals = events
-    close = False
-    if isinstance(fh, str):
-        fh, close = open(fh, "wb"), True
-    try:
-        for tt, v, s in zip(times, verts, vals):
-            fh.write(_EVENT.pack(float(tt), int(v), int(s)))
-    finally:
-        if close:
-            fh.close()
+    rec = np.empty(len(times), dtype=_EVENT)
+    rec["t"], rec["v"], rec["s"] = times, verts, vals
+    with _opened(fh, "wb") as fh:
+        fh.write(rec.tobytes())
 
 
 def read_event_log(fh):
-    close = False
-    if isinstance(fh, str):
-        fh, close = open(fh, "rb"), True
-    try:
+    with _opened(fh, "rb") as fh:
         blob = fh.read()
-    finally:
-        if close:
-            fh.close()
-    if len(blob) % _EVENT.size:
+    if len(blob) % _EVENT.itemsize:
         raise ValueError("truncated event log")
-    n = len(blob) // _EVENT.size
-    times = np.empty(n, dtype=np.float64)
-    verts = np.empty(n, dtype=np.int32)
-    vals = np.empty(n, dtype=np.uint8)
-    for i, (tt, v, s) in enumerate(_EVENT.iter_unpack(blob)):
-        times[i], verts[i], vals[i] = tt, v, s
-    return times, verts, vals
+    rec = np.frombuffer(blob, dtype=_EVENT)
+    return (rec["t"].astype(np.float64), rec["v"].astype(np.int32),
+            rec["s"].astype(np.uint8))

@@ -11,9 +11,10 @@ Conventions used everywhere in the package:
 
 from __future__ import annotations
 
+import contextlib
 import io
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -116,6 +117,10 @@ class Geometry:
         return table
 
 
+# one Geometry per shape, so its vertex keys are hashed once
+_cached_geometry = lru_cache(maxsize=64)(Geometry)
+
+
 def neighbors(geom: Geometry, x) -> list[tuple[int, ...]]:
     """The <= 2d distinct l1-neighbors of x (wrapped on a torus, clipped on a
     free box)."""
@@ -175,9 +180,6 @@ class Configuration:
     # basic ops --------------------------------------------------------------
     def copy(self) -> "Configuration":
         return Configuration(self.geom, self.bits.copy())
-
-    def is_empty(self, v) -> bool:
-        return self.bits[_as_flat(self.geom, v)] == 0
 
     def count_empty(self) -> int:
         return int(self.bits.size - self.bits.sum())
@@ -277,10 +279,6 @@ class Box:
     def d(self) -> int:
         return len(self.dims)
 
-    def shifted(self, offset: Sequence[int]) -> "Box":
-        return Box(tuple(c + int(u) for c, u in zip(self.corner, offset)),
-                   self.dims)
-
     def contains(self, coords: Sequence[int]) -> bool:
         return all(c0 <= c < c0 + n for c, c0, n in
                    zip(coords, self.corner, self.dims, strict=True))
@@ -347,51 +345,34 @@ def cross_region(geom: Geometry, box: Box, center: Sequence[int]) -> Region:
     return out
 
 
-def region(geom: Geometry, kind: str, **kw) -> Region:
-    """Dispatch on a region kind name.
-
-    slice(box, axis, j) / frame(box, axis, j) / edge(box, axis) /
-    cross(box, center) / box(corner, dims).
-    """
-    if kind == "slice":
-        return slice_region(geom, kw["box"], kw["axis"], kw["j"])
-    if kind == "frame":
-        return frame_region(geom, kw["box"], kw["axis"], kw["j"])
-    if kind == "edge":
-        return edge_region(geom, kw["box"], kw["axis"])
-    if kind == "cross":
-        return cross_region(geom, kw["box"], kw["center"])
-    if kind == "box":
-        return box_region(geom, Box(kw["corner"], kw["dims"]))
-    raise ValueError(f"unknown region kind {kind!r}")
-
-
 # ----------------------------------------------------------------- grid files
+
+@contextlib.contextmanager
+def _opened(fh, mode: str = "r"):
+    """A path is opened in `mode` and closed afterwards; a handle is used as
+    it is and left open."""
+    if isinstance(fh, str):
+        with open(fh, mode) as f:
+            yield f
+    else:
+        yield fh
+
 
 def write_grid(cfg: Configuration, fh) -> None:
     """Text grid: header `d n1 .. nd boundary`, then row-major 0/1 lines."""
     geom = cfg.geom
     boundary = ("torus" if geom.torus
                 else "free-empty" if geom.outside_empty else "free")
-    close = False
-    if isinstance(fh, str):
-        fh, close = open(fh, "w"), True
-    try:
+    with _opened(fh, "w") as fh:
         fh.write(f"{geom.d} {' '.join(map(str, geom.dims))} {boundary}\n")
         last = geom.dims[-1]
         flat = cfg.bits
         for row_start in range(0, flat.size, last):
             fh.write("".join(map(str, flat[row_start:row_start + last])) + "\n")
-    finally:
-        if close:
-            fh.close()
 
 
 def read_grid(fh) -> Configuration:
-    close = False
-    if isinstance(fh, str):
-        fh, close = open(fh), True
-    try:
+    with _opened(fh) as fh:
         header = fh.readline().split()
         if len(header) < 3:
             raise ValueError("grid header must be: d n1 .. nd boundary")
@@ -417,9 +398,6 @@ def read_grid(fh) -> Configuration:
         if flat.max(initial=0) > 1:
             raise ValueError("grid body must contain only 0/1")
         return Configuration(geom, flat)
-    finally:
-        if close:
-            fh.close()
 
 
 def grid_to_string(cfg: Configuration) -> str:

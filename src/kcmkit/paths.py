@@ -19,16 +19,16 @@ import numpy as np
 from . import kernels, rng
 from .blocks import BlockSpec, _good_batch, _seed_mask, _supergood_batch
 from .families import UpdateFamily, make_family, tables_for
-from .lattice import (Box, Configuration, Geometry, Region, box_region,
-                      cross_region, slice_region)
+from .lattice import (Box, Configuration, Geometry, Region, _cached_geometry,
+                      box_region, cross_region, slice_region)
 
 MODE_EXACT = "exact"
 MODE_BOUNDED = "bounded"
 _EXACT_CAP = 1 << 20
 
 _ATTEMPTS = 1024       # a sampler gives up after this many layouts
-_ATTEMPT_BLOCK = 64    # layouts drawn and classified together,
-_ATTEMPT_SITES = 1 << 16  # up to this many sites per block (512 KB of u)
+_ATTEMPT_BLOCK = 64    # layouts drawn and classified together, within
+                       # rng.BATCH_SITES uniforms
 
 _FA2 = make_family("fa_kf", 2, 2)
 _GG = make_family("gg")
@@ -705,10 +705,6 @@ def path_A(cfg: Configuration, model: str, x: Box,
 # ----------------------------------------------------------- input samplers
 
 
-# one Geometry per layout shape, so its vertex keys are hashed once
-_layout_geometry = lru_cache(maxsize=64)(Geometry)
-
-
 def _first_eligible(geom: Geometry, spec: BlockSpec, q: float, seed: int,
                     replica: int, forced: np.ndarray, good=(),
                     supergood=()) -> Configuration:
@@ -722,7 +718,7 @@ def _first_eligible(geom: Geometry, spec: BlockSpec, q: float, seed: int,
     """
     vkeys = geom.vertex_keys()
     base = np.uint64((int(replica) << 10) & rng.MASK64)
-    rows = max(1, min(_ATTEMPT_BLOCK, _ATTEMPT_SITES // geom.n_sites))
+    rows = max(1, min(_ATTEMPT_BLOCK, rng.BATCH_SITES // geom.n_sites))
     for lo in range(0, _ATTEMPTS, rows):
         ids = base | np.arange(lo, min(lo + rows, _ATTEMPTS), dtype=np.uint64)
         bits = (rng.uniforms_replicas_np(seed, rng.STREAM_AUX, ids, vkeys)
@@ -748,7 +744,7 @@ def sample_path_B_instance(model: str, dims, q: float, seed: int,
         raise ValueError("axis must be 0 or 1 and direction +1 or -1")
     full = list(dims)
     full[axis] *= 2
-    geom = _layout_geometry(tuple(full))
+    geom = _cached_geometry(tuple(full))
     lead = [0, 0]
     lead[axis] = dims[axis]
     if direction > 0:
@@ -766,7 +762,7 @@ def sample_path_A_instance(model: str, dims, q: float, seed: int,
     """Reproducible eligible start for path_A: returns (cfg, x, z)."""
     dims = tuple(int(n) for n in dims)
     n1, n2 = dims
-    geom = _layout_geometry((2 * n1, 2 * n2))
+    geom = _cached_geometry((2 * n1, 2 * n2))
     x = Box((0, 0), dims)
     right = Box((n1, 0), dims)
     upper = Box((0, n2), dims)

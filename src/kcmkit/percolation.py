@@ -71,11 +71,6 @@ class RectangleLadder:
             raise ValueError("translate index must be 1 or 2")
         return Box(corner, self.level_dims(n))
 
-    @property
-    def rectangles(self) -> tuple[tuple[Box, Box], ...]:
-        return tuple((self.box(n, 1), self.box(n, 2))
-                     for n in range(1, self.n_max + 1))
-
     def bounding_dims(self) -> tuple[int, int]:
         """Smallest (width, height) holding every i=1 level, anchor-relative."""
         ws, hs = zip(*(self.level_dims(n) for n in range(1, self.n_max + 1)))
@@ -244,16 +239,19 @@ def estimate_crossing_failure(n_index: int, p: float, replicas: int,
         raise ValueError("replicas must be positive")
     ladder = RectangleLadder(n_index)
     bound = Geometry(ladder.bounding_dims())
-    u = rng.uniforms_replicas_np(seed, rng.STREAM_CONFIG, replicas,
-                                 bound.vertex_keys())
-    empty = (u < 1.0 - p).reshape(replicas, *bound.dims)
+    vkeys = bound.vertex_keys()
+    crossed = [0] * n_index
+    for ids in rng.replica_blocks(replicas, bound.n_sites):
+        u = rng.uniforms_replicas_np(seed, rng.STREAM_CONFIG, ids, vkeys)
+        empty = (u < 1.0 - p).reshape(-1, *bound.dims)
+        for n in range(1, n_index + 1):
+            w, h = ladder.level_dims(n)
+            crossed[n - 1] += int(kernels.crossing_batch(
+                empty[:, :w, :h], ladder.crossing_axis(n)).sum())
 
     rows = []
     for n in range(1, n_index + 1):
-        w, h = ladder.level_dims(n)
-        crossed = kernels.crossing_batch(empty[:, :w, :h],
-                                         ladder.crossing_axis(n))
-        failures = int(replicas - crossed.sum())
+        failures = replicas - crossed[n - 1]
         est = ScanEstimate(failures / replicas,
                            wilson_ci(failures, replicas), replicas, seed,
                            censored=(failures == 0))

@@ -33,6 +33,10 @@ STREAM_AUX = 2      # anything else (shuffles, rejection sampling)
 
 TO_UNIT = 2.0 ** -53
 
+# A batched draw holds at most this many uniforms (512 KB of float64), and
+# one replica's worth at least.
+BATCH_SITES = 1 << 16
+
 # kcmkit.kernels, bound on first use: it imports lattice, which imports this
 # module, so a module-level import would meet a half-initialised lattice
 _kernels = None
@@ -112,3 +116,11 @@ def uniforms_replicas_np(seed: int, stream: int, replicas, vkeys: np.ndarray,
     `replicas` is either an int R (rows 0..R-1) or an array of replica ids.
     """
     return _uniforms(seed, stream, replicas, vkeys, counter)
+
+
+def replica_blocks(replicas: int, n_sites: int):
+    """The replica ids 0..replicas-1 in consecutive uint64 blocks, each
+    small enough that its draws over `n_sites` sites fit BATCH_SITES."""
+    rows = max(1, BATCH_SITES // n_sites)
+    for lo in range(0, replicas, rows):
+        yield np.arange(lo, min(lo + rows, replicas), dtype=np.uint64)

@@ -23,6 +23,7 @@ from kcmkit.blocks import (
     _seed_mask,
     _supergood_batch,
 )
+from kcmkit import rng
 from kcmkit.bootstrap import is_internally_spanned
 from kcmkit.families import make_family
 from kcmkit.lattice import Configuration, Geometry
@@ -287,6 +288,17 @@ def test_block_probs_match_exhaustive():
     assert out.p1.ci[0] <= p1_exact <= out.p1.ci[1]
     assert out.p2_mode == "exact"
     assert out.p2_value == pytest.approx(p2_exact)
+
+
+def test_block_probs_same_at_any_draw_budget(monkeypatch):
+    # budgets of 1 and 100 uniforms draw one and eleven 3x3 replicas at a
+    # time; the counts, and so the estimates, match the default's
+    spec = BlockSpec("fa2", (3, 3), 0.4, 3.5)
+    want = estimate_block_probs(spec, replicas=500, seed=3, p2_mode="mc")
+    for sites in (1, 100):
+        monkeypatch.setattr(rng, "BATCH_SITES", sites)
+        assert estimate_block_probs(spec, replicas=500, seed=3,
+                                    p2_mode="mc") == want
 
 
 def test_block_probs_mc_mode_p2_below_p1():

@@ -1,8 +1,10 @@
 """CLI: determinism, config files, CSV shape, failure hygiene."""
 
-import argparse
+import hashlib
 import inspect
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -43,16 +45,80 @@ def test_resolve_family_tokens():
 
 def test_every_option_reaches_its_handler():
     # an option its handler never reads is parsed and then silently ignored
-    parser = cli.build_parser()
-    sub = next(a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction))
-    assert set(sub.choices) == set(cli._COMMANDS)
-    for name, sp in sub.choices.items():
+    assert set(cli.OPTIONS) == set(cli._COMMANDS)
+    for name, options in cli.OPTIONS.items():
         source = inspect.getsource(cli._COMMANDS[name])
-        for action in sp._actions:
-            if action.dest in ("help", "seed", "out", "config"):
-                continue
-            assert f"args.{action.dest}" in source, (name, action.dest)
+        for dest in options:
+            assert f"args.{dest}" in source, (name, dest)
+
+
+# every subcommand with only its required flags, so every default is read;
+# sha256 of the whole stdout, comment lines included
+_DEFAULT_RUNS = {
+    "bootstrap --model fa2 --n 4 --q 0.3":
+        "a06a3cd7b6d910c2d354d2e279ed79800516e55b1a1f86d85a55820e216cb54f",
+    "qc --model fa1 --n 4":
+        "987b42d7ec7d14fc20c81540cb1551ce811d529adf75f5418f60a273054f17a6",
+    "lc --model fa2 --q 0.5":
+        "90aa8140283b36eb31c4eca0d2c721ab9ae0561aea4259f9922747895d5ae47d",
+    "sim --model east --n 4 --q 0.5 --tmax 1":
+        "1aa0a101de4c113251183b7b86b1b5611b54c7bb275c3fbfcc68a8bf5b794487",
+    "gap --model east --dims 4 --q 0.3":
+        "1594abd7b20340b093673ec9a198d1fb88acd7200f5f4ddd6c968c26b0464449",
+    "blocks --model fa2 --q 0.3 --A 3.5 --dims 3,3":
+        "64f078ff0e3eea5d896db38297b467c549c485bf9fe0955d5eebc3f28c0d6065",
+    "blocks --model gg --q 0.4 --A 2":
+        "f7e2b003eb4744ccf3846a45db64f9100bf18db046c16c1d3038cf63f87dfdc5",
+    "paths --model fa2 --mode A --dims 3,3 --q 0.3":
+        "30034eafe6a06812c83d48e80284e475cfb34149e2fb970a20fe30cc4b6f9ee3",
+    "perc --p 0.2":
+        "d1b27d8405483e1623b95ed7d14abc72b2881c9fd2cd46717d21eb2f001d8f05",
+}
+_EVENT_LOG_DIGEST = (
+    "a25b904d44f713920657e03ae83351ddc50455ba65370ea4ec4b88f2332e1ddf")
+
+
+def test_default_runs_are_pinned(capsys):
+    for argv, digest in _DEFAULT_RUNS.items():
+        assert main(argv.split()) == 0, argv
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_event_log_bytes_are_pinned(tmp_path):
+    events = tmp_path / "run.events"
+    rc, _ = run(tmp_path, "sim", "--model", "fa1", "--d", "1", "--n", "8",
+                "--q", "0.5", "--tmax", "5", "--replicas", "2", "--seed",
+                "4", "--events", str(events))
+    assert rc == 0
+    blob = events.read_bytes()
+    assert len(blob) == 17 * 13
+    assert hashlib.sha256(blob).hexdigest() == _EVENT_LOG_DIGEST
+
+
+def test_only_gap_imports_scipy():
+    # scipy costs about 0.4 s of import; only the eigensolve needs it
+    code = "\n".join([
+        "import sys",
+        "from kcmkit.cli import main",
+        "for argv in (",
+        "    'bootstrap --model fa2 --n 4 --q 0.3 --replicas 5',",
+        "    'qc --model fa1 --n 4 --replicas 5',",
+        "    'lc --model fa2 --q 0.5 --replicas 5 --n-max 16',",
+        "    'sim --model east --n 4 --q 0.5 --tmax 1 --replicas 2',",
+        "    'blocks --model fa2 --q 0.3 --A 3.5 --dims 3,3 --replicas 5',",
+        "    'paths --model fa2 --mode A --dims 3,3 --q 0.3 --samples 2',",
+        "    'perc --p 0.2 --nmax 3 --replicas 5'):",
+        "    assert main(argv.split()) == 0, argv",
+        "    assert 'scipy' not in sys.modules, argv",
+    ])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_config_file_round_trip(tmp_path):
@@ -108,6 +174,22 @@ def test_flags_override_config_file(tmp_path):
     assert rc1 == rc2 == 0
     assert rows_of(a)[1][0]["q"] == "0.4"
     assert rows_of(b)[1][0]["q"] == "0.2"
+
+
+def test_config_file_sets_seed_and_out(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "cfg.csv"
+    cfg.write_text(f"model = fa2\nn = 6\nq = 0.4\nreplicas = 100\n"
+                   f"seed = 7\nout = {out}\n")
+    assert main(["bootstrap", "--config", str(cfg)]) == 0
+    text = out.read_text()
+    assert "# seed=7" in text and rows_of(text)[1][0]["seed"] == "7"
+    rc, flags = run(tmp_path, "bootstrap", "--model", "fa2", "--n", "6",
+                    "--q", "0.4", "--replicas", "100", "--seed", "7")
+    assert rc == 0 and text == flags
+    rc, text = run(tmp_path, "--seed", "3", "bootstrap", "--config", str(cfg))
+    assert rc == 0
+    assert "# seed=3" in text and rows_of(text)[1][0]["seed"] == "3"
 
 
 def test_config_file_rejects_unknown_key(tmp_path):
@@ -212,6 +294,23 @@ def test_sim_initial_grid_checked_before_any_output(tmp_path):
     rc, text = run(tmp_path, *base, "--events", str(events),
                    "--initial", grids["right"])
     assert rc == 0 and events.exists()
+
+
+def test_sim_events_in_missing_dir_leaves_no_out(tmp_path):
+    rc, text = run(tmp_path, "sim", "--model", "fa1", "--d", "1", "--n", "8",
+                   "--q", "0.5", "--tmax", "5", "--replicas", "2",
+                   "--events", str(tmp_path / "nodir" / "run.events"))
+    assert rc == 2 and text is None
+    assert os.listdir(tmp_path) == []
+
+
+def test_sim_out_in_missing_dir_leaves_no_events(tmp_path):
+    events = tmp_path / "run.events"
+    rc = main(["sim", "--model", "fa1", "--d", "1", "--n", "8", "--q", "0.5",
+               "--tmax", "5", "--replicas", "2", "--events", str(events),
+               "--out", str(tmp_path / "nodir" / "out.csv")])
+    assert rc == 2
+    assert os.listdir(tmp_path) == []
 
 
 def test_gap_matches_direct_call(tmp_path):

@@ -1,4 +1,6 @@
+import io
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -141,6 +143,17 @@ def test_event_log_roundtrip(tmp_path):
     assert np.array_equal(times, res.events[0])
     assert np.array_equal(verts, res.events[1])
     assert np.array_equal(vals, res.events[2])
+
+
+def test_event_log_records_are_struct_dIB():
+    # the packed record layout is the one struct "<dIB" writes
+    events = (np.array([0.0, 0.125, 3.5e-300, 7.25]),
+              np.array([0, 1, 2**31 + 5, 2**32 - 1], dtype=np.int64),
+              np.array([1, 0, 1, 0], dtype=np.uint8))
+    buf = io.BytesIO()
+    write_event_log(events, buf)
+    assert buf.getvalue() == b"".join(
+        struct.pack("<dIB", t, v, s) for t, v, s in zip(*events))
 
 
 def test_event_log_rejects_truncated(tmp_path):

@@ -477,13 +477,13 @@ _PARITY_REPLICAS = (0, 1, 5, 2**54 - 1, 2**54, 2**54 + 7)
 @pytest.mark.parametrize("block,sites", [(1, None), (7, None), (None, 200),
                                          (None, None)])
 def test_batched_samplers_match_one_attempt_loop(monkeypatch, block, sites):
-    # block sizes 1 and 7 move the block edges, and so does a site budget
+    # block sizes 1 and 7 move the block edges, and so does a draw budget
     # of 200 (6 layouts of 32 sites, 4 of 48, 3 of 64, 2 of 96); None keeps
     # the defaults
     if block is not None:
         monkeypatch.setattr(paths, "_ATTEMPT_BLOCK", block)
     if sites is not None:
-        monkeypatch.setattr(paths, "_ATTEMPT_SITES", sites)
+        monkeypatch.setattr(rng, "BATCH_SITES", sites)
     attempts = []
     for model, dims, q in (("fa2", (4, 4), 0.3), ("gg", (6, 4), 0.35)):
         for seed in (0, 3, 2**40 + 1):

@@ -1,12 +1,15 @@
 """Rectangle ladder, cluster labels, crossing decay, series condition."""
 
 import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
 import pytest
 
-from kcmkit.blocks import percolation_series_value
+from kcmkit import rng
+from kcmkit.blocks import (BlockSpec, estimate_block_probs,
+                           percolation_series_value)
 from kcmkit.lattice import Box, Configuration, Geometry
 from kcmkit.percolation import (
     RectangleLadder,
@@ -274,3 +277,28 @@ def test_condition_rejects_undominated_truncation():
         supercritical_condition_check(0.1, 0.05, n_truncate=3)
     with pytest.raises(ValueError):
         supercritical_condition_check(0.1, -1.0)
+
+
+def test_crossing_scan_same_at_any_draw_budget(monkeypatch):
+    # the level-4 bounding box has 128 sites: budgets of 1 and 300 uniforms
+    # draw one and two replicas at a time
+    want = estimate_crossing_failure(4, 0.3, 50, 2)
+    for sites in (1, 300):
+        monkeypatch.setattr(rng, "BATCH_SITES", sites)
+        assert estimate_crossing_failure(4, 0.3, 50, 2) == want
+
+
+def test_batched_draws_stay_within_budget():
+    # drawn all at once these take 58 MiB (256x128 box, 200 replicas) and
+    # 6.7 MiB (28x28 block, 1000 replicas)
+    spec = BlockSpec("fa2", (28, 28), 0.3, 3.5)
+    for run in (lambda: estimate_crossing_failure(8, 0.2, 200, 1),
+                lambda: estimate_block_probs(spec, 1000, 1, p2_mode="mc")):
+        run()  # vertex keys and kernel tables are cached on first use
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
