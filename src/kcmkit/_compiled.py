@@ -7,13 +7,14 @@ this file; `load` returns None when it is missing or cannot be loaded, and
 kcmkit.kernels then falls back to _pure. Every
 array is checked for length and converted to a contiguous array of the C
 type here, before its pointer is passed on. The converted family tables
-are cached per FamilyTables object.
+are cached per FamilyTables object, for as long as that object lives.
 """
 
 from __future__ import annotations
 
 import ctypes
 import importlib.machinery
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,6 @@ LIBRARY = "_ckernels"
 _STATUS = ("t_max", "target", "max_events")   # indexed by the KK_* codes
 # initial event-log capacity; a longer log costs one deterministic rerun
 _EVENT_CAP = 1 << 20
-_TABLES_CACHED = 64   # as many as families._cached_tables holds
 
 _i64, _u64, _dbl = ctypes.c_int64, ctypes.c_uint64, ctypes.c_double
 _ptr = ctypes.c_void_p
@@ -106,18 +106,15 @@ class Kernels:
                    lib.kk_uniforms):
             fn.restype = ctypes.c_int
         self._lib = lib
-        self._tables: dict[int, tuple[FamilyTables, _Tables]] = {}
+        self._tables = weakref.WeakKeyDictionary()
 
     def _converted(self, t: FamilyTables) -> _Tables:
-        """The _Tables of t, cached per object: FamilyTables holds arrays and
-        cannot be hashed. Each entry holds t, so no other object can take
-        its id while it is cached; the oldest entry goes first."""
-        hit = self._tables.get(id(t))
+        """The _Tables of t, cached until t is collected (FamilyTables
+        hashes by identity)."""
+        hit = self._tables.get(t)
         if hit is None:
-            if len(self._tables) >= _TABLES_CACHED:
-                del self._tables[next(iter(self._tables))]
-            hit = self._tables[id(t)] = (t, _Tables(t))
-        return hit[1]
+            hit = self._tables[t] = _Tables(t)
+        return hit
 
     @staticmethod
     def _check(rc: int) -> None:

@@ -23,10 +23,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import rng
 from .bootstrap import is_internally_spanned
 from .families import make_family
-from .lattice import Configuration, Geometry, _cached_geometry
+from .lattice import Configuration, Geometry, _cached_geometry, random_bits
 from .stats import ScanEstimate, wilson_ci
 
 EXACT_LAMBDA_CAP = 16
@@ -341,14 +340,6 @@ def block_probs_exact(spec: BlockSpec):
     return float(w[good].sum()), float(w[sg].sum())
 
 
-def _sample_empty_batch(spec: BlockSpec, replicas, seed: int) -> np.ndarray:
-    """Empty-site indicators of a replica batch; `replicas` is a count R
-    (replicas 0..R-1) or an array of replica ids."""
-    vkeys = spec.geometry().vertex_keys()
-    u = rng.uniforms_replicas_np(seed, rng.STREAM_CONFIG, replicas, vkeys)
-    return (u < spec.q).reshape(-1, *spec.dims)
-
-
 def estimate_block_probs(spec: BlockSpec, replicas: int, seed: int,
                          p2_mode: str = "auto") -> BlockProbs:
     """Monte Carlo good probability plus a labeled p2 (exact / mc / bound).
@@ -364,8 +355,8 @@ def estimate_block_probs(spec: BlockSpec, replicas: int, seed: int,
     if p2_mode not in ("auto", "exact", "mc", "bound"):
         raise ValueError(f"unknown p2 mode {p2_mode!r}")
     hits1 = hits2 = 0
-    for ids in rng.replica_blocks(replicas, spec.n_sites):
-        empty = _sample_empty_batch(spec, ids, seed)
+    for _, bits in random_bits(spec.geometry(), spec.q, seed, replicas):
+        empty = (bits == 0).reshape(-1, *spec.dims)
         good = _good_batch(empty, spec)
         hits1 += int(good.sum())
         hits2 += int(_supergood_batch(empty, spec, good).sum())

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels, rng
 from .families import UpdateFamily, tables_for
-from .lattice import Configuration, Geometry, Region, _as_flat
+from .lattice import Configuration, Geometry, Region, _as_flat, random_bits
 from .stats import ScanEstimate, wilson_ci
 
 
@@ -101,13 +101,6 @@ def spans(cfg: Configuration, fam: UpdateFamily) -> bool:
     return is_internally_spanned(cfg, fam)
 
 
-# -------------------------------------------------------------- sampling aid
-
-def sample_configuration(geom: Geometry, q: float, seed: int,
-                         replica: int = 0) -> Configuration:
-    return Configuration.random(geom, q, seed, replica)
-
-
 # ------------------------------------------------------------------ scanning
 
 def estimate_span_probability(n: int, fam: UpdateFamily, q: float,
@@ -120,13 +113,9 @@ def estimate_span_probability(n: int, fam: UpdateFamily, q: float,
         raise ValueError(f"q must be in [0,1], got {q}")
     geom = Geometry((n,) * fam.d, torus=torus)
     t = tables_for(geom, fam)
-    vkeys = geom.vertex_keys()
-    hits = 0
-    for r in range(replicas):
-        u = rng.uniforms_np(seed, rng.STREAM_CONFIG, r, vkeys)
-        bits = (u >= q).astype(np.uint8)
-        out, _ = kernels.closure(bits, t)
-        hits += 0 if out.any() else 1
+    hits = sum(not kernels.closure(bits, t)[0].any()
+               for _, block in random_bits(geom, q, seed, replicas)
+               for bits in block)
     return ScanEstimate(hits / replicas, wilson_ci(hits, replicas),
                         replicas, seed)
 
@@ -190,7 +179,7 @@ def estimate_qc(n: int, fam: UpdateFamily, tol: float, replicas: int,
     vkeys = geom.vertex_keys()
     thresholds = np.empty(replicas)
     for r in range(replicas):
-        u = rng.uniforms_np(seed, rng.STREAM_CONFIG, r, vkeys)
+        u = rng.uniforms_replicas_np(seed, rng.STREAM_CONFIG, [r], vkeys)[0]
         thresholds[r] = _replica_threshold(u, t, 0.0, 1.0, tol)
     thresholds.sort()
     mid = float(np.median(thresholds))
@@ -215,6 +204,8 @@ def estimate_lc(q: float, fam: UpdateFamily, n_max: int, replicas: int,
     """
     if not 0.0 < q <= 1.0:
         raise ValueError(f"q must be in (0,1], got {q}")
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
 
     def phat(n: int) -> float:
         return estimate_span_probability(n, fam, q, replicas, seed,

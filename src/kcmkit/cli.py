@@ -356,6 +356,8 @@ def _cmd_paths(args) -> None:
         raise CliError("paths takes a single q")
     if len(args.dims) != 2:
         raise CliError("block dims must be two-dimensional")
+    if args.samples < 1:
+        raise CliError("--samples must be >= 1")
     q = args.q[0]
     n1, n2 = args.dims
     params = dict(command="paths", model=args.model, mode=args.mode,

@@ -205,9 +205,10 @@ def read_family(fh, name: str = "custom") -> UpdateFamily:
 
 # ------------------------------------------------ kernel-facing rule tables
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FamilyTables:
-    """Precomputed adjacency for one (geometry, family) pair.
+    """Precomputed adjacency for one (geometry, family) pair; compared and
+    hashed by identity, so kernels can cache per object.
 
     nbr[v, s] is the flat index of v + offset_s, with the pad index N for
     offsets leaving a free box; rev[v, s] likewise for v - offset_s. Rules

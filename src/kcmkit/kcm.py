@@ -10,14 +10,15 @@ stationary product-Bernoulli(p) start unless an all-empty start is asked for.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels, rng
+from . import kernels
 from .families import UpdateFamily, tables_for
-from .lattice import Configuration, Geometry, _as_flat, _opened
+from .lattice import Configuration, Geometry, _as_flat, _opened, random_bits
 
 
 @dataclass(frozen=True)
@@ -143,16 +144,18 @@ def sample_persistence_time(params: KcmParams, replicas: int,
     t = tables_for(geom, params.fam)
     vkeys = geom.vertex_keys()
     stop_on_empty = variant == "first_empty"
+    if start == "stationary":
+        starts = (bits for _, block in random_bits(geom, params.q, params.seed,
+                                                   replicas)
+                  for bits in block)
+    else:
+        starts = itertools.repeat(np.zeros(geom.n_sites, dtype=np.uint8),
+                                  replicas)
 
     samples = []
     taus = np.empty(replicas)
     censored = np.zeros(replicas, dtype=bool)
-    for r in range(replicas):
-        if start == "stationary":
-            bits = (rng.uniforms_np(params.seed, rng.STREAM_CONFIG, r, vkeys)
-                    >= params.q).astype(np.uint8)
-        else:
-            bits = np.zeros(geom.n_sites, dtype=np.uint8)
+    for r, bits in enumerate(starts):
         if stop_on_empty and bits[flat] == 0:
             samples.append(PersistenceSample(0.0, False, 0, r, None))
             taus[r] = 0.0

@@ -4,6 +4,9 @@ Conventions used everywhere in the package:
 
 * coordinates are 0-based tuples, flat indices are C-order (last axis fastest);
 * a configuration stores one byte per site, 1 = occupied, 0 = empty;
+* the product measure at vacancy density q occupies a site iff its uniform
+  (rng, keyed by replica and site) is >= q, so each site is empty with
+  probability q and the empty set grows with q; only random_bits applies it;
 * boundary handling is a property of the geometry: a torus wraps, a free box
   either treats the outside as permanently occupied (conservative default)
   or as permanently empty (``outside_empty=True``).
@@ -138,6 +141,24 @@ def neighbors(geom: Geometry, x) -> list[tuple[int, ...]]:
     return out
 
 
+def random_bits(geom: Geometry, q: float, seed: int, replicas,
+                stream: int = rng.STREAM_CONFIG, rows: int | None = None):
+    """Product-measure configurations of a replica set, as (ids, bits)
+    blocks in id order: bits[r] is the configuration of replica ids[r].
+    `replicas` is a count R (ids 0..R-1) or an id array; int64 ids wrap to
+    uint64, and a Python int list holding an id of 2**63 or more raises
+    OverflowError. A block holds at most rng.BATCH_SITES uniforms, at most
+    `rows` replicas, and at least one."""
+    ids = (np.arange(int(replicas), dtype=np.uint64) if np.ndim(replicas) == 0
+           else np.asarray(replicas, dtype=np.int64).view(np.uint64))
+    step = max(1, min(rng.BATCH_SITES // geom.n_sites,
+                      rows or rng.BATCH_SITES))
+    vkeys = geom.vertex_keys()
+    for lo in range(0, ids.size, step):
+        u = rng.uniforms_replicas_np(seed, stream, ids[lo:lo + step], vkeys)
+        yield ids[lo:lo + step], (u >= q).astype(np.uint8)
+
+
 class Configuration:
     """Site configuration on a geometry; bits[i] = 1 occupied, 0 empty."""
 
@@ -174,8 +195,8 @@ class Configuration:
         """Product measure: each site empty independently with probability q."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"q must be in [0,1], got {q}")
-        u = rng.uniforms_np(seed, rng.STREAM_CONFIG, replica, geom.vertex_keys())
-        return cls(geom, (u >= q).astype(np.uint8))
+        ids = np.array([int(replica) & rng.MASK64], dtype=np.uint64)
+        return cls(geom, next(random_bits(geom, q, seed, ids))[1][0])
 
     # basic ops --------------------------------------------------------------
     def copy(self) -> "Configuration":

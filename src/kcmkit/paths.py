@@ -20,7 +20,7 @@ from . import kernels, rng
 from .blocks import BlockSpec, _good_batch, _seed_mask, _supergood_batch
 from .families import UpdateFamily, make_family, tables_for
 from .lattice import (Box, Configuration, Geometry, Region, _cached_geometry,
-                      box_region, cross_region, slice_region)
+                      box_region, cross_region, random_bits, slice_region)
 
 MODE_EXACT = "exact"
 MODE_BOUNDED = "bounded"
@@ -710,19 +710,16 @@ def _first_eligible(geom: Geometry, spec: BlockSpec, q: float, seed: int,
                     supergood=()) -> Configuration:
     """The first eligible layout among a replica's attempts.
 
-    Attempt a draws STREAM_AUX uniforms under the id (replica << 10) | a,
-    occupies the sites with u >= q and empties the `forced` sites; it is
-    eligible when every block in `good` is good and every block in
-    `supergood` super-good. Attempts are drawn and classified a block at a
-    time, so the layout is the one a one-attempt loop would return.
+    Attempt a is the product-measure layout of STREAM_AUX under the id
+    (replica << 10) | a with the `forced` sites emptied; it is eligible
+    when every block in `good` is good and every block in `supergood`
+    super-good. Attempts are drawn and classified a block at a time, so the
+    layout is the one a one-attempt loop would return.
     """
-    vkeys = geom.vertex_keys()
-    base = np.uint64((int(replica) << 10) & rng.MASK64)
-    rows = max(1, min(_ATTEMPT_BLOCK, rng.BATCH_SITES // geom.n_sites))
-    for lo in range(0, _ATTEMPTS, rows):
-        ids = base | np.arange(lo, min(lo + rows, _ATTEMPTS), dtype=np.uint64)
-        bits = (rng.uniforms_replicas_np(seed, rng.STREAM_AUX, ids, vkeys)
-                >= q).astype(np.uint8)
+    ids = (np.uint64((int(replica) << 10) & rng.MASK64)
+           | np.arange(_ATTEMPTS, dtype=np.uint64))
+    for _, bits in random_bits(geom, q, seed, ids, stream=rng.STREAM_AUX,
+                               rows=_ATTEMPT_BLOCK):
         bits[:, forced] = 0
         hit = np.flatnonzero(_eligible(bits, geom, spec, good, supergood))
         if hit.size:
@@ -768,8 +765,9 @@ def sample_path_A_instance(model: str, dims, q: float, seed: int,
     upper = Box((0, n2), dims)
     forced = np.concatenate([_seed_flats(geom, model, right),
                              _seed_flats(geom, model, upper)])
-    zu = float(rng.uniforms_np(seed, rng.STREAM_CLOCK, int(replica),
-                               geom.vertex_keys()[:1])[0])
+    zu = float(rng.uniforms_replicas_np(
+        seed, rng.STREAM_CLOCK, [int(replica) & rng.MASK64],
+        geom.vertex_keys()[:1])[0, 0])
     zi = min(int(zu * n1 * n2), n1 * n2 - 1)
     z = (zi // n2, zi % n2)
     cfg = _first_eligible(geom, _block_spec(model, dims), q, seed, replica,

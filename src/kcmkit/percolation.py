@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels, rng
-from .lattice import Box, Configuration, Geometry, box_region
+from . import kernels
+from .lattice import Box, Configuration, Geometry, box_region, random_bits
 from .stats import ScanEstimate, wilson_ci
 
 __all__ = [
@@ -239,11 +239,9 @@ def estimate_crossing_failure(n_index: int, p: float, replicas: int,
         raise ValueError("replicas must be positive")
     ladder = RectangleLadder(n_index)
     bound = Geometry(ladder.bounding_dims())
-    vkeys = bound.vertex_keys()
     crossed = [0] * n_index
-    for ids in rng.replica_blocks(replicas, bound.n_sites):
-        u = rng.uniforms_replicas_np(seed, rng.STREAM_CONFIG, ids, vkeys)
-        empty = (u < 1.0 - p).reshape(-1, *bound.dims)
+    for _, bits in random_bits(bound, 1.0 - p, seed, replicas):
+        empty = (bits == 0).reshape(-1, *bound.dims)
         for n in range(1, n_index + 1):
             w, h = ladder.level_dims(n)
             crossed[n - 1] += int(kernels.crossing_batch(

@@ -10,10 +10,11 @@ The mixer is the splitmix64 finalizer chained over the key words. Uniforms
 are mapped to the open interval (0, 1) via ((h >> 11) + 0.5) * 2**-53 so that
 log() is always safe.
 
-The batch functions uniforms_np and uniforms_replicas_np hash the
-(seed, stream) head here and leave the per-site work to the `uniforms`
-kernel: one pass of the C library when it is built, the NumPy spec in
-kcmkit._pure otherwise. The bytes are the same either way.
+The one batch function, uniforms_replicas_np, hashes the (seed, stream)
+head here and leaves the per-site work to the `uniforms` kernel: one pass of
+the C library when it is built, the NumPy spec in kcmkit._pure otherwise.
+The bytes are the same either way. Product-measure configurations are drawn
+from it by lattice.random_bits.
 """
 
 from __future__ import annotations
@@ -90,37 +91,13 @@ def vertex_keys_np(coord_cols) -> np.ndarray:
     return h
 
 
-def _uniforms(seed: int, stream: int, replicas, vkeys: np.ndarray,
-              counter: int) -> np.ndarray:
-    """(R, N) uniforms from the selected `uniforms` kernel. Both public batch
-    functions call this and never each other, so a wrapper around either
-    sees each draw once."""
+def uniforms_replicas_np(seed: int, stream: int, replicas, vkeys: np.ndarray,
+                         counter: int = 0) -> np.ndarray:
+    """(R, N) uniforms for a replica batch from the selected `uniforms`
+    kernel; `replicas` is either an int R (rows 0..R-1) or an array of
+    replica ids."""
     global _kernels
     if _kernels is None:
         from . import kernels as _kernels
     head = mix64(mix64(int(seed) & MASK64) ^ (int(stream) & MASK64))
     return _kernels.uniforms(head, replicas, vkeys, int(counter) & MASK64)
-
-
-def uniforms_np(seed: int, stream: int, replica: int,
-                vkeys: np.ndarray, counter: int = 0) -> np.ndarray:
-    """Vectorized uniform over an array of vertex keys (one counter)."""
-    ids = np.array([int(replica) & MASK64], dtype=np.uint64)
-    return _uniforms(seed, stream, ids, vkeys, counter)[0]
-
-
-def uniforms_replicas_np(seed: int, stream: int, replicas, vkeys: np.ndarray,
-                         counter: int = 0) -> np.ndarray:
-    """(R, N) uniforms for a replica batch.
-
-    `replicas` is either an int R (rows 0..R-1) or an array of replica ids.
-    """
-    return _uniforms(seed, stream, replicas, vkeys, counter)
-
-
-def replica_blocks(replicas: int, n_sites: int):
-    """The replica ids 0..replicas-1 in consecutive uint64 blocks, each
-    small enough that its draws over `n_sites` sites fit BATCH_SITES."""
-    rows = max(1, BATCH_SITES // n_sites)
-    for lo in range(0, replicas, rows):
-        yield np.arange(lo, min(lo + rows, replicas), dtype=np.uint64)

@@ -19,14 +19,13 @@ from kcmkit.blocks import (
     percolation_series_value,
     phi_map,
     _good_batch,
-    _sample_empty_batch,
     _seed_mask,
     _supergood_batch,
 )
 from kcmkit import rng
 from kcmkit.bootstrap import is_internally_spanned
 from kcmkit.families import make_family
-from kcmkit.lattice import Configuration, Geometry
+from kcmkit.lattice import Configuration, Geometry, random_bits
 
 
 def block(spec, bits):
@@ -35,6 +34,13 @@ def block(spec, bits):
 
 def full(spec, value):
     return block(spec, np.full(spec.n_sites, value))
+
+
+def empty_sites(spec, replicas, seed):
+    """(replicas, *dims) empty-site indicators of replicas 0..replicas-1."""
+    bits = np.concatenate([b for _, b in random_bits(spec.geometry(), spec.q,
+                                                     seed, replicas)])
+    return (bits == 0).reshape(-1, *spec.dims)
 
 
 # ------------------------------------------------------------------- sizing
@@ -142,7 +148,7 @@ def test_fa2_matches_slice_spanning_route():
     spec = BlockSpec("fa2", (3, 3), 0.4, 3.5)
     fam1 = make_family("fa_kf", d=1, k=1)
     g1 = Geometry((3,))
-    empties = _sample_empty_batch(spec, 60, seed=5)
+    empties = empty_sites(spec, 60, seed=5)
     for r in range(60):
         empty = empties[r]
         want_good = True
@@ -162,7 +168,7 @@ def test_fa2_matches_slice_spanning_route():
     (BlockSpec("fakf", (2, 2, 2), 0.5, 7.0, k=3), 500),
 ], ids=lambda v: v.model if isinstance(v, BlockSpec) else str(v))
 def test_supergood_implies_good_random(spec, replicas):
-    empty = _sample_empty_batch(spec, replicas, seed=17)
+    empty = empty_sites(spec, replicas, seed=17)
     good = _good_batch(empty, spec)
     sg = _supergood_batch(empty, spec)
     assert not np.any(sg & ~good)

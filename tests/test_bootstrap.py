@@ -7,8 +7,9 @@ from kcmkit.bootstrap import (closure, closure_naive, closure_with_rounds,
                               estimate_lc, estimate_qc,
                               estimate_span_probability, fa1f_lc, fa1f_qc,
                               fa1f_span_probability, infection_time,
-                              is_internally_spanned, sample_configuration,
+                              is_internally_spanned,
                               spanning_probability_curve, spans)
+from kcmkit import rng
 from kcmkit.families import make_family
 from kcmkit.lattice import Box, Configuration, Geometry, box_region
 
@@ -21,7 +22,7 @@ def test_closure_matches_naive_oracle(model, kwargs, q):
     fam = make_family(model, **kwargs)
     g = Geometry((8, 8), torus=True)
     for seed in range(40):
-        cfg = sample_configuration(g, q, seed=seed)
+        cfg = Configuration.random(g, q, seed=seed)
         fast = closure(cfg, fam)
         slow, _ = closure_naive(cfg, fam)
         assert np.array_equal(fast.bits, slow.bits)
@@ -31,7 +32,7 @@ def test_closure_free_boundary_matches_naive():
     fam = make_family("fa_kf", d=2, k=2)
     for g in (Geometry((6, 6)), Geometry((6, 6), outside_empty=True)):
         for seed in range(20):
-            cfg = sample_configuration(g, 0.3, seed=seed)
+            cfg = Configuration.random(g, 0.3, seed=seed)
             assert closure(cfg, fam) == closure_naive(cfg, fam)[0]
 
 
@@ -39,7 +40,7 @@ def test_closure_rounds_match_naive():
     fam = make_family("gg")
     g = Geometry((8, 8), torus=True)
     for seed in range(20):
-        cfg = sample_configuration(g, 0.35, seed=seed)
+        cfg = Configuration.random(g, 0.35, seed=seed)
         _, rounds = closure_with_rounds(cfg, fam)
         _, rounds_slow = closure_naive(cfg, fam)
         assert np.array_equal(rounds, rounds_slow)
@@ -84,7 +85,7 @@ def _loop_oracle(cfg, fam):
 def test_naive_oracle_matches_loop_rescan(model, kwargs, geom):
     fam = make_family(model, **kwargs)
     for seed in range(10):
-        cfg = sample_configuration(geom, 0.3, seed=seed)
+        cfg = Configuration.random(geom, 0.3, seed=seed)
         out, rounds = closure_naive(cfg, fam)
         bits, rounds_loop = _loop_oracle(cfg, fam)
         assert np.array_equal(out.bits, bits)
@@ -114,7 +115,7 @@ def test_closure_round_semantics():
 def test_closure_is_idempotent_and_extensive(seed, q):
     fam = make_family("fa_kf", d=2, k=2)
     g = Geometry((7, 7), torus=True)
-    cfg = sample_configuration(g, q, seed=seed)
+    cfg = Configuration.random(g, q, seed=seed)
     out = closure(cfg, fam)
     assert ((cfg.bits == 0) <= (out.bits == 0)).all()
     assert closure(out, fam) == out
@@ -125,7 +126,7 @@ def test_closure_is_idempotent_and_extensive(seed, q):
 def test_closure_monotone_in_initial_set(seed):
     fam = make_family("gg")
     g = Geometry((7, 7), torus=True)
-    small = sample_configuration(g, 0.25, seed=seed)
+    small = Configuration.random(g, 0.25, seed=seed)
     big = small.copy()
     big.bits[(seed >> 8) % g.n_sites] = 0
     a, b = closure(small, fam), closure(big, fam)
@@ -245,3 +246,15 @@ def test_fa1f_lc_definition_is_minimal():
         assert fa1f_span_probability(n, 1, q) >= 0.5
         if n > 1:
             assert fa1f_span_probability(n - 1, 1, q) < 0.5
+
+
+def test_span_probability_same_at_any_draw_budget(monkeypatch):
+    # budgets of 1 and 100 uniforms draw one and four 5x5 replicas at a
+    # time; the estimate matches the default's
+    fam = make_family("fa_kf", d=2, k=2)
+    want = estimate_span_probability(5, fam, 0.3, replicas=200, seed=4)
+    assert 0.0 < want.value < 1.0
+    for sites in (1, 100):
+        monkeypatch.setattr(rng, "BATCH_SITES", sites)
+        assert estimate_span_probability(5, fam, 0.3, replicas=200,
+                                         seed=4) == want

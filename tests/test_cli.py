@@ -221,6 +221,21 @@ def test_bad_q_exits_nonzero(tmp_path):
     assert rc == 2 and text is None
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_paths_without_samples_exits_nonzero(tmp_path, capsys, samples):
+    rc, text = run(tmp_path, "paths", "--model", "fa2", "--mode", "A",
+                   "--dims", "3,3", "--q", "0.3", "--samples", samples)
+    assert rc == 2 and text is None
+    assert capsys.readouterr().err == "error: --samples must be >= 1\n"
+
+
+def test_lc_with_n_max_zero_exits_nonzero(tmp_path, capsys):
+    rc, text = run(tmp_path, "lc", "--model", "fa2", "--q", "0.5",
+                   "--replicas", "5", "--n-max", "0")
+    assert rc == 2 and text is None
+    assert capsys.readouterr().err == "error: n_max must be >= 1, got 0\n"
+
+
 def test_threads_flag_is_gone(tmp_path):
     for argv in (["--threads", "2", "bootstrap"],
                  ["bootstrap", "--threads", "2"]):

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from kcmkit import rng
 from kcmkit.families import make_family
 from kcmkit.kcm import (KcmParams, empty_fraction_time_average,
                         read_event_log, sample_persistence_time, simulate_kcm,
@@ -172,3 +173,16 @@ def test_events_replay_to_final_state():
     for v, s in zip(res.events[1], res.events[2]):
         bits[v] = s
     assert np.array_equal(bits, res.final.bits)
+
+
+def test_persistence_same_at_any_draw_budget(monkeypatch):
+    # budgets of 1 and 40 uniforms draw one and two 4x5 starts at a time;
+    # the samples and the summary match the default's
+    p = _params(make_family("fa_kf", d=2, k=1), 0.3, (4, 5), 5.0, 11,
+                torus=True)
+    want = sample_persistence_time(p, 30)
+    assert 0 < want[1].censored_fraction < 1
+    assert any(s.tau0 == 0.0 for s in want[0])
+    for sites in (1, 40):
+        monkeypatch.setattr(rng, "BATCH_SITES", sites)
+        assert sample_persistence_time(p, 30) == want

@@ -6,12 +6,14 @@ with `setup.py build_ext`, the same recipe as the in-place build. The
 tests skip only when no C compiler is available.
 """
 
+import gc
 import os
 import shlex
 import shutil
 import subprocess
 import sys
 import sysconfig
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -186,6 +188,20 @@ def test_closure_parity_fresh_tables(core):
         a, b = core.closure(bits, t), _pure.closure(bits, t)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
         del t
+
+
+def test_converted_tables_die_with_their_family_tables(core):
+    # the binding caches converted tables per FamilyTables object, but must
+    # not keep the object alive
+    t = build_tables(Geometry((4, 4), torus=True),
+                     make_family("fa_kf", d=2, k=2))
+    bits = _random_bits(t.geom, 0.3, 0)
+    core.closure(bits, t)
+    core.kcm_run(bits, t, t.geom.vertex_keys(), 1, 0, 0.3, 1.0)
+    ref = weakref.ref(t)
+    del t
+    gc.collect()
+    assert ref() is None
 
 
 @pytest.mark.parametrize("shape", [(60, 9, 13), (0, 9, 13), (40, 1, 7),

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kcmkit import rng
 from kcmkit.lattice import (Box, Configuration, Geometry, Region, box_region,
                             cross_region, edge_region, frame_region,
                             grid_from_string, grid_to_string, neighbors,
-                            read_grid, slice_region, write_grid)
+                            random_bits, read_grid, slice_region, write_grid)
 
 
 # ---------------------------------------------------------------- geometry
@@ -165,6 +166,76 @@ def test_coupled_monotonicity(seed, qlo, qhi):
     hi = Configuration.random(g, qhi, seed=seed)
     # empty set at the smaller q is contained in the empty set at the larger
     assert ((lo.bits == 0) <= (hi.bits == 0)).all()
+
+
+# ------------------------------------------------------------ product measure
+
+_IDS = {
+    "count": 10,
+    "uint64": np.array([0, 5, 2**63, 2**63 + 1, 2**64 - 1], dtype=np.uint64),
+    "negative int64": np.array([-1, 4, -2**63, -7], dtype=np.int64),
+}
+
+
+@pytest.mark.parametrize("ids", list(_IDS.values()), ids=list(_IDS))
+@pytest.mark.parametrize("rows", [None, 1, 3])
+@pytest.mark.parametrize("budget", [1, 7 * 12, None])
+def test_random_bits_rows_match_configuration_random(monkeypatch, ids, rows,
+                                                     budget):
+    g = Geometry((3, 4), torus=True)
+    if budget is not None:
+        monkeypatch.setattr(rng, "BATCH_SITES", budget)
+    want = list(range(ids)) if np.ndim(ids) == 0 else [int(r) for r in ids]
+    seen = []
+    for block, bits in random_bits(g, 0.4, 9, ids, rows=rows):
+        assert block.dtype == np.uint64 and bits.dtype == np.uint8
+        assert bits.shape == (block.size, g.n_sites)
+        assert 1 <= block.size <= max(1, rng.BATCH_SITES // g.n_sites)
+        assert rows is None or block.size <= rows
+        for r, row in zip(block, bits):
+            seen.append(int(r))
+            assert row.tobytes() == Configuration.random(
+                g, 0.4, 9, replica=want[len(seen) - 1]).bits.tobytes()
+    assert seen == [r & rng.MASK64 for r in want]
+
+
+def test_random_bits_budget_blocks():
+    g = Geometry((3, 4))
+    sizes = [b.size for b, _ in random_bits(g, 0.5, 1, 20)]
+    assert sizes == [20]
+    assert [b.size for b, _ in random_bits(g, 0.5, 1, 20, rows=8)] == [8, 8, 4]
+    big = Geometry((300, 300))   # more sites than one block's budget
+    assert [b.size for b, _ in random_bits(big, 0.5, 1, 2)] == [1, 1]
+    assert list(random_bits(g, 0.5, 1, 0)) == []
+
+
+def test_random_bits_ids_wrap():
+    g = Geometry((4, 4))
+    k = 12345
+    a = Configuration.random(g, 0.5, 3, replica=2**63 + k)
+    b = Configuration.random(g, 0.5, 3, replica=2**63 + k - 2**64)
+    c = Configuration.random(g, 0.5, 3, replica=np.int64(k - 2**63))
+    assert a == b == c
+    assert a.bits.tolist() == [
+        int(rng.uniform(3, rng.STREAM_CONFIG, 2**63 + k, int(v), 0) >= 0.5)
+        for v in g.vertex_keys()]
+    (_, bits), = random_bits(g, 0.5, 3, np.array([2**63 + k], dtype=np.uint64))
+    assert bits[0].tobytes() == a.bits.tobytes()
+    # an id that int64 cannot hold must come in a uint64 array
+    with pytest.raises(OverflowError):
+        next(random_bits(g, 0.5, 3, [2**63 + k]))
+
+
+def test_random_bits_q_extremes_and_monotone():
+    g = Geometry((5, 6))
+    (_, full), = random_bits(g, 0.0, 4, 7)
+    (_, empty), = random_bits(g, 1.0, 4, 7)
+    assert full.all() and not empty.any()
+    prev = full
+    for q in np.linspace(0.0, 1.0, 11):
+        (_, bits), = random_bits(g, q, 4, 7)
+        assert (bits <= prev).all()
+        prev = bits
 
 
 def test_configuration_validation():

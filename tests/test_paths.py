@@ -421,7 +421,8 @@ def _loop_first_eligible(geom, model, q, seed, replica, forced, good=(),
     vkeys = geom.vertex_keys()
     for attempt in range(1024):
         rep = (int(replica) << 10) | attempt
-        u = rng.uniforms_np(seed, rng.STREAM_AUX, rep, vkeys)
+        u = rng.uniforms_replicas_np(seed, rng.STREAM_AUX,
+                                     [rep & rng.MASK64], vkeys)[0]
         bits = (u >= q).astype(np.uint8)
         bits[forced] = 0
         cfg = Configuration(geom, bits)
@@ -576,8 +577,9 @@ def test_claim_slice_walk_constructive():
 
 
 def _random_cfg(geom, q, seed, replica, forced=()):
-    bits = (rng.uniforms_np(seed, rng.STREAM_AUX, replica, geom.vertex_keys())
-            >= q).astype(np.uint8)
+    u = rng.uniforms_replicas_np(seed, rng.STREAM_AUX, [replica],
+                                 geom.vertex_keys())[0]
+    bits = (u >= q).astype(np.uint8)
     bits[np.asarray(forced, dtype=np.int64)] = 0
     return Configuration(geom, bits)
 

@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcmkit import rng
-from kcmkit.rng import (STREAM_CLOCK, STREAM_CONFIG, hash_key, mix64, uniform,
-                        uniforms_np, uniforms_replicas_np, vertex_key,
+from kcmkit.rng import (MASK64, STREAM_CLOCK, STREAM_CONFIG, hash_key, mix64,
+                        uniform, uniforms_replicas_np, vertex_key,
                         vertex_keys_np)
 
 
@@ -49,7 +48,7 @@ def test_numpy_scalar_agreement():
     vks = vertex_keys_np([coords[0], coords[1]])
     for i in range(4):
         assert int(vks[i]) == vertex_key((int(coords[0, i]), int(coords[1, i])))
-    us = uniforms_np(99, STREAM_CONFIG, 2, vks, 7)
+    us = uniforms_replicas_np(99, STREAM_CONFIG, [2], vks, 7)[0]
     for i in range(4):
         assert us[i] == uniform(99, STREAM_CONFIG, 2, int(vks[i]), 7)
 
@@ -58,8 +57,10 @@ def test_replica_matrix_rows_match_single_calls():
     vks = vertex_keys_np([np.arange(6), np.zeros(6, dtype=np.int64)])
     mat = uniforms_replicas_np(5, STREAM_CONFIG, 3, vks, 0)
     assert mat.shape == (3, 6)
-    row1 = uniforms_np(5, STREAM_CONFIG, 1, vks, 0)
+    row1 = uniforms_replicas_np(5, STREAM_CONFIG, [1], vks, 0)[0]
     assert np.array_equal(mat[1], row1)
+    assert np.array_equal(uniforms_replicas_np(5, STREAM_CONFIG, [2, 0], vks),
+                          mat[[2, 0]])
 
 
 @settings(max_examples=50, deadline=None)
@@ -77,42 +78,31 @@ def test_numpy_int64_words_match_python_ints():
             4, STREAM_CLOCK, replica, 11, 2)
         assert hash_key(np.int64(4), np.int64(1), r64, np.uint64(11),
                         np.int64(2)) == hash_key(4, 1, replica, 11, 2)
-        assert uniforms_np(np.int64(4), np.int64(1), r64, vks,
-                           np.int64(2)).tobytes() == uniforms_np(
-            4, 1, replica, vks, 2).tobytes()
+        row = uniforms_replicas_np(np.int64(4), np.int64(1), np.array([r64]),
+                                   vks, np.int64(2))[0]
+        assert row.tobytes() == uniforms_replicas_np(4, 1, [replica], vks,
+                                                     2)[0].tobytes()
+        assert row[1] == uniform(4, 1, replica, int(vks[1]), 2)
 
 
 def test_batch_functions_mask_key_words():
     vks = vertex_keys_np([np.arange(5), np.arange(5) * 2])
     big = 2**64
-    us = uniforms_np(-1, STREAM_CLOCK + big, big + 2, vks, big - 1)
-    assert np.array_equal(us, uniforms_np(big - 1, STREAM_CLOCK, 2, vks, -1))
+    ids = [(big + 2) & MASK64]
+    us = uniforms_replicas_np(-1, STREAM_CLOCK + big, ids, vks, big - 1)[0]
+    assert np.array_equal(us, uniforms_replicas_np(big - 1, STREAM_CLOCK, [2],
+                                                   vks, -1)[0])
     for i in range(5):
         assert us[i] == uniform(big - 1, STREAM_CLOCK, 2, int(vks[i]), big - 1)
     ids = np.array([-1, 3], dtype=np.int64)
     mat = uniforms_replicas_np(-7, STREAM_CONFIG, ids, vks, 2 * big + 4)
-    assert np.array_equal(mat[0], uniforms_np(-7, STREAM_CONFIG, big - 1, vks, 4))
-    assert np.array_equal(mat[1], uniforms_np(big - 7, STREAM_CONFIG, 3, vks, 4))
-
-
-def _boom(*args, **kwargs):
-    raise AssertionError("batch uniforms must not call each other")
-
-
-def test_uniforms_np_does_not_call_replica_batch(monkeypatch):
-    # a tracer that wraps both public names must see each draw once
-    vks = vertex_keys_np([np.arange(8)])
-    want = uniforms_replicas_np(4, STREAM_CONFIG, 3, vks, 1)[2]
-    monkeypatch.setattr(rng, "uniforms_replicas_np", _boom)
-    assert np.array_equal(rng.uniforms_np(4, STREAM_CONFIG, 2, vks, 1), want)
-
-
-def test_uniforms_replicas_np_does_not_call_single(monkeypatch):
-    vks = vertex_keys_np([np.arange(8)])
-    want = uniforms_np(4, STREAM_CONFIG, 2, vks, 1)
-    monkeypatch.setattr(rng, "uniforms_np", _boom)
-    assert np.array_equal(rng.uniforms_replicas_np(4, STREAM_CONFIG, 3, vks, 1)[2],
-                          want)
+    big_id = np.array([big - 1], dtype=np.uint64)
+    assert np.array_equal(mat[0], uniforms_replicas_np(-7, STREAM_CONFIG,
+                                                       big_id, vks, 4)[0])
+    assert np.array_equal(mat[1], uniforms_replicas_np(big - 7, STREAM_CONFIG,
+                                                       [3], vks, 4)[0])
+    for i in range(5):
+        assert mat[0, i] == uniform(-7, STREAM_CONFIG, -1, int(vks[i]), 4)
 
 
 @pytest.mark.parametrize("pure", ["0", "1"])
@@ -126,7 +116,7 @@ def test_module_imports_alone(module, pure):
                PYTHONPATH=os.pathsep.join(
                    filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (f"import {module}, numpy as np; from kcmkit import rng, kernels; "
-            "rng.uniforms_np(1, 0, 0, np.zeros(3, dtype=np.uint64)); "
+            "rng.uniforms_replicas_np(1, 0, 1, np.zeros(3, dtype=np.uint64)); "
             "print(kernels.IMPLEMENTATION)")
     p = subprocess.run([sys.executable, "-c", code], env=env,
                        capture_output=True, text=True, timeout=120)
