@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .families import FamilyTables
-from .rng import MASK64
+from .rng import MASK64, replica_ids
 
 IMPL_NAME = "compiled"
 LIBRARY = "_ckernels"
@@ -193,10 +193,7 @@ class Kernels:
 
     def uniforms(self, head, replicas, vkeys, counter) -> np.ndarray:
         """(R, N) counter-based uniforms; mirrors kcmkit._pure.uniforms."""
-        if np.isscalar(replicas):
-            replicas = np.arange(int(replicas), dtype=np.uint64)
-        # astype wraps negative ids to uint64, as the pure kernel does
-        reps = np.asarray(replicas).astype(np.uint64, copy=False)
+        reps = replica_ids(replicas)
         vk = np.asarray(vkeys).astype(np.uint64, copy=False)
         if reps.ndim != 1 or vk.ndim != 1:
             raise ValueError("replicas and vkeys must be 1-D")

@@ -27,10 +27,8 @@ def uniforms(head: int, replicas, vkeys: np.ndarray,
     """(R, N) counter-based uniforms: row r, column i is
     rng.uniform(seed, stream, replica_r, vkeys[i], counter), given
     head = mix64(mix64(seed) ^ stream). `replicas` is either an int R
-    (ids 0..R-1) or a 1-D array of replica ids."""
-    if np.isscalar(replicas):
-        replicas = np.arange(int(replicas), dtype=np.uint64)
-    reps = np.asarray(replicas).astype(np.uint64, copy=False)
+    (ids 0..R-1) or a 1-D sequence of replica ids, read by rng.replica_ids."""
+    reps = rng.replica_ids(replicas)
     vk = np.asarray(vkeys).astype(np.uint64, copy=False)
     if reps.ndim != 1 or vk.ndim != 1:
         raise ValueError("replicas and vkeys must be 1-D")

@@ -298,7 +298,7 @@ def _cmd_sim(args) -> None:
 
 
 def _cmd_gap(args) -> None:
-    from . import spectral  # scipy, which only this command needs
+    from . import spectral  # imports scipy only when a class needs eigsh
 
     fam = resolve_family(args.model, args.d)
     geom = Geometry(args.dims, torus=args.torus)

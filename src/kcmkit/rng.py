@@ -91,11 +91,23 @@ def vertex_keys_np(coord_cols) -> np.ndarray:
     return h
 
 
+def replica_ids(replicas) -> np.ndarray:
+    """uint64 replica ids, as hash_key reads them: an int R gives 0..R-1,
+    an integer array is cast (int64 ids wrap), and any other sequence is
+    read id by id as Python ints masked with MASK64. (NumPy would read a
+    list mixing a negative id with one of 2**63 or more as float64.)"""
+    if np.ndim(replicas) == 0:
+        return np.arange(int(replicas), dtype=np.uint64)
+    if isinstance(replicas, np.ndarray) and replicas.dtype.kind in "iu":
+        return replicas.astype(np.uint64, copy=False)
+    return np.array([int(r) & MASK64 for r in replicas], dtype=np.uint64)
+
+
 def uniforms_replicas_np(seed: int, stream: int, replicas, vkeys: np.ndarray,
                          counter: int = 0) -> np.ndarray:
     """(R, N) uniforms for a replica batch from the selected `uniforms`
-    kernel; `replicas` is either an int R (rows 0..R-1) or an array of
-    replica ids."""
+    kernel; `replicas` is either an int R (rows 0..R-1) or a sequence of
+    replica ids, read by replica_ids."""
     global _kernels
     if _kernels is None:
         from . import kernels as _kernels

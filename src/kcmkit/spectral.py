@@ -12,16 +12,20 @@ exactly the quadratic form <f, -Lf>_mu for the generator built here; the
 code cross-checks the two on every call. (A 1/2 appears only in the
 directed double-sum form sum_{w,w'} mu(w) rate(w->w') (f(w')-f(w))^2 / 2,
 which double counts each unordered pair.)
+
+The generator is kept as canonical CSR arrays built in NumPy, and the dense
+branch of the gap diagonalizes a matrix built from them in NumPy. scipy is
+imported only where a sparse eigensolve (eigsh) runs, or where a caller asks
+for the generator as a scipy matrix, `GeneratorMatrix.L`.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .families import UpdateFamily, tables_for
 from .lattice import Geometry
@@ -40,8 +44,9 @@ class GeneratorMatrix:
     """Generator restricted to the irreducible class of the all-empty state.
 
     states[i] is the occupancy bitmask of class member i (bit set = occupied),
-    mu its conditioned stationary weight, L the (size x size) CSR generator
-    with rate(w -> w^x) = c_x(w) * (p if the flip occupies x else q).
+    mu its conditioned stationary weight, and (indptr, indices, data) the
+    (size x size) generator in canonical CSR form (columns ascending within
+    each row) with rate(w -> w^x) = c_x(w) * (p if the flip occupies x else q).
     """
 
     geom: Geometry
@@ -49,11 +54,26 @@ class GeneratorMatrix:
     q: float
     states: np.ndarray          # (size,) int64 bitmasks
     mu: np.ndarray              # (size,) float64, sums to 1
-    L: sp.csr_matrix
+    indptr: np.ndarray          # (size + 1,) int32
+    indices: np.ndarray         # (nnz,) int32
+    data: np.ndarray            # (nnz,) float64
 
     @property
     def size(self) -> int:
         return self.states.size
+
+    @cached_property
+    def L(self):
+        """The generator as a scipy.sparse.csr_matrix over the same arrays;
+        imports scipy on first use."""
+        import scipy.sparse as sp
+        return sp.csr_matrix((self.data, self.indices, self.indptr),
+                             shape=(self.size, self.size))
+
+    def row_ids(self) -> np.ndarray:
+        """(nnz,) int32 row of every stored entry."""
+        return np.repeat(np.arange(self.size, dtype=np.int32),
+                         np.diff(self.indptr))
 
 
 def _constraint_masks(geom: Geometry, fam: UpdateFamily):
@@ -93,17 +113,55 @@ def _legal(states: np.ndarray, masks) -> np.ndarray:
     return legal
 
 
+def _flip_table(states: np.ndarray, masks) -> np.ndarray:
+    """(size, n + 1) int32 table: column v < n holds the row of
+    states[i] ^ (1 << v) where flipping v is legal at states[i] and
+    states.size where it is not; column n holds i. Raises if a flipped
+    state is missing from `states`."""
+    n, size = len(masks), states.size
+    row_of = np.full(1 << n, -1, dtype=np.int32)  # <= 64 MiB at the cap
+    row_of[states] = np.arange(size, dtype=np.int32)
+    table = np.empty((size, n + 1), dtype=np.int32)
+    for v in range(n):
+        table[:, v] = row_of[states ^ (1 << v)]
+    table[:, :n][~_legal(states, masks)] = size
+    table[:, n] = np.arange(size)
+    if (table < 0).any():
+        raise AssertionError("a legal flip leaves the enumerated class")
+    return table
+
+
 def _legal_edges(states: np.ndarray, masks):
     """(row, vertex, column) of every legal flip, in (row, vertex) order:
     states[column] = states[row] ^ (1 << vertex). Raises if a flipped state
     is missing from `states`."""
-    row_of = np.full(1 << len(masks), -1, dtype=np.int32)  # <= 64 MiB at the cap
-    row_of[states] = np.arange(states.size, dtype=np.int32)
-    rows, verts = np.nonzero(_legal(states, masks))
-    cols = row_of[states[rows] ^ (1 << verts)]
-    if (cols < 0).any():
-        raise AssertionError("a legal flip leaves the enumerated class")
-    return rows, verts, cols
+    flips = _flip_table(states, masks)[:, :-1]
+    rows, verts = np.nonzero(flips < states.size)
+    return rows, verts, flips[rows, verts]
+
+
+def _canonical_csr(states: np.ndarray, masks, q: float):
+    """(indptr, indices, data) of the generator, columns ascending within
+    each row. A row holds at most n + 1 entries, so the flip table is
+    sorted row by row, with no global sort."""
+    size, n = states.size, len(masks)
+    table = _flip_table(states, masks)
+    # the diagonal subtracts each row's rates in vertex order, as a
+    # per-state loop would; subtracting the 0.0 of an illegal flip is exact
+    diag = np.zeros(size)
+    for v in range(n):
+        diag -= np.where(table[:, v] < size,
+                         np.where((states >> v) & 1, q, 1.0 - q), 0.0)
+    table.sort(axis=1)
+    keep = table < size
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    indices = table[keep]
+    rows = np.repeat(np.arange(size, dtype=np.int32), np.diff(indptr))
+    # a flip that empties its vertex lowers the bitmask, at rate q
+    data = np.where(states[indices] < states[rows], q, 1.0 - q)
+    data[indices == rows] = diag
+    return indptr, indices, data
 
 
 def build_generator(geom: Geometry, fam: UpdateFamily, q: float) -> GeneratorMatrix:
@@ -135,47 +193,77 @@ def build_generator(geom: Geometry, fam: UpdateFamily, q: float) -> GeneratorMat
         _, first = np.unique(new, return_index=True)
         levels.append(new[np.sort(first)])
     states = np.concatenate(levels)
-    size = states.size
 
     occ = np.bitwise_count(states).astype(np.int64)
     logw = occ * np.log(p) + (n - occ) * np.log(q)
     w = np.exp(logw - logw.max())
     mu = w / w.sum()
 
-    # off-diagonal entries in (row, vertex) order, then the diagonal, which
-    # subtracts each row's rates in that order, as a per-state loop would
-    rows, verts, cols = _legal_edges(states, masks)
-    rates = np.where((states[rows] >> verts) & 1, q, p)
-    diag = np.zeros(size)
-    np.subtract.at(diag, rows, rates)
-    every = np.arange(size)
-    L = sp.csr_matrix((np.concatenate([rates, diag]),
-                       (np.concatenate([rows, every]),
-                        np.concatenate([cols, every]))), shape=(size, size))
-
-    gen = GeneratorMatrix(geom=geom, fam=fam, q=q, states=states, mu=mu, L=L)
+    indptr, indices, data = _canonical_csr(states, masks, q)
+    gen = GeneratorMatrix(geom=geom, fam=fam, q=q, states=states, mu=mu,
+                          indptr=indptr, indices=indices, data=data)
     _assert_reversible(gen)
     return gen
 
 
 def _assert_reversible(gen: GeneratorMatrix) -> None:
-    """Entrywise detailed balance: mu_i L_ij == mu_j L_ji."""
-    C = gen.L.tocoo()
-    off = C.row != C.col
-    bal = gen.mu[C.row[off]] * C.data[off]
-    rev = np.asarray(gen.L[C.col[off], C.row[off]]).ravel() * gen.mu[C.col[off]]
-    err = float(np.abs(bal - rev).max()) if bal.size else 0.0
+    """Entrywise detailed balance: mu_i L_ij == mu_j L_ji.
+
+    A stable sort of the entries by column lists them in the row-major
+    order of the transpose. With a symmetric pattern, the reverse L_ji of
+    entry k then sits at position perm[k]."""
+    rows = gen.row_ids()
+    # NumPy's stable argsort is a radix sort on 16-bit keys, several times
+    # faster than its int32 sort
+    key = gen.indices.astype(np.uint16) if gen.size <= 1 << 16 else gen.indices
+    perm = np.argsort(key, kind="stable")
+    # rows[perm] == indices also makes the columns a permutation of the rows
+    if (rows[perm] != gen.indices).any():
+        raise AssertionError("reversibility violated: a transition has no reverse")
+    flux = gen.mu[rows]
+    flux *= gen.data
+    diff = flux[perm]
+    diff -= flux
+    err = float(np.abs(diff, out=diff).max()) if diff.size else 0.0
     if err > REVERSIBILITY_TOL:
         raise AssertionError(f"reversibility violated: max error {err:.3e}")
 
 
-def _symmetrized(gen: GeneratorMatrix) -> sp.csr_matrix:
-    """S = D^{1/2} L D^{-1/2} with D = diag(mu); symmetric, same spectrum."""
+def _symmetrized(gen: GeneratorMatrix):
+    """S = D^{1/2} L D^{-1/2} with D = diag(mu) as a scipy.sparse.csr_matrix;
+    symmetric, same spectrum."""
+    import scipy.sparse as sp
     root = np.sqrt(gen.mu)
     d1 = sp.diags(root)
     d2 = sp.diags(1.0 / root)
     S = d1 @ gen.L @ d2
     return ((S + S.T) * 0.5).tocsr()
+
+
+def _dense_symmetrized(gen: GeneratorMatrix) -> np.ndarray:
+    """_symmetrized(gen).toarray(), byte for byte, built in NumPy: each entry
+    is the one product (root_i * L_ij) * (1/root_j) that the sparse diagonal
+    scalings form, and the symmetrization one commutative sum."""
+    root = np.sqrt(gen.mu)
+    rows = gen.row_ids()
+    D = np.zeros((gen.size, gen.size))
+    D[rows, gen.indices] = root[rows] * gen.data * (1.0 / root)[gen.indices]
+    S = D + D.T
+    S *= 0.5
+    return S
+
+
+def _top_pair(gen: GeneratorMatrix, **kwargs):
+    """(c, eigsh result) for the two largest eigenvalues of S + c I, where
+    the shift c puts the zero mode and the gap at the top end of the
+    spectrum."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+    S = _symmetrized(gen)
+    c = float(2.0 * np.abs(S.diagonal()).max() + 1.0)
+    A = (S + c * sp.identity(gen.size, format="csr")).tocsr()
+    v0 = np.full(gen.size, 1.0 / np.sqrt(gen.size))
+    return c, spla.eigsh(A, k=2, which="LA", v0=v0, **kwargs)
 
 
 def spectral_gap(gen: GeneratorMatrix) -> tuple[float, bool]:
@@ -185,20 +273,14 @@ def spectral_gap(gen: GeneratorMatrix) -> tuple[float, bool]:
     Dense diagonalization below _DENSE_CUTOFF states; Lanczos on the
     shifted symmetrized matrix above it.
     """
-    S = _symmetrized(gen)
-    size = gen.size
-    if size == 1:
+    if gen.size == 1:
         return 0.0, True
-    if size <= _DENSE_CUTOFF:
-        lam = np.sort(-np.linalg.eigvalsh(S.toarray()))  # -L spectrum, ascending
+    if gen.size <= _DENSE_CUTOFF:
+        # -L spectrum, ascending
+        lam = np.sort(-np.linalg.eigvalsh(_dense_symmetrized(gen)))
         zero, gap = float(lam[0]), float(lam[1])
     else:
-        # shift so the wanted pair sits at the top end of the spectrum
-        c = float(2.0 * np.abs(S.diagonal()).max() + 1.0)
-        A = (S + c * sp.identity(size, format="csr")).tocsr()
-        v0 = np.full(size, 1.0 / np.sqrt(size))
-        vals = spla.eigsh(A, k=2, which="LA", v0=v0,
-                          return_eigenvectors=False)
+        c, vals = _top_pair(gen, return_eigenvectors=False)
         vals = np.sort(vals)[::-1]  # vals[0] ~ c (zero mode), vals[1] = c - gap
         zero, gap = float(c - vals[0]), float(c - vals[1])
     if abs(zero) > 1e-8:
@@ -220,33 +302,15 @@ def relaxation_time(gen: GeneratorMatrix) -> float:
     return relaxation_time_from_gap(*spectral_gap(gen))
 
 
-def relaxation_time_dense(gen: GeneratorMatrix) -> float:
-    """Independent dense oracle: full eigh of the symmetrized generator."""
-    if gen.size > DENSE_ORACLE_CAP:
-        raise ValueError(f"dense oracle capped at {DENSE_ORACLE_CAP} states")
-    root = np.sqrt(gen.mu)
-    dense = gen.L.toarray() * root[:, None] / root[None, :]
-    dense = 0.5 * (dense + dense.T)
-    lam = np.sort(-np.linalg.eigvalsh(dense))
-    if abs(lam[0]) > 1e-8:
-        raise AssertionError("zero eigenvalue not found on the class")
-    gap = float(lam[1])
-    return relaxation_time_from_gap(gap, gap < DEGENERATE_GAP)
-
-
 def second_eigenvector(gen: GeneratorMatrix) -> np.ndarray:
     """The -L eigenvector of the gap eigenvalue, mapped back from the
     symmetrized coordinates; attains Var(f)/D(f) = T_rel."""
-    S = _symmetrized(gen)
     if gen.size <= DENSE_ORACLE_CAP:
-        ev, vec = np.linalg.eigh(S.toarray())
+        ev, vec = np.linalg.eigh(_dense_symmetrized(gen))
         order = np.argsort(-ev)  # descending in L-eigenvalue = ascending in -L
         v = vec[:, order[1]]
     else:
-        c = float(2.0 * np.abs(S.diagonal()).max() + 1.0)
-        A = (S + c * sp.identity(gen.size, format="csr")).tocsr()
-        v0 = np.full(gen.size, 1.0 / np.sqrt(gen.size))
-        _, vecs = spla.eigsh(A, k=2, which="LA", v0=v0)
+        _, (_, vecs) = _top_pair(gen)
         v = vecs[:, 0]  # eigsh returns ascending; column 0 is c - gap
     return v / np.sqrt(gen.mu)
 

@@ -266,7 +266,8 @@ def test_uniforms_parity_wrapped_keys(core):
     keys = [wide, wide[::3], wide.view(np.int64), wide.view(np.int64)[1::2]]
     assert not keys[1].flags.c_contiguous
     replica_sets = [np.array([-1, -2**63, 0], dtype=np.int64),
-                    np.array([2**64 - 1, 2**63], dtype=np.uint64)]
+                    np.array([2**64 - 1, 2**63], dtype=np.uint64),
+                    [-1, 2**63 + 1]]
     for seed in (-1, -2**70, 2**64, 2**64 + 5, 2**80 + 1):
         for counter in (0, 1, 2**64 - 1):
             for vkeys in keys:

@@ -105,6 +105,17 @@ def test_batch_functions_mask_key_words():
         assert mat[0, i] == uniform(-7, STREAM_CONFIG, -1, int(vks[i]), 4)
 
 
+def test_mixed_sign_replica_list_reads_as_uint64():
+    # NumPy reads this list as float64, where 2**63 + 1 rounds to 2**63
+    vks = vertex_keys_np([np.arange(4), np.arange(4) + 1])
+    ids = [-1, 2**63 + 1]
+    got = uniforms_replicas_np(3, STREAM_CONFIG, ids, vks)
+    want = uniforms_replicas_np(3, STREAM_CONFIG,
+                                np.array([2**64 - 1, 2**63 + 1], np.uint64), vks)
+    assert got.tobytes() == want.tobytes()
+    assert got[1, 0] == uniform(3, STREAM_CONFIG, 2**63 + 1, int(vks[0]), 0)
+
+
 @pytest.mark.parametrize("pure", ["0", "1"])
 @pytest.mark.parametrize("module", ["kcmkit.rng", "kcmkit.lattice",
                                     "kcmkit.kernels"])

@@ -7,11 +7,12 @@ import scipy.sparse as sp
 from kcmkit import spectral
 from kcmkit.families import make_family
 from kcmkit.lattice import Geometry
-from kcmkit.spectral import (CONSISTENCY_TOL, _constraint_masks,
-                             build_generator, dirichlet_and_variance,
-                             poincare_ratio, relaxation_time,
-                             relaxation_time_dense, second_eigenvector,
+from kcmkit.spectral import (CONSISTENCY_TOL, GeneratorMatrix,
+                             _constraint_masks, build_generator,
+                             dirichlet_and_variance, poincare_ratio,
+                             relaxation_time, second_eigenvector,
                              spectral_gap)
+from oracles import relaxation_time_dense
 
 
 def _ring(n):
@@ -108,6 +109,42 @@ def test_generator_bytes_match_loop_oracle(label, geom, fam):
                       (gen.L.indptr, L.indptr), (gen.L.indices, L.indices),
                       (gen.L.data, L.data)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("label,geom,fam", ORACLE_CASES,
+                         ids=[c[0] for c in ORACLE_CASES])
+def test_dense_symmetrized_bytes_match_sparse(label, geom, fam):
+    # the dense gap diagonalizes this matrix; eigvalsh must see the bytes
+    # that the scipy symmetrization gives
+    gen = build_generator(geom, fam, 0.3)
+    got = spectral._dense_symmetrized(gen)
+    want = spectral._symmetrized(gen).toarray()
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_reversibility_check_catches_one_changed_entry():
+    gen = build_generator(Geometry((3, 3)), make_family("fa_kf", d=2, k=2), 0.3)
+    spectral._assert_reversible(gen)
+    off = np.flatnonzero(gen.row_ids() != gen.indices)
+    for k in (off[0], off[off.size // 2], off[-1]):
+        data = gen.data.copy()
+        data[k] *= 1.0 + 1e-6
+        with pytest.raises(AssertionError, match="reversibility violated"):
+            spectral._assert_reversible(dataclasses.replace(gen, data=data))
+
+
+def test_reversibility_check_catches_a_missing_reverse():
+    # the cycle 0 -> 1 -> 2 -> 0 keeps the uniform measure stationary and
+    # every column count equal to its row count, but has no reverse moves
+    cycle = GeneratorMatrix(
+        geom=Geometry((1,)), fam=make_family("unconstrained", d=1), q=0.5,
+        states=np.arange(3, dtype=np.int64), mu=np.full(3, 1.0 / 3.0),
+        indptr=np.array([0, 2, 4, 6], dtype=np.int32),
+        indices=np.array([0, 1, 1, 2, 0, 2], dtype=np.int32),
+        data=np.array([-1.0, 1.0, -1.0, 1.0, 1.0, -1.0]))
+    with pytest.raises(AssertionError, match="has no reverse"):
+        spectral._assert_reversible(cycle)
 
 
 @pytest.mark.parametrize("label,geom,fam", ORACLE_CASES,
@@ -225,7 +262,7 @@ def test_poincare_cross_checks_every_f():
     # with L doubled, D(f) and <f, -Lf> agree only for constant f: the
     # check must still fire on the last f, after the pairs are reused
     gen = build_generator(_ring(4), make_family("east", d=1), 0.4)
-    skewed = dataclasses.replace(gen, L=gen.L * 2.0)
+    skewed = dataclasses.replace(gen, data=gen.data * 2.0)
     fs = [np.ones(gen.size)] * 3 + [np.arange(gen.size, dtype=float)]
     assert poincare_ratio(skewed, fs[:3]) == 0.0
     with pytest.raises(AssertionError, match="Dirichlet forms disagree"):
@@ -241,7 +278,6 @@ def test_second_eigenvector_attains_trel():
 
 
 def test_poincare_zero_dirichlet_guard():
-    from kcmkit.spectral import GeneratorMatrix
     geom = Geometry((1,))
     fam = make_family("unconstrained", d=1)
     # a fake 2-state generator with no transitions: nonconstant f then has
@@ -249,6 +285,8 @@ def test_poincare_zero_dirichlet_guard():
     broken = GeneratorMatrix(geom=geom, fam=fam, q=0.5,
                              states=np.array([0, 1], dtype=np.int64),
                              mu=np.array([0.5, 0.5]),
-                             L=sp.csr_matrix((2, 2)))
+                             indptr=np.zeros(3, dtype=np.int32),
+                             indices=np.zeros(0, dtype=np.int32),
+                             data=np.zeros(0))
     with pytest.raises(AssertionError):
         poincare_ratio(broken, [np.array([1.0, -1.0])])
