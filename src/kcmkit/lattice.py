@@ -145,12 +145,10 @@ def random_bits(geom: Geometry, q: float, seed: int, replicas,
                 stream: int = rng.STREAM_CONFIG, rows: int | None = None):
     """Product-measure configurations of a replica set, as (ids, bits)
     blocks in id order: bits[r] is the configuration of replica ids[r].
-    `replicas` is a count R (ids 0..R-1) or an id array; int64 ids wrap to
-    uint64, and a Python int list holding an id of 2**63 or more raises
-    OverflowError. A block holds at most rng.BATCH_SITES uniforms, at most
+    `replicas` is a count R (ids 0..R-1) or a sequence of ids, read by
+    rng.replica_ids. A block holds at most rng.BATCH_SITES uniforms, at most
     `rows` replicas, and at least one."""
-    ids = (np.arange(int(replicas), dtype=np.uint64) if np.ndim(replicas) == 0
-           else np.asarray(replicas, dtype=np.int64).view(np.uint64))
+    ids = rng.replica_ids(replicas)
     step = max(1, min(rng.BATCH_SITES // geom.n_sites,
                       rows or rng.BATCH_SITES))
     vkeys = geom.vertex_keys()
@@ -195,8 +193,7 @@ class Configuration:
         """Product measure: each site empty independently with probability q."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"q must be in [0,1], got {q}")
-        ids = np.array([int(replica) & rng.MASK64], dtype=np.uint64)
-        return cls(geom, next(random_bits(geom, q, seed, ids))[1][0])
+        return cls(geom, next(random_bits(geom, q, seed, [replica]))[1][0])
 
     # basic ops --------------------------------------------------------------
     def copy(self) -> "Configuration":

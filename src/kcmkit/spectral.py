@@ -13,17 +13,17 @@ code cross-checks the two on every call. (A 1/2 appears only in the
 directed double-sum form sum_{w,w'} mu(w) rate(w->w') (f(w')-f(w))^2 / 2,
 which double counts each unordered pair.)
 
-The generator is kept as canonical CSR arrays built in NumPy, and the dense
-branch of the gap diagonalizes a matrix built from them in NumPy. scipy is
-imported only where a sparse eigensolve (eigsh) runs, or where a caller asks
-for the generator as a scipy matrix, `GeneratorMatrix.L`.
+The generator is kept as canonical CSR arrays built in NumPy, and its
+symmetrization is built once, in NumPy, as CSR data on the same pattern. The
+dense eigensolvers read it scattered into an array, the Dirichlet forms read
+the generator's arrays, and scipy is imported only to wrap the symmetrization
+for the sparse eigensolve (eigsh).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -31,8 +31,7 @@ from .families import UpdateFamily, tables_for
 from .lattice import Geometry
 
 STATE_CAP_VERTICES = 24
-DENSE_ORACLE_CAP = 1 << 14
-_DENSE_CUTOFF = 4096  # below this the production path also diagonalizes densely
+_DENSE_CUTOFF = 4096  # up to this many states the eigensolves are dense
 
 REVERSIBILITY_TOL = 1e-12
 CONSISTENCY_TOL = 1e-10
@@ -61,14 +60,6 @@ class GeneratorMatrix:
     @property
     def size(self) -> int:
         return self.states.size
-
-    @cached_property
-    def L(self):
-        """The generator as a scipy.sparse.csr_matrix over the same arrays;
-        imports scipy on first use."""
-        import scipy.sparse as sp
-        return sp.csr_matrix((self.data, self.indices, self.indptr),
-                             shape=(self.size, self.size))
 
     def row_ids(self) -> np.ndarray:
         """(nnz,) int32 row of every stored entry."""
@@ -129,15 +120,6 @@ def _flip_table(states: np.ndarray, masks) -> np.ndarray:
     if (table < 0).any():
         raise AssertionError("a legal flip leaves the enumerated class")
     return table
-
-
-def _legal_edges(states: np.ndarray, masks):
-    """(row, vertex, column) of every legal flip, in (row, vertex) order:
-    states[column] = states[row] ^ (1 << vertex). Raises if a flipped state
-    is missing from `states`."""
-    flips = _flip_table(states, masks)[:, :-1]
-    rows, verts = np.nonzero(flips < states.size)
-    return rows, verts, flips[rows, verts]
 
 
 def _canonical_csr(states: np.ndarray, masks, q: float):
@@ -206,21 +188,27 @@ def build_generator(geom: Geometry, fam: UpdateFamily, q: float) -> GeneratorMat
     return gen
 
 
-def _assert_reversible(gen: GeneratorMatrix) -> None:
-    """Entrywise detailed balance: mu_i L_ij == mu_j L_ji.
+def _reverse_perm(gen: GeneratorMatrix) -> np.ndarray:
+    """perm with data[perm[k]] = L_ji for every stored entry k = L_ij.
 
     A stable sort of the entries by column lists them in the row-major
     order of the transpose. With a symmetric pattern, the reverse L_ji of
-    entry k then sits at position perm[k]."""
-    rows = gen.row_ids()
+    entry k then sits at position perm[k]. Raises if the pattern is not
+    symmetric."""
     # NumPy's stable argsort is a radix sort on 16-bit keys, several times
     # faster than its int32 sort
     key = gen.indices.astype(np.uint16) if gen.size <= 1 << 16 else gen.indices
     perm = np.argsort(key, kind="stable")
     # rows[perm] == indices also makes the columns a permutation of the rows
-    if (rows[perm] != gen.indices).any():
+    if (gen.row_ids()[perm] != gen.indices).any():
         raise AssertionError("reversibility violated: a transition has no reverse")
-    flux = gen.mu[rows]
+    return perm
+
+
+def _assert_reversible(gen: GeneratorMatrix) -> None:
+    """Entrywise detailed balance: mu_i L_ij == mu_j L_ji."""
+    perm = _reverse_perm(gen)
+    flux = gen.mu[gen.row_ids()]
     flux *= gen.data
     diff = flux[perm]
     diff -= flux
@@ -229,39 +217,34 @@ def _assert_reversible(gen: GeneratorMatrix) -> None:
         raise AssertionError(f"reversibility violated: max error {err:.3e}")
 
 
-def _symmetrized(gen: GeneratorMatrix):
-    """S = D^{1/2} L D^{-1/2} with D = diag(mu) as a scipy.sparse.csr_matrix;
-    symmetric, same spectrum."""
-    import scipy.sparse as sp
+def _symmetrized(gen: GeneratorMatrix) -> np.ndarray:
+    """CSR data, on the generator's own pattern, of S = D^{1/2} L D^{-1/2}
+    with D = diag(mu), symmetrized as (S + S^T) / 2: symmetric, with the
+    spectrum of L. Each entry is the product (root_i * L_ij) * (1/root_j)
+    that diagonal scalings form, and the symmetrization one commutative sum."""
     root = np.sqrt(gen.mu)
-    d1 = sp.diags(root)
-    d2 = sp.diags(1.0 / root)
-    S = d1 @ gen.L @ d2
-    return ((S + S.T) * 0.5).tocsr()
+    d = root[gen.row_ids()] * gen.data * (1.0 / root)[gen.indices]
+    return (d + d[_reverse_perm(gen)]) * 0.5
 
 
-def _dense_symmetrized(gen: GeneratorMatrix) -> np.ndarray:
-    """_symmetrized(gen).toarray(), byte for byte, built in NumPy: each entry
-    is the one product (root_i * L_ij) * (1/root_j) that the sparse diagonal
-    scalings form, and the symmetrization one commutative sum."""
-    root = np.sqrt(gen.mu)
-    rows = gen.row_ids()
-    D = np.zeros((gen.size, gen.size))
-    D[rows, gen.indices] = root[rows] * gen.data * (1.0 / root)[gen.indices]
-    S = D + D.T
-    S *= 0.5
+def _dense_S(gen: GeneratorMatrix) -> np.ndarray:
+    """_symmetrized(gen) scattered into a (size, size) array."""
+    S = np.zeros((gen.size, gen.size))
+    S[gen.row_ids(), gen.indices] = _symmetrized(gen)
     return S
 
 
 def _top_pair(gen: GeneratorMatrix, **kwargs):
     """(c, eigsh result) for the two largest eigenvalues of S + c I, where
     the shift c puts the zero mode and the gap at the top end of the
-    spectrum."""
+    spectrum. The one place scipy is imported."""
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
-    S = _symmetrized(gen)
-    c = float(2.0 * np.abs(S.diagonal()).max() + 1.0)
-    A = (S + c * sp.identity(gen.size, format="csr")).tocsr()
+    s = _symmetrized(gen)
+    diag = gen.row_ids() == gen.indices  # every row stores its diagonal
+    c = float(2.0 * np.abs(s[diag]).max() + 1.0)
+    s[diag] += c
+    A = sp.csr_matrix((s, gen.indices, gen.indptr), shape=(gen.size, gen.size))
     v0 = np.full(gen.size, 1.0 / np.sqrt(gen.size))
     return c, spla.eigsh(A, k=2, which="LA", v0=v0, **kwargs)
 
@@ -270,14 +253,14 @@ def spectral_gap(gen: GeneratorMatrix) -> tuple[float, bool]:
     """(gap, degenerate): the smallest nonzero eigenvalue of -L on the class
     and whether it is numerically degenerate (< 1e-12).
 
-    Dense diagonalization below _DENSE_CUTOFF states; Lanczos on the
+    Dense diagonalization up to _DENSE_CUTOFF states; Lanczos on the
     shifted symmetrized matrix above it.
     """
     if gen.size == 1:
         return 0.0, True
     if gen.size <= _DENSE_CUTOFF:
         # -L spectrum, ascending
-        lam = np.sort(-np.linalg.eigvalsh(_dense_symmetrized(gen)))
+        lam = np.sort(-np.linalg.eigvalsh(_dense_S(gen)))
         zero, gap = float(lam[0]), float(lam[1])
     else:
         c, vals = _top_pair(gen, return_eigenvectors=False)
@@ -305,8 +288,8 @@ def relaxation_time(gen: GeneratorMatrix) -> float:
 def second_eigenvector(gen: GeneratorMatrix) -> np.ndarray:
     """The -L eigenvector of the gap eigenvalue, mapped back from the
     symmetrized coordinates; attains Var(f)/D(f) = T_rel."""
-    if gen.size <= DENSE_ORACLE_CAP:
-        ev, vec = np.linalg.eigh(_dense_symmetrized(gen))
+    if gen.size <= _DENSE_CUTOFF:
+        ev, vec = np.linalg.eigh(_dense_S(gen))
         order = np.argsort(-ev)  # descending in L-eigenvalue = ascending in -L
         v = vec[:, order[1]]
     else:
@@ -316,24 +299,26 @@ def second_eigenvector(gen: GeneratorMatrix) -> np.ndarray:
 
 
 def _dirichlet_pairs(gen: GeneratorMatrix):
-    """(i, j, weight) of every legal pair {w, w^x} once, from the side i
-    where x is empty, with weight (mu(w) + mu(w^x)) q(1-q): c_x and Var_x
-    agree on both sides, so the pair adds weight * (f(w) - f(w^x))^2."""
-    rows, verts, cols = _legal_edges(gen.states,
-                                     _constraint_masks(gen.geom, gen.fam))
-    empty = ((gen.states[rows] >> verts) & 1) == 0
-    i, j = rows[empty], cols[empty]
-    return i, j, (gen.mu[i] + gen.mu[j]) * (gen.q * (1.0 - gen.q))
+    """(rows, i, j, weight): the row of every stored entry, and every legal
+    pair {w, w^x} once, from the side i where x is empty, with weight
+    (mu(w) + mu(w^x)) q(1-q): c_x and Var_x agree on both sides, so the pair
+    adds weight * (f(w) - f(w^x))^2. The pairs are the stored off-diagonal
+    entries whose flip occupies its vertex, i.e. raises the bitmask."""
+    rows = gen.row_ids()
+    up = gen.states[gen.indices] > gen.states[rows]
+    i, j = rows[up], gen.indices[up]
+    return rows, i, j, (gen.mu[i] + gen.mu[j]) * (gen.q * (1.0 - gen.q))
 
 
 def _dirichlet_on_pairs(gen: GeneratorMatrix, pairs, f: np.ndarray):
     f = np.asarray(f, dtype=np.float64)
     if f.shape != (gen.size,):
         raise ValueError("f dimension does not match the state enumeration")
-    i, j, weight = pairs
+    rows, i, j, weight = pairs
     diff = f[i] - f[j]
     D = float(np.sum(weight * diff * diff))
-    quad = float(-gen.mu @ (f * (gen.L @ f)))
+    Lf = np.bincount(rows, weights=gen.data * f[gen.indices], minlength=gen.size)
+    quad = float(-gen.mu @ (f * Lf))
     if abs(D - quad) > CONSISTENCY_TOL * max(1.0, abs(D), abs(quad)):
         raise AssertionError(
             f"Dirichlet forms disagree: {D!r} vs quadratic {quad!r}")

@@ -221,9 +221,9 @@ def test_random_bits_ids_wrap():
         for v in g.vertex_keys()]
     (_, bits), = random_bits(g, 0.5, 3, np.array([2**63 + k], dtype=np.uint64))
     assert bits[0].tobytes() == a.bits.tobytes()
-    # an id that int64 cannot hold must come in a uint64 array
-    with pytest.raises(OverflowError):
-        next(random_bits(g, 0.5, 3, [2**63 + k]))
+    # a Python int id is masked to 64 bits, as rng.replica_ids reads it
+    (_, bits), = random_bits(g, 0.5, 3, [2**63 + k])
+    assert bits[0].tobytes() == a.bits.tobytes()
 
 
 def test_random_bits_q_extremes_and_monotone():

@@ -1,8 +1,12 @@
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from kcmkit import spectral
 from kcmkit.families import make_family
@@ -12,7 +16,7 @@ from kcmkit.spectral import (CONSISTENCY_TOL, GeneratorMatrix,
                              dirichlet_and_variance, poincare_ratio,
                              relaxation_time, second_eigenvector,
                              spectral_gap)
-from oracles import relaxation_time_dense
+from oracles import generator_csr, relaxation_time_dense, symmetrized_scipy
 
 
 def _ring(n):
@@ -81,13 +85,22 @@ ORACLE_CASES = [
     ("one-site", Geometry((1,)), make_family("unconstrained", d=1)),
 ]
 
+# `kcm gap --model fa1 --dims 3,5`: 32,767 states, above the dense cutoff
+FA1_3X5 = ("fa1-3x5", Geometry((3, 5)), make_family("fa_kf", d=2, k=1))
+
+
+def _same_csr_bytes(got, want):
+    for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
+                 (got.data, want.data)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
 
 # ------------------------------------------------------------- construction
 
 def test_single_unconstrained_site():
     gen = build_generator(Geometry((1,)), make_family("unconstrained", d=1), 0.3)
     assert gen.size == 2
-    lam = np.sort(np.linalg.eigvals(gen.L.toarray()).real)
+    lam = np.sort(np.linalg.eigvals(generator_csr(gen).toarray()).real)
     assert lam == pytest.approx([-1.0, 0.0], abs=1e-12)
 
 
@@ -105,22 +118,30 @@ def test_class_excludes_frozen_states():
 def test_generator_bytes_match_loop_oracle(label, geom, fam):
     gen = build_generator(geom, fam, 0.3)
     states, mu, L = _loop_generator(geom, fam, 0.3)
-    for got, want in ((gen.states, states), (gen.mu, mu),
-                      (gen.L.indptr, L.indptr), (gen.L.indices, L.indices),
-                      (gen.L.data, L.data)):
+    for got, want in ((gen.states, states), (gen.mu, mu)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    _same_csr_bytes(generator_csr(gen), L)
 
 
-@pytest.mark.parametrize("label,geom,fam", ORACLE_CASES,
-                         ids=[c[0] for c in ORACLE_CASES])
-def test_dense_symmetrized_bytes_match_sparse(label, geom, fam):
-    # the dense gap diagonalizes this matrix; eigvalsh must see the bytes
-    # that the scipy symmetrization gives
+@pytest.mark.parametrize("label,geom,fam", ORACLE_CASES + [FA1_3X5],
+                         ids=[c[0] for c in ORACLE_CASES + [FA1_3X5]])
+def test_dense_symmetrized_bytes_match_sparse(label, geom, fam, monkeypatch):
+    # the dense eigensolvers scatter _symmetrized(gen), and eigsh reads it
+    # plus c I: both must hold the bytes of the scipy construction
     gen = build_generator(geom, fam, 0.3)
-    got = spectral._dense_symmetrized(gen)
-    want = spectral._symmetrized(gen).toarray()
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+    want = symmetrized_scipy(gen)
+    got = sp.csr_matrix((spectral._symmetrized(gen), gen.indices, gen.indptr),
+                        shape=want.shape)
+    _same_csr_bytes(got, want)
+    if gen.size <= spectral._DENSE_CUTOFF:
+        assert spectral._dense_S(gen).tobytes() == want.toarray().tobytes()
+    seen = []
+    monkeypatch.setattr(spla, "eigsh", lambda A, **kwargs: seen.append(A))
+    c, _ = spectral._top_pair(gen)
+    assert c == float(2.0 * np.abs(want.diagonal()).max() + 1.0)
+    (shifted,) = seen
+    _same_csr_bytes(shifted,
+                    (want + c * sp.identity(gen.size, format="csr")).tocsr())
 
 
 def test_reversibility_check_catches_one_changed_entry():
@@ -159,7 +180,8 @@ def test_dirichlet_matches_loop_oracle(label, geom, fam):
 
 def test_row_sums_zero_and_cap():
     gen = build_generator(_ring(4), make_family("east", d=1), 0.3)
-    assert np.abs(np.asarray(gen.L.sum(axis=1)).ravel()).max() < 1e-14
+    row_sums = np.asarray(generator_csr(gen).sum(axis=1)).ravel()
+    assert np.abs(row_sums).max() < 1e-14
     with pytest.raises(ValueError):
         build_generator(Geometry((5, 5), torus=True),
                         make_family("fa_kf", d=2, k=1), 0.3)
@@ -247,13 +269,13 @@ def test_poincare_enumerates_edges_once(monkeypatch):
     want = max(var / D for D, var in
                (dirichlet_and_variance(gen, f) for f in fs))
     calls = []
-    real = spectral._legal_edges
+    real = spectral._dirichlet_pairs
 
     def counted(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(spectral, "_legal_edges", counted)
+    monkeypatch.setattr(spectral, "_dirichlet_pairs", counted)
     assert poincare_ratio(gen, fs) == want
     assert len(calls) == 1
 
@@ -277,6 +299,46 @@ def test_second_eigenvector_attains_trel():
         assert poincare_ratio(gen, [f]) == pytest.approx(trel, abs=1e-8)
 
 
+def test_second_eigenvector_above_dense_cutoff_uses_eigsh(monkeypatch):
+    # 8,191 states: past the dense cutoff, so no dense eigh may run
+    gen = build_generator(_ring(13), make_family("fa_kf", d=1, k=1), 0.5)
+    assert spectral._DENSE_CUTOFF < gen.size <= 1 << 14
+    trel = relaxation_time(gen)
+
+    def dense(*args, **kwargs):
+        raise AssertionError("dense eigh above the dense cutoff")
+
+    monkeypatch.setattr(np.linalg, "eigh", dense)
+    f = second_eigenvector(gen)
+    assert poincare_ratio(gen, [f]) == pytest.approx(trel, abs=1e-8)
+
+
+def test_dense_class_leaves_scipy_unloaded():
+    # scipy is imported only to wrap the symmetrization for eigsh
+    code = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "from kcmkit.families import make_family",
+        "from kcmkit.lattice import Geometry",
+        "from kcmkit import spectral",
+        "gen = spectral.build_generator(Geometry((8,), torus=True),",
+        "                               make_family('east', d=1), 0.3)",
+        "f = np.arange(gen.size, dtype=float)",
+        "spectral.dirichlet_and_variance(gen, f)",
+        "spectral.poincare_ratio(gen, [f])",
+        "spectral.spectral_gap(gen)",
+        "spectral.second_eigenvector(gen)",
+        "assert 'scipy' not in sys.modules",
+    ])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spectral.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_poincare_zero_dirichlet_guard():
     geom = Geometry((1,))
     fam = make_family("unconstrained", d=1)
@@ -288,5 +350,5 @@ def test_poincare_zero_dirichlet_guard():
                              indptr=np.zeros(3, dtype=np.int32),
                              indices=np.zeros(0, dtype=np.int32),
                              data=np.zeros(0))
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match=r"Var\(f\) > 0 with D\(f\) = 0"):
         poincare_ratio(broken, [np.array([1.0, -1.0])])
