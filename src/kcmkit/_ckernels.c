@@ -1,5 +1,6 @@
-/* Compiled kernels, four entry points: work-queue closure, event-driven KCM
- * loop, crossings and counter-based uniforms.
+/* Compiled kernels, five entry points: work-queue closure, spanning
+ * thresholds by incremental closure, event-driven KCM loop, crossings and
+ * counter-based uniforms.
  *
  * Plain C99 over raw arrays, no Python API; kcmkit/_compiled.py binds it
  * with ctypes and validates every array before passing it in. The contract
@@ -12,7 +13,8 @@
  * rule_slots[rule_ptr[k] .. rule_ptr[k+1]); slot s is read by the rules
  * slot_rules[slot_ptr[s] .. slot_ptr[s+1]).
  *
- * Every function returns 0, or -1 when a work buffer cannot be allocated.
+ * Every function returns 0, or -1 when a work buffer cannot be allocated;
+ * kk_threshold also returns -2 for an order that is not a permutation.
  */
 
 #include <math.h>
@@ -56,6 +58,35 @@ int kk_uniforms(uint64_t head, int64_t R, const uint64_t *replicas,
 
 /* -------------------------------------------------------------- closure */
 
+/* Occupied-slot counters of the closure kernels: cnt[v*m + k] counts the
+ * slots of rule k at v that read occupied under the emptiness eff (n + 1
+ * entries, eff[n] for the pad), for every v with can[v] (every v when can
+ * is NULL). Appends those v with a counter at zero to queue, in index
+ * order, and returns how many there are. */
+static int64_t count_occupied(int64_t n, int64_t S, int64_t m,
+                              const int64_t *nbr, const int32_t *rule_slots,
+                              const int32_t *rule_ptr, const uint8_t *eff,
+                              const uint8_t *can, int32_t *cnt,
+                              int64_t *queue)
+{
+    int64_t tail = 0;
+    for (int64_t v = 0; v < n; v++) {
+        if (can && !can[v])
+            continue;
+        int sat = 0;
+        for (int64_t k = 0; k < m; k++) {
+            int32_t c = 0;
+            for (int32_t i = rule_ptr[k]; i < rule_ptr[k + 1]; i++)
+                c += eff[nbr[v * S + rule_slots[i]]] == 0;
+            cnt[v * m + k] = c;
+            sat |= c == 0;
+        }
+        if (sat)
+            queue[tail++] = v;
+    }
+    return tail;
+}
+
 /* Bootstrap closure with synchronous-round labels.
  *
  * Every (vertex, rule) pair counts the slots that still read occupied; a
@@ -87,23 +118,10 @@ int kk_closure(int64_t n, int64_t S, int64_t m,
     }
     eff[n] = pad_empty ? 1 : 0;
 
-    int64_t tail = 0;
-    for (int64_t v = 0; v < n; v++) {
-        if (!can[v])
-            continue;
-        int sat = 0;
-        for (int64_t k = 0; k < m; k++) {
-            int32_t c = 0;
-            for (int32_t i = rule_ptr[k]; i < rule_ptr[k + 1]; i++)
-                c += eff[nbr[v * S + rule_slots[i]]] == 0;
-            cnt[v * m + k] = c;
-            sat |= c == 0;
-        }
-        if (sat) {
-            rounds[v] = 1;
-            queue[tail++] = v;
-        }
-    }
+    int64_t tail = count_occupied(n, S, m, nbr, rule_slots, rule_ptr, eff,
+                                  can, cnt, queue);
+    for (int64_t j = 0; j < tail; j++)
+        rounds[queue[j]] = 1;
 
     int64_t wave_start = 0, wave_end = tail;
     int32_t label = 1;
@@ -133,6 +151,92 @@ int kk_closure(int64_t n, int64_t S, int64_t m,
         out[v] = rounds[v] >= 1 ? 0 : bits[v];
     free(eff); free(can); free(cnt); free(queue);
     return 0;
+}
+
+/* Lowers, for every site queue[head .. tail) emptied, the counters of the
+ * sites that read it; a site not yet in empty[] whose counter reaches zero
+ * is marked and queued in turn. Returns the number of sites queued, those
+ * given included. */
+static int64_t empty_queued(int64_t n, int64_t S, int64_t m,
+                            const int64_t *rev, const int32_t *slot_rules,
+                            const int32_t *slot_ptr, int32_t *cnt,
+                            uint8_t *empty, int64_t *queue, int64_t head,
+                            int64_t tail)
+{
+    while (head < tail) {
+        const int64_t *back = rev + queue[head++] * S;
+        for (int64_t s = 0; s < S; s++) {
+            int64_t u = back[s];
+            if (u >= n)
+                continue;
+            for (int32_t i = slot_ptr[s]; i < slot_ptr[s + 1]; i++) {
+                if (--cnt[u * m + slot_rules[i]] == 0 && !empty[u]) {
+                    empty[u] = 1;
+                    queue[tail++] = u;
+                }
+            }
+        }
+    }
+    return tail;
+}
+
+/* Spanning thresholds by incremental closure (Newman & Ziff, PRL 85:4104).
+ *
+ * Row r of order (R rows of n sites, a permutation each) empties its sites
+ * one by one, starting from the fully occupied grid, and keeps the closure
+ * up to date: an emptied site lowers the counters of the sites that read
+ * it, and a site whose counter reaches zero empties in turn. out[r] is the
+ * length of the shortest prefix whose closure empties every site (0 when
+ * the fully occupied grid already empties). Returns -2 when a row runs out
+ * before every site is empty, which a permutation never does.
+ */
+int kk_threshold(int64_t n, int64_t S, int64_t m,
+                 const int64_t *nbr, const int64_t *rev,
+                 const int32_t *rule_slots, const int32_t *rule_ptr,
+                 const int32_t *slot_rules, const int32_t *slot_ptr,
+                 int pad_empty, int64_t R, const int64_t *order,
+                 int64_t *out)
+{
+    size_t cells = (size_t)n * (size_t)m + 1;
+    uint8_t *base = calloc((size_t)n + 1, 1);
+    uint8_t *empty = malloc((size_t)n + 1);
+    int32_t *base_cnt = malloc(cells * sizeof *base_cnt);
+    int32_t *cnt = malloc(cells * sizeof *cnt);
+    int64_t *queue = malloc(((size_t)n + 1) * sizeof *queue);
+    if (!base || !empty || !base_cnt || !cnt || !queue) {
+        free(base); free(empty); free(base_cnt); free(cnt); free(queue);
+        return -1;
+    }
+    /* the closure of the fully occupied grid, once: every row starts here */
+    base[n] = pad_empty ? 1 : 0;
+    int64_t tail = count_occupied(n, S, m, nbr, rule_slots, rule_ptr, base,
+                                  NULL, base_cnt, queue);
+    for (int64_t j = 0; j < tail; j++)
+        base[queue[j]] = 1;
+    int64_t base_empty = empty_queued(n, S, m, rev, slot_rules, slot_ptr,
+                                      base_cnt, base, queue, 0, tail);
+
+    int rc = 0;
+    for (int64_t r = 0; r < R && rc == 0; r++) {
+        const int64_t *row = order + r * n;
+        memcpy(cnt, base_cnt, cells * sizeof *cnt);
+        memcpy(empty, base, (size_t)n);
+        int64_t emptied = base_empty, k = 0;
+        while (emptied < n && k < n) {
+            int64_t v = row[k++];
+            if (empty[v])
+                continue;
+            empty[v] = 1;
+            queue[0] = v;
+            emptied += empty_queued(n, S, m, rev, slot_rules, slot_ptr, cnt,
+                                    empty, queue, 0, 1);
+        }
+        out[r] = k;
+        if (emptied < n)
+            rc = -2;
+    }
+    free(base); free(empty); free(base_cnt); free(cnt); free(queue);
+    return rc;
 }
 
 /* ------------------------------------------------------- KCM event loop */

@@ -1,6 +1,6 @@
 """Compiled kernels: a ctypes binding of the C99 library built from _ckernels.c.
 
-Same contract as kcmkit._pure and its four entry points, and the same
+Same contract as kcmkit._pure and its five entry points, and the same
 results (bit-identical trajectories for the event loop, byte-identical
 uniforms). `python setup.py build_ext --inplace` puts the library next to
 this file; `load` returns None when it is missing or cannot be loaded, and
@@ -87,7 +87,7 @@ class _Tables:
 
 
 class Kernels:
-    """The four kernel entry points over one loaded library."""
+    """The five kernel entry points over one loaded library."""
 
     IMPL_NAME = IMPL_NAME
 
@@ -95,6 +95,8 @@ class Kernels:
         lib = ctypes.CDLL(str(path))
         lib.kk_closure.argtypes = [_i64, _i64, _i64] + [_ptr] * 6 + [
             ctypes.c_int] + [_ptr] * 5
+        lib.kk_threshold.argtypes = [_i64, _i64, _i64] + [_ptr] * 6 + [
+            ctypes.c_int, _i64, _ptr, _ptr]
         lib.kk_kcm_run.argtypes = [
             _i64, _i64, _i64, _ptr, _ptr, _ptr, ctypes.c_int, _ptr, _ptr,
             _u64, _u64, _dbl, _dbl, _i64, ctypes.c_int, _ptr, _i64, _ptr,
@@ -102,8 +104,8 @@ class Kernels:
         lib.kk_crossing_batch.argtypes = [_i64, _i64, _i64, _ptr,
                                           ctypes.c_int, _ptr]
         lib.kk_uniforms.argtypes = [_u64, _i64, _ptr, _i64, _ptr, _u64, _ptr]
-        for fn in (lib.kk_closure, lib.kk_kcm_run, lib.kk_crossing_batch,
-                   lib.kk_uniforms):
+        for fn in (lib.kk_closure, lib.kk_threshold, lib.kk_kcm_run,
+                   lib.kk_crossing_batch, lib.kk_uniforms):
             fn.restype = ctypes.c_int
         self._lib = lib
         self._tables = weakref.WeakKeyDictionary()
@@ -139,6 +141,24 @@ class Kernels:
             *tb.closure_args, _addr(b), _addr(flip), _addr(vis), _addr(out),
             _addr(rounds)))
         return out, rounds
+
+    def threshold(self, order, t: FamilyTables) -> np.ndarray:
+        """Spanning thresholds by incremental closure; mirrors
+        kcmkit._pure.threshold."""
+        tb = self._converted(t)
+        o = np.ascontiguousarray(order, dtype=np.int64)
+        if o.ndim != 2 or o.shape[1] != tb.n:
+            raise ValueError(f"order has shape {o.shape}, expected "
+                             f"(replicas, {tb.n})")
+        if o.size and (o.min() < 0 or o.max() >= tb.n):
+            raise ValueError("order holds a site outside the geometry")
+        out = np.empty(o.shape[0], dtype=np.int64)
+        rc = self._lib.kk_threshold(*tb.closure_args, o.shape[0], _addr(o),
+                                    _addr(out))
+        if rc == -2:
+            raise ValueError("an order row does not empty every site")
+        self._check(rc)
+        return out
 
     def kcm_run(self, bits, t: FamilyTables, vkeys, seed, replica, q, t_max,
                 target=-1, stop_when_target_empty=False, batch_edges=None,

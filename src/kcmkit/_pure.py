@@ -1,5 +1,6 @@
-"""Fallback kernels, the executable spec of the four entry points:
-numpy-vectorized closure, heapq event loop, crossings and uniforms.
+"""Fallback kernels, the executable spec of the five entry points:
+numpy-vectorized closure, spanning thresholds by bisection on closures,
+heapq event loop, crossings and uniforms.
 
 Functionally identical to the compiled kernels in kcmkit._compiled;
 kernels.py picks one at import time. Keep the two in lockstep: the test
@@ -83,6 +84,40 @@ def closure(bits: np.ndarray, t: FamilyTables,
     out = bits.copy()
     out[rounds >= 1] = 0
     return out, rounds
+
+
+def threshold(order: np.ndarray, t: FamilyTables) -> np.ndarray:
+    """Spanning thresholds: for each row of `order`, a permutation of the
+    sites, the length k of the shortest prefix whose closure (from the fully
+    occupied grid) empties every site; 0 when the fully occupied grid
+    already empties. Emptying more sites never undoes spanning, so k is
+    found by bisection on the prefix length."""
+    order = np.asarray(order)
+    n = t.n_sites
+    if order.ndim != 2 or order.shape[1] != n:
+        raise ValueError(f"order has shape {order.shape}, expected "
+                         f"(replicas, {n})")
+    if order.size and (order.min() < 0 or order.max() >= n):
+        raise ValueError("order holds a site outside the geometry")
+
+    def spans(row: np.ndarray, k: int) -> bool:
+        bits = np.ones(n, dtype=np.uint8)
+        bits[row[:k]] = 0
+        return not closure(bits, t)[0].any()
+
+    out = np.empty(order.shape[0], dtype=np.int64)
+    for r, row in enumerate(order):
+        if not spans(row, n):
+            raise ValueError("an order row does not empty every site")
+        lo, hi = -1, n          # the hi-prefix spans, the lo-prefix does not
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if spans(row, mid):
+                hi = mid
+            else:
+                lo = mid
+        out[r] = hi
+    return out
 
 
 # ------------------------------------------------------------ KCM event loop

@@ -14,10 +14,11 @@ import math
 
 import numpy as np
 
-from . import kernels, rng
+from . import kernels
 from .families import UpdateFamily, tables_for
-from .lattice import Configuration, Geometry, Region, _as_flat, random_bits
-from .stats import ScanEstimate, wilson_ci
+from .lattice import (Configuration, Geometry, Region, _as_flat, random_bits,
+                      random_uniforms)
+from .stats import ScanEstimate, median, wilson_ci
 
 
 # ------------------------------------------------------------------ closures
@@ -136,39 +137,36 @@ def spanning_probability_curve(l_values, fam: UpdateFamily, q: float,
     return out
 
 
-def _replica_threshold(u: np.ndarray, t, lo: float, hi: float,
-                       tol: float) -> float:
-    """Smallest q (to tol) at which the coupled grid spans, by bisection.
-
-    The empty set {u < q} grows with q, so spanning is monotone in q for a
-    fixed replica and the threshold is well defined.
-    """
-    def spans_at(q: float) -> bool:
-        out, _ = kernels.closure((u >= q).astype(np.uint8), t)
-        return not out.any()
-
-    if spans_at(lo):
+def _replayed_bisection(threshold: float, lo: float, hi: float,
+                        tol: float) -> float:
+    """Bisection on q over [lo, hi], to tol, for the smallest q at which a
+    replica spans, given that it spans iff q > threshold: the steps and the
+    arithmetic of a bisection that runs a closure at every q, without the
+    closures."""
+    if lo > threshold:
         return lo
-    if not spans_at(hi):
+    if not hi > threshold:
         return hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if spans_at(mid):
+        if mid > threshold:
             hi = mid
         else:
             lo = mid
     return 0.5 * (lo + hi)
 
 
-def estimate_qc(n: int, fam: UpdateFamily, tol: float, replicas: int,
-                seed: int) -> ScanEstimate:
-    """Finite-size critical density: the q at which half the replicas span.
+def replica_thresholds(n: int, fam: UpdateFamily, tol: float,
+                       replicas: int, seed: int) -> list[float]:
+    """Per-replica spanning thresholds on an n^d torus, in replica order:
+    the smallest q (to tol) at which the coupled grid {u < q} spans.
 
-    Bisection on q over a fixed coupled replica set; the result is the sample
-    median of the per-replica spanning thresholds, computed on an n^d torus.
-    The interval combines the bisection bracket with the median's sampling
-    noise (a binomial halfwidth at level 1/2 divided by the local slope of
-    the empirical spanning curve).
+    Each replica's threshold is first found exactly: its sites are emptied
+    in increasing order of their uniforms by the `threshold` kernel, and T
+    is the uniform of the site whose emptying makes the closure span (-inf
+    when the fully occupied grid spans already). The empty set {u < q}
+    grows with q, so the replica spans iff q > T, and the bisection on q
+    over [0, 1] to tol is replayed on T without a closure.
     """
     if replicas <= 0:
         raise ValueError("replicas must be positive")
@@ -176,20 +174,33 @@ def estimate_qc(n: int, fam: UpdateFamily, tol: float, replicas: int,
         raise ValueError("tol must be positive")
     geom = Geometry((n,) * fam.d, torus=True)
     t = tables_for(geom, fam)
-    vkeys = geom.vertex_keys()
-    thresholds = np.empty(replicas)
-    for r in range(replicas):
-        u = rng.uniforms_replicas_np(seed, rng.STREAM_CONFIG, [r], vkeys)[0]
-        thresholds[r] = _replica_threshold(u, t, 0.0, 1.0, tol)
-    thresholds.sort()
-    mid = float(np.median(thresholds))
+    out = []
+    for _, u in random_uniforms(geom, seed, replicas):
+        order = np.argsort(u, axis=1, kind="stable")
+        k = kernels.threshold(order, t)
+        rows = np.arange(k.size)
+        exact = np.where(k > 0, u[rows, order[rows, k - 1]], -np.inf)
+        out += [_replayed_bisection(x, 0.0, 1.0, tol) for x in exact.tolist()]
+    return out
+
+
+def estimate_qc(n: int, fam: UpdateFamily, tol: float, replicas: int,
+                seed: int) -> ScanEstimate:
+    """Finite-size critical density: the q at which half the replicas span.
+
+    The sample median of the replica_thresholds, which are exact up to the
+    bisection's tol, over a fixed coupled replica set on an n^d torus. The
+    interval combines the bisection bracket with the median's sampling
+    noise (order statistics at 95%).
+    """
+    thresholds = sorted(replica_thresholds(n, fam, tol, replicas, seed))
     # median sampling noise via order statistics at 95%
     z = 1.959963984540054
     jlo = max(0, int(math.floor(0.5 * replicas - 0.5 * z * math.sqrt(replicas))))
     jhi = min(replicas - 1,
               int(math.ceil(0.5 * replicas + 0.5 * z * math.sqrt(replicas))))
-    ci = (float(thresholds[jlo]) - 0.5 * tol, float(thresholds[jhi]) + 0.5 * tol)
-    return ScanEstimate(mid, ci, replicas, seed)
+    ci = (thresholds[jlo] - 0.5 * tol, thresholds[jhi] + 0.5 * tol)
+    return ScanEstimate(median(thresholds), ci, replicas, seed)
 
 
 def estimate_lc(q: float, fam: UpdateFamily, n_max: int, replicas: int,

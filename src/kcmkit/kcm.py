@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
+from . import kernels, stats
 from .families import UpdateFamily, tables_for
 from .lattice import Configuration, Geometry, _as_flat, _opened, random_bits
 
@@ -182,7 +182,7 @@ def sample_persistence_time(params: KcmParams, replicas: int,
     summary = PersistenceSummary(
         mean=float(taus.mean()),
         mean_uncensored=float(unc.mean()) if unc.size else math.nan,
-        median=float(np.median(taus)),
+        median=stats.median(taus),
         censored_fraction=n_cens / replicas,
         replicas=replicas,
         seed=params.seed,

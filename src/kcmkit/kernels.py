@@ -1,9 +1,10 @@
 """Kernel selection: compiled C kernels when built, numpy fallback otherwise.
 
 Set KCMKIT_PURE=1 to force the fallback (used by the parity tests and the
-benchmark). Both implementations expose the same four entry points
-(closure, kcm_run, crossing_batch, uniforms) with identical semantics,
-bit-identical trajectories for the event loop and byte-identical uniforms.
+benchmark). Both implementations expose the same five entry points
+(closure, threshold, kcm_run, crossing_batch, uniforms) with identical
+semantics, bit-identical trajectories for the event loop and byte-identical
+uniforms.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ if _impl is None:
 IMPLEMENTATION: str = _impl.IMPL_NAME
 
 closure = _impl.closure
+threshold = _impl.threshold
 kcm_run = _impl.kcm_run
 crossing_batch = _impl.crossing_batch
 uniforms = _impl.uniforms
@@ -28,7 +30,7 @@ uniforms = _impl.uniforms
 
 def implementations():
     """All loadable kernel implementations, name -> object exposing the
-    four entry points (for benchmarks/tests)."""
+    five entry points (for benchmarks/tests)."""
     out = {"pure": _pure}
     compiled = _compiled.load()
     if compiled is not None:

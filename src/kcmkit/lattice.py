@@ -141,20 +141,28 @@ def neighbors(geom: Geometry, x) -> list[tuple[int, ...]]:
     return out
 
 
-def random_bits(geom: Geometry, q: float, seed: int, replicas,
-                stream: int = rng.STREAM_CONFIG, rows: int | None = None):
-    """Product-measure configurations of a replica set, as (ids, bits)
-    blocks in id order: bits[r] is the configuration of replica ids[r].
-    `replicas` is a count R (ids 0..R-1) or a sequence of ids, read by
-    rng.replica_ids. A block holds at most rng.BATCH_SITES uniforms, at most
-    `rows` replicas, and at least one."""
+def random_uniforms(geom: Geometry, seed: int, replicas,
+                    stream: int = rng.STREAM_CONFIG, rows: int | None = None):
+    """The site uniforms of a replica set, as (ids, u) blocks in id order:
+    u[r, i] is the uniform of site i in replica ids[r]. `replicas` is a
+    count R (ids 0..R-1) or a sequence of ids, read by rng.replica_ids. A
+    block holds at most rng.BATCH_SITES uniforms, at most `rows` replicas,
+    and at least one."""
     ids = rng.replica_ids(replicas)
     step = max(1, min(rng.BATCH_SITES // geom.n_sites,
                       rows or rng.BATCH_SITES))
     vkeys = geom.vertex_keys()
     for lo in range(0, ids.size, step):
-        u = rng.uniforms_replicas_np(seed, stream, ids[lo:lo + step], vkeys)
-        yield ids[lo:lo + step], (u >= q).astype(np.uint8)
+        yield ids[lo:lo + step], rng.uniforms_replicas_np(
+            seed, stream, ids[lo:lo + step], vkeys)
+
+
+def random_bits(geom: Geometry, q: float, seed: int, replicas,
+                stream: int = rng.STREAM_CONFIG, rows: int | None = None):
+    """Product-measure configurations of a replica set, as (ids, bits)
+    blocks of random_uniforms: a site is empty where its uniform is < q."""
+    for ids, u in random_uniforms(geom, seed, replicas, stream, rows):
+        yield ids, (u >= q).astype(np.uint8)
 
 
 class Configuration:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class ScanEstimate:
@@ -43,3 +45,18 @@ def wilson_ci(successes: int, trials: int, z: float = 1.959963984540054):
     lo = 0.0 if successes == 0 else max(0.0, center - half)
     hi = 1.0 if successes == trials else min(1.0, center + half)
     return lo, hi
+
+
+def median(values) -> float:
+    """Sample median with np.median's arithmetic, so with its bytes: the
+    middle value, or (x[m-1] + x[m]) / 2 for an even count, of the sorted
+    values; NaN when a value is NaN or there are none. np.median averages
+    by a sum that starts at +0.0, so a median of -0.0 reads 0.0 here too.
+    Unlike np.median, it does not import numpy.ma (15-18 ms on first use)."""
+    x = np.sort(np.asarray(values, dtype=np.float64).ravel())
+    if x.size == 0 or math.isnan(x[-1]):
+        return math.nan
+    m = x.size // 2
+    if x.size % 2:
+        return 0.0 + float(x[m])
+    return (0.0 + float(x[m - 1]) + float(x[m])) / 2

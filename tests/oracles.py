@@ -4,6 +4,7 @@ modules check the library against. Nothing in src/ calls them."""
 import numpy as np
 import scipy.sparse as sp
 
+from kcmkit import kernels
 from kcmkit.spectral import (DEGENERATE_GAP, GeneratorMatrix,
                              relaxation_time_from_gap)
 
@@ -37,3 +38,27 @@ def relaxation_time_dense(gen: GeneratorMatrix) -> float:
         raise AssertionError("zero eigenvalue not found on the class")
     gap = float(lam[1])
     return relaxation_time_from_gap(gap, gap < DEGENERATE_GAP)
+
+
+def replica_threshold_bisection(u: np.ndarray, t, lo: float, hi: float,
+                                tol: float) -> float:
+    """Smallest q (to tol) at which the coupled grid spans, by bisection.
+
+    The empty set {u < q} grows with q, so spanning is monotone in q for a
+    fixed replica and the threshold is well defined.
+    """
+    def spans_at(q: float) -> bool:
+        out, _ = kernels.closure((u >= q).astype(np.uint8), t)
+        return not out.any()
+
+    if spans_at(lo):
+        return lo
+    if not spans_at(hi):
+        return hi
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if spans_at(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)

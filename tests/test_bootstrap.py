@@ -7,11 +7,13 @@ from kcmkit.bootstrap import (closure, closure_naive, closure_with_rounds,
                               estimate_lc, estimate_qc,
                               estimate_span_probability, fa1f_lc, fa1f_qc,
                               fa1f_span_probability, infection_time,
-                              is_internally_spanned,
+                              is_internally_spanned, replica_thresholds,
                               spanning_probability_curve, spans)
 from kcmkit import rng
-from kcmkit.families import make_family
-from kcmkit.lattice import Box, Configuration, Geometry, box_region
+from kcmkit.families import make_family, tables_for
+from kcmkit.lattice import (Box, Configuration, Geometry, box_region,
+                            random_uniforms)
+from oracles import replica_threshold_bisection
 
 
 # ----------------------------------------------------------------- closure
@@ -218,6 +220,47 @@ def test_estimate_qc_brackets_analytic_fa1f():
     half = est.ci[1] - est.ci[0]
     assert est.ci[0] - 0.25 * half <= truth <= est.ci[1] + 0.25 * half
     assert 0 < est.value < 1
+
+
+QC_FAMILIES = ([(make_family("fa_kf", d=d, k=k), sides)
+                for d, sides in ((1, (1, 6, 11)), (2, (3, 5)), (3, (3,)))
+                for k in (1, 2, 3) if k <= 2 * d]
+               + [(make_family("gg"), (3, 6)),
+                  (make_family("east", d=1), (2, 9)),
+                  (make_family("east", d=2), (3, 5)),
+                  (make_family("north_east"), (4,)),
+                  (make_family("unconstrained", d=2), (3,))])
+
+
+@pytest.mark.parametrize("tol", [5e-4, 1e-6, 0.3])
+@pytest.mark.parametrize("fam,sides", QC_FAMILIES,
+                         ids=[f.name for f, _ in QC_FAMILIES])
+def test_replica_thresholds_equal_closure_bisection(fam, sides, tol):
+    # the exact thresholds replay the bisection that runs a closure at
+    # every q, to the last bit
+    for n in sides:
+        geom = Geometry((n,) * fam.d, torus=True)
+        t = tables_for(geom, fam)
+        got = replica_thresholds(n, fam, tol, 12, 5)
+        want = [replica_threshold_bisection(u, t, 0.0, 1.0, tol)
+                for _, block in random_uniforms(geom, 5, 12) for u in block]
+        assert got == want
+
+
+def test_replica_thresholds_same_at_any_draw_budget(monkeypatch):
+    fam = make_family("fa_kf", d=2, k=2)
+    want = replica_thresholds(4, fam, 1e-3, 30, 2)
+    for sites in (1, 40):
+        monkeypatch.setattr(rng, "BATCH_SITES", sites)
+        assert replica_thresholds(4, fam, 1e-3, 30, 2) == want
+
+
+def test_estimate_qc_rejects_bad_arguments():
+    fam = make_family("fa_kf", d=1, k=1)
+    with pytest.raises(ValueError, match="replicas"):
+        estimate_qc(4, fam, 1e-3, 0, 1)
+    with pytest.raises(ValueError, match="tol"):
+        estimate_qc(4, fam, 0.0, 10, 1)
 
 
 def test_estimate_lc_matches_closed_form():

@@ -114,6 +114,25 @@ def test_only_gap_imports_scipy():
         "    assert main(argv.split()) == 0, argv",
         "    assert 'scipy' not in sys.modules, argv",
     ])
+    _assert_runs_alone(code)
+
+
+def test_sim_and_qc_leave_numpy_ma_unloaded():
+    # np.median imports numpy.ma, about 15 ms, on its first call
+    code = "\n".join([
+        "import sys",
+        "from kcmkit.cli import main",
+        "for argv in (",
+        "    'sim --model east --n 4 --q 0.5 --tmax 1 --replicas 3',",
+        "    'qc --model fa1 --n 4 --replicas 6'):",
+        "    assert main(argv.split()) == 0, argv",
+        "    assert 'numpy.ma' not in sys.modules, argv",
+    ])
+    _assert_runs_alone(code)
+
+
+def _assert_runs_alone(code: str) -> None:
+    """Run `code` in a fresh interpreter that imports kcmkit from src/."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

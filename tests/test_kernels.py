@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kcmkit import _compiled, _pure, kernels, rng
+from kcmkit import _compiled, _pure, cli, kernels, rng
+from kcmkit.bootstrap import closure_naive
 from kcmkit.families import (FamilyTables, build_tables, make_family,
                              tables_for)
 from kcmkit.lattice import Configuration, Geometry
@@ -87,6 +88,106 @@ def test_closure_parity_with_masks(core, label, fam, geom):
         b2, r2 = _pure.closure(bits, t, flip, vis)
         assert np.array_equal(b1, b2)
         assert np.array_equal(r1, r2)
+
+
+THRESHOLD_CASES = FAMS + [
+    ("fa2-free", make_family("fa_kf", d=2, k=2), Geometry((5, 6))),
+    ("fa2-free-empty", make_family("fa_kf", d=2, k=2),
+     Geometry((5, 6), outside_empty=True)),
+    ("custom", make_family("custom", rules=[[(1, 0), (0, 2)], [(-1, -1)]]),
+     Geometry((5, 5), torus=True)),
+    ("custom-empty-rule", make_family("custom", d=1, rules=[[(1,)], []]),
+     Geometry((7,))),
+    ("east1-one-site", make_family("east", d=1), Geometry((1,), torus=True)),
+    ("fa1f-one-site-empty-outside", make_family("fa_kf", d=1, k=1),
+     Geometry((1,), outside_empty=True)),
+]
+
+
+def _prefix_spans(geom, fam, row, k) -> bool:
+    """Does the closure empty the grid whose empty sites are row[:k]?"""
+    bits = np.ones(geom.n_sites, dtype=np.uint8)
+    bits[row[:k]] = 0
+    out, _ = closure_naive(Configuration(geom, bits), fam)
+    return not out.bits.any()
+
+
+@pytest.mark.parametrize("label,fam,geom", THRESHOLD_CASES,
+                         ids=[c[0] for c in THRESHOLD_CASES])
+def test_threshold_parity_and_minimality(core, label, fam, geom):
+    t = tables_for(geom, fam)
+    n = geom.n_sites
+    gen = np.random.default_rng(len(label))
+    order = np.argsort(gen.random((10, n)), axis=1)
+    k = core.threshold(order, t)
+    assert k.dtype == np.int64 and k.shape == (10,)
+    assert np.array_equal(k, _pure.threshold(order, t))
+    for row, kk in zip(order, k.tolist()):
+        assert 0 <= kk <= n
+        assert _prefix_spans(geom, fam, row, kk)
+        assert kk == 0 or not _prefix_spans(geom, fam, row, kk - 1)
+
+
+def test_threshold_no_rows(core):
+    t = tables_for(Geometry((4, 4), torus=True),
+                   make_family("fa_kf", d=2, k=2))
+    for impl in (core, _pure):
+        k = impl.threshold(np.zeros((0, 16), dtype=np.int64), t)
+        assert k.dtype == np.int64 and k.shape == (0,)
+
+
+def test_threshold_rejects_bad_orders(core):
+    geom = Geometry((3, 3), torus=True)
+    t = tables_for(geom, make_family("fa_kf", d=2, k=2))
+    for impl in (core, _pure):
+        with pytest.raises(ValueError, match="shape"):
+            impl.threshold(np.arange(9), t)
+        with pytest.raises(ValueError, match="shape"):
+            impl.threshold(np.zeros((2, 8), dtype=np.int64), t)
+        with pytest.raises(ValueError, match="outside"):
+            impl.threshold(np.arange(9)[None, :] + 1, t)
+        # a row that repeats a site may never empty the grid
+        with pytest.raises(ValueError, match="does not empty"):
+            impl.threshold(np.zeros((1, 9), dtype=np.int64), t)
+
+
+@pytest.mark.parametrize("label,fam,geom", THRESHOLD_CASES[:6],
+                         ids=[c[0] for c in THRESHOLD_CASES[:6]])
+def test_threshold_with_tied_uniforms(core, label, fam, geom):
+    # with T the uniform of the k-th site in stable-sorted order, the
+    # closure of {u < q} empties the grid iff q > T, ties or not
+    t = tables_for(geom, fam)
+    gen = np.random.default_rng(7)
+    u = gen.integers(1, 6, size=(8, geom.n_sites)) / 6.0
+    order = np.argsort(u, axis=1, kind="stable")
+    k = core.threshold(order, t)
+    assert np.array_equal(k, _pure.threshold(order, t))
+    for row_u, row, kk in zip(u, order, k.tolist()):
+        T = row_u[row[kk - 1]] if kk else -np.inf
+        for q in np.unique(np.concatenate([row_u, row_u + 1 / 12, [0.0]])):
+            out, _ = core.closure((row_u >= q).astype(np.uint8), t)
+            assert (not out.any()) == (q > T)
+
+
+def test_qc_cli_parity(core, capsys, monkeypatch):
+    # `kcm qc` prints the same bytes with the pure kernels as with the
+    # compiled ones
+    argv = ["qc", "--model", "fa2", "--n", "6", "--replicas", "30",
+            "--seed", "4", "--tol", "1e-4"]
+    src = str(ROOT / "src")
+    env = dict(os.environ, KCMKIT_PURE="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    p = subprocess.run(
+        [sys.executable, "-c", "import sys; from kcmkit import cli, kernels; "
+         "assert kernels.IMPLEMENTATION == 'pure'; "
+         "sys.exit(cli.main(sys.argv[1:]))", *argv],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert p.returncode == 0, p.stderr
+    for name in ("closure", "threshold", "kcm_run", "crossing_batch",
+                 "uniforms"):
+        monkeypatch.setattr(kernels, name, getattr(core, name))
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == p.stdout
 
 
 @pytest.mark.parametrize("label,fam,geom", FAMS[:4], ids=[f[0] for f in FAMS[:4]])
