@@ -3,9 +3,11 @@
  * counter-based uniforms.
  *
  * Plain C99 over raw arrays, no Python API; kcmkit/_compiled.py binds it
- * with ctypes and validates every array before passing it in. The contract
- * and the results are those of kcmkit/_pure.py (bit-identical trajectories
- * for the event loop); tests/test_kernels.py asserts the parity.
+ * with ctypes. The contract and the results are those of kcmkit/_pure.py
+ * (bit-identical trajectories for the event loop), whose *_args functions
+ * check and convert every argument before _compiled.py passes it in: this
+ * file assumes valid, contiguous arrays of the stated types and lengths.
+ * tests/test_kernels.py asserts the parity, errors included.
  *
  * Table layout (see kcmkit.families.FamilyTables): nbr[v*S + s] is the flat
  * index of v + offset_s and rev[v*S + s] that of v - offset_s, with the pad
@@ -117,6 +119,7 @@ int kk_closure(int64_t n, int64_t S, int64_t m,
         rounds[v] = bits[v] == 0 ? 0 : -1;
     }
     eff[n] = pad_empty ? 1 : 0;
+    can[n] = 0;                 /* the pad is never emptied */
 
     int64_t tail = count_occupied(n, S, m, nbr, rule_slots, rule_ptr, eff,
                                   can, cnt, queue);

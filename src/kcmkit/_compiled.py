@@ -4,10 +4,11 @@ Same contract as kcmkit._pure and its five entry points, and the same
 results (bit-identical trajectories for the event loop, byte-identical
 uniforms). `python setup.py build_ext --inplace` puts the library next to
 this file; `load` returns None when it is missing or cannot be loaded, and
-kcmkit.kernels then falls back to _pure. Every
-array is checked for length and converted to a contiguous array of the C
-type here, before its pointer is passed on. The converted family tables
-are cached per FamilyTables object, for as long as that object lives.
+kcmkit.kernels then falls back to _pure. Arguments are checked and
+converted by _pure's *_args functions right before each C call; only the
+family-table check and the mapping of C's error returns live here. The
+converted family tables are cached per FamilyTables object, for as long as
+that object lives.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _pure
 from .families import FamilyTables
-from .rng import MASK64, replica_ids
 
 IMPL_NAME = "compiled"
 LIBRARY = "_ckernels"
@@ -54,25 +55,16 @@ def _addr(a: np.ndarray | None):
     return a.ctypes.data
 
 
-def _as(a, dtype, n: int | None = None, name: str = "array") -> np.ndarray:
-    out = np.ascontiguousarray(a, dtype=dtype)
-    if n is not None and out.shape != (n,):
-        raise ValueError(f"{name} has shape {out.shape}, expected ({n},)")
-    return out
-
-
 class _Tables:
     """Contiguous C-typed views of a FamilyTables and their addresses, held
     while C reads them."""
 
     def __init__(self, t: FamilyTables):
         n = t.n_sites
-        nbr = _as(t.nbr, np.int64)
-        rev = _as(t.rev, np.int64)
-        rule_slots = _as(t.rule_slots, np.int32)
-        rule_ptr = _as(t.rule_ptr, np.int32)
-        slot_rules = _as(t.slot_rules, np.int32)
-        slot_ptr = _as(t.slot_ptr, np.int32)
+        nbr, rev = (np.ascontiguousarray(a, np.int64) for a in (t.nbr, t.rev))
+        rule_slots, rule_ptr, slot_rules, slot_ptr = (
+            np.ascontiguousarray(a, np.int32)
+            for a in (t.rule_slots, t.rule_ptr, t.slot_rules, t.slot_ptr))
         S = nbr.shape[1]
         if (nbr.shape != (n, S) or rev.shape != nbr.shape
                 or slot_ptr.size != S + 1):
@@ -131,10 +123,7 @@ class Kernels:
         emptied in round r, -1 for sites never emptied.
         """
         tb = self._converted(t)
-        b = _as(bits, np.uint8, tb.n, "bits")
-        flip = None if flippable is None else _as(flippable, bool, tb.n,
-                                                  "flippable")
-        vis = None if visible is None else _as(visible, bool, tb.n, "visible")
+        b, flip, vis = _pure.closure_args(bits, tb.n, flippable, visible)
         out = np.empty(tb.n, dtype=np.uint8)
         rounds = np.empty(tb.n, dtype=np.int32)
         self._check(self._lib.kk_closure(
@@ -146,12 +135,7 @@ class Kernels:
         """Spanning thresholds by incremental closure; mirrors
         kcmkit._pure.threshold."""
         tb = self._converted(t)
-        o = np.ascontiguousarray(order, dtype=np.int64)
-        if o.ndim != 2 or o.shape[1] != tb.n:
-            raise ValueError(f"order has shape {o.shape}, expected "
-                             f"(replicas, {tb.n})")
-        if o.size and (o.min() < 0 or o.max() >= tb.n):
-            raise ValueError("order holds a site outside the geometry")
+        o = _pure.threshold_args(order, tb.n)
         out = np.empty(o.shape[0], dtype=np.int64)
         rc = self._lib.kk_threshold(*tb.closure_args, o.shape[0], _addr(o),
                                     _addr(out))
@@ -165,14 +149,10 @@ class Kernels:
                 log_events=False, max_events=None):
         """Continuous-time constrained dynamics; mirrors kcmkit._pure.kcm_run."""
         tb = self._converted(t)
-        b = _as(bits, np.uint8, tb.n, "bits")
-        vk = _as(vkeys, np.uint64, tb.n, "vkeys")
-        me = (1 << 62) if max_events is None else int(max_events)
-        edges = None
-        if batch_edges is not None:
-            edges = _as(batch_edges, np.float64)
-            if edges.ndim != 1 or edges.size < 2:
-                raise ValueError("batch_edges needs at least two edges")
+        b, vk, seed, replica, q, t_max, target, stop, edges, me = \
+            _pure.kcm_run_args(bits, tb.n, vkeys, seed, replica, q, t_max,
+                               target, stop_when_target_empty, batch_edges,
+                               max_events)
         cap = 0
         if log_events:
             # rings arrive at rate 1 per site, so this usually holds the log
@@ -185,12 +165,9 @@ class Kernels:
             out = b.copy()
             st = RunStats()
             self._check(self._lib.kk_kcm_run(
-                *tb.run_args, _addr(out), vk_addr,
-                int(seed) & MASK64, int(replica) & MASK64, float(q),
-                float(t_max),
-                int(target), int(bool(stop_when_target_empty)), edges_addr,
-                0 if edges is None else edges.size, _addr(integrals), me,
-                *map(_addr, ev), cap, ctypes.byref(st)))
+                *tb.run_args, _addr(out), vk_addr, seed, replica, q, t_max,
+                target, stop, edges_addr, 0 if edges is None else edges.size,
+                _addr(integrals), me, *map(_addr, ev), cap, ctypes.byref(st)))
             if st.n_events <= cap:
                 break
             cap = st.n_events
@@ -213,25 +190,18 @@ class Kernels:
 
     def uniforms(self, head, replicas, vkeys, counter) -> np.ndarray:
         """(R, N) counter-based uniforms; mirrors kcmkit._pure.uniforms."""
-        reps = replica_ids(replicas)
-        vk = np.asarray(vkeys).astype(np.uint64, copy=False)
-        if reps.ndim != 1 or vk.ndim != 1:
-            raise ValueError("replicas and vkeys must be 1-D")
-        reps, vk = np.ascontiguousarray(reps), np.ascontiguousarray(vk)
+        head, reps, vk, counter = _pure.uniforms_args(head, replicas, vkeys,
+                                                      counter)
         out = np.empty((reps.size, vk.size))
         self._check(self._lib.kk_uniforms(
-            int(head) & MASK64, reps.size, _addr(reps), vk.size, _addr(vk),
-            int(counter) & MASK64, _addr(out)))
+            head, reps.size, _addr(reps), vk.size, _addr(vk), counter,
+            _addr(out)))
         return out
 
     def crossing_batch(self, empty_grids, axis: int) -> np.ndarray:
         """Which grids have a nearest-neighbor True path joining the two
         faces orthogonal to `axis`. empty_grids has shape (R, n0, n1)."""
-        g = np.ascontiguousarray(empty_grids, dtype=bool)
-        if g.ndim != 3:
-            raise ValueError("expected a (replicas, n0, n1) stack")
-        if axis not in (0, 1):
-            raise ValueError("axis must be 0 or 1")
+        g, axis = _pure.crossing_args(empty_grids, axis)
         out = np.zeros(g.shape[0], dtype=bool)
         self._check(self._lib.kk_crossing_batch(
             *g.shape, _addr(g), axis, _addr(out)))

@@ -5,7 +5,10 @@ heapq event loop, crossings and uniforms.
 Functionally identical to the compiled kernels in kcmkit._compiled;
 kernels.py picks one at import time. Keep the two in lockstep: the test
 suite asserts equal outputs (bit-identical trajectories for the event loop,
-byte-identical uniforms).
+byte-identical uniforms). The argument checks and conversions of every
+entry point live here, in the *_args functions; the compiled kernels call
+the same functions before each C call, so both raise the same error for
+the same input.
 """
 
 from __future__ import annotations
@@ -21,6 +24,68 @@ from .families import FamilyTables
 IMPL_NAME = "pure"
 
 
+# ------------------------------------------------------------ argument checks
+
+def _vector(a, dtype, n: int, name: str) -> np.ndarray:
+    out = np.ascontiguousarray(a, dtype=dtype)
+    if out.shape != (n,):
+        raise ValueError(f"{name} has shape {out.shape}, expected ({n},)")
+    return out
+
+
+def closure_args(bits, n: int, flippable, visible):
+    """uint8 bits and bool masks (or None) over n sites."""
+    return (_vector(bits, np.uint8, n, "bits"),
+            None if flippable is None else _vector(flippable, bool, n,
+                                                   "flippable"),
+            None if visible is None else _vector(visible, bool, n, "visible"))
+
+
+def threshold_args(order, n: int) -> np.ndarray:
+    """(replicas, n) int64 rows of sites."""
+    o = np.ascontiguousarray(order, dtype=np.int64)
+    if o.ndim != 2 or o.shape[1] != n:
+        raise ValueError(f"order has shape {o.shape}, expected "
+                         f"(replicas, {n})")
+    if o.size and (o.min() < 0 or o.max() >= n):
+        raise ValueError("order holds a site outside the geometry")
+    return o
+
+
+def kcm_run_args(bits, n: int, vkeys, seed, replica, q, t_max, target,
+                 stop_when_target_empty, batch_edges, max_events):
+    """kcm_run's arguments in order, C-typed; max_events None is 2^62."""
+    b, vk = (_vector(bits, np.uint8, n, "bits"),
+             _vector(vkeys, np.uint64, n, "vkeys"))
+    edges = None
+    if batch_edges is not None:
+        edges = np.ascontiguousarray(batch_edges, dtype=np.float64)
+        if edges.ndim != 1 or edges.size < 2:
+            raise ValueError("batch_edges needs at least two edges")
+    return (b, vk, int(seed) & rng.MASK64, int(replica) & rng.MASK64, float(q),
+            float(t_max), int(target), bool(stop_when_target_empty), edges,
+            (1 << 62) if max_events is None else int(max_events))
+
+
+def crossing_args(empty_grids, axis):
+    """An (R, n0, n1) bool stack and axis 0 or 1."""
+    g = np.ascontiguousarray(empty_grids, dtype=bool)
+    if g.ndim != 3:
+        raise ValueError("expected a (replicas, n0, n1) stack")
+    if axis not in (0, 1):
+        raise ValueError("axis must be 0 or 1")
+    return g, int(axis)
+
+
+def uniforms_args(head, replicas, vkeys, counter):
+    """head, replica ids, vkeys and counter, C-typed."""
+    reps = np.ascontiguousarray(rng.replica_ids(replicas))
+    vk = np.ascontiguousarray(np.asarray(vkeys).astype(np.uint64, copy=False))
+    if reps.ndim != 1 or vk.ndim != 1:
+        raise ValueError("replicas and vkeys must be 1-D")
+    return int(head) & rng.MASK64, reps, vk, int(counter) & rng.MASK64
+
+
 # ------------------------------------------------------------------ uniforms
 
 def uniforms(head: int, replicas, vkeys: np.ndarray,
@@ -29,13 +94,10 @@ def uniforms(head: int, replicas, vkeys: np.ndarray,
     rng.uniform(seed, stream, replica_r, vkeys[i], counter), given
     head = mix64(mix64(seed) ^ stream). `replicas` is either an int R
     (ids 0..R-1) or a 1-D sequence of replica ids, read by rng.replica_ids."""
-    reps = rng.replica_ids(replicas)
-    vk = np.asarray(vkeys).astype(np.uint64, copy=False)
-    if reps.ndim != 1 or vk.ndim != 1:
-        raise ValueError("replicas and vkeys must be 1-D")
-    hr = rng._mix64_np(np.uint64(int(head) & rng.MASK64) ^ reps)   # (R,)
+    head, reps, vk, counter = uniforms_args(head, replicas, vkeys, counter)
+    hr = rng._mix64_np(np.uint64(head) ^ reps)                    # (R,)
     hm = rng._mix64_np(hr[:, None] ^ vk[None, :])                 # (R, N)
-    hm = rng._mix64_np(hm ^ np.uint64(int(counter) & rng.MASK64))
+    hm = rng._mix64_np(hm ^ np.uint64(counter))
     return ((hm >> np.uint64(11)).astype(np.float64) + 0.5) * rng.TO_UNIT
 
 
@@ -53,6 +115,7 @@ def closure(bits: np.ndarray, t: FamilyTables,
     contribute). Offsets leaving a free box read as the geometry dictates.
     """
     n = t.n_sites
+    bits, flippable, visible = closure_args(bits, n, flippable, visible)
     empty0 = bits == 0
     eff = np.empty(n + 1, dtype=bool)
     eff[:n] = empty0 if visible is None else (empty0 & visible)
@@ -62,15 +125,13 @@ def closure(bits: np.ndarray, t: FamilyTables,
     if flippable is not None:
         can &= flippable
 
-    m = t.rule_ptr.size - 1
-    slot_lists = [t.rule_slots[t.rule_ptr[k]:t.rule_ptr[k + 1]] for k in range(m)]
     idx = np.flatnonzero(can)
     r = 0
     while idx.size:
         r += 1
         rows = t.nbr[idx]
         sat = np.zeros(idx.size, dtype=bool)
-        for slots in slot_lists:
+        for slots in t.rules:
             if slots.size == 0:
                 sat[:] = True
                 break
@@ -92,13 +153,8 @@ def threshold(order: np.ndarray, t: FamilyTables) -> np.ndarray:
     occupied grid) empties every site; 0 when the fully occupied grid
     already empties. Emptying more sites never undoes spanning, so k is
     found by bisection on the prefix length."""
-    order = np.asarray(order)
     n = t.n_sites
-    if order.ndim != 2 or order.shape[1] != n:
-        raise ValueError(f"order has shape {order.shape}, expected "
-                         f"(replicas, {n})")
-    if order.size and (order.min() < 0 or order.max() >= n):
-        raise ValueError("order holds a site outside the geometry")
+    order = threshold_args(order, n)
 
     def spans(row: np.ndarray, k: int) -> bool:
         bits = np.ones(n, dtype=np.uint8)
@@ -141,14 +197,13 @@ def kcm_run(bits: np.ndarray, t: FamilyTables, vkeys: np.ndarray,
     count when `batch_edges` is given, and the event log when requested.
     """
     n = t.n_sites
-    bl = bits.astype(np.uint8).tolist() + [0 if t.pad_empty else 1]
+    bits, vk, seed, replica, q, t_max, target, stop, edges, cap = \
+        kcm_run_args(bits, n, vkeys, seed, replica, q, t_max, target,
+                     stop_when_target_empty, batch_edges, max_events)
+    bl = bits.tolist() + [0 if t.pad_empty else 1]
     nbr_rows = t.nbr.tolist()
-    m = t.rule_ptr.size - 1
-    slot_lists = [t.rule_slots[t.rule_ptr[k]:t.rule_ptr[k + 1]].tolist()
-                  for k in range(m)]
-    vk = [int(x) for x in vkeys]
-    seed = int(seed)
-    replica = int(replica)
+    slot_lists = [slots.tolist() for slots in t.rules]
+    vk = vk.tolist()
 
     ctr = [0] * n
     heap = []
@@ -158,7 +213,7 @@ def kcm_run(bits: np.ndarray, t: FamilyTables, vkeys: np.ndarray,
         heap.append((-math.log(u), v))
     heapq.heapify(heap)
 
-    edges = None if batch_edges is None else [float(e) for e in batch_edges]
+    edges = None if edges is None else edges.tolist()
     nb = 0 if edges is None else len(edges) - 1
     integrals = [0.0] * nb
     bi = 0
@@ -221,13 +276,13 @@ def kcm_run(bits: np.ndarray, t: FamilyTables, vkeys: np.ndarray,
                 bl[x] = new
             if new == 0 and x == target and t_target_empty < 0.0:
                 t_target_empty = t_now
-                if stop_when_target_empty:
+                if stop:
                     status = "target"
                     break
         u3 = rng.uniform(seed, rng.STREAM_CLOCK, replica, vk[x], ctr[x])
         ctr[x] += 1
         heapq.heappush(heap, (t_now - math.log(u3), x))
-        if max_events is not None and rings >= max_events:
+        if rings >= cap:
             status = "max_events"
             break
 
@@ -253,11 +308,7 @@ def kcm_run(bits: np.ndarray, t: FamilyTables, vkeys: np.ndarray,
 def crossing_batch(empty_grids: np.ndarray, axis: int) -> np.ndarray:
     """Which grids contain a nearest-neighbor path of True cells joining the
     two faces orthogonal to `axis`. empty_grids has shape (R, n0, n1)."""
-    g = np.ascontiguousarray(empty_grids, dtype=bool)
-    if g.ndim != 3:
-        raise ValueError("expected a (replicas, n0, n1) stack")
-    if axis not in (0, 1):
-        raise ValueError("axis must be 0 or 1")
+    g, axis = crossing_args(empty_grids, axis)
     if 0 in g.shape[1:]:
         return np.zeros(g.shape[0], dtype=bool)  # an empty grid has no path
     reach = np.zeros_like(g)

@@ -195,10 +195,10 @@ def _supergood_batch(empty: np.ndarray, spec: BlockSpec,
 def classify_block(cfg: Configuration, spec: BlockSpec) -> str:
     """'neither', 'good', or 'supergood' per the block model's events."""
     empty = _empty_grid(cfg, spec)[None]
-    good = _good_batch(empty, spec)[0]
-    if not good:
+    good = _good_batch(empty, spec)
+    if not good[0]:
         return CLASS_NEITHER
-    if _supergood_batch(empty, spec)[0]:
+    if _supergood_batch(empty, spec, good)[0]:
         return CLASS_SUPERGOOD
     return CLASS_GOOD
 
@@ -282,37 +282,6 @@ def _lambda_phi_bound(spec: BlockSpec) -> float:
     return (2.0 / q) ** (2 * spec.dims[1])
 
 
-def lambda_phi_oracle(spec: BlockSpec) -> float:
-    """Brute-force pair enumeration through the public classify/promote API."""
-    n = spec.n_sites
-    if n > EXACT_LAMBDA_CAP:
-        raise ValueError("oracle capped at 16 sites")
-    geom = spec.geometry()
-    q, p = spec.q, 1.0 - spec.q
-
-    def weight(bits):
-        occ = int(bits.sum())
-        return p ** occ * q ** (n - occ)
-
-    configs = []
-    for state in range(1 << n):
-        bits = np.array([(state >> v) & 1 for v in range(n)], dtype=np.uint8)
-        cfg = Configuration(geom, bits)
-        cls = classify_block(cfg, spec)
-        image = phi_map(cfg, spec) if cls != CLASS_NEITHER else None
-        configs.append((cfg, weight(bits), cls, image))
-    best = 0.0
-    for sigma, w_sigma, cls, _ in configs:
-        if cls != CLASS_SUPERGOOD:
-            continue
-        total = 0.0
-        for _, w_p, cls_p, image in configs:
-            if cls_p != CLASS_NEITHER and image == sigma:
-                total += w_p / w_sigma
-        best = max(best, total)
-    return best
-
-
 # ------------------------------------------------------- block probabilities
 
 @dataclass
@@ -332,10 +301,7 @@ def block_probs_exact(spec: BlockSpec):
                          f"{EXACT_PROBS_CAP} sites")
     good, sg = _enumerate_classes(spec)
     n = spec.n_sites
-    states = np.arange(1 << n, dtype=np.uint64)
-    occ = np.zeros(states.size, dtype=np.int64)
-    for v in range(n):
-        occ += ((states >> np.uint64(v)) & np.uint64(1)).astype(np.int64)
+    occ = np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.int64)
     w = (1.0 - spec.q) ** occ * spec.q ** (n - occ)
     return float(w[good].sum()), float(w[sg].sum())
 
@@ -435,30 +401,3 @@ def key_condition_value_single(epsilon: float, support_size: int) -> float:
     if support_size < 1:
         raise ValueError("support_size counts x itself, so it is >= 1")
     return support_size * epsilon
-
-
-def percolation_series_value(p: float, m_hat: float,
-                             tail_tol: float = 1e-12):
-    """Crossing-failure weighted series 3 sum_n 8^n exp(-m 2^n / 2) + 4 sqrt(p).
-
-    Truncates when the remaining tail is certified below tail_tol via the
-    geometric ratio 8 exp(-m 2^{n-1}) < 1. Returns (value, tail_bound,
-    terms_used).
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must be in (0,1)")
-    if m_hat <= 0.0:
-        raise ValueError("decay rate must be positive")
-    total = 4.0 * math.sqrt(p)
-    n = 0
-    while True:
-        n += 1
-        term = 3.0 * 8.0 ** n * math.exp(-0.5 * m_hat * 2.0 ** n)
-        total += term
-        ratio = 8.0 * math.exp(-0.5 * m_hat * 2.0 ** n)
-        if ratio < 0.5:
-            tail = term * ratio / (1.0 - ratio)
-            if tail < tail_tol:
-                return total, tail, n
-        if n > 10_000:
-            raise RuntimeError("series failed to converge")

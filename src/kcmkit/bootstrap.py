@@ -37,41 +37,6 @@ def closure_with_rounds(cfg: Configuration, fam: UpdateFamily):
     return Configuration(cfg.geom, out), rounds
 
 
-def closure_naive(cfg: Configuration, fam: UpdateFamily):
-    """Full-rescan fixed-point oracle, written independently of the kernels.
-
-    Same contract as closure_with_rounds; every round rescans every site
-    against every rule, kept plain as the reference the optimized kernels
-    are tested against. Neighbours come from Geometry.shift_flat, once per
-    distinct offset.
-    """
-    geom = cfg.geom
-    n = geom.n_sites
-    bits = cfg.bits.copy()
-    rounds = np.where(bits == 0, np.int32(0), np.int32(-1))
-    offsets = {off for rule in fam.rules for off in rule}
-    shifted = {off: np.array([geom.shift_flat(v, off) for v in range(n)],
-                             dtype=np.int64) for off in offsets}
-    # (|rule|, n) targets per rule; -1 (outside a free box) reads the extra
-    # last entry of the emptiness array below
-    targets = [np.array([shifted[off] for off in rule],
-                        dtype=np.int64).reshape(len(rule), n)
-               for rule in fam.rules]
-    r = 0
-    while True:
-        r += 1
-        empty = np.append(bits == 0, geom.outside_empty)
-        sat = np.zeros(n, dtype=bool)
-        for tgt in targets:
-            sat |= empty[tgt].all(axis=0)
-        newly = sat & (bits == 1)
-        if not newly.any():
-            break
-        bits[newly] = 0
-        rounds[newly] = r
-    return Configuration(geom, bits), rounds
-
-
 def infection_time(cfg: Configuration, fam: UpdateFamily, v) -> int | None:
     """Synchronous round at which v empties under the closure; None if never."""
     _, rounds = closure_with_rounds(cfg, fam)

@@ -212,9 +212,10 @@ class FamilyTables:
 
     nbr[v, s] is the flat index of v + offset_s, with the pad index N for
     offsets leaving a free box; rev[v, s] likewise for v - offset_s. Rules
-    are stored as slot index lists (rule_slots/rule_ptr) and, reversed, as
-    the rules touching each slot (slot_rules/slot_ptr). pad_empty says how
-    the pad slot reads: 1 when the outside counts as empty.
+    are stored as slot index lists: rules[k] holds rule k's sorted slots,
+    rule_slots/rule_ptr concatenate them for the C kernels, and
+    slot_rules/slot_ptr list the rules touching each slot. pad_empty says
+    how the pad slot reads: 1 when the outside counts as empty.
     """
 
     geom: Geometry
@@ -225,6 +226,7 @@ class FamilyTables:
     rule_ptr: np.ndarray     # int32, (m+1,)
     slot_rules: np.ndarray   # int32, concatenated rule ids per slot
     slot_ptr: np.ndarray     # int32, (S+1,)
+    rules: tuple[np.ndarray, ...]   # int32 slot ids of each rule, sorted
     pad_empty: int
 
     @property
@@ -241,25 +243,20 @@ def build_tables(geom: Geometry, fam: UpdateFamily) -> FamilyTables:
     nbr = geom.neighbor_table(off_arr)
     rev = geom.neighbor_table(-off_arr)
 
-    rule_slots, rule_ptr = [], [0]
-    per_slot: list[list[int]] = [[] for _ in offsets]
-    for k, rule in enumerate(fam.rules):
-        slots = sorted(slot_of[off] for off in rule)
-        rule_slots.extend(slots)
-        rule_ptr.append(len(rule_slots))
-        for s in slots:
-            per_slot[s].append(k)
+    slot_lists = [sorted(slot_of[off] for off in rule) for rule in fam.rules]
+    rules = tuple(np.array(slots, dtype=np.int32) for slots in slot_lists)
     slot_rules, slot_ptr = [], [0]
-    for lst in per_slot:
-        slot_rules.extend(lst)
+    for s in range(len(offsets)):
+        slot_rules.extend(k for k, sl in enumerate(slot_lists) if s in sl)
         slot_ptr.append(len(slot_rules))
 
     return FamilyTables(
         geom=geom, fam=fam, nbr=nbr, rev=rev,
-        rule_slots=np.asarray(rule_slots, dtype=np.int32),
-        rule_ptr=np.asarray(rule_ptr, dtype=np.int32),
+        rule_slots=np.concatenate(rules),
+        rule_ptr=np.cumsum([0, *map(len, rules)], dtype=np.int32),
         slot_rules=np.asarray(slot_rules, dtype=np.int32),
         slot_ptr=np.asarray(slot_ptr, dtype=np.int32),
+        rules=rules,
         pad_empty=1 if geom.outside_empty else 0,
     )
 

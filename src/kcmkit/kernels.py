@@ -4,7 +4,7 @@ Set KCMKIT_PURE=1 to force the fallback (used by the parity tests and the
 benchmark). Both implementations expose the same five entry points
 (closure, threshold, kcm_run, crossing_batch, uniforms) with identical
 semantics, bit-identical trajectories for the event loop and byte-identical
-uniforms.
+uniforms. Their argument checks live in kcmkit._pure, which both call.
 """
 
 from __future__ import annotations

@@ -126,19 +126,6 @@ class CongestionReport:
 # ------------------------------------------------------------ verification
 
 
-def _rule_matrix(t):
-    # one row of neighbor-slot indices per rule, when all sizes agree
-    sizes = np.diff(t.rule_ptr)
-    if sizes.size == 0 or sizes.min() == 0 or sizes.min() != sizes.max():
-        return None
-    return t.rule_slots.reshape(sizes.size, int(sizes[0]))
-
-
-def _rule_slot_lists(t):
-    m = t.rule_ptr.size - 1
-    return [t.rule_slots[t.rule_ptr[r]:t.rule_ptr[r + 1]] for r in range(m)]
-
-
 def verify_legal(path: LegalPath, fam: UpdateFamily) -> VerifyResult:
     """Replay a path, checking every flip's constraint in the prior state.
 
@@ -148,23 +135,23 @@ def verify_legal(path: LegalPath, fam: UpdateFamily) -> VerifyResult:
     """
     geom = path.start.geom
     t = tables_for(geom, fam)
-    n = geom.n_sites
-    ext = np.empty(n + 1, dtype=np.uint8)
+    n, S = t.nbr.shape
+    ext = np.zeros(n + 2, dtype=np.uint8)   # ext[n + 1]: always empty
     ext[:n] = path.start.bits
     ext[n] = 0 if t.pad_empty else 1
-    mat = _rule_matrix(t)
-    slot_lists = None if mat is not None else _rule_slot_lists(t)
+    # one row of slots per rule, short rows padded with slot S, which reads
+    # ext[n + 1] from every site; an all-padding row is the empty rule
+    nbr = np.full((n, S + 1), n + 1)
+    nbr[:, :S] = t.nbr
+    mat = np.full((len(t.rules), max(slots.size for slots in t.rules)), S)
+    for k, slots in enumerate(t.rules):
+        mat[k, :slots.size] = slots
     seen = {ext[:n].tobytes()}
     for i, (v, val) in enumerate(zip(path.vertices.tolist(),
                                      path.values.tolist())):
         if ext[v] == val:
             return VerifyResult(False, i, v, "flip does not change the site")
-        row = t.nbr[v]
-        if mat is not None:
-            legal = bool((ext[row[mat]] == 0).all(axis=1).any())
-        else:
-            legal = any((ext[row[s]] == 0).all() for s in slot_lists)
-        if not legal:
+        if not (ext[nbr[v][mat]] == 0).all(axis=1).any():
             return VerifyResult(False, i, v, "no update rule satisfied at flip time")
         ext[v] = val
         key = ext[:n].tobytes()
@@ -817,31 +804,6 @@ def congestion_constant(paths: Sequence[LegalPath], q: float,
             loads[key] = loads.get(key, 0.0) + base ** (-delta)
     rho = max(loads.values(), default=0.0)
     return CongestionReport(float(rho), n_max, MODE_EXACT)
-
-
-def congestion_constant_oracle(paths: Sequence[LegalPath], q: float) -> float:
-    """Independent congestion recomputation for cross-checking.
-
-    Rescans the family per visited configuration and recounts occupancies
-    from the raw configuration bytes instead of tracking deltas.
-    """
-    base = (1.0 - q) / q
-    per: list[dict[bytes, float]] = []
-    for p in paths:
-        bits = p.start.bits.copy()
-        s0 = int(bits.sum())
-        d: dict[bytes, float] = {}
-        key = bits.tobytes()
-        d[key] = base ** (s0 - sum(key))
-        for v, val in zip(p.vertices.tolist(), p.values.tolist()):
-            bits[v] = val
-            key = bits.tobytes()
-            d[key] = base ** (s0 - sum(key))
-        per.append(d)
-    keys: set[bytes] = set()
-    for d in per:
-        keys.update(d)
-    return max((sum(d.get(k, 0.0) for d in per) for k in keys), default=0.0)
 
 
 def congestion_bound_triple(region_sizes: Sequence[int], q: float) -> float:

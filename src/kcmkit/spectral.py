@@ -80,22 +80,12 @@ def _constraint_masks(geom: Geometry, fam: UpdateFamily):
     """
     t = tables_for(geom, fam)
     n = geom.n_sites
-    masks: list[list[int]] = [[] for _ in range(n)]
-    m = t.rule_ptr.size - 1
-    for v in range(n):
-        for k in range(m):
-            mask = 0
-            feasible = True
-            for i in range(t.rule_ptr[k], t.rule_ptr[k + 1]):
-                w = int(t.nbr[v, t.rule_slots[i]])
-                if w == n:
-                    if not t.pad_empty:
-                        feasible = False
-                        break
-                else:
-                    mask |= 1 << w
-            if feasible:
-                masks[v].append(mask)
+    rules = [slots.tolist() for slots in t.rules]
+    masks: list[list[int]] = []
+    for row in t.nbr.tolist():
+        sites = [{row[s] for s in slots} for slots in rules]
+        masks.append([sum(1 << w for w in ws - {n}) for ws in sites
+                      if t.pad_empty or n not in ws])
     return masks
 
 

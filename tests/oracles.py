@@ -1,10 +1,18 @@
 """Test-only oracles: independent reference computations that the test
 modules check the library against. Nothing in src/ calls them."""
 
+import math
+from typing import Sequence
+
 import numpy as np
 import scipy.sparse as sp
 
 from kcmkit import kernels
+from kcmkit.blocks import (CLASS_NEITHER, CLASS_SUPERGOOD, EXACT_LAMBDA_CAP,
+                           BlockSpec, classify_block, phi_map)
+from kcmkit.families import UpdateFamily
+from kcmkit.lattice import Configuration
+from kcmkit.paths import LegalPath
 from kcmkit.spectral import (DEGENERATE_GAP, GeneratorMatrix,
                              relaxation_time_from_gap)
 
@@ -62,3 +70,121 @@ def replica_threshold_bisection(u: np.ndarray, t, lo: float, hi: float,
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def closure_naive(cfg: Configuration, fam: UpdateFamily):
+    """Full-rescan fixed-point oracle, written independently of the kernels.
+
+    Same contract as closure_with_rounds; every round rescans every site
+    against every rule, kept plain as the reference the optimized kernels
+    are tested against. Neighbours come from Geometry.shift_flat, once per
+    distinct offset.
+    """
+    geom = cfg.geom
+    n = geom.n_sites
+    bits = cfg.bits.copy()
+    rounds = np.where(bits == 0, np.int32(0), np.int32(-1))
+    offsets = {off for rule in fam.rules for off in rule}
+    shifted = {off: np.array([geom.shift_flat(v, off) for v in range(n)],
+                             dtype=np.int64) for off in offsets}
+    # (|rule|, n) targets per rule; -1 (outside a free box) reads the extra
+    # last entry of the emptiness array below
+    targets = [np.array([shifted[off] for off in rule],
+                        dtype=np.int64).reshape(len(rule), n)
+               for rule in fam.rules]
+    r = 0
+    while True:
+        r += 1
+        empty = np.append(bits == 0, geom.outside_empty)
+        sat = np.zeros(n, dtype=bool)
+        for tgt in targets:
+            sat |= empty[tgt].all(axis=0)
+        newly = sat & (bits == 1)
+        if not newly.any():
+            break
+        bits[newly] = 0
+        rounds[newly] = r
+    return Configuration(geom, bits), rounds
+
+
+def lambda_phi_oracle(spec: BlockSpec) -> float:
+    """Brute-force pair enumeration through the public classify/promote API."""
+    n = spec.n_sites
+    if n > EXACT_LAMBDA_CAP:
+        raise ValueError("oracle capped at 16 sites")
+    geom = spec.geometry()
+    q, p = spec.q, 1.0 - spec.q
+
+    def weight(bits):
+        occ = int(bits.sum())
+        return p ** occ * q ** (n - occ)
+
+    configs = []
+    for state in range(1 << n):
+        bits = np.array([(state >> v) & 1 for v in range(n)], dtype=np.uint8)
+        cfg = Configuration(geom, bits)
+        cls = classify_block(cfg, spec)
+        image = phi_map(cfg, spec) if cls != CLASS_NEITHER else None
+        configs.append((cfg, weight(bits), cls, image))
+    best = 0.0
+    for sigma, w_sigma, cls, _ in configs:
+        if cls != CLASS_SUPERGOOD:
+            continue
+        total = 0.0
+        for _, w_p, cls_p, image in configs:
+            if cls_p != CLASS_NEITHER and image == sigma:
+                total += w_p / w_sigma
+        best = max(best, total)
+    return best
+
+
+def congestion_constant_oracle(paths: Sequence[LegalPath], q: float) -> float:
+    """Independent congestion recomputation for cross-checking.
+
+    Rescans the family per visited configuration and recounts occupancies
+    from the raw configuration bytes instead of tracking deltas.
+    """
+    base = (1.0 - q) / q
+    per: list[dict[bytes, float]] = []
+    for p in paths:
+        bits = p.start.bits.copy()
+        s0 = int(bits.sum())
+        d: dict[bytes, float] = {}
+        key = bits.tobytes()
+        d[key] = base ** (s0 - sum(key))
+        for v, val in zip(p.vertices.tolist(), p.values.tolist()):
+            bits[v] = val
+            key = bits.tobytes()
+            d[key] = base ** (s0 - sum(key))
+        per.append(d)
+    keys: set[bytes] = set()
+    for d in per:
+        keys.update(d)
+    return max((sum(d.get(k, 0.0) for d in per) for k in keys), default=0.0)
+
+
+def percolation_series_value(p: float, m_hat: float,
+                             tail_tol: float = 1e-12):
+    """Crossing-failure weighted series 3 sum_n 8^n exp(-m 2^n / 2) + 4 sqrt(p).
+
+    Truncates when the remaining tail is certified below tail_tol via the
+    geometric ratio 8 exp(-m 2^{n-1}) < 1. Returns (value, tail_bound,
+    terms_used).
+    """
+    if not 0.0 < p < 1.0:
+        raise ValueError("p must be in (0,1)")
+    if m_hat <= 0.0:
+        raise ValueError("decay rate must be positive")
+    total = 4.0 * math.sqrt(p)
+    n = 0
+    while True:
+        n += 1
+        term = 3.0 * 8.0 ** n * math.exp(-0.5 * m_hat * 2.0 ** n)
+        total += term
+        ratio = 8.0 * math.exp(-0.5 * m_hat * 2.0 ** n)
+        if ratio < 0.5:
+            tail = term * ratio / (1.0 - ratio)
+            if tail < tail_tol:
+                return total, tail, n
+        if n > 10_000:
+            raise RuntimeError("series failed to converge")

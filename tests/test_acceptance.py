@@ -14,7 +14,9 @@ from kcmkit import blocks, bootstrap, kcm, kernels, paths, percolation, spectral
 from kcmkit.families import make_family
 from kcmkit.lattice import Box, Configuration, Geometry, box_region, cross_region
 from kcmkit.paths import verify_legal
-from oracles import generator_csr, relaxation_time_dense
+from oracles import (closure_naive, congestion_constant_oracle,
+                     generator_csr, percolation_series_value,
+                     relaxation_time_dense)
 
 FA2 = make_family("fa_kf", 2, 2)
 FA1_1D = make_family("fa_kf", 1, 1)
@@ -41,7 +43,7 @@ def test_criterion_01_closure_equals_naive_oracle():
                 cfg = Configuration(geom,
                                     (rnd.random(64) >= q).astype(np.uint8))
                 fast = bootstrap.closure(cfg, fam)
-                ref, _rounds = bootstrap.closure_naive(cfg, fam)
+                ref, _rounds = closure_naive(cfg, fam)
                 assert np.array_equal(fast.bits, ref.bits)
                 checked += 1
     assert checked == 500
@@ -277,7 +279,7 @@ def test_criterion_06_congestion_oracle():
         family.append(paths.chain_schedule(Configuration(g, bits), fam1,
                                            regions))
     rep = paths.congestion_constant(family, 0.5)
-    oracle = paths.congestion_constant_oracle(family, 0.5)
+    oracle = congestion_constant_oracle(family, 0.5)
     bound = paths.congestion_bound_triple([r.size for r in regions], 0.5)
     assert rep.rho == pytest.approx(oracle, rel=1e-12)
     assert rep.rho <= bound
@@ -317,11 +319,11 @@ def test_criterion_08_key_condition_evaluation():
     assert blocks.key_condition_value_single(eps, support) == \
         pytest.approx(support * eps, rel=1e-15)
 
-    hi, tail_hi, _ = blocks.percolation_series_value(0.3, 1.0)
+    hi, tail_hi, _ = percolation_series_value(0.3, 1.0)
     assert tail_hi < 1e-12
     assert hi > 0.25
 
-    lo, tail_lo, _ = blocks.percolation_series_value(1e-4, 1.0)
+    lo, tail_lo, _ = percolation_series_value(1e-4, 1.0)
     assert tail_lo < 1e-12
     assert lo == pytest.approx(
         percolation.supercritical_condition_check(1e-4, 1.0), abs=1e-9)

@@ -15,8 +15,6 @@ from kcmkit.blocks import (
     key_condition_value,
     key_condition_value_single,
     lambda_phi,
-    lambda_phi_oracle,
-    percolation_series_value,
     phi_map,
     _good_batch,
     _seed_mask,
@@ -26,6 +24,7 @@ from kcmkit import rng
 from kcmkit.bootstrap import is_internally_spanned
 from kcmkit.families import make_family
 from kcmkit.lattice import Configuration, Geometry, random_bits
+from oracles import lambda_phi_oracle, percolation_series_value
 
 
 def block(spec, bits):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcmkit.bootstrap import (closure, closure_naive, closure_with_rounds,
+from kcmkit.bootstrap import (closure, closure_with_rounds,
                               estimate_lc, estimate_qc,
                               estimate_span_probability, fa1f_lc, fa1f_qc,
                               fa1f_span_probability, infection_time,
@@ -13,7 +13,7 @@ from kcmkit import rng
 from kcmkit.families import make_family, tables_for
 from kcmkit.lattice import (Box, Configuration, Geometry, box_region,
                             random_uniforms)
-from oracles import replica_threshold_bisection
+from oracles import closure_naive, replica_threshold_bisection
 
 
 # ----------------------------------------------------------------- closure

@@ -1,12 +1,13 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcmkit.families import (UpdateFamily, check_exterior_condition,
-                             constraint_satisfied, make_family, read_family,
-                             write_family)
+from kcmkit.families import (UpdateFamily, build_tables,
+                             check_exterior_condition, constraint_satisfied,
+                             make_family, read_family, write_family)
 from kcmkit.lattice import Configuration, Geometry
 
 
@@ -120,6 +121,29 @@ def test_constraint_monotone_in_empties(seed, model):
         x = g.coords(v)
         if constraint_satisfied(cfg, fam, x):
             assert constraint_satisfied(more, fam, x)
+
+
+# ---------------------------------------------------------- kernel tables
+
+@pytest.mark.parametrize("fam", [
+    make_family("fa_kf", d=2, k=2), make_family("gg"),
+    make_family("east", d=2), make_family("north_east"),
+    make_family("unconstrained", d=2),
+    make_family("custom", rules=[[(1, 0)], [], [(0, 1), (0, -1), (2, 1)]]),
+], ids=["fa2", "gg", "east2", "ne", "unconstrained", "custom-mixed"])
+def test_table_rules_match_family_rules(fam):
+    t = build_tables(Geometry((5, 6), torus=True), fam)
+    offsets = fam.offsets()
+    assert len(t.rules) == fam.m
+    for k, (slots, rule) in enumerate(zip(t.rules, fam.rules)):
+        assert slots.dtype == np.int32
+        assert slots.tolist() == sorted(slots.tolist())
+        assert len(slots) == len(rule)
+        assert {offsets[s] for s in slots.tolist()} == set(rule)
+        # the C kernels read the same slots through rule_slots/rule_ptr
+        assert np.array_equal(t.rule_slots[t.rule_ptr[k]:t.rule_ptr[k + 1]],
+                              slots)
+    assert t.rule_ptr[-1] == t.rule_slots.size
 
 
 # --------------------------------------------------------------- round trip

@@ -20,12 +20,20 @@ import numpy as np
 import pytest
 
 from kcmkit import _compiled, _pure, cli, kernels, rng
-from kcmkit.bootstrap import closure_naive
 from kcmkit.families import (FamilyTables, build_tables, make_family,
                              tables_for)
 from kcmkit.lattice import Configuration, Geometry
+from oracles import closure_naive
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _cc() -> list[str]:
+    """The C compiler command setuptools would use; skips when missing."""
+    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+    if shutil.which(shlex.split(cc)[0]) is None:
+        pytest.skip(f"no C compiler ({cc}) to build the compiled kernels")
+    return shlex.split(cc)
 
 
 @pytest.fixture(scope="module")
@@ -33,9 +41,7 @@ def core(tmp_path_factory):
     built = kernels.implementations().get("compiled")
     if built is not None:
         return built
-    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
-    if shutil.which(shlex.split(cc)[0]) is None:
-        pytest.skip(f"no C compiler ({cc}) to build the compiled kernels")
+    _cc()
     tmp = tmp_path_factory.mktemp("ckernels")
     p = subprocess.run(
         [sys.executable, "setup.py", "build_ext", "--build-lib",
@@ -48,6 +54,70 @@ def core(tmp_path_factory):
 
 def _random_bits(geom, q, seed):
     return Configuration.random(geom, q, seed=seed).bits
+
+
+def test_ckernels_compile_without_warnings(tmp_path):
+    p = subprocess.run(
+        [*_cc(), "-std=c99", "-O2", "-Wall", "-Wextra", "-Werror", "-c",
+         str(ROOT / "src" / "kcmkit" / "_ckernels.c"),
+         "-o", str(tmp_path / "_ckernels.o")],
+        capture_output=True, text=True, timeout=300)
+    assert p.returncode == 0, p.stderr
+
+
+_GEOM = Geometry((3, 3), torus=True)
+_T = tables_for(_GEOM, make_family("fa_kf", d=2, k=2))
+_BITS = (np.arange(9) % 3 != 0).astype(np.uint8)
+_VK = _GEOM.vertex_keys()
+_RUN = (_T, _VK, 1, 0, 0.3, 2.0)
+
+# (entry point, args, kwargs): every case but int-flippable is rejected
+BAD_ARGS = {
+    "closure-short-bits": ("closure", (_BITS[:8], _T), {}),
+    "closure-long-bits": ("closure", (np.ones(10, np.uint8), _T), {}),
+    "closure-2d-bits": ("closure", (_BITS[None, :], _T), {}),
+    "closure-short-flippable": ("closure", (_BITS, _T, np.ones(8, bool)), {}),
+    "closure-short-visible": ("closure", (_BITS, _T),
+                              {"visible": np.ones(8, bool)}),
+    "closure-int-flippable": ("closure", (_BITS, _T, np.arange(9) % 2), {}),
+    "threshold-1d-order": ("threshold", (np.arange(9), _T), {}),
+    "threshold-narrow-order": ("threshold", (np.zeros((2, 8), int), _T), {}),
+    "threshold-site-outside": ("threshold", (np.arange(1, 10)[None], _T), {}),
+    "threshold-repeated-site": ("threshold", (np.zeros((1, 9), int), _T), {}),
+    "kcm_run-short-bits": ("kcm_run", (_BITS[:8], *_RUN), {}),
+    "kcm_run-short-vkeys": ("kcm_run", (_BITS, _T, _VK[:8], 1, 0, 0.3, 2.0),
+                            {}),
+    "kcm_run-2d-bits": ("kcm_run", (_BITS[None, :], *_RUN), {}),
+    "kcm_run-one-edge": ("kcm_run", (_BITS, *_RUN), {"batch_edges": [0.5]}),
+    "kcm_run-2d-edges": ("kcm_run", (_BITS, *_RUN),
+                         {"batch_edges": [[0.0, 1.0]]}),
+    "kcm_run-text-q": ("kcm_run", (_BITS, _T, _VK, 1, 0, "x", 2.0), {}),
+    "crossing-2d-stack": ("crossing_batch", (np.ones((3, 3), bool), 0), {}),
+    "crossing-axis-2": ("crossing_batch", (np.ones((1, 3, 3), bool), 2), {}),
+    "uniforms-2d-vkeys": ("uniforms", (1, 2, _VK[None, :], 0), {}),
+    "uniforms-2d-replicas": ("uniforms", (1, np.zeros((2, 2), np.uint64),
+                                          _VK, 0), {}),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ARGS)
+def test_bad_arguments_fail_alike(core, case):
+    # both implementations run the same argument checks, so they raise the
+    # same exception with the same message, or both accept the input
+    entry, args, kwargs = BAD_ARGS[case]
+    outcomes = []
+    for impl in (core, _pure):
+        try:
+            outcomes.append(("ok", getattr(impl, entry)(*args, **kwargs)))
+        except Exception as exc:     # the exception is the outcome compared
+            outcomes.append((type(exc), str(exc)))
+    (kind_a, a), (kind_b, b) = outcomes
+    assert kind_a == kind_b, outcomes
+    if kind_a == "ok":
+        assert case == "closure-int-flippable"
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    else:
+        assert a == b
 
 
 FAMS = [

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from kcmkit import blocks, paths, rng
-from kcmkit.families import make_family
+from kcmkit.families import constraint_satisfied, make_family
 from kcmkit.lattice import (
     Box,
     Configuration,
@@ -24,7 +24,6 @@ from kcmkit.paths import (
     chain_schedule,
     congestion_bound_triple,
     congestion_constant,
-    congestion_constant_oracle,
     cross_schedule,
     empty_region_schedule,
     gg_column_moves,
@@ -38,6 +37,7 @@ from kcmkit.paths import (
     verify_legal,
     write_path_file,
 )
+from oracles import congestion_constant_oracle
 
 FA2 = make_family("fa_kf", 2, 2)
 FA1 = make_family("fa_kf", 2, 1)
@@ -101,6 +101,71 @@ def test_unconstrained_family_always_legal():
     cfg = Configuration.fully_occupied(g)
     p = LegalPath(cfg, [0, 1, 2, 3], [0, 0, 0, 0])
     assert verify_legal(p, make_family("unconstrained", 2))
+
+
+def _replay(path, fam):
+    """verify_legal's verdict, replayed flip by flip on
+    constraint_satisfied."""
+    bits = path.start.bits.copy()
+    seen = {bits.tobytes()}
+    for i, (v, val) in enumerate(zip(path.vertices.tolist(),
+                                     path.values.tolist())):
+        if bits[v] == val:
+            return False, i, v, "flip does not change the site"
+        if not constraint_satisfied(Configuration(path.start.geom, bits),
+                                    fam, v):
+            return False, i, v, "no update rule satisfied at flip time"
+        bits[v] = val
+        if bits.tobytes() in seen:
+            return False, i, v, "configuration revisited"
+        seen.add(bits.tobytes())
+    return True, None, None, ""
+
+
+MIXED_RULES = [
+    ("sizes-1-2", make_family("custom", rules=[[(1, 0)], [(0, 1), (0, -1)]])),
+    ("empty-rule", make_family("custom", d=2, rules=[[(1, 0), (0, 1)], []])),
+    ("sizes-1-2-3", make_family("custom", rules=[
+        [(-1, 0)], [(1, 0), (0, 1)], [(0, -1), (1, 1), (-1, 1)]])),
+]
+
+
+@pytest.mark.parametrize("fam", [f for _, f in MIXED_RULES],
+                         ids=[label for label, _ in MIXED_RULES])
+@pytest.mark.parametrize("geom", [Geometry((5, 4), torus=True),
+                                  Geometry((4, 5)),
+                                  Geometry((4, 4), outside_empty=True)],
+                         ids=["torus", "free", "free-empty-outside"])
+def test_verify_legal_mixed_rule_sizes_match_replay(fam, geom):
+    # random walks that mostly flip a site whose constraint holds, so that
+    # every verdict occurs: accepted, no-op, illegal and revisit
+    gen = np.random.default_rng(5)
+    verdicts = set()
+    for _ in range(60):
+        start = Configuration(geom, (gen.random(geom.n_sites) < 0.6)
+                              .astype(np.uint8))
+        bits = start.bits.copy()
+        verts, vals = [], []
+        for _ in range(int(gen.integers(1, 25))):
+            now = Configuration(geom, bits)
+            legal = [v for v in range(geom.n_sites)
+                     if constraint_satisfied(now, fam, v)]
+            pick_legal = legal and gen.random() < 0.9
+            v = int(gen.choice(legal) if pick_legal
+                    else gen.integers(geom.n_sites))
+            val = 1 - bits[v] if gen.random() < 0.95 else bits[v]
+            verts.append(v)
+            vals.append(val)
+            bits[v] = val
+        path = LegalPath(start, verts, vals)
+        res = verify_legal(path, fam)
+        expected = _replay(path, fam)
+        assert (res.ok, res.index, res.vertex, res.reason) == expected
+        verdicts.add(expected[3])
+    assert "" in verdicts and "configuration revisited" in verdicts
+    assert "flip does not change the site" in verdicts
+    if all(fam.rules):
+        assert "no update rule satisfied at flip time" in verdicts
 
 
 # ---------------------------------------------------------------- schedules

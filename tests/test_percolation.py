@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from kcmkit import rng
-from kcmkit.blocks import (BlockSpec, estimate_block_probs,
-                           percolation_series_value)
+from kcmkit.blocks import BlockSpec, estimate_block_probs
 from kcmkit.lattice import Box, Configuration, Geometry
 from kcmkit.percolation import (
     RectangleLadder,
@@ -20,6 +19,7 @@ from kcmkit.percolation import (
     has_hard_crossing,
     supercritical_condition_check,
 )
+from oracles import percolation_series_value
 
 
 def bfs_labels(cfg):
