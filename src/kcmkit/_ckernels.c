@@ -11,9 +11,11 @@
  *
  * Table layout (see kcmkit.families.FamilyTables): nbr[v*S + s] is the flat
  * index of v + offset_s and rev[v*S + s] that of v - offset_s, with the pad
- * index n for offsets leaving a free box. Rule k reads the slots
- * rule_slots[rule_ptr[k] .. rule_ptr[k+1]); slot s is read by the rules
- * slot_rules[slot_ptr[s] .. slot_ptr[s+1]).
+ * index n for offsets leaving a free box; pad_empty says whether the pad
+ * reads empty. The rules enter only through sat, 2^S bytes: a site whose
+ * empty slots form the bitmask `mask` (bit s for slot s) is satisfied iff
+ * sat[mask]. Masks are uint16, so S <= 16; kcmkit._compiled hands families
+ * with more slots to kcmkit._pure.
  *
  * Every function returns 0, or -1 when a work buffer cannot be allocated;
  * kk_threshold also returns -2 for an order that is not a permutation.
@@ -60,125 +62,104 @@ int kk_uniforms(uint64_t head, int64_t R, const uint64_t *replicas,
 
 /* -------------------------------------------------------------- closure */
 
-/* Occupied-slot counters of the closure kernels: cnt[v*m + k] counts the
- * slots of rule k at v that read occupied under the emptiness eff (n + 1
- * entries, eff[n] for the pad), for every v with can[v] (every v when can
- * is NULL). Appends those v with a counter at zero to queue, in index
- * order, and returns how many there are. */
-static int64_t count_occupied(int64_t n, int64_t S, int64_t m,
-                              const int64_t *nbr, const int32_t *rule_slots,
-                              const int32_t *rule_ptr, const uint8_t *eff,
-                              const uint8_t *can, int32_t *cnt,
-                              int64_t *queue)
+/* The slots of nbr row `row` (S of them) that read empty under eff, as a
+ * bitmask: bit s for slot s. eff has n + 1 entries, eff[n] for the pad. */
+static inline uint16_t empty_slots(int64_t S, const int64_t *row,
+                                   const uint8_t *eff)
 {
-    int64_t tail = 0;
-    for (int64_t v = 0; v < n; v++) {
-        if (can && !can[v])
-            continue;
-        int sat = 0;
-        for (int64_t k = 0; k < m; k++) {
-            int32_t c = 0;
-            for (int32_t i = rule_ptr[k]; i < rule_ptr[k + 1]; i++)
-                c += eff[nbr[v * S + rule_slots[i]]] == 0;
-            cnt[v * m + k] = c;
-            sat |= c == 0;
+    unsigned mask = 0;
+    for (int64_t s = 0; s < S; s++)
+        mask |= (unsigned)(eff[row[s]] != 0) << s;
+    return (uint16_t)mask;
+}
+
+/* One synchronous round: every site queue[head .. tail), just emptied, sets
+ * its slot in the masks of the sites that read it (bit s in
+ * mask[rev[x, s]]), and a site still open[] whose mask turns satisfied is
+ * closed and appended to the queue. Returns the new tail; the sites
+ * appended form the next round. */
+static int64_t spread(int64_t n, int64_t S, const int64_t *rev,
+                      const uint8_t *sat, uint16_t *mask, uint8_t *open,
+                      int64_t *queue, int64_t head, int64_t tail)
+{
+    int64_t end = tail;
+    for (int64_t j = head; j < end; j++) {
+        const int64_t *back = rev + queue[j] * S;
+        for (int64_t s = 0; s < S; s++) {
+            int64_t u = back[s];
+            if (u >= n)
+                continue;
+            mask[u] |= (uint16_t)(1u << s);
+            if (open[u] && sat[mask[u]]) {
+                open[u] = 0;
+                queue[tail++] = u;
+            }
         }
-        if (sat)
-            queue[tail++] = v;
     }
     return tail;
 }
 
 /* Bootstrap closure with synchronous-round labels.
  *
- * Every (vertex, rule) pair counts the slots that still read occupied; a
- * vertex joins the next wave when one of its counters reaches zero, so the
- * wave index is the synchronous round. flippable and visible may be NULL
- * (all ones). Writes out[v] (bits after the closure) and rounds[v]: 0 for
- * initially empty sites, r >= 1 for sites emptied in round r, -1 never.
+ * mask[v] holds the slots of v that read empty, and a site may empty while
+ * open: it is occupied, flippable and not yet emptied. The sites whose
+ * mask is satisfied at the start form round 1, and spread() finds each
+ * next round. flippable and visible may be NULL (all ones). Writes out[v]
+ * (bits after the closure) and rounds[v]: 0 for initially empty sites,
+ * r >= 1 for sites emptied in round r, -1 never.
  */
-int kk_closure(int64_t n, int64_t S, int64_t m,
-               const int64_t *nbr, const int64_t *rev,
-               const int32_t *rule_slots, const int32_t *rule_ptr,
-               const int32_t *slot_rules, const int32_t *slot_ptr,
-               int pad_empty, const uint8_t *bits,
+int kk_closure(int64_t n, int64_t S, const int64_t *nbr, const int64_t *rev,
+               const uint8_t *sat, int pad_empty, const uint8_t *bits,
                const uint8_t *flippable, const uint8_t *visible,
                uint8_t *out, int32_t *rounds)
 {
     uint8_t *eff = malloc((size_t)n + 1);
-    uint8_t *can = malloc((size_t)n + 1);
-    int32_t *cnt = malloc(((size_t)n * (size_t)m + 1) * sizeof *cnt);
+    uint8_t *open = malloc((size_t)n + 1);
+    uint16_t *mask = malloc(((size_t)n + 1) * sizeof *mask);
     int64_t *queue = malloc(((size_t)n + 1) * sizeof *queue);
-    if (!eff || !can || !cnt || !queue) {
-        free(eff); free(can); free(cnt); free(queue);
+    if (!eff || !open || !mask || !queue) {
+        free(eff); free(open); free(mask); free(queue);
         return -1;
     }
     for (int64_t v = 0; v < n; v++) {
         eff[v] = bits[v] == 0 && (!visible || visible[v]);
-        can[v] = bits[v] == 1 && (!flippable || flippable[v]);
+        open[v] = bits[v] == 1 && (!flippable || flippable[v]);
         rounds[v] = bits[v] == 0 ? 0 : -1;
     }
     eff[n] = pad_empty ? 1 : 0;
-    can[n] = 0;                 /* the pad is never emptied */
 
-    int64_t tail = count_occupied(n, S, m, nbr, rule_slots, rule_ptr, eff,
-                                  can, cnt, queue);
-    for (int64_t j = 0; j < tail; j++)
-        rounds[queue[j]] = 1;
-
-    int64_t wave_start = 0, wave_end = tail;
-    int32_t label = 1;
-    while (wave_start < wave_end) {
-        int32_t next_label = label + 1;
-        for (int64_t j = wave_start; j < wave_end; j++) {
-            const int64_t *back = rev + queue[j] * S;
-            for (int64_t s = 0; s < S; s++) {
-                int64_t u = back[s];
-                if (u >= n)
-                    continue;
-                for (int32_t i = slot_ptr[s]; i < slot_ptr[s + 1]; i++) {
-                    int32_t *c = &cnt[u * m + slot_rules[i]];
-                    if (--*c == 0 && can[u] && rounds[u] == -1) {
-                        rounds[u] = next_label;
-                        queue[tail++] = u;
-                    }
-                }
-            }
+    int64_t head = 0, tail = 0;
+    for (int64_t v = 0; v < n; v++) {
+        mask[v] = empty_slots(S, nbr + v * S, eff);
+        if (open[v] && sat[mask[v]]) {
+            open[v] = 0;
+            queue[tail++] = v;
         }
-        wave_start = wave_end;
-        wave_end = tail;
-        label = next_label;
+    }
+    for (int32_t label = 1; head < tail; label++) {
+        for (int64_t j = head; j < tail; j++)
+            rounds[queue[j]] = label;
+        int64_t next = spread(n, S, rev, sat, mask, open, queue, head, tail);
+        head = tail;
+        tail = next;
     }
 
     for (int64_t v = 0; v < n; v++)
         out[v] = rounds[v] >= 1 ? 0 : bits[v];
-    free(eff); free(can); free(cnt); free(queue);
+    free(eff); free(open); free(mask); free(queue);
     return 0;
 }
 
-/* Lowers, for every site queue[head .. tail) emptied, the counters of the
- * sites that read it; a site not yet in empty[] whose counter reaches zero
- * is marked and queued in turn. Returns the number of sites queued, those
- * given included. */
-static int64_t empty_queued(int64_t n, int64_t S, int64_t m,
-                            const int64_t *rev, const int32_t *slot_rules,
-                            const int32_t *slot_ptr, int32_t *cnt,
-                            uint8_t *empty, int64_t *queue, int64_t head,
-                            int64_t tail)
+/* Spreads queue[head .. tail) round after round until no site is left to
+ * empty; returns the final tail. */
+static int64_t spread_all(int64_t n, int64_t S, const int64_t *rev,
+                          const uint8_t *sat, uint16_t *mask, uint8_t *open,
+                          int64_t *queue, int64_t head, int64_t tail)
 {
     while (head < tail) {
-        const int64_t *back = rev + queue[head++] * S;
-        for (int64_t s = 0; s < S; s++) {
-            int64_t u = back[s];
-            if (u >= n)
-                continue;
-            for (int32_t i = slot_ptr[s]; i < slot_ptr[s + 1]; i++) {
-                if (--cnt[u * m + slot_rules[i]] == 0 && !empty[u]) {
-                    empty[u] = 1;
-                    queue[tail++] = u;
-                }
-            }
-        }
+        int64_t next = spread(n, S, rev, sat, mask, open, queue, head, tail);
+        head = tail;
+        tail = next;
     }
     return tail;
 }
@@ -187,58 +168,59 @@ static int64_t empty_queued(int64_t n, int64_t S, int64_t m,
  *
  * Row r of order (R rows of n sites, a permutation each) empties its sites
  * one by one, starting from the fully occupied grid, and keeps the closure
- * up to date: an emptied site lowers the counters of the sites that read
- * it, and a site whose counter reaches zero empties in turn. out[r] is the
- * length of the shortest prefix whose closure empties every site (0 when
- * the fully occupied grid already empties). Returns -2 when a row runs out
- * before every site is empty, which a permutation never does.
+ * up to date with spread(): every site is open until it empties. out[r] is
+ * the length of the shortest prefix whose closure empties every site (0
+ * when the fully occupied grid already empties). Returns -2 when a row
+ * runs out before every site is empty, which a permutation never does.
  */
-int kk_threshold(int64_t n, int64_t S, int64_t m,
-                 const int64_t *nbr, const int64_t *rev,
-                 const int32_t *rule_slots, const int32_t *rule_ptr,
-                 const int32_t *slot_rules, const int32_t *slot_ptr,
-                 int pad_empty, int64_t R, const int64_t *order,
-                 int64_t *out)
+int kk_threshold(int64_t n, int64_t S, const int64_t *nbr, const int64_t *rev,
+                 const uint8_t *sat, int pad_empty, int64_t R,
+                 const int64_t *order, int64_t *out)
 {
-    size_t cells = (size_t)n * (size_t)m + 1;
-    uint8_t *base = calloc((size_t)n + 1, 1);
-    uint8_t *empty = malloc((size_t)n + 1);
-    int32_t *base_cnt = malloc(cells * sizeof *base_cnt);
-    int32_t *cnt = malloc(cells * sizeof *cnt);
+    size_t masks = ((size_t)n + 1) * sizeof(uint16_t);
+    uint8_t *eff = calloc((size_t)n + 1, 1);
+    uint8_t *base_open = malloc((size_t)n + 1);
+    uint8_t *open = malloc((size_t)n + 1);
+    uint16_t *base_mask = malloc(masks);
+    uint16_t *mask = malloc(masks);
     int64_t *queue = malloc(((size_t)n + 1) * sizeof *queue);
-    if (!base || !empty || !base_cnt || !cnt || !queue) {
-        free(base); free(empty); free(base_cnt); free(cnt); free(queue);
+    if (!eff || !base_open || !open || !base_mask || !mask || !queue) {
+        free(eff); free(base_open); free(open); free(base_mask); free(mask);
+        free(queue);
         return -1;
     }
     /* the closure of the fully occupied grid, once: every row starts here */
-    base[n] = pad_empty ? 1 : 0;
-    int64_t tail = count_occupied(n, S, m, nbr, rule_slots, rule_ptr, base,
-                                  NULL, base_cnt, queue);
-    for (int64_t j = 0; j < tail; j++)
-        base[queue[j]] = 1;
-    int64_t base_empty = empty_queued(n, S, m, rev, slot_rules, slot_ptr,
-                                      base_cnt, base, queue, 0, tail);
+    eff[n] = pad_empty ? 1 : 0;
+    int64_t tail = 0;
+    for (int64_t v = 0; v < n; v++) {
+        base_mask[v] = empty_slots(S, nbr + v * S, eff);
+        base_open[v] = !sat[base_mask[v]];
+        if (!base_open[v])
+            queue[tail++] = v;
+    }
+    int64_t base_empty = spread_all(n, S, rev, sat, base_mask, base_open,
+                                    queue, 0, tail);
 
     int rc = 0;
     for (int64_t r = 0; r < R && rc == 0; r++) {
         const int64_t *row = order + r * n;
-        memcpy(cnt, base_cnt, cells * sizeof *cnt);
-        memcpy(empty, base, (size_t)n);
+        memcpy(mask, base_mask, masks);
+        memcpy(open, base_open, (size_t)n);
         int64_t emptied = base_empty, k = 0;
         while (emptied < n && k < n) {
             int64_t v = row[k++];
-            if (empty[v])
+            if (!open[v])
                 continue;
-            empty[v] = 1;
+            open[v] = 0;
             queue[0] = v;
-            emptied += empty_queued(n, S, m, rev, slot_rules, slot_ptr, cnt,
-                                    empty, queue, 0, 1);
+            emptied += spread_all(n, S, rev, sat, mask, open, queue, 0, 1);
         }
         out[r] = k;
         if (emptied < n)
             rc = -2;
     }
-    free(base); free(empty); free(base_cnt); free(cnt); free(queue);
+    free(eff); free(base_open); free(open); free(base_mask); free(mask);
+    free(queue);
     return rc;
 }
 
@@ -326,8 +308,7 @@ static void accumulate(const double *edges, int64_t nb, int64_t *bi,
  * all when ev_t is NULL) up to ev_cap entries; st->n_events says how many
  * there were, so a caller whose buffer was short can rerun with more.
  */
-int kk_kcm_run(int64_t n, int64_t S, int64_t m, const int64_t *nbr,
-               const int32_t *rule_slots, const int32_t *rule_ptr,
+int kk_kcm_run(int64_t n, int64_t S, const int64_t *nbr, const uint8_t *sat,
                int pad_empty, uint8_t *bits, const uint64_t *vkeys,
                uint64_t seed, uint64_t replica, double q, double t_max,
                int64_t target, int stop_when_target_empty,
@@ -336,23 +317,23 @@ int kk_kcm_run(int64_t n, int64_t S, int64_t m, const int64_t *nbr,
                uint8_t *ev_s, int64_t ev_cap, kk_run_stats *st)
 {
     const uint64_t STREAM_CLOCK = 1;
-    uint8_t *bl = malloc((size_t)n + 1);
+    uint8_t *em = malloc((size_t)n + 1);     /* 1 where a site is empty */
     uint64_t *ctr = malloc(((size_t)n + 1) * sizeof *ctr);
     ring_t *heap = malloc(((size_t)n + 1) * sizeof *heap);
-    if (!bl || !ctr || !heap) {
-        free(bl); free(ctr); free(heap);
+    if (!em || !ctr || !heap) {
+        free(em); free(ctr); free(heap);
         return -1;
     }
     uint64_t prefix = mix64(mix64(mix64(seed) ^ STREAM_CLOCK) ^ replica);
 
-    memcpy(bl, bits, (size_t)n);
-    bl[n] = pad_empty ? 0 : 1;
+    em[n] = pad_empty ? 1 : 0;
     int64_t hsize = 0, empties = 0;
     for (int64_t v = 0; v < n; v++) {
         ring_t r = {-log(u01(prefix, vkeys[v], 0)), v};
         ctr[v] = 1;
         heap_push(heap, &hsize, r);
-        empties += bl[v] == 0;
+        em[v] = bits[v] == 0;
+        empties += em[v];
     }
 
     int64_t nb = edges ? n_edges - 1 : 0, bi = 0;
@@ -373,18 +354,7 @@ int kk_kcm_run(int64_t n, int64_t S, int64_t m, const int64_t *nbr,
         accumulate(edges, nb, &bi, integrals, t_now, tt, empties);
         t_now = tt;
         rings++;
-        const int64_t *row = nbr + x * S;
-        int ok = 0;
-        for (int64_t k = 0; k < m && !ok; k++) {
-            ok = 1;
-            for (int32_t i = rule_ptr[k]; i < rule_ptr[k + 1]; i++) {
-                if (bl[row[rule_slots[i]]] != 0) {
-                    ok = 0;
-                    break;
-                }
-            }
-        }
-        if (ok) {
+        if (sat[empty_slots(S, nbr + x * S, em)]) {
             legal++;
             if (x == target && t_target_legal < 0.0)
                 t_target_legal = t_now;
@@ -397,10 +367,10 @@ int kk_kcm_run(int64_t n, int64_t S, int64_t m, const int64_t *nbr,
                 }
                 n_events++;
             }
-            if (nv != bl[x]) {
+            if ((nv == 0) != em[x]) {
                 flips++;
                 empties += nv == 0 ? 1 : -1;
-                bl[x] = nv;
+                em[x] = nv == 0;
             }
             if (nv == 0 && x == target && t_target_empty < 0.0) {
                 t_target_empty = t_now;
@@ -418,7 +388,8 @@ int kk_kcm_run(int64_t n, int64_t S, int64_t m, const int64_t *nbr,
         }
     }
 
-    memcpy(bits, bl, (size_t)n);
+    for (int64_t v = 0; v < n; v++)
+        bits[v] = em[v] ? 0 : 1;
     st->t_end = t_now;
     st->t_target_empty = t_target_empty;
     st->t_target_first_legal = t_target_legal;
@@ -427,7 +398,7 @@ int kk_kcm_run(int64_t n, int64_t S, int64_t m, const int64_t *nbr,
     st->flips = flips;
     st->n_events = n_events;
     st->status = status;
-    free(bl); free(ctr); free(heap);
+    free(em); free(ctr); free(heap);
     return 0;
 }
 

@@ -8,7 +8,9 @@ kcmkit.kernels then falls back to _pure. Arguments are checked and
 converted by _pure's *_args functions right before each C call; only the
 family-table check and the mapping of C's error returns live here. The
 converted family tables are cached per FamilyTables object, for as long as
-that object lives.
+that object lives. A family with more than 16 slots has no mask table
+(FamilyTables.sat is None), so its closure, threshold and kcm_run calls go
+to the _pure kernels.
 """
 
 from __future__ import annotations
@@ -62,20 +64,17 @@ class _Tables:
     def __init__(self, t: FamilyTables):
         n = t.n_sites
         nbr, rev = (np.ascontiguousarray(a, np.int64) for a in (t.nbr, t.rev))
-        rule_slots, rule_ptr, slot_rules, slot_ptr = (
-            np.ascontiguousarray(a, np.int32)
-            for a in (t.rule_slots, t.rule_ptr, t.slot_rules, t.slot_ptr))
+        sat = np.ascontiguousarray(t.sat, np.uint8)
         S = nbr.shape[1]
         if (nbr.shape != (n, S) or rev.shape != nbr.shape
-                or slot_ptr.size != S + 1):
+                or sat.shape != (1 << S,)):
             raise ValueError("family tables do not match the geometry")
         self.n = n
-        self._arrays = (nbr, rev, rule_slots, rule_ptr, slot_rules, slot_ptr)
-        head = (n, S, rule_ptr.size - 1)
+        self._arrays = (nbr, rev, sat)
         pad_empty = int(bool(t.pad_empty))
-        self.closure_args = head + tuple(map(_addr, self._arrays)) + (pad_empty,)
-        self.run_args = head + (_addr(nbr), _addr(rule_slots),
-                                _addr(rule_ptr), pad_empty)
+        self.closure_args = (n, S, _addr(nbr), _addr(rev), _addr(sat),
+                             pad_empty)
+        self.run_args = (n, S, _addr(nbr), _addr(sat), pad_empty)
 
 
 class Kernels:
@@ -85,12 +84,12 @@ class Kernels:
 
     def __init__(self, path: Path):
         lib = ctypes.CDLL(str(path))
-        lib.kk_closure.argtypes = [_i64, _i64, _i64] + [_ptr] * 6 + [
+        lib.kk_closure.argtypes = [_i64, _i64] + [_ptr] * 3 + [
             ctypes.c_int] + [_ptr] * 5
-        lib.kk_threshold.argtypes = [_i64, _i64, _i64] + [_ptr] * 6 + [
+        lib.kk_threshold.argtypes = [_i64, _i64] + [_ptr] * 3 + [
             ctypes.c_int, _i64, _ptr, _ptr]
         lib.kk_kcm_run.argtypes = [
-            _i64, _i64, _i64, _ptr, _ptr, _ptr, ctypes.c_int, _ptr, _ptr,
+            _i64, _i64, _ptr, _ptr, ctypes.c_int, _ptr, _ptr,
             _u64, _u64, _dbl, _dbl, _i64, ctypes.c_int, _ptr, _i64, _ptr,
             _i64, _ptr, _ptr, _ptr, _i64, ctypes.POINTER(RunStats)]
         lib.kk_crossing_batch.argtypes = [_i64, _i64, _i64, _ptr,
@@ -122,6 +121,8 @@ class Kernels:
         with rounds[v] = 0 for initially empty sites, r >= 1 for sites
         emptied in round r, -1 for sites never emptied.
         """
+        if t.sat is None:
+            return _pure.closure(bits, t, flippable, visible)
         tb = self._converted(t)
         b, flip, vis = _pure.closure_args(bits, tb.n, flippable, visible)
         out = np.empty(tb.n, dtype=np.uint8)
@@ -134,6 +135,8 @@ class Kernels:
     def threshold(self, order, t: FamilyTables) -> np.ndarray:
         """Spanning thresholds by incremental closure; mirrors
         kcmkit._pure.threshold."""
+        if t.sat is None:
+            return _pure.threshold(order, t)
         tb = self._converted(t)
         o = _pure.threshold_args(order, tb.n)
         out = np.empty(o.shape[0], dtype=np.int64)
@@ -148,6 +151,10 @@ class Kernels:
                 target=-1, stop_when_target_empty=False, batch_edges=None,
                 log_events=False, max_events=None):
         """Continuous-time constrained dynamics; mirrors kcmkit._pure.kcm_run."""
+        if t.sat is None:
+            return _pure.kcm_run(bits, t, vkeys, seed, replica, q, t_max,
+                                 target, stop_when_target_empty, batch_edges,
+                                 log_events, max_events)
         tb = self._converted(t)
         b, vk, seed, replica, q, t_max, target, stop, edges, me = \
             _pure.kcm_run_args(bits, tb.n, vkeys, seed, replica, q, t_max,
@@ -164,10 +171,13 @@ class Kernels:
                   np.empty(cap, dtype=np.uint8)) if log_events else (None,) * 3
             out = b.copy()
             st = RunStats()
+            # C reads integrals only with edges, and _addr takes the slow
+            # ndarray.ctypes path (about 3 us) for the empty array
             self._check(self._lib.kk_kcm_run(
                 *tb.run_args, _addr(out), vk_addr, seed, replica, q, t_max,
                 target, stop, edges_addr, 0 if edges is None else edges.size,
-                _addr(integrals), me, *map(_addr, ev), cap, ctypes.byref(st)))
+                None if edges is None else _addr(integrals), me,
+                *map(_addr, ev), cap, ctypes.byref(st)))
             if st.n_events <= cap:
                 break
             cap = st.n_events

@@ -33,9 +33,18 @@ def _vector(a, dtype, n: int, name: str) -> np.ndarray:
     return out
 
 
+def _bits(bits, n: int) -> np.ndarray:
+    """uint8 states over n sites, each 0 (empty) or 1 (occupied)."""
+    b = _vector(bits, np.uint8, n, "bits")
+    if b.size and (b.max() > 1 or (b is not bits
+                                   and not np.array_equal(b, bits))):
+        raise ValueError("bits holds a value other than 0 and 1")
+    return b
+
+
 def closure_args(bits, n: int, flippable, visible):
-    """uint8 bits and bool masks (or None) over n sites."""
-    return (_vector(bits, np.uint8, n, "bits"),
+    """0/1 uint8 bits and bool masks (or None) over n sites."""
+    return (_bits(bits, n),
             None if flippable is None else _vector(flippable, bool, n,
                                                    "flippable"),
             None if visible is None else _vector(visible, bool, n, "visible"))
@@ -43,7 +52,10 @@ def closure_args(bits, n: int, flippable, visible):
 
 def threshold_args(order, n: int) -> np.ndarray:
     """(replicas, n) int64 rows of sites."""
-    o = np.ascontiguousarray(order, dtype=np.int64)
+    o = np.asarray(order)
+    if o.dtype.kind not in "iu":
+        raise ValueError(f"order has dtype {o.dtype}, expected integers")
+    o = np.ascontiguousarray(o, dtype=np.int64)
     if o.ndim != 2 or o.shape[1] != n:
         raise ValueError(f"order has shape {o.shape}, expected "
                          f"(replicas, {n})")
@@ -55,8 +67,7 @@ def threshold_args(order, n: int) -> np.ndarray:
 def kcm_run_args(bits, n: int, vkeys, seed, replica, q, t_max, target,
                  stop_when_target_empty, batch_edges, max_events):
     """kcm_run's arguments in order, C-typed; max_events None is 2^62."""
-    b, vk = (_vector(bits, np.uint8, n, "bits"),
-             _vector(vkeys, np.uint64, n, "vkeys"))
+    b, vk = _bits(bits, n), _vector(vkeys, np.uint64, n, "vkeys")
     edges = None
     if batch_edges is not None:
         edges = np.ascontiguousarray(batch_edges, dtype=np.float64)

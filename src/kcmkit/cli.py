@@ -19,8 +19,6 @@ import os
 import re
 import sys
 
-import numpy as np
-
 from . import __version__, blocks, bootstrap, kcm, paths, percolation
 from .families import UpdateFamily, make_family
 from .lattice import Configuration, Geometry, read_grid

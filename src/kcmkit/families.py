@@ -210,28 +210,40 @@ class FamilyTables:
     """Precomputed adjacency for one (geometry, family) pair; compared and
     hashed by identity, so kernels can cache per object.
 
+    Slot s is the family's s-th distinct offset (UpdateFamily.offsets).
     nbr[v, s] is the flat index of v + offset_s, with the pad index N for
-    offsets leaving a free box; rev[v, s] likewise for v - offset_s. Rules
-    are stored as slot index lists: rules[k] holds rule k's sorted slots,
-    rule_slots/rule_ptr concatenate them for the C kernels, and
-    slot_rules/slot_ptr list the rules touching each slot. pad_empty says
-    how the pad slot reads: 1 when the outside counts as empty.
+    offsets leaving a free box; rev[v, s] likewise for v - offset_s.
+    rules[k] holds rule k's sorted slots. sat[mask] is 1 iff the slot set
+    `mask` (bit s for slot s) contains some rule, i.e. a site whose empty
+    slots are `mask` is satisfied; it has 2^S entries, and is None when the
+    family has more than 16 slots. The C kernels read nbr, rev, sat and
+    pad_empty: 1 when the pad slot, the outside of a free box, reads empty.
     """
 
     geom: Geometry
     fam: UpdateFamily
     nbr: np.ndarray          # (N, S) int64
     rev: np.ndarray          # (N, S) int64
-    rule_slots: np.ndarray   # int32, concatenated slot ids per rule
-    rule_ptr: np.ndarray     # int32, (m+1,)
-    slot_rules: np.ndarray   # int32, concatenated rule ids per slot
-    slot_ptr: np.ndarray     # int32, (S+1,)
     rules: tuple[np.ndarray, ...]   # int32 slot ids of each rule, sorted
+    sat: np.ndarray | None   # (2^S,) uint8, or None for S > 16
     pad_empty: int
 
     @property
     def n_sites(self) -> int:
         return self.geom.n_sites
+
+
+def _satisfiable(rules: Sequence[np.ndarray], S: int) -> np.ndarray | None:
+    """sat[mask] = 1 iff some rule's slots all lie in mask: each rule's own
+    mask is marked, then one upward-closure pass per slot bit."""
+    if S > 16:                  # the C kernels hold masks in uint16
+        return None
+    sat = np.zeros(1 << S, dtype=np.uint8)
+    sat[[sum(1 << int(s) for s in slots) for slots in rules]] = 1
+    for b in range(S):
+        halves = sat.reshape(-1, 2, 1 << b)   # [:, 1] has bit b set
+        halves[:, 1] |= halves[:, 0]
+    return sat
 
 
 def build_tables(geom: Geometry, fam: UpdateFamily) -> FamilyTables:
@@ -241,22 +253,17 @@ def build_tables(geom: Geometry, fam: UpdateFamily) -> FamilyTables:
     slot_of = {off: s for s, off in enumerate(offsets)}
     off_arr = np.asarray(offsets, dtype=np.int64).reshape(len(offsets), fam.d)
     nbr = geom.neighbor_table(off_arr)
-    rev = geom.neighbor_table(-off_arr)
-
-    slot_lists = [sorted(slot_of[off] for off in rule) for rule in fam.rules]
-    rules = tuple(np.array(slots, dtype=np.int32) for slots in slot_lists)
-    slot_rules, slot_ptr = [], [0]
-    for s in range(len(offsets)):
-        slot_rules.extend(k for k, sl in enumerate(slot_lists) if s in sl)
-        slot_ptr.append(len(slot_rules))
+    # v - offset_s is the u with nbr[u, s] = v: one scatter, whose writes to
+    # the pad row n (offsets leaving a free box) are dropped
+    n, S = nbr.shape
+    rev = np.full((n + 1, S), n, dtype=np.int64)
+    rev[nbr, np.arange(S)] = np.arange(n)[:, None]
+    rules = tuple(np.array(sorted(slot_of[off] for off in rule),
+                           dtype=np.int32) for rule in fam.rules)
 
     return FamilyTables(
-        geom=geom, fam=fam, nbr=nbr, rev=rev,
-        rule_slots=np.concatenate(rules),
-        rule_ptr=np.cumsum([0, *map(len, rules)], dtype=np.int32),
-        slot_rules=np.asarray(slot_rules, dtype=np.int32),
-        slot_ptr=np.asarray(slot_ptr, dtype=np.int32),
-        rules=rules,
+        geom=geom, fam=fam, nbr=nbr, rev=rev[:n], rules=rules,
+        sat=_satisfiable(rules, S),
         pad_empty=1 if geom.outside_empty else 0,
     )
 

@@ -5,6 +5,13 @@ benchmark). Both implementations expose the same five entry points
 (closure, threshold, kcm_run, crossing_batch, uniforms) with identical
 semantics, bit-identical trajectories for the event loop and byte-identical
 uniforms. Their argument checks live in kcmkit._pure, which both call.
+
+The compiled closure, threshold and kcm_run read a family's rules through
+one empty-slot bitmask per site (uint16) and its satisfiability table
+FamilyTables.sat. A family with more than 16 distinct offsets has no such
+table, and the compiled binding runs _pure's kernels for it. Of the CLI's
+families that is fa_kf from d=9 (2d offsets) and east from d=17 (d
+offsets); gg, north_east and unconstrained are never affected.
 """
 
 from __future__ import annotations

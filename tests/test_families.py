@@ -140,10 +140,70 @@ def test_table_rules_match_family_rules(fam):
         assert slots.tolist() == sorted(slots.tolist())
         assert len(slots) == len(rule)
         assert {offsets[s] for s in slots.tolist()} == set(rule)
-        # the C kernels read the same slots through rule_slots/rule_ptr
-        assert np.array_equal(t.rule_slots[t.rule_ptr[k]:t.rule_ptr[k + 1]],
-                              slots)
-    assert t.rule_ptr[-1] == t.rule_slots.size
+        # the C kernels read the rules through sat: a site whose empty slots
+        # are exactly rule k's is satisfied
+        assert t.sat[sum(1 << s for s in slots.tolist())] == 1
+    assert t.sat.dtype == np.uint8
+    assert t.sat.shape == (1 << len(offsets),)
+
+
+SAT_FAMILIES = {
+    **{f"fa_kf({d},{k})": make_family("fa_kf", d=d, k=k)
+       for d, k in [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (2, 4), (3, 3),
+                    (4, 2), (8, 2), (8, 15)]},
+    "gg": make_family("gg"),
+    **{f"east{d}": make_family("east", d=d) for d in (1, 2, 3)},
+    "ne": make_family("north_east"),
+    "unconstrained": make_family("unconstrained", d=2),
+    "custom-empty-rule": make_family("custom", d=1, rules=[[(1,)], []]),
+    "custom-mixed": make_family(
+        "custom", rules=[[(1, 0)], [(0, 1), (0, -1), (2, 1)],
+                         [(-1, -1), (0, 1)]]),
+}
+
+
+@pytest.mark.parametrize("fam", SAT_FAMILIES.values(), ids=SAT_FAMILIES)
+def test_sat_matches_every_mask(fam):
+    # brute force from the family's own offsets and rules: mask is
+    # satisfiable iff some rule's offsets all lie in the slots it marks
+    offsets = fam.offsets()
+    masks = np.arange(1 << len(offsets))
+    expected = np.zeros(masks.size, dtype=bool)
+    for rule in fam.rules:
+        need = sum(1 << offsets.index(off) for off in rule)
+        expected |= masks & need == need
+    t = build_tables(Geometry((3,) * fam.d, torus=True), fam)
+    assert t.sat.dtype == np.uint8
+    assert np.array_equal(t.sat, expected)
+
+
+def test_sat_is_none_beyond_sixteen_slots():
+    fam = make_family("fa_kf", d=9, k=1)
+    assert len(fam.offsets()) == 18
+    assert build_tables(Geometry((2,) * 9, torus=True), fam).sat is None
+
+
+@pytest.mark.parametrize("geom", [
+    Geometry((5, 6), torus=True), Geometry((2, 3), torus=True),
+    Geometry((2, 2), torus=True), Geometry((1, 4), torus=True),
+    Geometry((7,), torus=True), Geometry((2, 2, 2), torus=True),
+    Geometry((5, 6)), Geometry((2, 3)), Geometry((1, 1)),
+    Geometry((5, 6), outside_empty=True), Geometry((2, 2, 3),
+                                                   outside_empty=True),
+], ids=repr)
+def test_rev_is_the_reverse_neighbor_table(geom):
+    # rev comes from one scatter of nbr; it must be byte-equal to the
+    # table of the negated offsets, pad entries included
+    fams = [make_family("fa_kf", d=geom.d, k=1), make_family("east", d=geom.d)]
+    if geom.d == 2:
+        fams += [make_family("gg"), make_family(
+            "custom", rules=[[(1, 0), (0, 3)], [(-2, -1)]])]
+    for fam in fams:
+        t = build_tables(geom, fam)
+        ref = geom.neighbor_table(-np.asarray(fam.offsets(), dtype=np.int64))
+        assert t.rev.dtype == ref.dtype and t.rev.shape == ref.shape
+        assert t.rev.flags.c_contiguous
+        assert t.rev.tobytes() == ref.tobytes()
 
 
 # --------------------------------------------------------------- round trip

@@ -80,14 +80,20 @@ BAD_ARGS = {
     "closure-short-visible": ("closure", (_BITS, _T),
                               {"visible": np.ones(8, bool)}),
     "closure-int-flippable": ("closure", (_BITS, _T, np.arange(9) % 2), {}),
+    "closure-bits-2": ("closure", (_BITS * 2, _T), {}),
+    "closure-bits-256": ("closure", (_BITS.astype(int) * 256, _T), {}),
+    "closure-half-bits": ("closure", (_BITS * 0.5, _T), {}),
     "threshold-1d-order": ("threshold", (np.arange(9), _T), {}),
     "threshold-narrow-order": ("threshold", (np.zeros((2, 8), int), _T), {}),
     "threshold-site-outside": ("threshold", (np.arange(1, 10)[None], _T), {}),
     "threshold-repeated-site": ("threshold", (np.zeros((1, 9), int), _T), {}),
+    "threshold-float-order": ("threshold", (np.arange(9)[None] + 0.7, _T), {}),
+    "threshold-bool-order": ("threshold", (np.ones((1, 9), bool), _T), {}),
     "kcm_run-short-bits": ("kcm_run", (_BITS[:8], *_RUN), {}),
     "kcm_run-short-vkeys": ("kcm_run", (_BITS, _T, _VK[:8], 1, 0, 0.3, 2.0),
                             {}),
     "kcm_run-2d-bits": ("kcm_run", (_BITS[None, :], *_RUN), {}),
+    "kcm_run-bits-2": ("kcm_run", (_BITS * 2, *_RUN), {}),
     "kcm_run-one-edge": ("kcm_run", (_BITS, *_RUN), {"batch_edges": [0.5]}),
     "kcm_run-2d-edges": ("kcm_run", (_BITS, *_RUN),
                          {"batch_edges": [[0.0, 1.0]]}),
@@ -172,6 +178,78 @@ THRESHOLD_CASES = FAMS + [
     ("fa1f-one-site-empty-outside", make_family("fa_kf", d=1, k=1),
      Geometry((1,), outside_empty=True)),
 ]
+
+
+# Families with many slots, on grids where several slots of a site read the
+# same neighbour (2- and 3-wide tori, where +e and -e or +2e and -2e meet)
+# or the pad (free boxes): the mask kernels set one bit per slot there.
+WIDE = [
+    ("gg-2x5", make_family("gg"), Geometry((2, 5), torus=True)),
+    ("gg-3x4", make_family("gg"), Geometry((3, 4), torus=True)),
+    ("gg-4x3", make_family("gg"), Geometry((4, 3), torus=True)),
+    ("gg-free", make_family("gg"), Geometry((5, 4))),
+    ("gg-free-empty", make_family("gg"), Geometry((4, 5), outside_empty=True)),
+    ("gg-16x16", make_family("gg"), Geometry((16, 16), torus=True)),
+    ("fa3-2x2x3", make_family("fa_kf", d=3, k=3), Geometry((2, 2, 3),
+                                                            torus=True)),
+    ("fa3-3x3x3", make_family("fa_kf", d=3, k=3), Geometry((3, 3, 3),
+                                                            torus=True)),
+    ("fa3-free", make_family("fa_kf", d=3, k=3), Geometry((4, 3, 3))),
+    ("fa3-free-empty", make_family("fa_kf", d=3, k=3),
+     Geometry((3, 4, 2), outside_empty=True)),
+    ("fa3-8x8x8", make_family("fa_kf", d=3, k=3), Geometry((8, 8, 8),
+                                                            torus=True)),
+]
+
+
+@pytest.mark.parametrize("label,fam,geom", WIDE, ids=[c[0] for c in WIDE])
+def test_mask_kernels_parity_on_wide_families(core, label, fam, geom):
+    t = tables_for(geom, fam)
+    n = geom.n_sites
+    gen = np.random.default_rng(n)
+    for q in (0.3, 0.5, 0.7):
+        for _ in range(4):
+            bits = (gen.random(n) >= q).astype(np.uint8)
+            b1, r1 = core.closure(bits, t)
+            b2, r2 = _pure.closure(bits, t)
+            assert np.array_equal(b1, b2) and np.array_equal(r1, r2)
+            flip, vis = gen.random(n) > 0.2, gen.random(n) > 0.2
+            b1, r1 = core.closure(bits, t, flip, vis)
+            b2, r2 = _pure.closure(bits, t, flip, vis)
+            assert np.array_equal(b1, b2) and np.array_equal(r1, r2)
+    order = np.argsort(gen.random((6, n)), axis=1)
+    assert np.array_equal(core.threshold(order, t), _pure.threshold(order, t))
+    vkeys = geom.vertex_keys()
+    bits = (gen.random(n) >= 0.4).astype(np.uint8)
+    edges = np.array([0.0, 0.5, 2.0])
+    a = core.kcm_run(bits, t, vkeys, 3, 1, 0.4, 2.0, target=n // 2,
+                     batch_edges=edges, log_events=True)
+    b = _pure.kcm_run(bits, t, vkeys, 3, 1, 0.4, 2.0, target=n // 2,
+                      batch_edges=edges, log_events=True)
+    assert a["legal_updates"] > 0
+    _assert_same_run(a, b)
+
+
+def test_more_than_sixteen_slots_route_to_pure(core, monkeypatch):
+    # fa_kf at d=9 has 18 slots, too many for uint16 masks: the compiled
+    # binding must hand its calls to _pure without touching the library
+    geom = Geometry((2,) * 9, torus=True)
+    t = tables_for(geom, make_family("fa_kf", d=9, k=2))
+    assert t.sat is None
+    monkeypatch.setattr(core, "_lib", None)
+    n = geom.n_sites
+    gen = np.random.default_rng(9)
+    bits = (gen.random(n) >= 0.3).astype(np.uint8)
+    flip = gen.random(n) > 0.2
+    for args in ((bits, t), (bits, t, flip, flip)):
+        a, b = core.closure(*args), _pure.closure(*args)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+    order = np.argsort(gen.random((2, n)), axis=1)
+    assert np.array_equal(core.threshold(order, t), _pure.threshold(order, t))
+    vkeys = geom.vertex_keys()
+    _assert_same_run(
+        core.kcm_run(bits, t, vkeys, 2, 0, 0.3, 0.5, log_events=True),
+        _pure.kcm_run(bits, t, vkeys, 2, 0, 0.3, 0.5, log_events=True))
 
 
 def _prefix_spans(geom, fam, row, k) -> bool:
