@@ -4,10 +4,11 @@
  *
  * Plain C99 over raw arrays, no Python API; kcmkit/_compiled.py binds it
  * with ctypes. The contract and the results are those of kcmkit/_pure.py
- * (bit-identical trajectories for the event loop), whose *_args functions
- * check and convert every argument before _compiled.py passes it in: this
- * file assumes valid, contiguous arrays of the stated types and lengths.
- * tests/test_kernels.py asserts the parity, errors included.
+ * (bit-identical trajectories for the event loop). Its *_args functions,
+ * and kcmkit.families.FamilyTables for the tables, check every argument:
+ * this file assumes valid, contiguous arrays of the stated types and
+ * lengths, and indexes with nbr and rev unchecked. tests/test_kernels.py
+ * asserts the parity, errors included.
  *
  * Table layout (see kcmkit.families.FamilyTables): nbr[v*S + s] is the flat
  * index of v + offset_s and rev[v*S + s] that of v - offset_s, with the pad
@@ -104,14 +105,13 @@ static int64_t spread(int64_t n, int64_t S, const int64_t *rev,
  * mask[v] holds the slots of v that read empty, and a site may empty while
  * open: it is occupied, flippable and not yet emptied. The sites whose
  * mask is satisfied at the start form round 1, and spread() finds each
- * next round. flippable and visible may be NULL (all ones). Writes out[v]
- * (bits after the closure) and rounds[v]: 0 for initially empty sites,
- * r >= 1 for sites emptied in round r, -1 never.
+ * next round. flippable may be NULL (all ones); to restrict the closure to
+ * a region, occupy the rest. Writes out[v] (bits after the closure) and
+ * rounds[v]: 0 if initially empty, r if emptied in round r, else -1.
  */
 int kk_closure(int64_t n, int64_t S, const int64_t *nbr, const int64_t *rev,
                const uint8_t *sat, int pad_empty, const uint8_t *bits,
-               const uint8_t *flippable, const uint8_t *visible,
-               uint8_t *out, int32_t *rounds)
+               const uint8_t *flippable, uint8_t *out, int32_t *rounds)
 {
     uint8_t *eff = malloc((size_t)n + 1);
     uint8_t *open = malloc((size_t)n + 1);
@@ -122,7 +122,7 @@ int kk_closure(int64_t n, int64_t S, const int64_t *nbr, const int64_t *rev,
         return -1;
     }
     for (int64_t v = 0; v < n; v++) {
-        eff[v] = bits[v] == 0 && (!visible || visible[v]);
+        eff[v] = bits[v] == 0;
         open[v] = bits[v] == 1 && (!flippable || flippable[v]);
         rounds[v] = bits[v] == 0 ? 0 : -1;
     }

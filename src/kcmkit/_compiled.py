@@ -5,10 +5,10 @@ results (bit-identical trajectories for the event loop, byte-identical
 uniforms). `python setup.py build_ext --inplace` puts the library next to
 this file; `load` returns None when it is missing or cannot be loaded, and
 kcmkit.kernels then falls back to _pure. Arguments are checked and
-converted by _pure's *_args functions right before each C call; only the
-family-table check and the mapping of C's error returns live here. The
-converted family tables are cached per FamilyTables object, for as long as
-that object lives. A family with more than 16 slots has no mask table
+converted by _pure's *_args functions right before each C call, and a
+FamilyTables checks and freezes its layout when it is built; only the
+mapping of C's error returns, and one cache of table addresses per
+FamilyTables, live here. A family with more than 16 slots has no mask table
 (FamilyTables.sat is None), so its closure, threshold and kcm_run calls go
 to the _pure kernels.
 """
@@ -57,26 +57,6 @@ def _addr(a: np.ndarray | None):
     return a.ctypes.data
 
 
-class _Tables:
-    """Contiguous C-typed views of a FamilyTables and their addresses, held
-    while C reads them."""
-
-    def __init__(self, t: FamilyTables):
-        n = t.n_sites
-        nbr, rev = (np.ascontiguousarray(a, np.int64) for a in (t.nbr, t.rev))
-        sat = np.ascontiguousarray(t.sat, np.uint8)
-        S = nbr.shape[1]
-        if (nbr.shape != (n, S) or rev.shape != nbr.shape
-                or sat.shape != (1 << S,)):
-            raise ValueError("family tables do not match the geometry")
-        self.n = n
-        self._arrays = (nbr, rev, sat)
-        pad_empty = int(bool(t.pad_empty))
-        self.closure_args = (n, S, _addr(nbr), _addr(rev), _addr(sat),
-                             pad_empty)
-        self.run_args = (n, S, _addr(nbr), _addr(sat), pad_empty)
-
-
 class Kernels:
     """The five kernel entry points over one loaded library."""
 
@@ -84,10 +64,9 @@ class Kernels:
 
     def __init__(self, path: Path):
         lib = ctypes.CDLL(str(path))
-        lib.kk_closure.argtypes = [_i64, _i64] + [_ptr] * 3 + [
-            ctypes.c_int] + [_ptr] * 5
-        lib.kk_threshold.argtypes = [_i64, _i64] + [_ptr] * 3 + [
-            ctypes.c_int, _i64, _ptr, _ptr]
+        head = [_i64, _i64, _ptr, _ptr, _ptr, ctypes.c_int]   # _table_args
+        lib.kk_closure.argtypes = head + [_ptr] * 4
+        lib.kk_threshold.argtypes = head + [_i64, _ptr, _ptr]
         lib.kk_kcm_run.argtypes = [
             _i64, _i64, _ptr, _ptr, ctypes.c_int, _ptr, _ptr,
             _u64, _u64, _dbl, _dbl, _i64, ctypes.c_int, _ptr, _i64, _ptr,
@@ -101,12 +80,14 @@ class Kernels:
         self._lib = lib
         self._tables = weakref.WeakKeyDictionary()
 
-    def _converted(self, t: FamilyTables) -> _Tables:
-        """The _Tables of t, cached until t is collected (FamilyTables
-        hashes by identity)."""
+    def _table_args(self, t: FamilyTables) -> tuple:
+        """(n, S, nbr, rev, sat, pad_empty), the leading C arguments of the
+        closure and threshold calls, cached until t is collected; its
+        read-only arrays live as long as t, which hashes by identity."""
         hit = self._tables.get(t)
         if hit is None:
-            hit = self._tables[t] = _Tables(t)
+            hit = self._tables[t] = (*t.nbr.shape, *map(
+                _addr, (t.nbr, t.rev, t.sat)), int(t.pad_empty))
         return hit
 
     @staticmethod
@@ -114,22 +95,18 @@ class Kernels:
         if rc != 0:
             raise MemoryError("kcmkit compiled kernel: out of memory")
 
-    def closure(self, bits, t: FamilyTables, flippable=None, visible=None):
-        """Bootstrap closure with synchronous-round labels.
-
-        Same contract as kcmkit._pure.closure: returns (out_bits, rounds)
-        with rounds[v] = 0 for initially empty sites, r >= 1 for sites
-        emptied in round r, -1 for sites never emptied.
-        """
+    def closure(self, bits, t: FamilyTables, flippable=None):
+        """Bootstrap closure with synchronous-round labels; mirrors
+        kcmkit._pure.closure."""
         if t.sat is None:
-            return _pure.closure(bits, t, flippable, visible)
-        tb = self._converted(t)
-        b, flip, vis = _pure.closure_args(bits, tb.n, flippable, visible)
-        out = np.empty(tb.n, dtype=np.uint8)
-        rounds = np.empty(tb.n, dtype=np.int32)
+            return _pure.closure(bits, t, flippable)
+        head = self._table_args(t)
+        n = head[0]
+        b, flip = _pure.closure_args(bits, n, flippable)
+        out = np.empty(n, dtype=np.uint8)
+        rounds = np.empty(n, dtype=np.int32)
         self._check(self._lib.kk_closure(
-            *tb.closure_args, _addr(b), _addr(flip), _addr(vis), _addr(out),
-            _addr(rounds)))
+            *head, _addr(b), _addr(flip), _addr(out), _addr(rounds)))
         return out, rounds
 
     def threshold(self, order, t: FamilyTables) -> np.ndarray:
@@ -137,11 +114,10 @@ class Kernels:
         kcmkit._pure.threshold."""
         if t.sat is None:
             return _pure.threshold(order, t)
-        tb = self._converted(t)
-        o = _pure.threshold_args(order, tb.n)
+        head = self._table_args(t)
+        o = _pure.threshold_args(order, head[0])
         out = np.empty(o.shape[0], dtype=np.int64)
-        rc = self._lib.kk_threshold(*tb.closure_args, o.shape[0], _addr(o),
-                                    _addr(out))
+        rc = self._lib.kk_threshold(*head, o.shape[0], _addr(o), _addr(out))
         if rc == -2:
             raise ValueError("an order row does not empty every site")
         self._check(rc)
@@ -155,15 +131,15 @@ class Kernels:
             return _pure.kcm_run(bits, t, vkeys, seed, replica, q, t_max,
                                  target, stop_when_target_empty, batch_edges,
                                  log_events, max_events)
-        tb = self._converted(t)
+        n, S, nbr, _, sat, pad_empty = self._table_args(t)
         b, vk, seed, replica, q, t_max, target, stop, edges, me = \
-            _pure.kcm_run_args(bits, tb.n, vkeys, seed, replica, q, t_max,
+            _pure.kcm_run_args(bits, n, vkeys, seed, replica, q, t_max,
                                target, stop_when_target_empty, batch_edges,
                                max_events)
         cap = 0
         if log_events:
             # rings arrive at rate 1 per site, so this usually holds the log
-            cap = int(min(me, _EVENT_CAP, 1.25 * tb.n * max(t_max, 0.0) + 64))
+            cap = int(min(me, _EVENT_CAP, 1.25 * n * max(t_max, 0.0) + 64))
         vk_addr, edges_addr = _addr(vk), _addr(edges)
         while True:
             integrals = np.zeros(0 if edges is None else edges.size - 1)
@@ -174,8 +150,9 @@ class Kernels:
             # C reads integrals only with edges, and _addr takes the slow
             # ndarray.ctypes path (about 3 us) for the empty array
             self._check(self._lib.kk_kcm_run(
-                *tb.run_args, _addr(out), vk_addr, seed, replica, q, t_max,
-                target, stop, edges_addr, 0 if edges is None else edges.size,
+                n, S, nbr, sat, pad_empty, _addr(out), vk_addr, seed,
+                replica, q, t_max, target, stop, edges_addr,
+                0 if edges is None else edges.size,
                 None if edges is None else _addr(integrals), me,
                 *map(_addr, ev), cap, ctypes.byref(st)))
             if st.n_events <= cap:

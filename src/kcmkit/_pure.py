@@ -20,6 +20,7 @@ import numpy as np
 
 from . import rng
 from .families import FamilyTables
+from .lattice import as_bits
 
 IMPL_NAME = "pure"
 
@@ -35,19 +36,14 @@ def _vector(a, dtype, n: int, name: str) -> np.ndarray:
 
 def _bits(bits, n: int) -> np.ndarray:
     """uint8 states over n sites, each 0 (empty) or 1 (occupied)."""
-    b = _vector(bits, np.uint8, n, "bits")
-    if b.size and (b.max() > 1 or (b is not bits
-                                   and not np.array_equal(b, bits))):
-        raise ValueError("bits holds a value other than 0 and 1")
-    return b
+    return _vector(as_bits(bits), np.uint8, n, "bits")
 
 
-def closure_args(bits, n: int, flippable, visible):
-    """0/1 uint8 bits and bool masks (or None) over n sites."""
+def closure_args(bits, n: int, flippable):
+    """0/1 uint8 bits and a bool mask (or None) over n sites."""
     return (_bits(bits, n),
             None if flippable is None else _vector(flippable, bool, n,
-                                                   "flippable"),
-            None if visible is None else _vector(visible, bool, n, "visible"))
+                                                   "flippable"))
 
 
 def threshold_args(order, n: int) -> np.ndarray:
@@ -115,23 +111,19 @@ def uniforms(head: int, replicas, vkeys: np.ndarray,
 # ------------------------------------------------------------------- closure
 
 def closure(bits: np.ndarray, t: FamilyTables,
-            flippable: np.ndarray | None = None,
-            visible: np.ndarray | None = None):
+            flippable: np.ndarray | None = None):
     """Bootstrap closure with synchronous-round labels.
 
     Returns (out_bits, rounds): rounds[v] = 0 for initially empty sites,
     r >= 1 for sites emptied in sweep r, -1 for sites never emptied. Only
-    `flippable` sites may be emptied; only `visible` sites contribute their
-    initial emptiness to constraints (sites added by the closure always
-    contribute). Offsets leaving a free box read as the geometry dictates.
+    `flippable` sites may empty; to restrict the closure to a region, occupy
+    every site outside it. Offsets leaving a free box read as the geometry
+    dictates.
     """
     n = t.n_sites
-    bits, flippable, visible = closure_args(bits, n, flippable, visible)
-    empty0 = bits == 0
-    eff = np.empty(n + 1, dtype=bool)
-    eff[:n] = empty0 if visible is None else (empty0 & visible)
-    eff[n] = bool(t.pad_empty)
-    rounds = np.where(empty0, np.int32(0), np.int32(-1))
+    bits, flippable = closure_args(bits, n, flippable)
+    eff = np.append(bits == 0, bool(t.pad_empty))   # eff[n]: the pad
+    rounds = np.where(eff[:n], np.int32(0), np.int32(-1))
     can = bits == 1
     if flippable is not None:
         can &= flippable

@@ -48,17 +48,16 @@ def is_internally_spanned(cfg: Configuration, fam: UpdateFamily,
                           region: Region | None = None) -> bool:
     """Does the closure restricted to the region empty it completely?
 
-    Restricted means: only region sites may be emptied and only their initial
-    emptiness is visible, so constraint members outside the region (or
-    outside the geometry, on a conservative free box) count as occupied.
-    With region=None the whole geometry is used.
+    Restricted means: the closure of the configuration with every site
+    outside the region occupied (as is the outside of a conservative free
+    box), emptying region sites only. region=None means the whole geometry.
     """
     t = tables_for(cfg.geom, fam)
     if region is None:
         out, _ = kernels.closure(cfg.bits, t)
         return not out.any()
     mask = region.mask()
-    out, _ = kernels.closure(cfg.bits, t, flippable=mask, visible=mask)
+    out, _ = kernels.closure(np.where(mask, cfg.bits, np.uint8(1)), t, mask)
     return not out[region.indices].any()
 
 

@@ -218,6 +218,8 @@ class FamilyTables:
     slots are `mask` is satisfied; it has 2^S entries, and is None when the
     family has more than 16 slots. The C kernels read nbr, rev, sat and
     pad_empty: 1 when the pad slot, the outside of a free box, reads empty.
+    Construction checks this layout, which the C code indexes unchecked,
+    and makes every array read-only: tables_for shares one object.
     """
 
     geom: Geometry
@@ -227,6 +229,29 @@ class FamilyTables:
     rules: tuple[np.ndarray, ...]   # int32 slot ids of each rule, sorted
     sat: np.ndarray | None   # (2^S,) uint8, or None for S > 16
     pad_empty: int
+
+    def __post_init__(self):
+        n, S = self.n_sites, len(self.fam.offsets())
+        layout = [("nbr", np.int64, (n, S), n), ("rev", np.int64, (n, S), n)]
+        if S <= 16:
+            layout.append(("sat", np.uint8, (1 << S,), 1))
+        elif self.sat is not None:
+            raise ValueError(f"sat must be None for {S} > 16 slots")
+        for name, dtype, shape, top in layout:
+            a = getattr(self, name)
+            if not (isinstance(a, np.ndarray) and a.dtype == dtype
+                    and a.shape == shape and a.flags.c_contiguous
+                    and (a.size == 0 or 0 <= a.min() and a.max() <= top)):
+                raise ValueError(f"{name} must be a C-contiguous {shape} "
+                                 f"{np.dtype(dtype)} array over [0, {top}]")
+        slots = np.concatenate((np.zeros(0, np.int64), *self.rules))
+        if slots.dtype.kind not in "iu" or ((slots < 0) | (slots >= S)).any():
+            raise ValueError(f"rules must hold slot ids in [0, {S})")
+        if self.pad_empty not in (0, 1):
+            raise ValueError("pad_empty must be 0 or 1")
+        for a in (self.nbr, self.rev, self.sat, *self.rules):
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
 
     @property
     def n_sites(self) -> int:

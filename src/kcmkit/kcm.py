@@ -18,7 +18,8 @@ import numpy as np
 
 from . import kernels, stats
 from .families import UpdateFamily, tables_for
-from .lattice import Configuration, Geometry, _as_flat, _opened, random_bits
+from .lattice import (Configuration, Geometry, _as_flat, _opened, as_bits,
+                      random_bits)
 
 
 @dataclass(frozen=True)
@@ -236,4 +237,4 @@ def read_event_log(fh):
         raise ValueError("truncated event log")
     rec = np.frombuffer(blob, dtype=_EVENT)
     return (rec["t"].astype(np.float64), rec["v"].astype(np.int32),
-            rec["s"].astype(np.uint8))
+            as_bits(rec["s"], "event log state"))

@@ -4,7 +4,8 @@ Set KCMKIT_PURE=1 to force the fallback (used by the parity tests and the
 benchmark). Both implementations expose the same five entry points
 (closure, threshold, kcm_run, crossing_batch, uniforms) with identical
 semantics, bit-identical trajectories for the event loop and byte-identical
-uniforms. Their argument checks live in kcmkit._pure, which both call.
+uniforms. Their argument checks live in kcmkit._pure, which both call; a
+FamilyTables checks its own layout when it is built.
 
 The compiled closure, threshold and kcm_run read a family's rules through
 one empty-slot bitmask per site (uint16) and its satisfiability table

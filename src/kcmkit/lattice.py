@@ -165,17 +165,26 @@ def random_bits(geom: Geometry, q: float, seed: int, replicas,
         yield ids, (u >= q).astype(np.uint8)
 
 
+def as_bits(a, name: str = "bits") -> np.ndarray:
+    """a as a C-contiguous uint8 array; raises ValueError unless every entry
+    is exactly 0 (empty) or 1 (occupied), so no cast hides a 2, 256, 0.5 or
+    -1. uint8 input costs one max()."""
+    a = np.asarray(a)
+    if not (a.max(initial=0) <= 1 if a.dtype == np.uint8 else
+            a.dtype.kind in "biuf" and ((a == 0) | (a == 1)).all()):
+        raise ValueError(f"{name} holds a value other than 0 and 1")
+    return np.ascontiguousarray(a, dtype=np.uint8)
+
+
 class Configuration:
     """Site configuration on a geometry; bits[i] = 1 occupied, 0 empty."""
 
     __slots__ = ("geom", "bits")
 
     def __init__(self, geom: Geometry, bits: np.ndarray):
-        bits = np.ascontiguousarray(bits, dtype=np.uint8).reshape(-1)
+        bits = as_bits(bits).reshape(-1)
         if bits.size != geom.n_sites:
             raise ValueError(f"expected {geom.n_sites} sites, got {bits.size}")
-        if bits.max(initial=0) > 1:
-            raise ValueError("bits must be 0 or 1")
         self.geom = geom
         self.bits = bits
 
@@ -421,8 +430,6 @@ def read_grid(fh) -> Configuration:
         if flat.size != geom.n_sites:
             raise ValueError(f"grid body has {flat.size} sites, "
                              f"geometry needs {geom.n_sites}")
-        if flat.max(initial=0) > 1:
-            raise ValueError("grid body must contain only 0/1")
         return Configuration(geom, flat)
 
 

@@ -20,7 +20,8 @@ from . import kernels, rng
 from .blocks import BlockSpec, _good_batch, _seed_mask, _supergood_batch
 from .families import UpdateFamily, make_family, tables_for
 from .lattice import (Box, Configuration, Geometry, Region, _cached_geometry,
-                      box_region, cross_region, random_bits, slice_region)
+                      as_bits, box_region, cross_region, random_bits,
+                      slice_region)
 
 MODE_EXACT = "exact"
 MODE_BOUNDED = "bounded"
@@ -52,7 +53,7 @@ class LegalPath:
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=np.int64)
-        self.values = np.asarray(self.values, dtype=np.uint8)
+        self.values = as_bits(self.values, "values")
         if self.vertices.ndim != 1 or self.vertices.shape != self.values.shape:
             raise ValueError("vertices and values must be equal-length 1d arrays")
         n = self.start.geom.n_sites
@@ -164,10 +165,10 @@ def verify_legal(path: LegalPath, fam: UpdateFamily) -> VerifyResult:
 # ------------------------------------------------------- schedule plumbing
 
 
-def _ordered_schedule(bits, geom, fam, flippable, visible=None):
+def _ordered_schedule(bits, geom, fam, flippable):
     """Flips of the restricted closure: earliest round first, lex within."""
     t = tables_for(geom, fam)
-    out, rounds = kernels.closure(bits, t, flippable=flippable, visible=visible)
+    out, rounds = kernels.closure(bits, t, flippable=flippable)
     emptied = np.flatnonzero(rounds > 0)
     if emptied.size:
         emptied = emptied[np.lexsort((emptied, rounds[emptied]))]
@@ -193,9 +194,12 @@ class _Recorder:
     def empty(self, fam: UpdateFamily, flippable: np.ndarray,
               visible=None) -> bool:
         """Record the restricted closure's flips on the working bits; True
-        when every flippable site ended empty."""
-        flips, out = _ordered_schedule(self.bits, self.start.geom, fam,
-                                       flippable, visible=visible)
+        when every flippable site ended empty. Sites outside `visible` are
+        occupied in the closure's copy of the bits; every caller's
+        `flippable` lies inside `visible`, so no hidden site is emptied."""
+        bits = self.bits if visible is None else np.where(
+            visible, self.bits, np.uint8(1))
+        flips, out = _ordered_schedule(bits, self.start.geom, fam, flippable)
         for v in flips.tolist():
             self.flip(v, 0)
         return not out[flippable].any()
@@ -207,8 +211,7 @@ class _Recorder:
                 self.flip(v, 1 - val)
 
     def path(self) -> LegalPath:
-        return LegalPath(self.start, np.array(self.verts, dtype=np.int64),
-                         np.array(self.vals, dtype=np.uint8))
+        return LegalPath(self.start, self.verts, self.vals)
 
 
 def _sweep(rec: _Recorder, fam: UpdateFamily, r: Region, visible=None) -> None:
@@ -859,5 +862,4 @@ def read_path_file(fh, start: Configuration):
             raise ValueError("flip indices must count up from 0")
         verts.append(start.geom.flat(ast.literal_eval(coords_s)))
         vals.append(int(val_s))
-    return LegalPath(start, np.array(verts, dtype=np.int64),
-                     np.array(vals, dtype=np.uint8)), grid_ref
+    return LegalPath(start, np.array(verts, dtype=np.int64), vals), grid_ref

@@ -97,20 +97,14 @@ def find_clusters(cfg: Configuration) -> np.ndarray:
             v = parent[v]
         return v
 
-    idx = np.arange(n).reshape(geom.dims)
-    for axis, dim in enumerate(geom.dims):
-        if dim < 2:
-            continue
-        lo = np.moveaxis(idx, axis, 0)[:-1].ravel()
-        hi = np.moveaxis(idx, axis, 0)[1:].ravel()
-        if geom.torus:
-            lo = np.concatenate([lo, np.moveaxis(idx, axis, 0)[-1].ravel()])
-            hi = np.concatenate([hi, np.moveaxis(idx, axis, 0)[0].ravel()])
-        both = empty[lo] & empty[hi]
-        for a, b in zip(lo[both].tolist(), hi[both].tolist()):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
+    # every edge (v, v + e_axis) once; the geometry wraps it or, off a free
+    # box, gives the pad index n, which reads occupied here
+    nbr = geom.neighbor_table(np.eye(geom.d, dtype=np.int64))
+    v, axis = np.nonzero(empty[:, None] & np.append(empty, False)[nbr])
+    for a, b in zip(v.tolist(), nbr[v, axis].tolist()):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
 
     labels = np.full(n, -1, dtype=np.int64)
     for v in np.flatnonzero(empty).tolist():

@@ -165,6 +165,14 @@ def test_event_log_rejects_truncated(tmp_path):
         read_event_log(path)
 
 
+def test_event_log_rejects_state_bytes_other_than_0_and_1(tmp_path):
+    path = str(tmp_path / "bad.events")
+    write_event_log((np.array([0.5, 1.0]), np.array([0, 1]),
+                     np.array([1, 2], dtype=np.uint8)), path)
+    with pytest.raises(ValueError, match="other than 0 and 1"):
+        read_event_log(path)
+
+
 def test_events_replay_to_final_state():
     p = _params(make_family("fa_kf", d=2, k=1), 0.35, (5, 5), 12.0, 5, torus=True)
     cfg = Configuration.random(p.geometry, 0.5, seed=88)

@@ -77,8 +77,6 @@ BAD_ARGS = {
     "closure-long-bits": ("closure", (np.ones(10, np.uint8), _T), {}),
     "closure-2d-bits": ("closure", (_BITS[None, :], _T), {}),
     "closure-short-flippable": ("closure", (_BITS, _T, np.ones(8, bool)), {}),
-    "closure-short-visible": ("closure", (_BITS, _T),
-                              {"visible": np.ones(8, bool)}),
     "closure-int-flippable": ("closure", (_BITS, _T, np.arange(9) % 2), {}),
     "closure-bits-2": ("closure", (_BITS * 2, _T), {}),
     "closure-bits-256": ("closure", (_BITS.astype(int) * 256, _T), {}),
@@ -157,11 +155,12 @@ def test_closure_parity_with_masks(core, label, fam, geom):
     n = geom.n_sites
     rng = np.random.default_rng(0)
     for _ in range(25):
+        # a closure restricted to a region occupies the sites outside it
         bits = (rng.random(n) > 0.4).astype(np.uint8)
         flip = rng.random(n) > 0.3
-        vis = rng.random(n) > 0.2
-        b1, r1 = core.closure(bits, t, flip, vis)
-        b2, r2 = _pure.closure(bits, t, flip, vis)
+        bits[rng.random(n) <= 0.2] = 1
+        b1, r1 = core.closure(bits, t, flip)
+        b2, r2 = _pure.closure(bits, t, flip)
         assert np.array_equal(b1, b2)
         assert np.array_equal(r1, r2)
 
@@ -213,9 +212,10 @@ def test_mask_kernels_parity_on_wide_families(core, label, fam, geom):
             b1, r1 = core.closure(bits, t)
             b2, r2 = _pure.closure(bits, t)
             assert np.array_equal(b1, b2) and np.array_equal(r1, r2)
-            flip, vis = gen.random(n) > 0.2, gen.random(n) > 0.2
-            b1, r1 = core.closure(bits, t, flip, vis)
-            b2, r2 = _pure.closure(bits, t, flip, vis)
+            flip, hidden = gen.random(n) > 0.2, gen.random(n) <= 0.2
+            bits = np.where(hidden, np.uint8(1), bits)
+            b1, r1 = core.closure(bits, t, flip)
+            b2, r2 = _pure.closure(bits, t, flip)
             assert np.array_equal(b1, b2) and np.array_equal(r1, r2)
     order = np.argsort(gen.random((6, n)), axis=1)
     assert np.array_equal(core.threshold(order, t), _pure.threshold(order, t))
@@ -241,7 +241,7 @@ def test_more_than_sixteen_slots_route_to_pure(core, monkeypatch):
     gen = np.random.default_rng(9)
     bits = (gen.random(n) >= 0.3).astype(np.uint8)
     flip = gen.random(n) > 0.2
-    for args in ((bits, t), (bits, t, flip, flip)):
+    for args in ((bits, t), (bits, t, flip)):
         a, b = core.closure(*args), _pure.closure(*args)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
     order = np.argsort(gen.random((2, n)), axis=1)
@@ -451,6 +451,83 @@ def test_converted_tables_die_with_their_family_tables(core):
     del t
     gc.collect()
     assert ref() is None
+
+
+# Builds each bad FamilyTables in a fresh interpreter and, when construction
+# accepts it, runs both closures on it: a compiled kernel that reads out of
+# bounds may crash the process, which must not take pytest down with it.
+_BAD_TABLES = """
+import sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from kcmkit import _compiled, _pure
+from kcmkit.families import FamilyTables, build_tables, make_family
+from kcmkit.lattice import Geometry
+
+core = _compiled.Kernels(Path(sys.argv[2]))
+good = vars(build_tables(Geometry((3, 3), torus=True),
+                         make_family("fa_kf", d=2, k=2)))
+nbr, rev = good["nbr"], good["rev"]
+
+
+def poked(a, value):
+    a = a.copy()
+    a[4, 1] = value
+    return a
+
+
+CASES = {
+    "nbr-past-pad": {"nbr": poked(nbr, 10)},
+    "nbr-far": {"nbr": poked(nbr, 1 << 40)},
+    "nbr-negative": {"nbr": poked(nbr, -1)},
+    "rev-negative": {"rev": poked(rev, -(1 << 40))},
+    "rev-past-pad": {"rev": poked(rev, 10)},
+    "nbr-narrow": {"nbr": np.ascontiguousarray(nbr[:, :3])},
+    "nbr-int32": {"nbr": nbr.astype(np.int32)},
+    "nbr-fortran": {"nbr": np.asfortranarray(nbr)},
+    "rev-short": {"rev": np.ascontiguousarray(rev[:8])},
+    "sat-short": {"sat": good["sat"][:8].copy()},
+    "sat-none": {"sat": None},
+    "slot-past-S": {"rules": good["rules"][:-1] + (np.array([2, 4]),)},
+    "slot-negative": {"rules": (np.array([-1, 0]),) + good["rules"][1:]},
+    "pad-2": {"pad_empty": 2},
+}
+bits = np.ones(9, dtype=np.uint8)
+bits[[0, 8]] = 0
+for name, change in CASES.items():
+    try:
+        t = FamilyTables(**dict(good, **change))
+    except ValueError as exc:
+        print(name, "ValueError", exc, flush=True)
+        continue
+    for impl in (_pure, core):
+        try:
+            impl.closure(bits, t)
+            print(name, "accepted", flush=True)
+        except Exception as exc:
+            print(name, type(exc).__name__, exc, flush=True)
+"""
+
+
+def test_bad_family_tables_fail_at_construction(core):
+    # the C kernels index with nbr and rev unchecked, so a bad layout must
+    # raise ValueError when the FamilyTables is built, for both kernels
+    src = Path(_compiled.__file__).resolve().parents[1]
+    p = subprocess.run(
+        [sys.executable, "-c", _BAD_TABLES, str(src), core._lib._name],
+        capture_output=True, text=True, timeout=300)
+    assert p.returncode == 0, p.stdout + p.stderr
+    lines = p.stdout.splitlines()
+    assert len(lines) == 14, lines
+    assert all(line.split()[1] == "ValueError" for line in lines), lines
+
+
+def test_tables_for_arrays_are_read_only():
+    t = tables_for(Geometry((4, 4), torus=True), make_family("gg"))
+    for a in (t.nbr, t.rev, t.sat, *t.rules):
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 0
 
 
 @pytest.mark.parametrize("shape", [(60, 9, 13), (0, 9, 13), (40, 1, 7),

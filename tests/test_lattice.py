@@ -246,6 +246,26 @@ def test_configuration_validation():
         Configuration(g, np.array([1, 0, 2, 0]))
 
 
+@pytest.mark.parametrize("bits", [np.array([256, 1, 0, 1]),
+                                  np.array([0.5, 1, 1, 1]),
+                                  np.array([1.9, 0, 0, 0]),
+                                  np.array([-255, 0, 1, 0]),
+                                  np.array([1.0, 0.0, np.nan, 1.0])],
+                         ids=["256", "half", "1.9", "-255", "nan"])
+def test_configuration_rejects_values_a_cast_would_change(bits):
+    # a uint8 cast reads these as 0 or 1; the check runs on the values given
+    with pytest.raises(ValueError, match="other than 0 and 1"):
+        Configuration(Geometry((2, 2)), bits)
+
+
+def test_configuration_accepts_exact_zeros_and_ones_of_any_dtype():
+    g = Geometry((2, 2))
+    for bits in ([1, 0, 0, 1], np.array([True, False, False, True]),
+                 np.array([1.0, 0.0, -0.0, 1.0]), np.array([[1, 0], [0, 1]])):
+        got = Configuration(g, bits).bits
+        assert got.dtype == np.uint8 and got.tolist() == [1, 0, 0, 1]
+
+
 # --------------------------------------------------------------- grid files
 
 def test_grid_roundtrip_bit_exact():

@@ -820,6 +820,17 @@ def test_path_file_round_trip():
     assert verify_legal(q, FA2)
 
 
+def test_path_values_other_than_0_and_1_are_rejected():
+    # with the values cast, this listing read as a path that verify_legal
+    # certified and congestion_constant accepted
+    cfg = Configuration.fully_empty(Geometry((3, 3)))
+    with pytest.raises(ValueError, match="other than 0 and 1"):
+        read_path_file(io.StringIO("0 (1, 1) 2\n1 (0, 0) 1\n"), cfg)
+    for value in (2, 256, -1, 0.5):
+        with pytest.raises(ValueError, match="other than 0 and 1"):
+            LegalPath(cfg, [4], [value])
+
+
 def test_path_file_rejects_gapped_indices():
     g = Geometry((2, 2))
     cfg = Configuration.fully_empty(g)

@@ -104,8 +104,11 @@ def test_clusters_all_empty_and_checkerboard():
 
 def test_clusters_match_bfs_oracle():
     rng = np.random.default_rng(9)
+    # tori of width 1 and 2, where v + e and v - e are one site or v itself
     for geom in (Geometry((16, 16)), Geometry((16, 16), torus=True),
-                 Geometry((8, 5, 4))):
+                 Geometry((8, 5, 4)), Geometry((1, 9), torus=True),
+                 Geometry((2, 7), torus=True), Geometry((2, 1, 5), torus=True),
+                 Geometry((2, 6))):
         for _ in range(15):
             cfg = random_cfg(geom, 0.55, rng)
             assert np.array_equal(find_clusters(cfg), bfs_labels(cfg))

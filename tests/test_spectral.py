@@ -9,10 +9,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from kcmkit import spectral
-from kcmkit.families import make_family
-from kcmkit.lattice import Geometry
-from kcmkit.spectral import (CONSISTENCY_TOL, GeneratorMatrix,
-                             _constraint_masks, build_generator,
+from kcmkit.families import constraint_satisfied, make_family
+from kcmkit.lattice import Configuration, Geometry
+from kcmkit.spectral import (CONSISTENCY_TOL, GeneratorMatrix, build_generator,
                              dirichlet_and_variance, poincare_ratio,
                              relaxation_time, second_eigenvector,
                              spectral_gap)
@@ -23,21 +22,24 @@ def _ring(n):
     return Geometry((n,), torus=True)
 
 
-def _loop_legal(s, masks):
-    return [v for v, vmasks in enumerate(masks)
-            if any(s & mask == 0 for mask in vmasks)]
+def _loop_legal(s, geom, fam):
+    """The sites with a legal flip in state s (bit v set: site v occupied),
+    read off families.constraint_satisfied site by site."""
+    cfg = Configuration(geom, [(s >> v) & 1 for v in range(geom.n_sites)])
+    return [v for v in range(geom.n_sites)
+            if constraint_satisfied(cfg, fam, v)]
 
 
 def _loop_generator(geom, fam, q):
     """The per-state first-in-first-out search and assembly that
     build_generator vectorizes: (states, mu, L)."""
-    masks = _constraint_masks(geom, fam)
     n, p = geom.n_sites, 1.0 - q
-    index, states, head = {0: 0}, [0], 0
+    index, states, head, legal = {0: 0}, [0], 0, {}
     while head < len(states):
         s = states[head]
         head += 1
-        for v in _loop_legal(s, masks):
+        legal[s] = _loop_legal(s, geom, fam)
+        for v in legal[s]:
             if s ^ (1 << v) not in index:
                 index[s ^ (1 << v)] = len(states)
                 states.append(s ^ (1 << v))
@@ -47,7 +49,7 @@ def _loop_generator(geom, fam, q):
     rows, cols, vals = [], [], []
     diag = np.zeros(len(states))
     for i, s in enumerate(states):
-        for v in _loop_legal(s, masks):
+        for v in legal[s]:
             rate = q if (s >> v) & 1 else p
             rows.append(i)
             cols.append(index[s ^ (1 << v)])
@@ -62,12 +64,11 @@ def _loop_generator(geom, fam, q):
 
 def _loop_dirichlet(gen, f):
     """D(f) summed pair by pair from the empty side of each legal flip."""
-    masks = _constraint_masks(gen.geom, gen.fam)
     index = {s: i for i, s in enumerate(map(int, gen.states))}
     qp = gen.q * (1.0 - gen.q)
     D = 0.0
     for i, s in enumerate(map(int, gen.states)):
-        for v in _loop_legal(s, masks):
+        for v in _loop_legal(s, gen.geom, gen.fam):
             if not (s >> v) & 1:
                 j = index[s ^ (1 << v)]
                 D += (gen.mu[i] + gen.mu[j]) * qp * (f[i] - f[j]) ** 2
