@@ -20,7 +20,7 @@ import numpy as np
 
 from . import rng
 from .families import FamilyTables
-from .lattice import as_bits
+from .lattice import as_bits, as_int, as_site, as_sites
 
 IMPL_NAME = "pure"
 
@@ -48,29 +48,24 @@ def closure_args(bits, n: int, flippable):
 
 def threshold_args(order, n: int) -> np.ndarray:
     """(replicas, n) int64 rows of sites."""
-    o = np.asarray(order)
-    if o.dtype.kind not in "iu":
-        raise ValueError(f"order has dtype {o.dtype}, expected integers")
-    o = np.ascontiguousarray(o, dtype=np.int64)
+    o = np.ascontiguousarray(as_sites(order, n, "order"))
     if o.ndim != 2 or o.shape[1] != n:
-        raise ValueError(f"order has shape {o.shape}, expected "
-                         f"(replicas, {n})")
-    if o.size and (o.min() < 0 or o.max() >= n):
-        raise ValueError("order holds a site outside the geometry")
+        raise ValueError(f"order has shape {o.shape}, expected (replicas, {n})")
     return o
 
 
 def kcm_run_args(bits, n: int, vkeys, seed, replica, q, t_max, target,
                  stop_when_target_empty, batch_edges, max_events):
-    """kcm_run's arguments in order, C-typed; max_events None is 2^62."""
+    """kcm_run's arguments, C-typed; target -1 is none, max_events None 2^62."""
     b, vk = _bits(bits, n), _vector(vkeys, np.uint64, n, "vkeys")
+    tgt = -1 if as_int(target, "target") == -1 else as_site(target, n, "target")
     edges = None
     if batch_edges is not None:
         edges = np.ascontiguousarray(batch_edges, dtype=np.float64)
         if edges.ndim != 1 or edges.size < 2:
             raise ValueError("batch_edges needs at least two edges")
     return (b, vk, int(seed) & rng.MASK64, int(replica) & rng.MASK64, float(q),
-            float(t_max), int(target), bool(stop_when_target_empty), edges,
+            float(t_max), tgt, bool(stop_when_target_empty), edges,
             (1 << 62) if max_events is None else int(max_events))
 
 

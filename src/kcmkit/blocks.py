@@ -25,7 +25,8 @@ import numpy as np
 
 from .bootstrap import is_internally_spanned
 from .families import make_family
-from .lattice import Configuration, Geometry, _cached_geometry, random_bits
+from .lattice import (Configuration, Geometry, _cached_geometry, as_ints,
+                      random_bits)
 from .stats import ScanEstimate, wilson_ci
 
 EXACT_LAMBDA_CAP = 16
@@ -52,7 +53,7 @@ class BlockSpec:
         # q = 1 (all empty a.s.) is allowed as a degenerate reference point
         if not 0.0 < self.q <= 1.0:
             raise ValueError("q must be in (0,1]")
-        object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
+        object.__setattr__(self, "dims", as_ints(self.dims, "dims"))
         if any(n < 1 for n in self.dims):
             raise ValueError("dims must be positive")
         if self.model == "gg" and len(self.dims) != 2:

@@ -16,8 +16,7 @@ import numpy as np
 
 from . import kernels
 from .families import UpdateFamily, tables_for
-from .lattice import (Configuration, Geometry, Region, _as_flat, random_bits,
-                      random_uniforms)
+from .lattice import Configuration, Geometry, Region, random_bits, random_uniforms
 from .stats import ScanEstimate, median, wilson_ci
 
 
@@ -40,7 +39,7 @@ def closure_with_rounds(cfg: Configuration, fam: UpdateFamily):
 def infection_time(cfg: Configuration, fam: UpdateFamily, v) -> int | None:
     """Synchronous round at which v empties under the closure; None if never."""
     _, rounds = closure_with_rounds(cfg, fam)
-    r = int(rounds[_as_flat(cfg.geom, v)])
+    r = int(rounds[cfg.geom.site(v)])
     return None if r < 0 else r
 
 

@@ -379,7 +379,7 @@ def _cmd_paths(args) -> None:
              ["mode", "model", "dims", "q", "samples", "seed", "max_len",
               "fitted_c", "rho_mode", "rho"],
              [[args.mode, args.model, args.dims, q, args.samples, args.seed,
-               max_len, max_len / norm, report.enumeration_mode,
+               max_len, max_len / norm, "exact",
                report.rho]])
 
 

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lattice import Configuration, Geometry, _as_flat, _opened
+from .lattice import Configuration, Geometry, _opened, as_ints
 
 Offset = tuple[int, ...]
 Rule = frozenset
@@ -102,7 +102,7 @@ def make_family(model: str, d: int | None = None, k: int | None = None,
     if model == "custom":
         if rules is None:
             raise ValueError("custom needs explicit rules")
-        rules_ = tuple(frozenset(tuple(int(c) for c in off) for off in rule)
+        rules_ = tuple(frozenset(as_ints(off, "offset") for off in rule)
                        for rule in rules)
         dd = d
         if dd is None:
@@ -127,7 +127,7 @@ def constraint_satisfied(cfg: Configuration, fam: UpdateFamily, v) -> bool:
     geom = cfg.geom
     if fam.d != geom.d:
         raise ValueError("family dimension does not match geometry")
-    flat = _as_flat(geom, v)
+    flat = geom.site(v)
     for rule in fam.rules:
         ok = True
         for off in rule:
@@ -144,13 +144,14 @@ def constraint_satisfied(cfg: Configuration, fam: UpdateFamily, v) -> bool:
     return False
 
 
-def check_exterior_condition(fam: UpdateFamily, z: Sequence[int]) -> bool:
-    """True iff every offset of every rule has strictly positive dot with z."""
-    z = tuple(int(c) for c in z)
-    if len(z) != fam.d:
+def check_exterior_condition(fam: UpdateFamily, z: Sequence[float]) -> bool:
+    """True iff every offset of every rule has strictly positive dot with z,
+    a real direction (not a site, so it is read as floats, not cut to ints)."""
+    z = np.asarray(z, dtype=np.float64)
+    if z.shape != (fam.d,):
         raise ValueError("direction has wrong dimension")
-    if all(c == 0 for c in z):
-        raise ValueError("direction must be a nonzero vector")
+    if not (np.isfinite(z).all() and z.any()):
+        raise ValueError("direction must be a finite nonzero vector")
     for rule in fam.rules:
         for off in rule:
             if sum(u * w for u, w in zip(off, z)) <= 0:

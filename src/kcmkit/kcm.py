@@ -18,8 +18,7 @@ import numpy as np
 
 from . import kernels, stats
 from .families import UpdateFamily, tables_for
-from .lattice import (Configuration, Geometry, _as_flat, _opened, as_bits,
-                      random_bits)
+from .lattice import Configuration, Geometry, _opened, as_bits, random_bits
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,7 @@ def simulate_kcm(params: KcmParams, initial: Configuration,
     if initial.geom != geom:
         raise ValueError("initial configuration does not match geometry")
     t = tables_for(geom, params.fam)
-    tgt = -1 if target is None else _as_flat(geom, target)
+    tgt = -1 if target is None else geom.site(target, "target")
     out = kernels.kcm_run(
         initial.bits, t, geom.vertex_keys(), params.seed, replica, params.q,
         params.t_max, target=tgt, stop_when_target_empty=stop_when_target_empty,
@@ -140,8 +139,7 @@ def sample_persistence_time(params: KcmParams, replicas: int,
     if variant not in ("first_empty", "first_legal"):
         raise ValueError(f"unknown variant {variant!r}")
     geom = params.geometry
-    origin = (0,) * geom.d if origin is None else origin
-    flat = _as_flat(geom, origin)
+    flat = 0 if origin is None else geom.site(origin, "origin")
     t = tables_for(geom, params.fam)
     vkeys = geom.vertex_keys()
     stop_on_empty = variant == "first_empty"
@@ -236,5 +234,5 @@ def read_event_log(fh):
     if len(blob) % _EVENT.itemsize:
         raise ValueError("truncated event log")
     rec = np.frombuffer(blob, dtype=_EVENT)
-    return (rec["t"].astype(np.float64), rec["v"].astype(np.int32),
+    return (rec["t"].astype(np.float64), rec["v"].astype(np.int64),
             as_bits(rec["s"], "event log state"))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
@@ -34,13 +35,12 @@ class Geometry:
     outside_empty: bool = False
 
     def __post_init__(self):
-        if len(self.dims) == 0:
-            raise ValueError("geometry needs at least one dimension")
-        if any(int(n) <= 0 for n in self.dims):
-            raise ValueError(f"dimensions must be positive, got {self.dims}")
+        dims = as_ints(self.dims, "dimensions")
+        if not dims or min(dims) <= 0:
+            raise ValueError(f"dimensions must be positive, got {dims}")
         if self.torus and self.outside_empty:
             raise ValueError("a torus has no outside")
-        object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
+        object.__setattr__(self, "dims", dims)
 
     @property
     def d(self) -> int:
@@ -52,14 +52,20 @@ class Geometry:
         return int(np.prod(self.dims))
 
     def flat(self, coords: Sequence[int]) -> int:
-        """Flat index of a coordinate tuple (must lie inside the box)."""
+        """Flat index of a coordinate tuple of d integers inside the box."""
+        c = as_ints(coords, "coordinate")
         idx = 0
-        for c, n in zip(coords, self.dims, strict=True):
-            c = int(c)
-            if not 0 <= c < n:
-                raise IndexError(f"coordinate {tuple(coords)} outside {self.dims}")
-            idx = idx * n + c
+        for ci, n in zip(c, self.dims, strict=True):
+            if not 0 <= ci < n:
+                raise ValueError(f"coordinate {c} outside {self.dims}")
+            idx = idx * n + ci
         return idx
+
+    def site(self, v, name: str = "site") -> int:
+        """The flat index of v, a flat index (see as_site) or coordinates."""
+        if isinstance(v, (tuple, list)) or getattr(v, "ndim", 0):
+            return self.flat(v)
+        return as_site(v, self.n_sites, name)
 
     def coords(self, flat: int) -> tuple[int, ...]:
         out = []
@@ -127,7 +133,7 @@ _cached_geometry = lru_cache(maxsize=64)(Geometry)
 def neighbors(geom: Geometry, x) -> list[tuple[int, ...]]:
     """The <= 2d distinct l1-neighbors of x (wrapped on a torus, clipped on a
     free box)."""
-    flat = _as_flat(geom, x)
+    flat = geom.site(x)
     out = []
     for a in range(geom.d):
         for s in (+1, -1):
@@ -163,6 +169,50 @@ def random_bits(geom: Geometry, q: float, seed: int, replicas,
     blocks of random_uniforms: a site is empty where its uniform is < q."""
     for ids, u in random_uniforms(geom, seed, replicas, stream, rows):
         yield ids, (u >= q).astype(np.uint8)
+
+
+def as_int(v, name: str = "value") -> int:
+    """v as an int: anything operator.index takes but bool, so no cast
+    truncates 4.7 or reads True as 1. Raises ValueError naming `name`."""
+    if type(v) is not bool:
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {v!r}")
+
+
+def as_ints(values, name: str = "values") -> tuple[int, ...]:
+    """A sequence of as_int values, as a tuple of ints."""
+    try:
+        out = tuple(values)
+    except TypeError:
+        raise ValueError(f"{name} must hold integers, got {values!r}") from None
+    for v in out:
+        if type(v) is not int:
+            return tuple(as_int(c, name) for c in out)
+    return out
+
+
+def as_site(v, n: int, name: str = "site") -> int:
+    """The scalar form of as_sites: as_int(v), which must lie in [0, n)."""
+    v = as_int(v, name)
+    if not 0 <= v < n:
+        raise ValueError(f"{name} {v} is outside the {n} sites")
+    return v
+
+
+def as_sites(a, n: int, name: str = "sites") -> np.ndarray:
+    """a as int64 site indices in [0, n): the dtype must be an integer type
+    (any dtype at size 0, as np.asarray([]) is float64), as in as_int."""
+    a = np.asarray(a)
+    if a.size and a.dtype.kind not in "iu":
+        raise ValueError(f"{name} has dtype {a.dtype}, expected integers")
+    out = a.astype(np.int64, copy=False)
+    # one pass for both ends: as uint64, a negative (or wrapped) index >= 2^63
+    if out.size and out.view(np.uint64).max() >= n:
+        raise ValueError(f"{name} holds a site outside the {n} sites")
+    return out
 
 
 def as_bits(a, name: str = "bits") -> np.ndarray:
@@ -201,7 +251,7 @@ class Configuration:
     def from_empty_sites(cls, geom: Geometry, sites: Iterable) -> "Configuration":
         cfg = cls.fully_occupied(geom)
         for v in sites:
-            cfg.bits[_as_flat(geom, v)] = 0
+            cfg.bits[geom.site(v)] = 0
         return cfg
 
     @classmethod
@@ -231,12 +281,6 @@ class Configuration:
         raise TypeError("Configuration is mutable; hash bits.tobytes() instead")
 
 
-def _as_flat(geom: Geometry, v) -> int:
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    return geom.flat(v)
-
-
 # ------------------------------------------------------------------- regions
 
 @dataclass(frozen=True)
@@ -247,10 +291,8 @@ class Region:
     indices: np.ndarray = field(compare=False)
 
     def __post_init__(self):
-        idx = np.unique(np.asarray(self.indices, dtype=np.int64))
-        if idx.size and (idx[0] < 0 or idx[-1] >= self.geom.n_sites):
-            raise ValueError("region index outside geometry")
-        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "indices", np.unique(as_sites(
+            self.indices, self.geom.n_sites, "region index")))
 
     @classmethod
     def _trusted(cls, geom: Geometry, indices: np.ndarray) -> "Region":
@@ -271,7 +313,7 @@ class Region:
         return m
 
     def contains(self, v) -> bool:
-        return bool(np.isin(_as_flat(self.geom, v), self.indices))
+        return bool(np.isin(self.geom.site(v), self.indices))
 
     def union(self, other: "Region") -> "Region":
         _check_same_geom(self, other)
@@ -302,12 +344,13 @@ class Box:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.corner) != len(self.dims):
+        corner = as_ints(self.corner, "box corner")
+        dims = as_ints(self.dims, "box extents")
+        if len(corner) != len(dims):
             raise ValueError("corner and dims must have the same length")
-        dims = tuple(map(int, self.dims))
         if dims and min(dims) <= 0:
             raise ValueError("box extents must be positive")
-        object.__setattr__(self, "corner", tuple(map(int, self.corner)))
+        object.__setattr__(self, "corner", corner)
         object.__setattr__(self, "dims", dims)
 
     @property
@@ -319,12 +362,18 @@ class Box:
                    zip(coords, self.corner, self.dims, strict=True))
 
 
+def check_fit(geom: Geometry, box: Box) -> None:
+    """Raises ValueError unless the box lies inside the geometry."""
+    ends = map(operator.add, box.corner, box.dims)
+    if (len(box.dims) != len(geom.dims) or min(box.corner) < 0
+            or any(map(operator.gt, ends, geom.dims))):
+        raise ValueError(f"box {box} does not fit in geometry {geom.dims}")
+
+
 def box_region(geom: Geometry, box: Box) -> Region:
     """All sites of the box (which must lie inside the geometry), with
     read-only indices."""
-    for c0, n, ng in zip(box.corner, box.dims, geom.dims, strict=True):
-        if c0 < 0 or c0 + n > ng:
-            raise ValueError(f"box {box} does not fit in geometry {geom.dims}")
+    check_fit(geom, box)
     # C-order flats of the box: an outer sum of per-axis offsets times
     # strides, which is sorted and unique for a box inside the geometry
     idx = np.zeros((), dtype=np.int64)
@@ -355,7 +404,7 @@ def frame_region(geom: Geometry, box: Box, axis: int, j: int) -> Region:
         c = geom.coords(int(i))
         if any(c[a] == box.corner[a] for a in range(box.d) if a != axis):
             keep.append(i)
-    return Region(geom, np.asarray(keep, dtype=np.int64))
+    return Region(geom, keep)
 
 
 def edge_region(geom: Geometry, box: Box, axis: int) -> Region:
@@ -367,7 +416,7 @@ def edge_region(geom: Geometry, box: Box, axis: int) -> Region:
 
 def cross_region(geom: Geometry, box: Box, center: Sequence[int]) -> Region:
     """Union over axes of the full line of the box through `center`."""
-    center = tuple(int(c) for c in center)
+    center = as_ints(center, "center")
     if not box.contains(center):
         raise ValueError(f"center {center} outside box {box}")
     out = None

@@ -20,11 +20,9 @@ from . import kernels, rng
 from .blocks import BlockSpec, _good_batch, _seed_mask, _supergood_batch
 from .families import UpdateFamily, make_family, tables_for
 from .lattice import (Box, Configuration, Geometry, Region, _cached_geometry,
-                      as_bits, box_region, cross_region, random_bits,
-                      slice_region)
+                      as_bits, as_ints, as_sites, box_region, check_fit,
+                      cross_region, random_bits, slice_region)
 
-MODE_EXACT = "exact"
-MODE_BOUNDED = "bounded"
 _EXACT_CAP = 1 << 20
 
 _ATTEMPTS = 1024       # a sampler gives up after this many layouts
@@ -52,14 +50,11 @@ class LegalPath:
     values: np.ndarray
 
     def __post_init__(self):
-        self.vertices = np.asarray(self.vertices, dtype=np.int64)
+        self.vertices = as_sites(self.vertices, self.start.geom.n_sites,
+                                 "flip vertex")
         self.values = as_bits(self.values, "values")
         if self.vertices.ndim != 1 or self.vertices.shape != self.values.shape:
             raise ValueError("vertices and values must be equal-length 1d arrays")
-        n = self.start.geom.n_sites
-        if self.vertices.size and not (
-                (self.vertices >= 0) & (self.vertices < n)).all():
-            raise ValueError("flip vertex outside geometry")
 
     @property
     def length(self) -> int:
@@ -121,7 +116,6 @@ class CongestionReport:
 
     rho: float
     n_max: int
-    enumeration_mode: str
 
 
 # ------------------------------------------------------------ verification
@@ -363,13 +357,10 @@ def cross_schedule(cfg: Configuration, fam: UpdateFamily,
     geom = cfg.geom
     if box is None:
         box = Box((0,) * geom.d, geom.dims)
-    x = tuple(int(c) for c in x)
-    y = tuple(int(c) for c in y)
+    x, y = as_ints(x, "cross center"), as_ints(y, "cross center")
     diff = sorted(abs(yc - xc) for xc, yc in zip(x, y))
     if diff != [0] * (geom.d - 1) + [1]:
         raise ValueError("cross centers must be adjacent")
-    if not (box.contains(x) and box.contains(y)):
-        raise ValueError("cross centers must lie in the box")
     cx = cross_region(geom, box, x)
     cy = cross_region(geom, box, y)
     if (cfg.bits[cx.indices] != 0).any():
@@ -405,7 +396,7 @@ def gg_column_moves(cfg: Configuration, variant: str,
         if len(columns) != 3:
             raise ValueError("obs1 takes three columns")
         lo, hi = rows if rows is not None else (0, height)
-        c1, c2, c3 = (int(c) for c in columns)
+        c1, c2, c3 = as_ints(columns, "columns")
         pair = sorted((c1, c2))
         if pair[1] - pair[0] != 1:
             raise ValueError("context columns must be adjacent")
@@ -416,26 +407,19 @@ def gg_column_moves(cfg: Configuration, variant: str,
         if len(columns) != 4:
             raise ValueError("obs2 takes four columns")
         lo, hi = rows if rows is not None else (0, height - 1)
-        c1, c2, c3, c4 = (int(c) for c in columns)
+        c1, c2, c3, c4 = as_ints(columns, "columns")
         pair = sorted((c1, c2))
         tpair = sorted((c3, c4))
         if pair[1] - pair[0] != 1 or tpair[1] - tpair[0] != 1:
             raise ValueError("obs2 needs two adjacent column pairs")
         if tpair[0] != pair[1] + 1 and tpair[1] != pair[0] - 1:
             raise ValueError("obs2 pairs must form a run of four columns")
-        if not 0 <= hi < height:
-            raise ValueError("obs2 seed row is outside the geometry")
         seeds = [geom.flat((c3, hi)), geom.flat((c4, hi))]
         if any(cfg.bits[s] != 0 for s in seeds):
             raise ValueError("the two vertices above the target pair are not empty")
         targets = [c3, c4]
     else:
         raise ValueError("variant must be obs1 or obs2")
-    if not 0 <= lo < hi <= height:
-        raise ValueError("bad row window")
-    for c in pair + targets:
-        if not 0 <= c < geom.dims[0]:
-            raise ValueError("column outside geometry")
 
     def seg(c):
         return box_region(geom, Box((c, lo), (1, hi - lo)))
@@ -501,12 +485,6 @@ def _require_2d_block_model(model: str, geom: Geometry, x: Box,
         raise NotImplementedError(f"{kind} paths are two-dimensional")
 
 
-def _require_box_inside(geom: Geometry, bx: Box, what: str) -> None:
-    for c, n, full in zip(bx.corner, bx.dims, geom.dims):
-        if c < 0 or c + n > full:
-            raise ValueError(f"{what} block does not fit in the geometry")
-
-
 def _block_step(x: Box, y: Box):
     """(axis, direction) when y sits exactly one block step from x."""
     deltas = [yc - xc for xc, yc in zip(x.corner, y.corner)]
@@ -556,8 +534,8 @@ def path_B(cfg: Configuration, model: str, x: Box, y: Box) -> LegalPath:
     _require_2d_block_model(model, geom, x, "promotion")
     if tuple(x.dims) != tuple(y.dims):
         raise ValueError("blocks must have equal dims")
-    _require_box_inside(geom, x, "x")
-    _require_box_inside(geom, y, "y")
+    check_fit(geom, x)
+    check_fit(geom, y)
     axis, direction = _block_step(x, y)
     spec = _block_spec(model, x.dims)
     if not _eligible(cfg.bits[None], geom, spec, good=(x,))[0]:
@@ -654,10 +632,9 @@ def path_A(cfg: Configuration, model: str, x: Box,
     n1, n2 = x.dims
     right = Box((x.corner[0] + n1, x.corner[1]), x.dims)
     upper = Box((x.corner[0], x.corner[1] + n2), x.dims)
-    for what, bx in (("x", x), ("right neighbor", right),
-                     ("upper neighbor", upper)):
-        _require_box_inside(geom, bx, what)
-    z = tuple(int(c) for c in z)
+    for bx in (x, right, upper):
+        check_fit(geom, bx)
+    z = as_ints(z, "z")
     if not x.contains(z):
         raise ValueError("target site is not in the block")
     spec = _block_spec(model, x.dims)
@@ -726,7 +703,7 @@ def sample_path_B_instance(model: str, dims, q: float, seed: int,
     promotion seed set empty, and redraws the whole layout until x is good
     and y super-good (the conditional product law).
     """
-    dims = tuple(int(n) for n in dims)
+    dims = as_ints(dims, "dims")
     if axis not in (0, 1) or direction not in (-1, 1):
         raise ValueError("axis must be 0 or 1 and direction +1 or -1")
     full = list(dims)
@@ -747,8 +724,7 @@ def sample_path_B_instance(model: str, dims, q: float, seed: int,
 def sample_path_A_instance(model: str, dims, q: float, seed: int,
                            replica: int):
     """Reproducible eligible start for path_A: returns (cfg, x, z)."""
-    dims = tuple(int(n) for n in dims)
-    n1, n2 = dims
+    n1, n2 = dims = as_ints(dims, "dims")
     geom = _cached_geometry((2 * n1, 2 * n2))
     x = Box((0, 0), dims)
     right = Box((n1, 0), dims)
@@ -768,27 +744,15 @@ def sample_path_A_instance(model: str, dims, q: float, seed: int,
 # --------------------------------------------------------------- congestion
 
 
-def congestion_constant(paths: Sequence[LegalPath], q: float,
-                        mode: str = MODE_EXACT,
-                        region_sizes: Sequence[int] | None = None
-                        ) -> CongestionReport:
-    """Congestion of a path family at vacancy density q.
-
-    exact: replay every path and accumulate mu(start)/mu(state) on each
-    visited configuration, endpoints included; the constant is the largest
-    accumulated load. bounded: skip enumeration and return the product
-    bound (2/q)^s, where s is the largest size total of three consecutive
-    chain regions (pass region_sizes in chain order).
+def congestion_constant(paths: Sequence[LegalPath],
+                        q: float) -> CongestionReport:
+    """Congestion of a path family at vacancy density q: replay every path
+    and accumulate mu(start)/mu(state) on each visited configuration,
+    endpoints included; the constant is the largest accumulated load.
+    congestion_bound_triple gives the product bound without enumeration.
     """
     paths = list(paths)
     n_max = max((p.length for p in paths), default=0)
-    if mode == MODE_BOUNDED:
-        if region_sizes is None:
-            raise ValueError("bounded mode needs region_sizes")
-        return CongestionReport(congestion_bound_triple(region_sizes, q),
-                                n_max, MODE_BOUNDED)
-    if mode != MODE_EXACT:
-        raise ValueError("mode must be exact or bounded")
     if not 0.0 < q < 1.0:
         raise ValueError("exact congestion needs 0 < q < 1")
     if len(paths) > _EXACT_CAP:
@@ -806,7 +770,7 @@ def congestion_constant(paths: Sequence[LegalPath], q: float,
             key = bits.tobytes()
             loads[key] = loads.get(key, 0.0) + base ** (-delta)
     rho = max(loads.values(), default=0.0)
-    return CongestionReport(float(rho), n_max, MODE_EXACT)
+    return CongestionReport(float(rho), n_max)
 
 
 def congestion_bound_triple(region_sizes: Sequence[int], q: float) -> float:
@@ -862,4 +826,4 @@ def read_path_file(fh, start: Configuration):
             raise ValueError("flip indices must count up from 0")
         verts.append(start.geom.flat(ast.literal_eval(coords_s)))
         vals.append(int(val_s))
-    return LegalPath(start, np.array(verts, dtype=np.int64), vals), grid_ref
+    return LegalPath(start, verts, vals), grid_ref

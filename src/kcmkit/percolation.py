@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .lattice import Box, Configuration, Geometry, box_region, random_bits
+from .lattice import (Box, Configuration, Geometry, as_ints, box_region,
+                      random_bits)
 from .stats import ScanEstimate, wilson_ci
 
 __all__ = [
@@ -120,9 +121,6 @@ def has_hard_crossing(cfg: Configuration, rect: Box, axis: int | None = None,
     geom = cfg.geom
     if len(geom.dims) != 2 or len(rect.dims) != 2:
         raise ValueError("hard crossings are two-dimensional")
-    for a in range(2):
-        if rect.corner[a] < 0 or rect.corner[a] + rect.dims[a] > geom.dims[a]:
-            raise ValueError("rectangle leaves the geometry")
     if axis is None:
         axis = 0 if rect.dims[0] >= rect.dims[1] else 1
     sub = (cfg.bits[box_region(geom, rect).indices] == 0).reshape(rect.dims)
@@ -143,15 +141,10 @@ def c_infty_surrogate(cfg: Configuration, x, radius: int,
     d = len(geom.dims)
     if radius < 1:
         raise ValueError("radius must be at least 1")
-    x = tuple(int(c) for c in x)
-    corner = tuple(c - radius for c in x)
+    corner = tuple(c - radius for c in as_ints(x, "x"))
     dims = (2 * radius + 1,) * d
-    for a in range(d):
-        if corner[a] < 0 or corner[a] + dims[a] > geom.dims[a]:
-            raise ValueError("surrogate window leaves the geometry")
-
-    win = Geometry(dims)
     bits = cfg.bits[box_region(geom, Box(corner, dims)).indices].copy()
+    win = Geometry(dims)
     center = win.flat((radius,) * d)
     bits[center] = 1
     labels = find_clusters(Configuration(win, bits))

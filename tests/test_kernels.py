@@ -96,6 +96,7 @@ BAD_ARGS = {
     "kcm_run-2d-edges": ("kcm_run", (_BITS, *_RUN),
                          {"batch_edges": [[0.0, 1.0]]}),
     "kcm_run-text-q": ("kcm_run", (_BITS, _T, _VK, 1, 0, "x", 2.0), {}),
+    "kcm_run-target-n": ("kcm_run", (_BITS, *_RUN), {"target": 9}),
     "crossing-2d-stack": ("crossing_batch", (np.ones((3, 3), bool), 0), {}),
     "crossing-axis-2": ("crossing_batch", (np.ones((1, 3, 3), bool), 2), {}),
     "uniforms-2d-vkeys": ("uniforms", (1, 2, _VK[None, :], 0), {}),

@@ -354,6 +354,11 @@ def test_gg_obs1_needs_target_seed():
     empties = [(c, r) for c in (0, 1) for r in range(5)]
     with pytest.raises(ValueError, match="no empty site"):
         gg_column_moves(cfg_from(g, empties), "obs1", (0, 1, 2))
+    # a target column or row window outside the geometry fails the box fit
+    for cols, rows in (((1, 0, -1), None), ((0, 1, 2), (0, 6)),
+                       ((0, 1, 2), (-1, 3))):
+        with pytest.raises(ValueError, match="does not fit"):
+            gg_column_moves(cfg_from(g, empties), "obs1", cols, rows)
 
 
 def test_gg_obs2_empties_pair_top_down():
@@ -748,7 +753,7 @@ def test_congestion_single_trivial_path():
     g = Geometry((2, 2))
     p0 = LegalPath(Configuration.fully_empty(g), [], [])
     rep = congestion_constant([p0], 0.3)
-    assert rep == CongestionReport(1.0, 0, "exact")
+    assert rep == CongestionReport(1.0, 0)
 
 
 def test_congestion_single_path_closed_form():
@@ -783,9 +788,7 @@ def test_congestion_chain_family_exact_matches_oracle():
 
 
 def test_congestion_bounded_mode():
-    rep = congestion_constant([], 0.5, mode="bounded", region_sizes=[2, 2, 2])
-    assert rep.enumeration_mode == "bounded"
-    assert rep.rho == 4096.0
+    assert congestion_bound_triple([2, 2, 2], 0.5) == 4096.0
     assert congestion_bound_triple([], 0.5) == 1.0
     assert congestion_bound_triple([3], 0.5) == 4.0 ** 3
 

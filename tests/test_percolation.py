@@ -157,7 +157,7 @@ def test_crossing_monotone_under_emptying():
 
 def test_crossing_rejects_out_of_bounds():
     g = Geometry((8, 4))
-    with pytest.raises(ValueError, match="leaves the geometry"):
+    with pytest.raises(ValueError, match="does not fit"):
         has_hard_crossing(Configuration.fully_empty(g), Box((4, 0), (8, 4)))
 
 
@@ -207,7 +207,7 @@ def test_surrogate_oriented_needs_both_forward_neighbors():
 
 def test_surrogate_window_must_fit():
     g = Geometry((9, 9))
-    with pytest.raises(ValueError, match="window leaves"):
+    with pytest.raises(ValueError, match="does not fit"):
         c_infty_surrogate(Configuration.fully_empty(g), (1, 4), 3)
 
 
