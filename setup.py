@@ -25,6 +25,9 @@ class optional_build_ext(build_ext):
 setup(
     ext_modules=[Extension("kcmkit._ckernels",
                            sources=["src/kcmkit/_ckernels.c"],
-                           extra_compile_args=["-std=c99", "-O3"])],
+                           # no fused multiply-adds, so the sums round as
+                           # _pure's and scipy's do on FMA targets too
+                           extra_compile_args=["-std=c99", "-O3",
+                                               "-ffp-contract=off"])],
     cmdclass={"build_ext": optional_build_ext},
 )

@@ -1,6 +1,6 @@
-/* Compiled kernels, five entry points: work-queue closure, spanning
- * thresholds by incremental closure, event-driven KCM loop, crossings and
- * counter-based uniforms.
+/* Compiled kernels, six entry points: work-queue closure, spanning
+ * thresholds by incremental closure, event-driven KCM loop, crossings,
+ * counter-based uniforms and a CSR matrix-vector product.
  *
  * Plain C99 over raw arrays, no Python API; kcmkit/_compiled.py binds it
  * with ctypes. The contract and the results are those of kcmkit/_pure.py
@@ -399,6 +399,23 @@ int kk_kcm_run(int64_t n, int64_t S, const int64_t *nbr, const uint8_t *sat,
     st->n_events = n_events;
     st->status = status;
     free(em); free(ctr); free(heap);
+    return 0;
+}
+
+/* ----------------------------------------------------------- csr matvec */
+
+/* out = A x for the (n, n) CSR matrix (indptr, indices, data), x and out
+ * disjoint: each row is summed in stored order from 0.0, the arithmetic of
+ * scipy's csr_matvec. */
+int kk_csr_matvec(int64_t n, const int32_t *indptr, const int32_t *indices,
+                  const double *data, const double *x, double *out)
+{
+    for (int64_t i = 0; i < n; i++) {
+        double sum = 0.0;
+        for (int32_t k = indptr[i]; k < indptr[i + 1]; k++)
+            sum += data[k] * x[indices[k]];
+        out[i] = sum;
+    }
     return 0;
 }
 

@@ -1,6 +1,6 @@
 """Compiled kernels: a ctypes binding of the C99 library built from _ckernels.c.
 
-Same contract as kcmkit._pure and its five entry points, and the same
+Same contract as kcmkit._pure and its six entry points, and the same
 results (bit-identical trajectories for the event loop, byte-identical
 uniforms). `python setup.py build_ext --inplace` puts the library next to
 this file; `load` returns None when it is missing or cannot be loaded, and
@@ -58,7 +58,7 @@ def _addr(a: np.ndarray | None):
 
 
 class Kernels:
-    """The five kernel entry points over one loaded library."""
+    """The six kernel entry points over one loaded library."""
 
     IMPL_NAME = IMPL_NAME
 
@@ -74,8 +74,9 @@ class Kernels:
         lib.kk_crossing_batch.argtypes = [_i64, _i64, _i64, _ptr,
                                           ctypes.c_int, _ptr]
         lib.kk_uniforms.argtypes = [_u64, _i64, _ptr, _i64, _ptr, _u64, _ptr]
+        lib.kk_csr_matvec.argtypes = [_i64] + [_ptr] * 5
         for fn in (lib.kk_closure, lib.kk_threshold, lib.kk_kcm_run,
-                   lib.kk_crossing_batch, lib.kk_uniforms):
+                   lib.kk_crossing_batch, lib.kk_uniforms, lib.kk_csr_matvec):
             fn.restype = ctypes.c_int
         self._lib = lib
         self._tables = weakref.WeakKeyDictionary()
@@ -184,6 +185,20 @@ class Kernels:
             head, reps.size, _addr(reps), vk.size, _addr(vk), counter,
             _addr(out)))
         return out
+
+    def csr_operator(self, indptr, indices, data):
+        """mv(x, out) writing A x into out for a CSR matrix; mirrors
+        kcmkit._pure.csr_operator."""
+        arrays = _pure.csr_args(indptr, indices, data)
+        n = arrays[0].size - 1
+        matvec = self._lib.kk_csr_matvec
+
+        def mv(x, out):
+            _pure.matvec_args(x, out, n)
+            self._check(matvec(n, *map(_addr, (*arrays, x, out))))
+            return out
+
+        return mv
 
     def crossing_batch(self, empty_grids, axis: int) -> np.ndarray:
         """Which grids have a nearest-neighbor True path joining the two

@@ -1,6 +1,6 @@
-"""Fallback kernels, the executable spec of the five entry points:
+"""Fallback kernels, the executable spec of the six entry points:
 numpy-vectorized closure, spanning thresholds by bisection on closures,
-heapq event loop, crossings and uniforms.
+heapq event loop, crossings, uniforms and a CSR matrix-vector product.
 
 Functionally identical to the compiled kernels in kcmkit._compiled;
 kernels.py picks one at import time. Keep the two in lockstep: the test
@@ -64,8 +64,9 @@ def kcm_run_args(bits, n: int, vkeys, seed, replica, q, t_max, target,
         edges = np.ascontiguousarray(batch_edges, dtype=np.float64)
         if edges.ndim != 1 or edges.size < 2:
             raise ValueError("batch_edges needs at least two edges")
-    return (b, vk, int(seed) & rng.MASK64, int(replica) & rng.MASK64, float(q),
-            float(t_max), tgt, bool(stop_when_target_empty), edges,
+    return (b, vk, as_int(seed, "seed") & rng.MASK64,
+            as_int(replica, "replica") & rng.MASK64, float(q), float(t_max),
+            tgt, bool(stop_when_target_empty), edges,
             (1 << 62) if max_events is None else int(max_events))
 
 
@@ -74,9 +75,10 @@ def crossing_args(empty_grids, axis):
     g = np.ascontiguousarray(empty_grids, dtype=bool)
     if g.ndim != 3:
         raise ValueError("expected a (replicas, n0, n1) stack")
+    axis = as_int(axis, "axis")
     if axis not in (0, 1):
         raise ValueError("axis must be 0 or 1")
-    return g, int(axis)
+    return g, axis
 
 
 def uniforms_args(head, replicas, vkeys, counter):
@@ -85,7 +87,46 @@ def uniforms_args(head, replicas, vkeys, counter):
     vk = np.ascontiguousarray(np.asarray(vkeys).astype(np.uint64, copy=False))
     if reps.ndim != 1 or vk.ndim != 1:
         raise ValueError("replicas and vkeys must be 1-D")
-    return int(head) & rng.MASK64, reps, vk, int(counter) & rng.MASK64
+    return (as_int(head, "head") & rng.MASK64, reps, vk,
+            as_int(counter, "counter") & rng.MASK64)
+
+
+def csr_args(indptr, indices, data):
+    """The arrays of an (n, n) CSR matrix as read-only copies: int32 indptr
+    rising from 0 to nnz over n + 1 entries, int32 column indices in
+    [0, n), nnz float64 data."""
+    ptr = np.asarray(indptr)
+    if ptr.ndim != 1 or ptr.size == 0:
+        raise ValueError("indptr must be 1-D with n + 1 entries")
+    n = ptr.size - 1
+    cols, vals = np.asarray(indices), np.asarray(data)
+    if cols.ndim != 1 or vals.shape != cols.shape:
+        raise ValueError("indices and data must be 1-D of one length")
+    if vals.dtype.kind not in "iuf":
+        raise ValueError(f"data has dtype {vals.dtype}, expected reals")
+    nnz = cols.size
+    if max(n, nnz) >= 1 << 31:
+        raise ValueError("a CSR matrix needs n and nnz below 2^31")
+    ptr = as_sites(ptr, nnz + 1, "indptr")
+    if ptr[0] != 0 or ptr[-1] != nnz or (np.diff(ptr) < 0).any():
+        raise ValueError(f"indptr must rise from 0 to nnz = {nnz}")
+    out = (ptr.astype(np.int32), as_sites(cols, n, "indices").astype(np.int32),
+           vals.astype(np.float64))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def matvec_args(x, out, n: int) -> None:
+    """x and out must be disjoint C-contiguous float64 (n,) arrays, out
+    writable."""
+    for name, a in (("x", x), ("out", out)):
+        if not (isinstance(a, np.ndarray) and a.dtype == np.float64
+                and a.shape == (n,) and a.flags.c_contiguous):
+            raise ValueError(f"{name} must be a C-contiguous ({n},) float64 "
+                             f"array")
+    if not out.flags.writeable or np.may_share_memory(x, out):
+        raise ValueError("out must be writable and disjoint from x")
 
 
 # ------------------------------------------------------------------ uniforms
@@ -299,6 +340,35 @@ def kcm_run(bits: np.ndarray, t: FamilyTables, vkeys: np.ndarray,
                    np.asarray(ev_s, dtype=np.uint8)) if log_events else None,
         "status": status,
     }
+
+
+# ---------------------------------------------------------------- csr matvec
+
+def csr_operator(indptr, indices, data):
+    """mv(x, out) writing A x into out, and returning out, for the (n, n) CSR
+    matrix (indptr, indices, data), which is checked and copied once. Each
+    row is summed in stored order from 0.0, as scipy's csr_matvec does: one
+    pass per entry column k adds every row's k-th product, over the rows
+    sorted by descending length, so each pass is a prefix of them."""
+    ptr, cols, vals = csr_args(indptr, indices, data)
+    n = ptr.size - 1
+    length = np.diff(ptr)
+    order = np.argsort(-length, kind="stable")
+    starts = ptr[order]
+    passes = []
+    for k in range(int(length.max(initial=0))):
+        pos = starts[:np.count_nonzero(length > k)] + k
+        passes.append((vals[pos], cols[pos]))
+
+    def mv(x, out):
+        matvec_args(x, out, n)
+        acc = np.zeros(n)
+        for a, c in passes:
+            acc[:a.size] += a * x[c]
+        out[order] = acc
+        return out
+
+    return mv
 
 
 # ----------------------------------------------------------------- crossings

@@ -296,7 +296,7 @@ def _cmd_sim(args) -> None:
 
 
 def _cmd_gap(args) -> None:
-    from . import spectral  # imports scipy only when a class needs eigsh
+    from . import spectral  # loads ARPACK only when a class needs Lanczos
 
     fam = resolve_family(args.model, args.d)
     geom = Geometry(args.dims, torus=args.torus)

@@ -1,11 +1,12 @@
 """Kernel selection: compiled C kernels when built, numpy fallback otherwise.
 
 Set KCMKIT_PURE=1 to force the fallback (used by the parity tests and the
-benchmark). Both implementations expose the same five entry points
-(closure, threshold, kcm_run, crossing_batch, uniforms) with identical
-semantics, bit-identical trajectories for the event loop and byte-identical
-uniforms. Their argument checks live in kcmkit._pure, which both call; a
-FamilyTables checks its own layout when it is built.
+benchmark). Both implementations expose the same six entry points
+(closure, threshold, kcm_run, crossing_batch, uniforms, csr_operator) with
+identical semantics, bit-identical trajectories for the event loop and
+byte-identical uniforms and matrix-vector products. Their argument checks
+live in kcmkit._pure, which both call; a FamilyTables checks its own layout
+when it is built, and csr_operator checks its matrix once.
 
 The compiled closure, threshold and kcm_run read a family's rules through
 one empty-slot bitmask per site (uint16) and its satisfiability table
@@ -34,11 +35,12 @@ threshold = _impl.threshold
 kcm_run = _impl.kcm_run
 crossing_batch = _impl.crossing_batch
 uniforms = _impl.uniforms
+csr_operator = _impl.csr_operator
 
 
 def implementations():
     """All loadable kernel implementations, name -> object exposing the
-    five entry points (for benchmarks/tests)."""
+    six entry points (for benchmarks/tests)."""
     out = {"pure": _pure}
     compiled = _compiled.load()
     if compiled is not None:

@@ -67,7 +67,9 @@ class Geometry:
             return self.flat(v)
         return as_site(v, self.n_sites, name)
 
-    def coords(self, flat: int) -> tuple[int, ...]:
+    def coords(self, flat) -> tuple[int, ...]:
+        """The coordinates of flat index `flat`, checked by as_site."""
+        flat = as_site(flat, self.n_sites, "flat index")
         out = []
         for n in reversed(self.dims):
             out.append(flat % n)
@@ -270,7 +272,7 @@ class Configuration:
         return int(self.bits.size - self.bits.sum())
 
     def empty_sites(self) -> list[tuple[int, ...]]:
-        return [self.geom.coords(int(i)) for i in np.flatnonzero(self.bits == 0)]
+        return [self.geom.coords(i) for i in np.flatnonzero(self.bits == 0)]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Configuration)
@@ -324,7 +326,7 @@ class Region:
         return Region(self.geom, np.setdiff1d(self.indices, other.indices))
 
     def coords_list(self) -> list[tuple[int, ...]]:
-        return [self.geom.coords(int(i)) for i in self.indices]
+        return [self.geom.coords(i) for i in self.indices]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Region) and self.geom == other.geom
@@ -401,7 +403,7 @@ def frame_region(geom: Geometry, box: Box, axis: int, j: int) -> Region:
     sl = slice_region(geom, box, axis, j)
     keep = []
     for i in sl.indices:
-        c = geom.coords(int(i))
+        c = geom.coords(i)
         if any(c[a] == box.corner[a] for a in range(box.d) if a != axis):
             keep.append(i)
     return Region(geom, keep)

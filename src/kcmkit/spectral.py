@@ -16,17 +16,25 @@ which double counts each unordered pair.)
 The generator is kept as canonical CSR arrays built in NumPy, and its
 symmetrization is built once, in NumPy, as CSR data on the same pattern. The
 dense eigensolvers read it scattered into an array, the Dirichlet forms read
-the generator's arrays, and scipy is imported only to wrap the symmetrization
-for the sparse eigensolve (eigsh).
+the generator's arrays, and the sparse eigensolve runs ARPACK's implicitly
+restarted Lanczos method (Lehoucq, Sorensen & Yang 1998, ARPACK Users'
+Guide) on it through kernels.csr_operator. ARPACK comes from scipy's
+compiled _arpacklib, loaded from its file: scipy itself is never imported,
+and the loop below takes the steps of scipy's eigsh, so the bytes are its.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import warnings
 from dataclasses import dataclass, field
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 
+from . import kernels
 from .families import UpdateFamily, tables_for
 from .lattice import Geometry
 
@@ -233,21 +241,101 @@ def _dense_S(gen: GeneratorMatrix) -> np.ndarray:
     return S
 
 
-def _top_pair(gen: GeneratorMatrix, **kwargs):
-    """(c, eigsh result) for the two largest eigenvalues of S + c I, where
-    the shift c puts the zero mode and the gap at the top end of the
-    spectrum. The one place scipy is imported."""
+@cache
+def _arpacklib():
+    """scipy's compiled ARPACK, loaded from its file in scipy's package
+    without importing scipy: 3-4 ms, where importing scipy.sparse.linalg
+    takes 0.3-0.36 s (2-core x86-64, Python 3.11, scipy 1.17.1). Raises
+    ImportError naming the path it looked for."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or spec.origin is None:
+        raise ImportError("scipy, which ships the ARPACK library, is not "
+                          "installed")
+    stem = (Path(spec.origin).parent / "sparse" / "linalg" / "_eigen"
+            / "arpack" / "_arpacklib")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = stem.with_name(stem.name + suffix)
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location("_arpacklib", path)
+            lib = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(lib)
+            return lib
+    raise ImportError(f"no ARPACK library at {stem}"
+                      f"{importlib.machinery.EXTENSION_SUFFIXES[0]}")
+
+
+_STATE_FLOATS = ("getv0_rnorm0", "aitr_betaj", "aitr_rnorm1", "aitr_wnorm",
+                 "aup2_rnorm")
+_STATE_INTS = ("ido", "nconv", "np", "iter", "getv0_first", "getv0_iter",
+               "getv0_itry", "getv0_orth", "aitr_iter", "aitr_j",
+               "aitr_orth1", "aitr_orth2", "aitr_restart", "aitr_step3",
+               "aitr_step4", "aitr_ierr", "aup2_initv", "aup2_iter",
+               "aup2_getv0", "aup2_cnorm", "aup2_kplusp", "aup2_nev",
+               "aup2_nev0", "aup2_np0", "aup2_numcnv", "aup2_update",
+               "aup2_ushift")
+
+
+def _lanczos_top(mv, n: int, k: int, v0: np.ndarray, vectors: bool):
+    """The k largest eigenvalues, ascending, of the symmetric operator
+    mv(x, out) on R^n, with their eigenvectors as columns when `vectors`.
+
+    ARPACK's dsaupd/dseupd by reverse communication, with the arguments,
+    state and steps of scipy's eigsh(A, k, which="LA", v0=v0): ncv =
+    max(2k + 1, 20), tol 0 (machine precision), 10 n restarts at most. One
+    change: a restart vector (ido 4) is drawn from a fixed-seed generator,
+    not an unseeded one, so every solve is reproducible. Raises
+    RuntimeError with ARPACK's code when it fails."""
+    arpack = _arpacklib()
+    ncv = max(2 * k + 1, 20)
+    state = {**dict.fromkeys(_STATE_FLOATS, 0.0),
+             **dict.fromkeys(_STATE_INTS, 0),
+             "tol": 0, "which": 6, "bmat": 0, "info": 1, "maxiter": 10 * n,
+             "mode": 1, "n": n, "ncv": min(ncv, n), "nev": k, "shift": 1}
+    resid = np.array(v0, dtype=np.float64)
+    v = np.zeros((n, ncv))
+    ipntr = np.zeros(11, dtype=np.int32)
+    workd = np.zeros(3 * n)
+    workl = np.zeros(state["ncv"] * (state["ncv"] + 8))
+    draws = None
+    while True:
+        arpack.dsaupd_wrap(state, resid, v, ipntr, workd, workl)
+        ido = state["ido"]
+        if ido in (1, 5):                       # workd[y] = OP workd[x]
+            x, y = ipntr[0], ipntr[1]
+            mv(workd[x:x + n], workd[y:y + n])
+        elif ido == 4:                          # a new starting vector
+            if draws is None:
+                draws = np.random.default_rng(0)
+            resid[:] = draws.uniform(-1.0, 1.0, n)
+        elif ido == 99:
+            break
+        else:
+            raise RuntimeError(f"ARPACK dsaupd asked for ido {ido}")
+    if state["info"] != 0:
+        raise RuntimeError(f"ARPACK dsaupd failed with info {state['info']}")
+    state["info"] = 0
+    d = np.zeros(k)
+    z = np.zeros((n, state["ncv"]), order="F")
+    arpack.dseupd_wrap(state, vectors, 0, np.zeros(state["ncv"], np.int32), d,
+                       z, 0, resid, v, ipntr, workd, workl)
+    if state["info"] != 0 or state["nconv"] < k:
+        raise RuntimeError(f"ARPACK dseupd failed with info {state['info']}, "
+                           f"{state['nconv']} of {k} converged")
+    return (d, z[:, :k].copy()) if vectors else d
+
+
+def _top_pair(gen: GeneratorMatrix, vectors: bool):
+    """(c, values) or (c, (values, vectors)) for the two largest
+    eigenvalues of S + c I, where the shift c puts the zero mode and the
+    gap at the top end of the spectrum; values ascend."""
     s = _symmetrized(gen)
     diag = gen.row_ids() == gen.indices  # every row stores its diagonal
     c = float(2.0 * np.abs(s[diag]).max() + 1.0)
     s[diag] += c
-    # imported after the symmetrization, so the import reuses the memory
-    # of its freed work arrays: about 1 MB less peak RSS on `gap fa1 3,5`
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-    A = sp.csr_matrix((s, gen.indices, gen.indptr), shape=(gen.size, gen.size))
+    mv = kernels.csr_operator(gen.indptr, gen.indices, s)
+    del s, diag  # mv holds its own copy; free these before the solve
     v0 = np.full(gen.size, 1.0 / np.sqrt(gen.size))
-    return c, spla.eigsh(A, k=2, which="LA", v0=v0, **kwargs)
+    return c, _lanczos_top(mv, gen.size, 2, v0, vectors)
 
 
 def spectral_gap(gen: GeneratorMatrix) -> tuple[float, bool]:
@@ -264,7 +352,7 @@ def spectral_gap(gen: GeneratorMatrix) -> tuple[float, bool]:
         lam = np.sort(-np.linalg.eigvalsh(_dense_S(gen)))
         zero, gap = float(lam[0]), float(lam[1])
     else:
-        c, vals = _top_pair(gen, return_eigenvectors=False)
+        c, vals = _top_pair(gen, vectors=False)
         vals = np.sort(vals)[::-1]  # vals[0] ~ c (zero mode), vals[1] = c - gap
         zero, gap = float(c - vals[0]), float(c - vals[1])
     if abs(zero) > 1e-8:
@@ -294,8 +382,8 @@ def second_eigenvector(gen: GeneratorMatrix) -> np.ndarray:
         order = np.argsort(-ev)  # descending in L-eigenvalue = ascending in -L
         v = vec[:, order[1]]
     else:
-        _, (_, vecs) = _top_pair(gen)
-        v = vecs[:, 0]  # eigsh returns ascending; column 0 is c - gap
+        _, (_, vecs) = _top_pair(gen, vectors=True)
+        v = vecs[:, 0]  # values ascend; column 0 is c - gap
     return v / np.sqrt(gen.mu)
 
 

@@ -97,8 +97,9 @@ def test_event_log_bytes_are_pinned(tmp_path):
 
 
 def test_only_gap_imports_scipy():
-    # scipy costs about 0.3 s of import; only the sparse eigensolve (eigsh)
-    # needs it, and a 512-state class takes the dense branch
+    # scipy.sparse.linalg costs about 0.3 s of import; no command imports
+    # scipy, and the sparse eigensolve (32,767 states) loads only scipy's
+    # ARPACK library, from its file
     code = "\n".join([
         "import sys",
         "from kcmkit.cli import main",
@@ -110,7 +111,8 @@ def test_only_gap_imports_scipy():
         "    'blocks --model fa2 --q 0.3 --A 3.5 --dims 3,3 --replicas 5',",
         "    'paths --model fa2 --mode A --dims 3,3 --q 0.3 --samples 2',",
         "    'perc --p 0.2 --nmax 3 --replicas 5',",
-        "    'gap --model east --d 1 --dims 10 --q 0.3'):",
+        "    'gap --model east --d 1 --dims 10 --q 0.3',",
+        "    'gap --model fa1 --d 2 --dims 3,5 --q 0.3'):",
         "    assert main(argv.split()) == 0, argv",
         "    assert 'scipy' not in sys.modules, argv",
     ])

@@ -70,8 +70,24 @@ _T = tables_for(_GEOM, make_family("fa_kf", d=2, k=2))
 _BITS = (np.arange(9) % 3 != 0).astype(np.uint8)
 _VK = _GEOM.vertex_keys()
 _RUN = (_T, _VK, 1, 0, 0.3, 2.0)
+# a 3 x 3 CSR matrix, and the x and out of one product with it
+_CSR = (np.array([0, 2, 3, 3]), np.array([0, 2, 1]), np.array([1.0, 2.0, 3.0]))
+_X, _X4 = np.arange(3.0), np.arange(4.0)
 
-# (entry point, args, kwargs): every case but int-flippable is rejected
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+def _csr(**changes):
+    indptr, indices, data = _CSR
+    return (changes.get("indptr", indptr), changes.get("indices", indices),
+            changes.get("data", data))
+
+
+# (entry point, args, kwargs): every case but int-flippable is rejected.
+# The entry point "mv" builds csr_operator(*_CSR) and calls it on (x, out).
 BAD_ARGS = {
     "closure-short-bits": ("closure", (_BITS[:8], _T), {}),
     "closure-long-bits": ("closure", (np.ones(10, np.uint8), _T), {}),
@@ -102,7 +118,48 @@ BAD_ARGS = {
     "uniforms-2d-vkeys": ("uniforms", (1, 2, _VK[None, :], 0), {}),
     "uniforms-2d-replicas": ("uniforms", (1, np.zeros((2, 2), np.uint64),
                                           _VK, 0), {}),
+    "kcm_run-float-seed": ("kcm_run", (_BITS, _T, _VK, 1.5, 0, 0.3, 2.0), {}),
+    "kcm_run-float-replica": ("kcm_run", (_BITS, _T, _VK, 1, 2.7, 0.3, 2.0),
+                              {}),
+    "kcm_run-bool-replica": ("kcm_run", (_BITS, _T, _VK, 1, True, 0.3, 2.0),
+                             {}),
+    "uniforms-float-head": ("uniforms", (1.5, 2, _VK, 0), {}),
+    "uniforms-float-counter": ("uniforms", (1, 2, _VK, 0.5), {}),
+    "crossing-axis-true": ("crossing_batch", (np.ones((1, 3, 3), bool), True),
+                           {}),
+    "crossing-axis-float": ("crossing_batch", (np.ones((1, 3, 3), bool), 1.0),
+                            {}),
+    "csr-2d-indptr": ("csr_operator", _csr(indptr=_CSR[0][None]), {}),
+    "csr-empty-indptr": ("csr_operator", _csr(indptr=np.zeros(0, int)), {}),
+    "csr-float-indptr": ("csr_operator", _csr(indptr=_CSR[0] + 0.0), {}),
+    "csr-indptr-from-1": ("csr_operator", _csr(indptr=[1, 2, 3, 3]), {}),
+    "csr-indptr-falls": ("csr_operator", _csr(indptr=[0, 2, 1, 3]), {}),
+    "csr-indptr-short-of-nnz": ("csr_operator", _csr(indptr=[0, 1, 2, 2]),
+                                {}),
+    "csr-indptr-past-nnz": ("csr_operator", _csr(indptr=[0, 2, 3, 4]), {}),
+    "csr-column-n": ("csr_operator", _csr(indices=[0, 3, 1]), {}),
+    "csr-column-minus-1": ("csr_operator", _csr(indices=[0, -1, 1]), {}),
+    "csr-float-indices": ("csr_operator", _csr(indices=[0.0, 2.0, 1.0]), {}),
+    "csr-2d-indices": ("csr_operator", _csr(indices=_CSR[1][None]), {}),
+    "csr-short-data": ("csr_operator", _csr(data=_CSR[2][:2]), {}),
+    "csr-complex-data": ("csr_operator", _csr(data=_CSR[2] * 1j), {}),
+    "csr-text-data": ("csr_operator", _csr(data=["1", "2", "3"]), {}),
+    "mv-short-x": ("mv", (_X[:2], np.empty(3)), {}),
+    "mv-2d-x": ("mv", (_X[None], np.empty(3)), {}),
+    "mv-int-x": ("mv", (np.arange(3), np.empty(3)), {}),
+    "mv-list-x": ("mv", ([0.0, 1.0, 2.0], np.empty(3)), {}),
+    "mv-strided-x": ("mv", (np.arange(6.0)[::2], np.empty(3)), {}),
+    "mv-float32-out": ("mv", (_X, np.empty(3, np.float32)), {}),
+    "mv-read-only-out": ("mv", (_X, _read_only(np.empty(3))), {}),
+    "mv-out-is-x": ("mv", (_X, _X), {}),
+    "mv-out-overlaps-x": ("mv", (_X4[:3], _X4[1:]), {}),
 }
+
+
+def _call(impl, entry, args, kwargs):
+    if entry == "mv":
+        return impl.csr_operator(*_CSR)(*args)
+    return getattr(impl, entry)(*args, **kwargs)
 
 
 @pytest.mark.parametrize("case", BAD_ARGS)
@@ -113,7 +170,7 @@ def test_bad_arguments_fail_alike(core, case):
     outcomes = []
     for impl in (core, _pure):
         try:
-            outcomes.append(("ok", getattr(impl, entry)(*args, **kwargs)))
+            outcomes.append(("ok", _call(impl, entry, args, kwargs)))
         except Exception as exc:     # the exception is the outcome compared
             outcomes.append((type(exc), str(exc)))
     (kind_a, a), (kind_b, b) = outcomes
@@ -613,3 +670,39 @@ def test_uniforms_match_scalar_uniform(core):
             for i, vk in enumerate(vkeys):
                 assert out[r, i] == rng.uniform(9, 1, int(rep), int(vk),
                                                 2**64 - 1)
+
+
+def _random_csr(seed, n, max_len):
+    """An (n, n) CSR matrix with rows of 0..max_len entries, columns
+    unsorted and repeated, and values spread over 16 decades, ±0.0 included."""
+    g = np.random.default_rng(seed)
+    indptr = np.concatenate(([0], np.cumsum(g.integers(0, max_len + 1, n))))
+    nnz = int(indptr[-1])
+    indices = g.integers(0, max(n, 1), nnz)
+    data = g.standard_normal(nnz) * 10.0 ** g.integers(-8, 9, nnz)
+    data[g.random(nnz) < 0.05] = 0.0
+    data[g.random(nnz) < 0.05] = -0.0
+    return indptr, indices, data
+
+
+@pytest.mark.parametrize("n,max_len", [(0, 0), (1, 0), (1, 3), (7, 3),
+                                       (300, 12), (2000, 40)])
+def test_csr_operator_parity_with_scipy(core, n, max_len):
+    # both implementations sum each row in stored order from 0.0, the bytes
+    # of scipy's csr_matvec, whatever out held before
+    import scipy.sparse as sp
+
+    for seed in range(3):
+        indptr, indices, data = _random_csr(seed, n, max_len)
+        x = np.random.default_rng(seed + 100).standard_normal(n) * 1e3
+        want = sp.csr_matrix((data, indices, indptr), shape=(n, n)) @ x
+        index_type = (np.int64, np.int32, np.uint16)[seed]
+        for impl in (core, _pure):
+            arrays = [indptr.copy(), indices.astype(index_type), data.copy()]
+            mv = impl.csr_operator(*arrays)
+            out = np.full(n, np.nan)
+            assert mv(x, out) is out
+            assert out.tobytes() == want.tobytes(), impl.IMPL_NAME
+            for a in arrays:  # the operator copied them when it was built
+                a[:] = 0
+            assert mv(x, out).tobytes() == want.tobytes(), impl.IMPL_NAME

@@ -84,6 +84,8 @@ HOSTILE = {
         lambda: cross_region(G33, Box((0, 0), (3, 3)), (1.5, 1)), ValueError),
     "custom-offset-4.7": (
         lambda: make_family("custom", rules=[[(4.7, 0)]]), ValueError),
+    "coords-minus-1": (lambda: G33.coords(-1), ValueError),
+    "coords-n": (lambda: G33.coords(9), ValueError),
     "empty-site-minus-1": (
         lambda: Configuration.from_empty_sites(G33, [-1]), ValueError),
     "empty-site-true": (

@@ -1,14 +1,16 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
+from importlib.machinery import ModuleSpec
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from kcmkit import spectral
+from kcmkit import kernels, spectral
 from kcmkit.families import constraint_satisfied, make_family
 from kcmkit.lattice import Configuration, Geometry
 from kcmkit.spectral import (CONSISTENCY_TOL, GeneratorMatrix, build_generator,
@@ -126,9 +128,9 @@ def test_generator_bytes_match_loop_oracle(label, geom, fam):
 
 @pytest.mark.parametrize("label,geom,fam", ORACLE_CASES + [FA1_3X5],
                          ids=[c[0] for c in ORACLE_CASES + [FA1_3X5]])
-def test_dense_symmetrized_bytes_match_sparse(label, geom, fam, monkeypatch):
-    # the dense eigensolvers scatter _symmetrized(gen), and eigsh reads it
-    # plus c I: both must hold the bytes of the scipy construction
+def test_dense_symmetrized_bytes_match_sparse(label, geom, fam):
+    # the dense eigensolvers scatter _symmetrized(gen), and the sparse solve
+    # reads it plus c I: it must hold the bytes of the scipy construction
     gen = build_generator(geom, fam, 0.3)
     want = symmetrized_scipy(gen)
     got = sp.csr_matrix((spectral._symmetrized(gen), gen.indices, gen.indptr),
@@ -136,13 +138,81 @@ def test_dense_symmetrized_bytes_match_sparse(label, geom, fam, monkeypatch):
     _same_csr_bytes(got, want)
     if gen.size <= spectral._DENSE_CUTOFF:
         assert spectral._dense_S(gen).tobytes() == want.toarray().tobytes()
-    seen = []
-    monkeypatch.setattr(spla, "eigsh", lambda A, **kwargs: seen.append(A))
-    c, _ = spectral._top_pair(gen)
-    assert c == float(2.0 * np.abs(want.diagonal()).max() + 1.0)
-    (shifted,) = seen
-    _same_csr_bytes(shifted,
-                    (want + c * sp.identity(gen.size, format="csr")).tocsr())
+
+
+# `kcm gap --model fa1 --dims 3,5`, and an 8,191-state ring
+SPARSE_CASES = [FA1_3X5[1:] + (0.3,),
+                (_ring(13), make_family("fa_kf", d=1, k=1), 0.5)]
+
+
+@pytest.mark.parametrize("geom,fam,q", SPARSE_CASES,
+                         ids=["fa1-3x5", "fa1-ring13"])
+def test_sparse_solve_bytes_match_eigsh(geom, fam, q, monkeypatch):
+    # the ARPACK loop takes eigsh's steps on S + c I, with either kernel
+    # implementation's matrix-vector product: same values, same vector
+    gen = build_generator(geom, fam, q)
+    assert gen.size > spectral._DENSE_CUTOFF
+    S = symmetrized_scipy(gen)
+    c = float(2.0 * np.abs(S.diagonal()).max() + 1.0)
+    A = (S + c * sp.identity(gen.size, format="csr")).tocsr()
+    v0 = np.full(gen.size, 1.0 / np.sqrt(gen.size))
+    vals = spla.eigsh(A, k=2, which="LA", v0=v0, return_eigenvectors=False)
+    vecs = spla.eigsh(A, k=2, which="LA", v0=v0)[1]
+    want_vec = (vecs[:, 0] / np.sqrt(gen.mu)).tobytes()
+    for impl in kernels.implementations().values():
+        monkeypatch.setattr(kernels, "csr_operator", impl.csr_operator)
+        got_c, got = spectral._top_pair(gen, vectors=False)
+        assert got_c == c and got.tobytes() == vals.tobytes(), impl.IMPL_NAME
+        assert second_eigenvector(gen).tobytes() == want_vec, impl.IMPL_NAME
+
+
+def _diagonal_operator(n):
+    return kernels.csr_operator(np.arange(n + 1), np.arange(n),
+                                np.arange(n, dtype=float))
+
+
+def test_lanczos_restart_is_reproducible(monkeypatch):
+    # a start vector that is an eigenvector spans an invariant subspace, so
+    # ARPACK asks (ido 4) for a new one: a fixed-seed draw, not a fresh one
+    lib = spectral._arpacklib()
+    asked = []
+
+    class Recorder:
+        dseupd_wrap = lib.dseupd_wrap
+
+        def dsaupd_wrap(self, state, *args):
+            lib.dsaupd_wrap(state, *args)
+            asked.append(state["ido"])
+
+    monkeypatch.setattr(spectral, "_arpacklib", Recorder)
+    v0 = np.zeros(50)
+    v0[3] = 1.0
+    vals, vecs = spectral._lanczos_top(_diagonal_operator(50), 50, 2, v0, True)
+    assert 4 in asked
+    assert vals == pytest.approx([48.0, 49.0], abs=1e-12)
+    again = spectral._lanczos_top(_diagonal_operator(50), 50, 2, v0, True)
+    assert again[0].tobytes() == vals.tobytes()
+    assert again[1].tobytes() == vecs.tobytes()
+
+
+def test_lanczos_failure_raises_with_arpack_code():
+    with pytest.raises(RuntimeError, match="info -9"):   # zero start vector
+        spectral._lanczos_top(_diagonal_operator(30), 30, 2, np.zeros(30),
+                              False)
+
+
+def test_missing_arpack_library_names_its_path(monkeypatch, tmp_path):
+    origin = tmp_path / "scipy" / "__init__.py"
+    monkeypatch.setattr(spectral.importlib.util, "find_spec",
+                        lambda name: ModuleSpec(name, None, origin=str(origin)))
+    spectral._arpacklib.cache_clear()
+    try:
+        with pytest.raises(ImportError, match=re.escape(
+                str(origin.parent / "sparse" / "linalg" / "_eigen" / "arpack"
+                    / "_arpacklib"))):
+            spectral._arpacklib()
+    finally:
+        spectral._arpacklib.cache_clear()
 
 
 def test_reversibility_check_catches_one_changed_entry():
@@ -315,7 +385,7 @@ def test_second_eigenvector_above_dense_cutoff_uses_eigsh(monkeypatch):
 
 
 def test_dense_class_leaves_scipy_unloaded():
-    # scipy is imported only to wrap the symmetrization for eigsh
+    # scipy is never imported; see test_cli for the sparse solve
     code = "\n".join([
         "import sys",
         "import numpy as np",
