@@ -2,12 +2,17 @@
 compiler, falling back to pure Python.
 
 The library is plain C99 with no Python API; kcmkit._compiled binds it with
-ctypes. The package is fully functional without it (kcmkit.kernels picks
+ctypes. Its source stamp, KK_SOURCE_ID, is the first 8 bytes of the C file's
+SHA-256; kcmkit._compiled.SOURCE_ID holds the same number and refuses a
+library whose stamp differs, so a library left from another checkout never
+runs. The package is fully functional without it (kcmkit.kernels picks
 the numpy fallback at import time), so a failed compile is downgraded to a
 warning and the build still exits 0.
 """
 
+import hashlib
 import sys
+from pathlib import Path
 
 from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
@@ -22,9 +27,14 @@ class optional_build_ext(build_ext):
             print(f"kcmkit: skipping compiled kernels ({exc})", file=sys.stderr)
 
 
+SOURCE = "src/kcmkit/_ckernels.c"
+STAMP = "0x" + hashlib.sha256(
+    (Path(__file__).parent / SOURCE).read_bytes()).hexdigest()[:16] + "ULL"
+
 setup(
     ext_modules=[Extension("kcmkit._ckernels",
-                           sources=["src/kcmkit/_ckernels.c"],
+                           sources=[SOURCE],
+                           define_macros=[("KK_SOURCE_ID", STAMP)],
                            # no fused multiply-adds, so the sums round as
                            # _pure's and scipy's do on FMA targets too
                            extra_compile_args=["-std=c99", "-O3",

@@ -1,6 +1,7 @@
-/* Compiled kernels, six entry points: work-queue closure, spanning
- * thresholds by incremental closure, event-driven KCM loop, crossings,
- * counter-based uniforms and a CSR matrix-vector product.
+/* Compiled kernels, six entry points: work-queue closure of a row or a
+ * block of rows, spanning thresholds by incremental closure, event-driven
+ * KCM loop, crossings, counter-based uniforms and a CSR matrix-vector
+ * product.
  *
  * Plain C99 over raw arrays, no Python API; kcmkit/_compiled.py binds it
  * with ctypes. The contract and the results are those of kcmkit/_pure.py
@@ -20,12 +21,28 @@
  *
  * Every function returns 0, or -1 when a work buffer cannot be allocated;
  * kk_threshold also returns -2 for an order that is not a permutation.
+ *
+ * kk_source_id() returns the stamp the build defines as KK_SOURCE_ID:
+ * setup.py sets it to the first 8 bytes of this file's SHA-256, and
+ * kcmkit._compiled loads no library whose stamp differs from the one it
+ * holds, so a library built from another version of this file, whose
+ * entry points may take other arguments, is never called. A build without
+ * the macro reads 0 and is refused as well.
  */
 
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+
+#ifndef KK_SOURCE_ID
+#define KK_SOURCE_ID 0
+#endif
+
+uint64_t kk_source_id(void)
+{
+    return KK_SOURCE_ID;
+}
 
 /* ------------------------------------------------------------------ rng */
 
@@ -100,27 +117,21 @@ static int64_t spread(int64_t n, int64_t S, const int64_t *rev,
     return tail;
 }
 
-/* Bootstrap closure with synchronous-round labels.
+/* Bootstrap closure of one row with synchronous-round labels, on work
+ * buffers of n + 1 entries each.
  *
  * mask[v] holds the slots of v that read empty, and a site may empty while
  * open: it is occupied, flippable and not yet emptied. The sites whose
  * mask is satisfied at the start form round 1, and spread() finds each
- * next round. flippable may be NULL (all ones); to restrict the closure to
- * a region, occupy the rest. Writes out[v] (bits after the closure) and
- * rounds[v]: 0 if initially empty, r if emptied in round r, else -1.
+ * next round. Writes out[v] (bits after the closure) and rounds[v]: 0 if
+ * initially empty, r if emptied in round r, else -1.
  */
-int kk_closure(int64_t n, int64_t S, const int64_t *nbr, const int64_t *rev,
-               const uint8_t *sat, int pad_empty, const uint8_t *bits,
-               const uint8_t *flippable, uint8_t *out, int32_t *rounds)
+static void close_row(int64_t n, int64_t S, const int64_t *nbr,
+                      const int64_t *rev, const uint8_t *sat, int pad_empty,
+                      const uint8_t *bits, const uint8_t *flippable,
+                      uint8_t *out, int32_t *rounds, uint8_t *eff,
+                      uint8_t *open, uint16_t *mask, int64_t *queue)
 {
-    uint8_t *eff = malloc((size_t)n + 1);
-    uint8_t *open = malloc((size_t)n + 1);
-    uint16_t *mask = malloc(((size_t)n + 1) * sizeof *mask);
-    int64_t *queue = malloc(((size_t)n + 1) * sizeof *queue);
-    if (!eff || !open || !mask || !queue) {
-        free(eff); free(open); free(mask); free(queue);
-        return -1;
-    }
     for (int64_t v = 0; v < n; v++) {
         eff[v] = bits[v] == 0;
         open[v] = bits[v] == 1 && (!flippable || flippable[v]);
@@ -146,6 +157,30 @@ int kk_closure(int64_t n, int64_t S, const int64_t *nbr, const int64_t *rev,
 
     for (int64_t v = 0; v < n; v++)
         out[v] = rounds[v] >= 1 ? 0 : bits[v];
+}
+
+/* Bootstrap closure of R rows of n sites (bits, out and rounds hold R * n
+ * entries, row after row), each closed by close_row() with one flippable
+ * mask of n entries for every row. flippable may be NULL (all ones); to
+ * restrict the closure to a region, occupy the rest. The work buffers are
+ * allocated once per call.
+ */
+int kk_closure(int64_t n, int64_t S, const int64_t *nbr, const int64_t *rev,
+               const uint8_t *sat, int pad_empty, int64_t R,
+               const uint8_t *bits, const uint8_t *flippable, uint8_t *out,
+               int32_t *rounds)
+{
+    uint8_t *eff = malloc((size_t)n + 1);
+    uint8_t *open = malloc((size_t)n + 1);
+    uint16_t *mask = malloc(((size_t)n + 1) * sizeof *mask);
+    int64_t *queue = malloc(((size_t)n + 1) * sizeof *queue);
+    if (!eff || !open || !mask || !queue) {
+        free(eff); free(open); free(mask); free(queue);
+        return -1;
+    }
+    for (int64_t r = 0; r < R; r++)
+        close_row(n, S, nbr, rev, sat, pad_empty, bits + r * n, flippable,
+                  out + r * n, rounds + r * n, eff, open, mask, queue);
     free(eff); free(open); free(mask); free(queue);
     return 0;
 }

@@ -2,13 +2,19 @@
 
 Same contract as kcmkit._pure and its six entry points, and the same
 results (bit-identical trajectories for the event loop, byte-identical
-uniforms). `python setup.py build_ext --inplace` puts the library next to
-this file; `load` returns None when it is missing or cannot be loaded, and
-kcmkit.kernels then falls back to _pure. Arguments are checked and
-converted by _pure's *_args functions right before each C call, and a
-FamilyTables checks and freezes its layout when it is built; only the
-mapping of C's error returns, and one cache of table addresses per
-FamilyTables, live here. A family with more than 16 slots has no mask table
+uniforms); the closure takes one row of bits or a block of rows in one C
+call. `python setup.py build_ext --inplace` puts the library next to this
+file. `open_kernels` raises LoadError, saying why, when the library is
+missing, cannot be loaded, or carries another source stamp than SOURCE_ID
+(the first 8 bytes of the SHA-256 of the _ckernels.c this binding was
+written for; setup.py stamps the library with the hash of the file it
+compiles). `load` returns None in those cases, and kcmkit.kernels then
+falls back to _pure.
+
+Arguments are checked and converted by _pure's *_args functions right
+before each C call, and a FamilyTables checks and freezes its layout when
+it is built; only the mapping of C's error returns, and one cache of table
+addresses per FamilyTables, live here. A family with more than 16 slots has no mask table
 (FamilyTables.sat is None), so its closure, threshold and kcm_run calls go
 to the _pure kernels.
 """
@@ -27,6 +33,9 @@ from .families import FamilyTables
 
 IMPL_NAME = "compiled"
 LIBRARY = "_ckernels"
+# kk_source_id() of a library built from the shipped _ckernels.c; a test
+# keeps it equal to the first 8 bytes of that file's SHA-256
+SOURCE_ID = 0x6e8f784ef5b90f32
 
 _STATUS = ("t_max", "target", "max_events")   # indexed by the KK_* codes
 # initial event-log capacity; a longer log costs one deterministic rerun
@@ -57,15 +66,39 @@ def _addr(a: np.ndarray | None):
     return a.ctypes.data
 
 
+class LoadError(OSError):
+    """The compiled library is missing, cannot be loaded, or was built from
+    another _ckernels.c; the message says which."""
+
+
+_REBUILD = "rebuild it with `python setup.py build_ext --inplace`"
+
+
 class Kernels:
     """The six kernel entry points over one loaded library."""
 
     IMPL_NAME = IMPL_NAME
 
     def __init__(self, path: Path):
-        lib = ctypes.CDLL(str(path))
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError as e:
+            raise LoadError(f"cannot load {path}: {e}") from None
+        # the stamp is read before any other symbol: a stale library's
+        # entry points may take other arguments than those declared below
+        try:
+            stamp = lib.kk_source_id
+        except AttributeError:
+            raise LoadError(f"{path} has no source stamp, so it was built "
+                            f"from an older _ckernels.c; {_REBUILD}") from None
+        stamp.argtypes, stamp.restype = [], _u64
+        got = stamp()
+        if got != SOURCE_ID:
+            raise LoadError(f"{path} was built from another _ckernels.c "
+                            f"(stamp {got:#018x}, expected "
+                            f"{SOURCE_ID:#018x}); {_REBUILD}")
         head = [_i64, _i64, _ptr, _ptr, _ptr, ctypes.c_int]   # _table_args
-        lib.kk_closure.argtypes = head + [_ptr] * 4
+        lib.kk_closure.argtypes = head + [_i64] + [_ptr] * 4
         lib.kk_threshold.argtypes = head + [_i64, _ptr, _ptr]
         lib.kk_kcm_run.argtypes = [
             _i64, _i64, _ptr, _ptr, ctypes.c_int, _ptr, _ptr,
@@ -97,17 +130,18 @@ class Kernels:
             raise MemoryError("kcmkit compiled kernel: out of memory")
 
     def closure(self, bits, t: FamilyTables, flippable=None):
-        """Bootstrap closure with synchronous-round labels; mirrors
+        """Bootstrap closure with synchronous-round labels of one row of
+        bits or an (R, n) block of rows, in one C call; mirrors
         kcmkit._pure.closure."""
         if t.sat is None:
             return _pure.closure(bits, t, flippable)
         head = self._table_args(t)
-        n = head[0]
-        b, flip = _pure.closure_args(bits, n, flippable)
-        out = np.empty(n, dtype=np.uint8)
-        rounds = np.empty(n, dtype=np.int32)
+        b, flip = _pure.closure_args(bits, head[0], flippable)
+        out = np.empty(b.shape, dtype=np.uint8)
+        rounds = np.empty(b.shape, dtype=np.int32)
+        rows = 1 if b.ndim == 1 else b.shape[0]
         self._check(self._lib.kk_closure(
-            *head, _addr(b), _addr(flip), _addr(out), _addr(rounds)))
+            *head, rows, _addr(b), _addr(flip), _addr(out), _addr(rounds)))
         return out, rounds
 
     def threshold(self, order, t: FamilyTables) -> np.ndarray:
@@ -210,15 +244,22 @@ class Kernels:
         return out
 
 
-def load(directory: Path | None = None) -> Kernels | None:
+def open_kernels(directory: Path | None = None) -> Kernels:
     """Kernels over the library built in `directory` (default: this
-    package), or None when it is not built or cannot be loaded."""
+    package); raises LoadError when it is not built, cannot be loaded or
+    carries another source stamp."""
     directory = Path(__file__).parent if directory is None else directory
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         path = directory / f"{LIBRARY}{suffix}"
         if path.is_file():
-            try:
-                return Kernels(path)
-            except OSError:
-                return None
-    return None
+            return Kernels(path)
+    raise LoadError(f"no {LIBRARY} library in {directory}; build it with "
+                    f"`python setup.py build_ext --inplace`")
+
+
+def load(directory: Path | None = None) -> Kernels | None:
+    """open_kernels(directory), or None where it raises LoadError."""
+    try:
+        return open_kernels(directory)
+    except LoadError:
+        return None

@@ -1,6 +1,7 @@
 """Fallback kernels, the executable spec of the six entry points:
-numpy-vectorized closure, spanning thresholds by bisection on closures,
-heapq event loop, crossings, uniforms and a CSR matrix-vector product.
+numpy-vectorized closure (a block of rows is closed row by row), spanning
+thresholds by bisection on closures, heapq event loop, crossings, uniforms
+and a CSR matrix-vector product.
 
 Functionally identical to the compiled kernels in kcmkit._compiled;
 kernels.py picks one at import time. Keep the two in lockstep: the test
@@ -40,10 +41,14 @@ def _bits(bits, n: int) -> np.ndarray:
 
 
 def closure_args(bits, n: int, flippable):
-    """0/1 uint8 bits and a bool mask (or None) over n sites."""
-    return (_bits(bits, n),
-            None if flippable is None else _vector(flippable, bool, n,
-                                                   "flippable"))
+    """0/1 uint8 bits over n sites, one row (n,) or a block of rows (R, n),
+    and one bool mask over n sites (or None) for every row."""
+    b = as_bits(bits)
+    if b.ndim not in (1, 2) or b.shape[-1] != n:
+        raise ValueError(f"bits has shape {b.shape}, expected ({n},) or "
+                         f"(R, {n})")
+    return b, None if flippable is None else _vector(flippable, bool, n,
+                                                     "flippable")
 
 
 def threshold_args(order, n: int) -> np.ndarray:
@@ -64,10 +69,18 @@ def kcm_run_args(bits, n: int, vkeys, seed, replica, q, t_max, target,
         edges = np.ascontiguousarray(batch_edges, dtype=np.float64)
         if edges.ndim != 1 or edges.size < 2:
             raise ValueError("batch_edges needs at least two edges")
+    t_max = float(t_max)
+    if math.isnan(t_max):
+        raise ValueError("t_max must not be NaN")
+    cap = 1 << 62
+    if max_events is not None:
+        # a cap above 2^62 rings is no cap, and fits the C int64
+        cap = min(as_int(max_events, "max_events"), cap)
+        if cap < 0:
+            raise ValueError(f"max_events must be >= 0, got {cap}")
     return (b, vk, as_int(seed, "seed") & rng.MASK64,
-            as_int(replica, "replica") & rng.MASK64, float(q), float(t_max),
-            tgt, bool(stop_when_target_empty), edges,
-            (1 << 62) if max_events is None else int(max_events))
+            as_int(replica, "replica") & rng.MASK64, float(q), t_max,
+            tgt, bool(stop_when_target_empty), edges, cap)
 
 
 def crossing_args(empty_grids, axis):
@@ -154,10 +167,23 @@ def closure(bits: np.ndarray, t: FamilyTables,
     r >= 1 for sites emptied in sweep r, -1 for sites never emptied. Only
     `flippable` sites may empty; to restrict the closure to a region, occupy
     every site outside it. Offsets leaving a free box read as the geometry
-    dictates.
+    dictates. bits is one row, shape (n,), or a block of rows, shape (R, n),
+    each closed alone under the one `flippable` mask; out_bits and rounds
+    have the shape of bits.
     """
+    bits, flippable = closure_args(bits, t.n_sites, flippable)
+    if bits.ndim == 1:
+        return _close_row(bits, t, flippable)
+    out = np.empty(bits.shape, dtype=np.uint8)
+    rounds = np.empty(bits.shape, dtype=np.int32)
+    for r, row in enumerate(bits):
+        out[r], rounds[r] = _close_row(row, t, flippable)
+    return out, rounds
+
+
+def _close_row(bits: np.ndarray, t: FamilyTables, flippable):
+    """closure() of one checked row."""
     n = t.n_sites
-    bits, flippable = closure_args(bits, n, flippable)
     eff = np.append(bits == 0, bool(t.pad_empty))   # eff[n]: the pad
     rounds = np.where(eff[:n], np.int32(0), np.int32(-1))
     can = bits == 1

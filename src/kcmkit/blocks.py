@@ -23,8 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bootstrap import is_internally_spanned
-from .families import make_family
+from . import kernels
+from .families import make_family, tables_for
 from .lattice import (Configuration, Geometry, _cached_geometry, as_ints,
                       random_bits)
 from .stats import ScanEstimate, wilson_ci
@@ -141,25 +141,18 @@ def _good_batch(empty: np.ndarray, spec: BlockSpec) -> np.ndarray:
         cols = empty.any(axis=2).all(axis=1)
         pairs = (empty[:, :-1, :] & empty[:, 1:, :]).any(axis=1).all(axis=1)
         return cols & pairs
-    # fakf: every i-slice internally spanned for the reduced model
+    # fakf: every i-slice internally spanned for the reduced model, with one
+    # closure call per slice position over all replicas
     fam = make_family("fa_kf", d=d - 1, k=spec.k - 1)
-    out = np.empty(empty.shape[0], dtype=bool)
-    slice_geoms = [Geometry(tuple(n for a, n in enumerate(spec.dims) if a != axis))
-                   for axis in range(d)]
-    for r in range(empty.shape[0]):
-        ok = True
-        for axis in range(d):
-            g = slice_geoms[axis]
-            for j in range(spec.dims[axis]):
-                sl = np.take(empty[r], j, axis=axis)
-                bits = (~sl.reshape(-1)).astype(np.uint8)
-                if not is_internally_spanned(Configuration(g, bits), fam):
-                    ok = False
-                    break
-            if not ok:
-                break
-        out[r] = ok
-    return out
+    ok = np.ones(empty.shape[0], dtype=bool)
+    for axis in range(d):
+        g = Geometry(tuple(n for a, n in enumerate(spec.dims) if a != axis))
+        t = tables_for(g, fam)
+        for j in range(spec.dims[axis]):
+            sl = np.take(empty, j, axis=axis + 1).reshape(-1, g.n_sites)
+            out, _ = kernels.closure((~sl).astype(np.uint8), t)
+            ok &= ~out.any(axis=1)
+    return ok
 
 
 def _seed_mask(spec: BlockSpec) -> np.ndarray:

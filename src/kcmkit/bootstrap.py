@@ -77,9 +77,10 @@ def estimate_span_probability(n: int, fam: UpdateFamily, q: float,
         raise ValueError(f"q must be in [0,1], got {q}")
     geom = Geometry((n,) * fam.d, torus=torus)
     t = tables_for(geom, fam)
-    hits = sum(not kernels.closure(bits, t)[0].any()
-               for _, block in random_bits(geom, q, seed, replicas)
-               for bits in block)
+    # one closure call per block of replicas; a replica spans when its row
+    # of the closure is all empty
+    hits = sum(int(np.count_nonzero(~kernels.closure(block, t)[0].any(axis=1)))
+               for _, block in random_bits(geom, q, seed, replicas))
     return ScanEstimate(hits / replicas, wilson_ci(hits, replicas),
                         replicas, seed)
 

@@ -1,8 +1,11 @@
 """Command-line front end: one subcommand per module, deterministic CSV out.
 
-Every option is declared once, in `_GLOBALS` or `OPTIONS`. A run takes
-each value from its flag, else from an optional flat key=value config
-file, else from the table default. It emits a CSV whose comment lines
+Every option is declared once, in `_GLOBALS` or `OPTIONS`, and
+`parse_argv` reads argv from those tables alone: `--name value` or
+`--name=value`, exact names, before or after the command, the last of a
+repeated option winning; `-h`/`--help` prints the table. A run takes each
+value from its flag, else from an optional flat key=value config file,
+else from the table default. It emits a CSV whose comment lines
 carry the seed, the package version, and a hash of the resolved
 parameters, and writes output atomically so failed runs leave no partial
 files.  Grids of q (or p for `perc`) expand into independent runs sharing
@@ -11,13 +14,13 @@ the base seed with per-point offsets.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
 import os
 import re
 import sys
+from types import SimpleNamespace
 
 from . import __version__, blocks, bootstrap, kcm, paths, percolation
 from .families import UpdateFamily, make_family
@@ -188,7 +191,93 @@ OPTIONS = {
 }
 
 
-def _resolve(args: argparse.Namespace) -> None:
+# ------------------------------------------------------------------ argv
+
+# a token such as -1 or -.5 is a value, not a flag
+_NEGATIVE = re.compile(r"-[0-9.]")
+
+
+def _is_flag(token: str) -> bool:
+    return token.startswith("-") and not _NEGATIVE.match(token)
+
+
+def _kind(typ) -> str:
+    return typ.__name__.lstrip("_")      # int, float, str, grid, dims, flag
+
+
+def _typed(label: str, typ, text: str):
+    """typ(text), or a CliError that names `label`."""
+    try:
+        return typ(text)
+    except CliError as e:
+        raise CliError(f"{label}: {e}") from None
+    except ValueError:
+        raise CliError(f"{label}: expected {_kind(typ)}, got {text!r}") from None
+
+
+def parse_argv(argv) -> SimpleNamespace:
+    """The command named in argv and the options it gives, typed by the
+    tables: a namespace holding `command` and every option of the command
+    and of _GLOBALS, None where argv does not give it.
+
+    An option is `--name value` or `--name=value`, with its exact name
+    (underscores written as dashes), before or after the command; a
+    separate value may not look like a flag, but may be a negative number.
+    A repeated option keeps its last value. Anything else raises CliError.
+    """
+    given, positional = {}, []
+    tokens = iter(argv)
+    for token in tokens:
+        if not _is_flag(token):
+            positional.append(token)
+            continue
+        flag, eq, value = token.partition("=")
+        if not eq:
+            value = next(tokens, None)
+            if value is None or _is_flag(value):
+                raise CliError(f"{flag} needs a value")
+        given[flag] = value
+    commands = ", ".join(OPTIONS)
+    if not positional:
+        raise CliError(f"missing command; expected one of {commands}")
+    command, *extra = positional
+    if command not in OPTIONS:
+        raise CliError(f"unknown command {command!r}; expected one of "
+                       f"{commands}")
+    if extra:
+        raise CliError(f"unexpected argument {extra[0]!r}")
+    options = {**_GLOBALS, **OPTIONS[command]}
+    names = {f"--{name.replace('_', '-')}": name for name in options}
+    args = SimpleNamespace(command=command, **dict.fromkeys(options))
+    for flag, text in given.items():
+        if flag not in names:
+            raise CliError(f"unknown option {flag} for {command}")
+        setattr(args, names[flag],
+                _typed(flag, options[names[flag]][0], text))
+    return args
+
+
+def usage(command: str | None = None) -> str:
+    """Help text from the tables: the commands, or one command's options
+    with their kinds and defaults."""
+    if command is None:
+        return ("usage: kcm COMMAND [--name value | --name=value ...]\n\n"
+                "Bootstrap closures, constrained dynamics, block events, "
+                "canonical paths,\nand crossing scans.\n\n"
+                f"commands: {', '.join(OPTIONS)}\n"
+                "`kcm COMMAND --help` lists a command's options.\n")
+    lines = [f"usage: kcm {command} [--name value | --name=value ...]", "",
+             "options, by exact name, before or after the command; the last",
+             "of a repeated option wins:"]
+    for name, (typ, default) in {**OPTIONS[command], **_GLOBALS}.items():
+        shown = ("required" if default is REQUIRED else
+                 "none" if default is None else _cell(default))
+        lines.append(f"  --{name.replace('_', '-'):<10} {_kind(typ):<6} "
+                     f"{shown}")
+    return "\n".join(lines) + "\n"
+
+
+def _resolve(args: SimpleNamespace) -> None:
     """Give every option of the command its value: the flag, else the
     config file's entry, else the table default. Every parsed option is
     None when its flag was not given."""
@@ -202,7 +291,7 @@ def _resolve(args: argparse.Namespace) -> None:
         if getattr(args, name) is not None:
             continue
         if name in kv:
-            value = typ(kv[name])
+            value = _typed(f"config key {name!r}", typ, kv[name])
         elif default is REQUIRED:
             raise CliError(f"missing --{name.replace('_', '-')}")
         else:
@@ -415,32 +504,14 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="kcm",
-        description="Bootstrap closures, constrained dynamics, block events,"
-                    " canonical paths, and crossing scans.")
-
-    def add(p, options, default=None):
-        for name, (typ, _) in options.items():
-            p.add_argument(f"--{name.replace('_', '-')}", dest=name,
-                           type=typ, default=default)
-
-    # global flags are legal both before and after the subcommand; the
-    # per-subcommand copies default to SUPPRESS so they never clobber
-    # values parsed at the top level
-    add(parser, _GLOBALS)
-    common = argparse.ArgumentParser(add_help=False)
-    add(common, _GLOBALS, argparse.SUPPRESS)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, options in OPTIONS.items():
-        add(sub.add_parser(command, parents=[common]), options)
-    return parser
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        if "-h" in argv or "--help" in argv:
+            sys.stdout.write(usage(next((a for a in argv if a in OPTIONS),
+                                        None)))
+            return 0
+        args = parse_argv(argv)
         _resolve(args)
         _COMMANDS[args.command](args)
     except (CliError, ValueError, NotImplementedError, OSError,

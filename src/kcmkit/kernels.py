@@ -1,12 +1,19 @@
 """Kernel selection: compiled C kernels when built, numpy fallback otherwise.
 
 Set KCMKIT_PURE=1 to force the fallback (used by the parity tests and the
-benchmark). Both implementations expose the same six entry points
-(closure, threshold, kcm_run, crossing_batch, uniforms, csr_operator) with
-identical semantics, bit-identical trajectories for the event loop and
-byte-identical uniforms and matrix-vector products. Their argument checks
-live in kcmkit._pure, which both call; a FamilyTables checks its own layout
-when it is built, and csr_operator checks its matrix once.
+benchmark). FALLBACK_REASON says why the fallback runs (None when the
+compiled kernels do): the variable, a missing library, or one that
+kcmkit._compiled refused because its source stamp is not that of the
+_ckernels.c it binds.
+
+Both implementations expose the same six entry points (closure, threshold,
+kcm_run, crossing_batch, uniforms, csr_operator) with identical semantics,
+bit-identical trajectories for the event loop and byte-identical uniforms
+and matrix-vector products. The closure takes one row of bits, shape (n,),
+or a block of rows, shape (R, n), with one flippable mask for every row,
+and returns out and rounds of the same shape. Their argument checks live
+in kcmkit._pure, which both call; a FamilyTables checks its own layout when
+it is built, and csr_operator checks its matrix once.
 
 The compiled closure, threshold and kcm_run read a family's rules through
 one empty-slot bitmask per site (uint16) and its satisfiability table
@@ -22,11 +29,13 @@ import os
 
 from . import _compiled, _pure
 
-_impl = None
+_impl = _pure
+FALLBACK_REASON: str | None = "KCMKIT_PURE is set"
 if os.environ.get("KCMKIT_PURE", "") in ("", "0"):
-    _impl = _compiled.load()
-if _impl is None:
-    _impl = _pure
+    try:
+        _impl, FALLBACK_REASON = _compiled.open_kernels(), None
+    except _compiled.LoadError as e:
+        FALLBACK_REASON = str(e)
 
 IMPLEMENTATION: str = _impl.IMPL_NAME
 

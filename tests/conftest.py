@@ -1,9 +1,13 @@
-"""Session-wide pytest hooks: every run names the kernels it tested."""
+"""Session-wide pytest hooks: every run names the kernels it tested, and
+why the fallback runs when it does."""
 
 
 def _kernels_line() -> str:
     from kcmkit import kernels
-    return f"kcmkit kernels: {kernels.IMPLEMENTATION}"
+    line = f"kcmkit kernels: {kernels.IMPLEMENTATION}"
+    if kernels.FALLBACK_REASON is not None:
+        line += f" ({kernels.FALLBACK_REASON})"
+    return line
 
 
 def pytest_report_header(config):

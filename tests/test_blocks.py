@@ -161,6 +161,32 @@ def test_fa2_matches_slice_spanning_route():
         assert got == want_good
 
 
+@pytest.mark.parametrize("spec", [
+    BlockSpec("fakf", (3, 3, 3), 0.75, 7.0, k=3),
+    BlockSpec("fakf", (4, 3, 5), 0.8, 7.0, k=3),
+    BlockSpec("fakf", (3, 4, 3, 2), 0.85, 9.0, k=4),
+], ids=lambda s: "x".join(map(str, s.dims)))
+def test_fakf_good_batch_equals_per_replica_slices(spec):
+    # one closure call per slice position over all replicas decides what
+    # the per-replica loop over every slice decides
+    fam = make_family("fa_kf", d=spec.d - 1, k=spec.k - 1)
+    empties = empty_sites(spec, 80, seed=23)
+    want = []
+    for empty in empties:
+        good = True
+        for axis in range(spec.d):
+            g = Geometry(tuple(n for a, n in enumerate(spec.dims) if a != axis))
+            for j in range(spec.dims[axis]):
+                sl = np.take(empty, j, axis=axis).reshape(-1)
+                good &= is_internally_spanned(
+                    Configuration(g, (~sl).astype(np.uint8)), fam)
+        want.append(good)
+    got = _good_batch(empties, spec)
+    assert got.dtype == bool and got.tolist() == want
+    assert 0 < sum(want) < len(want)
+    assert _good_batch(empties[:0], spec).shape == (0,)
+
+
 @pytest.mark.parametrize("spec,replicas", [
     (BlockSpec("fa2", (4, 4), 0.35, 3.5), 10_000),
     (BlockSpec("gg", (5, 3), 0.4, 7.0), 10_000),

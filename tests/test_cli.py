@@ -8,9 +8,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcmkit import blocks, cli, kcm, spectral
-from kcmkit.cli import main, read_config_file, resolve_family
+from kcmkit.cli import CliError, main, parse_argv, read_config_file, resolve_family
 from kcmkit.families import make_family
 from kcmkit.lattice import Configuration, Geometry, write_grid
 
@@ -50,6 +52,136 @@ def test_every_option_reaches_its_handler():
         source = inspect.getsource(cli._COMMANDS[name])
         for dest in options:
             assert f"args.{dest}" in source, (name, dest)
+
+
+def test_reader_takes_equals_form_and_last_repeat(tmp_path):
+    base = ["bootstrap", "--model", "fa2", "--n", "6", "--q", "0.3"]
+    rc1, a = run(tmp_path, *base, "--replicas", "50", "--seed", "2")
+    rc2, b = run(tmp_path, "--seed=9", "bootstrap", "--model=fa2", "--n=6",
+                 "--q=0.3", "--replicas=100", "--replicas", "50",
+                 "--seed=2")
+    assert rc1 == rc2 == 0 and a == b
+    args = parse_argv(["lc", "--q=0.1,0.2", "--torus=no", "--n-max", "8",
+                       "--d", "-1"])
+    assert (args.command, args.q, args.torus, args.n_max, args.d) == (
+        "lc", (0.1, 0.2), False, 8, -1)
+    assert args.model is args.seed is args.replicas is None
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["lc", "--n", "5"], "unknown option --n for lc"),        # --n-max
+    (["lc", "--rep", "5"], "unknown option --rep for lc"),    # --replicas
+    (["lc", "--n_max", "5"], "unknown option --n_max for lc"),
+    (["bootstrap", "--wibble=3"], "unknown option --wibble for bootstrap"),
+    (["bootstrap", "--n"], "--n needs a value"),
+    (["bootstrap", "--model", "--n", "4"], "--model needs a value"),
+    (["bootstrap", "--n", "4.5"], "--n: expected int, got '4.5'"),
+    (["bootstrap", "--torus=maybe"], "--torus: bad boolean 'maybe'"),
+    (["bootstrap", "lc"], "unexpected argument 'lc'"),
+    (["--seed", "1"], "missing command; expected one of bootstrap, qc, lc, "
+                      "sim, gap, blocks, paths, perc"),
+    (["boot"], "unknown command 'boot'; expected one of bootstrap, qc, lc, "
+               "sim, gap, blocks, paths, perc"),
+])
+def test_reader_refuses_bad_argv(tmp_path, capsys, argv, message):
+    # exact names only: argparse's prefix matching read `lc --n 5` as
+    # --n-max 5
+    rc, text = run(tmp_path, *argv)
+    assert rc == 2 and text is None
+    assert os.listdir(tmp_path) == []
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_help_exits_zero_and_writes_no_file(tmp_path, capsys):
+    assert main(["-h"]) == 0
+    out = capsys.readouterr().out
+    assert all(command in out for command in cli.OPTIONS)
+    rc, text = run(tmp_path, "lc", "--help", "--n-max", "bad")
+    assert rc == 0 and text is None and os.listdir(tmp_path) == []
+    lines = capsys.readouterr().out.splitlines()
+    assert "  --n-max      int    4096" in lines
+    assert "  --model      str    required" in lines
+    assert "  --seed       int    0" in lines
+    assert "  --out        str    none" in lines
+
+
+# --------------------------------------------------- argv property (Hypothesis)
+
+_TEXT = {
+    int: st.integers(-10**9, 10**9).map(str),
+    float: st.floats().map(repr),
+    str: st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+    cli._grid: st.lists(st.floats(), min_size=1, max_size=3).map(
+        lambda v: ",".join(map(repr, v))),
+    cli._dims: st.lists(st.integers(1, 40), min_size=1, max_size=3).map(
+        lambda v: ",".join(map(str, v))),
+    cli._flag: st.sampled_from(["1", "0", "true", "False", " yes", "no",
+                                "ON", "off"]),
+}
+_BAD_TEXT = {int: ["x", "", "1.5", "1e3"], float: ["x", "", "1,2"],
+             cli._grid: ["", "x", "1,,2"], cli._dims: ["", "0", "2,-1", "x"],
+             cli._flag: ["", "maybe", "2"]}
+_ALL_FLAGS = {f"--{n.replace('_', '-')}" for opts in cli.OPTIONS.values()
+              for n in opts}
+
+
+@st.composite
+def _argv(draw):
+    """(argv, expected): expected maps each option to the typed value of
+    its last flag, or is None when argv carries exactly one defect."""
+    command = draw(st.sampled_from(sorted(cli.OPTIONS)))
+    options = {**cli._GLOBALS, **cli.OPTIONS[command]}
+    flag = {f"--{n.replace('_', '-')}": n for n in options}
+    groups, expected = [], dict.fromkeys(options)
+    for _ in range(draw(st.integers(0, 6))):
+        name = draw(st.sampled_from(sorted(options)))
+        typ = options[name][0]
+        text = draw(_TEXT[typ])
+        f = f"--{name.replace('_', '-')}"
+        # a separate value may not start with "-" unless it is a number;
+        # the = form carries any text
+        if text.startswith("-") or draw(st.booleans()):
+            groups.append([f"{f}={text}"])
+        else:
+            groups.append([f, text])
+        expected[name] = typ(text)
+    defect = draw(st.sampled_from([None, "unknown", "prefix", "missing",
+                                   "value", "extra", "command"]))
+    if defect == "unknown":
+        groups.append([draw(st.sampled_from(
+            sorted(_ALL_FLAGS - set(flag)) + ["--threads", "--"])), "1"])
+    elif defect == "prefix":
+        f = draw(st.sampled_from(sorted(flag)))
+        cut = f[:draw(st.integers(3, len(f) - 1))] if len(f) > 3 else "--x"
+        groups.append([cut if cut not in flag else "--x", "1"])
+    elif defect == "value":
+        typed = sorted(n for n in options if options[n][0] in _BAD_TEXT)
+        name = draw(st.sampled_from(typed))
+        groups.append([f"--{name.replace('_', '-')}="
+                       f"{draw(st.sampled_from(_BAD_TEXT[options[name][0]]))}"])
+    elif defect == "extra":
+        groups.append([draw(st.sampled_from(["x", "lc", "0.5"]))])
+    where = draw(st.integers(0, len(groups)))
+    if defect != "command":
+        groups.insert(where, [command])
+    argv = [token for group in groups for token in group]
+    if defect == "missing":
+        argv.append(draw(st.sampled_from(sorted(flag))))
+    return argv, None if defect else expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv())
+def test_parse_argv_types_every_drawn_option_or_raises(case):
+    argv, expected = case
+    if expected is None:
+        with pytest.raises(CliError):
+            parse_argv(argv)
+        return
+    args = parse_argv(argv)
+    got = {name: getattr(args, name) for name in expected}
+    # repr compares NaN equal to NaN
+    assert args.command in argv and repr(got) == repr(expected)
 
 
 # every subcommand with only its required flags, so every default is read;
@@ -115,6 +247,20 @@ def test_only_gap_imports_scipy():
         "    'gap --model fa1 --d 2 --dims 3,5 --q 0.3'):",
         "    assert main(argv.split()) == 0, argv",
         "    assert 'scipy' not in sys.modules, argv",
+    ])
+    _assert_runs_alone(code)
+
+
+def test_cli_import_leaves_argparse_unloaded():
+    # argparse, with gettext and the parsers it built, cost about 9 ms of
+    # every command; the option tables are read directly
+    code = "\n".join([
+        "import sys",
+        "from kcmkit.cli import main",
+        "for argv in (['-h'], ['perc', '--help'], ['perc', '--p', '0.2',",
+        "             '--nmax', '3', '--replicas', '5'], ['lc', '--n', '5']):",
+        "    main(argv)",
+        "    assert 'argparse' not in sys.modules, argv",
     ])
     _assert_runs_alone(code)
 
@@ -222,6 +368,15 @@ def test_config_file_rejects_unknown_key(tmp_path):
     assert rc == 2 and text is None
 
 
+def test_config_file_bad_value_names_its_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model = fa2\nn = six\nq = 0.4\n")
+    rc, text = run(tmp_path, "bootstrap", "--config", str(cfg))
+    assert rc == 2 and text is None
+    assert capsys.readouterr().err == (
+        "error: config key 'n': expected int, got 'six'\n")
+
+
 # ----------------------------------------------------------------- failures
 
 
@@ -262,10 +417,9 @@ def test_lc_with_n_max_zero_exits_nonzero(tmp_path, capsys):
 def test_threads_flag_is_gone(tmp_path):
     for argv in (["--threads", "2", "bootstrap"],
                  ["bootstrap", "--threads", "2"]):
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, "--model", "fa2", "--n", "6", "--q", "0.4",
-                  "--replicas", "100", "--out", str(tmp_path / "out.csv")])
-        assert exc.value.code != 0
+        assert main([*argv, "--model", "fa2", "--n", "6", "--q", "0.4",
+                     "--replicas", "100", "--out",
+                     str(tmp_path / "out.csv")]) == 2
         assert os.listdir(tmp_path) == []
 
 

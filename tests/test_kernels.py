@@ -86,12 +86,20 @@ def _csr(**changes):
             changes.get("data", data))
 
 
-# (entry point, args, kwargs): every case but int-flippable is rejected.
-# The entry point "mv" builds csr_operator(*_CSR) and calls it on (x, out).
+# (entry point, args, kwargs): every case but those in ACCEPTED is
+# rejected. The entry point "mv" builds csr_operator(*_CSR) and calls it on
+# (x, out).
 BAD_ARGS = {
     "closure-short-bits": ("closure", (_BITS[:8], _T), {}),
     "closure-long-bits": ("closure", (np.ones(10, np.uint8), _T), {}),
     "closure-2d-bits": ("closure", (_BITS[None, :], _T), {}),
+    "closure-wide-rows": ("closure", (np.ones((2, 10), np.uint8), _T), {}),
+    "closure-3d-bits": ("closure", (_BITS[None, None, :], _T), {}),
+    "closure-scalar-bits": ("closure", (np.uint8(1), _T), {}),
+    "closure-rows-short-flippable": ("closure", (np.stack([_BITS] * 2), _T,
+                                                 np.ones(8, bool)), {}),
+    "closure-rows-2d-flippable": ("closure", (np.stack([_BITS] * 2), _T,
+                                              np.ones((2, 9), bool)), {}),
     "closure-short-flippable": ("closure", (_BITS, _T, np.ones(8, bool)), {}),
     "closure-int-flippable": ("closure", (_BITS, _T, np.arange(9) % 2), {}),
     "closure-bits-2": ("closure", (_BITS * 2, _T), {}),
@@ -113,6 +121,11 @@ BAD_ARGS = {
                          {"batch_edges": [[0.0, 1.0]]}),
     "kcm_run-text-q": ("kcm_run", (_BITS, _T, _VK, 1, 0, "x", 2.0), {}),
     "kcm_run-target-n": ("kcm_run", (_BITS, *_RUN), {"target": 9}),
+    "kcm_run-nan-t_max": ("kcm_run", (_BITS, _T, _VK, 1, 0, 0.3, np.nan), {}),
+    "kcm_run-float-max_events": ("kcm_run", (_BITS, *_RUN),
+                                 {"max_events": 2.5}),
+    "kcm_run-negative-max_events": ("kcm_run", (_BITS, *_RUN),
+                                    {"max_events": -1}),
     "crossing-2d-stack": ("crossing_batch", (np.ones((3, 3), bool), 0), {}),
     "crossing-axis-2": ("crossing_batch", (np.ones((1, 3, 3), bool), 2), {}),
     "uniforms-2d-vkeys": ("uniforms", (1, 2, _VK[None, :], 0), {}),
@@ -155,6 +168,9 @@ BAD_ARGS = {
     "mv-out-overlaps-x": ("mv", (_X4[:3], _X4[1:]), {}),
 }
 
+# an int mask reads as bool; a (1, n) block is one row
+ACCEPTED = ("closure-int-flippable", "closure-2d-bits")
+
 
 def _call(impl, entry, args, kwargs):
     if entry == "mv":
@@ -176,7 +192,7 @@ def test_bad_arguments_fail_alike(core, case):
     (kind_a, a), (kind_b, b) = outcomes
     assert kind_a == kind_b, outcomes
     if kind_a == "ok":
-        assert case == "closure-int-flippable"
+        assert case in ACCEPTED
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
     else:
         assert a == b
@@ -221,6 +237,36 @@ def test_closure_parity_with_masks(core, label, fam, geom):
         b2, r2 = _pure.closure(bits, t, flip)
         assert np.array_equal(b1, b2)
         assert np.array_equal(r1, r2)
+
+
+BLOCKS = FAMS + [("fa9-routed-to-pure", make_family("fa_kf", d=9, k=2),
+                  Geometry((2,) * 9, torus=True))]
+
+
+@pytest.mark.parametrize("label,fam,geom", BLOCKS, ids=[f[0] for f in BLOCKS])
+def test_closure_block_equals_stacked_rows(core, label, fam, geom):
+    # an (R, n) block closes in one call to the bytes of R one-row calls, in
+    # both implementations, with and without one flippable mask for all rows
+    t = tables_for(geom, fam)
+    n = geom.n_sites
+    gen = np.random.default_rng(4)
+    block = (gen.random((7, n)) >= 0.35).astype(np.uint8)
+    flip = gen.random(n) > 0.3
+    for extra in ((), (flip,)):
+        blocks = []
+        for impl in (core, _pure):
+            out, rounds = impl.closure(block, t, *extra)
+            rows = [impl.closure(row, t, *extra) for row in block]
+            for got, want in ((out, [r[0] for r in rows]),
+                              (rounds, [r[1] for r in rows])):
+                want = np.stack(want)
+                assert got.shape == block.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+            none = impl.closure(block[:0], t, *extra)
+            assert [(a.shape, a.dtype) for a in none] == [
+                ((0, n), np.uint8), ((0, n), np.int32)]
+            blocks.append(out.tobytes() + rounds.tobytes())
+        assert blocks[0] == blocks[1]
 
 
 THRESHOLD_CASES = FAMS + [

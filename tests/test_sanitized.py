@@ -10,6 +10,7 @@ The warnings check, which reads no library, is left to the plain run.
 The test skips only when gcc or one of its sanitizer runtimes is missing.
 """
 
+import hashlib
 import importlib.machinery
 import os
 import shutil
@@ -56,11 +57,14 @@ def test_kernel_parity_under_sanitizers(tmp_path):
     shutil.copytree(PACKAGE, pkg,
                     ignore=shutil.ignore_patterns("*.so", "__pycache__"))
     lib = pkg / f"_ckernels{importlib.machinery.EXTENSION_SUFFIXES[0]}"
+    source = PACKAGE / "_ckernels.c"
+    # the stamp setup.py gives it, without which the binding refuses it
+    stamp = hashlib.sha256(source.read_bytes()).hexdigest()[:16]
     p = subprocess.run(
         [gcc, "-std=c99", "-O1", "-g", "-fno-omit-frame-pointer",
          "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
-         "-shared", "-fPIC", str(PACKAGE / "_ckernels.c"), "-o", str(lib),
-         "-lm"],
+         f"-DKK_SOURCE_ID=0x{stamp}ULL", "-shared", "-fPIC", str(source),
+         "-o", str(lib), "-lm"],
         capture_output=True, text=True, timeout=300)
     assert p.returncode == 0, p.stderr
 
