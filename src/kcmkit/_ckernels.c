@@ -1,7 +1,8 @@
 /* Compiled kernels, six entry points: work-queue closure of a row or a
  * block of rows, spanning thresholds by incremental closure, event-driven
  * KCM loop, crossings, counter-based uniforms and a CSR matrix-vector
- * product.
+ * product. The KCM loop computes the trajectory only, with no window
+ * integrals; its vertex keys are those of the tables' geometry.
  *
  * Plain C99 over raw arrays, no Python API; kcmkit/_compiled.py binds it
  * with ctypes. The contract and the results are those of kcmkit/_pure.py
@@ -319,37 +320,20 @@ typedef struct {
     int64_t status;
 } kk_run_stats;
 
-/* Add c * |[t0, t1) ∩ window j| to integrals[j] for every batch window. */
-static void accumulate(const double *edges, int64_t nb, int64_t *bi,
-                       double *integrals, double t0, double t1, int64_t c)
-{
-    if (!edges || t1 <= edges[0])
-        return;
-    while (*bi < nb && edges[*bi + 1] <= t0)
-        ++*bi;
-    for (int64_t j = *bi; j < nb && edges[j] < t1; j++) {
-        double lo = t0 > edges[j] ? t0 : edges[j];
-        double hi = t1 < edges[j + 1] ? t1 : edges[j + 1];
-        if (hi > lo)
-            integrals[j] += (double)c * (hi - lo);
-    }
-}
-
 /* Continuous-time constrained Glauber dynamics, next-reaction style.
  *
- * bits holds the n initial states and receives the final ones. edges
- * (n_edges >= 2 values, or NULL) requests per-window integrals of the
- * empty-site count. The event log is written to ev_t/ev_v/ev_s (or not at
- * all when ev_t is NULL) up to ev_cap entries; st->n_events says how many
- * there were, so a caller whose buffer was short can rerun with more.
+ * bits holds the n initial states and receives the final ones; vkeys
+ * holds the n vertex keys of the counter-based clocks. The event log is
+ * written to ev_t/ev_v/ev_s (or not at all when ev_t is NULL) up to ev_cap
+ * entries; st->n_events says how many there were, so a caller whose buffer
+ * was short can rerun with more.
  */
 int kk_kcm_run(int64_t n, int64_t S, const int64_t *nbr, const uint8_t *sat,
                int pad_empty, uint8_t *bits, const uint64_t *vkeys,
                uint64_t seed, uint64_t replica, double q, double t_max,
-               int64_t target, int stop_when_target_empty,
-               const double *edges, int64_t n_edges, double *integrals,
-               int64_t max_events, double *ev_t, int32_t *ev_v,
-               uint8_t *ev_s, int64_t ev_cap, kk_run_stats *st)
+               int64_t target, int stop_when_target_empty, int64_t max_events,
+               double *ev_t, int32_t *ev_v, uint8_t *ev_s, int64_t ev_cap,
+               kk_run_stats *st)
 {
     const uint64_t STREAM_CLOCK = 1;
     uint8_t *em = malloc((size_t)n + 1);     /* 1 where a site is empty */
@@ -362,16 +346,14 @@ int kk_kcm_run(int64_t n, int64_t S, const int64_t *nbr, const uint8_t *sat,
     uint64_t prefix = mix64(mix64(mix64(seed) ^ STREAM_CLOCK) ^ replica);
 
     em[n] = pad_empty ? 1 : 0;
-    int64_t hsize = 0, empties = 0;
+    int64_t hsize = 0;
     for (int64_t v = 0; v < n; v++) {
         ring_t r = {-log(u01(prefix, vkeys[v], 0)), v};
         ctr[v] = 1;
         heap_push(heap, &hsize, r);
         em[v] = bits[v] == 0;
-        empties += em[v];
     }
 
-    int64_t nb = edges ? n_edges - 1 : 0, bi = 0;
     double t_now = 0.0;
     int64_t rings = 0, legal = 0, flips = 0, n_events = 0;
     double t_target_empty = -1.0, t_target_legal = -1.0;
@@ -382,11 +364,9 @@ int kk_kcm_run(int64_t n, int64_t S, const int64_t *nbr, const uint8_t *sat,
         int64_t x = heap[0].v;
         heap_pop(heap, &hsize);
         if (tt > t_max) {
-            accumulate(edges, nb, &bi, integrals, t_now, t_max, empties);
             t_now = t_max;
             break;
         }
-        accumulate(edges, nb, &bi, integrals, t_now, tt, empties);
         t_now = tt;
         rings++;
         if (sat[empty_slots(S, nbr + x * S, em)]) {
@@ -404,7 +384,6 @@ int kk_kcm_run(int64_t n, int64_t S, const int64_t *nbr, const uint8_t *sat,
             }
             if ((nv == 0) != em[x]) {
                 flips++;
-                empties += nv == 0 ? 1 : -1;
                 em[x] = nv == 0;
             }
             if (nv == 0 && x == target && t_target_empty < 0.0) {

@@ -16,7 +16,8 @@ before each C call, and a FamilyTables checks and freezes its layout when
 it is built; only the mapping of C's error returns, and one cache of table
 addresses per FamilyTables, live here. A family with more than 16 slots has no mask table
 (FamilyTables.sat is None), so its closure, threshold and kcm_run calls go
-to the _pure kernels.
+to the _pure kernels. kcm_run hands C the vertex keys of t.geom and gets
+back the trajectory only: no window integrals.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ IMPL_NAME = "compiled"
 LIBRARY = "_ckernels"
 # kk_source_id() of a library built from the shipped _ckernels.c; a test
 # keeps it equal to the first 8 bytes of that file's SHA-256
-SOURCE_ID = 0x6e8f784ef5b90f32
+SOURCE_ID = 0x0b5021a143d04bc9
 
 _STATUS = ("t_max", "target", "max_events")   # indexed by the KK_* codes
 # initial event-log capacity; a longer log costs one deterministic rerun
@@ -101,9 +102,9 @@ class Kernels:
         lib.kk_closure.argtypes = head + [_i64] + [_ptr] * 4
         lib.kk_threshold.argtypes = head + [_i64, _ptr, _ptr]
         lib.kk_kcm_run.argtypes = [
-            _i64, _i64, _ptr, _ptr, ctypes.c_int, _ptr, _ptr,
-            _u64, _u64, _dbl, _dbl, _i64, ctypes.c_int, _ptr, _i64, _ptr,
-            _i64, _ptr, _ptr, _ptr, _i64, ctypes.POINTER(RunStats)]
+            _i64, _i64, _ptr, _ptr, ctypes.c_int, _ptr, _ptr, _u64, _u64,
+            _dbl, _dbl, _i64, ctypes.c_int, _i64, _ptr, _ptr, _ptr, _i64,
+            ctypes.POINTER(RunStats)]
         lib.kk_crossing_batch.argtypes = [_i64, _i64, _i64, _ptr,
                                           ctypes.c_int, _ptr]
         lib.kk_uniforms.argtypes = [_u64, _i64, _ptr, _i64, _ptr, _u64, _ptr]
@@ -158,38 +159,32 @@ class Kernels:
         self._check(rc)
         return out
 
-    def kcm_run(self, bits, t: FamilyTables, vkeys, seed, replica, q, t_max,
-                target=-1, stop_when_target_empty=False, batch_edges=None,
-                log_events=False, max_events=None):
+    def kcm_run(self, bits, t: FamilyTables, seed, replica, q, t_max,
+                target=-1, stop_when_target_empty=False, log_events=False,
+                max_events=None):
         """Continuous-time constrained dynamics; mirrors kcmkit._pure.kcm_run."""
         if t.sat is None:
-            return _pure.kcm_run(bits, t, vkeys, seed, replica, q, t_max,
-                                 target, stop_when_target_empty, batch_edges,
-                                 log_events, max_events)
+            return _pure.kcm_run(bits, t, seed, replica, q, t_max, target,
+                                 stop_when_target_empty, log_events,
+                                 max_events)
         n, S, nbr, _, sat, pad_empty = self._table_args(t)
-        b, vk, seed, replica, q, t_max, target, stop, edges, me = \
-            _pure.kcm_run_args(bits, n, vkeys, seed, replica, q, t_max,
-                               target, stop_when_target_empty, batch_edges,
-                               max_events)
+        b, seed, replica, q, t_max, target, stop, me = _pure.kcm_run_args(
+            bits, n, seed, replica, q, t_max, target, stop_when_target_empty,
+            max_events)
         cap = 0
         if log_events:
             # rings arrive at rate 1 per site, so this usually holds the log
             cap = int(min(me, _EVENT_CAP, 1.25 * n * max(t_max, 0.0) + 64))
-        vk_addr, edges_addr = _addr(vk), _addr(edges)
+        vk = _addr(t.geom.vertex_keys())
         while True:
-            integrals = np.zeros(0 if edges is None else edges.size - 1)
             ev = (np.empty(cap), np.empty(cap, dtype=np.int32),
                   np.empty(cap, dtype=np.uint8)) if log_events else (None,) * 3
             out = b.copy()
             st = RunStats()
-            # C reads integrals only with edges, and _addr takes the slow
-            # ndarray.ctypes path (about 3 us) for the empty array
             self._check(self._lib.kk_kcm_run(
-                n, S, nbr, sat, pad_empty, _addr(out), vk_addr, seed,
-                replica, q, t_max, target, stop, edges_addr,
-                0 if edges is None else edges.size,
-                None if edges is None else _addr(integrals), me,
-                *map(_addr, ev), cap, ctypes.byref(st)))
+                n, S, nbr, sat, pad_empty, _addr(out), vk, seed, replica, q,
+                t_max, target, stop, me, *map(_addr, ev), cap,
+                ctypes.byref(st)))
             if st.n_events <= cap:
                 break
             cap = st.n_events
@@ -205,7 +200,6 @@ class Kernels:
             "flips": st.flips,
             "t_target_empty": st.t_target_empty,
             "t_target_first_legal": st.t_target_first_legal,
-            "batch_integrals": integrals,
             "events": events,
             "status": _STATUS[st.status],
         }

@@ -9,7 +9,8 @@ suite asserts equal outputs (bit-identical trajectories for the event loop,
 byte-identical uniforms). The argument checks and conversions of every
 entry point live here, in the *_args functions; the compiled kernels call
 the same functions before each C call, so both raise the same error for
-the same input.
+the same input. The event loop computes the trajectory only, with no
+window integrals, and keys its clocks on t.geom.vertex_keys().
 """
 
 from __future__ import annotations
@@ -59,28 +60,23 @@ def threshold_args(order, n: int) -> np.ndarray:
     return o
 
 
-def kcm_run_args(bits, n: int, vkeys, seed, replica, q, t_max, target,
-                 stop_when_target_empty, batch_edges, max_events):
+def kcm_run_args(bits, n: int, seed, replica, q, t_max, target,
+                 stop_when_target_empty, max_events):
     """kcm_run's arguments, C-typed; target -1 is none, max_events None 2^62."""
-    b, vk = _bits(bits, n), _vector(vkeys, np.uint64, n, "vkeys")
+    b = _bits(bits, n)
     tgt = -1 if as_int(target, "target") == -1 else as_site(target, n, "target")
-    edges = None
-    if batch_edges is not None:
-        edges = np.ascontiguousarray(batch_edges, dtype=np.float64)
-        if edges.ndim != 1 or edges.size < 2:
-            raise ValueError("batch_edges needs at least two edges")
     t_max = float(t_max)
-    if math.isnan(t_max):
-        raise ValueError("t_max must not be NaN")
+    if not math.isfinite(t_max):
+        raise ValueError(f"t_max must be finite, got {t_max}")
     cap = 1 << 62
     if max_events is not None:
         # a cap above 2^62 rings is no cap, and fits the C int64
         cap = min(as_int(max_events, "max_events"), cap)
         if cap < 0:
             raise ValueError(f"max_events must be >= 0, got {cap}")
-    return (b, vk, as_int(seed, "seed") & rng.MASK64,
+    return (b, as_int(seed, "seed") & rng.MASK64,
             as_int(replica, "replica") & rng.MASK64, float(q), t_max,
-            tgt, bool(stop_when_target_empty), edges, cap)
+            tgt, bool(stop_when_target_empty), cap)
 
 
 def crossing_args(empty_grids, axis):
@@ -243,32 +239,30 @@ def threshold(order: np.ndarray, t: FamilyTables) -> np.ndarray:
 
 # ------------------------------------------------------------ KCM event loop
 
-def kcm_run(bits: np.ndarray, t: FamilyTables, vkeys: np.ndarray,
-            seed: int, replica: int, q: float, t_max: float,
-            target: int = -1, stop_when_target_empty: bool = False,
-            batch_edges: np.ndarray | None = None,
-            log_events: bool = False, max_events: int | None = None):
+def kcm_run(bits: np.ndarray, t: FamilyTables, seed: int, replica: int,
+            q: float, t_max: float, target: int = -1,
+            stop_when_target_empty: bool = False, log_events: bool = False,
+            max_events: int | None = None):
     """Continuous-time constrained Glauber dynamics, next-reaction style.
 
     Every site carries a rate-1 Poisson clock; at a ring the constraint is
     evaluated on the current configuration and, if satisfied, the site is
     resampled to empty with probability q (coin drawn only when legal). All
-    randomness is counter-based per site, so trajectories are reproducible
-    and implementation-independent. The run stops after `max_events` rings;
-    None means no cap.
+    randomness is counter-based per site, keyed on t.geom's vertex keys, so
+    trajectories are reproducible and implementation-independent. The run
+    stops after `max_events` rings; None means no cap.
 
     Returns a dict with the final bits, counters, first-passage times for
-    `target` (-1.0 when not hit), per-window integrals of the empty-site
-    count when `batch_edges` is given, and the event log when requested.
+    `target` (-1.0 when not hit) and the event log when requested.
     """
     n = t.n_sites
-    bits, vk, seed, replica, q, t_max, target, stop, edges, cap = \
-        kcm_run_args(bits, n, vkeys, seed, replica, q, t_max, target,
-                     stop_when_target_empty, batch_edges, max_events)
+    bits, seed, replica, q, t_max, target, stop, cap = kcm_run_args(
+        bits, n, seed, replica, q, t_max, target, stop_when_target_empty,
+        max_events)
     bl = bits.tolist() + [0 if t.pad_empty else 1]
     nbr_rows = t.nbr.tolist()
     slot_lists = [slots.tolist() for slots in t.rules]
-    vk = vk.tolist()
+    vk = t.geom.vertex_keys().tolist()
 
     ctr = [0] * n
     heap = []
@@ -277,26 +271,6 @@ def kcm_run(bits: np.ndarray, t: FamilyTables, vkeys: np.ndarray,
         ctr[v] = 1
         heap.append((-math.log(u), v))
     heapq.heapify(heap)
-
-    edges = None if edges is None else edges.tolist()
-    nb = 0 if edges is None else len(edges) - 1
-    integrals = [0.0] * nb
-    bi = 0
-    empties = sum(1 for v in range(n) if bl[v] == 0)
-
-    def accumulate(t0: float, t1: float, c: int):
-        nonlocal bi
-        if edges is None or t1 <= edges[0]:
-            return
-        while bi < nb and edges[bi + 1] <= t0:
-            bi += 1
-        j = bi
-        while j < nb and edges[j] < t1:
-            lo = max(t0, edges[j])
-            hi = min(t1, edges[j + 1])
-            if hi > lo:
-                integrals[j] += c * (hi - lo)
-            j += 1
 
     ev_t, ev_v, ev_s = [], [], []
     t_now = 0.0
@@ -308,10 +282,8 @@ def kcm_run(bits: np.ndarray, t: FamilyTables, vkeys: np.ndarray,
     while heap:
         tt, x = heapq.heappop(heap)
         if tt > t_max:
-            accumulate(t_now, t_max, empties)
             t_now = t_max
             break
-        accumulate(t_now, tt, empties)
         t_now = tt
         rings += 1
         row = nbr_rows[x]
@@ -337,7 +309,6 @@ def kcm_run(bits: np.ndarray, t: FamilyTables, vkeys: np.ndarray,
                 ev_s.append(new)
             if new != bl[x]:
                 flips += 1
-                empties += 1 if new == 0 else -1
                 bl[x] = new
             if new == 0 and x == target and t_target_empty < 0.0:
                 t_target_empty = t_now
@@ -360,7 +331,6 @@ def kcm_run(bits: np.ndarray, t: FamilyTables, vkeys: np.ndarray,
         "flips": flips,
         "t_target_empty": t_target_empty,
         "t_target_first_legal": t_target_legal,
-        "batch_integrals": np.asarray(integrals, dtype=np.float64),
         "events": (np.asarray(ev_t, dtype=np.float64),
                    np.asarray(ev_v, dtype=np.int32),
                    np.asarray(ev_s, dtype=np.uint8)) if log_events else None,

@@ -53,6 +53,8 @@ class BlockSpec:
         # q = 1 (all empty a.s.) is allowed as a degenerate reference point
         if not 0.0 < self.q <= 1.0:
             raise ValueError("q must be in (0,1]")
+        if not 0.0 < self.A < math.inf:
+            raise ValueError(f"A must be positive and finite, got {self.A}")
         object.__setattr__(self, "dims", as_ints(self.dims, "dims"))
         if any(n < 1 for n in self.dims):
             raise ValueError("dims must be positive")
@@ -94,8 +96,8 @@ def block_dims(model: str, q: float, A: float, d: int = 2,
     """
     if not 0.0 < q < 1.0:
         raise ValueError("q must be in (0,1)")
-    if A <= 0.0:
-        raise ValueError("A must be positive")
+    if not 0.0 < A < math.inf:
+        raise ValueError(f"A must be positive and finite, got {A}")
     logq = math.log(1.0 / q)
     if model == "fa2":
         if d < 2:
@@ -266,14 +268,14 @@ def lambda_phi(spec: BlockSpec, mode: str = "auto"):
 def _lambda_phi_bound(spec: BlockSpec) -> float:
     """Seed-set counting bound: at most 2^{|seed|} preimages per target, each
     with weight ratio at most (1/q)^{|seed|}. Stated with the model's side
-    form; max(dims) keeps it valid for unequal sides."""
-    q = spec.q
-    n = max(spec.dims)
-    if spec.model == "fa2":
-        return (2.0 / q) ** (n * spec.d)
-    if spec.model == "fakf":
-        return (2.0 / q) ** (spec.d * n ** (spec.d - 1))
-    return (2.0 / q) ** (2 * spec.dims[1])
+    form; max(dims) keeps it valid for unequal sides. math.inf when the
+    bound overflows a float."""
+    n, d = max(spec.dims), spec.d
+    seed = {"fa2": n * d, "fakf": d * n ** (d - 1), "gg": 2 * spec.dims[-1]}
+    try:
+        return (2.0 / spec.q) ** seed[spec.model]
+    except OverflowError:
+        return math.inf
 
 
 # ------------------------------------------------------- block probabilities

@@ -134,8 +134,8 @@ def replica_thresholds(n: int, fam: UpdateFamily, tol: float,
     """
     if replicas <= 0:
         raise ValueError("replicas must be positive")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     geom = Geometry((n,) * fam.d, torus=True)
     t = tables_for(geom, fam)
     out = []

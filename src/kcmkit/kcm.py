@@ -32,8 +32,8 @@ class KcmParams:
     def __post_init__(self):
         if not 0.0 < self.q < 1.0:
             raise ValueError(f"q must be in (0,1), got {self.q}")
-        if not self.t_max > 0.0:
-            raise ValueError("t_max must be positive")
+        if not 0.0 < self.t_max < math.inf:
+            raise ValueError(f"t_max must be in (0, inf), got {self.t_max}")
         if self.fam.d != self.geometry.d:
             raise ValueError("family dimension does not match geometry")
 
@@ -64,7 +64,6 @@ class SimResult:
     flips: int
     t_target_empty: float | None
     t_target_first_legal: float | None
-    batch_integrals: np.ndarray | None
     events: tuple[np.ndarray, np.ndarray, np.ndarray] | None
     status: str
 
@@ -72,13 +71,12 @@ class SimResult:
 def simulate_kcm(params: KcmParams, initial: Configuration,
                  replica: int = 0, target=None,
                  stop_when_target_empty: bool = False,
-                 batch_edges=None, log_events: bool = False,
+                 log_events: bool = False,
                  max_events: int | None = None) -> SimResult:
     """One exact trajectory up to t_max (or a stop condition).
 
     `target` is a vertex whose first-empty and first-legal-update times are
-    recorded; `batch_edges` requests time-window integrals of the empty-site
-    count; `log_events` captures every executed resample as
+    recorded; `log_events` captures every executed resample as
     (time, vertex, new value).
     """
     geom = params.geometry
@@ -87,9 +85,9 @@ def simulate_kcm(params: KcmParams, initial: Configuration,
     t = tables_for(geom, params.fam)
     tgt = -1 if target is None else geom.site(target, "target")
     out = kernels.kcm_run(
-        initial.bits, t, geom.vertex_keys(), params.seed, replica, params.q,
-        params.t_max, target=tgt, stop_when_target_empty=stop_when_target_empty,
-        batch_edges=batch_edges, log_events=log_events, max_events=max_events)
+        initial.bits, t, params.seed, replica, params.q, params.t_max,
+        target=tgt, stop_when_target_empty=stop_when_target_empty,
+        log_events=log_events, max_events=max_events)
     return SimResult(
         final=Configuration(geom, out["bits"]),
         t_end=out["t_end"],
@@ -99,7 +97,6 @@ def simulate_kcm(params: KcmParams, initial: Configuration,
         t_target_empty=None if out["t_target_empty"] < 0 else out["t_target_empty"],
         t_target_first_legal=(None if out["t_target_first_legal"] < 0
                               else out["t_target_first_legal"]),
-        batch_integrals=out["batch_integrals"] if batch_edges is not None else None,
         events=out["events"],
         status=out["status"],
     )
@@ -141,7 +138,6 @@ def sample_persistence_time(params: KcmParams, replicas: int,
     geom = params.geometry
     flat = 0 if origin is None else geom.site(origin, "origin")
     t = tables_for(geom, params.fam)
-    vkeys = geom.vertex_keys()
     stop_on_empty = variant == "first_empty"
     if start == "stationary":
         starts = (bits for _, block in random_bits(geom, params.q, params.seed,
@@ -159,9 +155,8 @@ def sample_persistence_time(params: KcmParams, replicas: int,
             samples.append(PersistenceSample(0.0, False, 0, r, None))
             taus[r] = 0.0
             continue
-        out = kernels.kcm_run(bits, t, vkeys, params.seed, r, params.q,
-                              params.t_max, target=flat,
-                              stop_when_target_empty=stop_on_empty)
+        out = kernels.kcm_run(bits, t, params.seed, r, params.q, params.t_max,
+                              target=flat, stop_when_target_empty=stop_on_empty)
         t_legal = out["t_target_first_legal"]
         if stop_on_empty:
             hit = out["t_target_empty"] >= 0.0
@@ -198,16 +193,33 @@ def empty_fraction_time_average(params: KcmParams, initial: Configuration,
 
     The run is split into `windows` equal windows on (burn_in, t_max); the
     return is (overall mean fraction, per-window means, naive batch-means
-    standard error of the overall mean).
+    standard error of the overall mean). The empty count is integrated from
+    the event log, held in memory at 13 bytes per executed resample.
     """
     if not 0.0 <= burn_in < params.t_max:
         raise ValueError("burn_in must sit inside (0, t_max)")
     if windows < 1:
         raise ValueError("windows must be >= 1")
     edges = np.linspace(burn_in, params.t_max, windows + 1)
-    res = simulate_kcm(params, initial, replica=replica, batch_edges=edges)
-    widths = np.diff(edges)
-    means = res.batch_integrals / (widths * params.geometry.n_sites)
+    times, verts, vals = simulate_kcm(params, initial, replica=replica,
+                                      log_events=True).events
+    # an event overwrites its site's previous event, or the start, and adds
+    # the old bit minus the new one to the empty count
+    before = initial.bits[verts]
+    order = np.argsort(verts, kind="stable")
+    again = np.flatnonzero(np.diff(verts[order]) == 0)
+    before[order[again + 1]] = vals[order[again]]
+    counts = np.cumsum(np.append(np.count_nonzero(initial.bits == 0),
+                                 before.astype(np.int64) - vals))
+    # the empty count is counts[k] from the k-th event on; cut its pieces
+    # at the window edges and sum each window's pieces in time order
+    left = np.union1d(times[(times >= burn_in) & (times < params.t_max)],
+                      edges[:-1])
+    width = np.diff(left, append=params.t_max)
+    level = counts[np.searchsorted(times, left, side="right")]
+    window = np.searchsorted(edges, left, side="right") - 1
+    integrals = np.bincount(window, weights=level * width, minlength=windows)
+    means = integrals / (np.diff(edges) * params.geometry.n_sites)
     se = float(means.std(ddof=1) / math.sqrt(windows)) if windows > 1 else math.nan
     return float(means.mean()), means, se
 

@@ -14,6 +14,9 @@ or a block of rows, shape (R, n), with one flippable mask for every row,
 and returns out and rounds of the same shape. Their argument checks live
 in kcmkit._pure, which both call; a FamilyTables checks its own layout when
 it is built, and csr_operator checks its matrix once.
+kcm_run computes the trajectory only, with no window integrals (kcmkit.kcm
+takes those from the event log), and keys its clocks on the tables'
+geometry, t.geom.vertex_keys().
 
 The compiled closure, threshold and kcm_run read a family's rules through
 one empty-slot bitmask per site (uint16) and its satisfiability table

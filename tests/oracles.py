@@ -138,6 +138,34 @@ def lambda_phi_oracle(spec: BlockSpec) -> float:
     return best
 
 
+def window_empty_means_replay(initial: Configuration, events, burn_in: float,
+                              t_end: float, windows: int) -> np.ndarray:
+    """Per-window mean empty fraction over `windows` equal windows on
+    (burn_in, t_end), replaying the event log one event at a time: the
+    empty count holds between events, and each piece adds its count times
+    its overlap with every window."""
+    state = [int(b) for b in initial.bits]
+    empties = state.count(0)
+    width = (t_end - burn_in) / windows
+    totals = [0.0] * windows
+
+    def add(t0: float, t1: float) -> None:
+        for j in range(windows):
+            lo = max(t0, burn_in + j * width)
+            hi = min(t1, burn_in + (j + 1) * width)
+            if hi > lo:
+                totals[j] += empties * (hi - lo)
+
+    t_prev = 0.0
+    for t, v, s in zip(*(a.tolist() for a in events)):
+        add(t_prev, t)
+        empties += (s == 0) - (state[v] == 0)
+        state[v] = s
+        t_prev = t
+    add(t_prev, t_end)
+    return np.array(totals) / (width * len(state))
+
+
 def congestion_constant_oracle(paths: Sequence[LegalPath], q: float) -> float:
     """Independent congestion recomputation for cross-checking.
 

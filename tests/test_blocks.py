@@ -85,6 +85,11 @@ def test_block_spec_validation():
         BlockSpec("fakf", (3, 3), 0.3, 7.0, k=2)
     with pytest.raises(ValueError):
         BlockSpec("fa2", (3, 3), 0.0, 3.5)
+    for A in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="A must be positive and finite"):
+            BlockSpec("fa2", (3, 3), 0.3, A)
+        with pytest.raises(ValueError, match="A must be positive and finite"):
+            block_dims("fa2", q=0.3, A=A)
 
 
 # ----------------------------------------------------------- classification
@@ -291,6 +296,17 @@ def test_lambda_phi_fakf_bound_form():
     value, mode = lambda_phi(spec)
     assert mode == "bound"
     assert value == pytest.approx((2.0 / 0.2) ** (3 * 10 ** 2))
+
+
+def test_lambda_phi_bound_forms_and_overflow():
+    # (2/q)^|seed set| for each model; past the float range it reads inf
+    for spec, seed in ((BlockSpec("fa2", (6, 5), 0.3, 3.5), 12),
+                       (BlockSpec("gg", (9, 4), 0.3, 7.0), 8)):
+        assert lambda_phi(spec) == ((2.0 / 0.3) ** seed, "bound")
+    for spec in (BlockSpec("fa2", (209, 209), 0.05, 3.5),
+                 BlockSpec("gg", (40, 400), 0.05, 7.0),
+                 BlockSpec("fakf", (16, 16, 16), 0.3, 3.0, k=3)):
+        assert lambda_phi(spec) == (math.inf, "bound")
 
 
 def test_lambda_phi_exact_cap():

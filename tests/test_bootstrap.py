@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -259,8 +261,9 @@ def test_estimate_qc_rejects_bad_arguments():
     fam = make_family("fa_kf", d=1, k=1)
     with pytest.raises(ValueError, match="replicas"):
         estimate_qc(4, fam, 1e-3, 0, 1)
-    with pytest.raises(ValueError, match="tol"):
-        estimate_qc(4, fam, 0.0, 10, 1)
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            estimate_qc(4, fam, tol, 10, 1)
 
 
 def test_estimate_lc_matches_closed_form():

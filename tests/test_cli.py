@@ -414,6 +414,48 @@ def test_lc_with_n_max_zero_exits_nonzero(tmp_path, capsys):
     assert capsys.readouterr().err == "error: n_max must be >= 1, got 0\n"
 
 
+_SIM4 = ["sim", "--model", "east", "--n", "4", "--q", "0.5", "--replicas", "2"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    # an infinite horizon never ends the event loop
+    ([*_SIM4, "--tmax", "inf", "--variant", "first_legal"],
+     "t_max must be in (0, inf), got inf"),
+    ([*_SIM4, "--tmax", "inf", "--events", "run.events"],
+     "t_max must be in (0, inf), got inf"),
+    # a NaN or infinite tol never ends the bisection, or never starts it
+    (["qc", "--model", "fa1", "--n", "4", "--replicas", "5", "--tol", "nan"],
+     "tol must be positive and finite, got nan"),
+    (["qc", "--model", "fa1", "--n", "4", "--replicas", "5", "--tol", "inf"],
+     "tol must be positive and finite, got inf"),
+    (["blocks", "--model", "fa2", "--q", "0.3", "--A", "nan", "--dims", "3,3",
+      "--replicas", "5"], "A must be positive and finite, got nan"),
+    (["blocks", "--model", "fa2", "--q", "0.3", "--A", "inf"],
+     "A must be positive and finite, got inf"),
+], ids=["sim-inf-tmax", "sim-inf-tmax-events", "qc-nan-tol", "qc-inf-tol",
+        "blocks-nan-A", "blocks-inf-A"])
+def test_non_finite_values_exit_2_without_files(tmp_path, capsys,
+                                                monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", "out.csv"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["--model", "fa2", "--q", "0.05", "--A", "3.5", "--replicas", "2"],
+    ["--model", "fakf", "--k", "3", "--d", "3", "--q", "0.3", "--A", "3",
+     "--ell", "4", "--replicas", "2"],
+], ids=["fa2-209x209", "fakf-16x16x16"])
+def test_blocks_bound_past_float_range_is_inf(tmp_path, argv):
+    # (2/q)^|seed set| overflows a float on these blocks
+    rc, text = run(tmp_path, "blocks", *argv)
+    assert rc == 0
+    row = rows_of(text)[1][0]
+    assert row["lambda_mode"] == "bound"
+    assert row["lambda_phi"] == "inf"
+
+
 def test_threads_flag_is_gone(tmp_path):
     for argv in (["--threads", "2", "bootstrap"],
                  ["bootstrap", "--threads", "2"]):

@@ -11,6 +11,7 @@ from kcmkit.kcm import (KcmParams, empty_fraction_time_average,
                         read_event_log, sample_persistence_time, simulate_kcm,
                         write_event_log)
 from kcmkit.lattice import Configuration, Geometry
+from oracles import window_empty_means_replay
 
 
 def _params(fam, q, dims, t_max, seed, **gkw):
@@ -23,8 +24,9 @@ def test_params_validation():
         KcmParams(fam, 0.0, Geometry((4,)), 1.0, 0)
     with pytest.raises(ValueError):
         KcmParams(fam, 1.0, Geometry((4,)), 1.0, 0)
-    with pytest.raises(ValueError):
-        KcmParams(fam, 0.5, Geometry((4,)), 0.0, 0)
+    for t_max in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            KcmParams(fam, 0.5, Geometry((4,)), t_max, 0)
     with pytest.raises(ValueError):
         KcmParams(fam, 0.5, Geometry((4, 4)), 1.0, 0)
 
@@ -99,6 +101,44 @@ def test_stationary_empty_fraction_fa1f():
     mean, means, se = empty_fraction_time_average(
         p, Configuration.fully_empty(p.geometry), burn_in=40.0, windows=12)
     assert abs(mean - q) < max(3 * se, 0.05)
+
+
+# (family, dims, q, t_max, start, burn_in, windows)
+_WINDOW_CASES = {
+    "no-burn-in": (make_family("fa_kf", d=1, k=1), (16,), 0.3, 60.0, "random",
+                   0.0, 7),
+    "one-window": (make_family("fa_kf", d=2, k=2), (5, 5), 0.4, 40.0, "random",
+                   10.0, 1),
+    "east-free-box": (make_family("east", d=1), (9,), 0.35, 25.5, "empty",
+                      2.5, 6),
+    # one site ringing at rate 1 under windows of width 0.25
+    "quiet-windows": (make_family("unconstrained", d=1), (1,), 0.5, 20.0,
+                      "random", 0.0, 80),
+    # nothing is ever legal, so the log is empty
+    "frozen": (make_family("north_east"), (4, 4), 0.4, 10.0, "occupied",
+               1.0, 3),
+}
+
+
+@pytest.mark.parametrize("case", _WINDOW_CASES)
+def test_window_means_match_event_replay(case):
+    fam, dims, q, t_max, start, burn_in, windows = _WINDOW_CASES[case]
+    p = _params(fam, q, dims, t_max, 23, torus=case != "east-free-box")
+    cfg = {"random": lambda g: Configuration.random(g, q, 23, 0),
+           "empty": Configuration.fully_empty,
+           "occupied": Configuration.fully_occupied}[start](p.geometry)
+    mean, means, se = empty_fraction_time_average(p, cfg, burn_in, windows)
+    events = simulate_kcm(p, cfg, log_events=True).events
+    want = window_empty_means_replay(cfg, events, burn_in, t_max, windows)
+    np.testing.assert_allclose(means, want, rtol=1e-12, atol=0.0)
+    assert mean == float(means.mean())
+    assert math.isnan(se) if windows == 1 else se >= 0.0
+    per_window = np.histogram(events[0], np.linspace(burn_in, t_max,
+                                                     windows + 1))[0]
+    if case in ("quiet-windows", "frozen"):
+        assert (per_window == 0).any()
+    if case == "frozen":
+        assert events[0].size == 0 and not means.any()
 
 
 def test_first_legal_variant_precedes_first_empty():

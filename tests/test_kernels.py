@@ -69,7 +69,7 @@ _GEOM = Geometry((3, 3), torus=True)
 _T = tables_for(_GEOM, make_family("fa_kf", d=2, k=2))
 _BITS = (np.arange(9) % 3 != 0).astype(np.uint8)
 _VK = _GEOM.vertex_keys()
-_RUN = (_T, _VK, 1, 0, 0.3, 2.0)
+_RUN = (_T, 1, 0, 0.3, 2.0)
 # a 3 x 3 CSR matrix, and the x and out of one product with it
 _CSR = (np.array([0, 2, 3, 3]), np.array([0, 2, 1]), np.array([1.0, 2.0, 3.0]))
 _X, _X4 = np.arange(3.0), np.arange(4.0)
@@ -112,16 +112,12 @@ BAD_ARGS = {
     "threshold-float-order": ("threshold", (np.arange(9)[None] + 0.7, _T), {}),
     "threshold-bool-order": ("threshold", (np.ones((1, 9), bool), _T), {}),
     "kcm_run-short-bits": ("kcm_run", (_BITS[:8], *_RUN), {}),
-    "kcm_run-short-vkeys": ("kcm_run", (_BITS, _T, _VK[:8], 1, 0, 0.3, 2.0),
-                            {}),
     "kcm_run-2d-bits": ("kcm_run", (_BITS[None, :], *_RUN), {}),
     "kcm_run-bits-2": ("kcm_run", (_BITS * 2, *_RUN), {}),
-    "kcm_run-one-edge": ("kcm_run", (_BITS, *_RUN), {"batch_edges": [0.5]}),
-    "kcm_run-2d-edges": ("kcm_run", (_BITS, *_RUN),
-                         {"batch_edges": [[0.0, 1.0]]}),
-    "kcm_run-text-q": ("kcm_run", (_BITS, _T, _VK, 1, 0, "x", 2.0), {}),
+    "kcm_run-text-q": ("kcm_run", (_BITS, _T, 1, 0, "x", 2.0), {}),
     "kcm_run-target-n": ("kcm_run", (_BITS, *_RUN), {"target": 9}),
-    "kcm_run-nan-t_max": ("kcm_run", (_BITS, _T, _VK, 1, 0, 0.3, np.nan), {}),
+    "kcm_run-nan-t_max": ("kcm_run", (_BITS, _T, 1, 0, 0.3, np.nan), {}),
+    "kcm_run-inf-t_max": ("kcm_run", (_BITS, _T, 1, 0, 0.3, np.inf), {}),
     "kcm_run-float-max_events": ("kcm_run", (_BITS, *_RUN),
                                  {"max_events": 2.5}),
     "kcm_run-negative-max_events": ("kcm_run", (_BITS, *_RUN),
@@ -131,11 +127,9 @@ BAD_ARGS = {
     "uniforms-2d-vkeys": ("uniforms", (1, 2, _VK[None, :], 0), {}),
     "uniforms-2d-replicas": ("uniforms", (1, np.zeros((2, 2), np.uint64),
                                           _VK, 0), {}),
-    "kcm_run-float-seed": ("kcm_run", (_BITS, _T, _VK, 1.5, 0, 0.3, 2.0), {}),
-    "kcm_run-float-replica": ("kcm_run", (_BITS, _T, _VK, 1, 2.7, 0.3, 2.0),
-                              {}),
-    "kcm_run-bool-replica": ("kcm_run", (_BITS, _T, _VK, 1, True, 0.3, 2.0),
-                             {}),
+    "kcm_run-float-seed": ("kcm_run", (_BITS, _T, 1.5, 0, 0.3, 2.0), {}),
+    "kcm_run-float-replica": ("kcm_run", (_BITS, _T, 1, 2.7, 0.3, 2.0), {}),
+    "kcm_run-bool-replica": ("kcm_run", (_BITS, _T, 1, True, 0.3, 2.0), {}),
     "uniforms-float-head": ("uniforms", (1.5, 2, _VK, 0), {}),
     "uniforms-float-counter": ("uniforms", (1, 2, _VK, 0.5), {}),
     "crossing-axis-true": ("crossing_batch", (np.ones((1, 3, 3), bool), True),
@@ -323,13 +317,9 @@ def test_mask_kernels_parity_on_wide_families(core, label, fam, geom):
             assert np.array_equal(b1, b2) and np.array_equal(r1, r2)
     order = np.argsort(gen.random((6, n)), axis=1)
     assert np.array_equal(core.threshold(order, t), _pure.threshold(order, t))
-    vkeys = geom.vertex_keys()
     bits = (gen.random(n) >= 0.4).astype(np.uint8)
-    edges = np.array([0.0, 0.5, 2.0])
-    a = core.kcm_run(bits, t, vkeys, 3, 1, 0.4, 2.0, target=n // 2,
-                     batch_edges=edges, log_events=True)
-    b = _pure.kcm_run(bits, t, vkeys, 3, 1, 0.4, 2.0, target=n // 2,
-                      batch_edges=edges, log_events=True)
+    a = core.kcm_run(bits, t, 3, 1, 0.4, 2.0, target=n // 2, log_events=True)
+    b = _pure.kcm_run(bits, t, 3, 1, 0.4, 2.0, target=n // 2, log_events=True)
     assert a["legal_updates"] > 0
     _assert_same_run(a, b)
 
@@ -350,10 +340,8 @@ def test_more_than_sixteen_slots_route_to_pure(core, monkeypatch):
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
     order = np.argsort(gen.random((2, n)), axis=1)
     assert np.array_equal(core.threshold(order, t), _pure.threshold(order, t))
-    vkeys = geom.vertex_keys()
-    _assert_same_run(
-        core.kcm_run(bits, t, vkeys, 2, 0, 0.3, 0.5, log_events=True),
-        _pure.kcm_run(bits, t, vkeys, 2, 0, 0.3, 0.5, log_events=True))
+    _assert_same_run(core.kcm_run(bits, t, 2, 0, 0.3, 0.5, log_events=True),
+                     _pure.kcm_run(bits, t, 2, 0, 0.3, 0.5, log_events=True))
 
 
 def _prefix_spans(geom, fam, row, k) -> bool:
@@ -445,14 +433,11 @@ def test_qc_cli_parity(core, capsys, monkeypatch):
 @pytest.mark.parametrize("label,fam,geom", FAMS[:4], ids=[f[0] for f in FAMS[:4]])
 def test_kcm_run_parity_bit_identical(core, label, fam, geom):
     t = tables_for(geom, fam)
-    vkeys = geom.vertex_keys()
     for seed in (1, 7):
         bits = _random_bits(geom, 0.3, seed + 100)
-        edges = np.array([0.0, 1.0, 3.0, 7.5])
-        a = core.kcm_run(bits, t, vkeys, seed, 0, 0.3, 7.5,
-                         target=0, batch_edges=edges, log_events=True)
-        b = _pure.kcm_run(bits, t, vkeys, seed, 0, 0.3, 7.5,
-                          target=0, batch_edges=edges, log_events=True)
+        a = core.kcm_run(bits, t, seed, 0, 0.3, 7.5, target=0, log_events=True)
+        b = _pure.kcm_run(bits, t, seed, 0, 0.3, 7.5, target=0,
+                          log_events=True)
         _assert_same_run(a, b)
 
 
@@ -464,7 +449,6 @@ def _assert_same_run(a, b):
     assert a["flips"] == b["flips"]
     assert a["t_target_empty"] == b["t_target_empty"]
     assert a["t_target_first_legal"] == b["t_target_first_legal"]
-    assert np.array_equal(a["batch_integrals"], b["batch_integrals"])
     assert (a["events"] is None) == (b["events"] is None)
     for u, v in zip(a["events"] or (), b["events"] or ()):
         assert u.dtype == v.dtype
@@ -476,13 +460,12 @@ def test_kcm_run_parity_bool_and_strided_bits(core):
     fam = make_family("fa_kf", d=2, k=2)
     geom = Geometry((6, 6), torus=True)
     t = tables_for(geom, fam)
-    vkeys = geom.vertex_keys()
     wide = _random_bits(Geometry((72,), torus=True), 0.4, 3)
     before = wide.copy()
     for bits in (wide[::2], (wide == 1)[::2]):
         assert not bits.flags.c_contiguous
-        a = core.kcm_run(bits, t, vkeys, 4, 1, 0.4, 6.0, log_events=True)
-        b = _pure.kcm_run(bits, t, vkeys, 4, 1, 0.4, 6.0, log_events=True)
+        a = core.kcm_run(bits, t, 4, 1, 0.4, 6.0, log_events=True)
+        b = _pure.kcm_run(bits, t, 4, 1, 0.4, 6.0, log_events=True)
         _assert_same_run(a, b)
     assert np.array_equal(wide, before)
 
@@ -494,10 +477,9 @@ def test_kcm_run_event_log_longer_than_first_buffer(core, monkeypatch):
     fam = make_family("unconstrained", d=1)
     geom = Geometry((40,), torus=True)
     t = tables_for(geom, fam)
-    vkeys = geom.vertex_keys()
     bits = np.ones(40, dtype=np.uint8)
-    a = core.kcm_run(bits, t, vkeys, 9, 0, 0.9, 30.0, log_events=True)
-    b = _pure.kcm_run(bits, t, vkeys, 9, 0, 0.9, 30.0, log_events=True)
+    a = core.kcm_run(bits, t, 9, 0, 0.9, 30.0, log_events=True)
+    b = _pure.kcm_run(bits, t, 9, 0, 0.9, 30.0, log_events=True)
     assert a["events"][0].size > 100
     _assert_same_run(a, b)
 
@@ -506,24 +488,23 @@ def test_kcm_run_parity_stop_and_cap(core):
     fam = make_family("east", d=1)
     geom = Geometry((12,), torus=True)
     t = tables_for(geom, fam)
-    vkeys = geom.vertex_keys()
     bits = np.ones(12, dtype=np.uint8)
     bits[3] = 0
-    a = core.kcm_run(bits, t, vkeys, 5, 2, 0.4, 1e9, target=7,
+    a = core.kcm_run(bits, t, 5, 2, 0.4, 1e9, target=7,
                      stop_when_target_empty=True)
-    b = _pure.kcm_run(bits, t, vkeys, 5, 2, 0.4, 1e9, target=7,
+    b = _pure.kcm_run(bits, t, 5, 2, 0.4, 1e9, target=7,
                       stop_when_target_empty=True)
     assert a["status"] == b["status"] == "target"
     assert a["t_target_empty"] == b["t_target_empty"] > 0
     assert np.array_equal(a["bits"], b["bits"])
-    a = core.kcm_run(bits, t, vkeys, 5, 2, 0.4, 1e9, max_events=500)
-    b = _pure.kcm_run(bits, t, vkeys, 5, 2, 0.4, 1e9, max_events=500)
+    a = core.kcm_run(bits, t, 5, 2, 0.4, 1e9, max_events=500)
+    b = _pure.kcm_run(bits, t, 5, 2, 0.4, 1e9, max_events=500)
     assert a["status"] == b["status"] == "max_events"
     assert a["rings"] == b["rings"] == 500
     assert a["t_end"] == b["t_end"]
     # None means no cap in both implementations
-    a = core.kcm_run(bits, t, vkeys, 5, 2, 0.4, 20.0, max_events=None)
-    b = _pure.kcm_run(bits, t, vkeys, 5, 2, 0.4, 20.0, max_events=None)
+    a = core.kcm_run(bits, t, 5, 2, 0.4, 20.0, max_events=None)
+    b = _pure.kcm_run(bits, t, 5, 2, 0.4, 20.0, max_events=None)
     assert a["status"] == b["status"] == "t_max"
     _assert_same_run(a, b)
 
@@ -550,7 +531,7 @@ def test_converted_tables_die_with_their_family_tables(core):
                      make_family("fa_kf", d=2, k=2))
     bits = _random_bits(t.geom, 0.3, 0)
     core.closure(bits, t)
-    core.kcm_run(bits, t, t.geom.vertex_keys(), 1, 0, 0.3, 1.0)
+    core.kcm_run(bits, t, 1, 0, 0.3, 1.0)
     ref = weakref.ref(t)
     del t
     gc.collect()

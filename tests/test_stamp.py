@@ -7,9 +7,11 @@ left from another checkout, whose entry points may take other arguments,
 is refused with its reason, and kcmkit.kernels runs the pure kernels.
 """
 
+import ctypes
 import hashlib
 import importlib.machinery
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -18,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from kcmkit import _compiled
-from test_kernels import _cc
+from test_kernels import _cc, core  # noqa: F401 (core is a fixture)
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "kcmkit"
 SOURCE = PACKAGE / "_ckernels.c"
@@ -45,6 +47,45 @@ def _build(text: str, directory: Path, *defines: str) -> Path:
 def test_source_id_is_the_hash_of_the_shipped_c_file():
     # a C edit without the matching edit of _compiled.SOURCE_ID fails here
     assert _compiled.SOURCE_ID == int(_stamp(SOURCE.read_text()), 16)
+
+
+_C_TYPES = {"int": ctypes.c_int, "int64_t": ctypes.c_int64,
+            "uint64_t": ctypes.c_uint64, "double": ctypes.c_double}
+
+
+def _c_type(decl: str):
+    """The ctypes type a binding declares for one C parameter or return
+    type: c_void_p for a data pointer, POINTER(RunStats) for the stats."""
+    if "kk_run_stats" in decl:
+        return ctypes.POINTER(_compiled.RunStats)
+    if "*" in decl:
+        return ctypes.c_void_p
+    return _C_TYPES[decl.split()[0]]
+
+
+def test_binding_declares_every_entry_point_as_the_c_file_does(core):
+    # the stamp makes the two files change together; this checks that they
+    # agree: every kk_* function, its parameter count and types, its return
+    text = SOURCE.read_text()
+    protos = {name: (ret, [] if params.strip() == "void"
+                     else [p.strip() for p in params.split(",")])
+              for ret, name, params in re.findall(
+                  r"^(\w+) (kk_\w+)\(([^)]*)\)\s*\{", text, re.M)}
+    lib = core._lib
+    assert set(protos) == {k for k in vars(lib) if k.startswith("kk_")}
+    for name, (ret, params) in protos.items():
+        fn = getattr(lib, name)
+        assert len(fn.argtypes) == len(params), name
+        assert list(fn.argtypes) == [_c_type(p) for p in params], name
+        assert fn.restype == _c_type(ret), name
+
+
+def test_run_stats_mirrors_the_c_struct():
+    body = re.search(r"typedef struct \{([^}]*)\} kk_run_stats;",
+                     SOURCE.read_text()).group(1)
+    fields = re.findall(r"^\s*(\w+) (\w+);", body, re.M)
+    assert [(name, _C_TYPES[typ]) for typ, name in fields] == \
+        _compiled.RunStats._fields_
 
 
 def test_library_from_another_source_is_refused(tmp_path):
