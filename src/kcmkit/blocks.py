@@ -60,6 +60,9 @@ class BlockSpec:
             raise ValueError("dims must be positive")
         if self.model == "gg" and len(self.dims) != 2:
             raise ValueError("gg blocks are two-dimensional")
+        if self.model == "gg" and self.dims[0] < 2:   # no adjacent pair
+            raise ValueError(f"gg blocks need at least 2 columns, got width "
+                             f"{self.dims[0]}")
         if self.model == "fa2" and len(self.dims) < 2:
             raise ValueError("fa2 blocks need d >= 2")
         if self.model == "fakf" and self.k < 3:
@@ -249,20 +252,16 @@ def lambda_phi(spec: BlockSpec, mode: str = "auto"):
         raise ValueError(f"exact promotion constant capped at "
                          f"{EXACT_LAMBDA_CAP} sites, block has {n}")
     good, sg = _enumerate_classes(spec)
-    seed_flat = np.flatnonzero(_seed_mask(spec).reshape(-1))
-    zmask = 0
-    for v in seed_flat:
-        zmask |= 1 << int(v)
+    seed = _seed_mask(spec).reshape(-1)
+    zmask = np.uint64(sum(1 << int(v) for v in np.flatnonzero(seed)))
     ratio = (1.0 - spec.q) / spec.q
-    sums: dict[int, float] = {}
-    for state in np.flatnonzero(good):
-        state = int(state)
-        image = state & ~zmask
-        extra = bin(state & zmask).count("1")
-        sums[image] = sums.get(image, 0.0) + ratio ** extra
-    sg_states = set(int(s) for s in np.flatnonzero(sg))
-    assert set(sums) <= sg_states, "promotion image left the super-good event"
-    return max(sums.values()), "exact"
+    weight = np.array([ratio ** k for k in range(int(seed.sum()) + 1)])
+    states = np.flatnonzero(good).astype(np.uint64)
+    images = (states & ~zmask).astype(np.intp)
+    assert sg[images].all(), "promotion image left the super-good event"
+    extra = np.bitwise_count(states & zmask)      # seed sites occupied
+    sums = np.bincount(images, weights=weight[extra])
+    return float(sums.max()), "exact"
 
 
 def _lambda_phi_bound(spec: BlockSpec) -> float:

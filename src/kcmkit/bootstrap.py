@@ -17,7 +17,7 @@ import numpy as np
 from . import kernels
 from .families import UpdateFamily, tables_for
 from .lattice import Configuration, Geometry, Region, random_bits, random_uniforms
-from .stats import ScanEstimate, median, wilson_ci
+from .stats import Z95, ScanEstimate, median, wilson_ci
 
 
 # ------------------------------------------------------------------ closures
@@ -159,10 +159,9 @@ def estimate_qc(n: int, fam: UpdateFamily, tol: float, replicas: int,
     """
     thresholds = sorted(replica_thresholds(n, fam, tol, replicas, seed))
     # median sampling noise via order statistics at 95%
-    z = 1.959963984540054
-    jlo = max(0, int(math.floor(0.5 * replicas - 0.5 * z * math.sqrt(replicas))))
-    jhi = min(replicas - 1,
-              int(math.ceil(0.5 * replicas + 0.5 * z * math.sqrt(replicas))))
+    half = 0.5 * Z95 * math.sqrt(replicas)
+    jlo = max(0, int(math.floor(0.5 * replicas - half)))
+    jhi = min(replicas - 1, int(math.ceil(0.5 * replicas + half)))
     ci = (thresholds[jlo] - 0.5 * tol, thresholds[jhi] + 0.5 * tol)
     return ScanEstimate(median(thresholds), ci, replicas, seed)
 

@@ -6,17 +6,17 @@ Every option is declared once, in `_GLOBALS` or `OPTIONS`, and
 repeated option winning; `-h`/`--help` prints the table. A run takes each
 value from its flag, else from an optional flat key=value config file,
 else from the table default. It emits a CSV whose comment lines
-carry the seed, the package version, and a hash of the resolved
-parameters, and writes output atomically so failed runs leave no partial
-files.  Grids of q (or p for `perc`) expand into independent runs sharing
-the base seed with per-point offsets.
+carry the seed, the package version, and a hash of the command, the seed
+and every option of the command as resolved (not `--out` or `--config`,
+which only name files), and writes output atomically so failed runs leave
+no partial files. Grids of q (or p for `perc`) expand into independent
+runs sharing the base seed with per-point offsets.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
-import io
 import os
 import re
 import sys
@@ -95,11 +95,6 @@ def _cell(v) -> str:
     return str(v)
 
 
-def _config_hash(pairs: dict) -> str:
-    blob = "\n".join(f"{k}={_cell(v)}" for k, v in sorted(pairs.items()))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
 @contextlib.contextmanager
 def _atomic(path: str, mode: str = "w"):
     """A handle on `path`.tmp that replaces `path` only when the block
@@ -115,20 +110,21 @@ def _atomic(path: str, mode: str = "w"):
         raise
 
 
-def emit_csv(out: str | None, params: dict, header: list[str], rows) -> None:
-    """Write comment lines, header, rows; atomically when `out` is a path."""
-    buf = io.StringIO()
-    buf.write(f"# seed={params.get('seed', 0)}\n")
-    buf.write(f"# version=kcmkit-{__version__}\n")
-    buf.write(f"# config={_config_hash(params)}\n")
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(_cell(v) for v in row) + "\n")
-    text = buf.getvalue()
-    if out is None:
+def emit_csv(args: SimpleNamespace, header: list[str], rows) -> None:
+    """Write comment lines, header, rows; atomically when `args.out` is a
+    path. The hash reads the command's options from the table."""
+    params = {"command": args.command, "seed": args.seed,
+              **{name: getattr(args, name) for name in OPTIONS[args.command]}}
+    blob = "\n".join(f"{k}={_cell(v)}" for k, v in sorted(params.items()))
+    lines = [f"# seed={args.seed}", f"# version=kcmkit-{__version__}",
+             f"# config={hashlib.sha256(blob.encode()).hexdigest()[:16]}",
+             ",".join(header)]
+    lines += (",".join(_cell(v) for v in row) for row in rows)
+    text = "\n".join(lines) + "\n"
+    if args.out is None:
         sys.stdout.write(text)
         return
-    with _atomic(out) as fh:
+    with _atomic(args.out) as fh:
         fh.write(text)
 
 
@@ -284,7 +280,7 @@ def _resolve(args: SimpleNamespace) -> None:
     options = {**_GLOBALS, **OPTIONS[args.command]}
     kv = read_config_file(args.config) if args.config else {}
     for key in kv:
-        if key != "command" and key not in options:
+        if key not in options:
             raise CliError(f"config key {key!r} is not an option of "
                            f"{args.command!r}")
     for name, (typ, default) in options.items():
@@ -303,30 +299,22 @@ def _resolve(args: SimpleNamespace) -> None:
 
 def _cmd_bootstrap(args) -> None:
     fam = resolve_family(args.model, args.d)
-    params = dict(command="bootstrap", model=fam.name, n=args.n, q=args.q,
-                  replicas=args.replicas, seed=args.seed, torus=args.torus)
     rows = []
     for i, q in enumerate(args.q):
-        if not 0.0 <= q <= 1.0:
-            raise CliError(f"q must be in [0,1], got {q}")
         est = bootstrap.estimate_span_probability(
             args.n, fam, q, args.replicas, args.seed + i, torus=args.torus)
         rows.append([fam.name, fam.d, args.n, q, args.replicas,
                      est.value, est.ci[0], est.ci[1], args.seed + i])
-    emit_csv(args.out, params,
-             ["model", "d", "n", "q", "replicas", "p_hat", "ci_lo", "ci_hi",
-              "seed"], rows)
+    emit_csv(args, ["model", "d", "n", "q", "replicas", "p_hat", "ci_lo",
+                    "ci_hi", "seed"], rows)
 
 
 def _cmd_qc(args) -> None:
     fam = resolve_family(args.model, args.d)
-    params = dict(command="qc", model=fam.name, n=args.n, tol=args.tol,
-                  replicas=args.replicas, seed=args.seed)
     est = bootstrap.estimate_qc(args.n, fam, args.tol, args.replicas,
                                 args.seed)
-    emit_csv(args.out, params,
-             ["model", "d", "n", "tol", "replicas", "seed", "q",
-              "ci_lo", "ci_hi", "censored"],
+    emit_csv(args, ["model", "d", "n", "tol", "replicas", "seed", "q",
+                    "ci_lo", "ci_hi", "censored"],
              [[fam.name, fam.d, args.n, args.tol, args.replicas, args.seed,
                est.value, est.ci[0], est.ci[1], est.censored]])
 
@@ -336,13 +324,10 @@ def _cmd_lc(args) -> None:
         raise CliError("lc takes a single q")
     fam = resolve_family(args.model, args.d)
     q = args.q[0]
-    params = dict(command="lc", model=fam.name, q=q, n_max=args.n_max,
-                  replicas=args.replicas, seed=args.seed, torus=args.torus)
     est = bootstrap.estimate_lc(q, fam, args.n_max, args.replicas, args.seed,
                                 torus=args.torus)
-    emit_csv(args.out, params,
-             ["model", "d", "q", "n_max", "replicas", "seed", "lc_hat",
-              "ci_lo", "ci_hi", "censored"],
+    emit_csv(args, ["model", "d", "q", "n_max", "replicas", "seed",
+                    "lc_hat", "ci_lo", "ci_hi", "censored"],
              [[fam.name, fam.d, q, args.n_max, args.replicas, args.seed,
                est.value, est.ci[0], est.ci[1], est.censored]])
 
@@ -361,9 +346,6 @@ def _cmd_sim(args) -> None:
         if initial.geom != geom:
             raise CliError("initial grid does not match --n and --torus")
     kp = kcm.KcmParams(fam, q, geom, args.tmax, args.seed)
-    params = dict(command="sim", model=fam.name, n=args.n, q=q,
-                  tmax=args.tmax, replicas=args.replicas, seed=args.seed,
-                  start=args.start, variant=args.variant, torus=args.torus)
     samples, _summary = kcm.sample_persistence_time(
         kp, args.replicas, start=args.start, variant=args.variant)
     rows = [[fam.name, geom.dims, q, args.tmax, args.seed, s.replica,
@@ -379,9 +361,8 @@ def _cmd_sim(args) -> None:
             res = kcm.simulate_kcm(kp, initial, replica=0, log_events=True)
             log = stack.enter_context(_atomic(args.events, "wb"))
             kcm.write_event_log(res.events, log)
-        emit_csv(args.out, params,
-                 ["model", "dims", "q", "tmax", "seed", "replica", "tau0",
-                  "censored", "flips"], rows)
+        emit_csv(args, ["model", "dims", "q", "tmax", "seed", "replica",
+                        "tau0", "censored", "flips"], rows)
 
 
 def _cmd_gap(args) -> None:
@@ -389,25 +370,17 @@ def _cmd_gap(args) -> None:
 
     fam = resolve_family(args.model, args.d)
     geom = Geometry(args.dims, torus=args.torus)
-    params = dict(command="gap", model=fam.name, dims=args.dims, q=args.q,
-                  seed=args.seed, torus=args.torus)
     rows = []
     for i, q in enumerate(args.q):
         gen = spectral.build_generator(geom, fam, q)
         gap, degenerate = spectral.spectral_gap(gen)
         rows.append([fam.name, geom.dims, q, args.seed, gen.size, gap,
                      spectral.relaxation_time_from_gap(gap, degenerate)])
-    emit_csv(args.out, params,
-             ["model", "dims", "q", "seed", "class_size", "gap", "t_rel"],
-             rows)
+    emit_csv(args, ["model", "dims", "q", "seed", "class_size", "gap",
+                    "t_rel"], rows)
 
 
 def _cmd_blocks(args) -> None:
-    if args.model not in ("fa2", "fakf", "gg"):
-        raise CliError(f"unknown block model {args.model!r}")
-    params = dict(command="blocks", model=args.model, q=args.q, A=args.A,
-                  replicas=args.replicas, seed=args.seed,
-                  dims=args.dims, k=args.k, p2_mode=args.p2_mode)
     rows = []
     for i, q in enumerate(args.q):
         if args.dims is not None:
@@ -428,10 +401,9 @@ def _cmd_blocks(args) -> None:
                      args.seed + i, probs.p1.value, probs.p1.halfwidth,
                      probs.p2_value, probs.p2_mode, lam, lam_mode,
                      probs.condition_value])
-    emit_csv(args.out, params,
-             ["model", "dims", "q", "A", "replicas", "seed", "p1", "p1_ci",
-              "p2", "p2_mode", "lambda_phi", "lambda_mode",
-              "condition_value"], rows)
+    emit_csv(args, ["model", "dims", "q", "A", "replicas", "seed", "p1",
+                    "p1_ci", "p2", "p2_mode", "lambda_phi", "lambda_mode",
+                    "condition_value"], rows)
 
 
 def _cmd_paths(args) -> None:
@@ -447,9 +419,6 @@ def _cmd_paths(args) -> None:
         raise CliError("--samples must be >= 1")
     q = args.q[0]
     n1, n2 = args.dims
-    params = dict(command="paths", model=args.model, mode=args.mode,
-                  dims=args.dims, q=q, samples=args.samples, seed=args.seed,
-                  axis=args.axis, direction=args.direction)
     built = []
     for rep in range(args.samples):
         if args.mode == "B":
@@ -464,17 +433,13 @@ def _cmd_paths(args) -> None:
     max_len = max(p.length for p in built)
     norm = n1 * n2 * (n1 + n2) if args.mode == "B" else n1 * n2
     report = paths.congestion_constant(built, q)
-    emit_csv(args.out, params,
-             ["mode", "model", "dims", "q", "samples", "seed", "max_len",
-              "fitted_c", "rho_mode", "rho"],
+    emit_csv(args, ["mode", "model", "dims", "q", "samples", "seed",
+                    "max_len", "fitted_c", "rho_mode", "rho"],
              [[args.mode, args.model, args.dims, q, args.samples, args.seed,
-               max_len, max_len / norm, "exact",
-               report.rho]])
+               max_len, max_len / norm, "exact", report.rho]])
 
 
 def _cmd_perc(args) -> None:
-    params = dict(command="perc", p=args.p, nmax=args.nmax,
-                  replicas=args.replicas, seed=args.seed)
     ladder = percolation.RectangleLadder(args.nmax)
     rows = []
     for i, p in enumerate(args.p):
@@ -487,9 +452,8 @@ def _cmd_perc(args) -> None:
                          args.replicas, args.seed + i, r.n, r.side,
                          r.estimate.value, r.estimate.ci[0],
                          r.estimate.ci[1], m_hat])
-    emit_csv(args.out, params,
-             ["model", "dims", "q", "p", "replicas", "seed", "n", "ell_n",
-              "failure", "ci_lo", "ci_hi", "m_hat"], rows)
+    emit_csv(args, ["model", "dims", "q", "p", "replicas", "seed", "n",
+                    "ell_n", "failure", "ci_lo", "ci_hi", "m_hat"], rows)
 
 
 _COMMANDS = {

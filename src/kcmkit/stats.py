@@ -8,6 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 
+Z95 = 1.959963984540054   # two-sided 95% quantile of the standard normal
+
+
 @dataclass(frozen=True)
 class ScanEstimate:
     """A Monte Carlo estimate with its 95% confidence interval.
@@ -26,7 +29,7 @@ class ScanEstimate:
         return 0.5 * (self.ci[1] - self.ci[0])
 
 
-def wilson_ci(successes: int, trials: int, z: float = 1.959963984540054):
+def wilson_ci(successes: int, trials: int, z: float = Z95):
     """Wilson score interval for a binomial proportion.
 
     The interval reaches 0 exactly at zero successes and 1 exactly at full

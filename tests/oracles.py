@@ -9,7 +9,8 @@ import scipy.sparse as sp
 
 from kcmkit import kernels
 from kcmkit.blocks import (CLASS_NEITHER, CLASS_SUPERGOOD, EXACT_LAMBDA_CAP,
-                           BlockSpec, classify_block, phi_map)
+                           BlockSpec, _enumerate_classes, _seed_mask,
+                           classify_block, phi_map)
 from kcmkit.families import UpdateFamily
 from kcmkit.lattice import Configuration
 from kcmkit.paths import LegalPath
@@ -136,6 +137,24 @@ def lambda_phi_oracle(spec: BlockSpec) -> float:
                 total += w_p / w_sigma
         best = max(best, total)
     return best
+
+
+def lambda_phi_loop(spec: BlockSpec) -> float:
+    """The exact promotion constant one good state at a time, adding the
+    weights in the library's order, so the two agree bit for bit."""
+    good, sg = _enumerate_classes(spec)
+    zmask = 0
+    for v in np.flatnonzero(_seed_mask(spec).reshape(-1)):
+        zmask |= 1 << int(v)
+    ratio = (1.0 - spec.q) / spec.q
+    sums: dict[int, float] = {}
+    for state in np.flatnonzero(good):
+        state = int(state)
+        image = state & ~zmask
+        extra = bin(state & zmask).count("1")
+        sums[image] = sums.get(image, 0.0) + ratio ** extra
+    assert set(sums) <= set(int(s) for s in np.flatnonzero(sg))
+    return max(sums.values())
 
 
 def window_empty_means_replay(initial: Configuration, events, burn_in: float,

@@ -24,7 +24,8 @@ from kcmkit import rng
 from kcmkit.bootstrap import is_internally_spanned
 from kcmkit.families import make_family
 from kcmkit.lattice import Configuration, Geometry, random_bits
-from oracles import lambda_phi_oracle, percolation_series_value
+from oracles import (lambda_phi_loop, lambda_phi_oracle,
+                     percolation_series_value)
 
 
 def block(spec, bits):
@@ -85,6 +86,12 @@ def test_block_spec_validation():
         BlockSpec("fakf", (3, 3), 0.3, 7.0, k=2)
     with pytest.raises(ValueError):
         BlockSpec("fa2", (3, 3), 0.0, 3.5)
+    # the gg good event needs an adjacent column pair, which one column
+    # does not have
+    with pytest.raises(ValueError, match="^gg blocks need at least 2 "
+                                         "columns, got width 1$"):
+        BlockSpec("gg", (1, 4), 0.3, 3.0)
+    assert BlockSpec("gg", (2, 1), 0.3, 3.0).dims == (2, 1)
     for A in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="A must be positive and finite"):
             BlockSpec("fa2", (3, 3), 0.3, A)
@@ -280,6 +287,16 @@ def test_lambda_phi_exact_matches_oracle(spec):
     value, mode = lambda_phi(spec, mode="exact")
     assert mode == "exact"
     assert value == pytest.approx(lambda_phi_oracle(spec), rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [0.05, 0.3, 0.7, 0.99])
+@pytest.mark.parametrize("model,dims,k", [
+    ("fa2", (3, 3), 2), ("fa2", (2, 2, 2), 2), ("gg", (2, 5), 2),
+    ("gg", (4, 3), 2), ("fakf", (2, 2, 2), 3),
+])
+def test_lambda_phi_exact_matches_loop_bit_for_bit(model, dims, k, q):
+    spec = BlockSpec(model, dims, q, 1.0, k=k)
+    assert lambda_phi(spec, mode="exact") == (lambda_phi_loop(spec), "exact")
 
 
 def test_lambda_phi_exact_below_bound():

@@ -188,19 +188,19 @@ def test_parse_argv_types_every_drawn_option_or_raises(case):
 # sha256 of the whole stdout, comment lines included
 _DEFAULT_RUNS = {
     "bootstrap --model fa2 --n 4 --q 0.3":
-        "a06a3cd7b6d910c2d354d2e279ed79800516e55b1a1f86d85a55820e216cb54f",
+        "7ab94153ffaa63fc6e81c61381d9270134ee767193fd3f232b662425c3a1d3ef",
     "qc --model fa1 --n 4":
-        "987b42d7ec7d14fc20c81540cb1551ce811d529adf75f5418f60a273054f17a6",
+        "cccf552a3ac778925e692b31593e475e806638536de96e4faaf27696040083e1",
     "lc --model fa2 --q 0.5":
-        "90aa8140283b36eb31c4eca0d2c721ab9ae0561aea4259f9922747895d5ae47d",
+        "d9b181419c79515ba9c862833e60cac92146939d62b31a57e1451795b838b56e",
     "sim --model east --n 4 --q 0.5 --tmax 1":
-        "1aa0a101de4c113251183b7b86b1b5611b54c7bb275c3fbfcc68a8bf5b794487",
+        "2ee37f519bb9c332a48f8ab8b966947819029417b9b25107fb05a8be3b64d501",
     "gap --model east --dims 4 --q 0.3":
-        "1594abd7b20340b093673ec9a198d1fb88acd7200f5f4ddd6c968c26b0464449",
+        "d6191fc7bdfd8bdd79266cee0133f0eb6688523f5febd6cdecb4103b70eed12b",
     "blocks --model fa2 --q 0.3 --A 3.5 --dims 3,3":
-        "64f078ff0e3eea5d896db38297b467c549c485bf9fe0955d5eebc3f28c0d6065",
+        "fff17f3912df902573c9f7a8b62d886694da3dd14051f262786a850408000a0a",
     "blocks --model gg --q 0.4 --A 2":
-        "f7e2b003eb4744ccf3846a45db64f9100bf18db046c16c1d3038cf63f87dfdc5",
+        "7c3972a584a70ae5ab9a355b7640f57d7e2f00a158105156137e8b89db71e16a",
     "paths --model fa2 --mode A --dims 3,3 --q 0.3":
         "30034eafe6a06812c83d48e80284e475cfb34149e2fb970a20fe30cc4b6f9ee3",
     "perc --p 0.2":
@@ -290,6 +290,61 @@ def _assert_runs_alone(code: str) -> None:
     assert proc.returncode == 0, proc.stderr
 
 
+# per option kind, two texts with different typed values
+_TWO_TEXTS = {int: ("5", "6"), float: ("2.5", "3.5"), str: ("x", "y"),
+              cli._grid: ("0.3", "0.4"), cli._dims: ("3,3", "4,4"),
+              cli._flag: ("0", "1")}
+
+
+def _config_line(capsys, argv) -> str:
+    """The `# config=` line of a run of argv, resolved but not executed."""
+    args = parse_argv(argv)
+    cli._resolve(args)
+    cli.emit_csv(args, ["h"], [])
+    if args.out is None:
+        text = capsys.readouterr().out
+    else:
+        with open(args.out) as fh:
+            text = fh.read()
+    return next(l for l in text.splitlines() if l.startswith("# config="))
+
+
+@pytest.mark.parametrize("command,name", [
+    (command, name) for command in cli.OPTIONS
+    for name in [*cli.OPTIONS[command], "seed"]])
+def test_config_hash_covers_every_option(tmp_path, capsys, command, name):
+    # the hash reads the option table, so no option can be left out of it
+    base = [command]
+    for opt, (typ, default) in cli.OPTIONS[command].items():
+        if default is cli.REQUIRED:
+            base += [f"--{opt.replace('_', '-')}", _TWO_TEXTS[typ][0]]
+    options = {**cli._GLOBALS, **cli.OPTIONS[command]}
+    resolved = parse_argv(base)
+    cli._resolve(resolved)
+    other = next(t for t in _TWO_TEXTS[options[name][0]]
+                 if options[name][0](t) != getattr(resolved, name))
+    flag = f"--{name.replace('_', '-')}"
+    line = _config_line(capsys, base)
+    assert _config_line(capsys, [*base, f"{flag}={other}"]) != line
+    # --out and --config only name files
+    empty = tmp_path / "empty.cfg"
+    empty.write_text("")
+    assert _config_line(capsys, [*base, "--config", str(empty)]) == line
+    assert _config_line(capsys, [*base, "--out",
+                                 str(tmp_path / "a.csv")]) == line
+
+
+def test_readme_cli_examples_parse():
+    # every `kcm ...` line of the README's code blocks names real options
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        lines = [l.split() for l in fh if l.startswith("kcm ")]
+    for argv in lines:
+        args = parse_argv(argv[1:])
+        cli._resolve(args)
+    assert {argv[1] for argv in lines} == set(cli.OPTIONS)
+
+
 def test_config_file_round_trip(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("model = fa2\nn = 6  # grid side\nq = 0.4\n"
@@ -366,6 +421,17 @@ def test_config_file_rejects_unknown_key(tmp_path):
     cfg.write_text("model = fa2\nn = 6\nq = 0.4\nwibble = 3\n")
     rc, text = run(tmp_path, "bootstrap", "--config", str(cfg))
     assert rc == 2 and text is None
+
+
+def test_config_file_refuses_command_key(tmp_path, capsys):
+    # the command comes from argv alone; a file naming another is an error
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("command = qc\nmodel = fa2\nn = 6\nq = 0.4\n")
+    rc, text = run(tmp_path, "bootstrap", "--config", str(cfg))
+    assert rc == 2 and text is None
+    assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
+    assert capsys.readouterr().err == (
+        "error: config key 'command' is not an option of 'bootstrap'\n")
 
 
 def test_config_file_bad_value_names_its_key(tmp_path, capsys):
@@ -454,6 +520,21 @@ def test_blocks_bound_past_float_range_is_inf(tmp_path, argv):
     row = rows_of(text)[1][0]
     assert row["lambda_mode"] == "bound"
     assert row["lambda_phi"] == "inf"
+
+
+@pytest.mark.parametrize("argv", [
+    ["blocks", "--model", "gg", "--q", "0.3", "--A", "3", "--dims", "1,4",
+     "--replicas", "5"],
+    ["paths", "--model", "gg", "--mode", "A", "--dims", "1,4", "--q", "0.3",
+     "--samples", "2"],
+], ids=["blocks", "paths"])
+def test_gg_block_of_one_column_exits_2_without_files(tmp_path, capsys,
+                                                      argv):
+    rc, text = run(tmp_path, *argv)
+    assert rc == 2 and text is None
+    assert os.listdir(tmp_path) == []
+    assert capsys.readouterr().err == (
+        "error: gg blocks need at least 2 columns, got width 1\n")
 
 
 def test_threads_flag_is_gone(tmp_path):
