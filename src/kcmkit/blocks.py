@@ -65,8 +65,11 @@ class BlockSpec:
                              f"{self.dims[0]}")
         if self.model == "fa2" and len(self.dims) < 2:
             raise ValueError("fa2 blocks need d >= 2")
-        if self.model == "fakf" and self.k < 3:
-            raise ValueError("fakf block spec is for k >= 3 (use fa2 for k=2)")
+        # fakf slices run fa_kf(d-1, k-1), which needs 1 <= k-1 <= 2(d-1);
+        # k = 2 is the fa2 model
+        if self.model == "fakf" and not 3 <= self.k <= 2 * self.d - 1:
+            raise ValueError(f"fakf blocks need 3 <= k <= 2d - 1, got "
+                             f"k={self.k}, d={self.d}")
 
     @property
     def d(self) -> int:
@@ -200,20 +203,6 @@ def classify_block(cfg: Configuration, spec: BlockSpec) -> str:
     if _supergood_batch(empty, spec, good)[0]:
         return CLASS_SUPERGOOD
     return CLASS_GOOD
-
-
-def phi_map(cfg: Configuration, spec: BlockSpec) -> Configuration:
-    """Promotion: empty the seed set, leave everything else untouched.
-
-    Requires a good input; the output is always super-good, and the map is
-    idempotent (it only writes zeros on the fixed seed set).
-    """
-    cls = classify_block(cfg, spec)
-    if cls == CLASS_NEITHER:
-        raise ValueError("promotion needs a good block")
-    out = cfg.bits.copy().reshape(spec.dims)
-    out[_seed_mask(spec)] = 0
-    return Configuration(cfg.geom, out.reshape(-1))
 
 
 # ------------------------------------------------------- promotion constant
@@ -356,36 +345,6 @@ def good_failure_bound(spec: BlockSpec) -> float:
 
 
 # ----------------------------------------------------------- key condition
-
-def key_condition_value(weights: dict, failures: dict, overlaps: dict) -> float:
-    """General multi-constraint value 2 (sum_I w_I) * sum_I e_I o_I / w_I.
-
-    weights[I] > 0 is the weight of constraint subset I, failures[I] its
-    failure probability, overlaps[I] the number of translates whose support
-    (plus the center) covers a fixed site; translation invariance turns the
-    sup over sites into this finite sum. The caller compares to 1/4.
-    """
-    keys = set(weights)
-    if keys != set(failures) or keys != set(overlaps):
-        raise ValueError("weights, failures, overlaps must share keys")
-    if not keys:
-        return 0.0
-    total = 0.0
-    wsum = 0.0
-    for key in keys:
-        w = float(weights[key])
-        if w <= 0.0:
-            raise ValueError("weights must be positive")
-        eps = float(failures[key])
-        if eps < 0.0:
-            raise ValueError("failure probabilities must be nonnegative")
-        ov = float(overlaps[key])
-        if ov < 0.0:
-            raise ValueError("overlap counts must be nonnegative")
-        wsum += w
-        total += eps * ov / w
-    return 2.0 * wsum * total
-
 
 def key_condition_value_single(epsilon: float, support_size: int) -> float:
     """Single-constraint route: sup_z sum over covering translates of eps,

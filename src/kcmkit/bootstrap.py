@@ -36,13 +36,6 @@ def closure_with_rounds(cfg: Configuration, fam: UpdateFamily):
     return Configuration(cfg.geom, out), rounds
 
 
-def infection_time(cfg: Configuration, fam: UpdateFamily, v) -> int | None:
-    """Synchronous round at which v empties under the closure; None if never."""
-    _, rounds = closure_with_rounds(cfg, fam)
-    r = int(rounds[cfg.geom.site(v)])
-    return None if r < 0 else r
-
-
 def is_internally_spanned(cfg: Configuration, fam: UpdateFamily,
                           region: Region | None = None) -> bool:
     """Does the closure restricted to the region empty it completely?
@@ -85,22 +78,6 @@ def estimate_span_probability(n: int, fam: UpdateFamily, q: float,
                         replicas, seed)
 
 
-def spanning_probability_curve(l_values, fam: UpdateFamily, q: float,
-                               replicas: int, seed: int, torus: bool = True):
-    """Spanning-probability estimates along a grid of box sides L.
-
-    Replicas are coupled across sizes: every site draws its uniform from its
-    coordinate tuple, so the boxes share randomness where they overlap.
-    Returns a list of (L, ScanEstimate).
-    """
-    out = []
-    for n in l_values:
-        out.append((int(n), estimate_span_probability(int(n), fam, q,
-                                                      replicas, seed,
-                                                      torus=torus)))
-    return out
-
-
 def _replayed_bisection(threshold: float, lo: float, hi: float,
                         tol: float) -> float:
     """Bisection on q over [lo, hi], to tol, for the smallest q at which a
@@ -113,6 +90,8 @@ def _replayed_bisection(threshold: float, lo: float, hi: float,
         return hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:   # adjacent floats: tol below their spacing
+            break
         if mid > threshold:
             hi = mid
         else:

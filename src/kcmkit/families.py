@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lattice import Configuration, Geometry, _opened, as_ints
+from .lattice import Geometry, _opened, as_ints
 
 Offset = tuple[int, ...]
 Rule = frozenset
@@ -116,47 +116,6 @@ def make_family(model: str, d: int | None = None, k: int | None = None,
             raise ValueError("cannot infer dimension from fully empty rules")
         return UpdateFamily(dd, rules_, name="custom")
     raise ValueError(f"unknown model {model!r}")
-
-
-def constraint_satisfied(cfg: Configuration, fam: UpdateFamily, v) -> bool:
-    """True iff some rule translated to v lands entirely on empty sites.
-
-    Does not look at the state of v itself. Offsets leaving a free box count
-    as occupied unless the geometry says outside_empty.
-    """
-    geom = cfg.geom
-    if fam.d != geom.d:
-        raise ValueError("family dimension does not match geometry")
-    flat = geom.site(v)
-    for rule in fam.rules:
-        ok = True
-        for off in rule:
-            w = geom.shift_flat(flat, off)
-            if w < 0:
-                if not geom.outside_empty:
-                    ok = False
-                    break
-            elif cfg.bits[w] != 0:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
-
-
-def check_exterior_condition(fam: UpdateFamily, z: Sequence[float]) -> bool:
-    """True iff every offset of every rule has strictly positive dot with z,
-    a real direction (not a site, so it is read as floats, not cut to ints)."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (fam.d,):
-        raise ValueError("direction has wrong dimension")
-    if not (np.isfinite(z).all() and z.any()):
-        raise ValueError("direction must be a finite nonzero vector")
-    for rule in fam.rules:
-        for off in rule:
-            if sum(u * w for u, w in zip(off, z)) <= 0:
-                return False
-    return True
 
 
 # -------------------------------------------------------------- family files

@@ -15,7 +15,6 @@ Conventions used everywhere in the package:
 from __future__ import annotations
 
 import contextlib
-import io
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -398,23 +397,6 @@ def slice_region(geom: Geometry, box: Box, axis: int, j: int) -> Region:
               tuple(1 if a == axis else n for a, n in enumerate(box.dims)))
     return box_region(geom, sub)
 
-def frame_region(geom: Geometry, box: Box, axis: int, j: int) -> Region:
-    """Sites of the slice having some other coordinate at the box minimum."""
-    sl = slice_region(geom, box, axis, j)
-    keep = []
-    for i in sl.indices:
-        c = geom.coords(i)
-        if any(c[a] == box.corner[a] for a in range(box.d) if a != axis):
-            keep.append(i)
-    return Region(geom, keep)
-
-
-def edge_region(geom: Geometry, box: Box, axis: int) -> Region:
-    """The box edge along `axis`: all other coordinates at their minimum."""
-    sub = Box(box.corner, tuple(n if a == axis else 1
-                                for a, n in enumerate(box.dims)))
-    return box_region(geom, sub)
-
 
 def cross_region(geom: Geometry, box: Box, center: Sequence[int]) -> Region:
     """Union over axes of the full line of the box through `center`."""
@@ -482,13 +464,3 @@ def read_grid(fh) -> Configuration:
             raise ValueError(f"grid body has {flat.size} sites, "
                              f"geometry needs {geom.n_sites}")
         return Configuration(geom, flat)
-
-
-def grid_to_string(cfg: Configuration) -> str:
-    buf = io.StringIO()
-    write_grid(cfg, buf)
-    return buf.getvalue()
-
-
-def grid_from_string(text: str) -> Configuration:
-    return read_grid(io.StringIO(text))

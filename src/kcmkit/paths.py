@@ -9,7 +9,6 @@ so a reversed flip sees exactly the witnesses its forward twin saw.
 """
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -67,11 +66,6 @@ class LegalPath:
                 raise ValueError("malformed path: flip does not change the site")
             bits[v] = val
         return Configuration(self.start.geom, bits)
-
-    def reversed_path(self) -> "LegalPath":
-        """The same walk backwards: a decreasing path replays as increasing."""
-        return LegalPath(self.end(), self.vertices[::-1].copy(),
-                         (1 - self.values[::-1]).astype(np.uint8))
 
     def loop_erased(self) -> "LegalPath":
         """Splice out revisited configurations, collapsing net-zero cycles."""
@@ -793,37 +787,3 @@ def poincare_path_bound(rho_a: float, n_a: float, rho_b: float, n_b: float,
     lead = (lambda_phi_value / p2 ** 4) ** d
     return lead * max(rho_a * n_a * block_sites ** 2,
                       rho_b * n_b * block_sites)
-
-
-# ------------------------------------------------------------------ dumps
-
-
-def write_path_file(path: LegalPath, fh, grid_ref: str = "start") -> None:
-    """Dump a path: a start-grid reference, then one flip per line."""
-    geom = path.start.geom
-    fh.write("# path v1\n")
-    fh.write(f"grid {grid_ref}\n")
-    for i, (v, val) in enumerate(zip(path.vertices.tolist(),
-                                     path.values.tolist())):
-        fh.write(f"{i} {geom.coords(int(v))} {int(val)}\n")
-
-
-def read_path_file(fh, start: Configuration):
-    """Parse a flip listing against a known start: (path, grid_ref)."""
-    grid_ref = "start"
-    verts: list[int] = []
-    vals: list[int] = []
-    for raw in fh:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("grid "):
-            grid_ref = line[5:].strip()
-            continue
-        head, rest = line.split(maxsplit=1)
-        coords_s, val_s = rest.rsplit(maxsplit=1)
-        if int(head) != len(verts):
-            raise ValueError("flip indices must count up from 0")
-        verts.append(start.geom.flat(ast.literal_eval(coords_s)))
-        vals.append(int(val_s))
-    return LegalPath(start, verts, vals), grid_ref

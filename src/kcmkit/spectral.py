@@ -182,6 +182,9 @@ def build_generator(geom: Geometry, fam: UpdateFamily, q: float) -> GeneratorMat
     logw = occ * np.log(p) + (n - occ) * np.log(q)
     w = np.exp(logw - logw.max())
     mu = w / w.sum()
+    if not mu.all():   # the symmetrization divides by sqrt(mu)
+        raise ValueError(f"q={q} underflows the stationary weights of the "
+                         f"class to 0; q is too close to 0 or 1")
 
     indptr, indices, data = _canonical_csr(states, masks, q)
     gen = GeneratorMatrix(geom=geom, fam=fam, q=q, states=states, mu=mu,
@@ -367,11 +370,6 @@ def relaxation_time_from_gap(gap: float, degenerate: bool) -> float:
         warnings.warn(f"numerically degenerate gap {gap:.3e}", RuntimeWarning)
         return np.inf
     return 1.0 / gap
-
-
-def relaxation_time(gen: GeneratorMatrix) -> float:
-    """T_rel = 1/gap; warns if the gap is numerically degenerate."""
-    return relaxation_time_from_gap(*spectral_gap(gen))
 
 
 def second_eigenvector(gen: GeneratorMatrix) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Test-only oracles: independent reference computations that the test
-modules check the library against. Nothing in src/ calls them."""
+modules check the library against, and the reference maps they read the
+library's results through (constraint_satisfied, phi_map,
+relaxation_time). Nothing in src/ calls them."""
 
 import math
 from typing import Sequence
@@ -10,12 +12,12 @@ import scipy.sparse as sp
 from kcmkit import kernels
 from kcmkit.blocks import (CLASS_NEITHER, CLASS_SUPERGOOD, EXACT_LAMBDA_CAP,
                            BlockSpec, _enumerate_classes, _seed_mask,
-                           classify_block, phi_map)
+                           classify_block)
 from kcmkit.families import UpdateFamily
 from kcmkit.lattice import Configuration
 from kcmkit.paths import LegalPath
 from kcmkit.spectral import (DEGENERATE_GAP, GeneratorMatrix,
-                             relaxation_time_from_gap)
+                             relaxation_time_from_gap, spectral_gap)
 
 DENSE_ORACLE_CAP = 1 << 14
 
@@ -49,6 +51,12 @@ def relaxation_time_dense(gen: GeneratorMatrix) -> float:
     return relaxation_time_from_gap(gap, gap < DEGENERATE_GAP)
 
 
+def relaxation_time(gen: GeneratorMatrix) -> float:
+    """T_rel = 1/gap from the library's own solve, as `kcm gap` reads it;
+    inf with a warning if the gap is numerically degenerate."""
+    return relaxation_time_from_gap(*spectral_gap(gen))
+
+
 def replica_threshold_bisection(u: np.ndarray, t, lo: float, hi: float,
                                 tol: float) -> float:
     """Smallest q (to tol) at which the coupled grid spans, by bisection.
@@ -66,11 +74,40 @@ def replica_threshold_bisection(u: np.ndarray, t, lo: float, hi: float,
         return hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            # lo and hi are neighbouring floats, closer than tol can ask for
+            break
         if spans_at(mid):
             hi = mid
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def constraint_satisfied(cfg: Configuration, fam: UpdateFamily, v) -> bool:
+    """True iff some rule translated to v lands entirely on empty sites.
+
+    Does not look at the state of v itself. Offsets leaving a free box count
+    as occupied unless the geometry says outside_empty.
+    """
+    geom = cfg.geom
+    if fam.d != geom.d:
+        raise ValueError("family dimension does not match geometry")
+    flat = geom.site(v)
+    for rule in fam.rules:
+        ok = True
+        for off in rule:
+            w = geom.shift_flat(flat, off)
+            if w < 0:
+                if not geom.outside_empty:
+                    ok = False
+                    break
+            elif cfg.bits[w] != 0:
+                ok = False
+                break
+        if ok:
+            return True
+    return False
 
 
 def closure_naive(cfg: Configuration, fam: UpdateFamily):
@@ -106,6 +143,19 @@ def closure_naive(cfg: Configuration, fam: UpdateFamily):
         bits[newly] = 0
         rounds[newly] = r
     return Configuration(geom, bits), rounds
+
+
+def phi_map(cfg: Configuration, spec: BlockSpec) -> Configuration:
+    """Promotion: empty the seed set, leave everything else untouched.
+
+    Requires a good input; the output is always super-good, and the map is
+    idempotent (it only writes zeros on the fixed seed set).
+    """
+    if classify_block(cfg, spec) == CLASS_NEITHER:
+        raise ValueError("promotion needs a good block")
+    out = cfg.bits.copy().reshape(spec.dims)
+    out[_seed_mask(spec)] = 0
+    return Configuration(cfg.geom, out.reshape(-1))
 
 
 def lambda_phi_oracle(spec: BlockSpec) -> float:

@@ -12,10 +12,8 @@ from kcmkit.blocks import (
     classify_block,
     estimate_block_probs,
     good_failure_bound,
-    key_condition_value,
     key_condition_value_single,
     lambda_phi,
-    phi_map,
     _good_batch,
     _seed_mask,
     _supergood_batch,
@@ -25,7 +23,7 @@ from kcmkit.bootstrap import is_internally_spanned
 from kcmkit.families import make_family
 from kcmkit.lattice import Configuration, Geometry, random_bits
 from oracles import (lambda_phi_loop, lambda_phi_oracle,
-                     percolation_series_value)
+                     percolation_series_value, phi_map)
 
 
 def block(spec, bits):
@@ -396,29 +394,6 @@ def test_block_probs_p1_zero_flag():
 
 
 # ----------------------------------------------------------- key condition
-
-def test_key_condition_all_zero_failures():
-    weights = {"a": 0.5, "b": 0.25}
-    assert key_condition_value(weights, {"a": 0.0, "b": 0.0},
-                               {"a": 3, "b": 7}) == 0.0
-
-
-def test_key_condition_hand_value():
-    value = key_condition_value(
-        weights={"a": 0.5, "b": 0.25},
-        failures={"a": 0.01, "b": 0.02},
-        overlaps={"a": 3, "b": 7})
-    assert value == pytest.approx(2 * 0.75 * (0.01 * 3 / 0.5 + 0.02 * 7 / 0.25))
-
-
-def test_key_condition_validation():
-    with pytest.raises(ValueError):
-        key_condition_value({"a": 0.5}, {"b": 0.1}, {"a": 1})
-    with pytest.raises(ValueError):
-        key_condition_value({"a": 0.0}, {"a": 0.1}, {"a": 1})
-    with pytest.raises(ValueError):
-        key_condition_value({"a": 1.0}, {"a": -0.1}, {"a": 1})
-
 
 def test_key_condition_single_constraint():
     assert key_condition_value_single(0.01, 5) == pytest.approx(0.05)

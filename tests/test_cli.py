@@ -279,14 +279,19 @@ def test_sim_and_qc_leave_numpy_ma_unloaded():
     _assert_runs_alone(code)
 
 
-def _assert_runs_alone(code: str) -> None:
-    """Run `code` in a fresh interpreter that imports kcmkit from src/."""
+def _run_alone(argv, **kwargs) -> subprocess.CompletedProcess:
+    """Run python with `argv` in a fresh interpreter that imports kcmkit
+    from src/."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
+    return subprocess.run([sys.executable, *argv], env=env,
+                          capture_output=True, text=True, **kwargs)
+
+
+def _assert_runs_alone(code: str) -> None:
+    proc = _run_alone(["-c", code])
     assert proc.returncode == 0, proc.stderr
 
 
@@ -508,6 +513,35 @@ def test_non_finite_values_exit_2_without_files(tmp_path, capsys,
     assert os.listdir(tmp_path) == []
 
 
+def test_qc_tol_below_float_spacing_returns(tmp_path):
+    # near the threshold lo and hi become neighbouring floats, closer than
+    # the bisection can halve; a tol below their spacing must still stop it
+    proc = _run_alone(["-m", "kcmkit.cli", "qc", "--model", "fa1", "--n",
+                       "4", "--replicas", "2", "--tol", "1e-17"],
+                      cwd=tmp_path, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    _, rows = rows_of(proc.stdout)
+    assert len(rows) == 1 and 0.0 < float(rows[0]["q"]) < 1.0
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["blocks", "--model", "fakf", "--k", "4", "--d", "2", "--q", "0.3",
+      "--A", "3", "--ell", "4"],
+     "fakf blocks need 3 <= k <= 2d - 1, got k=4, d=2"),
+    (["gap", "--model", "east", "--dims", "4", "--q", "1e-320"],
+     "q=1e-320 underflows the stationary weights of the class to 0; q is "
+     "too close to 0 or 1"),
+], ids=["blocks-fakf-k-past-2d-1", "gap-subnormal-q"])
+def test_bad_value_exits_2_with_one_line(tmp_path, argv, message):
+    # in a fresh interpreter, so that a warning NumPy prints reaches stderr
+    proc = _run_alone(["-m", "kcmkit.cli", *argv, "--out", "out.csv"],
+                      cwd=tmp_path, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {message}\n"
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["--model", "fa2", "--q", "0.05", "--A", "3.5", "--replicas", "2"],
     ["--model", "fakf", "--k", "3", "--d", "3", "--q", "0.3", "--A", "3",
@@ -636,7 +670,7 @@ def test_gap_matches_direct_call(tmp_path):
     gen = spectral.build_generator(Geometry((4,)), make_family("east", 1),
                                    0.3)
     assert float(rows[0]["t_rel"]) == pytest.approx(
-        spectral.relaxation_time(gen))
+        spectral.relaxation_time_from_gap(*spectral.spectral_gap(gen)))
     assert int(rows[0]["class_size"]) == gen.size
 
 

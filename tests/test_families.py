@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcmkit.families import (UpdateFamily, build_tables,
-                             check_exterior_condition, constraint_satisfied,
-                             make_family, read_family, write_family)
+from kcmkit.families import (UpdateFamily, build_tables, make_family,
+                             read_family, write_family)
 from kcmkit.lattice import Configuration, Geometry
+from oracles import constraint_satisfied
 
 
 # ------------------------------------------------------------- construction
@@ -95,17 +95,6 @@ def test_unconstrained_always_satisfied():
     g = Geometry((2, 2))
     fam = make_family("unconstrained", d=2)
     assert constraint_satisfied(Configuration.fully_occupied(g), fam, (0, 0))
-
-
-def test_exterior_condition():
-    fam = make_family("north_east")
-    assert check_exterior_condition(fam, (1.0, 1.0))
-    assert not check_exterior_condition(fam, (1.0, -1.0))
-    east1 = make_family("east", d=1)
-    assert check_exterior_condition(east1, (-1.0,))
-    assert not check_exterior_condition(east1, (1.0,))
-    with pytest.raises(ValueError):
-        check_exterior_condition(east1, (0.0,))
 
 
 @settings(max_examples=50, deadline=None)

@@ -11,7 +11,7 @@ from kcmkit.kcm import (KcmParams, empty_fraction_time_average,
                         read_event_log, sample_persistence_time, simulate_kcm,
                         write_event_log)
 from kcmkit.lattice import Configuration, Geometry
-from oracles import window_empty_means_replay
+from oracles import constraint_satisfied, window_empty_means_replay
 
 
 def _params(fam, q, dims, t_max, seed, **gkw):
@@ -154,7 +154,6 @@ def test_first_legal_variant_precedes_first_empty():
 def test_detailed_balance_on_sampled_transitions():
     # mu(w) c_x q = mu(w^x) c_x p whenever w -> w^x empties x: rate ratio
     # equals the stationary ratio because c_x ignores the state of x
-    from kcmkit.families import constraint_satisfied
     fam = make_family("fa_kf", d=1, k=1)
     geom = Geometry((6,), torus=True)
     q = 0.3

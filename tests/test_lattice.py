@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from kcmkit import rng
 from kcmkit.lattice import (Box, Configuration, Geometry, Region, box_region,
-                            cross_region, edge_region, frame_region,
-                            grid_from_string, grid_to_string, neighbors,
-                            random_bits, read_grid, slice_region, write_grid)
+                            cross_region, neighbors, random_bits, read_grid,
+                            slice_region, write_grid)
 
 
 # ---------------------------------------------------------------- geometry
@@ -66,14 +65,6 @@ def test_neighbors_symmetric():
 
 # ------------------------------------------------------------------ regions
 
-def test_edge_region_size_and_content():
-    g = Geometry((3, 3, 3))
-    b = Box((0, 0, 0), (3, 3, 3))
-    e = edge_region(g, b, axis=1)
-    assert e.size == 3
-    assert e.coords_list() == [(0, 0, 0), (0, 1, 0), (0, 2, 0)]
-
-
 def test_slice_region():
     g = Geometry((3, 3))
     b = Box((0, 0), (3, 3))
@@ -90,22 +81,12 @@ def test_cross_region_size():
     assert c.size == 3 + 3 - 1
 
 
-def test_frame_region():
-    g = Geometry((3, 3))
-    b = Box((0, 0), (3, 3))
-    f = frame_region(g, b, axis=0, j=1)
-    # slice x0=1 has 3 sites; the frame keeps those with x1 at the corner
-    assert f.coords_list() == [(1, 0)]
-
-
 def test_region_constructors_stay_inside_box():
     g = Geometry((6, 6))
     b = Box((1, 2), (4, 3))
     whole = box_region(g, b)
-    for r in (slice_region(g, b, 0, 2), frame_region(g, b, 0, 2),
-              edge_region(g, b, 1), cross_region(g, b, (2, 3))):
+    for r in (slice_region(g, b, 0, 2), cross_region(g, b, (2, 3))):
         assert np.isin(r.indices, whole.indices).all()
-    assert edge_region(g, b, 1).size == b.dims[1]
     assert slice_region(g, b, 0, 2).size == b.dims[1]
 
 
@@ -267,6 +248,16 @@ def test_configuration_accepts_exact_zeros_and_ones_of_any_dtype():
 
 
 # --------------------------------------------------------------- grid files
+
+def grid_to_string(cfg):
+    buf = io.StringIO()
+    write_grid(cfg, buf)
+    return buf.getvalue()
+
+
+def grid_from_string(text):
+    return read_grid(io.StringIO(text))
+
 
 def test_grid_roundtrip_bit_exact():
     g = Geometry((3, 5), torus=True)

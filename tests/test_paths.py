@@ -1,14 +1,13 @@
 """Legal paths: schedules, movers, block paths, congestion constants."""
 
 import hashlib
-import io
 import itertools
 
 import numpy as np
 import pytest
 
 from kcmkit import blocks, paths, rng
-from kcmkit.families import constraint_satisfied, make_family
+from kcmkit.families import make_family
 from kcmkit.lattice import (
     Box,
     Configuration,
@@ -30,14 +29,12 @@ from kcmkit.paths import (
     path_A,
     path_B,
     poincare_path_bound,
-    read_path_file,
     sample_path_A_instance,
     sample_path_B_instance,
     slice_schedule,
     verify_legal,
-    write_path_file,
 )
-from oracles import congestion_constant_oracle
+from oracles import congestion_constant_oracle, constraint_satisfied
 
 FA2 = make_family("fa_kf", 2, 2)
 FA1 = make_family("fa_kf", 2, 1)
@@ -603,7 +600,7 @@ def test_reversed_decreasing_path_is_legal_increasing():
     g = Geometry((3, 3), outside_empty=True)
     cfg = cfg_from(g, [(0, 0), (0, 1), (1, 0), (1, 1)])
     p = empty_region_schedule(cfg, FA2, box_region(g, Box((0, 0), (3, 3))))
-    rev = p.reversed_path()
+    rev = LegalPath(p.end(), p.vertices[::-1], 1 - p.values[::-1])
     assert (rev.values == 1).all()
     assert verify_legal(rev, FA2)
     assert np.array_equal(rev.end().bits, cfg.bits)
@@ -807,36 +804,10 @@ def test_poincare_path_bound_picks_dominant_route():
     assert b == pytest.approx((2.0 / 0.5 ** 4) ** 2 * 3.0 * 2 * 16)
 
 
-# --------------------------------------------------------------------- dump
-
-
-def test_path_file_round_trip():
-    cfg, x, z = sample_path_A_instance("fa2", (4, 4), 0.4, 88, 1)
-    p = path_A(cfg, "fa2", x, z)
-    buf = io.StringIO()
-    write_path_file(p, buf, grid_ref="run-0")
-    buf.seek(0)
-    q, ref = read_path_file(buf, cfg)
-    assert ref == "run-0"
-    assert np.array_equal(q.vertices, p.vertices)
-    assert np.array_equal(q.values, p.values)
-    assert verify_legal(q, FA2)
-
-
 def test_path_values_other_than_0_and_1_are_rejected():
-    # with the values cast, this listing read as a path that verify_legal
+    # with the values cast, a path of such values was one that verify_legal
     # certified and congestion_constant accepted
     cfg = Configuration.fully_empty(Geometry((3, 3)))
-    with pytest.raises(ValueError, match="other than 0 and 1"):
-        read_path_file(io.StringIO("0 (1, 1) 2\n1 (0, 0) 1\n"), cfg)
     for value in (2, 256, -1, 0.5):
         with pytest.raises(ValueError, match="other than 0 and 1"):
             LegalPath(cfg, [4], [value])
-
-
-def test_path_file_rejects_gapped_indices():
-    g = Geometry((2, 2))
-    cfg = Configuration.fully_empty(g)
-    buf = io.StringIO("grid start\n1 (0, 0) 1\n")
-    with pytest.raises(ValueError, match="count up"):
-        read_path_file(buf, cfg)

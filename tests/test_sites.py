@@ -12,17 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from kcmkit.bootstrap import infection_time
-from kcmkit.families import (check_exterior_condition, constraint_satisfied,
-                             make_family)
+from kcmkit.families import make_family
 from kcmkit.kcm import (KcmParams, read_event_log, sample_persistence_time,
                         simulate_kcm, write_event_log)
 from kcmkit.lattice import (Box, Configuration, Geometry, Region, as_site,
                             as_sites, cross_region)
-from kcmkit.paths import (LegalPath, gg_column_moves, path_A, read_path_file,
+from kcmkit.paths import (LegalPath, gg_column_moves, path_A,
                           sample_path_A_instance, sample_path_B_instance,
                           verify_legal)
 from kcmkit.percolation import c_infty_surrogate
+from oracles import constraint_satisfied
 
 NAN = math.nan
 BIG = 2**31 + 5
@@ -72,10 +71,6 @@ HOSTILE = {
     "box-corner-0.5": (lambda: Box((0.5, 0), (2.7, 3)), ValueError),
     "geometry-extent-2.5": (lambda: Geometry((2.5, 3)), ValueError),
     "geometry-extent-true": (lambda: Geometry((True, 3)), ValueError),
-    "path-file-coordinate-1.5": (
-        lambda: read_path_file(io.StringIO("0 (1.5, 0) 0\n"),
-                               Configuration.fully_occupied(G33)),
-        ValueError),
     "surrogate-center-3.9": (
         lambda: c_infty_surrogate(
             Configuration.fully_empty(Geometry((8, 8))), (3.9, 3.2), 2),
@@ -94,12 +89,6 @@ HOSTILE = {
         lambda: Configuration.from_empty_sites(G33, [NAN]), ValueError),
     "empty-site-2^31+5": (
         lambda: Configuration.from_empty_sites(G33, [BIG]), ValueError),
-    "infection-time-minus-1": (
-        lambda: infection_time(Configuration.fully_empty(G33), FA1, -1),
-        ValueError),
-    "infection-time-n": (
-        lambda: infection_time(Configuration.fully_empty(G33), FA1, 9),
-        ValueError),
     "constraint-minus-1": (
         lambda: constraint_satisfied(Configuration.fully_empty(G33), FA1, -1),
         ValueError),
@@ -119,10 +108,6 @@ HOSTILE = {
     "sampler-dims-4.5": (
         lambda: sample_path_B_instance("fa2", (4.5, 4), 0.3, 0, 0),
         ValueError),
-    "exterior-direction-0.5": (
-        lambda: check_exterior_condition(make_family("north_east"),
-                                         (0.5, 0.5)),
-        True),
 }
 
 

@@ -11,13 +11,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from kcmkit import kernels, spectral
-from kcmkit.families import constraint_satisfied, make_family
+from kcmkit.families import make_family
 from kcmkit.lattice import Configuration, Geometry
 from kcmkit.spectral import (CONSISTENCY_TOL, GeneratorMatrix, build_generator,
                              dirichlet_and_variance, poincare_ratio,
-                             relaxation_time, second_eigenvector,
+                             second_eigenvector,
                              spectral_gap)
-from oracles import generator_csr, relaxation_time_dense, symmetrized_scipy
+from oracles import (constraint_satisfied, generator_csr, relaxation_time,
+                     relaxation_time_dense, symmetrized_scipy)
 
 
 def _ring(n):
@@ -26,7 +27,7 @@ def _ring(n):
 
 def _loop_legal(s, geom, fam):
     """The sites with a legal flip in state s (bit v set: site v occupied),
-    read off families.constraint_satisfied site by site."""
+    read off oracles.constraint_satisfied site by site."""
     cfg = Configuration(geom, [(s >> v) & 1 for v in range(geom.n_sites)])
     return [v for v in range(geom.n_sites)
             if constraint_satisfied(cfg, fam, v)]
