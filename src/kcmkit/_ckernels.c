@@ -1,7 +1,10 @@
-/* Compiled kernels, six entry points: work-queue closure of a row or a
- * block of rows, spanning thresholds by incremental closure, event-driven
- * KCM loop, crossings, counter-based uniforms and a CSR matrix-vector
- * product. The KCM loop computes the trajectory only, with no window
+/* Compiled kernels, one kk_* function for each entry point named in
+ * kcmkit._pure.ENTRY_POINTS: work-queue closure of a row or a block of
+ * rows, spanning thresholds by incremental closure, event-driven KCM loop,
+ * crossings, counter-based uniforms, a CSR matrix-vector product, and the
+ * class of the all-empty state with its generator in canonical CSR form,
+ * searched and assembled in one pass (with kk_free for the buffers it hands
+ * out). The KCM loop computes the trajectory only, with no window
  * integrals; its vertex keys are those of the tables' geometry.
  *
  * Plain C99 over raw arrays, no Python API; kcmkit/_compiled.py binds it
@@ -431,6 +434,173 @@ int kk_csr_matvec(int64_t n, const int32_t *indptr, const int32_t *indices,
         out[i] = sum;
     }
     return 0;
+}
+
+/* ------------------------------------------------------ class generator */
+
+/* The irreducible class of the all-empty state and its generator, as
+ * kk_class_generator hands them back: size states (int64 bitmasks, bit v
+ * set where v is occupied) and a size x size canonical CSR matrix of nnz
+ * entries, each in its own malloc'd buffer of exactly that length, which
+ * the caller releases with kk_free. Mirrored by kcmkit._compiled.ClassCSR. */
+typedef struct {
+    int64_t size;
+    int64_t nnz;
+    int64_t *states;
+    int32_t *indptr;
+    int32_t *indices;
+    double *data;
+} kk_class;
+
+/* free(p), for buffers this library allocated and handed out. */
+int kk_free(void *p)
+{
+    free(p);
+    return 0;
+}
+
+/* Whether the flip of the site whose nbr row is `row` is legal: sat[] of
+ * its empty slots, read from e, the empty bits of the state with bit n
+ * for the pad. */
+static inline int flip_legal(int64_t S, const int64_t *row,
+                             const uint8_t *sat, uint64_t e)
+{
+    unsigned mask = 0;
+    for (int64_t k = 0; k < S; k++)
+        mask |= (unsigned)((e >> row[k]) & 1u) << k;
+    return sat[mask];
+}
+
+/* Grows *buf, holding *cap items of `item` bytes, to at least `need`
+ * items by doubling; returns -1 when realloc fails (the old buffer stays
+ * valid and owned by the caller). */
+static int grow(void **buf, int64_t *cap, int64_t need, size_t item)
+{
+    if (need <= *cap)
+        return 0;
+    int64_t c = *cap;
+    while (c < need)
+        c *= 2;
+    void *p = realloc(*buf, (size_t)c * item);
+    if (!p)
+        return -1;
+    *buf = p;
+    *cap = c;
+    return 0;
+}
+
+/* Shrinks *buf to `bytes` > 0; a failed realloc keeps the larger one. */
+static void shrink(void **buf, size_t bytes)
+{
+    void *p = bytes ? realloc(*buf, bytes) : NULL;
+    if (p)
+        *buf = p;
+}
+
+/* The class of the all-empty bitmask under legal flips (a flip of v is
+ * legal where v's constraint holds; it ignores v's own state, so the moves
+ * are reversible and the class is a connected component), found by a
+ * first-in-first-out search with vertices ascending within a state, and
+ * its generator in one pass over the rows in class order.
+ *
+ * When row i is taken from the queue, every state one legal flip away has
+ * a row: the earlier levels are done, and the next level is appended while
+ * the row is read. Row i then stores the rate of each legal flip, q where
+ * it empties its vertex and 1 - q where it fills it, and its diagonal, 0.0
+ * minus the legal rates in vertex order; the at most n + 1 entries are
+ * sorted by column, distinct as they are, so every row is canonical.
+ *
+ * row_of, the row of every bitmask, holds 2^n int32 (64 MiB at 24 sites);
+ * the outputs grow by doubling and end at their exact lengths. n <= 24 and
+ * 0 < q < 1 are the caller's to check. Returns -1, with *out zeroed and
+ * nothing left allocated, when a buffer cannot be allocated.
+ */
+int kk_class_generator(int64_t n, int64_t S, const int64_t *nbr,
+                       const uint8_t *sat, int pad_empty, double q,
+                       kk_class *out)
+{
+    memset(out, 0, sizeof *out);
+    /* capacities of states, indptr, indices and data */
+    int64_t scap = 1024, pcap = 1024, icap = 1024 * (n + 1), dcap = icap;
+    int32_t *row_of = malloc(((size_t)1 << n) * sizeof *row_of);
+    /* a row's entries: key, fresh and sorted hold n + 1 each */
+    uint32_t *key = malloc(3 * ((size_t)n + 1) * sizeof *key);
+    int64_t *states = malloc((size_t)scap * sizeof *states);
+    int32_t *indptr = malloc((size_t)pcap * sizeof *indptr);
+    int32_t *indices = malloc((size_t)icap * sizeof *indices);
+    double *data = malloc((size_t)dcap * sizeof *data);
+    int rc = -1;
+    if (!row_of || !key || !states || !indptr || !indices || !data)
+        goto done;
+    memset(row_of, 0xff, ((size_t)1 << n) * sizeof *row_of);   /* all -1 */
+
+    uint32_t *fresh = key + n + 1, *sorted = fresh + n + 1;
+    const double rate[2] = {1.0 - q, q};   /* fill, empty */
+    const uint64_t full = ((uint64_t)1 << n) - 1, pad = (uint64_t)pad_empty << n;
+    int64_t size = 1, nnz = 0;
+    row_of[0] = 0;
+    states[0] = 0;
+    indptr[0] = 0;
+    for (int64_t i = 0; i < size; i++) {
+        /* room for n new states, row i's end pointer and n + 1 entries */
+        if (grow((void **)&states, &scap, size + n, sizeof *states) ||
+            grow((void **)&indptr, &pcap, i + 2, sizeof *indptr) ||
+            grow((void **)&indices, &icap, nnz + n + 1, sizeof *indices) ||
+            grow((void **)&data, &dcap, nnz + n + 1, sizeof *data))
+            goto done;
+        uint64_t s = (uint64_t)states[i];
+        uint64_t e = (~s & full) | pad;
+        double diag = 0.0;
+        /* the rows of earlier states and the diagonal go to key[0 .. k),
+         * to be sorted; the states this row adds get rows past them all,
+         * ascending, and go to fresh[0 .. m) as they come */
+        int64_t k = 0, m = 0;
+        for (int64_t v = 0; v < n; v++) {
+            if (!flip_legal(S, nbr + v * S, sat, e))
+                continue;
+            uint64_t w = s ^ (1ULL << v);
+            unsigned empties = (unsigned)(s >> v) & 1u;
+            diag -= rate[empties];
+            /* column, then 0 (fill) or 1 (empty); 2 marks the diagonal */
+            if (row_of[w] < 0) {
+                row_of[w] = (int32_t)size;
+                states[size] = (int64_t)w;
+                fresh[m++] = ((uint32_t)size++ << 2) | empties;
+            } else {
+                key[k++] = ((uint32_t)row_of[w] << 2) | empties;
+            }
+        }
+        key[k++] = ((uint32_t)i << 2) | 2u;
+        /* the keys are distinct: each one's rank is the count of smaller
+         * ones, found without a branch */
+        for (int64_t a = 0; a < k; a++) {
+            int64_t r = 0;
+            for (int64_t b = 0; b < k; b++)
+                r += key[b] < key[a];
+            sorted[r] = key[a];
+        }
+        memcpy(sorted + k, fresh, (size_t)m * sizeof *sorted);
+        for (int64_t a = 0; a < k + m; a++) {
+            unsigned tag = sorted[a] & 3u;
+            indices[nnz] = (int32_t)(sorted[a] >> 2);
+            data[nnz++] = tag == 2u ? diag : rate[tag];
+        }
+        indptr[i + 1] = (int32_t)nnz;
+    }
+    /* down to the exact lengths */
+    shrink((void **)&states, (size_t)size * sizeof *states);
+    shrink((void **)&indptr, ((size_t)size + 1) * sizeof *indptr);
+    shrink((void **)&indices, (size_t)nnz * sizeof *indices);
+    shrink((void **)&data, (size_t)nnz * sizeof *data);
+    *out = (kk_class){size, nnz, states, indptr, indices, data};
+    rc = 0;
+done:
+    free(row_of);
+    free(key);
+    if (rc) {
+        free(states); free(indptr); free(indices); free(data);
+    }
+    return rc;
 }
 
 /* ------------------------------------------------------------ crossings */

@@ -1,9 +1,11 @@
 """Compiled kernels: a ctypes binding of the C99 library built from _ckernels.c.
 
-Same contract as kcmkit._pure and its six entry points, and the same
-results (bit-identical trajectories for the event loop, byte-identical
-uniforms); the closure takes one row of bits or a block of rows in one C
-call. `python setup.py build_ext --inplace` puts the library next to this
+Same contract as kcmkit._pure and the entry points in its ENTRY_POINTS,
+and the same results (bit-identical trajectories for the event loop,
+byte-identical uniforms and generators); the closure takes one row of bits
+or a block of rows in one C call, and class_generator searches the class
+and assembles its CSR in one, handing back the library's buffers with no
+copy. `python setup.py build_ext --inplace` puts the library next to this
 file. `open_kernels` raises LoadError, saying why, when the library is
 missing, cannot be loaded, or carries another source stamp than SOURCE_ID
 (the first 8 bytes of the SHA-256 of the _ckernels.c this binding was
@@ -14,10 +16,11 @@ falls back to _pure.
 Arguments are checked and converted by _pure's *_args functions right
 before each C call, and a FamilyTables checks and freezes its layout when
 it is built; only the mapping of C's error returns, and one cache of table
-addresses per FamilyTables, live here. A family with more than 16 slots has no mask table
-(FamilyTables.sat is None), so its closure, threshold and kcm_run calls go
-to the _pure kernels. kcm_run hands C the vertex keys of t.geom and gets
-back the trajectory only: no window integrals.
+addresses per FamilyTables, live here. A family with more than 16 slots
+has no mask table (FamilyTables.sat is None), so its closure, threshold,
+kcm_run and class_generator calls go to the _pure kernels. kcm_run hands
+C the vertex keys of t.geom and gets back the trajectory only: no window
+integrals.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ IMPL_NAME = "compiled"
 LIBRARY = "_ckernels"
 # kk_source_id() of a library built from the shipped _ckernels.c; a test
 # keeps it equal to the first 8 bytes of that file's SHA-256
-SOURCE_ID = 0x0b5021a143d04bc9
+SOURCE_ID = 0xa108af927c2a4840
 
 _STATUS = ("t_max", "target", "max_events")   # indexed by the KK_* codes
 # initial event-log capacity; a longer log costs one deterministic rerun
@@ -53,6 +56,14 @@ class RunStats(ctypes.Structure):
                 ("t_target_first_legal", _dbl), ("rings", _i64),
                 ("legal_updates", _i64), ("flips", _i64),
                 ("n_events", _i64), ("status", _i64)]
+
+
+class ClassCSR(ctypes.Structure):
+    """Mirror of kk_class in _ckernels.c: four buffers the library
+    allocates, each released by kk_free."""
+
+    _fields_ = [("size", _i64), ("nnz", _i64), ("states", _ptr),
+                ("indptr", _ptr), ("indices", _ptr), ("data", _ptr)]
 
 
 def _addr(a: np.ndarray | None):
@@ -76,7 +87,8 @@ _REBUILD = "rebuild it with `python setup.py build_ext --inplace`"
 
 
 class Kernels:
-    """The six kernel entry points over one loaded library."""
+    """The kernel entry points of _pure.ENTRY_POINTS over one loaded
+    library."""
 
     IMPL_NAME = IMPL_NAME
 
@@ -109,8 +121,12 @@ class Kernels:
                                           ctypes.c_int, _ptr]
         lib.kk_uniforms.argtypes = [_u64, _i64, _ptr, _i64, _ptr, _u64, _ptr]
         lib.kk_csr_matvec.argtypes = [_i64] + [_ptr] * 5
+        lib.kk_class_generator.argtypes = [_i64, _i64, _ptr, _ptr,
+                                           ctypes.c_int, _dbl, _ptr]
+        lib.kk_free.argtypes = [_ptr]
         for fn in (lib.kk_closure, lib.kk_threshold, lib.kk_kcm_run,
-                   lib.kk_crossing_batch, lib.kk_uniforms, lib.kk_csr_matvec):
+                   lib.kk_crossing_batch, lib.kk_uniforms, lib.kk_csr_matvec,
+                   lib.kk_class_generator, lib.kk_free):
             fn.restype = ctypes.c_int
         self._lib = lib
         self._tables = weakref.WeakKeyDictionary()
@@ -227,6 +243,31 @@ class Kernels:
             return out
 
         return mv
+
+    def class_generator(self, t: FamilyTables, q):
+        """The class of the all-empty configuration and its canonical CSR
+        generator, searched and assembled in one C call; mirrors
+        kcmkit._pure.class_generator."""
+        if t.sat is None:
+            return _pure.class_generator(t, q)
+        q = _pure.class_generator_args(t, q)
+        n, S, nbr, _, sat, pad_empty = self._table_args(t)
+        c = ClassCSR()
+        self._check(self._lib.kk_class_generator(
+            n, S, nbr, sat, pad_empty, q, ctypes.byref(c)))
+        return (self._adopted(c.states, _i64, c.size),
+                self._adopted(c.indptr, ctypes.c_int32, c.size + 1),
+                self._adopted(c.indices, ctypes.c_int32, c.nnz),
+                self._adopted(c.data, _dbl, c.nnz))
+
+    def _adopted(self, address: int, ctype, count: int) -> np.ndarray:
+        """The `count` items of `ctype` the library allocated at `address`,
+        as an array over that memory, with no copy. The ctypes object under
+        the array, kept alive by the array and every view of it, frees the
+        memory with kk_free when it is collected."""
+        buf = (ctype * count).from_address(address)
+        weakref.finalize(buf, self._lib.kk_free, address)
+        return np.ctypeslib.as_array(buf)
 
     def crossing_batch(self, empty_grids, axis: int) -> np.ndarray:
         """Which grids have a nearest-neighbor True path joining the two

@@ -1,16 +1,18 @@
-"""Fallback kernels, the executable spec of the six entry points:
-numpy-vectorized closure (a block of rows is closed row by row), spanning
-thresholds by bisection on closures, heapq event loop, crossings, uniforms
-and a CSR matrix-vector product.
+"""Fallback kernels, the executable spec of the entry points named in
+ENTRY_POINTS: numpy-vectorized closure (a block of rows is closed row by
+row), spanning thresholds by bisection on closures, heapq event loop,
+crossings, uniforms, a CSR matrix-vector product, and the class of the
+all-empty configuration with its generator in canonical CSR form.
 
 Functionally identical to the compiled kernels in kcmkit._compiled;
 kernels.py picks one at import time. Keep the two in lockstep: the test
 suite asserts equal outputs (bit-identical trajectories for the event loop,
-byte-identical uniforms). The argument checks and conversions of every
-entry point live here, in the *_args functions; the compiled kernels call
-the same functions before each C call, so both raise the same error for
-the same input. The event loop computes the trajectory only, with no
-window integrals, and keys its clocks on t.geom.vertex_keys().
+byte-identical uniforms and generators). The argument checks and
+conversions of every entry point live here, in the *_args functions; the
+compiled kernels call the same functions before each C call, so both raise
+the same error for the same input. The event loop computes the trajectory
+only, with no window integrals, and keys its clocks on
+t.geom.vertex_keys().
 """
 
 from __future__ import annotations
@@ -25,6 +27,12 @@ from .families import FamilyTables
 from .lattice import as_bits, as_int, as_site, as_sites
 
 IMPL_NAME = "pure"
+# the kernel contract: every implementation exposes these, with the
+# semantics and results of the functions of the same names below
+ENTRY_POINTS = ("closure", "threshold", "kcm_run", "crossing_batch",
+                "uniforms", "csr_operator", "class_generator")
+# class_generator's bitmask states index a 2^n table of rows
+CLASS_CAP_VERTICES = 24
 
 
 # ------------------------------------------------------------ argument checks
@@ -136,6 +144,18 @@ def matvec_args(x, out, n: int) -> None:
                              f"array")
     if not out.flags.writeable or np.may_share_memory(x, out):
         raise ValueError("out must be writable and disjoint from x")
+
+
+def class_generator_args(t: FamilyTables, q) -> float:
+    """q as a float in (0, 1), on tables over at most CLASS_CAP_VERTICES
+    sites."""
+    if t.n_sites > CLASS_CAP_VERTICES:
+        raise ValueError(f"state space cap exceeded: {t.n_sites} > "
+                         f"{CLASS_CAP_VERTICES} vertices")
+    q = float(q)
+    if not 0.0 < q < 1.0:
+        raise ValueError(f"q must be in (0,1), got {q}")
+    return q
 
 
 # ------------------------------------------------------------------ uniforms
@@ -365,6 +385,107 @@ def csr_operator(indptr, indices, data):
         return out
 
     return mv
+
+
+# ----------------------------------------------------------- class generator
+
+def _constraint_masks(t: FamilyTables):
+    """Per-vertex list of neighbor bitmasks, one per feasible rule.
+
+    c_x(state) = 1 iff (state & mask) == 0 for some mask in masks[x]. Rules
+    with a translate leaving a free box are dropped (occupied outside) or
+    keep only their in-box members (empty outside).
+    """
+    n = t.n_sites
+    rules = [slots.tolist() for slots in t.rules]
+    masks: list[list[int]] = []
+    for row in t.nbr.tolist():
+        sites = [{row[s] for s in slots} for slots in rules]
+        masks.append([sum(1 << w for w in ws - {n}) for ws in sites
+                      if t.pad_empty or n not in ws])
+    return masks
+
+
+def _legal(states: np.ndarray, masks) -> np.ndarray:
+    """Bool table legal[i, v] = c_v(states[i]), one pass per vertex."""
+    legal = np.zeros((states.size, len(masks)), dtype=bool)
+    for v, vmasks in enumerate(masks):
+        for mask in vmasks:
+            legal[:, v] |= (states & mask) == 0
+    return legal
+
+
+def _flip_table(states: np.ndarray, masks) -> np.ndarray:
+    """(size, n + 1) int32 table: column v < n holds the row of
+    states[i] ^ (1 << v) where flipping v is legal at states[i] and
+    states.size where it is not; column n holds i. Raises if a flipped
+    state is missing from `states`."""
+    n, size = len(masks), states.size
+    row_of = np.full(1 << n, -1, dtype=np.int32)  # <= 64 MiB at the cap
+    row_of[states] = np.arange(size, dtype=np.int32)
+    table = np.empty((size, n + 1), dtype=np.int32)
+    for v in range(n):
+        table[:, v] = row_of[states ^ (1 << v)]
+    table[:, :n][~_legal(states, masks)] = size
+    table[:, n] = np.arange(size)
+    if (table < 0).any():
+        raise AssertionError("a legal flip leaves the enumerated class")
+    return table
+
+
+def _canonical_csr(states: np.ndarray, masks, q: float):
+    """(indptr, indices, data) of the generator, columns ascending within
+    each row. A row holds at most n + 1 entries, so the flip table is
+    sorted row by row, with no global sort."""
+    size, n = states.size, len(masks)
+    table = _flip_table(states, masks)
+    # the diagonal subtracts each row's rates in vertex order, as a
+    # per-state loop would; subtracting the 0.0 of an illegal flip is exact
+    diag = np.zeros(size)
+    for v in range(n):
+        diag -= np.where(table[:, v] < size,
+                         np.where((states >> v) & 1, q, 1.0 - q), 0.0)
+    table.sort(axis=1)
+    keep = table < size
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    indices = table[keep]
+    rows = np.repeat(np.arange(size, dtype=np.int32), np.diff(indptr))
+    # a flip that empties its vertex lowers the bitmask, at rate q
+    data = np.where(states[indices] < states[rows], q, 1.0 - q)
+    data[indices == rows] = diag
+    return indptr, indices, data
+
+
+def class_generator(t: FamilyTables, q: float):
+    """(states, indptr, indices, data): the class of the all-empty
+    configuration under legal flips, in first-in-first-out search order,
+    and the generator on it in canonical CSR form.
+
+    states are int64 occupancy bitmasks (bit v set: v occupied). Row i of
+    the int32/float64 CSR arrays holds, columns ascending, rate q for each
+    legal flip of states[i] that empties its vertex, 1 - q for each that
+    fills it, and the diagonal: 0.0 minus those rates in vertex order.
+    """
+    q = class_generator_args(t, q)
+    n = t.n_sites
+    masks = _constraint_masks(t)
+    # legal flips are reversible moves (c_x ignores the state of x), so the
+    # class is the undirected component of the all-empty bitmask. Search it
+    # level by level, parents in order, vertices ascending within a parent,
+    # first occurrences kept: the order a first-in-first-out queue visits.
+    levels = [np.zeros(1, dtype=np.int64)]
+    seen = np.zeros(1 << n, dtype=bool)
+    while levels[-1].size:
+        front = levels[-1]
+        seen[front] = True
+        rows, verts = np.nonzero(_legal(front, masks))
+        new = front[rows] ^ (1 << verts)
+        new = new[~seen[new]]
+        _, first = np.unique(new, return_index=True)
+        levels.append(new[np.sort(first)])
+    states = np.concatenate(levels)
+    return (states, *_canonical_csr(states, masks, q))
 
 
 # ----------------------------------------------------------------- crossings

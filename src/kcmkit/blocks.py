@@ -31,6 +31,9 @@ from .stats import ScanEstimate, wilson_ci
 
 EXACT_LAMBDA_CAP = 16
 EXACT_PROBS_CAP = 20
+# a block holds at most this many sites: one replica's uniforms, drawn
+# whole, then take at most 128 MiB
+MAX_BLOCK_SITES = 1 << 24
 
 CLASS_NEITHER = "neither"
 CLASS_GOOD = "good"
@@ -58,6 +61,9 @@ class BlockSpec:
         object.__setattr__(self, "dims", as_ints(self.dims, "dims"))
         if any(n < 1 for n in self.dims):
             raise ValueError("dims must be positive")
+        if math.prod(self.dims) > MAX_BLOCK_SITES:
+            raise ValueError(f"a block holds at most 2^24 sites, got "
+                             f"{'x'.join(map(str, self.dims))}")
         if self.model == "gg" and len(self.dims) != 2:
             raise ValueError("gg blocks are two-dimensional")
         if self.model == "gg" and self.dims[0] < 2:   # no adjacent pair

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import math
 import os
 import re
 import sys
 from types import SimpleNamespace
 
-from . import __version__, blocks, bootstrap, kcm, paths, percolation
+from . import __version__, blocks, bootstrap, kcm, paths, percolation, rng
 from .families import UpdateFamily, make_family
 from .lattice import Configuration, Geometry, read_grid
 
@@ -293,6 +294,10 @@ def _resolve(args: SimpleNamespace) -> None:
         else:
             value = default
         setattr(args, name, value)
+    # a count of replicas names ids 0..R-1, and the ids are 64-bit
+    if "replicas" in options and args.replicas > rng.REPLICA_IDS:
+        raise CliError(f"--replicas must be at most 2^64, the number of "
+                       f"distinct replica ids, got {args.replicas}")
 
 
 # -------------------------------------------------------------- subcommands
@@ -374,6 +379,10 @@ def _cmd_gap(args) -> None:
     for i, q in enumerate(args.q):
         gen = spectral.build_generator(geom, fam, q)
         gap, degenerate = spectral.spectral_gap(gen)
+        if degenerate:   # roundoff, not a gap: no row carries it
+            raise CliError(f"the gap at q={q} is below "
+                           f"{spectral.DEGENERATE_GAP:g}, where the "
+                           f"eigensolve cannot tell it from 0")
         rows.append([fam.name, geom.dims, q, args.seed, gen.size, gap,
                      spectral.relaxation_time_from_gap(gap, degenerate)])
     emit_csv(args, ["model", "dims", "q", "seed", "class_size", "gap",
@@ -391,6 +400,10 @@ def _cmd_blocks(args) -> None:
             if bd.degenerate:
                 raise CliError(f"degenerate block dims {bd.dims} at q={q}; "
                                f"pass --dims explicitly")
+            if math.prod(bd.dims) > blocks.MAX_BLOCK_SITES:
+                raise CliError(f"--q {q} and --A {args.A} give a block of "
+                               f"more than the 2^24 sites a block holds; "
+                               f"raise --q or lower --A")
             dims = bd.dims
         spec = blocks.BlockSpec(args.model, dims, q, args.A, k=args.k)
         probs = blocks.estimate_block_probs(spec, args.replicas,

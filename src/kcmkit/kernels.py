@@ -6,21 +6,22 @@ compiled kernels do): the variable, a missing library, or one that
 kcmkit._compiled refused because its source stamp is not that of the
 _ckernels.c it binds.
 
-Both implementations expose the same six entry points (closure, threshold,
-kcm_run, crossing_batch, uniforms, csr_operator) with identical semantics,
-bit-identical trajectories for the event loop and byte-identical uniforms
-and matrix-vector products. The closure takes one row of bits, shape (n,),
-or a block of rows, shape (R, n), with one flippable mask for every row,
-and returns out and rounds of the same shape. Their argument checks live
-in kcmkit._pure, which both call; a FamilyTables checks its own layout when
-it is built, and csr_operator checks its matrix once.
-kcm_run computes the trajectory only, with no window integrals (kcmkit.kcm
-takes those from the event log), and keys its clocks on the tables'
-geometry, t.geom.vertex_keys().
+Both implementations expose the entry points named in _pure.ENTRY_POINTS,
+bound here by name, with identical semantics, bit-identical trajectories
+for the event loop and byte-identical uniforms, matrix-vector products and
+class generators. The closure takes one row of bits, shape (n,), or a
+block of rows, shape (R, n), with one flippable mask for every row, and
+returns out and rounds of the same shape. Their argument checks live in
+kcmkit._pure, which both call; a FamilyTables checks its own layout when
+it is built, and csr_operator checks its matrix once. kcm_run computes the
+trajectory only, with no window integrals (kcmkit.kcm takes those from the
+event log), and keys its clocks on the tables' geometry,
+t.geom.vertex_keys(). class_generator returns the class of the all-empty
+configuration and its generator as canonical CSR arrays (kcmkit.spectral).
 
-The compiled closure, threshold and kcm_run read a family's rules through
-one empty-slot bitmask per site (uint16) and its satisfiability table
-FamilyTables.sat. A family with more than 16 distinct offsets has no such
+The compiled closure, threshold, kcm_run and class_generator read a
+family's rules through one empty-slot bitmask per site (uint16) and its
+satisfiability table FamilyTables.sat. A family with more than 16 distinct offsets has no such
 table, and the compiled binding runs _pure's kernels for it. Of the CLI's
 families that is fa_kf from d=9 (2d offsets) and east from d=17 (d
 offsets); gg, north_east and unconstrained are never affected.
@@ -42,19 +43,21 @@ if os.environ.get("KCMKIT_PURE", "") in ("", "0"):
 
 IMPLEMENTATION: str = _impl.IMPL_NAME
 
-closure = _impl.closure
-threshold = _impl.threshold
-kcm_run = _impl.kcm_run
-crossing_batch = _impl.crossing_batch
-uniforms = _impl.uniforms
-csr_operator = _impl.csr_operator
+# kernels.closure, kernels.threshold, ...: every entry point, by name
+globals().update({name: getattr(_impl, name) for name in _pure.ENTRY_POINTS})
 
 
 def implementations():
-    """All loadable kernel implementations, name -> object exposing the
-    six entry points (for benchmarks/tests)."""
+    """All loadable kernel implementations, name -> object exposing every
+    entry point of _pure.ENTRY_POINTS (for benchmarks/tests); raises
+    AttributeError naming any that one lacks."""
     out = {"pure": _pure}
     compiled = _compiled.load()
     if compiled is not None:
         out["compiled"] = compiled
+    for name, impl in out.items():
+        missing = [e for e in _pure.ENTRY_POINTS
+                   if not callable(getattr(impl, e, None))]
+        if missing:
+            raise AttributeError(f"the {name} kernels lack {missing}")
     return out

@@ -152,16 +152,25 @@ def random_uniforms(geom: Geometry, seed: int, replicas,
                     stream: int = rng.STREAM_CONFIG, rows: int | None = None):
     """The site uniforms of a replica set, as (ids, u) blocks in id order:
     u[r, i] is the uniform of site i in replica ids[r]. `replicas` is a
-    count R (ids 0..R-1) or a sequence of ids, read by rng.replica_ids. A
-    block holds at most rng.BATCH_SITES uniforms, at most `rows` replicas,
-    and at least one."""
-    ids = rng.replica_ids(replicas)
+    count R (ids 0..R-1, made block by block, so R is never allocated at
+    once; at most rng.REPLICA_IDS) or a sequence of ids, read by
+    rng.replica_ids. A block holds at most rng.BATCH_SITES uniforms, at
+    most `rows` replicas, and at least one."""
+    if np.ndim(replicas) == 0:
+        count, ids = int(replicas), None
+        if count > rng.REPLICA_IDS:
+            raise ValueError(f"at most 2^64 replicas have distinct ids, got "
+                             f"{count}")
+    else:
+        ids = rng.replica_ids(replicas)
+        count = ids.size
     step = max(1, min(rng.BATCH_SITES // geom.n_sites,
                       rows or rng.BATCH_SITES))
     vkeys = geom.vertex_keys()
-    for lo in range(0, ids.size, step):
-        yield ids[lo:lo + step], rng.uniforms_replicas_np(
-            seed, stream, ids[lo:lo + step], vkeys)
+    for lo in range(0, count, step):
+        block = (np.arange(lo, min(lo + step, count), dtype=np.uint64)
+                 if ids is None else ids[lo:lo + step])
+        yield block, rng.uniforms_replicas_np(seed, stream, block, vkeys)
 
 
 def random_bits(geom: Geometry, q: float, seed: int, replicas,

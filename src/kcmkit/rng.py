@@ -22,6 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
+# replica ids are uint64, so a count R of replicas (ids 0..R-1) is at most this
+REPLICA_IDS = 1 << 64
 _GAMMA = 0x9E3779B97F4A7C15
 _MUL1 = 0xBF58476D1CE4E5B9
 _MUL2 = 0x94D049BB133111EB

@@ -4,8 +4,13 @@ Finite KCMs are reducible (the all-occupied configuration is isolated for
 every nontrivial family), so the spectral objects here live on the
 irreducible class containing the all-empty configuration, with the product
 measure conditioned on that class. States are int64 occupancy bitmasks over
-at most 24 vertices; every stage works on arrays of them, one NumPy pass per
-vertex, with no Python loop over states.
+at most 24 vertices. The class and its generator come from one kernel call,
+kernels.class_generator: a first-in-first-out search over legal flips that
+writes each row's canonical CSR as it goes (in C, or in NumPy in
+kcmkit._pure, its spec). Every later stage works on arrays, with no Python
+loop over states, and checks the kernel's output independently: the
+reverse permutation of the entries is a sort that fails on an asymmetric
+pattern, and detailed balance is checked entry by entry.
 
 Convention: D(f) = sum_x mu(c_x Var_x(f)) with no extra prefactor, which is
 exactly the quadratic form <f, -Lf>_mu for the generator built here; the
@@ -13,7 +18,7 @@ code cross-checks the two on every call. (A 1/2 appears only in the
 directed double-sum form sum_{w,w'} mu(w) rate(w->w') (f(w')-f(w))^2 / 2,
 which double counts each unordered pair.)
 
-The generator is kept as canonical CSR arrays built in NumPy, and its
+The generator is kept as those canonical CSR arrays, and its
 symmetrization is built once, in NumPy, as CSR data on the same pattern. The
 dense eigensolvers read it scattered into an array, the Dirichlet forms read
 the generator's arrays, and the sparse eigensolve runs ARPACK's implicitly
@@ -35,10 +40,11 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
+from ._pure import CLASS_CAP_VERTICES
 from .families import UpdateFamily, tables_for
 from .lattice import Geometry
 
-STATE_CAP_VERTICES = 24
+STATE_CAP_VERTICES = CLASS_CAP_VERTICES
 _DENSE_CUTOFF = 4096  # up to this many states the eigensolves are dense
 
 REVERSIBILITY_TOL = 1e-12
@@ -79,78 +85,10 @@ class GeneratorMatrix:
                          np.diff(self.indptr))
 
 
-def _constraint_masks(geom: Geometry, fam: UpdateFamily):
-    """Per-vertex list of neighbor bitmasks, one per feasible rule.
-
-    c_x(state) = 1 iff (state & mask) == 0 for some mask in masks[x]. Rules
-    with a translate leaving a free box are dropped (occupied outside) or
-    keep only their in-box members (empty outside).
-    """
-    t = tables_for(geom, fam)
-    n = geom.n_sites
-    rules = [slots.tolist() for slots in t.rules]
-    masks: list[list[int]] = []
-    for row in t.nbr.tolist():
-        sites = [{row[s] for s in slots} for slots in rules]
-        masks.append([sum(1 << w for w in ws - {n}) for ws in sites
-                      if t.pad_empty or n not in ws])
-    return masks
-
-
-def _legal(states: np.ndarray, masks) -> np.ndarray:
-    """Bool table legal[i, v] = c_v(states[i]), one pass per vertex."""
-    legal = np.zeros((states.size, len(masks)), dtype=bool)
-    for v, vmasks in enumerate(masks):
-        for mask in vmasks:
-            legal[:, v] |= (states & mask) == 0
-    return legal
-
-
-def _flip_table(states: np.ndarray, masks) -> np.ndarray:
-    """(size, n + 1) int32 table: column v < n holds the row of
-    states[i] ^ (1 << v) where flipping v is legal at states[i] and
-    states.size where it is not; column n holds i. Raises if a flipped
-    state is missing from `states`."""
-    n, size = len(masks), states.size
-    row_of = np.full(1 << n, -1, dtype=np.int32)  # <= 64 MiB at the cap
-    row_of[states] = np.arange(size, dtype=np.int32)
-    table = np.empty((size, n + 1), dtype=np.int32)
-    for v in range(n):
-        table[:, v] = row_of[states ^ (1 << v)]
-    table[:, :n][~_legal(states, masks)] = size
-    table[:, n] = np.arange(size)
-    if (table < 0).any():
-        raise AssertionError("a legal flip leaves the enumerated class")
-    return table
-
-
-def _canonical_csr(states: np.ndarray, masks, q: float):
-    """(indptr, indices, data) of the generator, columns ascending within
-    each row. A row holds at most n + 1 entries, so the flip table is
-    sorted row by row, with no global sort."""
-    size, n = states.size, len(masks)
-    table = _flip_table(states, masks)
-    # the diagonal subtracts each row's rates in vertex order, as a
-    # per-state loop would; subtracting the 0.0 of an illegal flip is exact
-    diag = np.zeros(size)
-    for v in range(n):
-        diag -= np.where(table[:, v] < size,
-                         np.where((states >> v) & 1, q, 1.0 - q), 0.0)
-    table.sort(axis=1)
-    keep = table < size
-    indptr = np.zeros(size + 1, dtype=np.int32)
-    np.cumsum(keep.sum(axis=1), out=indptr[1:])
-    indices = table[keep]
-    rows = np.repeat(np.arange(size, dtype=np.int32), np.diff(indptr))
-    # a flip that empties its vertex lowers the bitmask, at rate q
-    data = np.where(states[indices] < states[rows], q, 1.0 - q)
-    data[indices == rows] = diag
-    return indptr, indices, data
-
-
 def build_generator(geom: Geometry, fam: UpdateFamily, q: float) -> GeneratorMatrix:
-    """Assemble L on the class of the all-empty configuration (BFS over
-    legal flips), with mu conditioned on the class."""
+    """Assemble L on the class of the all-empty configuration (the search
+    over legal flips and the CSR are kernels.class_generator), with mu
+    conditioned on the class."""
     if geom.n_sites > STATE_CAP_VERTICES:
         raise ValueError(
             f"state space cap exceeded: {geom.n_sites} > {STATE_CAP_VERTICES} vertices")
@@ -160,23 +98,8 @@ def build_generator(geom: Geometry, fam: UpdateFamily, q: float) -> GeneratorMat
         raise ValueError("family dimension does not match geometry")
     n = geom.n_sites
     p = 1.0 - q
-    masks = _constraint_masks(geom, fam)
-
-    # legal flips are reversible moves (c_x ignores the state of x), so the
-    # class is the undirected component of the all-empty bitmask. Search it
-    # level by level, parents in order, vertices ascending within a parent,
-    # first occurrences kept: the order a first-in-first-out queue visits.
-    levels = [np.zeros(1, dtype=np.int64)]
-    seen = np.zeros(1 << n, dtype=bool)
-    while levels[-1].size:
-        front = levels[-1]
-        seen[front] = True
-        rows, verts = np.nonzero(_legal(front, masks))
-        new = front[rows] ^ (1 << verts)
-        new = new[~seen[new]]
-        _, first = np.unique(new, return_index=True)
-        levels.append(new[np.sort(first)])
-    states = np.concatenate(levels)
+    states, indptr, indices, data = kernels.class_generator(
+        tables_for(geom, fam), q)
 
     occ = np.bitwise_count(states).astype(np.int64)
     logw = occ * np.log(p) + (n - occ) * np.log(q)
@@ -186,7 +109,6 @@ def build_generator(geom: Geometry, fam: UpdateFamily, q: float) -> GeneratorMat
         raise ValueError(f"q={q} underflows the stationary weights of the "
                          f"class to 0; q is too close to 0 or 1")
 
-    indptr, indices, data = _canonical_csr(states, masks, q)
     gen = GeneratorMatrix(geom=geom, fam=fam, q=q, states=states, mu=mu,
                           indptr=indptr, indices=indices, data=data)
     _assert_reversible(gen)
@@ -233,8 +155,15 @@ def _symmetrized(gen: GeneratorMatrix) -> np.ndarray:
     spectrum of L. Each entry is the product (root_i * L_ij) * (1/root_j)
     that diagonal scalings form, and the symmetrization one commutative sum."""
     root = np.sqrt(gen.mu)
-    d = root[gen.row_ids()] * gen.data * (1.0 / root)[gen.indices]
-    return (d + d[_reverse_perm(gen)]) * 0.5
+    inv = 1.0 / root
+    d = root[gen.row_ids()]
+    d *= gen.data
+    d *= inv[gen.indices]
+    # in place: s = d[rev] + d adds as d + d[rev] does, addition commuting
+    s = d[_reverse_perm(gen)]
+    s += d
+    s *= 0.5
+    return s
 
 
 def _dense_S(gen: GeneratorMatrix) -> np.ndarray:

@@ -532,7 +532,27 @@ def test_qc_tol_below_float_spacing_returns(tmp_path):
     (["gap", "--model", "east", "--dims", "4", "--q", "1e-320"],
      "q=1e-320 underflows the stationary weights of the class to 0; q is "
      "too close to 0 or 1"),
-], ids=["blocks-fakf-k-past-2d-1", "gap-subnormal-q"])
+    # the true gaps are about 1e-18 and 1e-200: roundoff, not a gap, comes
+    # out of the eigensolve
+    (["gap", "--model", "east", "--dims", "4", "--q", "1e-9"],
+     "the gap at q=1e-09 is below 1e-12, where the eigensolve cannot tell "
+     "it from 0"),
+    (["gap", "--model", "east", "--dims", "4", "--q", "0.3,1e-100"],
+     "the gap at q=1e-100 is below 1e-12, where the eigensolve cannot tell "
+     "it from 0"),
+    (["blocks", "--model", "fa2", "--q", "1e-300", "--A", "3.5"],
+     "--q 1e-300 and --A 3.5 give a block of more than the 2^24 sites a "
+     "block holds; raise --q or lower --A"),
+    (["blocks", "--model", "fa2", "--q", "0.3", "--A", "3.5", "--dims",
+      "4097,4096", "--replicas", "1"],
+     "a block holds at most 2^24 sites, got 4097x4096"),
+    (["bootstrap", "--model", "fa2", "--n", "4", "--q", "0.3", "--replicas",
+      "10000000000000000000000"],
+     "--replicas must be at most 2^64, the number of distinct replica ids, "
+     "got 10000000000000000000000"),
+], ids=["blocks-fakf-k-past-2d-1", "gap-subnormal-q", "gap-degenerate-1e-9",
+        "gap-degenerate-1e-100", "blocks-q-A-past-site-cap",
+        "blocks-dims-past-site-cap", "bootstrap-replicas-past-id-space"])
 def test_bad_value_exits_2_with_one_line(tmp_path, argv, message):
     # in a fresh interpreter, so that a warning NumPy prints reaches stderr
     proc = _run_alone(["-m", "kcmkit.cli", *argv, "--out", "out.csv"],

@@ -72,6 +72,8 @@ _VK = _GEOM.vertex_keys()
 _RUN = (_T, 1, 0, 0.3, 2.0)
 # a 3 x 3 CSR matrix, and the x and out of one product with it
 _CSR = (np.array([0, 2, 3, 3]), np.array([0, 2, 1]), np.array([1.0, 2.0, 3.0]))
+# 25 sites, one past the class search's cap
+_T25 = tables_for(Geometry((5, 5), torus=True), make_family("fa_kf", d=2, k=2))
 _X, _X4 = np.arange(3.0), np.arange(4.0)
 
 
@@ -160,6 +162,12 @@ BAD_ARGS = {
     "mv-read-only-out": ("mv", (_X, _read_only(np.empty(3))), {}),
     "mv-out-is-x": ("mv", (_X, _X), {}),
     "mv-out-overlaps-x": ("mv", (_X4[:3], _X4[1:]), {}),
+    "class-q-0": ("class_generator", (_T, 0.0), {}),
+    "class-q-1": ("class_generator", (_T, 1.0), {}),
+    "class-negative-q": ("class_generator", (_T, -0.3), {}),
+    "class-nan-q": ("class_generator", (_T, np.nan), {}),
+    "class-text-q": ("class_generator", (_T, "x"), {}),
+    "class-25-sites": ("class_generator", (_T25, 0.3), {}),
 }
 
 # an int mask reads as bool; a (1, n) block is one row
@@ -697,6 +705,99 @@ def test_uniforms_match_scalar_uniform(core):
             for i, vk in enumerate(vkeys):
                 assert out[r, i] == rng.uniform(9, 1, int(rep), int(vk),
                                                 2**64 - 1)
+
+
+# (label, family, geometry): every boundary, the empty rule, a class above
+# 2^16 states (the 17-ring) and one of a single state's neighbours only
+CLASS_CASES = [
+    ("fa1-3x3-torus", make_family("fa_kf", d=2, k=1),
+     Geometry((3, 3), torus=True)),
+    ("fa1-ring17", make_family("fa_kf", d=1, k=1), Geometry((17,), torus=True)),
+    ("fa2-4x4-free", make_family("fa_kf", d=2, k=2), Geometry((4, 4))),
+    ("fa2-3x4-free-empty", make_family("fa_kf", d=2, k=2),
+     Geometry((3, 4), outside_empty=True)),
+    ("fakf-2x2x3-torus", make_family("fa_kf", d=3, k=3),
+     Geometry((2, 2, 3), torus=True)),
+    ("east-10-free", make_family("east", d=1), Geometry((10,))),
+    ("east2-3x3-free-empty", make_family("east", d=2),
+     Geometry((3, 3), outside_empty=True)),
+    ("gg-4x3-torus", make_family("gg"), Geometry((4, 3), torus=True)),
+    ("gg-3x3-free-empty", make_family("gg"),
+     Geometry((3, 3), outside_empty=True)),
+    ("unconstrained-2x3", make_family("unconstrained", d=2), Geometry((2, 3))),
+    ("custom-empty-rule", make_family("custom", d=1, rules=[[(1,)], []]),
+     Geometry((7,))),
+    ("custom", make_family("custom", rules=[[(1, 0), (0, 2)], [(-1, -1)]]),
+     Geometry((3, 3), torus=True)),
+    ("fa1-one-site", make_family("fa_kf", d=1, k=1), Geometry((1,))),
+]
+
+
+def _same_arrays(a, b):
+    assert len(a) == len(b) == 4
+    for x, y in zip(a, b):
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("label,fam,geom", CLASS_CASES,
+                         ids=[c[0] for c in CLASS_CASES])
+def test_class_generator_parity(core, label, fam, geom):
+    # the C search and assembly give _pure's bytes: states in search
+    # order, canonical CSR, diagonals summed in vertex order; q near 0 and
+    # near 1 included
+    t = tables_for(geom, fam)
+    for q in (0.3, 1e-6, 1.0 - 1e-6):
+        want = _pure.class_generator(t, q)
+        states, indptr, indices, data = want
+        assert [a.dtype for a in want] == [np.int64, np.int32, np.int32,
+                                           np.float64]
+        assert states[0] == 0 and indptr[0] == 0 and indptr[-1] == data.size
+        _same_arrays(core.class_generator(t, q), want)
+    if label == "fa1-ring17":
+        assert states.size == (1 << 17) - 1
+
+
+def test_class_generator_more_than_sixteen_slots_route_to_pure(core,
+                                                               monkeypatch):
+    # fa_kf at d=9 has 18 slots: no mask table, so the binding hands the
+    # call to _pure without touching the library
+    geom = Geometry((2, 2, 2, 1, 1, 1, 1, 1, 1), torus=True)
+    t = tables_for(geom, make_family("fa_kf", d=9, k=2))
+    assert t.sat is None
+    monkeypatch.setattr(core, "_lib", None)
+    got = core.class_generator(t, 0.4)
+    assert got[0].size > 1
+    _same_arrays(got, _pure.class_generator(t, 0.4))
+
+
+def test_class_generator_arrays_outlive_the_call(core):
+    # the compiled arrays are the library's buffers, not copies: a view
+    # keeps its buffer alive after the arrays it came from are gone
+    t = tables_for(Geometry((3, 3), torus=True), make_family("fa_kf", d=2, k=2))
+    want = [a.copy() for a in _pure.class_generator(t, 0.3)]
+    views = [a[1:] for a in core.class_generator(t, 0.3)]
+    gc.collect()
+    churn = [core.class_generator(t, 0.7) for _ in range(3)]
+    assert [v.tobytes() for v in views] == [a[1:].tobytes() for a in want]
+    del churn
+
+
+def test_every_implementation_exposes_every_entry_point(core, monkeypatch):
+    impls = kernels.implementations()
+    assert set(impls) >= {"pure", "compiled"}
+    for impl in impls.values():
+        for name in _pure.ENTRY_POINTS:
+            assert callable(getattr(impl, name)), (impl.IMPL_NAME, name)
+    chosen = kernels.implementations()[kernels.IMPLEMENTATION]
+    for name in _pure.ENTRY_POINTS:
+        bound = getattr(kernels, name)
+        assert getattr(bound, "__func__", bound) is getattr(
+            getattr(chosen, name), "__func__", getattr(chosen, name))
+    # an implementation without one of them is refused, by name
+    monkeypatch.setattr(_compiled.Kernels, "class_generator", None)
+    with pytest.raises(AttributeError, match="class_generator"):
+        kernels.implementations()
 
 
 def _random_csr(seed, n, max_len):

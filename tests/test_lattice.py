@@ -190,6 +190,19 @@ def test_random_bits_budget_blocks():
     assert list(random_bits(g, 0.5, 1, 0)) == []
 
 
+def test_replica_count_ids_are_made_block_by_block():
+    # a count names ids 0..R-1 without allocating R of them at once: the
+    # first block of 2^64 - 1 replicas comes back at once, and a count
+    # past 2^64 ids is refused
+    g = Geometry((4, 4))
+    block, bits = next(random_bits(g, 0.5, 3, 2**64 - 1, rows=3))
+    assert block.tolist() == [0, 1, 2]
+    (_, want), = random_bits(g, 0.5, 3, [0, 1, 2])
+    assert bits.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="at most 2\\^64 replicas"):
+        next(random_bits(g, 0.5, 3, 2**64 + 1))
+
+
 def test_random_bits_ids_wrap():
     g = Geometry((4, 4))
     k = 12345

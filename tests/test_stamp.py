@@ -80,12 +80,14 @@ def test_binding_declares_every_entry_point_as_the_c_file_does(core):
         assert fn.restype == _c_type(ret), name
 
 
-def test_run_stats_mirrors_the_c_struct():
-    body = re.search(r"typedef struct \{([^}]*)\} kk_run_stats;",
+@pytest.mark.parametrize("struct,mirror", [
+    ("kk_run_stats", _compiled.RunStats), ("kk_class", _compiled.ClassCSR)])
+def test_binding_structs_mirror_the_c_structs(struct, mirror):
+    body = re.search(rf"typedef struct \{{([^}}]*)\}} {struct};",
                      SOURCE.read_text()).group(1)
-    fields = re.findall(r"^\s*(\w+) (\w+);", body, re.M)
-    assert [(name, _C_TYPES[typ]) for typ, name in fields] == \
-        _compiled.RunStats._fields_
+    fields = re.findall(r"^\s*(\w+) (\*?)(\w+);", body, re.M)
+    assert [(name, ctypes.c_void_p if star else _C_TYPES[typ])
+            for typ, star, name in fields] == mirror._fields_
 
 
 def test_library_from_another_source_is_refused(tmp_path):
