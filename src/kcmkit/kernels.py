@@ -21,10 +21,10 @@ configuration and its generator as canonical CSR arrays (kcmkit.spectral).
 
 The compiled closure, threshold, kcm_run and class_generator read a
 family's rules through one empty-slot bitmask per site (uint16) and its
-satisfiability table FamilyTables.sat. A family with more than 16 distinct offsets has no such
-table, and the compiled binding runs _pure's kernels for it. Of the CLI's
-families that is fa_kf from d=9 (2d offsets) and east from d=17 (d
-offsets); gg, north_east and unconstrained are never affected.
+satisfiability table FamilyTables.sat. A family with more than 16 distinct
+offsets has no such table, and the compiled binding runs _pure's kernels
+for it. Of the CLI's families that is fa_kf from d=9 (2d offsets) and east
+from d=17 (d offsets); gg, north_east and unconstrained are never affected.
 """
 
 from __future__ import annotations

@@ -80,14 +80,22 @@ def test_binding_declares_every_entry_point_as_the_c_file_does(core):
         assert fn.restype == _c_type(ret), name
 
 
-@pytest.mark.parametrize("struct,mirror", [
-    ("kk_run_stats", _compiled.RunStats), ("kk_class", _compiled.ClassCSR)])
-def test_binding_structs_mirror_the_c_structs(struct, mirror):
+def _c_fields(struct: str) -> list:
+    """(name, ctypes type) of each field of C struct `struct`: a pointer
+    field reads as c_void_p."""
     body = re.search(rf"typedef struct \{{([^}}]*)\}} {struct};",
                      SOURCE.read_text()).group(1)
-    fields = re.findall(r"^\s*(\w+) (\*?)(\w+);", body, re.M)
-    assert [(name, ctypes.c_void_p if star else _C_TYPES[typ])
-            for typ, star, name in fields] == mirror._fields_
+    return [(name, ctypes.c_void_p if star else _C_TYPES[typ])
+            for typ, star, name in re.findall(r"^\s*(\w+) (\*?)(\w+);",
+                                              body, re.M)]
+
+
+def test_run_stats_mirrors_the_c_struct():
+    assert _c_fields("kk_run_stats") == _compiled.RunStats._fields_
+
+
+def test_class_csr_mirrors_the_c_struct():
+    assert _c_fields("kk_class") == _compiled.ClassCSR._fields_
 
 
 def test_library_from_another_source_is_refused(tmp_path):

@@ -9,9 +9,9 @@ Each commit is exported with `git archive` into a fresh directory under
 measures exactly the committed files. For every workload, N pairs of
 untraced runs alternate the two commits (the parent first in the first,
 third, ... pair), at workload seeds --first-seed, --first-seed + 1, ...;
-without --parent the commit runs alone. Then one traced run per commit at seed 0 gives the
-exact counters, their digest and the parity line (pure and compiled CSVs
-compared).
+without --parent the commit runs alone. Then one traced run per commit at
+seed 0 gives the exact counters, their digest and the parity line (pure
+and compiled CSVs compared).
 
 The file holds the commit(s), the `env` facts of the commit's first run
 (kernel implementation included), and per workload and commit the median
