@@ -3,9 +3,10 @@
  * rows, spanning thresholds by incremental closure, event-driven KCM loop,
  * crossings, counter-based uniforms, a CSR matrix-vector product, and the
  * class of the all-empty state with its generator in canonical CSR form,
- * searched and assembled in one pass (with kk_free for the buffers it hands
- * out). The KCM loop computes the trajectory only, with no window
- * integrals; its vertex keys are those of the tables' geometry.
+ * searched and assembled in one pass. The KCM loop computes the trajectory
+ * and its event log, with no window integrals; its vertex keys are those of
+ * the tables' geometry. kk_free releases the buffers the class generator
+ * and the KCM loop hand out.
  *
  * Plain C99 over raw arrays, no Python API; kcmkit/_compiled.py binds it
  * with ctypes. The contract and the results are those of kcmkit/_pure.py
@@ -263,6 +264,41 @@ int kk_threshold(int64_t n, int64_t S, const int64_t *nbr, const int64_t *rev,
     return rc;
 }
 
+/* -------------------------------------------------------------- buffers */
+
+/* free(p), for buffers this library allocated and handed out. */
+int kk_free(void *p)
+{
+    free(p);
+    return 0;
+}
+
+/* Grows *buf, holding *cap items of `item` bytes, to at least `need`
+ * items by doubling; returns -1 when realloc fails (the old buffer stays
+ * valid and owned by the caller). */
+static int grow(void **buf, int64_t *cap, int64_t need, size_t item)
+{
+    if (need <= *cap)
+        return 0;
+    int64_t c = *cap;
+    while (c < need)
+        c *= 2;
+    void *p = realloc(*buf, (size_t)c * item);
+    if (!p)
+        return -1;
+    *buf = p;
+    *cap = c;
+    return 0;
+}
+
+/* Shrinks *buf to `bytes` > 0; a failed realloc keeps the larger one. */
+static void shrink(void **buf, size_t bytes)
+{
+    void *p = bytes ? realloc(*buf, bytes) : NULL;
+    if (p)
+        *buf = p;
+}
+
 /* ------------------------------------------------------- KCM event loop */
 
 /* Min-heap of pending rings ordered by (time, vertex); the vertex breaks
@@ -309,9 +345,10 @@ static void heap_pop(ring_t *h, int64_t *size)
 
 enum { KK_T_MAX = 0, KK_TARGET = 1, KK_MAX_EVENTS = 2 };
 
-/* Counters and first-passage times of one trajectory; mirrored by
- * kcmkit._compiled.RunStats. n_events counts every executed resample, also
- * those past the event buffer's capacity. */
+/* Counters, first-passage times and event log of one trajectory; mirrored
+ * by kcmkit._compiled.RunStats. The log is n_events executed resamples
+ * (time, vertex, new state) in three malloc'd buffers of exactly that
+ * length, which the caller releases with kk_free; NULL when not logged. */
 typedef struct {
     double t_end;
     double t_target_empty;
@@ -321,31 +358,38 @@ typedef struct {
     int64_t flips;
     int64_t n_events;
     int64_t status;
+    double *ev_t;
+    int32_t *ev_v;
+    uint8_t *ev_s;
 } kk_run_stats;
 
 /* Continuous-time constrained Glauber dynamics, next-reaction style.
  *
  * bits holds the n initial states and receives the final ones; vkeys
- * holds the n vertex keys of the counter-based clocks. The event log is
- * written to ev_t/ev_v/ev_s (or not at all when ev_t is NULL) up to ev_cap
- * entries; st->n_events says how many there were, so a caller whose buffer
- * was short can rerun with more.
+ * holds the n vertex keys of the counter-based clocks. With log_events,
+ * the event log grows by doubling and ends at its exact length in *st.
+ * Returns -1, with *st zeroed and nothing left allocated, when a buffer
+ * cannot be allocated.
  */
 int kk_kcm_run(int64_t n, int64_t S, const int64_t *nbr, const uint8_t *sat,
                int pad_empty, uint8_t *bits, const uint64_t *vkeys,
                uint64_t seed, uint64_t replica, double q, double t_max,
                int64_t target, int stop_when_target_empty, int64_t max_events,
-               double *ev_t, int32_t *ev_v, uint8_t *ev_s, int64_t ev_cap,
-               kk_run_stats *st)
+               int log_events, kk_run_stats *st)
 {
     const uint64_t STREAM_CLOCK = 1;
+    memset(st, 0, sizeof *st);
     uint8_t *em = malloc((size_t)n + 1);     /* 1 where a site is empty */
     uint64_t *ctr = malloc(((size_t)n + 1) * sizeof *ctr);
     ring_t *heap = malloc(((size_t)n + 1) * sizeof *heap);
-    if (!em || !ctr || !heap) {
-        free(em); free(ctr); free(heap);
-        return -1;
-    }
+    /* the log and the capacities of its three buffers */
+    int64_t cap[3] = {1024, 1024, 1024};
+    double *ev_t = log_events ? malloc((size_t)cap[0] * sizeof *ev_t) : NULL;
+    int32_t *ev_v = log_events ? malloc((size_t)cap[1] * sizeof *ev_v) : NULL;
+    uint8_t *ev_s = log_events ? malloc((size_t)cap[2]) : NULL;
+    int rc = -1;
+    if (!em || !ctr || !heap || (log_events && (!ev_t || !ev_v || !ev_s)))
+        goto done;
     uint64_t prefix = mix64(mix64(mix64(seed) ^ STREAM_CLOCK) ^ replica);
 
     em[n] = pad_empty ? 1 : 0;
@@ -377,13 +421,15 @@ int kk_kcm_run(int64_t n, int64_t S, const int64_t *nbr, const uint8_t *sat,
             if (x == target && t_target_legal < 0.0)
                 t_target_legal = t_now;
             uint8_t nv = u01(prefix, vkeys[x], ctr[x]++) < q ? 0 : 1;
-            if (ev_t) {
-                if (n_events < ev_cap) {
-                    ev_t[n_events] = t_now;
-                    ev_v[n_events] = (int32_t)x;
-                    ev_s[n_events] = nv;
-                }
-                n_events++;
+            if (log_events) {
+                int64_t k = n_events++;
+                if (grow((void **)&ev_t, &cap[0], k + 1, sizeof *ev_t) ||
+                    grow((void **)&ev_v, &cap[1], k + 1, sizeof *ev_v) ||
+                    grow((void **)&ev_s, &cap[2], k + 1, 1))
+                    goto done;
+                ev_t[k] = t_now;
+                ev_v[k] = (int32_t)x;
+                ev_s[k] = nv;
             }
             if ((nv == 0) != em[x]) {
                 flips++;
@@ -407,16 +453,19 @@ int kk_kcm_run(int64_t n, int64_t S, const int64_t *nbr, const uint8_t *sat,
 
     for (int64_t v = 0; v < n; v++)
         bits[v] = em[v] ? 0 : 1;
-    st->t_end = t_now;
-    st->t_target_empty = t_target_empty;
-    st->t_target_first_legal = t_target_legal;
-    st->rings = rings;
-    st->legal_updates = legal;
-    st->flips = flips;
-    st->n_events = n_events;
-    st->status = status;
+    /* down to the exact lengths; an empty log keeps its first buffers */
+    shrink((void **)&ev_t, (size_t)n_events * sizeof *ev_t);
+    shrink((void **)&ev_v, (size_t)n_events * sizeof *ev_v);
+    shrink((void **)&ev_s, (size_t)n_events);
+    *st = (kk_run_stats){t_now, t_target_empty, t_target_legal, rings, legal,
+                         flips, n_events, status, ev_t, ev_v, ev_s};
+    rc = 0;
+done:
     free(em); free(ctr); free(heap);
-    return 0;
+    if (rc) {
+        free(ev_t); free(ev_v); free(ev_s);
+    }
+    return rc;
 }
 
 /* ----------------------------------------------------------- csr matvec */
@@ -452,13 +501,6 @@ typedef struct {
     double *data;
 } kk_class;
 
-/* free(p), for buffers this library allocated and handed out. */
-int kk_free(void *p)
-{
-    free(p);
-    return 0;
-}
-
 /* Whether the flip of the site whose nbr row is `row` is legal: sat[] of
  * its empty slots, read from e, the empty bits of the state with bit n
  * for the pad. */
@@ -469,32 +511,6 @@ static inline int flip_legal(int64_t S, const int64_t *row,
     for (int64_t k = 0; k < S; k++)
         mask |= (unsigned)((e >> row[k]) & 1u) << k;
     return sat[mask];
-}
-
-/* Grows *buf, holding *cap items of `item` bytes, to at least `need`
- * items by doubling; returns -1 when realloc fails (the old buffer stays
- * valid and owned by the caller). */
-static int grow(void **buf, int64_t *cap, int64_t need, size_t item)
-{
-    if (need <= *cap)
-        return 0;
-    int64_t c = *cap;
-    while (c < need)
-        c *= 2;
-    void *p = realloc(*buf, (size_t)c * item);
-    if (!p)
-        return -1;
-    *buf = p;
-    *cap = c;
-    return 0;
-}
-
-/* Shrinks *buf to `bytes` > 0; a failed realloc keeps the larger one. */
-static void shrink(void **buf, size_t bytes)
-{
-    void *p = bytes ? realloc(*buf, bytes) : NULL;
-    if (p)
-        *buf = p;
 }
 
 /* The class of the all-empty bitmask under legal flips (a flip of v is

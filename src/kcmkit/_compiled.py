@@ -1,17 +1,19 @@
 """Compiled kernels: a ctypes binding of the C99 library built from _ckernels.c.
 
 Same contract as kcmkit._pure and the entry points in its ENTRY_POINTS,
-and the same results (bit-identical trajectories for the event loop,
-byte-identical uniforms and generators); the closure takes one row of bits
-or a block of rows in one C call, and class_generator searches the class
-and assembles its CSR in one, handing back the library's buffers with no
-copy. `python setup.py build_ext --inplace` puts the library next to this
-file. `open_kernels` raises LoadError, saying why, when the library is
-missing, cannot be loaded, or carries another source stamp than SOURCE_ID
-(the first 8 bytes of the SHA-256 of the _ckernels.c this binding was
-written for; setup.py stamps the library with the hash of the file it
-compiles). `load` returns None in those cases, and kcmkit.kernels then
-falls back to _pure.
+and the same results (bit-identical trajectories and event logs for the
+event loop, byte-identical uniforms and generators); the closure takes one
+row of bits or a block of rows in one C call. kcm_run's event log and
+class_generator's CSR come back in buffers the library allocated and grew,
+as arrays with no copy, which kk_free releases. SIGNATURES declares the
+argument types of every kk_* function.
+`python setup.py build_ext --inplace` puts the library next to this file.
+`open_kernels` raises LoadError, saying why, when the library is missing,
+cannot be loaded, or carries another source stamp than SOURCE_ID (the
+first 8 bytes of the SHA-256 of the _ckernels.c this binding was written
+for; setup.py stamps the library with the hash of the file it compiles).
+`load` returns None in those cases, and kcmkit.kernels then falls back to
+_pure.
 
 Arguments are checked and converted by _pure's *_args functions right
 before each C call, and a FamilyTables checks and freezes its layout when
@@ -19,8 +21,7 @@ it is built; only the mapping of C's error returns, and one cache of table
 addresses per FamilyTables, live here. A family with more than 16 slots
 has no mask table (FamilyTables.sat is None), so its closure, threshold,
 kcm_run and class_generator calls go to the _pure kernels. kcm_run hands
-C the vertex keys of t.geom and gets back the trajectory only: no window
-integrals.
+C the vertex keys of t.geom and computes no window integrals.
 """
 
 from __future__ import annotations
@@ -39,23 +40,23 @@ IMPL_NAME = "compiled"
 LIBRARY = "_ckernels"
 # kk_source_id() of a library built from the shipped _ckernels.c; a test
 # keeps it equal to the first 8 bytes of that file's SHA-256
-SOURCE_ID = 0xa108af927c2a4840
+SOURCE_ID = 0x42929ada59b084ce
 
 _STATUS = ("t_max", "target", "max_events")   # indexed by the KK_* codes
-# initial event-log capacity; a longer log costs one deterministic rerun
-_EVENT_CAP = 1 << 20
 
 _i64, _u64, _dbl = ctypes.c_int64, ctypes.c_uint64, ctypes.c_double
-_ptr = ctypes.c_void_p
+_int, _ptr = ctypes.c_int, ctypes.c_void_p
 
 
 class RunStats(ctypes.Structure):
-    """Mirror of kk_run_stats in _ckernels.c."""
+    """Mirror of kk_run_stats in _ckernels.c: counters, and three event-log
+    buffers the library allocates, each released by kk_free."""
 
     _fields_ = [("t_end", _dbl), ("t_target_empty", _dbl),
                 ("t_target_first_legal", _dbl), ("rings", _i64),
                 ("legal_updates", _i64), ("flips", _i64),
-                ("n_events", _i64), ("status", _i64)]
+                ("n_events", _i64), ("status", _i64), ("ev_t", _ptr),
+                ("ev_v", _ptr), ("ev_s", _ptr)]
 
 
 class ClassCSR(ctypes.Structure):
@@ -64,6 +65,22 @@ class ClassCSR(ctypes.Structure):
 
     _fields_ = [("size", _i64), ("nnz", _i64), ("states", _ptr),
                 ("indptr", _ptr), ("indices", _ptr), ("data", _ptr)]
+
+
+_TABLE = [_i64, _i64, _ptr, _ptr, _ptr, _int]   # Kernels._table_args
+# argtypes of every kk_* function but kk_source_id, each returning a C int
+SIGNATURES = {
+    "kk_closure": _TABLE + [_i64] + [_ptr] * 4,
+    "kk_threshold": _TABLE + [_i64, _ptr, _ptr],
+    "kk_kcm_run": [_i64, _i64, _ptr, _ptr, _int, _ptr, _ptr, _u64, _u64,
+                   _dbl, _dbl, _i64, _int, _i64, _int,
+                   ctypes.POINTER(RunStats)],
+    "kk_crossing_batch": [_i64, _i64, _i64, _ptr, _int, _ptr],
+    "kk_uniforms": [_u64, _i64, _ptr, _i64, _ptr, _u64, _ptr],
+    "kk_csr_matvec": [_i64] + [_ptr] * 5,
+    "kk_class_generator": [_i64, _i64, _ptr, _ptr, _int, _dbl, _ptr],
+    "kk_free": [_ptr],
+}
 
 
 def _addr(a: np.ndarray | None):
@@ -110,24 +127,9 @@ class Kernels:
             raise LoadError(f"{path} was built from another _ckernels.c "
                             f"(stamp {got:#018x}, expected "
                             f"{SOURCE_ID:#018x}); {_REBUILD}")
-        head = [_i64, _i64, _ptr, _ptr, _ptr, ctypes.c_int]   # _table_args
-        lib.kk_closure.argtypes = head + [_i64] + [_ptr] * 4
-        lib.kk_threshold.argtypes = head + [_i64, _ptr, _ptr]
-        lib.kk_kcm_run.argtypes = [
-            _i64, _i64, _ptr, _ptr, ctypes.c_int, _ptr, _ptr, _u64, _u64,
-            _dbl, _dbl, _i64, ctypes.c_int, _i64, _ptr, _ptr, _ptr, _i64,
-            ctypes.POINTER(RunStats)]
-        lib.kk_crossing_batch.argtypes = [_i64, _i64, _i64, _ptr,
-                                          ctypes.c_int, _ptr]
-        lib.kk_uniforms.argtypes = [_u64, _i64, _ptr, _i64, _ptr, _u64, _ptr]
-        lib.kk_csr_matvec.argtypes = [_i64] + [_ptr] * 5
-        lib.kk_class_generator.argtypes = [_i64, _i64, _ptr, _ptr,
-                                           ctypes.c_int, _dbl, _ptr]
-        lib.kk_free.argtypes = [_ptr]
-        for fn in (lib.kk_closure, lib.kk_threshold, lib.kk_kcm_run,
-                   lib.kk_crossing_batch, lib.kk_uniforms, lib.kk_csr_matvec,
-                   lib.kk_class_generator, lib.kk_free):
-            fn.restype = ctypes.c_int
+        for name, argtypes in SIGNATURES.items():
+            fn = getattr(lib, name)
+            fn.argtypes, fn.restype = argtypes, _int
         self._lib = lib
         self._tables = weakref.WeakKeyDictionary()
 
@@ -187,27 +189,18 @@ class Kernels:
         b, seed, replica, q, t_max, target, stop, me = _pure.kcm_run_args(
             bits, n, seed, replica, q, t_max, target, stop_when_target_empty,
             max_events)
-        cap = 0
-        if log_events:
-            # rings arrive at rate 1 per site, so this usually holds the log
-            cap = int(min(me, _EVENT_CAP, 1.25 * n * max(t_max, 0.0) + 64))
-        vk = _addr(t.geom.vertex_keys())
-        while True:
-            ev = (np.empty(cap), np.empty(cap, dtype=np.int32),
-                  np.empty(cap, dtype=np.uint8)) if log_events else (None,) * 3
-            out = b.copy()
-            st = RunStats()
-            self._check(self._lib.kk_kcm_run(
-                n, S, nbr, sat, pad_empty, _addr(out), vk, seed, replica, q,
-                t_max, target, stop, me, *map(_addr, ev), cap,
-                ctypes.byref(st)))
-            if st.n_events <= cap:
-                break
-            cap = st.n_events
+        out = b.copy()
+        st = RunStats()
+        self._check(self._lib.kk_kcm_run(
+            n, S, nbr, sat, pad_empty, _addr(out),
+            _addr(t.geom.vertex_keys()), seed, replica, q, t_max, target,
+            stop, me, bool(log_events), ctypes.byref(st)))
         events = None
         if log_events:
             k = st.n_events
-            events = ev if k == cap else tuple(a[:k].copy() for a in ev)
+            events = (self._adopted(st.ev_t, _dbl, k),
+                      self._adopted(st.ev_v, ctypes.c_int32, k),
+                      self._adopted(st.ev_s, ctypes.c_uint8, k))
         return {
             "bits": out,
             "t_end": st.t_end,

@@ -208,6 +208,9 @@ _DEFAULT_RUNS = {
 }
 _EVENT_LOG_DIGEST = (
     "a25b904d44f713920657e03ae83351ddc50455ba65370ea4ec4b88f2332e1ddf")
+# 11,849 records in one run: the compiled log doubles four times
+_LONG_EVENT_LOG_DIGEST = (
+    "8c45bfcb05d938da952ce6882be4d5b663a7463167cc93753bb06b20d7f5f154")
 
 
 def test_default_runs_are_pinned(capsys):
@@ -226,6 +229,17 @@ def test_event_log_bytes_are_pinned(tmp_path):
     blob = events.read_bytes()
     assert len(blob) == 17 * 13
     assert hashlib.sha256(blob).hexdigest() == _EVENT_LOG_DIGEST
+
+
+def test_long_event_log_bytes_are_pinned(tmp_path):
+    events = tmp_path / "run.events"
+    rc, _ = run(tmp_path, "sim", "--model", "fa1", "--d", "2", "--n", "8",
+                "--q", "0.5", "--tmax", "200", "--replicas", "1", "--seed",
+                "4", "--events", str(events))
+    assert rc == 0
+    blob = events.read_bytes()
+    assert len(blob) == 11849 * 13
+    assert hashlib.sha256(blob).hexdigest() == _LONG_EVENT_LOG_DIGEST
 
 
 def test_only_gap_imports_scipy():

@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcmkit import _compiled, _pure, cli, kernels, rng
 from kcmkit.families import (FamilyTables, build_tables, make_family,
@@ -478,18 +480,74 @@ def test_kcm_run_parity_bool_and_strided_bits(core):
     assert np.array_equal(wide, before)
 
 
-def test_kcm_run_event_log_longer_than_first_buffer(core, monkeypatch):
-    # the binding sizes its first event buffer from the expected ring count
-    # and reruns once with the exact size when the log outgrows it
-    monkeypatch.setattr(_compiled, "_EVENT_CAP", 100)
-    fam = make_family("unconstrained", d=1)
-    geom = Geometry((40,), torus=True)
-    t = tables_for(geom, fam)
-    bits = np.ones(40, dtype=np.uint8)
-    a = core.kcm_run(bits, t, 9, 0, 0.9, 30.0, log_events=True)
-    b = _pure.kcm_run(bits, t, 9, 0, 0.9, 30.0, log_events=True)
-    assert a["events"][0].size > 100
+def test_kcm_run_event_log_grows_in_the_library(core):
+    # the C loop starts its log at 1024 records and doubles it as it runs
+    ring = tables_for(Geometry((40,), torus=True),
+                      make_family("unconstrained", d=1))
+    full = np.ones(40, dtype=np.uint8)
+    runs = [
+        # past three doublings
+        ((full, ring, 9, 0, 0.9, 200.0), {}, "t_max", 4 * 1024),
+        # stopped by the cap and by the target while the log grows
+        ((full, ring, 9, 0, 0.9, 200.0), {"max_events": 3000}, "max_events",
+         1024),
+        ((full, ring, 0, 0, 0.01, 1e3), {"target": 7,
+                                         "stop_when_target_empty": True},
+         "target", 4 * 1024),
+        # no legal ring: three empty logs
+        ((full[:12], tables_for(Geometry((12,), torus=True),
+                                make_family("east", d=1)), 1, 0, 0.5, 5.0),
+         {}, "t_max", -1),
+    ]
+    for args, kw, status, longer in runs:
+        a = core.kcm_run(*args, log_events=True, **kw)
+        _assert_same_run(a, _pure.kcm_run(*args, log_events=True, **kw))
+        assert a["status"] == status
+        assert a["events"][0].size > longer
+    assert a["rings"] > 0 and a["events"][0].size == 0
+    assert [e.dtype for e in a["events"]] == [np.float64, np.int32, np.uint8]
+
+
+_GEOMETRIES = {"torus": {"torus": True}, "free": {},
+               "empty outside": {"outside_empty": True}}
+
+
+@st.composite
+def _kcm_cases(draw):
+    """A kcm_run call over a small box: its bits, tables and arguments."""
+    dims = tuple(draw(st.lists(st.integers(1, 7), min_size=1, max_size=2)))
+    d = len(dims)
+    geom = Geometry(dims, **_GEOMETRIES[draw(st.sampled_from(
+        sorted(_GEOMETRIES)))])
+    model = draw(st.sampled_from(["unconstrained", "east", "fa_kf",
+                                  "custom"]))
+    if model == "fa_kf":
+        fam = make_family(model, d=d, k=draw(st.integers(1, 2 * d)))
+    elif model == "custom":
+        fam = make_family(model, d=d, rules=[[(1,) * d], []])
+    else:
+        fam = make_family(model, d=d)
+    n = geom.n_sites
+    bits = np.array(draw(st.lists(st.integers(0, 1), min_size=n,
+                                  max_size=n)), dtype=np.uint8)
+    kw = {"target": draw(st.integers(-1, n - 1)),
+          "stop_when_target_empty": draw(st.booleans()),
+          "max_events": draw(st.none() | st.integers(0, 2000))}
+    args = (bits, tables_for(geom, fam), draw(st.integers(0, 2**64 - 1)),
+            draw(st.integers(0, 2**64 - 1)), draw(st.floats(0.05, 0.95)),
+            draw(st.floats(0.0, 40.0)))
+    return args, kw
+
+
+@settings(max_examples=100, deadline=None)
+@given(_kcm_cases())
+def test_kcm_run_logged_parity_fuzzed(core, case):
+    args, kw = case
+    a = core.kcm_run(*args, log_events=True, **kw)
+    b = _pure.kcm_run(*args, log_events=True, **kw)
     _assert_same_run(a, b)
+    for u, v in zip((a["bits"], *a["events"]), (b["bits"], *b["events"])):
+        assert u.tobytes() == v.tobytes()
 
 
 def test_kcm_run_parity_stop_and_cap(core):

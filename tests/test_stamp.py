@@ -71,13 +71,14 @@ def test_binding_declares_every_entry_point_as_the_c_file_does(core):
                      else [p.strip() for p in params.split(",")])
               for ret, name, params in re.findall(
                   r"^(\w+) (kk_\w+)\(([^)]*)\)\s*\{", text, re.M)}
-    lib = core._lib
-    assert set(protos) == {k for k in vars(lib) if k.startswith("kk_")}
+    assert protos.pop("kk_source_id") == ("uint64_t", [])
+    assert set(protos) == set(_compiled.SIGNATURES)
     for name, (ret, params) in protos.items():
-        fn = getattr(lib, name)
-        assert len(fn.argtypes) == len(params), name
-        assert list(fn.argtypes) == [_c_type(p) for p in params], name
-        assert fn.restype == _c_type(ret), name
+        argtypes = _compiled.SIGNATURES[name]
+        assert argtypes == [_c_type(p) for p in params], name
+        assert _c_type(ret) == ctypes.c_int, name
+        fn = getattr(core._lib, name)
+        assert list(fn.argtypes) == argtypes and fn.restype == ctypes.c_int
 
 
 def _c_fields(struct: str) -> list:
