@@ -67,18 +67,17 @@ static inline double u01(uint64_t prefix, uint64_t vkey, uint64_t counter)
     return ((double)(h >> 11) + 0.5) * 0x1p-53;
 }
 
-/* out[r*N + i] = u01(mix64(head ^ replicas[r]), vkeys[i], counter) for R
+/* out[r*N + i] = u01(mix64(head ^ replicas[r]), vkeys[i], 0) for R
  * replicas over N vertex keys, with head = mix64(mix64(seed) ^ stream): the
- * (R, N) uniforms of kcmkit.rng in one pass. */
+ * (R, N) counter-0 uniforms of kcmkit.rng in one pass. */
 int kk_uniforms(uint64_t head, int64_t R, const uint64_t *replicas,
-                int64_t N, const uint64_t *vkeys, uint64_t counter,
-                double *out)
+                int64_t N, const uint64_t *vkeys, double *out)
 {
     for (int64_t r = 0; r < R; r++) {
         uint64_t hr = mix64(head ^ replicas[r]);
         double *row = out + r * N;
         for (int64_t i = 0; i < N; i++)
-            row[i] = u01(hr, vkeys[i], counter);
+            row[i] = u01(hr, vkeys[i], 0);
     }
     return 0;
 }
@@ -343,7 +342,7 @@ static void heap_pop(ring_t *h, int64_t *size)
     }
 }
 
-enum { KK_T_MAX = 0, KK_TARGET = 1, KK_MAX_EVENTS = 2 };
+enum { KK_T_MAX = 0, KK_TARGET = 1 };
 
 /* Counters, first-passage times and event log of one trajectory; mirrored
  * by kcmkit._compiled.RunStats. The log is n_events executed resamples
@@ -366,16 +365,18 @@ typedef struct {
 /* Continuous-time constrained Glauber dynamics, next-reaction style.
  *
  * bits holds the n initial states and receives the final ones; vkeys
- * holds the n vertex keys of the counter-based clocks. With log_events,
- * the event log grows by doubling and ends at its exact length in *st.
+ * holds the n vertex keys of the counter-based clocks. The run ends at
+ * t_max (status KK_T_MAX) or, with stop_when_target_empty, when target
+ * first empties (KK_TARGET). With log_events, the event log grows by
+ * doubling and ends at its exact length in *st.
  * Returns -1, with *st zeroed and nothing left allocated, when a buffer
  * cannot be allocated.
  */
 int kk_kcm_run(int64_t n, int64_t S, const int64_t *nbr, const uint8_t *sat,
                int pad_empty, uint8_t *bits, const uint64_t *vkeys,
                uint64_t seed, uint64_t replica, double q, double t_max,
-               int64_t target, int stop_when_target_empty, int64_t max_events,
-               int log_events, kk_run_stats *st)
+               int64_t target, int stop_when_target_empty, int log_events,
+               kk_run_stats *st)
 {
     const uint64_t STREAM_CLOCK = 1;
     memset(st, 0, sizeof *st);
@@ -445,10 +446,6 @@ int kk_kcm_run(int64_t n, int64_t S, const int64_t *nbr, const uint8_t *sat,
         }
         ring_t r = {t_now - log(u01(prefix, vkeys[x], ctr[x]++)), x};
         heap_push(heap, &hsize, r);
-        if (rings >= max_events) {
-            status = KK_MAX_EVENTS;
-            break;
-        }
     }
 
     for (int64_t v = 0; v < n; v++)

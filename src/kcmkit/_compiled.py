@@ -40,9 +40,9 @@ IMPL_NAME = "compiled"
 LIBRARY = "_ckernels"
 # kk_source_id() of a library built from the shipped _ckernels.c; a test
 # keeps it equal to the first 8 bytes of that file's SHA-256
-SOURCE_ID = 0x42929ada59b084ce
+SOURCE_ID = 0x48c97bcbe74704c1
 
-_STATUS = ("t_max", "target", "max_events")   # indexed by the KK_* codes
+_STATUS = ("t_max", "target")   # indexed by the KK_* codes
 
 _i64, _u64, _dbl = ctypes.c_int64, ctypes.c_uint64, ctypes.c_double
 _int, _ptr = ctypes.c_int, ctypes.c_void_p
@@ -73,10 +73,9 @@ SIGNATURES = {
     "kk_closure": _TABLE + [_i64] + [_ptr] * 4,
     "kk_threshold": _TABLE + [_i64, _ptr, _ptr],
     "kk_kcm_run": [_i64, _i64, _ptr, _ptr, _int, _ptr, _ptr, _u64, _u64,
-                   _dbl, _dbl, _i64, _int, _i64, _int,
-                   ctypes.POINTER(RunStats)],
+                   _dbl, _dbl, _i64, _int, _int, ctypes.POINTER(RunStats)],
     "kk_crossing_batch": [_i64, _i64, _i64, _ptr, _int, _ptr],
-    "kk_uniforms": [_u64, _i64, _ptr, _i64, _ptr, _u64, _ptr],
+    "kk_uniforms": [_u64, _i64, _ptr, _i64, _ptr, _ptr],
     "kk_csr_matvec": [_i64] + [_ptr] * 5,
     "kk_class_generator": [_i64, _i64, _ptr, _ptr, _int, _dbl, _ptr],
     "kk_free": [_ptr],
@@ -178,23 +177,20 @@ class Kernels:
         return out
 
     def kcm_run(self, bits, t: FamilyTables, seed, replica, q, t_max,
-                target=-1, stop_when_target_empty=False, log_events=False,
-                max_events=None):
+                target=-1, stop_when_target_empty=False, log_events=False):
         """Continuous-time constrained dynamics; mirrors kcmkit._pure.kcm_run."""
         if t.sat is None:
             return _pure.kcm_run(bits, t, seed, replica, q, t_max, target,
-                                 stop_when_target_empty, log_events,
-                                 max_events)
+                                 stop_when_target_empty, log_events)
         n, S, nbr, _, sat, pad_empty = self._table_args(t)
-        b, seed, replica, q, t_max, target, stop, me = _pure.kcm_run_args(
-            bits, n, seed, replica, q, t_max, target, stop_when_target_empty,
-            max_events)
+        b, seed, replica, q, t_max, target, stop = _pure.kcm_run_args(
+            bits, n, seed, replica, q, t_max, target, stop_when_target_empty)
         out = b.copy()
         st = RunStats()
         self._check(self._lib.kk_kcm_run(
             n, S, nbr, sat, pad_empty, _addr(out),
             _addr(t.geom.vertex_keys()), seed, replica, q, t_max, target,
-            stop, me, bool(log_events), ctypes.byref(st)))
+            stop, bool(log_events), ctypes.byref(st)))
         events = None
         if log_events:
             k = st.n_events
@@ -213,14 +209,12 @@ class Kernels:
             "status": _STATUS[st.status],
         }
 
-    def uniforms(self, head, replicas, vkeys, counter) -> np.ndarray:
-        """(R, N) counter-based uniforms; mirrors kcmkit._pure.uniforms."""
-        head, reps, vk, counter = _pure.uniforms_args(head, replicas, vkeys,
-                                                      counter)
+    def uniforms(self, head, replicas, vkeys) -> np.ndarray:
+        """(R, N) counter-0 uniforms; mirrors kcmkit._pure.uniforms."""
+        head, reps, vk = _pure.uniforms_args(head, replicas, vkeys)
         out = np.empty((reps.size, vk.size))
         self._check(self._lib.kk_uniforms(
-            head, reps.size, _addr(reps), vk.size, _addr(vk), counter,
-            _addr(out)))
+            head, reps.size, _addr(reps), vk.size, _addr(vk), _addr(out)))
         return out
 
     def csr_operator(self, indptr, indices, data):

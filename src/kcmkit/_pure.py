@@ -1,8 +1,8 @@
 """Fallback kernels, the executable spec of the entry points named in
 ENTRY_POINTS: numpy-vectorized closure (a block of rows is closed row by
 row), spanning thresholds by bisection on closures, heapq event loop,
-crossings, uniforms, a CSR matrix-vector product, and the class of the
-all-empty configuration with its generator in canonical CSR form.
+crossings, counter-0 uniforms, a CSR matrix-vector product, and the class
+of the all-empty configuration with its generator in canonical CSR form.
 
 Functionally identical to the compiled kernels in kcmkit._compiled;
 kernels.py picks one at import time. Keep the two in lockstep: the test
@@ -69,22 +69,16 @@ def threshold_args(order, n: int) -> np.ndarray:
 
 
 def kcm_run_args(bits, n: int, seed, replica, q, t_max, target,
-                 stop_when_target_empty, max_events):
-    """kcm_run's arguments, C-typed; target -1 is none, max_events None 2^62."""
+                 stop_when_target_empty):
+    """kcm_run's arguments, C-typed; target -1 is none."""
     b = _bits(bits, n)
     tgt = -1 if as_int(target, "target") == -1 else as_site(target, n, "target")
     t_max = float(t_max)
     if not math.isfinite(t_max):
         raise ValueError(f"t_max must be finite, got {t_max}")
-    cap = 1 << 62
-    if max_events is not None:
-        # a cap above 2^62 rings is no cap, and fits the C int64
-        cap = min(as_int(max_events, "max_events"), cap)
-        if cap < 0:
-            raise ValueError(f"max_events must be >= 0, got {cap}")
     return (b, as_int(seed, "seed") & rng.MASK64,
             as_int(replica, "replica") & rng.MASK64, float(q), t_max,
-            tgt, bool(stop_when_target_empty), cap)
+            tgt, bool(stop_when_target_empty))
 
 
 def crossing_args(empty_grids, axis):
@@ -98,14 +92,13 @@ def crossing_args(empty_grids, axis):
     return g, axis
 
 
-def uniforms_args(head, replicas, vkeys, counter):
-    """head, replica ids, vkeys and counter, C-typed."""
+def uniforms_args(head, replicas, vkeys):
+    """head, replica ids and vkeys, C-typed."""
     reps = np.ascontiguousarray(rng.replica_ids(replicas))
     vk = np.ascontiguousarray(np.asarray(vkeys).astype(np.uint64, copy=False))
     if reps.ndim != 1 or vk.ndim != 1:
         raise ValueError("replicas and vkeys must be 1-D")
-    return (as_int(head, "head") & rng.MASK64, reps, vk,
-            as_int(counter, "counter") & rng.MASK64)
+    return as_int(head, "head") & rng.MASK64, reps, vk
 
 
 def csr_args(indptr, indices, data):
@@ -127,7 +120,12 @@ def csr_args(indptr, indices, data):
     ptr = as_sites(ptr, nnz + 1, "indptr")
     if ptr[0] != 0 or ptr[-1] != nnz or (np.diff(ptr) < 0).any():
         raise ValueError(f"indptr must rise from 0 to nnz = {nnz}")
-    out = (ptr.astype(np.int32), as_sites(cols, n, "indices").astype(np.int32),
+    # checked in their own dtype, so the int32 copy below is the only one
+    if cols.size and cols.dtype.kind not in "iu":
+        raise ValueError(f"indices has dtype {cols.dtype}, expected integers")
+    if cols.size and (cols.min() < 0 or cols.max() >= n):
+        raise ValueError(f"indices holds a site outside the {n} sites")
+    out = (ptr.astype(np.int32), cols.astype(np.int32),
            vals.astype(np.float64))
     for a in out:
         a.flags.writeable = False
@@ -160,16 +158,15 @@ def class_generator_args(t: FamilyTables, q) -> float:
 
 # ------------------------------------------------------------------ uniforms
 
-def uniforms(head: int, replicas, vkeys: np.ndarray,
-             counter: int) -> np.ndarray:
-    """(R, N) counter-based uniforms: row r, column i is
-    rng.uniform(seed, stream, replica_r, vkeys[i], counter), given
-    head = mix64(mix64(seed) ^ stream). `replicas` is either an int R
-    (ids 0..R-1) or a 1-D sequence of replica ids, read by rng.replica_ids."""
-    head, reps, vk, counter = uniforms_args(head, replicas, vkeys, counter)
+def uniforms(head: int, replicas, vkeys: np.ndarray) -> np.ndarray:
+    """(R, N) counter-based uniforms at counter 0: row r, column i is
+    rng.uniform(seed, stream, replicas[r], vkeys[i], 0), given
+    head = mix64(mix64(seed) ^ stream). `replicas` is a 1-D sequence of
+    replica ids, read by rng.replica_ids."""
+    head, reps, vk = uniforms_args(head, replicas, vkeys)
     hr = rng._mix64_np(np.uint64(head) ^ reps)                    # (R,)
     hm = rng._mix64_np(hr[:, None] ^ vk[None, :])                 # (R, N)
-    hm = rng._mix64_np(hm ^ np.uint64(counter))
+    hm = rng._mix64_np(hm)                                        # ^ counter 0
     return ((hm >> np.uint64(11)).astype(np.float64) + 0.5) * rng.TO_UNIT
 
 
@@ -261,8 +258,7 @@ def threshold(order: np.ndarray, t: FamilyTables) -> np.ndarray:
 
 def kcm_run(bits: np.ndarray, t: FamilyTables, seed: int, replica: int,
             q: float, t_max: float, target: int = -1,
-            stop_when_target_empty: bool = False, log_events: bool = False,
-            max_events: int | None = None):
+            stop_when_target_empty: bool = False, log_events: bool = False):
     """Continuous-time constrained Glauber dynamics, next-reaction style.
 
     Every site carries a rate-1 Poisson clock; at a ring the constraint is
@@ -270,15 +266,16 @@ def kcm_run(bits: np.ndarray, t: FamilyTables, seed: int, replica: int,
     resampled to empty with probability q (coin drawn only when legal). All
     randomness is counter-based per site, keyed on t.geom's vertex keys, so
     trajectories are reproducible and implementation-independent. The run
-    stops after `max_events` rings; None means no cap.
+    ends at t_max (status "t_max") or, with stop_when_target_empty, when
+    `target` first empties (status "target").
 
     Returns a dict with the final bits, counters, first-passage times for
-    `target` (-1.0 when not hit) and the event log when requested.
+    `target` (-1.0 when not hit), the event log when requested and the
+    status.
     """
     n = t.n_sites
-    bits, seed, replica, q, t_max, target, stop, cap = kcm_run_args(
-        bits, n, seed, replica, q, t_max, target, stop_when_target_empty,
-        max_events)
+    bits, seed, replica, q, t_max, target, stop = kcm_run_args(
+        bits, n, seed, replica, q, t_max, target, stop_when_target_empty)
     bl = bits.tolist() + [0 if t.pad_empty else 1]
     nbr_rows = t.nbr.tolist()
     slot_lists = [slots.tolist() for slots in t.rules]
@@ -338,9 +335,6 @@ def kcm_run(bits: np.ndarray, t: FamilyTables, seed: int, replica: int,
         u3 = rng.uniform(seed, rng.STREAM_CLOCK, replica, vk[x], ctr[x])
         ctr[x] += 1
         heapq.heappush(heap, (t_now - math.log(u3), x))
-        if rings >= cap:
-            status = "max_events"
-            break
 
     out = np.asarray(bl[:n], dtype=np.uint8)
     return {

@@ -62,41 +62,26 @@ class SimResult:
     rings: int
     legal_updates: int
     flips: int
-    t_target_empty: float | None
-    t_target_first_legal: float | None
     events: tuple[np.ndarray, np.ndarray, np.ndarray] | None
     status: str
 
 
 def simulate_kcm(params: KcmParams, initial: Configuration,
-                 replica: int = 0, target=None,
-                 stop_when_target_empty: bool = False,
-                 log_events: bool = False,
-                 max_events: int | None = None) -> SimResult:
-    """One exact trajectory up to t_max (or a stop condition).
-
-    `target` is a vertex whose first-empty and first-legal-update times are
-    recorded; `log_events` captures every executed resample as
-    (time, vertex, new value).
-    """
+                 replica: int = 0, log_events: bool = False) -> SimResult:
+    """One exact trajectory up to t_max; `log_events` captures every
+    executed resample as (time, vertex, new value)."""
     geom = params.geometry
     if initial.geom != geom:
         raise ValueError("initial configuration does not match geometry")
-    t = tables_for(geom, params.fam)
-    tgt = -1 if target is None else geom.site(target, "target")
     out = kernels.kcm_run(
-        initial.bits, t, params.seed, replica, params.q, params.t_max,
-        target=tgt, stop_when_target_empty=stop_when_target_empty,
-        log_events=log_events, max_events=max_events)
+        initial.bits, tables_for(geom, params.fam), params.seed, replica,
+        params.q, params.t_max, log_events=log_events)
     return SimResult(
         final=Configuration(geom, out["bits"]),
         t_end=out["t_end"],
         rings=out["rings"],
         legal_updates=out["legal_updates"],
         flips=out["flips"],
-        t_target_empty=None if out["t_target_empty"] < 0 else out["t_target_empty"],
-        t_target_first_legal=(None if out["t_target_first_legal"] < 0
-                              else out["t_target_first_legal"]),
         events=out["events"],
         status=out["status"],
     )

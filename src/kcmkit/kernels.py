@@ -15,9 +15,11 @@ returns out and rounds of the same shape. Their argument checks live in
 kcmkit._pure, which both call; a FamilyTables checks its own layout when
 it is built, and csr_operator checks its matrix once. kcm_run computes the
 trajectory only, with no window integrals (kcmkit.kcm takes those from the
-event log), and keys its clocks on the tables' geometry,
-t.geom.vertex_keys(). class_generator returns the class of the all-empty
-configuration and its generator as canonical CSR arrays (kcmkit.spectral).
+event log), keys its clocks on the tables' geometry, t.geom.vertex_keys(),
+and runs to t_max or stops when its target first empties. uniforms draws
+the counter-0 uniforms of a batch of replica ids. class_generator returns
+the class of the all-empty configuration and its generator as canonical
+CSR arrays (kcmkit.spectral).
 
 The compiled closure, threshold, kcm_run and class_generator read a
 family's rules through one empty-slot bitmask per site (uint16) and its

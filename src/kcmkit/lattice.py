@@ -87,20 +87,9 @@ class Geometry:
         return keys
 
     def vertex_keys(self) -> np.ndarray:
-        """Coordinate-hash keys for every site (see rng.vertex_key), computed
-        once per geometry and read-only."""
+        """Coordinate-hash keys for every site (see rng.vertex_keys_np),
+        computed once per geometry and read-only."""
         return self._vertex_keys
-
-    def shift_flat(self, flat: int, offset: Sequence[int]) -> int:
-        """Flat index of site + offset, or -1 if it leaves a free box."""
-        c = list(self.coords(flat))
-        for a, u in enumerate(offset):
-            c[a] += int(u)
-            if self.torus:
-                c[a] %= self.dims[a]
-            elif not 0 <= c[a] < self.dims[a]:
-                return -1
-        return self.flat(c)
 
     def neighbor_table(self, offsets: np.ndarray) -> np.ndarray:
         """(N, S) table of flat indices of site + offset_s.
@@ -129,23 +118,6 @@ class Geometry:
 
 # one Geometry per shape, so its vertex keys are hashed once
 _cached_geometry = lru_cache(maxsize=64)(Geometry)
-
-
-def neighbors(geom: Geometry, x) -> list[tuple[int, ...]]:
-    """The <= 2d distinct l1-neighbors of x (wrapped on a torus, clipped on a
-    free box)."""
-    flat = geom.site(x)
-    out = []
-    for a in range(geom.d):
-        for s in (+1, -1):
-            off = [0] * geom.d
-            off[a] = s
-            w = geom.shift_flat(flat, off)
-            if w >= 0:
-                c = geom.coords(w)
-                if c not in out:
-                    out.append(c)
-    return out
 
 
 def random_uniforms(geom: Geometry, seed: int, replicas,

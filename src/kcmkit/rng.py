@@ -13,8 +13,8 @@ log() is always safe.
 The one batch function, uniforms_replicas_np, hashes the (seed, stream)
 head here and leaves the per-site work to the `uniforms` kernel: one pass of
 the C library when it is built, the NumPy spec in kcmkit._pure otherwise.
-The bytes are the same either way. Product-measure configurations are drawn
-from it by lattice.random_bits.
+The bytes are the same either way. It draws at counter 0, for replica ids;
+lattice.random_bits draws product-measure configurations from it.
 """
 
 from __future__ import annotations
@@ -68,14 +68,6 @@ def uniform(seed: int, stream: int, replica: int, vkey: int, counter: int) -> fl
     return ((hash_key(seed, stream, replica, vkey, counter) >> 11) + 0.5) * TO_UNIT
 
 
-def vertex_key(coords) -> int:
-    """Size-independent key for a site, hashed from its coordinate tuple."""
-    h = mix64(_COORD_SALT)
-    for c in coords:
-        h = mix64(h ^ (int(c) & MASK64))
-    return h
-
-
 # ---------------------------------------------------------------- numpy batch
 
 def _mix64_np(z: np.ndarray) -> np.ndarray:
@@ -86,7 +78,7 @@ def _mix64_np(z: np.ndarray) -> np.ndarray:
 
 
 def vertex_keys_np(coord_cols) -> np.ndarray:
-    """Vectorized vertex_key over N sites given per-axis coordinate columns."""
+    """Size-independent keys of N sites, hashed from coordinate columns."""
     h = _mix64_np(np.full(len(coord_cols[0]), _COORD_SALT, dtype=np.uint64))
     for col in coord_cols:
         h = _mix64_np(h ^ col.astype(np.uint64))
@@ -94,24 +86,22 @@ def vertex_keys_np(coord_cols) -> np.ndarray:
 
 
 def replica_ids(replicas) -> np.ndarray:
-    """uint64 replica ids, as hash_key reads them: an int R gives 0..R-1,
-    an integer array is cast (int64 ids wrap), and any other sequence is
-    read id by id as Python ints masked with MASK64. (NumPy would read a
-    list mixing a negative id with one of 2**63 or more as float64.)"""
-    if np.ndim(replicas) == 0:
-        return np.arange(int(replicas), dtype=np.uint64)
+    """uint64 replica ids, as hash_key reads them: an integer array is cast
+    (int64 ids wrap), and any other sequence is read id by id as Python ints
+    masked with MASK64. (NumPy would read a list mixing a negative id with
+    one of 2**63 or more as float64.)"""
     if isinstance(replicas, np.ndarray) and replicas.dtype.kind in "iu":
         return replicas.astype(np.uint64, copy=False)
     return np.array([int(r) & MASK64 for r in replicas], dtype=np.uint64)
 
 
-def uniforms_replicas_np(seed: int, stream: int, replicas, vkeys: np.ndarray,
-                         counter: int = 0) -> np.ndarray:
-    """(R, N) uniforms for a replica batch from the selected `uniforms`
-    kernel; `replicas` is either an int R (rows 0..R-1) or a sequence of
-    replica ids, read by replica_ids."""
+def uniforms_replicas_np(seed: int, stream: int, replicas,
+                         vkeys: np.ndarray) -> np.ndarray:
+    """(R, N) counter-0 uniforms for a batch of replica ids, read by
+    replica_ids, from the selected `uniforms` kernel: row r, column i is
+    uniform(seed, stream, replicas[r], vkeys[i], 0)."""
     global _kernels
     if _kernels is None:
         from . import kernels as _kernels
     head = mix64(mix64(int(seed) & MASK64) ^ (int(stream) & MASK64))
-    return _kernels.uniforms(head, replicas, vkeys, int(counter) & MASK64)
+    return _kernels.uniforms(head, replicas, vkeys)

@@ -247,7 +247,8 @@ def _lanczos_top(mv, n: int, k: int, v0: np.ndarray, vectors: bool):
         raise RuntimeError(f"ARPACK dsaupd failed with info {state['info']}")
     state["info"] = 0
     d = np.zeros(k)
-    z = np.zeros((n, state["ncv"]), order="F")
+    # dseupd writes z only when asked for vectors
+    z = np.zeros((n, state["ncv"] if vectors else 1), order="F")
     arpack.dseupd_wrap(state, vectors, 0, np.zeros(state["ncv"], np.int32), d,
                        z, 0, resid, v, ipntr, workd, workl)
     if state["info"] != 0 or state["nconv"] < k:

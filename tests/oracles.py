@@ -1,7 +1,8 @@
 """Test-only oracles: independent reference computations that the test
 modules check the library against, and the reference maps they read the
 library's results through (constraint_satisfied, phi_map,
-relaxation_time). Nothing in src/ calls them."""
+relaxation_time), with the site helpers they are written in (shift_flat,
+neighbors, vertex_key). Nothing in src/ calls them."""
 
 import math
 from typing import Sequence
@@ -14,12 +15,51 @@ from kcmkit.blocks import (CLASS_NEITHER, CLASS_SUPERGOOD, EXACT_LAMBDA_CAP,
                            BlockSpec, _enumerate_classes, _seed_mask,
                            classify_block)
 from kcmkit.families import UpdateFamily
-from kcmkit.lattice import Configuration
+from kcmkit.lattice import Configuration, Geometry
 from kcmkit.paths import LegalPath
+from kcmkit.rng import _COORD_SALT, MASK64, mix64
 from kcmkit.spectral import (DEGENERATE_GAP, GeneratorMatrix,
                              relaxation_time_from_gap, spectral_gap)
 
 DENSE_ORACLE_CAP = 1 << 14
+
+
+def shift_flat(geom: Geometry, flat: int, offset: Sequence[int]) -> int:
+    """Flat index of site + offset, or -1 if it leaves a free box."""
+    c = list(geom.coords(flat))
+    for a, u in enumerate(offset):
+        c[a] += int(u)
+        if geom.torus:
+            c[a] %= geom.dims[a]
+        elif not 0 <= c[a] < geom.dims[a]:
+            return -1
+    return geom.flat(c)
+
+
+def neighbors(geom: Geometry, x) -> list[tuple[int, ...]]:
+    """The <= 2d distinct l1-neighbors of x (wrapped on a torus, clipped on a
+    free box)."""
+    flat = geom.site(x)
+    out = []
+    for a in range(geom.d):
+        for s in (+1, -1):
+            off = [0] * geom.d
+            off[a] = s
+            w = shift_flat(geom, flat, off)
+            if w >= 0:
+                c = geom.coords(w)
+                if c not in out:
+                    out.append(c)
+    return out
+
+
+def vertex_key(coords) -> int:
+    """Size-independent key for a site, hashed from its coordinate tuple
+    one word at a time: the scalar reference of rng.vertex_keys_np."""
+    h = mix64(_COORD_SALT)
+    for c in coords:
+        h = mix64(h ^ (int(c) & MASK64))
+    return h
 
 
 def generator_csr(gen: GeneratorMatrix) -> sp.csr_matrix:
@@ -97,7 +137,7 @@ def constraint_satisfied(cfg: Configuration, fam: UpdateFamily, v) -> bool:
     for rule in fam.rules:
         ok = True
         for off in rule:
-            w = geom.shift_flat(flat, off)
+            w = shift_flat(geom, flat, off)
             if w < 0:
                 if not geom.outside_empty:
                     ok = False
@@ -115,15 +155,15 @@ def closure_naive(cfg: Configuration, fam: UpdateFamily):
 
     Same contract as closure_with_rounds; every round rescans every site
     against every rule, kept plain as the reference the optimized kernels
-    are tested against. Neighbours come from Geometry.shift_flat, once per
-    distinct offset.
+    are tested against. Neighbours come from shift_flat, once per distinct
+    offset.
     """
     geom = cfg.geom
     n = geom.n_sites
     bits = cfg.bits.copy()
     rounds = np.where(bits == 0, np.int32(0), np.int32(-1))
     offsets = {off for rule in fam.rules for off in rule}
-    shifted = {off: np.array([geom.shift_flat(v, off) for v in range(n)],
+    shifted = {off: np.array([shift_flat(geom, v, off) for v in range(n)],
                              dtype=np.int64) for off in offsets}
     # (|rule|, n) targets per rule; -1 (outside a free box) reads the extra
     # last entry of the emptiness array below

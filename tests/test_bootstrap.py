@@ -14,7 +14,7 @@ from kcmkit import rng
 from kcmkit.families import make_family, tables_for
 from kcmkit.lattice import (Box, Configuration, Geometry, box_region,
                             random_uniforms)
-from oracles import closure_naive, replica_threshold_bisection
+from oracles import closure_naive, replica_threshold_bisection, shift_flat
 
 
 # ----------------------------------------------------------------- closure
@@ -64,7 +64,7 @@ def _loop_oracle(cfg, fam):
             for rule in fam.rules:
                 ok = True
                 for off in rule:
-                    w = geom.shift_flat(v, off)
+                    w = shift_flat(geom, v, off)
                     if (not geom.outside_empty) if w < 0 else bits[w] != 0:
                         ok = False
                         break

@@ -7,6 +7,7 @@ tests skip only when no C compiler is available.
 """
 
 import gc
+import inspect
 import os
 import shlex
 import shutil
@@ -122,20 +123,17 @@ BAD_ARGS = {
     "kcm_run-target-n": ("kcm_run", (_BITS, *_RUN), {"target": 9}),
     "kcm_run-nan-t_max": ("kcm_run", (_BITS, _T, 1, 0, 0.3, np.nan), {}),
     "kcm_run-inf-t_max": ("kcm_run", (_BITS, _T, 1, 0, 0.3, np.inf), {}),
-    "kcm_run-float-max_events": ("kcm_run", (_BITS, *_RUN),
-                                 {"max_events": 2.5}),
-    "kcm_run-negative-max_events": ("kcm_run", (_BITS, *_RUN),
-                                    {"max_events": -1}),
     "crossing-2d-stack": ("crossing_batch", (np.ones((3, 3), bool), 0), {}),
     "crossing-axis-2": ("crossing_batch", (np.ones((1, 3, 3), bool), 2), {}),
-    "uniforms-2d-vkeys": ("uniforms", (1, 2, _VK[None, :], 0), {}),
+    "uniforms-2d-vkeys": ("uniforms", (1, [0, 1], _VK[None, :]), {}),
     "uniforms-2d-replicas": ("uniforms", (1, np.zeros((2, 2), np.uint64),
-                                          _VK, 0), {}),
+                                          _VK), {}),
+    # a count of replicas is lattice.random_uniforms' to expand
+    "uniforms-count-replicas": ("uniforms", (1, 2, _VK), {}),
     "kcm_run-float-seed": ("kcm_run", (_BITS, _T, 1.5, 0, 0.3, 2.0), {}),
     "kcm_run-float-replica": ("kcm_run", (_BITS, _T, 1, 2.7, 0.3, 2.0), {}),
     "kcm_run-bool-replica": ("kcm_run", (_BITS, _T, 1, True, 0.3, 2.0), {}),
-    "uniforms-float-head": ("uniforms", (1.5, 2, _VK, 0), {}),
-    "uniforms-float-counter": ("uniforms", (1, 2, _VK, 0.5), {}),
+    "uniforms-float-head": ("uniforms", (1.5, [0, 1], _VK), {}),
     "crossing-axis-true": ("crossing_batch", (np.ones((1, 3, 3), bool), True),
                            {}),
     "crossing-axis-float": ("crossing_batch", (np.ones((1, 3, 3), bool), 1.0),
@@ -488,9 +486,7 @@ def test_kcm_run_event_log_grows_in_the_library(core):
     runs = [
         # past three doublings
         ((full, ring, 9, 0, 0.9, 200.0), {}, "t_max", 4 * 1024),
-        # stopped by the cap and by the target while the log grows
-        ((full, ring, 9, 0, 0.9, 200.0), {"max_events": 3000}, "max_events",
-         1024),
+        # stopped by the target while the log grows
         ((full, ring, 0, 0, 0.01, 1e3), {"target": 7,
                                          "stop_when_target_empty": True},
          "target", 4 * 1024),
@@ -531,8 +527,7 @@ def _kcm_cases(draw):
     bits = np.array(draw(st.lists(st.integers(0, 1), min_size=n,
                                   max_size=n)), dtype=np.uint8)
     kw = {"target": draw(st.integers(-1, n - 1)),
-          "stop_when_target_empty": draw(st.booleans()),
-          "max_events": draw(st.none() | st.integers(0, 2000))}
+          "stop_when_target_empty": draw(st.booleans())}
     args = (bits, tables_for(geom, fam), draw(st.integers(0, 2**64 - 1)),
             draw(st.integers(0, 2**64 - 1)), draw(st.floats(0.05, 0.95)),
             draw(st.floats(0.0, 40.0)))
@@ -563,15 +558,11 @@ def test_kcm_run_parity_stop_and_cap(core):
     assert a["status"] == b["status"] == "target"
     assert a["t_target_empty"] == b["t_target_empty"] > 0
     assert np.array_equal(a["bits"], b["bits"])
-    a = core.kcm_run(bits, t, 5, 2, 0.4, 1e9, max_events=500)
-    b = _pure.kcm_run(bits, t, 5, 2, 0.4, 1e9, max_events=500)
-    assert a["status"] == b["status"] == "max_events"
-    assert a["rings"] == b["rings"] == 500
-    assert a["t_end"] == b["t_end"]
-    # None means no cap in both implementations
-    a = core.kcm_run(bits, t, 5, 2, 0.4, 20.0, max_events=None)
-    b = _pure.kcm_run(bits, t, 5, 2, 0.4, 20.0, max_events=None)
+    # without the stop, t_max caps the run
+    a = core.kcm_run(bits, t, 5, 2, 0.4, 20.0, target=7)
+    b = _pure.kcm_run(bits, t, 5, 2, 0.4, 20.0, target=7)
     assert a["status"] == b["status"] == "t_max"
+    assert a["t_end"] == 20.0
     _assert_same_run(a, b)
 
 
@@ -708,9 +699,9 @@ def _head(seed, stream):
     return rng.mix64(rng.mix64(seed & rng.MASK64) ^ stream)
 
 
-def _assert_same_uniforms(core, head, replicas, vkeys, counter):
-    a = core.uniforms(head, replicas, vkeys, counter)
-    b = _pure.uniforms(head, replicas, vkeys, counter)
+def _assert_same_uniforms(core, head, replicas, vkeys):
+    a = core.uniforms(head, replicas, vkeys)
+    b = _pure.uniforms(head, replicas, vkeys)
     assert a.dtype == b.dtype == np.float64
     assert a.shape == b.shape
     assert a.tobytes() == b.tobytes()
@@ -722,20 +713,10 @@ def _assert_same_uniforms(core, head, replicas, vkeys, counter):
 def test_uniforms_parity_shapes(core, R, N):
     vkeys = Geometry((max(N, 1),)).vertex_keys()[:N]
     ids = np.arange(R, dtype=np.uint64) * 7 + 3
-    for replicas in (R, ids):
-        out = _assert_same_uniforms(core, _head(11, rng.STREAM_CONFIG),
-                                    replicas, vkeys, 2)
-        assert out.shape == (R, N)
-        assert ((out > 0) & (out < 1)).all()
-
-
-def test_uniforms_parity_int_equals_ids(core):
-    vkeys = Geometry((5, 4)).vertex_keys()
-    head = _head(3, rng.STREAM_AUX)
-    for impl in (core, _pure):
-        a = impl.uniforms(head, 4, vkeys, 0)
-        b = impl.uniforms(head, np.arange(4), vkeys, 0)
-        assert a.tobytes() == b.tobytes()
+    out = _assert_same_uniforms(core, _head(11, rng.STREAM_CONFIG), ids,
+                                vkeys)
+    assert out.shape == (R, N)
+    assert ((out > 0) & (out < 1)).all()
 
 
 def test_uniforms_parity_wrapped_keys(core):
@@ -746,11 +727,10 @@ def test_uniforms_parity_wrapped_keys(core):
                     np.array([2**64 - 1, 2**63], dtype=np.uint64),
                     [-1, 2**63 + 1]]
     for seed in (-1, -2**70, 2**64, 2**64 + 5, 2**80 + 1):
-        for counter in (0, 1, 2**64 - 1):
-            for vkeys in keys:
-                for replicas in replica_sets:
-                    _assert_same_uniforms(core, _head(seed, rng.STREAM_CLOCK),
-                                          replicas, vkeys, counter)
+        for vkeys in keys:
+            for replicas in replica_sets:
+                _assert_same_uniforms(core, _head(seed, rng.STREAM_CLOCK),
+                                      replicas, vkeys)
 
 
 def test_uniforms_match_scalar_uniform(core):
@@ -758,11 +738,43 @@ def test_uniforms_match_scalar_uniform(core):
     vkeys = Geometry((3, 3)).vertex_keys()
     ids = np.array([0, 5, 2**64 - 1], dtype=np.uint64)
     for impl in (core, _pure):
-        out = impl.uniforms(_head(2**64 + 9, 1), ids, vkeys, 2**64 - 1)
+        out = impl.uniforms(_head(2**64 + 9, 1), ids, vkeys)
         for r, rep in enumerate(ids):
             for i, vk in enumerate(vkeys):
-                assert out[r, i] == rng.uniform(9, 1, int(rep), int(vk),
-                                                2**64 - 1)
+                assert out[r, i] == rng.uniform(9, 1, int(rep), int(vk), 0)
+
+
+_WORD = st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=_WORD, stream=_WORD,
+       ids=st.lists(st.sampled_from([0, 2**64 - 1]) | _WORD, max_size=4),
+       vkeys=st.lists(_WORD, max_size=6))
+def test_uniforms_parity_fuzzed(core, seed, stream, ids, vkeys):
+    # mix64 is a bijection, so the heads cover every 64-bit word; the first
+    # ids come again at the end, so every case with ids repeats one
+    ids = np.array(ids + ids[:2], dtype=np.uint64)
+    out = _assert_same_uniforms(core, _head(seed, stream), ids,
+                                np.array(vkeys, dtype=np.uint64))
+    assert out.shape == (ids.size, len(vkeys))
+    assert out[:2].tobytes() == out[-2:].tobytes()
+    if out.size:
+        for r, i in ((0, 0), (-1, -1)):
+            assert out[r, i] == rng.uniform(seed, stream, int(ids[r]),
+                                            vkeys[i], 0)
+
+
+def test_entry_point_signatures_agree():
+    # every layer takes an entry point's arguments under the same names and
+    # defaults, so an argument dropped from one layer is dropped from all
+    for name in _pure.ENTRY_POINTS:
+        spec = inspect.signature(getattr(_pure, name)).parameters.values()
+        bound = inspect.signature(getattr(_compiled.Kernels, name))
+        params = list(bound.parameters.values())
+        assert params[0].name == "self", name
+        assert [(p.name, p.default) for p in params[1:]] == [
+            (p.name, p.default) for p in spec], name
 
 
 # (label, family, geometry): every boundary, the empty rule, a class above

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from kcmkit import rng
 from kcmkit.lattice import (Box, Configuration, Geometry, Region, box_region,
-                            cross_region, neighbors, random_bits, read_grid,
+                            cross_region, random_bits, read_grid,
                             slice_region, write_grid)
+from oracles import neighbors
 
 
 # ---------------------------------------------------------------- geometry

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcmkit.rng import (MASK64, STREAM_CLOCK, STREAM_CONFIG, hash_key, mix64,
-                        uniform, uniforms_replicas_np, vertex_key,
-                        vertex_keys_np)
+                        uniform, uniforms_replicas_np, vertex_keys_np)
+from oracles import vertex_key
 
 
 def test_mix64_known_good():
@@ -48,16 +48,16 @@ def test_numpy_scalar_agreement():
     vks = vertex_keys_np([coords[0], coords[1]])
     for i in range(4):
         assert int(vks[i]) == vertex_key((int(coords[0, i]), int(coords[1, i])))
-    us = uniforms_replicas_np(99, STREAM_CONFIG, [2], vks, 7)[0]
+    us = uniforms_replicas_np(99, STREAM_CONFIG, [2], vks)[0]
     for i in range(4):
-        assert us[i] == uniform(99, STREAM_CONFIG, 2, int(vks[i]), 7)
+        assert us[i] == uniform(99, STREAM_CONFIG, 2, int(vks[i]), 0)
 
 
 def test_replica_matrix_rows_match_single_calls():
     vks = vertex_keys_np([np.arange(6), np.zeros(6, dtype=np.int64)])
-    mat = uniforms_replicas_np(5, STREAM_CONFIG, 3, vks, 0)
+    mat = uniforms_replicas_np(5, STREAM_CONFIG, [0, 1, 2], vks)
     assert mat.shape == (3, 6)
-    row1 = uniforms_replicas_np(5, STREAM_CONFIG, [1], vks, 0)[0]
+    row1 = uniforms_replicas_np(5, STREAM_CONFIG, [1], vks)[0]
     assert np.array_equal(mat[1], row1)
     assert np.array_equal(uniforms_replicas_np(5, STREAM_CONFIG, [2, 0], vks),
                           mat[[2, 0]])
@@ -79,30 +79,30 @@ def test_numpy_int64_words_match_python_ints():
         assert hash_key(np.int64(4), np.int64(1), r64, np.uint64(11),
                         np.int64(2)) == hash_key(4, 1, replica, 11, 2)
         row = uniforms_replicas_np(np.int64(4), np.int64(1), np.array([r64]),
-                                   vks, np.int64(2))[0]
-        assert row.tobytes() == uniforms_replicas_np(4, 1, [replica], vks,
-                                                     2)[0].tobytes()
-        assert row[1] == uniform(4, 1, replica, int(vks[1]), 2)
+                                   vks)[0]
+        assert row.tobytes() == uniforms_replicas_np(4, 1, [replica],
+                                                     vks)[0].tobytes()
+        assert row[1] == uniform(4, 1, replica, int(vks[1]), 0)
 
 
 def test_batch_functions_mask_key_words():
     vks = vertex_keys_np([np.arange(5), np.arange(5) * 2])
     big = 2**64
     ids = [(big + 2) & MASK64]
-    us = uniforms_replicas_np(-1, STREAM_CLOCK + big, ids, vks, big - 1)[0]
+    us = uniforms_replicas_np(-1, STREAM_CLOCK + big, ids, vks)[0]
     assert np.array_equal(us, uniforms_replicas_np(big - 1, STREAM_CLOCK, [2],
-                                                   vks, -1)[0])
+                                                   vks)[0])
     for i in range(5):
-        assert us[i] == uniform(big - 1, STREAM_CLOCK, 2, int(vks[i]), big - 1)
+        assert us[i] == uniform(big - 1, STREAM_CLOCK, 2, int(vks[i]), 0)
     ids = np.array([-1, 3], dtype=np.int64)
-    mat = uniforms_replicas_np(-7, STREAM_CONFIG, ids, vks, 2 * big + 4)
+    mat = uniforms_replicas_np(-7, STREAM_CONFIG, ids, vks)
     big_id = np.array([big - 1], dtype=np.uint64)
     assert np.array_equal(mat[0], uniforms_replicas_np(-7, STREAM_CONFIG,
-                                                       big_id, vks, 4)[0])
+                                                       big_id, vks)[0])
     assert np.array_equal(mat[1], uniforms_replicas_np(big - 7, STREAM_CONFIG,
-                                                       [3], vks, 4)[0])
+                                                       [3], vks)[0])
     for i in range(5):
-        assert mat[0, i] == uniform(-7, STREAM_CONFIG, -1, int(vks[i]), 4)
+        assert mat[0, i] == uniform(-7, STREAM_CONFIG, -1, int(vks[i]), 0)
 
 
 def test_mixed_sign_replica_list_reads_as_uint64():
@@ -127,7 +127,7 @@ def test_module_imports_alone(module, pure):
                PYTHONPATH=os.pathsep.join(
                    filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (f"import {module}, numpy as np; from kcmkit import rng, kernels; "
-            "rng.uniforms_replicas_np(1, 0, 1, np.zeros(3, dtype=np.uint64)); "
+            "rng.uniforms_replicas_np(1, 0, [0], np.zeros(3, dtype=np.uint64)); "
             "print(kernels.IMPLEMENTATION)")
     p = subprocess.run([sys.executable, "-c", code], env=env,
                        capture_output=True, text=True, timeout=120)

@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 from kcmkit.families import make_family
 from kcmkit.kcm import (KcmParams, read_event_log, sample_persistence_time,
-                        simulate_kcm, write_event_log)
+                        write_event_log)
 from kcmkit.lattice import (Box, Configuration, Geometry, Region, as_site,
                             as_sites, cross_region)
 from kcmkit.paths import (LegalPath, gg_column_moves, path_A,
@@ -91,14 +91,6 @@ HOSTILE = {
         lambda: Configuration.from_empty_sites(G33, [BIG]), ValueError),
     "constraint-minus-1": (
         lambda: constraint_satisfied(Configuration.fully_empty(G33), FA1, -1),
-        ValueError),
-    "sim-target-n": (
-        lambda: simulate_kcm(_kp(), Configuration.fully_empty(Geometry((4, 4))),
-                             target=16),
-        ValueError),
-    "sim-target-nan": (
-        lambda: simulate_kcm(_kp(), Configuration.fully_empty(Geometry((4, 4))),
-                             target=NAN),
         ValueError),
     "persistence-origin-minus-1": (
         lambda: sample_persistence_time(_kp(torus=True), 20, origin=-1),

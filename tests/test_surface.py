@@ -1,16 +1,22 @@
 """src/ holds what ships: every public top-level function or class of a
-public kcmkit module is reached from outside its own definition, by other
-source (src/), the README, pyproject.toml or the acceptance tests. A name
-that only unit tests reach belongs in tests/ (see tests/oracles.py), or
+public kcmkit module is used, as an identifier, outside its own definition:
+by source (src/), the benchmark (perfbench/), the tools (tools/) or the
+acceptance tests, by name in the README's code, or as a pyproject.toml
+entry point. A word in a docstring or comment is not a use. A name that
+only unit tests reach belongs in tests/ (see tests/oracles.py), or
 nowhere."""
 
 import ast
 import re
+import tomllib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "kcmkit"
 MODULES = sorted(p for p in SRC.glob("*.py") if not p.name.startswith("_"))
+USERS = [*sorted(SRC.glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py")),
+         *sorted((ROOT / "tools").glob("*.py")),
+         ROOT / "tests" / "test_acceptance.py"]
 
 
 def _public_definitions(path: Path):
@@ -24,24 +30,41 @@ def _public_definitions(path: Path):
             yield node.name, first, node.end_lineno
 
 
+def _identifiers(path: Path):
+    """(identifier, line) of every name, attribute and imported name."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2], node.lineno
+
+
+def _documented() -> set[str]:
+    """The identifiers in the README's code spans and code blocks, and the
+    functions pyproject.toml's scripts call."""
+    readme = (ROOT / "README.md").read_text()
+    code = re.findall(r"```[^\n]*\n(.*?)```", readme, re.S)
+    code += re.findall(r"`([^`\n]+)`", re.sub(r"```.*?```", "", readme,
+                                              flags=re.S))
+    names = {w for span in code for w in re.findall(r"[A-Za-z_]\w*", span)}
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())[
+        "project"]["scripts"]
+    return names | {target.rpartition(":")[2] for target in scripts.values()}
+
+
 def _unreached() -> list[str]:
-    texts = {p: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    texts[SRC / "_ckernels.c"] = (SRC / "_ckernels.c").read_text()
-    for name in ("README.md", "pyproject.toml", "tests/test_acceptance.py"):
-        texts[ROOT / name] = (ROOT / name).read_text()
-    out = []
-    for path in MODULES:
-        for name, first, last in _public_definitions(path):
-            word = re.compile(rf"\b{re.escape(name)}\b")
-            hits = 0
-            for where, text in texts.items():
-                if where == path:   # leave out the definition itself
-                    lines = text.splitlines()
-                    text = "\n".join(lines[:first - 1] + lines[last:])
-                hits += len(word.findall(text))
-            if hits == 0:
-                out.append(f"{path.stem}.{name}")
-    return out
+    uses = {}   # identifier -> [(file, line)]
+    for path in USERS:
+        for word, line in _identifiers(path):
+            uses.setdefault(word, []).append((path, line))
+    documented = _documented()
+    return [f"{path.stem}.{name}" for path in MODULES
+            for name, first, last in _public_definitions(path)
+            if name not in documented and not any(
+                where != path or not first <= line <= last
+                for where, line in uses.get(name, ()))]
 
 
 def test_every_public_name_has_a_reason_to_ship():
