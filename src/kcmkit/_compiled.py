@@ -218,7 +218,8 @@ class Kernels:
         return out
 
     def csr_operator(self, indptr, indices, data):
-        """mv(x, out) writing A x into out for a CSR matrix; mirrors
+        """mv(x, out) writing A x into out for a CSR matrix, which it reads
+        in place where kcmkit._pure.csr_args borrows it; mirrors
         kcmkit._pure.csr_operator."""
         arrays = _pure.csr_args(indptr, indices, data)
         n = arrays[0].size - 1

@@ -102,14 +102,15 @@ def uniforms_args(head, replicas, vkeys):
 
 
 def csr_args(indptr, indices, data):
-    """The arrays of an (n, n) CSR matrix as read-only copies: int32 indptr
-    rising from 0 to nnz over n + 1 entries, int32 column indices in
-    [0, n), nnz float64 data."""
-    ptr = np.asarray(indptr)
+    """The arrays of an (n, n) CSR matrix, C-contiguous and read-only:
+    int32 indptr rising from 0 to nnz over n + 1 entries, int32 column
+    indices in [0, n), nnz float64 data. An array that already has its
+    dtype and is C-contiguous is borrowed, not copied, and made read-only;
+    any other is copied."""
+    arrays = ptr, cols, vals = [np.asarray(a) for a in (indptr, indices, data)]
     if ptr.ndim != 1 or ptr.size == 0:
         raise ValueError("indptr must be 1-D with n + 1 entries")
     n = ptr.size - 1
-    cols, vals = np.asarray(indices), np.asarray(data)
     if cols.ndim != 1 or vals.shape != cols.shape:
         raise ValueError("indices and data must be 1-D of one length")
     if vals.dtype.kind not in "iuf":
@@ -117,16 +118,16 @@ def csr_args(indptr, indices, data):
     nnz = cols.size
     if max(n, nnz) >= 1 << 31:
         raise ValueError("a CSR matrix needs n and nnz below 2^31")
-    ptr = as_sites(ptr, nnz + 1, "indptr")
-    if ptr[0] != 0 or ptr[-1] != nnz or (np.diff(ptr) < 0).any():
+    checked = as_sites(ptr, nnz + 1, "indptr")
+    if checked[0] != 0 or checked[-1] != nnz or (np.diff(checked) < 0).any():
         raise ValueError(f"indptr must rise from 0 to nnz = {nnz}")
-    # checked in their own dtype, so the int32 copy below is the only one
+    # checked in their own dtype, so the int32 conversion is the only copy
     if cols.size and cols.dtype.kind not in "iu":
         raise ValueError(f"indices has dtype {cols.dtype}, expected integers")
     if cols.size and (cols.min() < 0 or cols.max() >= n):
         raise ValueError(f"indices holds a site outside the {n} sites")
-    out = (ptr.astype(np.int32), cols.astype(np.int32),
-           vals.astype(np.float64))
+    out = tuple(np.ascontiguousarray(a, dtype)
+                for a, dtype in zip(arrays, (np.int32, np.int32, np.float64)))
     for a in out:
         a.flags.writeable = False
     return out
@@ -356,10 +357,11 @@ def kcm_run(bits: np.ndarray, t: FamilyTables, seed: int, replica: int,
 
 def csr_operator(indptr, indices, data):
     """mv(x, out) writing A x into out, and returning out, for the (n, n) CSR
-    matrix (indptr, indices, data), which is checked and copied once. Each
-    row is summed in stored order from 0.0, as scipy's csr_matvec does: one
-    pass per entry column k adds every row's k-th product, over the rows
-    sorted by descending length, so each pass is a prefix of them."""
+    matrix (indptr, indices, data), which csr_args checks once and borrows
+    where it can. Each row is summed in stored order from 0.0, as scipy's
+    csr_matvec does: one pass per entry column k adds every row's k-th
+    product, over the rows sorted by descending length, so each pass is a
+    prefix of them."""
     ptr, cols, vals = csr_args(indptr, indices, data)
     n = ptr.size - 1
     length = np.diff(ptr)

@@ -92,7 +92,6 @@ class BlockSpec:
 class BlockDims(NamedTuple):
     dims: tuple
     degenerate: bool      # some side < 2: q too large for the scaling regime
-    small_A: bool         # A at or below the model's stated threshold
 
 
 def block_dims(model: str, q: float, A: float, d: int = 2,
@@ -116,10 +115,8 @@ def block_dims(model: str, q: float, A: float, d: int = 2,
             raise ValueError("fa2 needs d >= 2")
         n = math.floor((A / q * logq) ** (1.0 / (d - 1)))
         dims = (n,) * d
-        small = A <= 3.0 / (d - 1)
     elif model == "gg":
         dims = (math.floor(A * logq / q ** 2), math.floor(A * logq / q))
-        small = A <= 6.0
     elif model == "fakf":
         if ell is None:
             raise ValueError("fakf block sizing needs the measured critical "
@@ -128,10 +125,9 @@ def block_dims(model: str, q: float, A: float, d: int = 2,
             raise ValueError("ell must be at least 2")
         n = math.floor(A * ell * math.log(ell))
         dims = (n,) * d
-        small = A <= 2 * (d - 1) + 1
     else:
         raise ValueError(f"unknown block model {model!r}")
-    return BlockDims(dims, any(n < 2 for n in dims), small)
+    return BlockDims(dims, any(n < 2 for n in dims))
 
 
 # ------------------------------------------------------------ classification
@@ -281,7 +277,6 @@ class BlockProbs:
     p2_mode: str                  # "exact" | "mc" | "bound"
     p2_ci: tuple | None
     condition_value: float
-    p1_zero: bool
 
 
 def block_probs_exact(spec: BlockSpec):
@@ -333,13 +328,12 @@ def estimate_block_probs(spec: BlockSpec, replicas: int, seed: int,
         seed_size = int(_seed_mask(spec).sum())
         p1_lower = max(p1.ci[0], 1e-300)
         p2 = p1_lower * spec.q ** seed_size
-    p1_zero = hits1 == 0
     if p2 <= 0.0:
         cond = math.inf if p1.value < 1.0 else 0.0
     else:
         cond = (1.0 - p1.value) * math.log(1.0 / p2) ** 2
     return BlockProbs(p1=p1, p2_value=p2, p2_mode=p2_mode, p2_ci=p2_ci,
-                      condition_value=cond, p1_zero=p1_zero)
+                      condition_value=cond)
 
 
 def good_failure_bound(spec: BlockSpec) -> float:

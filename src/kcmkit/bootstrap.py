@@ -3,9 +3,8 @@
 The closure of a configuration under an update family empties, repeatedly
 and monotonically, every occupied site whose constraint is satisfied, until
 nothing changes. The synchronous round at which a site empties is its
-infection time. A region is internally spanned when the closure computed
-inside it (constraint members outside the region count as occupied) empties
-it entirely.
+infection time. A configuration is internally spanned when its closure
+empties the whole geometry.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from .families import UpdateFamily, tables_for
-from .lattice import Configuration, Geometry, Region, random_bits, random_uniforms
+from .lattice import Configuration, Geometry, random_bits, random_uniforms
 from .stats import Z95, ScanEstimate, median, wilson_ci
 
 
@@ -36,26 +35,9 @@ def closure_with_rounds(cfg: Configuration, fam: UpdateFamily):
     return Configuration(cfg.geom, out), rounds
 
 
-def is_internally_spanned(cfg: Configuration, fam: UpdateFamily,
-                          region: Region | None = None) -> bool:
-    """Does the closure restricted to the region empty it completely?
-
-    Restricted means: the closure of the configuration with every site
-    outside the region occupied (as is the outside of a conservative free
-    box), emptying region sites only. region=None means the whole geometry.
-    """
-    t = tables_for(cfg.geom, fam)
-    if region is None:
-        out, _ = kernels.closure(cfg.bits, t)
-        return not out.any()
-    mask = region.mask()
-    out, _ = kernels.closure(np.where(mask, cfg.bits, np.uint8(1)), t, mask)
-    return not out[region.indices].any()
-
-
-def spans(cfg: Configuration, fam: UpdateFamily) -> bool:
-    """Whole-geometry internal spanning (closure empties everything)."""
-    return is_internally_spanned(cfg, fam)
+def is_internally_spanned(cfg: Configuration, fam: UpdateFamily) -> bool:
+    """Does the closure empty the whole geometry?"""
+    return not closure(cfg, fam).bits.any()
 
 
 # ------------------------------------------------------------------ scanning

@@ -443,13 +443,12 @@ def _cmd_paths(args) -> None:
             cfg, x, z = paths.sample_path_A_instance(
                 args.model, args.dims, q, args.seed, rep)
             built.append(paths.path_A(cfg, args.model, x, z))
-    max_len = max(p.length for p in built)
     norm = n1 * n2 * (n1 + n2) if args.mode == "B" else n1 * n2
     report = paths.congestion_constant(built, q)
     emit_csv(args, ["mode", "model", "dims", "q", "samples", "seed",
                     "max_len", "fitted_c", "rho_mode", "rho"],
              [[args.mode, args.model, args.dims, q, args.samples, args.seed,
-               max_len, max_len / norm, "exact", report.rho]])
+               report.n_max, report.n_max / norm, "exact", report.rho]])
 
 
 def _cmd_perc(args) -> None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels, stats
+from . import kernels
 from .families import UpdateFamily, tables_for
 from .lattice import Configuration, Geometry, _opened, as_bits, random_bits
 
@@ -48,7 +48,6 @@ class PersistenceSample:
     censored: bool
     flips_executed: int
     replica: int
-    first_legal_update: float | None = None
 
     def __post_init__(self):
         if self.tau0 < 0.0:
@@ -58,12 +57,8 @@ class PersistenceSample:
 @dataclass
 class SimResult:
     final: Configuration
-    t_end: float
-    rings: int
-    legal_updates: int
     flips: int
     events: tuple[np.ndarray, np.ndarray, np.ndarray] | None
-    status: str
 
 
 def simulate_kcm(params: KcmParams, initial: Configuration,
@@ -76,43 +71,29 @@ def simulate_kcm(params: KcmParams, initial: Configuration,
     out = kernels.kcm_run(
         initial.bits, tables_for(geom, params.fam), params.seed, replica,
         params.q, params.t_max, log_events=log_events)
-    return SimResult(
-        final=Configuration(geom, out["bits"]),
-        t_end=out["t_end"],
-        rings=out["rings"],
-        legal_updates=out["legal_updates"],
-        flips=out["flips"],
-        events=out["events"],
-        status=out["status"],
-    )
+    return SimResult(Configuration(geom, out["bits"]), out["flips"],
+                     out["events"])
 
 
 @dataclass
 class PersistenceSummary:
     mean: float
-    mean_uncensored: float
-    median: float
     censored_fraction: float
-    replicas: int
-    seed: int
-    usable: bool
-    variant: str = "first_empty"
 
 
 def sample_persistence_time(params: KcmParams, replicas: int,
-                            origin=None, start: str = "stationary",
+                            start: str = "stationary",
                             variant: str = "first_empty"):
     """Persistence times over independent replicas.
 
     Each replica starts from an independent Bernoulli(p) configuration
     (`start="stationary"`) or from all empty (`start="empty"`). tau0 is the
-    first time the origin is empty; `variant="first_legal"` records instead
-    the first time the origin's constraint is satisfied at one of its own
-    rings (the first legal update of the origin). Censored replicas
-    contribute t_max to the mean, making it a lower bound.
+    first time the origin, vertex 0, is empty; `variant="first_legal"`
+    records instead the first time the origin's constraint is satisfied at
+    one of its own rings (the first legal update of the origin). Censored
+    replicas contribute t_max to the mean, making it a lower bound.
 
-    Returns (samples, PersistenceSummary); the summary is flagged unusable
-    when every replica was censored.
+    Returns (samples, PersistenceSummary).
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
@@ -121,7 +102,6 @@ def sample_persistence_time(params: KcmParams, replicas: int,
     if variant not in ("first_empty", "first_legal"):
         raise ValueError(f"unknown variant {variant!r}")
     geom = params.geometry
-    flat = 0 if origin is None else geom.site(origin, "origin")
     t = tables_for(geom, params.fam)
     stop_on_empty = variant == "first_empty"
     if start == "stationary":
@@ -133,47 +113,24 @@ def sample_persistence_time(params: KcmParams, replicas: int,
                                   replicas)
 
     samples = []
-    taus = np.empty(replicas)
-    censored = np.zeros(replicas, dtype=bool)
     for r, bits in enumerate(starts):
-        if stop_on_empty and bits[flat] == 0:
-            samples.append(PersistenceSample(0.0, False, 0, r, None))
-            taus[r] = 0.0
+        if stop_on_empty and bits[0] == 0:
+            samples.append(PersistenceSample(0.0, False, 0, r))
             continue
         out = kernels.kcm_run(bits, t, params.seed, r, params.q, params.t_max,
-                              target=flat, stop_when_target_empty=stop_on_empty)
-        t_legal = out["t_target_first_legal"]
-        if stop_on_empty:
-            hit = out["t_target_empty"] >= 0.0
-            tau = out["t_target_empty"] if hit else params.t_max
-        else:
-            hit = t_legal >= 0.0
-            tau = t_legal if hit else params.t_max
-        samples.append(PersistenceSample(
-            tau, not hit, out["flips"], r,
-            None if t_legal < 0 else t_legal))
-        taus[r] = tau
-        censored[r] = not hit
-
-    n_cens = int(censored.sum())
-    usable = n_cens < replicas
-    unc = taus[~censored]
-    summary = PersistenceSummary(
-        mean=float(taus.mean()),
-        mean_uncensored=float(unc.mean()) if unc.size else math.nan,
-        median=stats.median(taus),
-        censored_fraction=n_cens / replicas,
-        replicas=replicas,
-        seed=params.seed,
-        usable=usable,
-        variant=variant,
-    )
-    return samples, summary
+                              target=0, stop_when_target_empty=stop_on_empty)
+        t_hit = out["t_target_empty" if stop_on_empty
+                    else "t_target_first_legal"]
+        hit = t_hit >= 0.0
+        samples.append(PersistenceSample(t_hit if hit else params.t_max,
+                                         not hit, out["flips"], r))
+    taus = np.array([s.tau0 for s in samples])
+    return samples, PersistenceSummary(
+        float(taus.mean()), sum(s.censored for s in samples) / replicas)
 
 
 def empty_fraction_time_average(params: KcmParams, initial: Configuration,
-                                burn_in: float, windows: int,
-                                replica: int = 0):
+                                burn_in: float, windows: int):
     """Batch-means time average of the empty fraction after burn-in.
 
     The run is split into `windows` equal windows on (burn_in, t_max); the
@@ -186,8 +143,7 @@ def empty_fraction_time_average(params: KcmParams, initial: Configuration,
     if windows < 1:
         raise ValueError("windows must be >= 1")
     edges = np.linspace(burn_in, params.t_max, windows + 1)
-    times, verts, vals = simulate_kcm(params, initial, replica=replica,
-                                      log_events=True).events
+    times, verts, vals = simulate_kcm(params, initial, log_events=True).events
     # an event overwrites its site's previous event, or the start, and adds
     # the old bit minus the new one to the empty count
     before = initial.bits[verts]

@@ -287,13 +287,14 @@ def _fa_params(fam: UpdateFamily):
 
 
 def slice_schedule(cfg: Configuration, fam: UpdateFamily, i: int, j: int,
-                   direction: int, box: Box | None = None) -> LegalPath:
+                   direction: int) -> LegalPath:
     """Empty the slice next to an empty slice of a k-of-2d model.
 
-    Slice j of `box` along axis i must be empty; the slice at j+direction
-    is emptied, flips confined to it. The order replays the reduced
-    (k-1)-of-2(d-1) closure of the target slice on its own geometry, so
-    every flip has k-1 in-slice witnesses plus the empty neighbor slice.
+    Slice j of the geometry along axis i must be empty; the slice at
+    j+direction is emptied, flips confined to it. The order replays the
+    reduced (k-1)-of-2(d-1) closure of the target slice on its own
+    geometry, so every flip has k-1 in-slice witnesses plus the empty
+    neighbor slice.
     Raises when the target slice is not spanned by the reduced model.
     """
     fa = _fa_params(fam)
@@ -307,8 +308,7 @@ def slice_schedule(cfg: Configuration, fam: UpdateFamily, i: int, j: int,
     if direction not in (-1, 1):
         raise ValueError("direction must be +1 or -1")
     geom = cfg.geom
-    if box is None:
-        box = Box((0,) * geom.d, geom.dims)
+    box = Box((0,) * geom.d, geom.dims)
     src = slice_region(geom, box, i, j)
     if (cfg.bits[src.indices] != 0).any():
         raise ValueError("source slice is not empty")
@@ -368,8 +368,7 @@ def cross_schedule(cfg: Configuration, fam: UpdateFamily,
 
 
 def gg_column_moves(cfg: Configuration, variant: str,
-                    columns: Sequence[int],
-                    rows: tuple | None = None) -> LegalPath:
+                    columns: Sequence[int]) -> LegalPath:
     """The anisotropic model's two column moves.
 
     obs1: columns = (c1, c2, c3) with {c1, c2} an adjacent empty pair and
@@ -377,19 +376,19 @@ def gg_column_moves(cfg: Configuration, variant: str,
     the row window and gets emptied. obs2: columns = (c1, c2, c3, c4) with
     {c1, c2} the empty pair and {c3, c4} the adjacent target pair
     completing a run of four; the two sites just above the targets must be
-    empty, and both target columns empty top-down. rows = (lo, hi) bounds
-    the half-open row window [lo, hi); obs2 reads its seed pair at row hi.
+    empty, and both target columns empty top-down. The row window is the
+    whole height for obs1, and for obs2 every row below the top one, where
+    obs2 reads its seed pair.
     """
     geom = cfg.geom
     if geom.d != 2:
         raise ValueError("column moves are two-dimensional")
     fam = _GG
-    height = geom.dims[1]
     seeds: list[int] = []
     if variant == "obs1":
         if len(columns) != 3:
             raise ValueError("obs1 takes three columns")
-        lo, hi = rows if rows is not None else (0, height)
+        hi = geom.dims[1]
         c1, c2, c3 = as_ints(columns, "columns")
         pair = sorted((c1, c2))
         if pair[1] - pair[0] != 1:
@@ -400,7 +399,7 @@ def gg_column_moves(cfg: Configuration, variant: str,
     elif variant == "obs2":
         if len(columns) != 4:
             raise ValueError("obs2 takes four columns")
-        lo, hi = rows if rows is not None else (0, height - 1)
+        hi = geom.dims[1] - 1
         c1, c2, c3, c4 = as_ints(columns, "columns")
         pair = sorted((c1, c2))
         tpair = sorted((c3, c4))
@@ -416,7 +415,7 @@ def gg_column_moves(cfg: Configuration, variant: str,
         raise ValueError("variant must be obs1 or obs2")
 
     def seg(c):
-        return box_region(geom, Box((c, lo), (1, hi - lo)))
+        return box_region(geom, Box((c, 0), (1, hi)))
 
     for c in pair:
         if (cfg.bits[seg(c).indices] != 0).any():

@@ -1,12 +1,11 @@
 """Rectangle-ladder crossings, empty-cluster labeling, and decay-rate fits.
 
 The dyadic ladder doubles one side at a time: level n is a rectangle with
-sides 2^n and 2^(n-1), tall when n is odd and wide when n is even, and the
-two translates of each level sit one step up or one step right of the
-anchor vertex.  A level is crossed when an all-empty nearest-neighbor path
-joins its two short sides.  Crossing failures decay exponentially in the
-long side deep in the supercritical phase; the fitted rate feeds the
-weighted series checked by `supercritical_condition_check`.
+sides 2^n and 2^(n-1), tall when n is odd and wide when n is even.  A
+level is crossed when an all-empty nearest-neighbor path joins its two
+short sides.  Crossing failures decay exponentially in the long side deep
+in the supercritical phase; the fitted rate feeds the weighted series
+checked by `supercritical_condition_check`.
 """
 
 from __future__ import annotations
@@ -33,11 +32,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RectangleLadder:
-    """Dyadic rectangles anchored just above (i=1) or right of (i=2) a vertex.
+    """Dyadic rectangles sharing a corner.
 
-    Level 1 of the i=1 family is the two-vertex column {anchor+e2,
-    anchor+2*e2}; each later level doubles the short side of the previous
-    one, so consecutive levels nest.
+    Level 1 is a two-vertex column; each later level doubles the short side
+    of the previous one, so consecutive levels nest.
     """
 
     n_max: int
@@ -61,19 +59,8 @@ class RectangleLadder:
         """Axis along which the hard crossing runs (the long side)."""
         return 1 if n % 2 else 0
 
-    def box(self, n: int, i: int = 1, anchor=(0, 0)) -> Box:
-        if not 1 <= n <= self.n_max:
-            raise ValueError("level outside the ladder")
-        if i == 1:
-            corner = (anchor[0], anchor[1] + 1)
-        elif i == 2:
-            corner = (anchor[0] + 1, anchor[1])
-        else:
-            raise ValueError("translate index must be 1 or 2")
-        return Box(corner, self.level_dims(n))
-
     def bounding_dims(self) -> tuple[int, int]:
-        """Smallest (width, height) holding every i=1 level, anchor-relative."""
+        """Smallest (width, height) holding every level."""
         ws, hs = zip(*(self.level_dims(n) for n in range(1, self.n_max + 1)))
         return max(ws), max(hs)
 
@@ -113,26 +100,21 @@ def find_clusters(cfg: Configuration) -> np.ndarray:
     return labels
 
 
-def has_hard_crossing(cfg: Configuration, rect: Box, axis: int | None = None,
-                      ) -> bool:
-    """True when an all-empty nearest-neighbor path inside `rect` joins the
-    two sides orthogonal to `axis` (default: the long axis, so the path
-    connects the two short sides)."""
+def has_hard_crossing(cfg: Configuration, rect: Box) -> bool:
+    """True when an all-empty nearest-neighbor path inside `rect` runs
+    along its long axis, joining its two short sides."""
     geom = cfg.geom
     if len(geom.dims) != 2 or len(rect.dims) != 2:
         raise ValueError("hard crossings are two-dimensional")
-    if axis is None:
-        axis = 0 if rect.dims[0] >= rect.dims[1] else 1
+    axis = 0 if rect.dims[0] >= rect.dims[1] else 1
     sub = (cfg.bits[box_region(geom, rect).indices] == 0).reshape(rect.dims)
     return bool(kernels.crossing_batch(sub[None, :, :], axis)[0])
 
 
-def c_infty_surrogate(cfg: Configuration, x, radius: int,
-                      oriented: bool = False) -> bool:
+def c_infty_surrogate(cfg: Configuration, x, radius: int) -> bool:
     """Finite stand-in for "two neighbors in an unbounded empty cluster".
 
-    True when at least two neighbors of `x` (the +e1/+e2 pair if
-    `oriented`, all nearest neighbors otherwise) are empty and connect,
+    True when at least two nearest neighbors of `x` are empty and connect,
     inside the radius-`radius` window, to the window's hull.  The center
     is masked before labeling, so the value never reads the state of `x`
     itself.  Nonincreasing in `radius`: a farther hull is harder to reach.
@@ -157,11 +139,8 @@ def c_infty_surrogate(cfg: Configuration, x, radius: int,
         hull.update(face[-1].ravel().tolist())
     hull.discard(-1)
 
-    if oriented:
-        steps = [tuple(int(a == b) for b in range(d)) for a in range(d)]
-    else:
-        steps = [tuple(s * int(a == b) for b in range(d))
-                 for a in range(d) for s in (1, -1)]
+    steps = [tuple(s * int(a == b) for b in range(d))
+             for a in range(d) for s in (1, -1)]
     count = 0
     for s in steps:
         nb = tuple(radius + s[a] for a in range(d))
@@ -176,7 +155,6 @@ def c_infty_surrogate(cfg: Configuration, x, radius: int,
 class CrossingRow:
     n: int
     side: int
-    failures: int
     estimate: ScanEstimate
 
 
@@ -240,7 +218,7 @@ def estimate_crossing_failure(n_index: int, p: float, replicas: int,
         est = ScanEstimate(failures / replicas,
                            wilson_ci(failures, replicas), replicas, seed,
                            censored=(failures == 0))
-        rows.append(CrossingRow(n, ladder.side(n), failures, est))
+        rows.append(CrossingRow(n, ladder.side(n), est))
 
     m_hat = fit_decay_rate([r.side for r in rows],
                            [r.estimate.value for r in rows], replicas)
@@ -249,11 +227,13 @@ def estimate_crossing_failure(n_index: int, p: float, replicas: int,
 
 # ------------------------------------------------------------ the condition
 
-def supercritical_condition_check(p: float, m_hat: float,
-                                  n_truncate: int = 40) -> float:
+N_TRUNCATE = 40   # terms summed before the geometric tail bound
+
+
+def supercritical_condition_check(p: float, m_hat: float) -> float:
     """Value of 3*sum_n 8^n exp(-m*2^(n-1)) + 4*sqrt(p), tail included.
 
-    The series is summed to `n_truncate` and closed with a geometric tail
+    The series is summed to N_TRUNCATE and closed with a geometric tail
     bound, valid once the term ratio 8*exp(-m*2^(n-1)) has fallen below
     1/2; ergodicity of the crossing-constrained dynamics needs the
     returned value to be at most 1/4.
@@ -262,13 +242,11 @@ def supercritical_condition_check(p: float, m_hat: float,
         raise ValueError("p must be in (0,1)")
     if m_hat <= 0.0:
         raise ValueError("decay rate must be positive")
-    if n_truncate < 1:
-        raise ValueError("need at least one term")
     total = 4.0 * math.sqrt(p)
-    for n in range(1, n_truncate + 1):
+    for n in range(1, N_TRUNCATE + 1):
         term = 3.0 * 8.0 ** n * math.exp(-m_hat * 2.0 ** (n - 1))
         total += term
-    ratio = 8.0 * math.exp(-m_hat * 2.0 ** (n_truncate - 1))
+    ratio = 8.0 * math.exp(-m_hat * 2.0 ** (N_TRUNCATE - 1))
     if ratio >= 0.5:
         raise ValueError("series not yet dominated at this truncation")
     return total + term * ratio / (1.0 - ratio)

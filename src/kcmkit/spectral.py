@@ -266,7 +266,7 @@ def _top_pair(gen: GeneratorMatrix, vectors: bool):
     c = float(2.0 * np.abs(s[diag]).max() + 1.0)
     s[diag] += c
     mv = kernels.csr_operator(gen.indptr, gen.indices, s)
-    del s, diag  # mv holds its own copy; free these before the solve
+    del diag
     v0 = np.full(gen.size, 1.0 / np.sqrt(gen.size))
     return c, _lanczos_top(mv, gen.size, 2, v0, vectors)
 

@@ -29,8 +29,8 @@ class ScanEstimate:
         return 0.5 * (self.ci[1] - self.ci[0])
 
 
-def wilson_ci(successes: int, trials: int, z: float = Z95):
-    """Wilson score interval for a binomial proportion.
+def wilson_ci(successes: int, trials: int):
+    """95% Wilson score interval for a binomial proportion.
 
     The interval reaches 0 exactly at zero successes and 1 exactly at full
     successes, where the closed form only gets there up to rounding.
@@ -40,11 +40,11 @@ def wilson_ci(successes: int, trials: int, z: float = Z95):
     if not 0 <= successes <= trials:
         raise ValueError("successes outside [0, trials]")
     phat = successes / trials
-    z2 = z * z
+    z2 = Z95 * Z95
     denom = 1.0 + z2 / trials
     center = (phat + z2 / (2 * trials)) / denom
-    half = (z / denom) * math.sqrt(phat * (1 - phat) / trials
-                                   + z2 / (4 * trials * trials))
+    half = (Z95 / denom) * math.sqrt(phat * (1 - phat) / trials
+                                     + z2 / (4 * trials * trials))
     lo = 0.0 if successes == 0 else max(0.0, center - half)
     hi = 1.0 if successes == trials else min(1.0, center + half)
     return lo, hi

@@ -47,7 +47,6 @@ def test_block_dims_fa2_example():
     out = block_dims("fa2", q=0.1, A=3.5, d=2)
     assert out.dims == (80, 80)
     assert not out.degenerate
-    assert not out.small_A
 
 
 def test_block_dims_gg_example():
@@ -55,17 +54,11 @@ def test_block_dims_gg_example():
     assert out.dims == (math.floor(7 * math.log(4) / 0.0625),
                         math.floor(7 * math.log(4) / 0.25))
     assert out.dims == (155, 38)
-    assert not out.small_A
 
 
 def test_block_dims_degenerate_near_one():
     assert block_dims("fa2", q=0.97, A=3.5, d=2).degenerate
     assert block_dims("gg", q=0.9, A=7.0).degenerate
-
-
-def test_block_dims_small_a_flag():
-    assert block_dims("gg", q=0.2, A=5.0).small_A
-    assert block_dims("fa2", q=0.2, A=2.9, d=2).small_A
 
 
 def test_block_dims_fakf_needs_ell():
@@ -339,7 +332,6 @@ def test_block_probs_trivial_q_one():
     assert out.p2_value == 1.0
     assert out.p2_mode == "exact"
     assert out.condition_value == 0.0
-    assert not out.p1_zero
 
 
 def test_block_probs_match_exhaustive():
@@ -387,7 +379,6 @@ def test_block_probs_paper_dims_failure_bound():
 def test_block_probs_p1_zero_flag():
     spec = BlockSpec("fa2", (30, 30), 0.01, 3.5)
     out = estimate_block_probs(spec, replicas=50, seed=1)
-    assert out.p1_zero
     assert out.p1.value == 0.0
     # the bound route underflows to p2 = 0; condition blows up, as it should
     assert out.condition_value == math.inf

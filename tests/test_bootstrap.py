@@ -9,11 +9,10 @@ from kcmkit.bootstrap import (closure, closure_with_rounds,
                               estimate_lc, estimate_qc,
                               estimate_span_probability, fa1f_lc, fa1f_qc,
                               fa1f_span_probability, is_internally_spanned,
-                              replica_thresholds, spans)
+                              replica_thresholds)
 from kcmkit import rng
 from kcmkit.families import make_family, tables_for
-from kcmkit.lattice import (Box, Configuration, Geometry, box_region,
-                            random_uniforms)
+from kcmkit.lattice import Configuration, Geometry, random_uniforms
 from oracles import closure_naive, replica_threshold_bisection, shift_flat
 
 
@@ -163,34 +162,11 @@ def test_infection_time_never():
 
 # ------------------------------------------------------- internal spanning
 
-def test_internally_spanned_uses_only_region_sites():
-    fam = make_family("fa_kf", d=1, k=1)
-    g = Geometry((6,), torus=True)
-    region = box_region(g, Box((1,), (3,)))  # sites 1,2,3
-    cfg = Configuration.from_empty_sites(g, [(2,), (5,)])
-    # inside the region the single empty at 2 spreads to 1 and 3; the empty
-    # at 5 must not help and must not be filled either
-    assert is_internally_spanned(cfg, fam, region)
-    full_closure = closure(cfg, fam)
-    assert full_closure.count_empty() == 6
-    assert spans(cfg, fam)
-
-
 def test_internally_spanned_negative():
     fam = make_family("fa_kf", d=2, k=2)
     g = Geometry((4, 4), torus=True)
     cfg = Configuration.from_empty_sites(g, [(0, 0)])
     assert not is_internally_spanned(cfg, fam)
-
-
-def test_restriction_respects_boundary_mode():
-    # in-region closure treats sites outside the region as occupied
-    fam = make_family("east", d=1)
-    g = Geometry((5,), torus=True)
-    region = box_region(g, Box((2,), (3,)))
-    cfg = Configuration.from_empty_sites(g, [(1,)])
-    # the empty driver sits outside the region, so nothing inside may move
-    assert not is_internally_spanned(cfg, fam, region)
 
 
 # ------------------------------------------------------------- estimators

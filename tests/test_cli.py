@@ -213,6 +213,7 @@ _LONG_EVENT_LOG_DIGEST = (
     "8c45bfcb05d938da952ce6882be4d5b663a7463167cc93753bb06b20d7f5f154")
 
 
+@pytest.mark.usefixtures("each_kernels")
 def test_default_runs_are_pinned(capsys):
     for argv, digest in _DEFAULT_RUNS.items():
         assert main(argv.split()) == 0, argv
@@ -220,6 +221,7 @@ def test_default_runs_are_pinned(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
+@pytest.mark.usefixtures("each_kernels")
 def test_event_log_bytes_are_pinned(tmp_path):
     events = tmp_path / "run.events"
     rc, _ = run(tmp_path, "sim", "--model", "fa1", "--d", "1", "--n", "8",
@@ -231,6 +233,7 @@ def test_event_log_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(blob).hexdigest() == _EVENT_LOG_DIGEST
 
 
+@pytest.mark.usefixtures("each_kernels")
 def test_long_event_log_bytes_are_pinned(tmp_path):
     events = tmp_path / "run.events"
     rc, _ = run(tmp_path, "sim", "--model", "fa1", "--d", "2", "--n", "8",

@@ -901,6 +901,10 @@ def test_csr_operator_parity_with_scipy(core, n, max_len):
             out = np.full(n, np.nan)
             assert mv(x, out) is out
             assert out.tobytes() == want.tobytes(), impl.IMPL_NAME
-            for a in arrays:  # the operator copied them when it was built
-                a[:] = 0
+            for a, dtype in zip(arrays, (np.int32, np.int32, np.float64)):
+                if a.dtype == dtype:  # borrowed, so made read-only
+                    with pytest.raises(ValueError, match="read-only"):
+                        a[:] = 0
+                else:  # copied when the operator was built
+                    a[:] = 0
             assert mv(x, out).tobytes() == want.tobytes(), impl.IMPL_NAME

@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from kcmkit.families import make_family
-from kcmkit.kcm import (KcmParams, read_event_log, sample_persistence_time,
-                        write_event_log)
+from kcmkit.kcm import read_event_log, write_event_log
 from kcmkit.lattice import (Box, Configuration, Geometry, Region, as_site,
                             as_sites, cross_region)
 from kcmkit.paths import (LegalPath, gg_column_moves, path_A,
@@ -27,11 +26,6 @@ NAN = math.nan
 BIG = 2**31 + 5
 G33 = Geometry((3, 3))
 FA1 = make_family("fa_kf", d=2, k=1)
-EAST2 = make_family("east", d=2)
-
-
-def _kp(**kw):
-    return KcmParams(EAST2, 0.3, Geometry((4, 4), **kw), 2.0, 1)
 
 
 def _event_log_vertex():
@@ -91,9 +85,6 @@ HOSTILE = {
         lambda: Configuration.from_empty_sites(G33, [BIG]), ValueError),
     "constraint-minus-1": (
         lambda: constraint_satisfied(Configuration.fully_empty(G33), FA1, -1),
-        ValueError),
-    "persistence-origin-minus-1": (
-        lambda: sample_persistence_time(_kp(torus=True), 20, origin=-1),
         ValueError),
     "column-move-column-0.5": (_column_move_float_column, ValueError),
     "path-A-target-0.5": (_path_A_float_target, ValueError),
