@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
-from .families import make_family, tables_for
+from .families import UpdateFamily, make_family, tables_for
 from .lattice import (Configuration, Geometry, _cached_geometry, as_ints,
                       random_bits)
 from .stats import ScanEstimate, wilson_ci
@@ -153,7 +154,7 @@ def _good_batch(empty: np.ndarray, spec: BlockSpec) -> np.ndarray:
         return cols & pairs
     # fakf: every i-slice internally spanned for the reduced model, with one
     # closure call per slice position over all replicas
-    fam = make_family("fa_kf", d=d - 1, k=spec.k - 1)
+    fam = _slice_family(d, spec.k)
     ok = np.ones(empty.shape[0], dtype=bool)
     for axis in range(d):
         g = Geometry(tuple(n for a, n in enumerate(spec.dims) if a != axis))
@@ -163,6 +164,13 @@ def _good_batch(empty: np.ndarray, spec: BlockSpec) -> np.ndarray:
             out, _ = kernels.closure((~sl).astype(np.uint8), t)
             ok &= ~out.any(axis=1)
     return ok
+
+
+@lru_cache(maxsize=16)
+def _slice_family(d: int, k: int) -> UpdateFamily:
+    """The reduced (k-1)-of-2(d-1) family on a slice of a k-of-2d block."""
+    return (make_family("fa_kf", d - 1, k - 1) if k >= 2
+            else make_family("unconstrained", d - 1))
 
 
 def _seed_mask(spec: BlockSpec) -> np.ndarray:
@@ -187,24 +195,19 @@ def _seed_mask(spec: BlockSpec) -> np.ndarray:
     return mask
 
 
-def _supergood_batch(empty: np.ndarray, spec: BlockSpec,
-                     good: np.ndarray | None = None) -> np.ndarray:
-    if good is None:
-        good = _good_batch(empty, spec)
-    seed = _seed_mask(spec)
-    seeded = empty[:, seed].all(axis=1)
-    return good & seeded
+def _classes(empty: np.ndarray, spec: BlockSpec):
+    """(good, supergood) indicators over a (R, *dims) batch of empty-site
+    grids: super-good is good with the whole seed set empty."""
+    good = _good_batch(empty, spec)
+    return good, good & empty[:, _seed_mask(spec)].all(axis=1)
 
 
 def classify_block(cfg: Configuration, spec: BlockSpec) -> str:
     """'neither', 'good', or 'supergood' per the block model's events."""
-    empty = _empty_grid(cfg, spec)[None]
-    good = _good_batch(empty, spec)
-    if not good[0]:
-        return CLASS_NEITHER
-    if _supergood_batch(empty, spec, good)[0]:
+    good, supergood = _classes(_empty_grid(cfg, spec)[None], spec)
+    if supergood[0]:
         return CLASS_SUPERGOOD
-    return CLASS_GOOD
+    return CLASS_GOOD if good[0] else CLASS_NEITHER
 
 
 # ------------------------------------------------------- promotion constant
@@ -218,10 +221,7 @@ def _enumerate_classes(spec: BlockSpec):
     states = np.arange(1 << n, dtype=np.uint64)
     bits = ((states[:, None] >> np.arange(n, dtype=np.uint64)[None, :])
             & np.uint64(1)).astype(np.uint8)
-    empty = (bits == 0).reshape(-1, *spec.dims)
-    good = _good_batch(empty, spec)
-    sg = _supergood_batch(empty, spec, good)
-    return good, sg
+    return _classes((bits == 0).reshape(-1, *spec.dims), spec)
 
 
 def lambda_phi(spec: BlockSpec, mode: str = "auto"):
@@ -307,12 +307,10 @@ def estimate_block_probs(spec: BlockSpec, replicas: int, seed: int,
         raise ValueError(f"unknown p2 mode {p2_mode!r}")
     hits1 = hits2 = 0
     for _, bits in random_bits(spec.geometry(), spec.q, seed, replicas):
-        empty = (bits == 0).reshape(-1, *spec.dims)
-        good = _good_batch(empty, spec)
+        good, supergood = _classes((bits == 0).reshape(-1, *spec.dims), spec)
         hits1 += int(good.sum())
-        hits2 += int(_supergood_batch(empty, spec, good).sum())
-    p1 = ScanEstimate(hits1 / replicas, wilson_ci(hits1, replicas),
-                      replicas, seed)
+        hits2 += int(supergood.sum())
+    p1 = ScanEstimate(hits1 / replicas, wilson_ci(hits1, replicas))
 
     if p2_mode == "auto":
         p2_mode = "exact" if spec.n_sites <= EXACT_PROBS_CAP else "bound"

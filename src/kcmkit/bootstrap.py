@@ -56,8 +56,7 @@ def estimate_span_probability(n: int, fam: UpdateFamily, q: float,
     # of the closure is all empty
     hits = sum(int(np.count_nonzero(~kernels.closure(block, t)[0].any(axis=1)))
                for _, block in random_bits(geom, q, seed, replicas))
-    return ScanEstimate(hits / replicas, wilson_ci(hits, replicas),
-                        replicas, seed)
+    return ScanEstimate(hits / replicas, wilson_ci(hits, replicas))
 
 
 def _replayed_bisection(threshold: float, lo: float, hi: float,
@@ -124,7 +123,7 @@ def estimate_qc(n: int, fam: UpdateFamily, tol: float, replicas: int,
     jlo = max(0, int(math.floor(0.5 * replicas - half)))
     jhi = min(replicas - 1, int(math.ceil(0.5 * replicas + half)))
     ci = (thresholds[jlo] - 0.5 * tol, thresholds[jhi] + 0.5 * tol)
-    return ScanEstimate(median(thresholds), ci, replicas, seed)
+    return ScanEstimate(median(thresholds), ci)
 
 
 def estimate_lc(q: float, fam: UpdateFamily, n_max: int, replicas: int,
@@ -149,7 +148,7 @@ def estimate_lc(q: float, fam: UpdateFamily, n_max: int, replicas: int,
     n = 1
     p = phat(1)
     if p >= 0.5:
-        return ScanEstimate(1.0, (1.0, 1.0), replicas, seed)
+        return ScanEstimate(1.0, (1.0, 1.0))
     lo = 1  # largest size seen below 1/2
     hi = None
     while True:
@@ -162,14 +161,14 @@ def estimate_lc(q: float, fam: UpdateFamily, n_max: int, replicas: int,
         if n >= n_max:
             # search censored at the cap: report the cap, flagged
             return ScanEstimate(float(n_max), (float(n_max), float(n_max)),
-                                replicas, seed, censored=True)
+                                censored=True)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if phat(mid) >= 0.5:
             hi = mid
         else:
             lo = mid
-    return ScanEstimate(float(hi), (float(lo + 1), float(hi)), replicas, seed)
+    return ScanEstimate(float(hi), (float(lo + 1), float(hi)))
 
 
 # ---------------------------------------------------- closed forms (fa_1f)

@@ -371,7 +371,7 @@ def _cmd_sim(args) -> None:
 
 
 def _cmd_gap(args) -> None:
-    from . import spectral  # loads ARPACK only when a class needs Lanczos
+    from . import spectral  # spares the other commands its import
 
     fam = resolve_family(args.model, args.d)
     geom = Geometry(args.dims, torus=args.torus)
@@ -452,7 +452,6 @@ def _cmd_paths(args) -> None:
 
 
 def _cmd_perc(args) -> None:
-    ladder = percolation.RectangleLadder(args.nmax)
     rows = []
     for i, p in enumerate(args.p):
         scan = percolation.estimate_crossing_failure(args.nmax, p,
@@ -460,7 +459,7 @@ def _cmd_perc(args) -> None:
                                                      args.seed + i)
         m_hat = scan.m_hat if scan.m_hat is not None else float("nan")
         for r in scan.rows:
-            rows.append(["site", ladder.level_dims(r.n), 1.0 - p, p,
+            rows.append(["site", percolation.level_dims(r.n), 1.0 - p, p,
                          args.replicas, args.seed + i, r.n, r.side,
                          r.estimate.value, r.estimate.ci[0],
                          r.estimate.ci[1], m_hat])

@@ -22,6 +22,8 @@ from .lattice import Geometry, _opened, as_ints
 Offset = tuple[int, ...]
 Rule = frozenset
 
+_SAT_SLOTS = 16   # the most slots a sat table covers: C holds masks in uint16
+
 
 @dataclass(frozen=True)
 class UpdateFamily:
@@ -47,10 +49,6 @@ class UpdateFamily:
             if key in seen:
                 raise ValueError("duplicate rule in family")
             seen.add(key)
-
-    @property
-    def m(self) -> int:
-        return len(self.rules)
 
     def offsets(self) -> list[Offset]:
         """Distinct offsets used by any rule, in sorted order."""
@@ -175,8 +173,8 @@ class FamilyTables:
     offsets leaving a free box; rev[v, s] likewise for v - offset_s.
     rules[k] holds rule k's sorted slots. sat[mask] is 1 iff the slot set
     `mask` (bit s for slot s) contains some rule, i.e. a site whose empty
-    slots are `mask` is satisfied; it has 2^S entries, and is None when the
-    family has more than 16 slots. The C kernels read nbr, rev, sat and
+    slots are `mask` is satisfied; it has 2^S entries, and is None for more
+    than _SAT_SLOTS slots. The C kernels read nbr, rev, sat and
     pad_empty: 1 when the pad slot, the outside of a free box, reads empty.
     Construction checks this layout, which the C code indexes unchecked,
     and makes every array read-only: tables_for shares one object.
@@ -187,16 +185,16 @@ class FamilyTables:
     nbr: np.ndarray          # (N, S) int64
     rev: np.ndarray          # (N, S) int64
     rules: tuple[np.ndarray, ...]   # int32 slot ids of each rule, sorted
-    sat: np.ndarray | None   # (2^S,) uint8, or None for S > 16
+    sat: np.ndarray | None   # (2^S,) uint8, or None for S > _SAT_SLOTS
     pad_empty: int
 
     def __post_init__(self):
         n, S = self.n_sites, len(self.fam.offsets())
         layout = [("nbr", np.int64, (n, S), n), ("rev", np.int64, (n, S), n)]
-        if S <= 16:
+        if S <= _SAT_SLOTS:
             layout.append(("sat", np.uint8, (1 << S,), 1))
         elif self.sat is not None:
-            raise ValueError(f"sat must be None for {S} > 16 slots")
+            raise ValueError(f"sat must be None for {S} > {_SAT_SLOTS} slots")
         for name, dtype, shape, top in layout:
             a = getattr(self, name)
             if not (isinstance(a, np.ndarray) and a.dtype == dtype
@@ -221,7 +219,7 @@ class FamilyTables:
 def _satisfiable(rules: Sequence[np.ndarray], S: int) -> np.ndarray | None:
     """sat[mask] = 1 iff some rule's slots all lie in mask: each rule's own
     mask is marked, then one upward-closure pass per slot bit."""
-    if S > 16:                  # the C kernels hold masks in uint16
+    if S > _SAT_SLOTS:
         return None
     sat = np.zeros(1 << S, dtype=np.uint8)
     sat[[sum(1 << int(s) for s in slots) for slots in rules]] = 1

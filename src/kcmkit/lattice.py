@@ -18,7 +18,7 @@ import contextlib
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -230,13 +230,6 @@ class Configuration:
         return cls(geom, np.zeros(geom.n_sites, dtype=np.uint8))
 
     @classmethod
-    def from_empty_sites(cls, geom: Geometry, sites: Iterable) -> "Configuration":
-        cfg = cls.fully_occupied(geom)
-        for v in sites:
-            cfg.bits[geom.site(v)] = 0
-        return cfg
-
-    @classmethod
     def random(cls, geom: Geometry, q: float, seed: int,
                replica: int = 0) -> "Configuration":
         """Product measure: each site empty independently with probability q."""
@@ -250,9 +243,6 @@ class Configuration:
 
     def count_empty(self) -> int:
         return int(self.bits.size - self.bits.sum())
-
-    def empty_sites(self) -> list[tuple[int, ...]]:
-        return [self.geom.coords(i) for i in np.flatnonzero(self.bits == 0)]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Configuration)
@@ -294,28 +284,14 @@ class Region:
         m[self.indices] = True
         return m
 
-    def contains(self, v) -> bool:
-        return bool(np.isin(self.geom.site(v), self.indices))
-
     def union(self, other: "Region") -> "Region":
-        _check_same_geom(self, other)
+        if self.geom != other.geom:
+            raise ValueError("regions live on different geometries")
         return Region(self.geom, np.union1d(self.indices, other.indices))
-
-    def minus(self, other: "Region") -> "Region":
-        _check_same_geom(self, other)
-        return Region(self.geom, np.setdiff1d(self.indices, other.indices))
-
-    def coords_list(self) -> list[tuple[int, ...]]:
-        return [self.geom.coords(i) for i in self.indices]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Region) and self.geom == other.geom
                 and bool(np.array_equal(self.indices, other.indices)))
-
-
-def _check_same_geom(a: Region, b: Region):
-    if a.geom != b.geom:
-        raise ValueError("regions live on different geometries")
 
 
 @dataclass(frozen=True)

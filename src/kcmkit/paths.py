@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
 from . import kernels, rng
-from .blocks import BlockSpec, _good_batch, _seed_mask, _supergood_batch
+from .blocks import BlockSpec, _classes, _seed_mask, _slice_family
 from .families import UpdateFamily, make_family, tables_for
 from .lattice import (Box, Configuration, Geometry, Region, _cached_geometry,
                       as_bits, as_ints, as_sites, box_region, check_fit,
@@ -25,6 +26,7 @@ from .lattice import (Box, Configuration, Geometry, Region, _cached_geometry,
 _EXACT_CAP = 1 << 20
 
 _ATTEMPTS = 1024       # a sampler gives up after this many layouts
+_ATTEMPT_BITS = (_ATTEMPTS - 1).bit_length()   # bits of the attempt in an id
 _ATTEMPT_BLOCK = 64    # layouts drawn and classified together, within
                        # rng.BATCH_SITES uniforms
 
@@ -67,28 +69,29 @@ class LegalPath:
             bits[v] = val
         return Configuration(self.start.geom, bits)
 
-    def loop_erased(self) -> "LegalPath":
-        """Splice out revisited configurations, collapsing net-zero cycles."""
-        bits = self.start.bits.copy()
-        trail = [bits.tobytes()]
-        seen = {trail[0]: 0}
-        kept: list[tuple[int, int]] = []
+    def _keys(self) -> list[bytes]:
+        """bits.tobytes() of the start and of the configuration after each
+        flip, in path order."""
+        work = bytearray(self.start.bits.tobytes())
+        keys = [bytes(work)]
         for v, val in zip(self.vertices.tolist(), self.values.tolist()):
-            bits[v] = val
-            key = bits.tobytes()
-            if key in seen:
-                cut = seen[key]
-                for old in trail[cut + 1:]:
-                    del seen[old]
-                del trail[cut + 1:]
-                kept = kept[:cut]
-            else:
-                kept.append((v, val))
-                trail.append(key)
-                seen[key] = len(kept)
-        return LegalPath(self.start,
-                         np.array([v for v, _ in kept], dtype=np.int64),
-                         np.array([x for _, x in kept], dtype=np.uint8))
+            work[v] = val
+            keys.append(bytes(work))
+        return keys
+
+    def loop_erased(self) -> "LegalPath":
+        """Chronological loop erasure, read off last visits: from the last
+        visit of the start, keep the flip that leaves it, jump to the last
+        visit of the configuration it reaches, and repeat to the end."""
+        keys = self._keys()
+        last = {key: i for i, key in enumerate(keys)}
+        kept = []
+        i = last[keys[0]]
+        while i < self.length:
+            kept.append(i)
+            i = last[keys[i + 1]]
+        kept = np.array(kept, dtype=np.int64)
+        return LegalPath(self.start, self.vertices[kept], self.values[kept])
 
 
 @dataclass(frozen=True)
@@ -122,28 +125,22 @@ def verify_legal(path: LegalPath, fam: UpdateFamily) -> VerifyResult:
     all its neighbors empty right before the flip, or when the resulting
     configuration was already visited. O(length * m * rule size).
     """
-    geom = path.start.geom
-    t = tables_for(geom, fam)
-    n, S = t.nbr.shape
-    ext = np.zeros(n + 2, dtype=np.uint8)   # ext[n + 1]: always empty
-    ext[:n] = path.start.bits
-    ext[n] = 0 if t.pad_empty else 1
-    # one row of slots per rule, short rows padded with slot S, which reads
-    # ext[n + 1] from every site; an all-padding row is the empty rule
-    nbr = np.full((n, S + 1), n + 1)
-    nbr[:, :S] = t.nbr
-    mat = np.full((len(t.rules), max(slots.size for slots in t.rules)), S)
-    for k, slots in enumerate(t.rules):
-        mat[k, :slots.size] = slots
-    seen = {ext[:n].tobytes()}
+    t = tables_for(path.start.geom, fam)
+    n = t.n_sites
+    rows = t.nbr.tolist()
+    rules = [slots.tolist() for slots in t.rules]
+    # work[n] is the outside of a free box; the empty rule passes
+    work = bytearray(path.start.bits.tobytes()) + bytes((t.pad_empty ^ 1,))
+    seen = {bytes(work[:n])}
     for i, (v, val) in enumerate(zip(path.vertices.tolist(),
                                      path.values.tolist())):
-        if ext[v] == val:
+        if work[v] == val:
             return VerifyResult(False, i, v, "flip does not change the site")
-        if not (ext[nbr[v][mat]] == 0).all(axis=1).any():
+        row = rows[v]
+        if not any(all(not work[row[s]] for s in slots) for slots in rules):
             return VerifyResult(False, i, v, "no update rule satisfied at flip time")
-        ext[v] = val
-        key = ext[:n].tobytes()
+        work[v] = val
+        key = bytes(work[:n])
         if key in seen:
             return VerifyResult(False, i, v, "configuration revisited")
         seen.add(key)
@@ -329,13 +326,6 @@ def slice_schedule(cfg: Configuration, fam: UpdateFamily, i: int, j: int,
     return p
 
 
-@lru_cache(maxsize=16)
-def _slice_family(d: int, k: int) -> UpdateFamily:
-    """The reduced (k-1)-of-2(d-1) family a slice move replays."""
-    return (make_family("fa_kf", d - 1, k - 1) if k >= 2
-            else make_family("unconstrained", d - 1))
-
-
 def cross_schedule(cfg: Configuration, fam: UpdateFamily,
                    x: Sequence[int], y: Sequence[int],
                    box: Box | None = None) -> LegalPath:
@@ -461,10 +451,11 @@ def _eligible(bits: np.ndarray, geom: Geometry, spec: BlockSpec,
     spec's dims and lie inside the geometry."""
     empty = (bits == 0).reshape(-1, *geom.dims)
     ok = np.ones(empty.shape[0], dtype=bool)
-    for boxes, event in ((good, _good_batch), (supergood, _supergood_batch)):
+    for event, boxes in enumerate((good, supergood)):
         for bx in boxes:
-            ok &= event(empty[(slice(None),) + tuple(
-                slice(c, c + n) for c, n in zip(bx.corner, bx.dims))], spec)
+            ok &= _classes(empty[(slice(None),) + tuple(
+                slice(c, c + n) for c, n in zip(bx.corner, bx.dims))],
+                spec)[event]
     return ok
 
 
@@ -671,12 +662,12 @@ def _first_eligible(geom: Geometry, spec: BlockSpec, q: float, seed: int,
     """The first eligible layout among a replica's attempts.
 
     Attempt a is the product-measure layout of STREAM_AUX under the id
-    (replica << 10) | a with the `forced` sites emptied; it is eligible
-    when every block in `good` is good and every block in `supergood`
-    super-good. Attempts are drawn and classified a block at a time, so the
-    layout is the one a one-attempt loop would return.
+    (replica << _ATTEMPT_BITS) | a with the `forced` sites emptied; it is
+    eligible when every block in `good` is good and every block in
+    `supergood` super-good. Attempts are drawn and classified a block at a
+    time, so the layout is the one a one-attempt loop would return.
     """
-    ids = (np.uint64((int(replica) << 10) & rng.MASK64)
+    ids = (np.uint64((int(replica) << _ATTEMPT_BITS) & rng.MASK64)
            | np.arange(_ATTEMPTS, dtype=np.uint64))
     for _, bits in random_bits(geom, q, seed, ids, stream=rng.STREAM_AUX,
                                rows=_ATTEMPT_BLOCK):
@@ -753,14 +744,9 @@ def congestion_constant(paths: Sequence[LegalPath],
     base = (1.0 - q) / q
     loads: dict[bytes, float] = {}
     for p in paths:
-        bits = p.start.bits.copy()
-        delta = 0
-        key = bits.tobytes()
-        loads[key] = loads.get(key, 0.0) + 1.0
-        for v, val in zip(p.vertices.tolist(), p.values.tolist()):
-            bits[v] = val
-            delta += 1 if val else -1
-            key = bits.tobytes()
+        deltas = accumulate((1 if val else -1 for val in p.values.tolist()),
+                            initial=0)
+        for key, delta in zip(p._keys(), deltas):
             loads[key] = loads.get(key, 0.0) + base ** (-delta)
     rho = max(loads.values(), default=0.0)
     return CongestionReport(float(rho), n_max)

@@ -1,7 +1,8 @@
 """Rectangle-ladder crossings, empty-cluster labeling, and decay-rate fits.
 
 The dyadic ladder doubles one side at a time: level n is a rectangle with
-sides 2^n and 2^(n-1), tall when n is odd and wide when n is even.  A
+sides 2^n and 2^(n-1), tall when n is odd and wide when n is even, and
+all levels share a corner, so each holds the ones below it.  A
 level is crossed when an all-empty nearest-neighbor path joins its two
 short sides.  Crossing failures decay exponentially in the long side deep
 in the supercritical phase; the fitted rate feeds the weighted series
@@ -21,7 +22,7 @@ from .lattice import (Box, Configuration, Geometry, as_ints, box_region,
 from .stats import ScanEstimate, wilson_ci
 
 __all__ = [
-    "RectangleLadder", "find_clusters", "has_hard_crossing",
+    "level_dims", "crossing_axis", "find_clusters", "has_hard_crossing",
     "c_infty_surrogate", "CrossingRow", "CrossingScan",
     "estimate_crossing_failure", "fit_decay_rate",
     "supercritical_condition_check",
@@ -30,39 +31,15 @@ __all__ = [
 
 # -------------------------------------------------------------- the ladder
 
-@dataclass(frozen=True)
-class RectangleLadder:
-    """Dyadic rectangles sharing a corner.
+def level_dims(n: int) -> tuple[int, int]:
+    """(width, height) of level n; the long side is vertical when n is odd."""
+    long, short = 1 << n, 1 << (n - 1)
+    return (short, long) if n % 2 else (long, short)
 
-    Level 1 is a two-vertex column; each later level doubles the short side
-    of the previous one, so consecutive levels nest.
-    """
 
-    n_max: int
-
-    def __post_init__(self):
-        if self.n_max < 1:
-            raise ValueError("ladder needs at least one level")
-
-    @staticmethod
-    def side(n: int) -> int:
-        return 1 << n
-
-    @staticmethod
-    def level_dims(n: int) -> tuple[int, int]:
-        """(width, height); the long side is vertical when n is odd."""
-        long, short = 1 << n, 1 << (n - 1)
-        return (short, long) if n % 2 else (long, short)
-
-    @staticmethod
-    def crossing_axis(n: int) -> int:
-        """Axis along which the hard crossing runs (the long side)."""
-        return 1 if n % 2 else 0
-
-    def bounding_dims(self) -> tuple[int, int]:
-        """Smallest (width, height) holding every level."""
-        ws, hs = zip(*(self.level_dims(n) for n in range(1, self.n_max + 1)))
-        return max(ws), max(hs)
+def crossing_axis(n: int) -> int:
+    """Axis along which level n's hard crossing runs (the long side)."""
+    return 1 if n % 2 else 0
 
 
 # ----------------------------------------------------------------- clusters
@@ -160,9 +137,6 @@ class CrossingRow:
 
 @dataclass(frozen=True)
 class CrossingScan:
-    p: float
-    replicas: int
-    seed: int
     rows: tuple[CrossingRow, ...]
     m_hat: float | None
 
@@ -198,31 +172,32 @@ def estimate_crossing_failure(n_index: int, p: float, replicas: int,
     so estimates are coupled across levels.  Levels with zero observed
     failures keep their confidence interval but drop out of the rate fit.
     """
+    if n_index < 1:
+        raise ValueError("ladder needs at least one level")
     if not 0.0 < p < 1.0:
         raise ValueError("p must be in (0,1)")
     if replicas < 1:
         raise ValueError("replicas must be positive")
-    ladder = RectangleLadder(n_index)
-    bound = Geometry(ladder.bounding_dims())
+    bound = Geometry(level_dims(n_index))   # the levels nest
     crossed = [0] * n_index
     for _, bits in random_bits(bound, 1.0 - p, seed, replicas):
         empty = (bits == 0).reshape(-1, *bound.dims)
         for n in range(1, n_index + 1):
-            w, h = ladder.level_dims(n)
+            w, h = level_dims(n)
             crossed[n - 1] += int(kernels.crossing_batch(
-                empty[:, :w, :h], ladder.crossing_axis(n)).sum())
+                empty[:, :w, :h], crossing_axis(n)).sum())
 
     rows = []
     for n in range(1, n_index + 1):
         failures = replicas - crossed[n - 1]
         est = ScanEstimate(failures / replicas,
-                           wilson_ci(failures, replicas), replicas, seed,
+                           wilson_ci(failures, replicas),
                            censored=(failures == 0))
-        rows.append(CrossingRow(n, ladder.side(n), est))
+        rows.append(CrossingRow(n, 1 << n, est))
 
     m_hat = fit_decay_rate([r.side for r in rows],
                            [r.estimate.value for r in rows], replicas)
-    return CrossingScan(p, replicas, seed, tuple(rows), m_hat)
+    return CrossingScan(tuple(rows), m_hat)
 
 
 # ------------------------------------------------------------ the condition

@@ -20,8 +20,6 @@ class ScanEstimate:
 
     value: float
     ci: tuple[float, float]
-    replicas: int
-    seed: int
     censored: bool = False
 
     @property

@@ -2,7 +2,7 @@
 modules check the library against, and the reference maps they read the
 library's results through (constraint_satisfied, phi_map,
 relaxation_time), with the site helpers they are written in (shift_flat,
-neighbors, vertex_key). Nothing in src/ calls them."""
+neighbors, vertex_key, from_empty_sites). Nothing in src/ calls them."""
 
 import math
 from typing import Sequence
@@ -51,6 +51,14 @@ def neighbors(geom: Geometry, x) -> list[tuple[int, ...]]:
                 if c not in out:
                     out.append(c)
     return out
+
+
+def from_empty_sites(geom: Geometry, sites) -> Configuration:
+    """The configuration whose empty sites are exactly `sites`."""
+    cfg = Configuration.fully_occupied(geom)
+    for v in sites:
+        cfg.bits[geom.site(v)] = 0
+    return cfg
 
 
 def vertex_key(coords) -> int:
@@ -273,6 +281,32 @@ def window_empty_means_replay(initial: Configuration, events, burn_in: float,
         t_prev = t
     add(t_prev, t_end)
     return np.array(totals) / (width * len(state))
+
+
+def loop_erased_oracle(path: LegalPath) -> LegalPath:
+    """Chronological loop erasure by splicing: replay the path and, on
+    reaching a configuration already on the erased trail, cut the trail
+    back to it."""
+    bits = path.start.bits.copy()
+    trail = [bits.tobytes()]
+    seen = {trail[0]: 0}
+    kept: list[tuple[int, int]] = []
+    for v, val in zip(path.vertices.tolist(), path.values.tolist()):
+        bits[v] = val
+        key = bits.tobytes()
+        if key in seen:
+            cut = seen[key]
+            for old in trail[cut + 1:]:
+                del seen[old]
+            del trail[cut + 1:]
+            kept = kept[:cut]
+        else:
+            kept.append((v, val))
+            trail.append(key)
+            seen[key] = len(kept)
+    return LegalPath(path.start,
+                     np.array([v for v, _ in kept], dtype=np.int64),
+                     np.array([x for _, x in kept], dtype=np.uint8))
 
 
 def congestion_constant_oracle(paths: Sequence[LegalPath], q: float) -> float:

@@ -56,6 +56,19 @@ def test_parse_run_untraced_has_no_counters():
         bench_record.parse_run(_result(2.4, 61.0))
 
 
+@pytest.mark.parametrize("value", [None, "", "0", "1"])
+def test_head_records_the_bytecode_variable(value):
+    environ = {"PATH": "/bin"}
+    if value is not None:
+        environ["PYTHONDONTWRITEBYTECODE"] = value
+    got = bench_record.head("ab12", 40.0, environ)
+    assert got["commit"] == "ab12" and got["parent"] is None
+    assert got["command"].endswith("--seconds 40 --trace 0")
+    # the record of a canned run keeps the value as it was, null if unset
+    got["env"] = bench_record.parse_run(TRACED)["env"]
+    assert json.loads(json.dumps(got))["PYTHONDONTWRITEBYTECODE"] == value
+
+
 def test_summary_and_pairs_won():
     assert bench_record.summary([3.0]) == {"median": 3.0, "iqr": 0.0}
     # inclusive quartiles of 1..4 are 1.75 and 3.25

@@ -14,9 +14,9 @@ from kcmkit.blocks import (
     good_failure_bound,
     key_condition_value_single,
     lambda_phi,
+    _classes,
     _good_batch,
     _seed_mask,
-    _supergood_batch,
 )
 from kcmkit import rng
 from kcmkit.bootstrap import is_internally_spanned
@@ -197,8 +197,7 @@ def test_fakf_good_batch_equals_per_replica_slices(spec):
 ], ids=lambda v: v.model if isinstance(v, BlockSpec) else str(v))
 def test_supergood_implies_good_random(spec, replicas):
     empty = empty_sites(spec, replicas, seed=17)
-    good = _good_batch(empty, spec)
-    sg = _supergood_batch(empty, spec)
+    good, sg = _classes(empty, spec)
     assert not np.any(sg & ~good)
 
 

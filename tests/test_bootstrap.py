@@ -13,7 +13,8 @@ from kcmkit.bootstrap import (closure, closure_with_rounds,
 from kcmkit import rng
 from kcmkit.families import make_family, tables_for
 from kcmkit.lattice import Configuration, Geometry, random_uniforms
-from oracles import closure_naive, replica_threshold_bisection, shift_flat
+from oracles import (closure_naive, from_empty_sites,
+                     replica_threshold_bisection, shift_flat)
 
 
 # ----------------------------------------------------------------- closure
@@ -106,7 +107,7 @@ def test_closure_round_semantics():
     # east chain: empties propagate one site per round, west to east
     g = Geometry((5,))
     fam = make_family("east", d=1)
-    cfg = Configuration.from_empty_sites(g, [(0,)])
+    cfg = from_empty_sites(g, [(0,)])
     out, rounds = closure_with_rounds(cfg, fam)
     assert out.count_empty() == 5
     assert rounds.tolist() == [0, 1, 2, 3, 4]
@@ -146,7 +147,7 @@ def test_infection_time_fa1f_distance():
     # single empty vertex at l1 distance 3 infects the origin in round 3
     fam = make_family("fa_kf", d=2, k=1)
     g = Geometry((9, 9), torus=True)
-    cfg = Configuration.from_empty_sites(g, [(2, 1)])
+    cfg = from_empty_sites(g, [(2, 1)])
     assert _infection_time(cfg, fam, (0, 0)) == 3
     assert _infection_time(cfg, fam, (2, 1)) == 0
     assert _infection_time(cfg, fam, (3, 1)) == 1
@@ -155,7 +156,7 @@ def test_infection_time_fa1f_distance():
 def test_infection_time_never():
     fam = make_family("north_east")
     g = Geometry((4, 4), torus=True)
-    cfg = Configuration.from_empty_sites(g, [(0, 0)])
+    cfg = from_empty_sites(g, [(0, 0)])
     # a single empty site is stable for the oriented two-site rule
     assert _infection_time(cfg, fam, (1, 1)) == -1
 
@@ -165,7 +166,7 @@ def test_infection_time_never():
 def test_internally_spanned_negative():
     fam = make_family("fa_kf", d=2, k=2)
     g = Geometry((4, 4), torus=True)
-    cfg = Configuration.from_empty_sites(g, [(0, 0)])
+    cfg = from_empty_sites(g, [(0, 0)])
     assert not is_internally_spanned(cfg, fam)
 
 

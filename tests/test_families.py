@@ -8,17 +8,17 @@ from hypothesis import strategies as st
 from kcmkit.families import (UpdateFamily, build_tables, make_family,
                              read_family, write_family)
 from kcmkit.lattice import Configuration, Geometry
-from oracles import constraint_satisfied
+from oracles import constraint_satisfied, from_empty_sites
 
 
 # ------------------------------------------------------------- construction
 
 def test_fa_kf_rule_counts():
     # C(2d, k) rules of size k each
-    assert make_family("fa_kf", d=1, k=1).m == 2
-    assert make_family("fa_kf", d=2, k=1).m == 4
-    assert make_family("fa_kf", d=2, k=2).m == 6
-    assert make_family("fa_kf", d=3, k=2).m == 15
+    assert len(make_family("fa_kf", d=1, k=1).rules) == 2
+    assert len(make_family("fa_kf", d=2, k=1).rules) == 4
+    assert len(make_family("fa_kf", d=2, k=2).rules) == 6
+    assert len(make_family("fa_kf", d=3, k=2).rules) == 15
     fam = make_family("fa_kf", d=2, k=2)
     assert all(len(r) == 2 for r in fam.rules)
 
@@ -33,10 +33,11 @@ def test_fa_kf_rules_are_axis_subsets():
 def test_gg_rule_count_and_base():
     fam = make_family("gg")
     assert fam.d == 2
-    assert fam.m == 20
+    assert len(fam.rules) == 20
     base = {(1, 0), (-1, 0), (0, 1), (0, -1), (2, 0), (-2, 0)}
     assert all(len(r) == 3 and r <= base for r in fam.rules)
-    assert fam.m == len({frozenset(c) for c in combinations(sorted(base), 3)})
+    assert len(fam.rules) == len({frozenset(c)
+                                  for c in combinations(sorted(base), 3)})
 
 
 def test_east_and_north_east():
@@ -48,7 +49,7 @@ def test_east_and_north_east():
 
 def test_unconstrained_single_empty_rule():
     fam = make_family("unconstrained", d=3)
-    assert fam.m == 1 and fam.rules[0] == frozenset()
+    assert len(fam.rules) == 1 and fam.rules[0] == frozenset()
 
 
 def test_validation_rejects_zero_offset_and_duplicates():
@@ -69,7 +70,7 @@ def test_validation_rejects_zero_offset_and_duplicates():
 def test_constraint_satisfied_basics():
     g = Geometry((3, 3), torus=True)
     fam = make_family("fa_kf", d=2, k=1)
-    cfg = Configuration.from_empty_sites(g, [(1, 0)])
+    cfg = from_empty_sites(g, [(1, 0)])
     assert constraint_satisfied(cfg, fam, (0, 0))       # wraps and finds (1,0)
     assert constraint_satisfied(cfg, fam, (2, 0))
     assert not constraint_satisfied(cfg, fam, (0, 1))   # not adjacent to (1,0)
@@ -123,7 +124,7 @@ def test_constraint_monotone_in_empties(seed, model):
 def test_table_rules_match_family_rules(fam):
     t = build_tables(Geometry((5, 6), torus=True), fam)
     offsets = fam.offsets()
-    assert len(t.rules) == fam.m
+    assert len(t.rules) == len(fam.rules)
     for k, (slots, rule) in enumerate(zip(t.rules, fam.rules)):
         assert slots.dtype == np.int32
         assert slots.tolist() == sorted(slots.tolist())

@@ -11,7 +11,8 @@ from kcmkit.kcm import (KcmParams, empty_fraction_time_average,
                         read_event_log, sample_persistence_time, simulate_kcm,
                         write_event_log)
 from kcmkit.lattice import Configuration, Geometry
-from oracles import constraint_satisfied, window_empty_means_replay
+from oracles import (constraint_satisfied, from_empty_sites,
+                     window_empty_means_replay)
 
 
 def _params(fam, q, dims, t_max, seed, **gkw):
@@ -42,7 +43,7 @@ def test_all_occupied_is_frozen():
 
 def test_deterministic_event_logs():
     p = _params(make_family("fa_kf", d=1, k=1), 0.35, (10,), 20.0, 9, torus=True)
-    cfg = Configuration.from_empty_sites(p.geometry, [(0,)])
+    cfg = from_empty_sites(p.geometry, [(0,)])
     a = simulate_kcm(p, cfg, log_events=True)
     b = simulate_kcm(p, cfg, log_events=True)
     for u, v in zip(a.events, b.events):

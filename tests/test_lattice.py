@@ -9,7 +9,7 @@ from kcmkit import rng
 from kcmkit.lattice import (Box, Configuration, Geometry, Region, box_region,
                             cross_region, random_bits, read_grid,
                             slice_region, write_grid)
-from oracles import neighbors
+from oracles import from_empty_sites, neighbors
 
 
 # ---------------------------------------------------------------- geometry
@@ -71,7 +71,7 @@ def test_slice_region():
     b = Box((0, 0), (3, 3))
     s = slice_region(g, b, axis=1, j=2)
     assert s.size == 3
-    assert all(c[1] == 2 for c in s.coords_list())
+    assert all(g.coords(v)[1] == 2 for v in s.indices)
 
 
 def test_cross_region_size():
@@ -117,7 +117,8 @@ def test_region_ops():
     a = Region(g, np.array([0, 1, 2]))
     b = Region(g, np.array([2, 3]))
     assert a.union(b).size == 4
-    assert a.minus(b).coords_list() == [(0,), (1,)]
+    with pytest.raises(ValueError, match="different geometries"):
+        a.union(Region(Geometry((5,)), np.array([0])))
     with pytest.raises(ValueError):
         Region(g, np.array([7]))
 
@@ -303,7 +304,7 @@ def test_grid_rejects_malformed():
 
 def test_grid_file_io(tmp_path):
     g = Geometry((2, 2))
-    cfg = Configuration.from_empty_sites(g, [(0, 1)])
+    cfg = from_empty_sites(g, [(0, 1)])
     path = str(tmp_path / "g.grid")
     write_grid(cfg, path)
     assert read_grid(path) == cfg

@@ -5,6 +5,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcmkit import blocks, paths, rng
 from kcmkit.families import make_family
@@ -34,7 +36,8 @@ from kcmkit.paths import (
     slice_schedule,
     verify_legal,
 )
-from oracles import congestion_constant_oracle, constraint_satisfied
+from oracles import (congestion_constant_oracle, constraint_satisfied,
+                     loop_erased_oracle)
 
 FA2 = make_family("fa_kf", 2, 2)
 FA1 = make_family("fa_kf", 2, 1)
@@ -163,6 +166,81 @@ def test_verify_legal_mixed_rule_sizes_match_replay(fam, geom):
     assert "flip does not change the site" in verdicts
     if all(fam.rules):
         assert "no update rule satisfied at flip time" in verdicts
+
+
+# ------------------------------------------------------- replay properties
+
+FAMILIES = [FA1, FA2, GG, make_family("north_east"), make_family("east", 2),
+            make_family("unconstrained", 2), *(f for _, f in MIXED_RULES)]
+
+
+@st.composite
+def walks(draw, families=(None,), legal_bias=False, max_paths=1):
+    """(paths, family): up to max_paths walks from one drawn start on a
+    small drawn geometry. Each step picks a site by a drawn index, among
+    the sites whose constraint holds when legal_bias draws so, and flips
+    it, or, with a family drawn, may rewrite its value (a no-op)."""
+    fam = draw(st.sampled_from(families))
+    geom = draw(st.builds(
+        lambda dims, mode: Geometry(dims, torus=mode == "torus",
+                                    outside_empty=mode == "empty"),
+        st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        st.sampled_from(["torus", "free", "empty"])))
+    n = geom.n_sites
+    start = Configuration(geom, np.array(draw(st.lists(
+        st.integers(0, 1), min_size=n, max_size=n)), dtype=np.uint8))
+    steps = st.lists(st.tuples(
+        st.integers(0, n - 1), st.booleans(),
+        st.booleans() if fam is not None else st.just(False)), max_size=30)
+    paths = []
+    for _ in range(draw(st.integers(1, max_paths))):
+        bits = start.bits.copy()
+        verts, vals = [], []
+        for pick, legal, noop in draw(steps):
+            sites = range(n)
+            if legal_bias and legal:
+                now = Configuration(geom, bits)
+                sites = [v for v in sites
+                         if constraint_satisfied(now, fam, v)]
+            v = sites[pick % len(sites)] if sites else pick
+            bits[v] = val = int(bits[v]) if noop else 1 - int(bits[v])
+            verts.append(v)
+            vals.append(val)
+        paths.append(LegalPath(start, verts, vals))
+    return paths, fam
+
+
+@settings(max_examples=150, deadline=None)
+@given(walks(FAMILIES, legal_bias=True))
+def test_verify_legal_matches_replay_fuzzed(walk):
+    (path,), fam = walk
+    res = verify_legal(path, fam)
+    assert (res.ok, res.index, res.vertex, res.reason) == _replay(path, fam)
+
+
+@settings(max_examples=150, deadline=None)
+@given(walks())
+def test_loop_erased_matches_splice_oracle(walk):
+    (path,), _ = walk
+    erased = path.loop_erased()
+    want = loop_erased_oracle(path)
+    assert erased.vertices.tolist() == want.vertices.tolist()
+    assert erased.values.tolist() == want.values.tolist()
+    keys = erased._keys()
+    assert len(set(keys)) == len(keys)                 # self-avoiding
+    assert keys[0] == path.start.bits.tobytes()
+    assert erased.end().bits.tobytes() == path._keys()[-1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(walks(max_paths=4), st.floats(0.05, 0.95))
+def test_congestion_constant_matches_oracle_fuzzed(walk, q):
+    # loop-erased walks from one start share configurations across the
+    # family, and each visits a configuration once, as the oracle counts
+    family = [p.loop_erased() for p in walk[0]]
+    rep = congestion_constant(family, q)
+    assert rep.rho == congestion_constant_oracle(family, q)
+    assert rep.n_max == max(p.length for p in family)
 
 
 # ---------------------------------------------------------------- schedules

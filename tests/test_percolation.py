@@ -11,12 +11,13 @@ from kcmkit import rng
 from kcmkit.blocks import BlockSpec, estimate_block_probs
 from kcmkit.lattice import Box, Configuration, Geometry
 from kcmkit.percolation import (
-    RectangleLadder,
     c_infty_surrogate,
+    crossing_axis,
     estimate_crossing_failure,
     find_clusters,
     fit_decay_rate,
     has_hard_crossing,
+    level_dims,
     supercritical_condition_check,
 )
 from oracles import percolation_series_value
@@ -60,24 +61,25 @@ def random_cfg(geom, p_occ, rng):
 
 
 def test_ladder_first_level_has_two_vertices():
-    assert RectangleLadder(4).level_dims(1) == (1, 2)
+    assert level_dims(1) == (1, 2)
 
 
 def test_ladder_parity_and_nesting():
-    lad = RectangleLadder(6)
     for n in range(1, 7):
-        w, h = lad.level_dims(n)
+        w, h = level_dims(n)
         assert {w, h} == {2 ** n, 2 ** (n - 1)}
         assert (h > w) == (n % 2 == 1)
+        assert (w, h)[crossing_axis(n)] == 2 ** n
         if n > 1:
-            pw, ph = lad.level_dims(n - 1)
+            pw, ph = level_dims(n - 1)
             assert w >= pw and h >= ph
-    assert lad.bounding_dims() == (64, 32)
+    # nested levels: the top one is the bounding rectangle
+    assert level_dims(6) == (64, 32)
 
 
 def test_ladder_rejects_bad_level():
-    with pytest.raises(ValueError):
-        RectangleLadder(0)
+    with pytest.raises(ValueError, match="at least one level"):
+        estimate_crossing_failure(0, 0.2, 5, 0)
 
 
 # ----------------------------------------------------------------- clusters

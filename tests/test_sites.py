@@ -20,7 +20,7 @@ from kcmkit.paths import (LegalPath, gg_column_moves, path_A,
                           sample_path_A_instance, sample_path_B_instance,
                           verify_legal)
 from kcmkit.percolation import c_infty_surrogate
-from oracles import constraint_satisfied
+from oracles import constraint_satisfied, from_empty_sites
 
 NAN = math.nan
 BIG = 2**31 + 5
@@ -43,7 +43,7 @@ def _legal_path_float_vertex():
 def _column_move_float_column():
     g = Geometry((6, 5))
     empties = [(c, r) for c in (0, 1) for r in range(5)] + [(2, 3)]
-    cfg = Configuration.from_empty_sites(g, empties)
+    cfg = from_empty_sites(g, empties)
     return gg_column_moves(cfg, "obs1", (0.5, 1, 2))
 
 
@@ -76,13 +76,13 @@ HOSTILE = {
     "coords-minus-1": (lambda: G33.coords(-1), ValueError),
     "coords-n": (lambda: G33.coords(9), ValueError),
     "empty-site-minus-1": (
-        lambda: Configuration.from_empty_sites(G33, [-1]), ValueError),
+        lambda: from_empty_sites(G33, [-1]), ValueError),
     "empty-site-true": (
-        lambda: Configuration.from_empty_sites(G33, [True]), ValueError),
+        lambda: from_empty_sites(G33, [True]), ValueError),
     "empty-site-nan": (
-        lambda: Configuration.from_empty_sites(G33, [NAN]), ValueError),
+        lambda: from_empty_sites(G33, [NAN]), ValueError),
     "empty-site-2^31+5": (
-        lambda: Configuration.from_empty_sites(G33, [BIG]), ValueError),
+        lambda: from_empty_sites(G33, [BIG]), ValueError),
     "constraint-minus-1": (
         lambda: constraint_satisfied(Configuration.fully_empty(G33), FA1, -1),
         ValueError),

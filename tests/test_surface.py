@@ -7,7 +7,10 @@
   keyword, by a positional argument at or past its place, or by `*args` or
   `**kwargs`, in a call matched by the called identifier;
 - every annotated field of a public dataclass or NamedTuple is read as an
-  attribute.
+  attribute;
+- every public method or property of a public class is read as an
+  attribute outside its own definition (a local variable of the same name
+  is not a read).
 
 Uses count in the source (src/), the benchmark (perfbench/), the tools
 (tools/) and the acceptance tests. A name in the README's code, or a
@@ -152,6 +155,20 @@ def _unread_fields() -> list[str]:
             for cls, field in _records(path) if field not in read]
 
 
+def _unread_members() -> list[str]:
+    reads = {}   # attribute -> [(file, line)]
+    for path in USERS:
+        for node in _nodes(path):
+            if isinstance(node, ast.Attribute):
+                reads.setdefault(node.attr, []).append((path, node.lineno))
+    documented = _documented()
+    return [f"{path.stem}.{qualname}" for path in MODULES
+            for qualname, fn, _ in _functions(path)
+            if "." in qualname and fn.name not in documented and not any(
+                where != path or not fn.lineno <= line <= fn.end_lineno
+                for where, line in reads.get(fn.name, ()))]
+
+
 def test_every_public_name_has_a_reason_to_ship():
     assert _unreached() == []
 
@@ -162,3 +179,7 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
 
 def test_every_record_field_is_read():
     assert _unread_fields() == []
+
+
+def test_every_public_method_is_read():
+    assert _unread_members() == []

@@ -13,18 +13,22 @@ without --parent the commit runs alone. Then one traced run per commit at
 seed 0 gives the exact counters, their digest and the parity line (pure
 and compiled CSVs compared).
 
-The file holds the commit(s), the `env` facts of the commit's first run
-(kernel implementation included), and per workload and commit the median
-and interquartile range of the five end-to-end metrics over the runs,
-each run's values, whether every run passed perfbench's correctness gate,
-and, with a parent, how many pairs the commit won on each metric (ties
-count for neither side).
+The file holds the commit(s), the value of PYTHONDONTWRITEBYTECODE for the
+runs, null when unset (perfbench's children inherit it, and where it turns
+bytecode writing off every run compiles kcmkit afresh, so `setup_s` and
+`peak_rss_mb` move with the source's length), the `env` facts of the
+commit's first run (kernel implementation included), and per workload and
+commit the median and interquartile range of the five end-to-end metrics
+over the runs, each run's values, whether every run passed perfbench's
+correctness gate, and, with a parent, how many pairs the commit won on each
+metric (ties count for neither side).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -85,6 +89,16 @@ def side(runs: list[dict]) -> dict:
             "runs": values}
 
 
+def head(sha: str, seconds: float, environ=os.environ) -> dict:
+    """The record before any run: the commit, the command, and the value of
+    PYTHONDONTWRITEBYTECODE that the runs inherit (None when unset)."""
+    return {"commit": sha, "parent": None,
+            "command": "python3 perfbench/run.py --workload W --seed S "
+                       f"--seconds {seconds:g} --trace 0",
+            "PYTHONDONTWRITEBYTECODE": environ.get("PYTHONDONTWRITEBYTECODE"),
+            "env": None, "workloads": {}}
+
+
 def export(commit: str, workdir: Path) -> tuple[str, Path]:
     """(full sha, fresh directory holding `git archive` of the commit)."""
     sha = subprocess.run(["git", "rev-parse", commit], cwd=ROOT, check=True,
@@ -121,10 +135,7 @@ def main() -> None:
     args = ap.parse_args()
     args.workdir.mkdir(parents=True, exist_ok=True)
     sha, tree = export(args.commit, args.workdir)
-    record = {"commit": sha, "parent": None,
-              "command": "python3 perfbench/run.py --workload W --seed S "
-                         f"--seconds {args.seconds:g} --trace 0",
-              "env": None, "workloads": {}}
+    record = head(sha, args.seconds)
     base = None
     if args.parent:
         record["parent"], base = export(args.parent, args.workdir)
