@@ -195,7 +195,8 @@ def _seed_mask(spec: BlockSpec) -> np.ndarray:
     return mask
 
 
-def _classes(empty: np.ndarray, spec: BlockSpec):
+def _classes(empty: np.ndarray,
+             spec: BlockSpec) -> tuple[np.ndarray, np.ndarray]:
     """(good, supergood) indicators over a (R, *dims) batch of empty-site
     grids: super-good is good with the whole seed set empty."""
     good = _good_batch(empty, spec)

@@ -222,10 +222,6 @@ class Configuration:
 
     # constructors -----------------------------------------------------------
     @classmethod
-    def fully_occupied(cls, geom: Geometry) -> "Configuration":
-        return cls(geom, np.ones(geom.n_sites, dtype=np.uint8))
-
-    @classmethod
     def fully_empty(cls, geom: Geometry) -> "Configuration":
         return cls(geom, np.zeros(geom.n_sites, dtype=np.uint8))
 

@@ -127,7 +127,6 @@ def verify_legal(path: LegalPath, fam: UpdateFamily) -> VerifyResult:
     """
     t = tables_for(path.start.geom, fam)
     n = t.n_sites
-    rows = t.nbr.tolist()
     rules = [slots.tolist() for slots in t.rules]
     # work[n] is the outside of a free box; the empty rule passes
     work = bytearray(path.start.bits.tobytes()) + bytes((t.pad_empty ^ 1,))
@@ -136,7 +135,7 @@ def verify_legal(path: LegalPath, fam: UpdateFamily) -> VerifyResult:
                                      path.values.tolist())):
         if work[v] == val:
             return VerifyResult(False, i, v, "flip does not change the site")
-        row = rows[v]
+        row = t.nbr[v].tolist()
         if not any(all(not work[row[s]] for s in slots) for slots in rules):
             return VerifyResult(False, i, v, "no update rule satisfied at flip time")
         work[v] = val
@@ -451,11 +450,10 @@ def _eligible(bits: np.ndarray, geom: Geometry, spec: BlockSpec,
     spec's dims and lie inside the geometry."""
     empty = (bits == 0).reshape(-1, *geom.dims)
     ok = np.ones(empty.shape[0], dtype=bool)
-    for event, boxes in enumerate((good, supergood)):
-        for bx in boxes:
-            ok &= _classes(empty[(slice(None),) + tuple(
-                slice(c, c + n) for c, n in zip(bx.corner, bx.dims))],
-                spec)[event]
+    for bx in (*good, *supergood):
+        g, sg = _classes(empty[(slice(None),) + tuple(
+            slice(c, c + n) for c, n in zip(bx.corner, bx.dims))], spec)
+        ok &= sg if bx in supergood else g
     return ok
 
 

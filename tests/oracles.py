@@ -2,7 +2,8 @@
 modules check the library against, and the reference maps they read the
 library's results through (constraint_satisfied, phi_map,
 relaxation_time), with the site helpers they are written in (shift_flat,
-neighbors, vertex_key, from_empty_sites). Nothing in src/ calls them."""
+neighbors, vertex_key, fully_occupied, from_empty_sites). Nothing in src/
+calls them."""
 
 import math
 from typing import Sequence
@@ -53,9 +54,13 @@ def neighbors(geom: Geometry, x) -> list[tuple[int, ...]]:
     return out
 
 
+def fully_occupied(geom: Geometry) -> Configuration:
+    return Configuration(geom, np.ones(geom.n_sites, dtype=np.uint8))
+
+
 def from_empty_sites(geom: Geometry, sites) -> Configuration:
     """The configuration whose empty sites are exactly `sites`."""
-    cfg = Configuration.fully_occupied(geom)
+    cfg = fully_occupied(geom)
     for v in sites:
         cfg.bits[geom.site(v)] = 0
     return cfg

@@ -13,7 +13,7 @@ from kcmkit.bootstrap import (closure, closure_with_rounds,
 from kcmkit import rng
 from kcmkit.families import make_family, tables_for
 from kcmkit.lattice import Configuration, Geometry, random_uniforms
-from oracles import (closure_naive, from_empty_sites,
+from oracles import (closure_naive, from_empty_sites, fully_occupied,
                      replica_threshold_bisection, shift_flat)
 
 
@@ -98,7 +98,7 @@ def test_naive_oracle_matches_loop_rescan(model, kwargs, geom):
 def test_closure_empty_rule_fills_everything():
     g = Geometry((4, 4), torus=True)
     fam = make_family("unconstrained", d=2)
-    out, rounds = closure_with_rounds(Configuration.fully_occupied(g), fam)
+    out, rounds = closure_with_rounds(fully_occupied(g), fam)
     assert out.count_empty() == 16
     assert (rounds == 1).all()
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from kcmkit.families import (UpdateFamily, build_tables, make_family,
                              read_family, write_family)
 from kcmkit.lattice import Configuration, Geometry
-from oracles import constraint_satisfied, from_empty_sites
+from oracles import constraint_satisfied, from_empty_sites, fully_occupied
 
 
 # ------------------------------------------------------------- construction
@@ -80,14 +80,14 @@ def test_constraint_satisfied_basics():
 def test_constraint_free_boundary_counts_exits_occupied():
     g = Geometry((3,))
     fam = make_family("east", d=1)  # needs west neighbor empty
-    cfg = Configuration.fully_occupied(g)
+    cfg = fully_occupied(g)
     assert not constraint_satisfied(cfg, fam, (0,))
 
 
 def test_constraint_free_empty_boundary():
     g = Geometry((3,), outside_empty=True)
     fam = make_family("east", d=1)
-    cfg = Configuration.fully_occupied(g)
+    cfg = fully_occupied(g)
     assert constraint_satisfied(cfg, fam, (0,))
     assert not constraint_satisfied(cfg, fam, (1,))
 
@@ -95,7 +95,7 @@ def test_constraint_free_empty_boundary():
 def test_unconstrained_always_satisfied():
     g = Geometry((2, 2))
     fam = make_family("unconstrained", d=2)
-    assert constraint_satisfied(Configuration.fully_occupied(g), fam, (0, 0))
+    assert constraint_satisfied(fully_occupied(g), fam, (0, 0))
 
 
 @settings(max_examples=50, deadline=None)

@@ -11,7 +11,7 @@ from kcmkit.kcm import (KcmParams, empty_fraction_time_average,
                         read_event_log, sample_persistence_time, simulate_kcm,
                         write_event_log)
 from kcmkit.lattice import Configuration, Geometry
-from oracles import (constraint_satisfied, from_empty_sites,
+from oracles import (constraint_satisfied, from_empty_sites, fully_occupied,
                      window_empty_means_replay)
 
 
@@ -35,7 +35,7 @@ def test_params_validation():
 def test_all_occupied_is_frozen():
     # no constraint is ever satisfied, so no flip can occur
     p = _params(make_family("north_east"), 0.4, (5, 5), 50.0, 3, torus=True)
-    cfg = Configuration.fully_occupied(p.geometry)
+    cfg = fully_occupied(p.geometry)
     res = simulate_kcm(p, cfg)
     assert res.flips == 0
     assert res.final == cfg
@@ -122,7 +122,7 @@ def test_window_means_match_event_replay(case):
     p = _params(fam, q, dims, t_max, 23, torus=case != "east-free-box")
     cfg = {"random": lambda g: Configuration.random(g, q, 23, 0),
            "empty": Configuration.fully_empty,
-           "occupied": Configuration.fully_occupied}[start](p.geometry)
+           "occupied": fully_occupied}[start](p.geometry)
     mean, means, se = empty_fraction_time_average(p, cfg, burn_in, windows)
     events = simulate_kcm(p, cfg, log_events=True).events
     want = window_empty_means_replay(cfg, events, burn_in, t_max, windows)

@@ -37,7 +37,7 @@ from kcmkit.paths import (
     verify_legal,
 )
 from oracles import (congestion_constant_oracle, constraint_satisfied,
-                     loop_erased_oracle)
+                     fully_occupied, loop_erased_oracle)
 
 FA2 = make_family("fa_kf", 2, 2)
 FA1 = make_family("fa_kf", 2, 1)
@@ -98,7 +98,7 @@ def test_verify_legal_flags_revisit():
 
 def test_unconstrained_family_always_legal():
     g = Geometry((2, 2))
-    cfg = Configuration.fully_occupied(g)
+    cfg = fully_occupied(g)
     p = LegalPath(cfg, [0, 1, 2, 3], [0, 0, 0, 0])
     assert verify_legal(p, make_family("unconstrained", 2))
 
@@ -268,7 +268,7 @@ def test_empty_region_schedule_rejects_unspanned():
     g = Geometry((3, 3))
     r = box_region(g, Box((0, 0), (3, 3)))
     with pytest.raises(ValueError, match="not internally spanned"):
-        empty_region_schedule(Configuration.fully_occupied(g), FA2, r)
+        empty_region_schedule(fully_occupied(g), FA2, r)
 
 
 def test_empty_region_schedule_round_then_lex_order():
@@ -310,7 +310,7 @@ def test_chain_schedule_end_state_and_bound():
 def test_chain_schedule_requires_empty_head():
     g = Geometry((3, 2))
     with pytest.raises(ValueError, match="region 0 is not empty"):
-        chain_schedule(Configuration.fully_occupied(g), FA1,
+        chain_schedule(fully_occupied(g), FA1,
                        [col_region(g, 0), col_region(g, 1)])
 
 
@@ -369,7 +369,7 @@ def test_slice_schedule_rejects_unspanned_target():
 def test_slice_schedule_rejects_occupied_source():
     g = Geometry((4, 4))
     with pytest.raises(ValueError, match="source slice is not empty"):
-        slice_schedule(Configuration.fully_occupied(g), FA2, 0, 1, +1)
+        slice_schedule(fully_occupied(g), FA2, 0, 1, +1)
 
 
 def test_slice_schedule_k1_needs_no_seed():

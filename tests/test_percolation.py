@@ -20,7 +20,7 @@ from kcmkit.percolation import (
     level_dims,
     supercritical_condition_check,
 )
-from oracles import percolation_series_value
+from oracles import fully_occupied, percolation_series_value
 
 
 def bfs_labels(cfg):
@@ -121,7 +121,7 @@ def test_crossing_trivial_cases():
     g = Geometry((8, 4))
     box = Box((0, 0), (8, 4))
     assert has_hard_crossing(Configuration.fully_empty(g), box)
-    assert not has_hard_crossing(Configuration.fully_occupied(g), box)
+    assert not has_hard_crossing(fully_occupied(g), box)
     bits = np.ones(32, dtype=np.uint8)
     bits.reshape(8, 4)[:, 2] = 0
     line = Configuration(g, bits)
@@ -161,7 +161,7 @@ def test_crossing_rejects_out_of_bounds():
 def test_surrogate_trivial_cases():
     g = Geometry((9, 9))
     assert c_infty_surrogate(Configuration.fully_empty(g), (4, 4), 3)
-    assert not c_infty_surrogate(Configuration.fully_occupied(g), (4, 4), 3)
+    assert not c_infty_surrogate(fully_occupied(g), (4, 4), 3)
     bits = np.zeros(81, dtype=np.uint8).reshape(9, 9) + 1
     bits[4, 5] = 0
     one = Configuration(g, bits.ravel())

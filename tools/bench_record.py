@@ -89,13 +89,13 @@ def side(runs: list[dict]) -> dict:
             "runs": values}
 
 
-def head(sha: str, seconds: float, environ=os.environ) -> dict:
+def head(sha: str, seconds: float) -> dict:
     """The record before any run: the commit, the command, and the value of
     PYTHONDONTWRITEBYTECODE that the runs inherit (None when unset)."""
     return {"commit": sha, "parent": None,
             "command": "python3 perfbench/run.py --workload W --seed S "
                        f"--seconds {seconds:g} --trace 0",
-            "PYTHONDONTWRITEBYTECODE": environ.get("PYTHONDONTWRITEBYTECODE"),
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
             "env": None, "workloads": {}}
 
 
