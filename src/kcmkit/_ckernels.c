@@ -4,9 +4,10 @@
  * crossings, counter-based uniforms, a CSR matrix-vector product, and the
  * class of the all-empty state with its generator in canonical CSR form,
  * searched and assembled in one pass. The KCM loop computes the trajectory
- * and its event log, with no window integrals; its vertex keys are those of
- * the tables' geometry. kk_free releases the buffers the class generator
- * and the KCM loop hand out.
+ * and its event log, one buffer of packed records in the layout of
+ * kcmkit._pure.EVENT, with no window integrals; its vertex keys are those
+ * of the tables' geometry. kk_free releases the buffers the class
+ * generator and the KCM loop hand out.
  *
  * Plain C99 over raw arrays, no Python API; kcmkit/_compiled.py binds it
  * with ctypes. The contract and the results are those of kcmkit/_pure.py
@@ -344,10 +345,15 @@ static void heap_pop(ring_t *h, int64_t *size)
 
 enum { KK_T_MAX = 0, KK_TARGET = 1 };
 
+/* One event-log record: f8 time, u4 vertex, u1 new state, packed in this
+ * order in KK_EVENT bytes of native byte order; kcmkit._pure.EVENT. The
+ * fields sit at unaligned addresses, so they are stored with memcpy. */
+enum { KK_EVENT = 13 };
+
 /* Counters, first-passage times and event log of one trajectory; mirrored
- * by kcmkit._compiled.RunStats. The log is n_events executed resamples
- * (time, vertex, new state) in three malloc'd buffers of exactly that
- * length, which the caller releases with kk_free; NULL when not logged. */
+ * by kcmkit._compiled.RunStats. The log is n_events executed resamples,
+ * KK_EVENT bytes each, in one malloc'd buffer of exactly that length,
+ * which the caller releases with kk_free; NULL when not logged. */
 typedef struct {
     double t_end;
     double t_target_empty;
@@ -357,9 +363,7 @@ typedef struct {
     int64_t flips;
     int64_t n_events;
     int64_t status;
-    double *ev_t;
-    int32_t *ev_v;
-    uint8_t *ev_s;
+    uint8_t *events;
 } kk_run_stats;
 
 /* Continuous-time constrained Glauber dynamics, next-reaction style.
@@ -383,13 +387,11 @@ int kk_kcm_run(int64_t n, int64_t S, const int64_t *nbr, const uint8_t *sat,
     uint8_t *em = malloc((size_t)n + 1);     /* 1 where a site is empty */
     uint64_t *ctr = malloc(((size_t)n + 1) * sizeof *ctr);
     ring_t *heap = malloc(((size_t)n + 1) * sizeof *heap);
-    /* the log and the capacities of its three buffers */
-    int64_t cap[3] = {1024, 1024, 1024};
-    double *ev_t = log_events ? malloc((size_t)cap[0] * sizeof *ev_t) : NULL;
-    int32_t *ev_v = log_events ? malloc((size_t)cap[1] * sizeof *ev_v) : NULL;
-    uint8_t *ev_s = log_events ? malloc((size_t)cap[2]) : NULL;
+    /* the log and its capacity in records */
+    int64_t cap = 1024;
+    uint8_t *ev = log_events ? malloc((size_t)cap * KK_EVENT) : NULL;
     int rc = -1;
-    if (!em || !ctr || !heap || (log_events && (!ev_t || !ev_v || !ev_s)))
+    if (!em || !ctr || !heap || (log_events && !ev))
         goto done;
     uint64_t prefix = mix64(mix64(mix64(seed) ^ STREAM_CLOCK) ^ replica);
 
@@ -423,14 +425,13 @@ int kk_kcm_run(int64_t n, int64_t S, const int64_t *nbr, const uint8_t *sat,
                 t_target_legal = t_now;
             uint8_t nv = u01(prefix, vkeys[x], ctr[x]++) < q ? 0 : 1;
             if (log_events) {
-                int64_t k = n_events++;
-                if (grow((void **)&ev_t, &cap[0], k + 1, sizeof *ev_t) ||
-                    grow((void **)&ev_v, &cap[1], k + 1, sizeof *ev_v) ||
-                    grow((void **)&ev_s, &cap[2], k + 1, 1))
+                if (grow((void **)&ev, &cap, n_events + 1, KK_EVENT))
                     goto done;
-                ev_t[k] = t_now;
-                ev_v[k] = (int32_t)x;
-                ev_s[k] = nv;
+                uint8_t *rec = ev + n_events++ * KK_EVENT;
+                uint32_t v = (uint32_t)x;
+                memcpy(rec, &t_now, sizeof t_now);
+                memcpy(rec + sizeof t_now, &v, sizeof v);
+                rec[KK_EVENT - 1] = nv;
             }
             if ((nv == 0) != em[x]) {
                 flips++;
@@ -450,18 +451,15 @@ int kk_kcm_run(int64_t n, int64_t S, const int64_t *nbr, const uint8_t *sat,
 
     for (int64_t v = 0; v < n; v++)
         bits[v] = em[v] ? 0 : 1;
-    /* down to the exact lengths; an empty log keeps its first buffers */
-    shrink((void **)&ev_t, (size_t)n_events * sizeof *ev_t);
-    shrink((void **)&ev_v, (size_t)n_events * sizeof *ev_v);
-    shrink((void **)&ev_s, (size_t)n_events);
+    /* down to the exact length; an empty log keeps its first buffer */
+    shrink((void **)&ev, (size_t)n_events * KK_EVENT);
     *st = (kk_run_stats){t_now, t_target_empty, t_target_legal, rings, legal,
-                         flips, n_events, status, ev_t, ev_v, ev_s};
+                         flips, n_events, status, ev};
     rc = 0;
 done:
     free(em); free(ctr); free(heap);
-    if (rc) {
-        free(ev_t); free(ev_v); free(ev_s);
-    }
+    if (rc)
+        free(ev);
     return rc;
 }
 

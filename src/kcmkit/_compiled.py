@@ -3,17 +3,17 @@
 Same contract as kcmkit._pure and the entry points in its ENTRY_POINTS,
 and the same results (bit-identical trajectories and event logs for the
 event loop, byte-identical uniforms and generators); the closure takes one
-row of bits or a block of rows in one C call. kcm_run's event log and
-class_generator's CSR come back in buffers the library allocated and grew,
-as arrays with no copy, which kk_free releases. SIGNATURES declares the
-argument types of every kk_* function.
+row of bits or a block of rows in one C call. kcm_run's event log (one
+buffer of packed _pure.EVENT records) and class_generator's CSR come back
+in buffers the library allocated and grew, as arrays with no copy, which
+kk_free releases. SIGNATURES declares the argument types of every kk_*
+function.
 `python setup.py build_ext --inplace` puts the library next to this file.
 `open_kernels` raises LoadError, saying why, when the library is missing,
 cannot be loaded, or carries another source stamp than SOURCE_ID (the
 first 8 bytes of the SHA-256 of the _ckernels.c this binding was written
-for; setup.py stamps the library with the hash of the file it compiles).
-`load` returns None in those cases, and kcmkit.kernels then falls back to
-_pure.
+for; setup.py stamps the library with the hash of the file it compiles),
+and kcmkit.kernels then falls back to _pure.
 
 Arguments are checked and converted by _pure's *_args functions right
 before each C call, and a FamilyTables checks and freezes its layout when
@@ -40,7 +40,7 @@ IMPL_NAME = "compiled"
 LIBRARY = "_ckernels"
 # kk_source_id() of a library built from the shipped _ckernels.c; a test
 # keeps it equal to the first 8 bytes of that file's SHA-256
-SOURCE_ID = 0x48c97bcbe74704c1
+SOURCE_ID = 0x507db720f4e4bb3d
 
 _STATUS = ("t_max", "target")   # indexed by the KK_* codes
 
@@ -49,14 +49,13 @@ _int, _ptr = ctypes.c_int, ctypes.c_void_p
 
 
 class RunStats(ctypes.Structure):
-    """Mirror of kk_run_stats in _ckernels.c: counters, and three event-log
-    buffers the library allocates, each released by kk_free."""
+    """Mirror of kk_run_stats in _ckernels.c: counters, and the event-log
+    buffer the library allocates, released by kk_free."""
 
     _fields_ = [("t_end", _dbl), ("t_target_empty", _dbl),
                 ("t_target_first_legal", _dbl), ("rings", _i64),
                 ("legal_updates", _i64), ("flips", _i64),
-                ("n_events", _i64), ("status", _i64), ("ev_t", _ptr),
-                ("ev_v", _ptr), ("ev_s", _ptr)]
+                ("n_events", _i64), ("status", _i64), ("events", _ptr)]
 
 
 class ClassCSR(ctypes.Structure):
@@ -193,10 +192,8 @@ class Kernels:
             stop, bool(log_events), ctypes.byref(st)))
         events = None
         if log_events:
-            k = st.n_events
-            events = (self._adopted(st.ev_t, _dbl, k),
-                      self._adopted(st.ev_v, ctypes.c_int32, k),
-                      self._adopted(st.ev_s, ctypes.c_uint8, k))
+            events = self._adopted(st.events, ctypes.c_uint8, st.n_events
+                                   * _pure.EVENT.itemsize).view(_pure.EVENT)
         return {
             "bits": out,
             "t_end": st.t_end,
@@ -278,11 +275,3 @@ def open_kernels(directory: Path | None = None) -> Kernels:
             return Kernels(path)
     raise LoadError(f"no {LIBRARY} library in {directory}; build it with "
                     f"`python setup.py build_ext --inplace`")
-
-
-def load(directory: Path | None = None) -> Kernels | None:
-    """open_kernels(directory), or None where it raises LoadError."""
-    try:
-        return open_kernels(directory)
-    except LoadError:
-        return None

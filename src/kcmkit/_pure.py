@@ -11,8 +11,8 @@ byte-identical uniforms and generators). The argument checks and
 conversions of every entry point live here, in the *_args functions; the
 compiled kernels call the same functions before each C call, so both raise
 the same error for the same input. The event loop computes the trajectory
-only, with no window integrals, and keys its clocks on
-t.geom.vertex_keys().
+only, with no window integrals, keys its clocks on t.geom.vertex_keys(),
+and logs its executed resamples as one array of EVENT records.
 """
 
 from __future__ import annotations
@@ -31,6 +31,9 @@ IMPL_NAME = "pure"
 # semantics and results of the functions of the same names below
 ENTRY_POINTS = ("closure", "threshold", "kcm_run", "crossing_batch",
                 "uniforms", "csr_operator", "class_generator")
+# one record of kcm_run's event log, an executed resample: time, vertex and
+# new state, packed in 13 bytes of native byte order (KK_EVENT in C)
+EVENT = np.dtype([("t", "f8"), ("v", "u4"), ("s", "u1")])
 # class_generator's bitmask states index a 2^n table of rows
 CLASS_CAP_VERTICES = 24
 
@@ -271,8 +274,8 @@ def kcm_run(bits: np.ndarray, t: FamilyTables, seed: int, replica: int,
     `target` first empties (status "target").
 
     Returns a dict with the final bits, counters, first-passage times for
-    `target` (-1.0 when not hit), the event log when requested and the
-    status.
+    `target` (-1.0 when not hit), the event log (EVENT records) when
+    requested and the status.
     """
     n = t.n_sites
     bits, seed, replica, q, t_max, target, stop = kcm_run_args(
@@ -290,7 +293,7 @@ def kcm_run(bits: np.ndarray, t: FamilyTables, seed: int, replica: int,
         heap.append((-math.log(u), v))
     heapq.heapify(heap)
 
-    ev_t, ev_v, ev_s = [], [], []
+    log = []
     t_now = 0.0
     rings = legal = flips = 0
     t_target_empty = -1.0
@@ -322,9 +325,7 @@ def kcm_run(bits: np.ndarray, t: FamilyTables, seed: int, replica: int,
             ctr[x] += 1
             new = 0 if u2 < q else 1
             if log_events:
-                ev_t.append(t_now)
-                ev_v.append(x)
-                ev_s.append(new)
+                log.append((t_now, x, new))
             if new != bl[x]:
                 flips += 1
                 bl[x] = new
@@ -346,9 +347,7 @@ def kcm_run(bits: np.ndarray, t: FamilyTables, seed: int, replica: int,
         "flips": flips,
         "t_target_empty": t_target_empty,
         "t_target_first_legal": t_target_legal,
-        "events": (np.asarray(ev_t, dtype=np.float64),
-                   np.asarray(ev_v, dtype=np.int32),
-                   np.asarray(ev_s, dtype=np.uint8)) if log_events else None,
+        "events": np.array(log, dtype=EVENT) if log_events else None,
         "status": status,
     }
 

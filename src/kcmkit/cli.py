@@ -384,7 +384,7 @@ def _cmd_gap(args) -> None:
                            f"{spectral.DEGENERATE_GAP:g}, where the "
                            f"eigensolve cannot tell it from 0")
         rows.append([fam.name, geom.dims, q, args.seed, gen.size, gap,
-                     spectral.relaxation_time_from_gap(gap, degenerate)])
+                     1.0 / gap])
     emit_csv(args, ["model", "dims", "q", "seed", "class_size", "gap",
                     "t_rel"], rows)
 

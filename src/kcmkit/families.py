@@ -252,10 +252,6 @@ def build_tables(geom: Geometry, fam: UpdateFamily) -> FamilyTables:
 
 
 @lru_cache(maxsize=64)
-def _cached_tables(geom: Geometry, fam: UpdateFamily) -> FamilyTables:
-    return build_tables(geom, fam)
-
-
 def tables_for(geom: Geometry, fam: UpdateFamily) -> FamilyTables:
     """Cached build_tables; geometry and family are both hashable."""
-    return _cached_tables(geom, fam)
+    return build_tables(geom, fam)

@@ -6,6 +6,8 @@ probability q, occupied with probability p = 1 - q. Rings at constrained
 vertices are discarded, which preserves the exact law. The persistence time
 tau0 is the first time the tracked vertex is empty, recorded from a
 stationary product-Bernoulli(p) start unless an all-empty start is asked for.
+An event log is one array of kcmkit._pure.EVENT records, as the kernels
+return it; its files hold the same records, little-endian.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from ._pure import EVENT
 from .families import UpdateFamily, tables_for
 from .lattice import Configuration, Geometry, _opened, as_bits, random_bits
 
@@ -37,10 +40,6 @@ class KcmParams:
         if self.fam.d != self.geometry.d:
             raise ValueError("family dimension does not match geometry")
 
-    @property
-    def p(self) -> float:
-        return 1.0 - self.q
-
 
 @dataclass(frozen=True)
 class PersistenceSample:
@@ -58,13 +57,13 @@ class PersistenceSample:
 class SimResult:
     final: Configuration
     flips: int
-    events: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+    events: np.ndarray | None       # EVENT records
 
 
 def simulate_kcm(params: KcmParams, initial: Configuration,
                  replica: int = 0, log_events: bool = False) -> SimResult:
     """One exact trajectory up to t_max; `log_events` captures every
-    executed resample as (time, vertex, new value)."""
+    executed resample as an EVENT record (time, vertex, new value)."""
     geom = params.geometry
     if initial.geom != geom:
         raise ValueError("initial configuration does not match geometry")
@@ -143,7 +142,8 @@ def empty_fraction_time_average(params: KcmParams, initial: Configuration,
     if windows < 1:
         raise ValueError("windows must be >= 1")
     edges = np.linspace(burn_in, params.t_max, windows + 1)
-    times, verts, vals = simulate_kcm(params, initial, log_events=True).events
+    ev = simulate_kcm(params, initial, log_events=True).events
+    times, verts, vals = ev["t"], ev["v"], ev["s"]
     # an event overwrites its site's previous event, or the start, and adds
     # the old bit minus the new one to the empty count
     before = initial.bits[verts]
@@ -167,25 +167,27 @@ def empty_fraction_time_average(params: KcmParams, initial: Configuration,
 
 # ------------------------------------------------------------- event-log IO
 
-# packed little-endian records of (f64 time, u32 vertex, u8 new value),
-# 13 bytes each
-_EVENT = np.dtype([("t", "<f8"), ("v", "<u4"), ("s", "u1")])
+# the EVENT records little-endian on any host: 13 bytes of (f64 time,
+# u32 vertex, u8 new value) each
+_FILE_EVENT = EVENT.newbyteorder("<")
 
 
 def write_event_log(events, fh) -> None:
-    """Binary event log: one packed `_EVENT` record per executed resample."""
-    times, verts, vals = events
-    rec = np.empty(len(times), dtype=_EVENT)
-    rec["t"], rec["v"], rec["s"] = times, verts, vals
+    """Binary event log: the EVENT records, one per executed resample, as
+    packed `_FILE_EVENT` records (on a little-endian host, their bytes)."""
+    rec = np.ascontiguousarray(events, _FILE_EVENT)
     with _opened(fh, "wb") as fh:
-        fh.write(rec.tobytes())
+        fh.write(rec.data)
 
 
-def read_event_log(fh):
+def read_event_log(fh) -> np.ndarray:
+    """The EVENT records a write_event_log file holds, read-only over the
+    file's bytes; raises ValueError on a truncated file or a state other
+    than 0 and 1."""
     with _opened(fh, "rb") as fh:
         blob = fh.read()
-    if len(blob) % _EVENT.itemsize:
+    if len(blob) % _FILE_EVENT.itemsize:
         raise ValueError("truncated event log")
-    rec = np.frombuffer(blob, dtype=_EVENT)
-    return (rec["t"].astype(np.float64), rec["v"].astype(np.int64),
-            as_bits(rec["s"], "event log state"))
+    rec = np.frombuffer(blob, dtype=_FILE_EVENT)
+    as_bits(rec["s"], "event log state")
+    return rec.astype(EVENT, copy=False)

@@ -16,7 +16,8 @@ kcmkit._pure, which both call; a FamilyTables checks its own layout when
 it is built, and csr_operator checks its matrix once. kcm_run computes the
 trajectory only, with no window integrals (kcmkit.kcm takes those from the
 event log), keys its clocks on the tables' geometry, t.geom.vertex_keys(),
-and runs to t_max or stops when its target first empties. uniforms draws
+runs to t_max or stops when its target first empties, and returns its
+event log, when asked, as one array of _pure.EVENT records. uniforms draws
 the counter-0 uniforms of a batch of replica ids. class_generator returns
 the class of the all-empty configuration and its generator as canonical
 CSR arrays (kcmkit.spectral).
@@ -54,9 +55,10 @@ def implementations():
     entry point of _pure.ENTRY_POINTS (for benchmarks/tests); raises
     AttributeError naming any that one lacks."""
     out = {"pure": _pure}
-    compiled = _compiled.load()
-    if compiled is not None:
-        out["compiled"] = compiled
+    try:
+        out["compiled"] = _compiled.open_kernels()
+    except _compiled.LoadError:
+        pass
     for name, impl in out.items():
         missing = [e for e in _pure.ENTRY_POINTS
                    if not callable(getattr(impl, e, None))]

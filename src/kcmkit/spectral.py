@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
-import warnings
 from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
@@ -62,8 +61,6 @@ class GeneratorMatrix:
     each row) with rate(w -> w^x) = c_x(w) * (p if the flip occupies x else q).
     """
 
-    geom: Geometry
-    fam: UpdateFamily
     q: float
     states: np.ndarray          # (size,) int64 bitmasks
     mu: np.ndarray              # (size,) float64, sums to 1
@@ -109,7 +106,7 @@ def build_generator(geom: Geometry, fam: UpdateFamily, q: float) -> GeneratorMat
         raise ValueError(f"q={q} underflows the stationary weights of the "
                          f"class to 0; q is too close to 0 or 1")
 
-    gen = GeneratorMatrix(geom=geom, fam=fam, q=q, states=states, mu=mu,
+    gen = GeneratorMatrix(q=q, states=states, mu=mu,
                           indptr=indptr, indices=indices, data=data)
     _assert_reversible(gen)
     return gen
@@ -291,15 +288,6 @@ def spectral_gap(gen: GeneratorMatrix) -> tuple[float, bool]:
     if abs(zero) > 1e-8:
         raise AssertionError("zero eigenvalue not found on the class")
     return gap, gap < DEGENERATE_GAP
-
-
-def relaxation_time_from_gap(gap: float, degenerate: bool) -> float:
-    """T_rel = 1/gap; inf with a warning if the gap is numerically
-    degenerate. Takes spectral_gap's result, so one solve gives both."""
-    if degenerate:
-        warnings.warn(f"numerically degenerate gap {gap:.3e}", RuntimeWarning)
-        return np.inf
-    return 1.0 / gap
 
 
 def second_eigenvector(gen: GeneratorMatrix) -> np.ndarray:

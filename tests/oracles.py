@@ -1,11 +1,12 @@
 """Test-only oracles: independent reference computations that the test
 modules check the library against, and the reference maps they read the
 library's results through (constraint_satisfied, phi_map,
-relaxation_time), with the site helpers they are written in (shift_flat,
-neighbors, vertex_key, fully_occupied, from_empty_sites). Nothing in src/
-calls them."""
+relaxation_time, relaxation_time_from_gap), with the site helpers they are
+written in (shift_flat, neighbors, vertex_key, fully_occupied,
+from_empty_sites). Nothing in src/ calls them."""
 
 import math
+import warnings
 from typing import Sequence
 
 import numpy as np
@@ -19,8 +20,7 @@ from kcmkit.families import UpdateFamily
 from kcmkit.lattice import Configuration, Geometry
 from kcmkit.paths import LegalPath
 from kcmkit.rng import _COORD_SALT, MASK64, mix64
-from kcmkit.spectral import (DEGENERATE_GAP, GeneratorMatrix,
-                             relaxation_time_from_gap, spectral_gap)
+from kcmkit.spectral import DEGENERATE_GAP, GeneratorMatrix, spectral_gap
 
 DENSE_ORACLE_CAP = 1 << 14
 
@@ -102,6 +102,15 @@ def relaxation_time_dense(gen: GeneratorMatrix) -> float:
         raise AssertionError("zero eigenvalue not found on the class")
     gap = float(lam[1])
     return relaxation_time_from_gap(gap, gap < DEGENERATE_GAP)
+
+
+def relaxation_time_from_gap(gap: float, degenerate: bool) -> float:
+    """T_rel = 1/gap; inf with a warning if the gap is numerically
+    degenerate. Takes spectral_gap's result, so one solve gives both."""
+    if degenerate:
+        warnings.warn(f"numerically degenerate gap {gap:.3e}", RuntimeWarning)
+        return np.inf
+    return 1.0 / gap
 
 
 def relaxation_time(gen: GeneratorMatrix) -> float:
@@ -279,7 +288,7 @@ def window_empty_means_replay(initial: Configuration, events, burn_in: float,
                 totals[j] += empties * (hi - lo)
 
     t_prev = 0.0
-    for t, v, s in zip(*(a.tolist() for a in events)):
+    for t, v, s in events.tolist():
         add(t_prev, t)
         empties += (s == 0) - (state[v] == 0)
         state[v] = s

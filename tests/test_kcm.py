@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kcmkit import rng
+from kcmkit._pure import EVENT
 from kcmkit.families import make_family
 from kcmkit.kcm import (KcmParams, empty_fraction_time_average,
                         read_event_log, sample_persistence_time, simulate_kcm,
@@ -46,10 +47,9 @@ def test_deterministic_event_logs():
     cfg = from_empty_sites(p.geometry, [(0,)])
     a = simulate_kcm(p, cfg, log_events=True)
     b = simulate_kcm(p, cfg, log_events=True)
-    for u, v in zip(a.events, b.events):
-        assert np.array_equal(u, v)
+    assert a.events.tobytes() == b.events.tobytes()
     c = simulate_kcm(p, cfg, replica=1, log_events=True)
-    assert not np.array_equal(a.events[0], c.events[0])
+    assert not np.array_equal(a.events["t"], c.events["t"])
 
 
 def test_unconstrained_tau0_exponential():
@@ -129,12 +129,12 @@ def test_window_means_match_event_replay(case):
     np.testing.assert_allclose(means, want, rtol=1e-12, atol=0.0)
     assert mean == float(means.mean())
     assert math.isnan(se) if windows == 1 else se >= 0.0
-    per_window = np.histogram(events[0], np.linspace(burn_in, t_max,
-                                                     windows + 1))[0]
+    per_window = np.histogram(events["t"], np.linspace(burn_in, t_max,
+                                                       windows + 1))[0]
     if case in ("quiet-windows", "frozen"):
         assert (per_window == 0).any()
     if case == "frozen":
-        assert events[0].size == 0 and not means.any()
+        assert events.size == 0 and not means.any()
 
 
 def test_first_legal_variant_precedes_first_empty():
@@ -171,24 +171,22 @@ def test_event_log_roundtrip(tmp_path):
     p = _params(make_family("fa_kf", d=1, k=1), 0.4, (8,), 15.0, 77, torus=True)
     cfg = Configuration.fully_empty(p.geometry)
     res = simulate_kcm(p, cfg, log_events=True)
-    assert res.events[0].size > 0
+    assert res.events.size > 0
     path = str(tmp_path / "run.events")
     write_event_log(res.events, path)
-    times, verts, vals = read_event_log(path)
-    assert np.array_equal(times, res.events[0])
-    assert np.array_equal(verts, res.events[1])
-    assert np.array_equal(vals, res.events[2])
+    back = read_event_log(path)
+    assert back.dtype == res.events.dtype == EVENT
+    assert back.tobytes() == res.events.tobytes()
 
 
 def test_event_log_records_are_struct_dIB():
     # the packed record layout is the one struct "<dIB" writes
-    events = (np.array([0.0, 0.125, 3.5e-300, 7.25]),
-              np.array([0, 1, 2**31 + 5, 2**32 - 1], dtype=np.int64),
-              np.array([1, 0, 1, 0], dtype=np.uint8))
+    events = np.array([(0.0, 0, 1), (0.125, 1, 0), (3.5e-300, 2**31 + 5, 1),
+                       (7.25, 2**32 - 1, 0)], dtype=EVENT)
     buf = io.BytesIO()
     write_event_log(events, buf)
     assert buf.getvalue() == b"".join(
-        struct.pack("<dIB", t, v, s) for t, v, s in zip(*events))
+        struct.pack("<dIB", t, v, s) for t, v, s in events.tolist())
 
 
 def test_event_log_rejects_truncated(tmp_path):
@@ -201,8 +199,7 @@ def test_event_log_rejects_truncated(tmp_path):
 
 def test_event_log_rejects_state_bytes_other_than_0_and_1(tmp_path):
     path = str(tmp_path / "bad.events")
-    write_event_log((np.array([0.5, 1.0]), np.array([0, 1]),
-                     np.array([1, 2], dtype=np.uint8)), path)
+    write_event_log(np.array([(0.5, 0, 1), (1.0, 1, 2)], dtype=EVENT), path)
     with pytest.raises(ValueError, match="other than 0 and 1"):
         read_event_log(path)
 
@@ -212,7 +209,7 @@ def test_events_replay_to_final_state():
     cfg = Configuration.random(p.geometry, 0.5, seed=88)
     res = simulate_kcm(p, cfg, log_events=True)
     bits = cfg.bits.copy()
-    for v, s in zip(res.events[1], res.events[2]):
+    for v, s in zip(res.events["v"], res.events["s"]):
         bits[v] = s
     assert np.array_equal(bits, res.final.bits)
 

@@ -24,15 +24,16 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "kcmkit"
 
 # Runs pytest with the package copy first on sys.path, after checking that
-# the sanitized library loads: a copy without it would make test_kernels
-# build an unsanitized one.
+# the sanitized library loads (open_kernels raises LoadError, saying why,
+# where it does not): a copy without it would make test_kernels build an
+# unsanitized one.
 _RUNNER = """
 import sys
 sys.path.insert(0, sys.argv[1])
 import kcmkit
 from kcmkit import _compiled
 assert kcmkit.__file__.startswith(sys.argv[1]), kcmkit.__file__
-assert _compiled.load() is not None, "the sanitized library does not load"
+_compiled.open_kernels()
 import pytest
 sys.exit(pytest.main(sys.argv[2:]))
 """

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from kcmkit._pure import EVENT
 from kcmkit.families import make_family
 from kcmkit.kcm import read_event_log, write_event_log
 from kcmkit.lattice import (Box, Configuration, Geometry, Region, as_site,
@@ -30,9 +31,8 @@ FA1 = make_family("fa_kf", d=2, k=1)
 
 def _event_log_vertex():
     buf = io.BytesIO()
-    write_event_log((np.array([0.5]), np.array([BIG], np.uint32),
-                     np.array([0], np.uint8)), buf)
-    return read_event_log(io.BytesIO(buf.getvalue()))[1].tolist()
+    write_event_log(np.array([(0.5, BIG, 0)], dtype=EVENT), buf)
+    return read_event_log(io.BytesIO(buf.getvalue()))["v"].tolist()
 
 
 def _legal_path_float_vertex():

@@ -65,13 +65,14 @@ def _loop_generator(geom, fam, q):
     return np.asarray(states, dtype=np.int64), w / w.sum(), L
 
 
-def _loop_dirichlet(gen, f):
-    """D(f) summed pair by pair from the empty side of each legal flip."""
+def _loop_dirichlet(gen, f, geom, fam):
+    """D(f) summed pair by pair from the empty side of each legal flip of
+    gen, the generator of fam on geom."""
     index = {s: i for i, s in enumerate(map(int, gen.states))}
     qp = gen.q * (1.0 - gen.q)
     D = 0.0
     for i, s in enumerate(map(int, gen.states)):
-        for v in _loop_legal(s, gen.geom, gen.fam):
+        for v in _loop_legal(s, geom, fam):
             if not (s >> v) & 1:
                 j = index[s ^ (1 << v)]
                 D += (gen.mu[i] + gen.mu[j]) * qp * (f[i] - f[j]) ** 2
@@ -231,8 +232,7 @@ def test_reversibility_check_catches_a_missing_reverse():
     # the cycle 0 -> 1 -> 2 -> 0 keeps the uniform measure stationary and
     # every column count equal to its row count, but has no reverse moves
     cycle = GeneratorMatrix(
-        geom=Geometry((1,)), fam=make_family("unconstrained", d=1), q=0.5,
-        states=np.arange(3, dtype=np.int64), mu=np.full(3, 1.0 / 3.0),
+        q=0.5, states=np.arange(3, dtype=np.int64), mu=np.full(3, 1.0 / 3.0),
         indptr=np.array([0, 2, 4, 6], dtype=np.int32),
         indices=np.array([0, 1, 1, 2, 0, 2], dtype=np.int32),
         data=np.array([-1.0, 1.0, -1.0, 1.0, 1.0, -1.0]))
@@ -246,7 +246,7 @@ def test_dirichlet_matches_loop_oracle(label, geom, fam):
     gen = build_generator(geom, fam, 0.35)
     f = np.random.default_rng(5).standard_normal(gen.size)
     D, _ = dirichlet_and_variance(gen, f)
-    want = _loop_dirichlet(gen, f)
+    want = _loop_dirichlet(gen, f, geom, fam)
     assert abs(D - want) <= CONSISTENCY_TOL * max(1.0, abs(want))
 
 
@@ -412,11 +412,9 @@ def test_dense_class_leaves_scipy_unloaded():
 
 
 def test_poincare_zero_dirichlet_guard():
-    geom = Geometry((1,))
-    fam = make_family("unconstrained", d=1)
     # a fake 2-state generator with no transitions: nonconstant f then has
     # Var > 0, D = 0 and must raise
-    broken = GeneratorMatrix(geom=geom, fam=fam, q=0.5,
+    broken = GeneratorMatrix(q=0.5,
                              states=np.array([0, 1], dtype=np.int64),
                              mu=np.array([0.5, 0.5]),
                              indptr=np.zeros(3, dtype=np.int32),
