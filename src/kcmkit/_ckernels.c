@@ -20,7 +20,9 @@
  * Table layout (see kcmkit.families.FamilyTables): nbr[v*S + s] is the flat
  * index of v + offset_s and rev[v*S + s] that of v - offset_s, with the pad
  * index n for offsets leaving a free box; pad_empty says whether the pad
- * reads empty. The rules enter only through sat, 2^S bytes: a site whose
+ * reads empty. Both tables are int32, so n <= 2^31 - 1, which
+ * kcmkit.lattice.Geometry.neighbor_table enforces; index arithmetic runs
+ * in int64. The rules enter only through sat, 2^S bytes: a site whose
  * empty slots form the bitmask `mask` (bit s for slot s) is satisfied iff
  * sat[mask]. Masks are uint16, so S <= 16; kcmkit._compiled hands families
  * with more slots to kcmkit._pure.
@@ -87,7 +89,7 @@ int kk_uniforms(uint64_t head, int64_t R, const uint64_t *replicas,
 
 /* The slots of nbr row `row` (S of them) that read empty under eff, as a
  * bitmask: bit s for slot s. eff has n + 1 entries, eff[n] for the pad. */
-static inline uint16_t empty_slots(int64_t S, const int64_t *row,
+static inline uint16_t empty_slots(int64_t S, const int32_t *row,
                                    const uint8_t *eff)
 {
     unsigned mask = 0;
@@ -101,13 +103,13 @@ static inline uint16_t empty_slots(int64_t S, const int64_t *row,
  * mask[rev[x, s]]), and a site still open[] whose mask turns satisfied is
  * closed and appended to the queue. Returns the new tail; the sites
  * appended form the next round. */
-static int64_t spread(int64_t n, int64_t S, const int64_t *rev,
+static int64_t spread(int64_t n, int64_t S, const int32_t *rev,
                       const uint8_t *sat, uint16_t *mask, uint8_t *open,
                       int64_t *queue, int64_t head, int64_t tail)
 {
     int64_t end = tail;
     for (int64_t j = head; j < end; j++) {
-        const int64_t *back = rev + queue[j] * S;
+        const int32_t *back = rev + queue[j] * S;
         for (int64_t s = 0; s < S; s++) {
             int64_t u = back[s];
             if (u >= n)
@@ -131,8 +133,8 @@ static int64_t spread(int64_t n, int64_t S, const int64_t *rev,
  * next round. Writes out[v] (bits after the closure) and rounds[v]: 0 if
  * initially empty, r if emptied in round r, else -1.
  */
-static void close_row(int64_t n, int64_t S, const int64_t *nbr,
-                      const int64_t *rev, const uint8_t *sat, int pad_empty,
+static void close_row(int64_t n, int64_t S, const int32_t *nbr,
+                      const int32_t *rev, const uint8_t *sat, int pad_empty,
                       const uint8_t *bits, const uint8_t *flippable,
                       uint8_t *out, int32_t *rounds, uint8_t *eff,
                       uint8_t *open, uint16_t *mask, int64_t *queue)
@@ -170,7 +172,7 @@ static void close_row(int64_t n, int64_t S, const int64_t *nbr,
  * restrict the closure to a region, occupy the rest. The work buffers are
  * allocated once per call.
  */
-int kk_closure(int64_t n, int64_t S, const int64_t *nbr, const int64_t *rev,
+int kk_closure(int64_t n, int64_t S, const int32_t *nbr, const int32_t *rev,
                const uint8_t *sat, int pad_empty, int64_t R,
                const uint8_t *bits, const uint8_t *flippable, uint8_t *out,
                int32_t *rounds)
@@ -192,7 +194,7 @@ int kk_closure(int64_t n, int64_t S, const int64_t *nbr, const int64_t *rev,
 
 /* Spreads queue[head .. tail) round after round until no site is left to
  * empty; returns the final tail. */
-static int64_t spread_all(int64_t n, int64_t S, const int64_t *rev,
+static int64_t spread_all(int64_t n, int64_t S, const int32_t *rev,
                           const uint8_t *sat, uint16_t *mask, uint8_t *open,
                           int64_t *queue, int64_t head, int64_t tail)
 {
@@ -213,7 +215,7 @@ static int64_t spread_all(int64_t n, int64_t S, const int64_t *rev,
  * when the fully occupied grid already empties). Returns -2 when a row
  * runs out before every site is empty, which a permutation never does.
  */
-int kk_threshold(int64_t n, int64_t S, const int64_t *nbr, const int64_t *rev,
+int kk_threshold(int64_t n, int64_t S, const int32_t *nbr, const int32_t *rev,
                  const uint8_t *sat, int pad_empty, int64_t R,
                  const int64_t *order, int64_t *out)
 {
@@ -376,7 +378,7 @@ typedef struct {
  * Returns -1, with *st zeroed and nothing left allocated, when a buffer
  * cannot be allocated.
  */
-int kk_kcm_run(int64_t n, int64_t S, const int64_t *nbr, const uint8_t *sat,
+int kk_kcm_run(int64_t n, int64_t S, const int32_t *nbr, const uint8_t *sat,
                int pad_empty, uint8_t *bits, const uint64_t *vkeys,
                uint64_t seed, uint64_t replica, double q, double t_max,
                int64_t target, int stop_when_target_empty, int log_events,
@@ -499,7 +501,7 @@ typedef struct {
 /* Whether the flip of the site whose nbr row is `row` is legal: sat[] of
  * its empty slots, read from e, the empty bits of the state with bit n
  * for the pad. */
-static inline int flip_legal(int64_t S, const int64_t *row,
+static inline int flip_legal(int64_t S, const int32_t *row,
                              const uint8_t *sat, uint64_t e)
 {
     unsigned mask = 0;
@@ -526,7 +528,7 @@ static inline int flip_legal(int64_t S, const int64_t *row,
  * 0 < q < 1 are the caller's to check. Returns -1, with *out zeroed and
  * nothing left allocated, when a buffer cannot be allocated.
  */
-int kk_class_generator(int64_t n, int64_t S, const int64_t *nbr,
+int kk_class_generator(int64_t n, int64_t S, const int32_t *nbr,
                        const uint8_t *sat, int pad_empty, double q,
                        kk_class *out)
 {

@@ -12,7 +12,9 @@ conversions of every entry point live here, in the *_args functions; the
 compiled kernels call the same functions before each C call, so both raise
 the same error for the same input. The event loop computes the trajectory
 only, with no window integrals, keys its clocks on t.geom.vertex_keys(),
-and logs its executed resamples as one array of EVENT records.
+and logs its executed resamples as one array of EVENT records. The
+kernels index with the int32 tables FamilyTables.nbr and .rev as they are,
+as the C code does.
 """
 
 from __future__ import annotations
@@ -168,6 +170,7 @@ def uniforms(head: int, replicas, vkeys: np.ndarray) -> np.ndarray:
     head = mix64(mix64(seed) ^ stream). `replicas` is a 1-D sequence of
     replica ids, read by rng.replica_ids."""
     head, reps, vk = uniforms_args(head, replicas, vkeys)
+    # each mix runs in place on the fresh array of its xor
     hr = rng._mix64_np(np.uint64(head) ^ reps)                    # (R,)
     hm = rng._mix64_np(hr[:, None] ^ vk[None, :])                 # (R, N)
     hm = rng._mix64_np(hm)                                        # ^ counter 0

@@ -170,7 +170,9 @@ class FamilyTables:
 
     Slot s is the family's s-th distinct offset (UpdateFamily.offsets).
     nbr[v, s] is the flat index of v + offset_s, with the pad index N for
-    offsets leaving a free box; rev[v, s] likewise for v - offset_s.
+    offsets leaving a free box; rev[v, s] likewise for v - offset_s. Both
+    are int32, 4 bytes per slot and site, so N is at most 2^31 - 1
+    (Geometry.neighbor_table refuses larger boxes).
     rules[k] holds rule k's sorted slots. sat[mask] is 1 iff the slot set
     `mask` (bit s for slot s) contains some rule, i.e. a site whose empty
     slots are `mask` is satisfied; it has 2^S entries, and is None for more
@@ -182,15 +184,15 @@ class FamilyTables:
 
     geom: Geometry
     fam: UpdateFamily
-    nbr: np.ndarray          # (N, S) int64
-    rev: np.ndarray          # (N, S) int64
+    nbr: np.ndarray          # (N, S) int32
+    rev: np.ndarray          # (N, S) int32
     rules: tuple[np.ndarray, ...]   # int32 slot ids of each rule, sorted
     sat: np.ndarray | None   # (2^S,) uint8, or None for S > _SAT_SLOTS
     pad_empty: int
 
     def __post_init__(self):
         n, S = self.n_sites, len(self.fam.offsets())
-        layout = [("nbr", np.int64, (n, S), n), ("rev", np.int64, (n, S), n)]
+        layout = [("nbr", np.int32, (n, S), n), ("rev", np.int32, (n, S), n)]
         if S <= _SAT_SLOTS:
             layout.append(("sat", np.uint8, (1 << S,), 1))
         elif self.sat is not None:
@@ -239,8 +241,8 @@ def build_tables(geom: Geometry, fam: UpdateFamily) -> FamilyTables:
     # v - offset_s is the u with nbr[u, s] = v: one scatter, whose writes to
     # the pad row n (offsets leaving a free box) are dropped
     n, S = nbr.shape
-    rev = np.full((n + 1, S), n, dtype=np.int64)
-    rev[nbr, np.arange(S)] = np.arange(n)[:, None]
+    rev = np.full((n + 1, S), n, dtype=np.int32)
+    rev[nbr, np.arange(S)] = np.arange(n, dtype=np.int32)[:, None]
     rules = tuple(np.array(sorted(slot_of[off] for off in rule),
                            dtype=np.int32) for rule in fam.rules)
 

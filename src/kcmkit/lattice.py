@@ -15,6 +15,8 @@ Conventions used everywhere in the package:
 from __future__ import annotations
 
 import contextlib
+import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -23,6 +25,9 @@ from typing import Sequence
 import numpy as np
 
 from . import rng
+
+# the largest site index, and so pad index, of an int32 neighbour table
+_INDEX_MAX = (1 << 31) - 1
 
 
 @dataclass(frozen=True)
@@ -48,7 +53,7 @@ class Geometry:
     @cached_property
     def n_sites(self) -> int:
         # cached in the instance __dict__; eq and hash still use the fields
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def flat(self, coords: Sequence[int]) -> int:
         """Flat index of a coordinate tuple of d integers inside the box."""
@@ -75,14 +80,14 @@ class Geometry:
             flat //= n
         return tuple(reversed(out))
 
-    def coord_columns(self) -> list[np.ndarray]:
-        """Per-axis coordinate arrays for all sites, in flat order."""
-        grids = np.indices(self.dims).reshape(self.d, -1)
-        return [grids[a] for a in range(self.d)]
-
     @cached_property
     def _vertex_keys(self) -> np.ndarray:
-        keys = rng.vertex_keys_np(self.coord_columns())
+        # one coordinate per axis, shaped along it, so the keys broadcast
+        # over the box in C order
+        axes = [np.arange(m, dtype=np.uint64).reshape(
+            [-1 if b == a else 1 for b in range(self.d)])
+            for a, m in enumerate(self.dims)]
+        keys = rng.vertex_keys_np(axes).reshape(-1)
         keys.flags.writeable = False   # shared by every caller
         return keys
 
@@ -92,28 +97,44 @@ class Geometry:
         return self._vertex_keys
 
     def neighbor_table(self, offsets: np.ndarray) -> np.ndarray:
-        """(N, S) table of flat indices of site + offset_s.
+        """(N, S) C-contiguous int32 table of flat indices of site +
+        offset_s.
 
         Out-of-box targets (free boundary) get the pad index N; callers index
-        an (N+1)-long state array whose last slot encodes the outside.
+        an (N+1)-long state array whose last slot encodes the outside. N
+        must fit int32, so a box of more than 2^31 - 1 sites is refused with
+        ValueError before anything is allocated.
         """
         n = self.n_sites
-        cols = self.coord_columns()
-        table = np.empty((n, len(offsets)), dtype=np.int64)
+        if n > _INDEX_MAX:
+            raise ValueError(f"a box of {n} sites is too large: site indices "
+                             f"and the pad index are int32, so a box holds "
+                             f"at most 2^31 - 1 = {_INDEX_MAX} sites")
+        grid = np.arange(n, dtype=np.int32).reshape(self.dims)
+        table = np.empty((n, len(offsets)), dtype=np.int32)
+        cols = table.reshape(*self.dims, len(offsets))
         for s, off in enumerate(offsets):
-            shifted = []
-            ok = np.ones(n, dtype=bool)
-            for a in range(self.d):
-                c = cols[a] + int(off[a])
-                if self.torus:
-                    c = c % self.dims[a]
-                else:
-                    ok &= (c >= 0) & (c < self.dims[a])
-                    c = np.clip(c, 0, self.dims[a] - 1)
-                shifted.append(c)
-            idx = np.ravel_multi_index(shifted, self.dims)
-            table[:, s] = np.where(ok, idx, n)
+            col = cols[..., s]
+            if not self.torus:
+                col[...] = n
+            # copy the grid block by block: per axis, the sites whose
+            # target lies in the box, with the slice of targets they read
+            for parts in itertools.product(*map(
+                    self._shifted_slices, map(int, off), self.dims)):
+                sites, targets = zip(*parts)
+                col[sites] = grid[targets]
         return table
+
+    def _shifted_slices(self, o: int, m: int) -> list[tuple[slice, slice]]:
+        """(sites, targets) slice pairs along an axis of side m for offset
+        o: x + o wraps on a torus (two pieces) and must stay in [0, m) on a
+        free box (one piece, or none when |o| >= m)."""
+        if self.torus:
+            r = o % m
+            return [(slice(0, m - r), slice(r, m)),
+                    (slice(m - r, m), slice(0, r))]
+        lo, hi = max(0, -o), min(m, m - o)
+        return [(slice(lo, hi), slice(lo + o, hi + o))] if lo < hi else []
 
 
 # one Geometry per shape, so its vertex keys are hashed once

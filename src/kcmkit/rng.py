@@ -70,18 +70,33 @@ def uniform(seed: int, stream: int, replica: int, vkey: int, counter: int) -> fl
 
 # ---------------------------------------------------------------- numpy batch
 
-def _mix64_np(z: np.ndarray) -> np.ndarray:
-    z = z + np.uint64(_GAMMA)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MUL1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MUL2)
-    return z ^ (z >> np.uint64(31))
+def _mix64_np(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """mix64 of every word of z, a writable uint64 array, in place; returns
+    z. The shifted words go to `scratch`, an array of z's shape and dtype,
+    allocated when None, so the mix makes no other temporary."""
+    if scratch is None:
+        scratch = np.empty_like(z)
+    z += np.uint64(_GAMMA)
+    z ^= np.right_shift(z, np.uint64(30), out=scratch)
+    z *= np.uint64(_MUL1)
+    z ^= np.right_shift(z, np.uint64(27), out=scratch)
+    z *= np.uint64(_MUL2)
+    z ^= np.right_shift(z, np.uint64(31), out=scratch)
+    return z
 
 
 def vertex_keys_np(coord_cols) -> np.ndarray:
-    """Size-independent keys of N sites, hashed from coordinate columns."""
-    h = _mix64_np(np.full(len(coord_cols[0]), _COORD_SALT, dtype=np.uint64))
-    for col in coord_cols:
-        h = _mix64_np(h ^ col.astype(np.uint64))
+    """Size-independent keys of sites, hashed from their coordinates: one
+    integer array per axis, broadcast together, so a box may pass one
+    arange per axis shaped along it. The keys are mixed in place, with one
+    scratch array of their shape."""
+    cols = [np.asarray(c).astype(np.uint64, copy=False) for c in coord_cols]
+    h = np.full(np.broadcast_shapes(*(c.shape for c in cols)),
+                mix64(_COORD_SALT), dtype=np.uint64)
+    scratch = np.empty_like(h)
+    for col in cols:
+        h ^= col
+        _mix64_np(h, scratch)
     return h
 
 

@@ -2,8 +2,8 @@
 modules check the library against, and the reference maps they read the
 library's results through (constraint_satisfied, phi_map,
 relaxation_time, relaxation_time_from_gap), with the site helpers they are
-written in (shift_flat, neighbors, vertex_key, fully_occupied,
-from_empty_sites). Nothing in src/ calls them."""
+written in (shift_flat, neighbor_table_loop, neighbors, vertex_key,
+fully_occupied, from_empty_sites). Nothing in src/ calls them."""
 
 import math
 import warnings
@@ -36,6 +36,16 @@ def shift_flat(geom: Geometry, flat: int, offset: Sequence[int]) -> int:
             return -1
     return geom.flat(c)
 
+
+
+def neighbor_table_loop(geom: Geometry, offsets) -> np.ndarray:
+    """(N, S) int32 flat indices of site + offset_s, one site and offset at
+    a time through shift_flat, with the pad index N where the target leaves
+    a free box: the reference of Geometry.neighbor_table."""
+    n = geom.n_sites
+    rows = [[w if (w := shift_flat(geom, v, off)) >= 0 else n
+             for off in offsets] for v in range(n)]
+    return np.array(rows, dtype=np.int32).reshape(n, len(offsets))
 
 def neighbors(geom: Geometry, x) -> list[tuple[int, ...]]:
     """The <= 2d distinct l1-neighbors of x (wrapped on a torus, clipped on a

@@ -626,6 +626,32 @@ def test_unwritable_out_leaves_no_partials(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
+
+# Runs the CLI under a 1 GiB address-space cap, so that a box which slips
+# past the size check fails fast with MemoryError instead of allocating
+# tens of gigabytes.
+_CAPPED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from kcmkit.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("n", [46341, 60000])
+def test_box_past_int32_tables_exits_2_before_allocating(tmp_path, n):
+    # n^2 > 2^31 - 1 sites: the int32 tables cannot hold the pad index
+    out = tmp_path / "out.csv"
+    proc = _run_alone(["-c", _CAPPED, "bootstrap", "--model", "fa2", "--n",
+                       str(n), "--q", "0.1", "--replicas", "1", "--out",
+                       str(out)], timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == (f"error: a box of {n * n} sites is too large: "
+                           f"site indices and the pad index are int32, so a "
+                           f"box holds at most 2^31 - 1 = 2147483647 sites\n")
+    assert proc.stdout == "" and os.listdir(tmp_path) == []
+
+
 # -------------------------------------------------------------- subcommands
 
 

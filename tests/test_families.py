@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -194,6 +195,24 @@ def test_rev_is_the_reverse_neighbor_table(geom):
         assert t.rev.dtype == ref.dtype and t.rev.shape == ref.shape
         assert t.rev.flags.c_contiguous
         assert t.rev.tobytes() == ref.tobytes()
+
+
+
+def test_tables_and_keys_peak_memory():
+    # NumPy reports its buffers to tracemalloc, so this peak does not move
+    # with the heap layout, as the resident set does. The tables hold
+    # 2 MiB (two (65536, 4) int32 arrays) and the keys 0.5 MiB: the bound
+    # leaves 1 MiB for temporaries, half of one int64 (N, S) table.
+    g = Geometry((256, 256), torus=True)
+    tracemalloc.start()
+    try:
+        t = build_tables(g, make_family("fa_kf", d=2, k=2))
+        g.vertex_keys()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.nbr.dtype == t.rev.dtype == np.int32
+    assert peak <= 3.5 * 2**20, peak
 
 
 # --------------------------------------------------------------- round trip

@@ -631,12 +631,12 @@ def poked(a, value):
 
 CASES = {
     "nbr-past-pad": {"nbr": poked(nbr, 10)},
-    "nbr-far": {"nbr": poked(nbr, 1 << 40)},
+    "nbr-far": {"nbr": poked(nbr, (1 << 31) - 1)},
     "nbr-negative": {"nbr": poked(nbr, -1)},
-    "rev-negative": {"rev": poked(rev, -(1 << 40))},
+    "rev-negative": {"rev": poked(rev, -(1 << 31))},
     "rev-past-pad": {"rev": poked(rev, 10)},
     "nbr-narrow": {"nbr": np.ascontiguousarray(nbr[:, :3])},
-    "nbr-int32": {"nbr": nbr.astype(np.int32)},
+    "nbr-int64": {"nbr": nbr.astype(np.int64)},
     "nbr-fortran": {"nbr": np.asfortranarray(nbr)},
     "rev-short": {"rev": np.ascontiguousarray(rev[:8])},
     "sat-short": {"sat": good["sat"][:8].copy()},

@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,8 @@ from kcmkit import rng
 from kcmkit.lattice import (Box, Configuration, Geometry, Region, box_region,
                             cross_region, random_bits, read_grid,
                             slice_region, write_grid)
-from oracles import from_empty_sites, neighbors
+from oracles import (from_empty_sites, neighbor_table_loop, neighbors,
+                     vertex_key)
 
 
 # ---------------------------------------------------------------- geometry
@@ -23,6 +28,48 @@ def test_geometry_validation():
         Geometry((3,), torus=True, outside_empty=True)
 
 
+
+def test_n_sites_is_exact():
+    # an int64 product wraps both to 0
+    assert Geometry((2**32, 2**32)).n_sites == 2**64
+    assert Geometry((2**31, 2**31, 4)).n_sites == 2**64
+
+
+# Under a 1 GiB address-space cap, so that a box which slips past the size
+# check fails fast with MemoryError instead of allocating gigabytes.
+_OVERSIZED = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+import numpy as np
+from kcmkit.families import build_tables, make_family
+from kcmkit.lattice import Geometry
+for dims, kw in [((46341, 46341), dict(torus=True)), ((2**31, 2**31, 4), {}),
+                 ((2**32, 2**32), dict(outside_empty=True))]:
+    g = Geometry(dims, **kw)
+    for build in (lambda: g.neighbor_table(np.eye(g.d, dtype=np.int64)),
+                  lambda: build_tables(g, make_family("fa_kf", d=g.d, k=2))):
+        try:
+            build()
+        except ValueError as e:
+            print(g.n_sites, e)
+"""
+
+
+def test_box_past_int32_tables_is_refused_before_allocating():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    p = subprocess.run([sys.executable, "-c", _OVERSIZED], env=env,
+                       capture_output=True, text=True, timeout=120)
+    assert p.returncode == 0, p.stderr
+    lines = p.stdout.splitlines()
+    assert len(lines) == 6, lines
+    for line in lines:
+        n, message = line.split(" ", 1)
+        assert message.startswith(f"a box of {n} sites is too large")
+        assert message.endswith("at most 2^31 - 1 = 2147483647 sites")
+
+
 def test_vertex_keys_cached_and_read_only():
     g = Geometry((4, 3))
     keys = g.vertex_keys()
@@ -33,6 +80,40 @@ def test_vertex_keys_cached_and_read_only():
     fresh = Geometry((4, 3))
     assert fresh == g and hash(fresh) == hash(g)
     assert np.array_equal(fresh.vertex_keys(), keys)
+
+
+
+@st.composite
+def _boxes(draw):
+    """A torus, free or outside-empty box with d = 1..3 and sides 1..6."""
+    dims = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+    kind = draw(st.sampled_from(["torus", "free", "free-empty"]))
+    return Geometry(dims, torus=kind == "torus",
+                    outside_empty=kind == "free-empty")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_neighbor_table_matches_site_loop(data):
+    # offsets up to twice the largest side, so the slices wrap a torus
+    # more than once and leave a free box entirely
+    g = data.draw(_boxes())
+    offsets = np.array(data.draw(st.lists(
+        st.tuples(*[st.integers(-12, 12)] * g.d), max_size=5)),
+        dtype=np.int64).reshape(-1, g.d)
+    table = g.neighbor_table(offsets)
+    ref = neighbor_table_loop(g, offsets)
+    assert table.dtype == np.int32 and table.flags.c_contiguous
+    assert table.shape == ref.shape and table.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=_boxes())
+def test_vertex_keys_match_scalar_hash(g):
+    keys = g.vertex_keys()
+    assert keys.dtype == np.uint64 and keys.shape == (g.n_sites,)
+    assert keys.tolist() == [vertex_key(g.coords(v))
+                             for v in range(g.n_sites)]
 
 
 def test_flat_coords_roundtrip():
