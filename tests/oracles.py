@@ -37,7 +37,6 @@ def shift_flat(geom: Geometry, flat: int, offset: Sequence[int]) -> int:
     return geom.flat(c)
 
 
-
 def neighbor_table_loop(geom: Geometry, offsets) -> np.ndarray:
     """(N, S) int32 flat indices of site + offset_s, one site and offset at
     a time through shift_flat, with the pad index N where the target leaves
@@ -46,6 +45,7 @@ def neighbor_table_loop(geom: Geometry, offsets) -> np.ndarray:
     rows = [[w if (w := shift_flat(geom, v, off)) >= 0 else n
              for off in offsets] for v in range(n)]
     return np.array(rows, dtype=np.int32).reshape(n, len(offsets))
+
 
 def neighbors(geom: Geometry, x) -> list[tuple[int, ...]]:
     """The <= 2d distinct l1-neighbors of x (wrapped on a torus, clipped on a

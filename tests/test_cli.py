@@ -626,7 +626,6 @@ def test_unwritable_out_leaves_no_partials(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
-
 # Runs the CLI under a 1 GiB address-space cap, so that a box which slips
 # past the size check fails fast with MemoryError instead of allocating
 # tens of gigabytes.

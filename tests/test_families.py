@@ -197,7 +197,6 @@ def test_rev_is_the_reverse_neighbor_table(geom):
         assert t.rev.tobytes() == ref.tobytes()
 
 
-
 def test_tables_and_keys_peak_memory():
     # NumPy reports its buffers to tracemalloc, so this peak does not move
     # with the heap layout, as the resident set does. The tables hold

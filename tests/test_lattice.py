@@ -28,7 +28,6 @@ def test_geometry_validation():
         Geometry((3,), torus=True, outside_empty=True)
 
 
-
 def test_n_sites_is_exact():
     # an int64 product wraps both to 0
     assert Geometry((2**32, 2**32)).n_sites == 2**64
@@ -80,7 +79,6 @@ def test_vertex_keys_cached_and_read_only():
     fresh = Geometry((4, 3))
     assert fresh == g and hash(fresh) == hash(g)
     assert np.array_equal(fresh.vertex_keys(), keys)
-
 
 
 @st.composite
