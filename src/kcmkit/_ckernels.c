@@ -24,7 +24,9 @@
  * kcmkit.lattice.Geometry.neighbor_table enforces; index arithmetic runs
  * in int64. The rules enter only through sat, 2^S bytes: a site whose
  * empty slots form the bitmask `mask` (bit s for slot s) is satisfied iff
- * sat[mask]. Masks are uint16, so S <= 16; kcmkit._compiled hands families
+ * sat[mask]. Every kernel reads that mask one way, empty_slots() over a
+ * byte state of n + 1 entries (1 where a site is empty, the last entry the
+ * pad's). Masks are uint16, so S <= 16; kcmkit._compiled hands families
  * with more slots to kcmkit._pure.
  *
  * Every function returns 0, or -1 when a work buffer cannot be allocated;
@@ -498,18 +500,6 @@ typedef struct {
     double *data;
 } kk_class;
 
-/* Whether the flip of the site whose nbr row is `row` is legal: sat[] of
- * its empty slots, read from e, the empty bits of the state with bit n
- * for the pad. */
-static inline int flip_legal(int64_t S, const int32_t *row,
-                             const uint8_t *sat, uint64_t e)
-{
-    unsigned mask = 0;
-    for (int64_t k = 0; k < S; k++)
-        mask |= (unsigned)((e >> row[k]) & 1u) << k;
-    return sat[mask];
-}
-
 /* The class of the all-empty bitmask under legal flips (a flip of v is
  * legal where v's constraint holds; it ignores v's own state, so the moves
  * are reversible and the class is a connected component), found by a
@@ -536,6 +526,7 @@ int kk_class_generator(int64_t n, int64_t S, const int32_t *nbr,
     /* capacities of states, indptr, indices and data */
     int64_t scap = 1024, pcap = 1024, icap = 1024 * (n + 1), dcap = icap;
     int32_t *row_of = malloc(((size_t)1 << n) * sizeof *row_of);
+    uint8_t *em = malloc((size_t)n + 1);   /* 1 where a site is empty */
     /* a row's entries: key, fresh and sorted hold n + 1 each */
     uint32_t *key = malloc(3 * ((size_t)n + 1) * sizeof *key);
     int64_t *states = malloc((size_t)scap * sizeof *states);
@@ -543,13 +534,13 @@ int kk_class_generator(int64_t n, int64_t S, const int32_t *nbr,
     int32_t *indices = malloc((size_t)icap * sizeof *indices);
     double *data = malloc((size_t)dcap * sizeof *data);
     int rc = -1;
-    if (!row_of || !key || !states || !indptr || !indices || !data)
+    if (!row_of || !em || !key || !states || !indptr || !indices || !data)
         goto done;
     memset(row_of, 0xff, ((size_t)1 << n) * sizeof *row_of);   /* all -1 */
+    em[n] = pad_empty ? 1 : 0;
 
     uint32_t *fresh = key + n + 1, *sorted = fresh + n + 1;
     const double rate[2] = {1.0 - q, q};   /* fill, empty */
-    const uint64_t full = ((uint64_t)1 << n) - 1, pad = (uint64_t)pad_empty << n;
     int64_t size = 1, nnz = 0;
     row_of[0] = 0;
     states[0] = 0;
@@ -562,14 +553,15 @@ int kk_class_generator(int64_t n, int64_t S, const int32_t *nbr,
             grow((void **)&data, &dcap, nnz + n + 1, sizeof *data))
             goto done;
         uint64_t s = (uint64_t)states[i];
-        uint64_t e = (~s & full) | pad;
+        for (int64_t v = 0; v < n; v++)
+            em[v] = (uint8_t)((~s >> v) & 1u);
         double diag = 0.0;
         /* the rows of earlier states and the diagonal go to key[0 .. k),
          * to be sorted; the states this row adds get rows past them all,
          * ascending, and go to fresh[0 .. m) as they come */
         int64_t k = 0, m = 0;
         for (int64_t v = 0; v < n; v++) {
-            if (!flip_legal(S, nbr + v * S, sat, e))
+            if (!sat[empty_slots(S, nbr + v * S, em)])
                 continue;
             uint64_t w = s ^ (1ULL << v);
             unsigned empties = (unsigned)(s >> v) & 1u;
@@ -609,6 +601,7 @@ int kk_class_generator(int64_t n, int64_t S, const int32_t *nbr,
     rc = 0;
 done:
     free(row_of);
+    free(em);
     free(key);
     if (rc) {
         free(states); free(indptr); free(indices); free(data);

@@ -26,8 +26,7 @@ import numpy as np
 
 from . import kernels
 from .families import UpdateFamily, make_family, tables_for
-from .lattice import (Configuration, Geometry, _cached_geometry, as_ints,
-                      random_bits)
+from .lattice import Configuration, Geometry, as_ints, random_bits
 from .stats import ScanEstimate, wilson_ci
 
 EXACT_LAMBDA_CAP = 16
@@ -87,7 +86,7 @@ class BlockSpec:
         return int(np.prod(self.dims))
 
     def geometry(self) -> Geometry:
-        return _cached_geometry(self.dims)
+        return Geometry(self.dims)
 
 
 class BlockDims(NamedTuple):

@@ -378,6 +378,10 @@ def _cmd_gap(args) -> None:
     rows = []
     for i, q in enumerate(args.q):
         gen = spectral.build_generator(geom, fam, q)
+        if gen.size == 1:   # nothing to solve: spectral_gap reads 0.0
+            raise CliError(f"the class of the all-empty state on dims "
+                           f"{','.join(map(str, geom.dims))} holds one "
+                           f"state: no site can flip, so it has no gap")
         gap, degenerate = spectral.spectral_gap(gen)
         if degenerate:   # roundoff, not a gap: no row carries it
             raise CliError(f"the gap at q={q} is below "
@@ -489,8 +493,13 @@ def main(argv=None) -> int:
         args = parse_argv(argv)
         _resolve(args)
         _COMMANDS[args.command](args)
-    except (CliError, ValueError, NotImplementedError, OSError,
-            RuntimeError) as e:
+    except MemoryError as e:
+        # NumPy's names the request it could not meet; a bare one has no text
+        print("error: out of memory" + (f": {e}" if str(e) else ""),
+              file=sys.stderr)
+        return 2
+    except (ValueError, RuntimeError, OSError) as e:
+        # CliError is a ValueError, NotImplementedError a RuntimeError
         print(f"error: {e}", file=sys.stderr)
         return 2
     return 0

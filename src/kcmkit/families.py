@@ -170,9 +170,11 @@ class FamilyTables:
 
     Slot s is the family's s-th distinct offset (UpdateFamily.offsets).
     nbr[v, s] is the flat index of v + offset_s, with the pad index N for
-    offsets leaving a free box; rev[v, s] likewise for v - offset_s. Both
-    are int32, 4 bytes per slot and site, so N is at most 2^31 - 1
-    (Geometry.neighbor_table refuses larger boxes).
+    offsets leaving a free box. rev is the neighbour table of the negated
+    offsets: rev[v, s] is v - offset_s, so nbr[rev[v, s], s] = v wherever
+    rev[v, s] < N. Both come from Geometry.neighbor_table and are int32,
+    4 bytes per slot and site, so N is at most 2^31 - 1 (larger boxes are
+    refused there).
     rules[k] holds rule k's sorted slots. sat[mask] is 1 iff the slot set
     `mask` (bit s for slot s) contains some rule, i.e. a site whose empty
     slots are `mask` is satisfied; it has 2^S entries, and is None for more
@@ -237,18 +239,12 @@ def build_tables(geom: Geometry, fam: UpdateFamily) -> FamilyTables:
     offsets = fam.offsets()
     slot_of = {off: s for s, off in enumerate(offsets)}
     off_arr = np.asarray(offsets, dtype=np.int64).reshape(len(offsets), fam.d)
-    nbr = geom.neighbor_table(off_arr)
-    # v - offset_s is the u with nbr[u, s] = v: one scatter, whose writes to
-    # the pad row n (offsets leaving a free box) are dropped
-    n, S = nbr.shape
-    rev = np.full((n + 1, S), n, dtype=np.int32)
-    rev[nbr, np.arange(S)] = np.arange(n, dtype=np.int32)[:, None]
     rules = tuple(np.array(sorted(slot_of[off] for off in rule),
                            dtype=np.int32) for rule in fam.rules)
-
     return FamilyTables(
-        geom=geom, fam=fam, nbr=nbr, rev=rev[:n], rules=rules,
-        sat=_satisfiable(rules, S),
+        geom=geom, fam=fam, nbr=geom.neighbor_table(off_arr),
+        rev=geom.neighbor_table(-off_arr), rules=rules,
+        sat=_satisfiable(rules, len(offsets)),
         pad_empty=1 if geom.outside_empty else 0,
     )
 

@@ -80,21 +80,11 @@ class Geometry:
             flat //= n
         return tuple(reversed(out))
 
-    @cached_property
-    def _vertex_keys(self) -> np.ndarray:
-        # one coordinate per axis, shaped along it, so the keys broadcast
-        # over the box in C order
-        axes = [np.arange(m, dtype=np.uint64).reshape(
-            [-1 if b == a else 1 for b in range(self.d)])
-            for a, m in enumerate(self.dims)]
-        keys = rng.vertex_keys_np(axes).reshape(-1)
-        keys.flags.writeable = False   # shared by every caller
-        return keys
-
     def vertex_keys(self) -> np.ndarray:
         """Coordinate-hash keys for every site (see rng.vertex_keys_np),
-        computed once per geometry and read-only."""
-        return self._vertex_keys
+        read-only and computed once per shape: a torus and a free box of
+        the same dims share them."""
+        return _vertex_keys(self.dims)
 
     def neighbor_table(self, offsets: np.ndarray) -> np.ndarray:
         """(N, S) C-contiguous int32 table of flat indices of site +
@@ -137,8 +127,16 @@ class Geometry:
         return [(slice(lo, hi), slice(lo + o, hi + o))] if lo < hi else []
 
 
-# one Geometry per shape, so its vertex keys are hashed once
-_cached_geometry = lru_cache(maxsize=64)(Geometry)
+@lru_cache(maxsize=64)
+def _vertex_keys(dims: tuple[int, ...]) -> np.ndarray:
+    # one coordinate per axis, shaped along it, so the keys broadcast over
+    # the box in C order
+    axes = [np.arange(m, dtype=np.uint64).reshape(
+        [-1 if b == a else 1 for b in range(len(dims))])
+        for a, m in enumerate(dims)]
+    keys = rng.vertex_keys_np(axes).reshape(-1)
+    keys.flags.writeable = False   # shared by every caller
+    return keys
 
 
 def random_uniforms(geom: Geometry, seed: int, replicas,

@@ -19,9 +19,9 @@ import numpy as np
 from . import kernels, rng
 from .blocks import BlockSpec, _classes, _seed_mask, _slice_family
 from .families import UpdateFamily, make_family, tables_for
-from .lattice import (Box, Configuration, Geometry, Region, _cached_geometry,
-                      as_bits, as_ints, as_sites, box_region, check_fit,
-                      cross_region, random_bits, slice_region)
+from .lattice import (Box, Configuration, Geometry, Region, as_bits, as_ints,
+                      as_sites, box_region, check_fit, cross_region,
+                      random_bits, slice_region)
 
 _EXACT_CAP = 1 << 20
 
@@ -690,7 +690,7 @@ def sample_path_B_instance(model: str, dims, q: float, seed: int,
         raise ValueError("axis must be 0 or 1 and direction +1 or -1")
     full = list(dims)
     full[axis] *= 2
-    geom = _cached_geometry(tuple(full))
+    geom = Geometry(full)
     lead = [0, 0]
     lead[axis] = dims[axis]
     if direction > 0:
@@ -707,7 +707,7 @@ def sample_path_A_instance(model: str, dims, q: float, seed: int,
                            replica: int):
     """Reproducible eligible start for path_A: returns (cfg, x, z)."""
     n1, n2 = dims = as_ints(dims, "dims")
-    geom = _cached_geometry((2 * n1, 2 * n2))
+    geom = Geometry((2 * n1, 2 * n2))
     x = Box((0, 0), dims)
     right = Box((n1, 0), dims)
     upper = Box((0, n2), dims)

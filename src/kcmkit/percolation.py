@@ -116,14 +116,9 @@ def c_infty_surrogate(cfg: Configuration, x, radius: int) -> bool:
         hull.update(face[-1].ravel().tolist())
     hull.discard(-1)
 
-    steps = [tuple(s * int(a == b) for b in range(d))
-             for a in range(d) for s in (1, -1)]
-    count = 0
-    for s in steps:
-        nb = tuple(radius + s[a] for a in range(d))
-        if labels[win.flat(nb)] in hull:
-            count += 1
-    return count >= 2
+    unit = np.eye(d, dtype=np.int64)
+    nbs = win.neighbor_table(np.concatenate((unit, -unit)))[center]
+    return sum(label in hull for label in labels[nbs].tolist()) >= 2
 
 
 # ---------------------------------------------------------------- scanning

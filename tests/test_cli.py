@@ -15,7 +15,7 @@ from kcmkit import blocks, cli, kcm, spectral
 from kcmkit.cli import CliError, main, parse_argv, read_config_file, resolve_family
 from kcmkit.families import make_family
 from kcmkit.lattice import Configuration, Geometry, write_grid
-from oracles import relaxation_time_from_gap
+from oracles import constraint_satisfied, relaxation_time_from_gap
 
 
 def run(tmp_path, *argv):
@@ -558,6 +558,10 @@ def test_qc_tol_below_float_spacing_returns(tmp_path):
     (["gap", "--model", "east", "--dims", "4", "--q", "0.3,1e-100"],
      "the gap at q=1e-100 is below 1e-12, where the eigensolve cannot tell "
      "it from 0"),
+    # the east site's one rule reads the occupied outside: nothing flips
+    (["gap", "--model", "east", "--d", "1", "--dims", "1", "--q", "0.3"],
+     "the class of the all-empty state on dims 1 holds one state: no site "
+     "can flip, so it has no gap"),
     (["blocks", "--model", "fa2", "--q", "1e-300", "--A", "3.5"],
      "--q 1e-300 and --A 3.5 give a block of more than the 2^24 sites a "
      "block holds; raise --q or lower --A"),
@@ -569,7 +573,8 @@ def test_qc_tol_below_float_spacing_returns(tmp_path):
      "--replicas must be at most 2^64, the number of distinct replica ids, "
      "got 10000000000000000000000"),
 ], ids=["blocks-fakf-k-past-2d-1", "gap-subnormal-q", "gap-degenerate-1e-9",
-        "gap-degenerate-1e-100", "blocks-q-A-past-site-cap",
+        "gap-degenerate-1e-100", "gap-one-state-class",
+        "blocks-q-A-past-site-cap",
         "blocks-dims-past-site-cap", "bootstrap-replicas-past-id-space"])
 def test_bad_value_exits_2_with_one_line(tmp_path, argv, message):
     # in a fresh interpreter, so that a warning NumPy prints reaches stderr
@@ -651,6 +656,31 @@ def test_box_past_int32_tables_exits_2_before_allocating(tmp_path, n):
     assert proc.stdout == "" and os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("argv,asked", [
+    (["perc", "--p", "0.2", "--nmax", "40"],
+     "8.00 TiB for an array with shape (1099511627776,) and data type "
+     "uint64"),
+    (["bootstrap", "--model", "fa2", "--n", "46340", "--q", "0.1",
+      "--replicas", "1"],
+     "8.00 GiB for an array with shape (2147395600,) and data type int32"),
+], ids=["perc-nmax-40-keys", "bootstrap-46340-tables"])
+def test_out_of_memory_exits_2_with_one_line(tmp_path, argv, asked):
+    # each box fits the int32 tables, but not 1 GiB of memory
+    out = tmp_path / "out.csv"
+    proc = _run_alone(["-c", _CAPPED, *argv, "--out", str(out)], timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr == f"error: out of memory: Unable to allocate {asked}\n"
+    assert os.listdir(tmp_path) == []
+
+
+def test_bare_memory_error_is_named(tmp_path, capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+    monkeypatch.setitem(cli._COMMANDS, "lc", exhausted)
+    assert run(tmp_path, "lc", "--model", "fa1", "--q", "0.2") == (2, None)
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
 # -------------------------------------------------------------- subcommands
 
 
@@ -683,6 +713,27 @@ def test_sim_rows_and_event_log(tmp_path):
     times = kcm.read_event_log(str(events))["t"]
     assert len(times) > 0
     assert np.all(np.diff(times) >= 0)
+
+
+def test_sim_empty_start_event_log_replays_from_the_empty_grid(tmp_path):
+    events = tmp_path / "run.events"
+    rc, text = run(tmp_path, "sim", "--model", "fa2", "--n", "5", "--q",
+                   "0.3", "--tmax", "4", "--replicas", "2", "--seed", "8",
+                   "--start", "empty", "--events", str(events))
+    assert rc == 0
+    assert [r["tau0"] for r in rows_of(text)[1]] == ["0.0", "0.0"]
+    log = kcm.read_event_log(str(events))
+    fam, geom = make_family("fa_kf", d=2, k=2), Geometry((5, 5), torus=True)
+    empty = Configuration.fully_empty(geom)
+    want = kcm.simulate_kcm(kcm.KcmParams(fam, 0.3, geom, 4.0, 8), empty,
+                            log_events=True)
+    assert len(log) > 0 and log.tobytes() == want.events.tobytes()
+    # every event is a legal resample of the grid it finds
+    cfg = empty.copy()
+    for v, s in zip(log["v"].tolist(), log["s"].tolist()):
+        assert constraint_satisfied(cfg, fam, v)
+        cfg.bits[v] = s
+    assert cfg == want.final
 
 
 def test_sim_initial_grid_checked_before_any_output(tmp_path):

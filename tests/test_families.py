@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kcmkit import lattice
 from kcmkit.families import (UpdateFamily, build_tables, make_family,
                              read_family, write_family)
 from kcmkit.lattice import Configuration, Geometry
@@ -201,8 +202,10 @@ def test_tables_and_keys_peak_memory():
     # NumPy reports its buffers to tracemalloc, so this peak does not move
     # with the heap layout, as the resident set does. The tables hold
     # 2 MiB (two (65536, 4) int32 arrays) and the keys 0.5 MiB: the bound
-    # leaves 1 MiB for temporaries, half of one int64 (N, S) table.
+    # leaves 1 MiB for temporaries, half of one int64 (N, S) table. The
+    # keys are cached per shape, so an earlier test's are dropped first.
     g = Geometry((256, 256), torus=True)
+    lattice._vertex_keys.cache_clear()
     tracemalloc.start()
     try:
         t = build_tables(g, make_family("fa_kf", d=2, k=2))

@@ -5,9 +5,9 @@ import struct
 import numpy as np
 import pytest
 
-from kcmkit import rng
+from kcmkit import kernels, rng
 from kcmkit._pure import EVENT
-from kcmkit.families import make_family
+from kcmkit.families import make_family, tables_for
 from kcmkit.kcm import (KcmParams, empty_fraction_time_average,
                         read_event_log, sample_persistence_time, simulate_kcm,
                         write_event_log)
@@ -212,6 +212,28 @@ def test_events_replay_to_final_state():
     for v, s in zip(res.events["v"], res.events["s"]):
         bits[v] = s
     assert np.array_equal(bits, res.final.bits)
+
+
+def test_persistence_from_the_empty_start():
+    # first_legal runs every replica from all-empty bits, as kcm_run does
+    # with target 0; first_empty finds the origin empty at time 0
+    p = _params(make_family("fa_kf", d=2, k=2), 0.2, (4, 4), 3.0, 6,
+                torus=True)
+    samples, summary = sample_persistence_time(p, 6, start="empty",
+                                               variant="first_legal")
+    t = tables_for(p.geometry, p.fam)
+    for r, s in enumerate(samples):
+        out = kernels.kcm_run(np.zeros(t.n_sites, np.uint8), t, p.seed, r,
+                              p.q, p.t_max, target=0)
+        hit = out["t_target_first_legal"]
+        assert (s.replica, s.flips_executed) == (r, out["flips"])
+        assert (s.tau0, s.censored) == ((hit, False) if hit >= 0.0
+                                        else (p.t_max, True))
+    assert summary.mean == np.mean([s.tau0 for s in samples])
+    samples, summary = sample_persistence_time(p, 6, start="empty")
+    assert [(s.tau0, s.censored, s.flips_executed) for s in samples] == [
+        (0.0, False, 0)] * 6
+    assert (summary.mean, summary.censored_fraction) == (0.0, 0.0)
 
 
 def test_persistence_same_at_any_draw_budget(monkeypatch):

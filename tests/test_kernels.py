@@ -65,7 +65,9 @@ def _random_bits(geom, q, seed):
 def test_ckernels_compile_without_warnings(tmp_path):
     p = subprocess.run(
         [*_cc(), "-std=c99", "-O2", "-Wall", "-Wextra", "-Werror",
-         "-Wcast-align=strict", "-c",
+         "-Wcast-align=strict", "-Wshadow", "-Wconversion",
+         "-Wsign-conversion", "-Wpedantic", "-Wundef", "-Wstrict-prototypes",
+         "-Wvla", "-Wdouble-promotion", "-c",
          str(ROOT / "src" / "kcmkit" / "_ckernels.c"),
          "-o", str(tmp_path / "_ckernels.o")],
         capture_output=True, text=True, timeout=300)

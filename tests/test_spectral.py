@@ -218,14 +218,25 @@ def test_missing_arpack_library_names_its_path(monkeypatch, tmp_path):
 
 
 def test_reversibility_check_catches_one_changed_entry():
-    gen = build_generator(Geometry((3, 3)), make_family("fa_kf", d=2, k=2), 0.3)
-    spectral._assert_reversible(gen)
-    off = np.flatnonzero(gen.row_ids() != gen.indices)
-    for k in (off[0], off[off.size // 2], off[-1]):
-        data = gen.data.copy()
-        data[k] *= 1.0 + 1e-6
-        with pytest.raises(AssertionError, match="reversibility violated"):
-            spectral._assert_reversible(dataclasses.replace(gen, data=data))
+    # east on 18 sites has 2^17 states, past the 2^16 that _reverse_perm
+    # sorts as uint16 keys, so its int32-key sort runs too. Its all-empty
+    # row weighs 0.3^17: a change of 1e-6 there moves the flux by about
+    # 1e-15, below the absolute REVERSIBILITY_TOL, so it changes by 100%.
+    for geom, fam, change in [
+            (Geometry((3, 3)), make_family("fa_kf", d=2, k=2), 1e-6),
+            (Geometry((18,)), make_family("east", d=1), 1.0)]:
+        gen = build_generator(geom, fam, 0.3)
+        spectral._assert_reversible(gen)
+        assert gen.reverse.tolist() == np.argsort(
+            gen.indices.astype(np.int64), kind="stable").tolist()
+        off = np.flatnonzero(gen.row_ids() != gen.indices)
+        for k in (off[0], off[off.size // 2], off[-1]):
+            data = gen.data.copy()
+            data[k] *= 1.0 + change
+            with pytest.raises(AssertionError,
+                               match="reversibility violated"):
+                spectral._assert_reversible(
+                    dataclasses.replace(gen, data=data))
 
 
 def test_reversibility_check_catches_a_missing_reverse():
