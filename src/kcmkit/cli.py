@@ -16,12 +16,22 @@ runs sharing the base seed with per-point offsets.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import math
 import os
 import re
 import sys
 from types import SimpleNamespace
+
+# hashlib imports _hashlib, which maps OpenSSL's libcrypto (about 3.5 MB of
+# every command's peak RSS) for one digest; CPython's builtin module gives
+# the same bytes. It is _sha2 from Python 3.12, _sha256 before.
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__, blocks, bootstrap, kcm, paths, percolation, rng
 from .families import UpdateFamily, make_family
@@ -118,7 +128,7 @@ def emit_csv(args: SimpleNamespace, header: list[str], rows) -> None:
               **{name: getattr(args, name) for name in OPTIONS[args.command]}}
     blob = "\n".join(f"{k}={_cell(v)}" for k, v in sorted(params.items()))
     lines = [f"# seed={args.seed}", f"# version=kcmkit-{__version__}",
-             f"# config={hashlib.sha256(blob.encode()).hexdigest()[:16]}",
+             f"# config={sha256(blob.encode()).hexdigest()[:16]}",
              ",".join(header)]
     lines += (",".join(_cell(v) for v in row) for row in rows)
     text = "\n".join(lines) + "\n"
