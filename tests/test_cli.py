@@ -246,55 +246,88 @@ def test_long_event_log_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(blob).hexdigest() == _LONG_EVENT_LOG_DIGEST
 
 
-def test_only_gap_imports_scipy():
+# one run of each subcommand, writing its CSV (and sim its event log) into
+# {tmp}, and one run reading a config file
+_EVERY_COMMAND_TO_FILES = [
+    ("bootstrap --model fa2 --n 4 --q 0.3 --replicas 5 --out {tmp}/b.csv", 0),
+    ("qc --model fa1 --n 4 --replicas 5 --out {tmp}/qc.csv", 0),
+    ("lc --model fa2 --q 0.5 --replicas 5 --n-max 16 --out {tmp}/lc.csv", 0),
+    ("sim --model east --n 4 --q 0.5 --tmax 1 --replicas 2 --out "
+     "{tmp}/sim.csv --events {tmp}/sim.events", 0),
+    ("gap --model east --dims 4 --q 0.3 --out {tmp}/gap.csv", 0),
+    ("blocks --model fa2 --q 0.3 --A 3.5 --dims 3,3 --replicas 5 --out "
+     "{tmp}/blocks.csv", 0),
+    ("paths --model fa2 --mode A --dims 3,3 --q 0.3 --samples 2 --out "
+     "{tmp}/paths.csv", 0),
+    ("perc --p 0.2 --nmax 3 --replicas 5 --out {tmp}/perc.csv", 0),
+    ("qc --config {tmp}/qc.cfg --out {tmp}/qc2.csv", 0),
+]
+
+# (module, runs): a fresh interpreter imports kcmkit.cli, makes each run
+# (argv text, exit code) through cli.main, and after each finds the module
+# unloaded
+_UNLOADED = [
     # scipy.sparse.linalg costs about 0.3 s of import; no command imports
     # scipy, and the sparse eigensolve (32,767 states) loads only scipy's
     # ARPACK library, from its file
-    code = "\n".join([
-        "import sys",
-        "from kcmkit.cli import main",
-        "for argv in (",
-        "    'bootstrap --model fa2 --n 4 --q 0.3 --replicas 5',",
-        "    'qc --model fa1 --n 4 --replicas 5',",
-        "    'lc --model fa2 --q 0.5 --replicas 5 --n-max 16',",
-        "    'sim --model east --n 4 --q 0.5 --tmax 1 --replicas 2',",
-        "    'blocks --model fa2 --q 0.3 --A 3.5 --dims 3,3 --replicas 5',",
-        "    'paths --model fa2 --mode A --dims 3,3 --q 0.3 --samples 2',",
-        "    'perc --p 0.2 --nmax 3 --replicas 5',",
-        "    'gap --model east --d 1 --dims 10 --q 0.3',",
-        "    'gap --model fa1 --d 2 --dims 3,5 --q 0.3'):",
-        "    assert main(argv.split()) == 0, argv",
-        "    assert 'scipy' not in sys.modules, argv",
-    ])
-    _assert_runs_alone(code)
-
-
-def test_cli_import_leaves_argparse_unloaded():
+    ("scipy", [
+        ("bootstrap --model fa2 --n 4 --q 0.3 --replicas 5", 0),
+        ("qc --model fa1 --n 4 --replicas 5", 0),
+        ("lc --model fa2 --q 0.5 --replicas 5 --n-max 16", 0),
+        ("sim --model east --n 4 --q 0.5 --tmax 1 --replicas 2", 0),
+        ("blocks --model fa2 --q 0.3 --A 3.5 --dims 3,3 --replicas 5", 0),
+        ("paths --model fa2 --mode A --dims 3,3 --q 0.3 --samples 2", 0),
+        ("perc --p 0.2 --nmax 3 --replicas 5", 0),
+        ("gap --model east --d 1 --dims 10 --q 0.3", 0),
+        ("gap --model fa1 --d 2 --dims 3,5 --q 0.3", 0)]),
     # argparse, with gettext and the parsers it built, cost about 9 ms of
     # every command; the option tables are read directly
-    code = "\n".join([
-        "import sys",
-        "from kcmkit.cli import main",
-        "for argv in (['-h'], ['perc', '--help'], ['perc', '--p', '0.2',",
-        "             '--nmax', '3', '--replicas', '5'], ['lc', '--n', '5']):",
-        "    main(argv)",
-        "    assert 'argparse' not in sys.modules, argv",
-    ])
-    _assert_runs_alone(code)
-
-
-def test_sim_and_qc_leave_numpy_ma_unloaded():
+    ("argparse", [("-h", 0), ("perc --help", 0),
+                  ("perc --p 0.2 --nmax 3 --replicas 5", 0),
+                  ("lc --n 5", 2)]),
     # np.median imports numpy.ma, about 15 ms, on its first call
+    ("numpy.ma", [("sim --model east --n 4 --q 0.5 --tmax 1 --replicas 3", 0),
+                  ("qc --model fa1 --n 4 --replicas 6", 0)]),
+    # hashlib imports _hashlib, which maps OpenSSL's libcrypto: about 3.5 MB
+    # of peak RSS for the one digest of the config line
+    ("hashlib", _EVERY_COMMAND_TO_FILES),
+    ("_hashlib", _EVERY_COMMAND_TO_FILES),
+]
+
+
+@pytest.mark.parametrize("module,runs", _UNLOADED,
+                         ids=[module for module, _ in _UNLOADED])
+def test_commands_leave_module_unloaded(tmp_path, module, runs):
+    (tmp_path / "qc.cfg").write_text("model = fa1\nn = 4\nreplicas = 5\n")
+    runs = [([t.format(tmp=tmp_path) for t in text.split()], rc)
+            for text, rc in runs]
     code = "\n".join([
         "import sys",
         "from kcmkit.cli import main",
-        "for argv in (",
-        "    'sim --model east --n 4 --q 0.5 --tmax 1 --replicas 3',",
-        "    'qc --model fa1 --n 4 --replicas 6'):",
-        "    assert main(argv.split()) == 0, argv",
-        "    assert 'numpy.ma' not in sys.modules, argv",
+        f"for argv, rc in {runs!r}:",
+        "    assert main(argv) == rc, argv",
+        f"    assert {module!r} not in sys.modules, argv",
     ])
     _assert_runs_alone(code)
+
+
+def test_config_hash_falls_back_to_hashlib_with_the_same_bytes():
+    # with the builtin modules blocked, the import falls back to hashlib;
+    # the header, config line included, keeps every byte
+    code = "\n".join([
+        "import sys",
+        "for name in sys.argv[1:]:",
+        "    sys.modules[name] = None",
+        "from kcmkit.cli import main",
+        "assert main('gap --model east --dims 4 --q 0.3'.split()) == 0",
+        "assert ('hashlib' in sys.modules) == bool(sys.argv[1:])",
+    ])
+    lean = _run_alone(["-c", code])
+    fallback = _run_alone(["-c", code, "_sha2", "_sha256"])
+    assert lean.returncode == 0, lean.stderr
+    assert fallback.returncode == 0, fallback.stderr
+    assert "# config=" in lean.stdout
+    assert fallback.stdout == lean.stdout
 
 
 def _run_alone(argv, **kwargs) -> subprocess.CompletedProcess:

@@ -10,7 +10,8 @@ from kcmkit import lattice
 from kcmkit.families import (UpdateFamily, build_tables, make_family,
                              read_family, write_family)
 from kcmkit.lattice import Configuration, Geometry
-from oracles import constraint_satisfied, from_empty_sites, fully_occupied
+from oracles import (constraint_satisfied, from_empty_sites, fully_occupied,
+                     neighbor_table_loop)
 
 
 # ------------------------------------------------------------- construction
@@ -184,18 +185,31 @@ def test_sat_is_none_beyond_sixteen_slots():
                                                    outside_empty=True),
 ], ids=repr)
 def test_rev_is_the_reverse_neighbor_table(geom):
-    # rev comes from one scatter of nbr; it must be byte-equal to the
-    # table of the negated offsets, pad entries included
+    # rev[v, s] is the site u with u + offset_s = v, or the pad index N
+    # where v - offset_s leaves a free box. Both facts are checked against
+    # nbr, itself held to the site-loop oracle, and against coordinates
+    # computed here, never against the call that builds rev.
+    n = geom.n_sites
+    coords = np.indices(geom.dims).reshape(geom.d, n).T
     fams = [make_family("fa_kf", d=geom.d, k=1), make_family("east", d=geom.d)]
     if geom.d == 2:
         fams += [make_family("gg"), make_family(
             "custom", rules=[[(1, 0), (0, 3)], [(-2, -1)]])]
     for fam in fams:
         t = build_tables(geom, fam)
-        ref = geom.neighbor_table(-np.asarray(fam.offsets(), dtype=np.int64))
-        assert t.rev.dtype == ref.dtype and t.rev.shape == ref.shape
+        assert np.array_equal(t.nbr, neighbor_table_loop(geom, fam.offsets()))
+        assert t.rev.dtype == np.int32 and t.rev.shape == t.nbr.shape
         assert t.rev.flags.c_contiguous
-        assert t.rev.tobytes() == ref.tobytes()
+        assert ((t.rev >= 0) & (t.rev <= n)).all()
+        for s, off in enumerate(fam.offsets()):
+            source = coords - np.asarray(off)
+            leaves = (np.zeros(n, dtype=bool) if geom.torus else
+                      ((source < 0) | (source >= geom.dims)).any(axis=1))
+            rev = t.rev[:, s]
+            assert np.array_equal(rev == n, leaves), (fam, off)
+            inside = rev < n
+            assert np.array_equal(t.nbr[rev[inside], s],
+                                  np.flatnonzero(inside)), (fam, off)
 
 
 def test_tables_and_keys_peak_memory():
