@@ -1,9 +1,11 @@
 /* Compiled kernels, one kk_* function for each entry point named in
  * kcmkit._pure.ENTRY_POINTS: work-queue closure of a row or a block of
  * rows, spanning thresholds by incremental closure, event-driven KCM loop,
- * crossings, counter-based uniforms, a CSR matrix-vector product, and the
+ * crossings, counter-based uniforms, a CSR matrix-vector product, the
  * class of the all-empty state with its generator in canonical CSR form,
- * searched and assembled in one pass. The KCM loop computes the trajectory
+ * searched and assembled in one pass, and the symmetrization of a
+ * reversible CSR generator with its detailed-balance error, checked and
+ * built in one pass over its entries. The KCM loop computes the trajectory
  * and its event log, one buffer of packed records in the layout of
  * kcmkit._pure.EVENT, with no window integrals; its vertex keys are those
  * of the tables' geometry. kk_free releases the buffers the class
@@ -30,7 +32,8 @@
  * with more slots to kcmkit._pure.
  *
  * Every function returns 0, or -1 when a work buffer cannot be allocated;
- * kk_threshold also returns -2 for an order that is not a permutation.
+ * kk_threshold also returns -2 for an order that is not a permutation, and
+ * kk_symmetrized -2 for an entry without its reverse.
  *
  * kk_source_id() returns the stamp the build defines as KK_SOURCE_ID:
  * setup.py sets it to the first 8 bytes of this file's SHA-256, and
@@ -482,6 +485,51 @@ int kk_csr_matvec(int64_t n, const int32_t *indptr, const int32_t *indices,
         out[i] = sum;
     }
     return 0;
+}
+
+/* Symmetrization of the (n, n) CSR generator L = (indptr, indices, data)
+ * under the weights mu: s[k], on L's own pattern, is entry k of
+ * (S + S^T) / 2 with S = D^{1/2} L D^{-1/2}, D = diag(mu), formed as
+ * ((root_i * L_ij) * (1 / root_j) + (root_j * L_ji) * (1 / root_i)) * 0.5
+ * with root = sqrt(mu), the products and the sum of kcmkit._pure; and
+ * *flux_error is max |mu_j L_ji - mu_i L_ij| over the entries, NaN once
+ * one of them is NaN.
+ *
+ * One pass over the rows in order, with one cursor per row: the reverse of
+ * entry (i, j) is the next entry of row j not yet taken, and it must have
+ * column i. Every entry is taken once exactly when the pattern is
+ * symmetric with the columns of every row ascending, the condition of
+ * _pure's stable sort by column; otherwise some entry finds no reverse and
+ * the function returns -2, with s partly written.
+ */
+int kk_symmetrized(int64_t n, const int32_t *indptr, const int32_t *indices,
+                   const double *data, const double *mu, double *s,
+                   double *flux_error)
+{
+    int32_t *next = malloc(((size_t)n + 1) * sizeof *next);
+    if (!next)
+        return -1;
+    memcpy(next, indptr, (size_t)n * sizeof *next);
+    double err = 0.0;
+    int rc = 0;
+    for (int64_t i = 0; i < n && rc == 0; i++) {
+        double root_i = sqrt(mu[i]), inv_i = 1.0 / root_i;
+        for (int32_t k = indptr[i]; k < indptr[i + 1]; k++) {
+            int32_t j = indices[k], r = next[j]++;
+            if (r == indptr[j + 1] || indices[r] != i) {
+                rc = -2;
+                break;
+            }
+            double root_j = sqrt(mu[j]), inv_j = 1.0 / root_j;
+            double e = fabs(mu[j] * data[r] - mu[i] * data[k]);
+            if (!isnan(err) && !(e <= err))
+                err = e;
+            s[k] = (root_j * data[r] * inv_i + root_i * data[k] * inv_j) * 0.5;
+        }
+    }
+    free(next);
+    *flux_error = err;
+    return rc;
 }
 
 /* ------------------------------------------------------ class generator */

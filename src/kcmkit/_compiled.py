@@ -2,12 +2,12 @@
 
 Same contract as kcmkit._pure and the entry points in its ENTRY_POINTS,
 and the same results (bit-identical trajectories and event logs for the
-event loop, byte-identical uniforms and generators); the closure takes one
-row of bits or a block of rows in one C call. kcm_run's event log (one
-buffer of packed _pure.EVENT records) and class_generator's CSR come back
-in buffers the library allocated and grew, as arrays with no copy, which
-kk_free releases. SIGNATURES declares the argument types of every kk_*
-function.
+event loop, byte-identical uniforms, generators and symmetrizations); the
+closure takes one row of bits or a block of rows in one C call. kcm_run's
+event log (one buffer of packed _pure.EVENT records) and class_generator's
+CSR come back in buffers the library allocated and grew, as arrays with no
+copy, which kk_free releases. SIGNATURES declares the argument types of
+every kk_* function.
 `python setup.py build_ext --inplace` puts the library next to this file.
 `open_kernels` raises LoadError, saying why, when the library is missing,
 cannot be loaded, or carries another source stamp than SOURCE_ID (the
@@ -40,7 +40,7 @@ IMPL_NAME = "compiled"
 LIBRARY = "_ckernels"
 # kk_source_id() of a library built from the shipped _ckernels.c; a test
 # keeps it equal to the first 8 bytes of that file's SHA-256
-SOURCE_ID = 0x48c3ef99a2dcb27b
+SOURCE_ID = 0xfe804681676c326d
 
 _STATUS = ("t_max", "target")   # indexed by the KK_* codes
 
@@ -77,6 +77,7 @@ SIGNATURES = {
     "kk_uniforms": [_u64, _i64, _ptr, _i64, _ptr, _ptr],
     "kk_csr_matvec": [_i64] + [_ptr] * 5,
     "kk_class_generator": [_i64, _i64, _ptr, _ptr, _int, _dbl, _ptr],
+    "kk_symmetrized": [_i64] + [_ptr] * 6,
     "kk_free": [_ptr],
 }
 
@@ -244,6 +245,20 @@ class Kernels:
                 self._adopted(c.indptr, ctypes.c_int32, c.size + 1),
                 self._adopted(c.indices, ctypes.c_int32, c.nnz),
                 self._adopted(c.data, _dbl, c.nnz))
+
+    def symmetrized(self, indptr, indices, data, mu):
+        """The symmetrized CSR data and the detailed-balance error, checked
+        and built in one C pass; mirrors kcmkit._pure.symmetrized."""
+        ptr, cols, vals, mu = _pure.symmetrized_args(indptr, indices, data,
+                                                     mu)
+        s = np.empty(vals.size)
+        err = _dbl()
+        rc = self._lib.kk_symmetrized(ptr.size - 1, *map(
+            _addr, (ptr, cols, vals, mu, s)), ctypes.byref(err))
+        if rc == -2:
+            raise ValueError("a stored entry has no reverse")
+        self._check(rc)
+        return s, err.value
 
     def _adopted(self, address: int, ctype, count: int) -> np.ndarray:
         """The `count` items of `ctype` the library allocated at `address`,

@@ -1,8 +1,10 @@
 """Fallback kernels, the executable spec of the entry points named in
 ENTRY_POINTS: numpy-vectorized closure (a block of rows is closed row by
 row), spanning thresholds by bisection on closures, heapq event loop,
-crossings, counter-0 uniforms, a CSR matrix-vector product, and the class
-of the all-empty configuration with its generator in canonical CSR form.
+crossings, counter-0 uniforms, a CSR matrix-vector product, the class of
+the all-empty configuration with its generator in canonical CSR form, and
+the symmetrization of a reversible CSR generator with its detailed-balance
+error.
 
 Functionally identical to the compiled kernels in kcmkit._compiled;
 kernels.py picks one at import time. Keep the two in lockstep: the test
@@ -32,7 +34,7 @@ IMPL_NAME = "pure"
 # the kernel contract: every implementation exposes these, with the
 # semantics and results of the functions of the same names below
 ENTRY_POINTS = ("closure", "threshold", "kcm_run", "crossing_batch",
-                "uniforms", "csr_operator", "class_generator")
+                "uniforms", "csr_operator", "class_generator", "symmetrized")
 # one record of kcm_run's event log, an executed resample: time, vertex and
 # new state, packed in 13 bytes of native byte order (KK_EVENT in C)
 EVENT = np.dtype([("t", "f8"), ("v", "u4"), ("s", "u1")])
@@ -106,12 +108,11 @@ def uniforms_args(head, replicas, vkeys):
     return as_int(head, "head") & rng.MASK64, reps, vk
 
 
-def csr_args(indptr, indices, data):
-    """The arrays of an (n, n) CSR matrix, C-contiguous and read-only:
-    int32 indptr rising from 0 to nnz over n + 1 entries, int32 column
-    indices in [0, n), nnz float64 data. An array that already has its
-    dtype and is C-contiguous is borrowed, not copied, and made read-only;
-    any other is copied."""
+def _csr(indptr, indices, data):
+    """The arrays of an (n, n) CSR matrix, C-contiguous: int32 indptr
+    rising from 0 to nnz over n + 1 entries, int32 column indices in
+    [0, n), nnz float64 data. An array that already has its dtype and is
+    C-contiguous is borrowed, not copied; any other is copied."""
     arrays = ptr, cols, vals = [np.asarray(a) for a in (indptr, indices, data)]
     if ptr.ndim != 1 or ptr.size == 0:
         raise ValueError("indptr must be 1-D with n + 1 entries")
@@ -131,11 +132,25 @@ def csr_args(indptr, indices, data):
         raise ValueError(f"indices has dtype {cols.dtype}, expected integers")
     if cols.size and (cols.min() < 0 or cols.max() >= n):
         raise ValueError(f"indices holds a site outside the {n} sites")
-    out = tuple(np.ascontiguousarray(a, dtype)
-                for a, dtype in zip(arrays, (np.int32, np.int32, np.float64)))
+    return tuple(np.ascontiguousarray(a, dtype)
+                 for a, dtype in zip(arrays, (np.int32, np.int32, np.float64)))
+
+
+def csr_args(indptr, indices, data):
+    """_csr's arrays, made read-only: the operator borrows them."""
+    out = _csr(indptr, indices, data)
     for a in out:
         a.flags.writeable = False
     return out
+
+
+def symmetrized_args(indptr, indices, data, mu):
+    """_csr's arrays, and mu as (n,) float64 read from floats."""
+    ptr, cols, vals = _csr(indptr, indices, data)
+    if np.asarray(mu).dtype.kind != "f":
+        raise ValueError(f"mu has dtype {np.asarray(mu).dtype}, expected "
+                         f"floats")
+    return ptr, cols, vals, _vector(mu, np.float64, ptr.size - 1, "mu")
 
 
 def matvec_args(x, out, n: int) -> None:
@@ -383,6 +398,46 @@ def csr_operator(indptr, indices, data):
         return out
 
     return mv
+
+
+# ------------------------------------------------------------- symmetrized
+
+def symmetrized(indptr, indices, data, mu):
+    """(s, flux_error) for the (n, n) CSR matrix L = (indptr, indices,
+    data) and weights mu: s is CSR data on L's own pattern of
+    S = D^{1/2} L D^{-1/2}, D = diag(mu), symmetrized as (S + S^T) / 2,
+    each entry ((root_i * L_ij) * (1 / root_j) + its reverse's) * 0.5 with
+    root = sqrt(mu); flux_error is max |mu_j L_ji - mu_i L_ij| over the
+    stored entries, NaN when one of them is NaN. Raises ValueError when an
+    entry has no reverse, i.e. unless the pattern is symmetric with the
+    columns of every row ascending."""
+    ptr, cols, vals, mu = symmetrized_args(indptr, indices, data, mu)
+    n = ptr.size - 1
+    rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(ptr))
+    # a stable sort of the entries by column lists them in the row-major
+    # order of the transpose, so with a symmetric pattern the reverse L_ji
+    # of entry k sits at rev[k]. NumPy's stable argsort is a radix sort on
+    # 16-bit keys, several times faster than its int32 sort
+    rev = np.argsort(cols.astype(np.uint16) if n <= 1 << 16 else cols,
+                     kind="stable")
+    # rows[rev] == cols also makes the columns a permutation of the rows
+    if (rows[rev] != cols).any():
+        raise ValueError("a stored entry has no reverse")
+    flux = mu[rows]
+    flux *= vals
+    diff = flux[rev]
+    diff -= flux
+    err = float(np.abs(diff, out=diff).max()) if diff.size else 0.0
+    root = np.sqrt(mu)
+    inv = 1.0 / root
+    d = root[rows]
+    d *= vals
+    d *= inv[cols]
+    # in place: s = d[rev] + d adds as d + d[rev] does, addition commuting
+    s = d[rev]
+    s += d
+    s *= 0.5
+    return s, err
 
 
 # ----------------------------------------------------------- class generator

@@ -8,19 +8,21 @@ _ckernels.c it binds.
 
 Both implementations expose the entry points named in _pure.ENTRY_POINTS,
 bound here by name, with identical semantics, bit-identical trajectories
-for the event loop and byte-identical uniforms, matrix-vector products and
-class generators. The closure takes one row of bits, shape (n,), or a
-block of rows, shape (R, n), with one flippable mask for every row, and
-returns out and rounds of the same shape. Their argument checks live in
-kcmkit._pure, which both call; a FamilyTables checks its own layout when
-it is built, and csr_operator checks its matrix once. kcm_run computes the
-trajectory only, with no window integrals (kcmkit.kcm takes those from the
-event log), keys its clocks on the tables' geometry, t.geom.vertex_keys(),
-runs to t_max or stops when its target first empties, and returns its
-event log, when asked, as one array of _pure.EVENT records. uniforms draws
-the counter-0 uniforms of a batch of replica ids. class_generator returns
-the class of the all-empty configuration and its generator as canonical
-CSR arrays (kcmkit.spectral).
+for the event loop and byte-identical uniforms, matrix-vector products,
+class generators and symmetrizations. The closure takes one row of bits,
+shape (n,), or a block of rows, shape (R, n), with one flippable mask for
+every row, and returns out and rounds of the same shape. Their argument
+checks live in kcmkit._pure, which both call; a FamilyTables checks its own
+layout when it is built, and csr_operator checks its matrix once. kcm_run
+computes the trajectory only, with no window integrals (kcmkit.kcm takes
+those from the event log), keys its clocks on the tables' geometry,
+t.geom.vertex_keys(), runs to t_max or stops when its target first empties,
+and returns its event log, when asked, as one array of _pure.EVENT records.
+uniforms draws the counter-0 uniforms of a batch of replica ids.
+class_generator returns the class of the all-empty configuration and its
+generator as canonical CSR arrays, and symmetrized pairs every entry of
+such a generator with its reverse, returning its symmetrization and its
+largest detailed-balance error (kcmkit.spectral).
 
 The compiled closure, threshold, kcm_run and class_generator read a
 family's rules through one empty-slot bitmask per site (uint16) and its

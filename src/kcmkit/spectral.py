@@ -8,9 +8,10 @@ at most 24 vertices. The class and its generator come from one kernel call,
 kernels.class_generator: a first-in-first-out search over legal flips that
 writes each row's canonical CSR as it goes (in C, or in NumPy in
 kcmkit._pure, its spec). Every later stage works on arrays, with no Python
-loop over states, and checks the kernel's output independently: the
-reverse permutation of the entries is a sort that fails on an asymmetric
-pattern, and detailed balance is checked entry by entry.
+loop over states, and checks the kernel's output independently: one pass
+of kernels.symmetrized, which reads only the CSR arrays and mu, pairs every
+stored entry with its reverse (failing on an asymmetric pattern) and checks
+detailed balance entry by entry.
 
 Convention: D(f) = sum_x mu(c_x Var_x(f)) with no extra prefactor, which is
 exactly the quadratic form <f, -Lf>_mu for the generator built here; the
@@ -18,8 +19,9 @@ code cross-checks the two on every call. (A 1/2 appears only in the
 directed double-sum form sum_{w,w'} mu(w) rate(w->w') (f(w')-f(w))^2 / 2,
 which double counts each unordered pair.)
 
-The generator is kept as those canonical CSR arrays, and its
-symmetrization is built once, in NumPy, as CSR data on the same pattern. The
+The generator is kept as those canonical CSR arrays, with nothing cached
+beside them, and its symmetrization is built by that same pass, as CSR
+data on the same pattern, each time an eigensolve needs it. The
 dense eigensolvers read it scattered into an array, the Dirichlet forms read
 the generator's arrays, and the sparse eigensolve runs ARPACK's implicitly
 restarted Lanczos method (Lehoucq, Sorensen & Yang 1998, ARPACK Users'
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 
@@ -67,10 +69,6 @@ class GeneratorMatrix:
     indptr: np.ndarray          # (size + 1,) int32
     indices: np.ndarray         # (nnz,) int32
     data: np.ndarray            # (nnz,) float64
-    # (nnz,) int32, set by _reverse_perm on first use; a copy made with
-    # dataclasses.replace starts without it
-    reverse: np.ndarray | None = field(default=None, init=False, repr=False,
-                                       compare=False)
 
     @property
     def size(self) -> int:
@@ -112,55 +110,24 @@ def build_generator(geom: Geometry, fam: UpdateFamily, q: float) -> GeneratorMat
     return gen
 
 
-def _reverse_perm(gen: GeneratorMatrix) -> np.ndarray:
-    """perm with data[perm[k]] = L_ji for every stored entry k = L_ij.
-
-    A stable sort of the entries by column lists them in the row-major
-    order of the transpose. With a symmetric pattern, the reverse L_ji of
-    entry k then sits at position perm[k]. Raises if the pattern is not
-    symmetric. Sorted once per generator and kept on gen.reverse."""
-    if gen.reverse is None:
-        # NumPy's stable argsort is a radix sort on 16-bit keys, several
-        # times faster than its int32 sort
-        key = (gen.indices.astype(np.uint16) if gen.size <= 1 << 16
-               else gen.indices)
-        perm = np.argsort(key, kind="stable")
-        # rows[perm] == indices also makes the columns a permutation of
-        # the rows
-        if (gen.row_ids()[perm] != gen.indices).any():
-            raise AssertionError(
-                "reversibility violated: a transition has no reverse")
-        gen.reverse = perm.astype(np.int32)
-    return gen.reverse
+def _symmetrized(gen: GeneratorMatrix) -> np.ndarray:
+    """CSR data, on the generator's own pattern, of S = D^{1/2} L D^{-1/2}
+    with D = diag(mu), symmetrized as (S + S^T) / 2: symmetric, with the
+    spectrum of L (kernels.symmetrized). Raises AssertionError unless L
+    satisfies detailed balance, mu_i L_ij == mu_j L_ji, entry by entry
+    within REVERSIBILITY_TOL; a NaN entry fails it."""
+    try:
+        s, err = kernels.symmetrized(gen.indptr, gen.indices, gen.data, gen.mu)
+    except ValueError as e:
+        raise AssertionError(f"reversibility violated: {e}") from None
+    if not err <= REVERSIBILITY_TOL:
+        raise AssertionError(f"reversibility violated: max error {err:.3e}")
+    return s
 
 
 def _assert_reversible(gen: GeneratorMatrix) -> None:
     """Entrywise detailed balance: mu_i L_ij == mu_j L_ji."""
-    perm = _reverse_perm(gen)
-    flux = gen.mu[gen.row_ids()]
-    flux *= gen.data
-    diff = flux[perm]
-    diff -= flux
-    err = float(np.abs(diff, out=diff).max()) if diff.size else 0.0
-    if err > REVERSIBILITY_TOL:
-        raise AssertionError(f"reversibility violated: max error {err:.3e}")
-
-
-def _symmetrized(gen: GeneratorMatrix) -> np.ndarray:
-    """CSR data, on the generator's own pattern, of S = D^{1/2} L D^{-1/2}
-    with D = diag(mu), symmetrized as (S + S^T) / 2: symmetric, with the
-    spectrum of L. Each entry is the product (root_i * L_ij) * (1/root_j)
-    that diagonal scalings form, and the symmetrization one commutative sum."""
-    root = np.sqrt(gen.mu)
-    inv = 1.0 / root
-    d = root[gen.row_ids()]
-    d *= gen.data
-    d *= inv[gen.indices]
-    # in place: s = d[rev] + d adds as d + d[rev] does, addition commuting
-    s = d[_reverse_perm(gen)]
-    s += d
-    s *= 0.5
-    return s
+    _symmetrized(gen)
 
 
 def _dense_S(gen: GeneratorMatrix) -> np.ndarray:
@@ -204,9 +171,11 @@ _STATE_INTS = ("ido", "nconv", "np", "iter", "getv0_first", "getv0_iter",
                "aup2_ushift")
 
 
-def _lanczos_top(mv, n: int, k: int, v0: np.ndarray, vectors: bool):
+def _lanczos_top(mv, n: int, k: int, v0, vectors: bool):
     """The k largest eigenvalues, ascending, of the symmetric operator
-    mv(x, out) on R^n, with their eigenvectors as columns when `vectors`.
+    mv(x, out) on R^n, with their eigenvectors as columns when `vectors`,
+    from the start vector v0: an (n,) array, or a scalar for the vector
+    with every entry v0.
 
     ARPACK's dsaupd/dseupd by reverse communication, with the arguments,
     state and steps of scipy's eigsh(A, k, which="LA", v0=v0): ncv =
@@ -220,7 +189,8 @@ def _lanczos_top(mv, n: int, k: int, v0: np.ndarray, vectors: bool):
              **dict.fromkeys(_STATE_INTS, 0),
              "tol": 0, "which": 6, "bmat": 0, "info": 1, "maxiter": 10 * n,
              "mode": 1, "n": n, "ncv": min(ncv, n), "nev": k, "shift": 1}
-    resid = np.array(v0, dtype=np.float64)
+    resid = np.empty(n)
+    resid[:] = v0
     v = np.zeros((n, ncv))
     ipntr = np.zeros(11, dtype=np.int32)
     workd = np.zeros(3 * n)
@@ -258,14 +228,16 @@ def _top_pair(gen: GeneratorMatrix, vectors: bool):
     """(c, values) or (c, (values, vectors)) for the two largest
     eigenvalues of S + c I, where the shift c puts the zero mode and the
     gap at the top end of the spectrum; values ascend."""
+    # every row stores its diagonal; its positions are found before s
+    # exists, so that s can reuse the memory of the search's nnz-sized
+    # temporaries
+    diag = np.flatnonzero(gen.row_ids() == gen.indices)
     s = _symmetrized(gen)
-    diag = gen.row_ids() == gen.indices  # every row stores its diagonal
     c = float(2.0 * np.abs(s[diag]).max() + 1.0)
     s[diag] += c
-    mv = kernels.csr_operator(gen.indptr, gen.indices, s)
     del diag
-    v0 = np.full(gen.size, 1.0 / np.sqrt(gen.size))
-    return c, _lanczos_top(mv, gen.size, 2, v0, vectors)
+    mv = kernels.csr_operator(gen.indptr, gen.indices, s)
+    return c, _lanczos_top(mv, gen.size, 2, 1.0 / np.sqrt(gen.size), vectors)
 
 
 def spectral_gap(gen: GeneratorMatrix) -> tuple[float, bool]:
@@ -292,7 +264,11 @@ def spectral_gap(gen: GeneratorMatrix) -> tuple[float, bool]:
 
 def second_eigenvector(gen: GeneratorMatrix) -> np.ndarray:
     """The -L eigenvector of the gap eigenvalue, mapped back from the
-    symmetrized coordinates; attains Var(f)/D(f) = T_rel."""
+    symmetrized coordinates; attains Var(f)/D(f) = T_rel. Raises
+    ValueError on a one-state class, which has no gap."""
+    if gen.size == 1:
+        raise ValueError("the class holds one state: no site can flip, so "
+                         "it has no gap and no second eigenvector")
     if gen.size <= _DENSE_CUTOFF:
         ev, vec = np.linalg.eigh(_dense_S(gen))
         order = np.argsort(-ev)  # descending in L-eigenvalue = ascending in -L

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcmkit import _compiled, _pure, cli, kernels, rng
+from kcmkit import _compiled, _pure, cli, kernels, rng, spectral
 from kcmkit.families import (FamilyTables, build_tables, make_family,
                              tables_for)
 from kcmkit.kcm import read_event_log, write_event_log
@@ -84,6 +84,13 @@ _CSR = (np.array([0, 2, 3, 3]), np.array([0, 2, 1]), np.array([1.0, 2.0, 3.0]))
 # 25 sites, one past the class search's cap
 _T25 = tables_for(Geometry((5, 5), torus=True), make_family("fa_kf", d=2, k=2))
 _X, _X4 = np.arange(3.0), np.arange(4.0)
+# the generator of a 3-state chain, reversible under uniform weights
+_SYM = (np.array([0, 2, 5, 7]), np.array([0, 1, 0, 1, 2, 1, 2]),
+        np.array([-1.0, 1.0, 1.0, -2.0, 1.0, 1.0, -1.0]), np.full(3, 1 / 3))
+# the cycle 0 -> 1 -> 2 -> 0: every column count equals its row count, but
+# no entry off the diagonal has a reverse
+_CYCLE = (np.array([0, 2, 4, 6]), np.array([0, 1, 1, 2, 0, 2]),
+          np.array([-1.0, 1.0, -1.0, 1.0, 1.0, -1.0]), np.full(3, 1 / 3))
 
 
 def _read_only(a):
@@ -95,6 +102,11 @@ def _csr(**changes):
     indptr, indices, data = _CSR
     return (changes.get("indptr", indptr), changes.get("indices", indices),
             changes.get("data", data))
+
+
+def _sym(**changes):
+    return tuple(changes.get(name, a) for name, a in zip(
+        ("indptr", "indices", "data", "mu"), _SYM))
 
 
 # (entry point, args, kwargs): every case but those in ACCEPTED is
@@ -174,6 +186,15 @@ BAD_ARGS = {
     "class-nan-q": ("class_generator", (_T, np.nan), {}),
     "class-text-q": ("class_generator", (_T, "x"), {}),
     "class-25-sites": ("class_generator", (_T25, 0.3), {}),
+    "sym-3-cycle": ("symmetrized", _CYCLE, {}),
+    # row 0 stores its columns descending, on a symmetric pattern
+    "sym-descending-row": ("symmetrized", _sym(indices=[1, 0, 0, 1, 2, 1, 2]),
+                           {}),
+    "sym-column-n": ("symmetrized", _sym(indices=[0, 1, 0, 1, 3, 1, 2]), {}),
+    "sym-short-mu": ("symmetrized", _sym(mu=_SYM[3][:2]), {}),
+    "sym-2d-mu": ("symmetrized", _sym(mu=_SYM[3][None]), {}),
+    "sym-int-mu": ("symmetrized", _sym(mu=np.ones(3, int)), {}),
+    "sym-text-mu": ("symmetrized", _sym(mu=["1", "1", "1"]), {}),
 }
 
 # an int mask reads as bool; a (1, n) block is one row
@@ -838,6 +859,31 @@ def test_class_generator_parity(core, label, fam, geom):
         _same_arrays(core.class_generator(t, q), want)
     if label == "fa1-ring17":
         assert states.size == (1 << 17) - 1
+
+
+@pytest.mark.parametrize("label,fam,geom", CLASS_CASES,
+                         ids=[c[0] for c in CLASS_CASES])
+def test_symmetrized_parity(core, label, fam, geom):
+    # one C pass gives _pure's bytes, s and flux_error: under the class's
+    # own weights, under weights spread over 16 decades that break detailed
+    # balance, and with a NaN rate, which makes flux_error NaN
+    gen = spectral.build_generator(geom, fam, 0.3)
+    csr = gen.indptr, gen.indices, gen.data
+    g = np.random.default_rng(7)
+    spread = (g.random(gen.size) + 0.5) * 10.0 ** g.integers(-8, 9, gen.size)
+    nan_data = gen.data.copy()
+    nan_data[gen.data.size // 2] = np.nan
+    for args in ((*csr, gen.mu), (*csr, spread),
+                 (gen.indptr, gen.indices, nan_data, gen.mu)):
+        want_s, want_err = _pure.symmetrized(*args)
+        got_s, got_err = core.symmetrized(*args)
+        assert got_s.dtype == want_s.dtype == np.float64
+        assert got_s.tobytes() == want_s.tobytes()
+        assert (np.float64(got_err).tobytes()
+                == np.float64(want_err).tobytes())
+        assert np.isnan(got_err) == (args[2] is nan_data)
+    if label == "fa1-ring17":
+        assert gen.size == (1 << 17) - 1
 
 
 def test_class_generator_more_than_sixteen_slots_route_to_pure(core,

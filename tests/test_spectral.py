@@ -217,22 +217,28 @@ def test_missing_arpack_library_names_its_path(monkeypatch, tmp_path):
         spectral._arpacklib.cache_clear()
 
 
+@pytest.mark.usefixtures("each_kernels")
 def test_reversibility_check_catches_one_changed_entry():
-    # east on 18 sites has 2^17 states, past the 2^16 that _reverse_perm
-    # sorts as uint16 keys, so its int32-key sort runs too. Its all-empty
-    # row weighs 0.3^17: a change of 1e-6 there moves the flux by about
-    # 1e-15, below the absolute REVERSIBILITY_TOL, so it changes by 100%.
+    # east on 18 sites has 2^17 states, past the 2^16 below which the pure
+    # kernel sorts uint16 keys, so its int32-key sort runs too. Its
+    # all-empty row weighs 0.3^17: a change of 1e-6 there moves the flux by
+    # about 1e-15, below the absolute REVERSIBILITY_TOL, so it changes by
+    # 100%. A NaN rate fails the check wherever it sits, diagonal included.
     for geom, fam, change in [
             (Geometry((3, 3)), make_family("fa_kf", d=2, k=2), 1e-6),
             (Geometry((18,)), make_family("east", d=1), 1.0)]:
         gen = build_generator(geom, fam, 0.3)
-        spectral._assert_reversible(gen)
-        assert gen.reverse.tolist() == np.argsort(
-            gen.indices.astype(np.int64), kind="stable").tolist()
-        off = np.flatnonzero(gen.row_ids() != gen.indices)
-        for k in (off[0], off[off.size // 2], off[-1]):
+        assert (spectral._symmetrized(gen).tobytes()
+                == symmetrized_scipy(gen).data.tobytes())
+        rows = gen.row_ids()
+        off = np.flatnonzero(rows != gen.indices)
+        changes = [(k, gen.data[k] * (1.0 + change))
+                   for k in (off[0], off[off.size // 2], off[-1])]
+        changes += [(off[off.size // 2], np.nan),
+                    (np.flatnonzero(rows == gen.indices)[-1], np.nan)]
+        for k, value in changes:
             data = gen.data.copy()
-            data[k] *= 1.0 + change
+            data[k] = value
             with pytest.raises(AssertionError,
                                match="reversibility violated"):
                 spectral._assert_reversible(
@@ -309,6 +315,16 @@ def test_gap_flags():
     gen = build_generator(_ring(3), make_family("fa_kf", d=1, k=1), 0.5)
     gap, degenerate = spectral_gap(gen)
     assert gap > 0 and not degenerate
+
+
+def test_one_state_class_has_no_gap():
+    # east on one site: the site's right neighbour lies outside, occupied,
+    # so the all-empty state is the whole class
+    gen = build_generator(Geometry((1,)), make_family("east", d=1), 0.3)
+    assert gen.size == 1
+    assert spectral_gap(gen) == (0.0, True)
+    with pytest.raises(ValueError, match="the class holds one state"):
+        second_eigenvector(gen)
 
 
 # ------------------------------------------------------------ quadratic form
