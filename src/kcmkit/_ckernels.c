@@ -498,9 +498,9 @@ int kk_csr_matvec(int64_t n, const int32_t *indptr, const int32_t *indices,
  * One pass over the rows in order, with one cursor per row: the reverse of
  * entry (i, j) is the next entry of row j not yet taken, and it must have
  * column i. Every entry is taken once exactly when the pattern is
- * symmetric with the columns of every row ascending, the condition of
- * _pure's stable sort by column; otherwise some entry finds no reverse and
- * the function returns -2, with s partly written.
+ * symmetric with the columns of every row in nondecreasing order, the
+ * condition of _pure's stable sort by column; otherwise some entry finds
+ * no reverse and the function returns -2, with s partly written.
  */
 int kk_symmetrized(int64_t n, const int32_t *indptr, const int32_t *indices,
                    const double *data, const double *mu, double *s,

@@ -410,7 +410,7 @@ def symmetrized(indptr, indices, data, mu):
     root = sqrt(mu); flux_error is max |mu_j L_ji - mu_i L_ij| over the
     stored entries, NaN when one of them is NaN. Raises ValueError when an
     entry has no reverse, i.e. unless the pattern is symmetric with the
-    columns of every row ascending."""
+    columns of every row in nondecreasing order."""
     ptr, cols, vals, mu = symmetrized_args(indptr, indices, data, mu)
     n = ptr.size - 1
     rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(ptr))
