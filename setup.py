@@ -8,8 +8,17 @@ library whose stamp differs, so a library left from another checkout never
 runs. The package is fully functional without it (kcmkit.kernels picks
 the numpy fallback at import time), so a failed compile is downgraded to a
 warning and the build still exits 0.
+
+An in-place build (`build_ext --inplace`, which `pip install -e .` runs
+too) then byte-compiles the package, as pip does at install, whether or not
+the C step succeeded: __pycache__ gets the pyc of each module for the
+running interpreter, so a `kcm` process loads bytecode instead of compiling
+the source. The import system checks each pyc against its source, so a
+module edited after the build is compiled again in memory. A pyc that
+cannot be written is reported and the build still exits 0.
 """
 
+import compileall
 import hashlib
 import sys
 from pathlib import Path
@@ -18,18 +27,25 @@ from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
 from setuptools.errors import CCompilerError, ExecError, PlatformError
 
+ROOT = Path(__file__).parent
+
 
 class optional_build_ext(build_ext):
     def run(self):
+        # read first: setuptools' run clears the flag and a failed compile
+        # leaves it cleared
+        inplace = self.inplace
         try:
             super().run()
         except (CCompilerError, ExecError, PlatformError, OSError) as exc:
             print(f"kcmkit: skipping compiled kernels ({exc})", file=sys.stderr)
+        if inplace:
+            compileall.compile_dir(ROOT / "src" / "kcmkit", quiet=1)
 
 
 SOURCE = "src/kcmkit/_ckernels.c"
 STAMP = "0x" + hashlib.sha256(
-    (Path(__file__).parent / SOURCE).read_bytes()).hexdigest()[:16] + "ULL"
+    (ROOT / SOURCE).read_bytes()).hexdigest()[:16] + "ULL"
 
 setup(
     ext_modules=[Extension("kcmkit._ckernels",
