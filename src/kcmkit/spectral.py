@@ -28,6 +28,10 @@ restarted Lanczos method (Lehoucq, Sorensen & Yang 1998, ARPACK Users'
 Guide) on it through kernels.csr_operator. ARPACK comes from scipy's
 compiled _arpacklib, loaded from its file: scipy itself is never imported,
 and the loop below takes the steps of scipy's eigsh, so the bytes are its.
+Those bytes hold at a fixed BLAS thread count: the reductions ARPACK calls
+can round otherwise when OpenBLAS splits them over threads (fa1 on the free
+3x5 box reads 0.10033149826936238 with two, 0.10033149826932686 with one),
+and perfbench pins one thread.
 """
 
 from __future__ import annotations

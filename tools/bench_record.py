@@ -14,9 +14,12 @@ seed 0 gives the exact counters, their digest and the parity line (pure
 and compiled CSVs compared).
 
 The file holds the commit(s), the value of PYTHONDONTWRITEBYTECODE for the
-runs, null when unset (perfbench's children inherit it, and where it turns
-bytecode writing off every run compiles kcmkit afresh, so `setup_s` and
-`peak_rss_mb` move with the source's length), the `env` facts of the
+runs, null when unset. perfbench's children inherit it, and it only stops
+imports from writing bytecode: over the bytecode that the in-place build
+writes, it decides whether a module edited after the build is cached
+again, but a commit whose build writes none compiles kcmkit afresh in
+every run under it, so `setup_s` and `peak_rss_mb` move with the source's
+length. The file also holds the `env` facts of the
 commit's first run (kernel implementation included), and per workload and
 commit the median and interquartile range of the five end-to-end metrics
 over the runs, each run's values, whether every run passed perfbench's
